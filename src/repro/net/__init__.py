@@ -8,7 +8,7 @@ multi-process deployment.  It contains:
   byte layout);
 - :mod:`repro.net.directory` -- :class:`PeerDirectory`, the static
   NodeId -> ``host:port`` table;
-- :mod:`repro.net.tcp` -- :class:`TcpTransport`, the asyncio-streams
+- :mod:`repro.net.tcp` -- :class:`TcpTransport`, the asyncio TCP
   implementation of the runtime :class:`~repro.runtime.transport.Transport`
   contract;
 - :mod:`repro.net.deploy` -- ``repro deploy``: shard a plan across
@@ -17,8 +17,7 @@ multi-process deployment.  It contains:
 """
 
 from repro.net.codec import (
-    CODEC_JSON,
-    CODEC_MSGPACK,
+    CODEC_STRUCT,
     HEADER_BYTES,
     MAGIC,
     MAX_FRAME_BYTES,
@@ -31,8 +30,6 @@ from repro.net.codec import (
     default_codec,
     encode_frame,
     encode_payload,
-    envelope_from_obj,
-    envelope_to_obj,
 )
 from repro.net.deploy import (
     CONTROL_ADDRESS_BASE,
@@ -50,8 +47,7 @@ from repro.net.directory import Endpoint, PeerDirectory
 from repro.net.tcp import TcpTransport
 
 __all__ = [
-    "CODEC_JSON",
-    "CODEC_MSGPACK",
+    "CODEC_STRUCT",
     "CONTROL_ADDRESS_BASE",
     "CodecError",
     "DeployError",
@@ -77,6 +73,4 @@ __all__ = [
     "default_codec",
     "encode_frame",
     "encode_payload",
-    "envelope_from_obj",
-    "envelope_to_obj",
 ]

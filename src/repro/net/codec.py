@@ -1,45 +1,49 @@
-"""The wire codec: length-prefixed frames around serialized envelopes.
+"""The wire codec: length-prefixed frames around struct-packed envelopes.
 
 Everything codec-ish lives in this one module so the wire format has a
-single owner.  A frame is::
+single owner.  A frame is a 16-byte header and a payload::
 
     offset  size  field
     0       2     magic 0x524D ("RM")
     2       1     protocol version (PROTOCOL_VERSION)
-    3       1     payload codec (0 = JSON, 1 = msgpack)
+    3       1     payload format (CODEC_STRUCT; 0 and 1 are retired)
     4       8     destination NodeId (signed big-endian)
     12      4     payload length N (unsigned big-endian)
     16      N     payload bytes
 
 The destination rides in the header because one process hosts many
-addresses (a worker hosts a shard of node agents plus its control
-inbox): the frame reader routes on the header without decoding the
-payload.  Length is bounded by :data:`MAX_FRAME_BYTES` so a corrupt or
-hostile peer cannot make the reader allocate unbounded memory.
+addresses (a worker's agents plus its control inbox): the reader routes
+on the header without decoding the payload.  Length is bounded by
+:data:`MAX_FRAME_BYTES` so a hostile peer cannot make the reader
+allocate unbounded memory.  The version byte must equal
+:data:`PROTOCOL_VERSION` and the format byte :data:`CODEC_STRUCT`;
+anything else is a :class:`FrameError`, fatal for that connection (both
+ends of a deployment run the same build, so negotiation is refusal).
 
-Payloads are a tagged dict per :class:`~repro.runtime.messages.Envelope`
-subclass, encoded as msgpack when the optional dependency is importable
-and JSON otherwise -- the codec byte says which, and a decoder missing
-msgpack rejects msgpack frames with :class:`CodecError` rather than
-guessing.  Version negotiation is deliberately minimal: the version
-byte must be one of :data:`COMPAT_VERSIONS`, and anything else is a
-:class:`FrameError` the connection handler treats as fatal for that
-connection (both ends of a deployment normally run the same build, so
-"negotiation" is refusal).
+The payload is big-endian, unpadded, and starts with a kind byte::
 
-Version history: v1 is the original frame; v2 (current) adds an
-*optional* ``"tc"`` key to tick/update payloads carrying the
-distributed-trace context as ``[trace_id_hex, span_id]``.  v1 frames
--- and v2 frames without the key -- decode to envelopes with
-``trace_ctx=None``, so old peers interoperate for the payload schema
-both sides understand.
+    stop       kind
+    heartbeat  kind | sender i64 | period i64
+    tick       kind | flags u8 | period i64 | sent_monotonic f64 | [trace]
+    update     kind | flags u8 | sender i64 | period i64
+               | tree attrs u16 | table attrs u16 | values u32 | [trace]
+               | table: attrs x (length u16 | UTF-8 bytes)
+               | values x (node i64 | attr index u16 | value f64 | sampled_at f64)
+
+``flags`` is 0, or 1 when the 24-byte trace context (16 raw trace-id
+bytes, span id u64) follows the fixed fields.  An update's attribute
+table lists the tree's attributes first (sorted), then any attribute
+only the readings name; readings refer to it by index and are packed
+and unpacked in one ``struct`` call.  No declared count sizes anything
+before the bytes are seen to be there (the table grows one name read at
+a time, the values unpack once their exact length is confirmed), and a
+payload must be consumed exactly.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.attributes import NodeAttributePair, NodeId
 from repro.obs.trace import TraceContext
@@ -52,224 +56,208 @@ from repro.runtime.messages import (
 )
 from repro.simulation.messages import Reading
 
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - the common case in this image
-    msgpack = None
-
 #: First two frame bytes; "RM" for REMO.
 MAGIC = 0x524D
 
-#: Bump on any change to the frame layout or payload schema.
-PROTOCOL_VERSION = 2
+#: Bump on any change to the frame layout or payload schema.  v1/v2
+#: (JSON / msgpack tagged dicts) are refused, not decoded.
+PROTOCOL_VERSION = 3
 
-#: Versions this build decodes.  v1 payloads are a strict subset of
-#: v2 (no ``"tc"`` trace-context key), so accepting both is free.
-COMPAT_VERSIONS = frozenset({1, PROTOCOL_VERSION})
-
-#: Payload codec ids (the header's codec byte).
+#: Payload-format ids (the header's format byte).  JSON's id is retired
+#: and refused; the name stays because the repo benchmark's environment
+#: block compares :func:`default_codec` against it.
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
+CODEC_STRUCT = 2
 
 #: Refuse frames claiming a payload larger than this (8 MiB): a bad
 #: length prefix must fail fast, not trigger a giant allocation.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
-#: ``magic | version | codec | dest | length``.
+#: ``magic | version | format | dest | length``.
 _HEADER = struct.Struct(">HBBqI")
 HEADER_BYTES = _HEADER.size
+
+#: Kind bytes; the two kinds that can carry a trace context sort last.
+_KIND_STOP, _KIND_HEARTBEAT, _KIND_TICK, _KIND_UPDATE = range(4)
+_HEARTBEAT = struct.Struct(">Bqq")
+_TICK = struct.Struct(">BBqd")
+#: ``kind | flags | sender | period | tree attrs | table attrs | values``.
+_UPDATE = struct.Struct(">BBqqHHI")
+#: By kind byte: its name and the fixed fields its payload starts with.
+_KINDS = (
+    ("stop", struct.Struct(">B")),
+    ("heartbeat", _HEARTBEAT),
+    ("tick", _TICK),
+    ("update", _UPDATE),
+)
+_TRACE = struct.Struct(">16sQ")
+_ATTR_LEN = struct.Struct(">H")
+#: One reading: ``node | attr index | value | sampled_at``.
+_VALUE_FORMAT = "qHdd"
+_VALUE_BYTES = struct.calcsize(">" + _VALUE_FORMAT)
+
+Buffer = Union[bytes, bytearray]
 
 
 class CodecError(ValueError):
     """The payload bytes do not decode to a known envelope."""
 
+    #: Set by :meth:`FrameDecoder.feed`: the complete frames decoded
+    #: from the same chunk ahead of the corruption, still to be routed.
+    frames: Sequence[Tuple[NodeId, Envelope]] = ()
+
 
 class FrameError(CodecError):
-    """The frame header is corrupt, foreign, or oversized.
-
-    A connection that produces one of these is unrecoverable -- stream
-    framing is lost -- so handlers drop the connection.
-    """
+    """The header is corrupt, foreign, or oversized: stream framing is
+    lost for good, so handlers drop the connection."""
 
 
 def default_codec() -> int:
-    """The codec this build prefers (msgpack when importable)."""
-    return CODEC_MSGPACK if msgpack is not None else CODEC_JSON
+    """The one payload-format id this build writes and reads."""
+    return CODEC_STRUCT
 
 
-# ---------------------------------------------------------------------------
-# Envelope <-> plain dict
-# ---------------------------------------------------------------------------
-def _payload_items(payload: Dict[NodeAttributePair, Reading]) -> List[List[Any]]:
-    return [
-        [pair.node, pair.attribute, reading.value, reading.sampled_at]
-        for pair, reading in sorted(payload.items())
-    ]
+def _trace_bytes(ctx: Optional[TraceContext]) -> bytes:
+    if ctx is None:
+        return b""
+    raw = bytes.fromhex(ctx.trace_id)
+    if len(raw) != 16:
+        raise ValueError(f"trace id must be 32 hex characters, got {ctx.trace_id!r}")
+    return _TRACE.pack(raw, ctx.span_id)
 
 
-def _trace_ctx_item(ctx: TraceContext) -> List[Any]:
-    return [ctx.trace_id, ctx.span_id]
+def _encode_update(envelope: UpdateEnvelope) -> bytes:
+    attrs = sorted(envelope.tree)
+    index = {attr: slot for slot, attr in enumerate(attrs)}
+    flat: List[object] = []
+    for pair, reading in envelope.payload.items():
+        slot = index.get(pair.attribute)
+        if slot is None:
+            slot = index[pair.attribute] = len(attrs)
+            attrs.append(pair.attribute)
+        flat += (pair.node, slot, reading.value, reading.sampled_at)
+    trace = _trace_bytes(envelope.trace_ctx)
+    head = _UPDATE.pack(
+        _KIND_UPDATE, bool(trace), envelope.sender, envelope.period,
+        len(envelope.tree), len(attrs), len(envelope.payload),
+    )  # fmt: skip
+    parts = [head, trace]
+    for attr in attrs:
+        raw = attr.encode("utf-8")
+        parts += (_ATTR_LEN.pack(len(raw)), raw)
+    parts.append(struct.pack(">" + _VALUE_FORMAT * len(envelope.payload), *flat))
+    return b"".join(parts)
 
 
-def _obj_trace_ctx(obj: Dict[str, Any]) -> Optional[TraceContext]:
-    """The optional ``"tc"`` key back into a context (``None`` if absent).
-
-    Malformed contexts raise (callers wrap into :class:`CodecError`):
-    a peer that *sends* the key must send it well-formed.
-    """
-    item = obj.get("tc")
-    if item is None:
-        return None
-    trace_id, span_id = item
-    if not isinstance(trace_id, str) or len(trace_id) != 32:
-        raise ValueError(f"bad trace id in trace context: {trace_id!r}")
-    int(trace_id, 16)
-    return TraceContext(trace_id=trace_id, span_id=int(span_id))
-
-
-def envelope_to_obj(envelope: Envelope) -> Dict[str, Any]:
-    """Lower an envelope to a JSON/msgpack-safe tagged dict."""
-    if isinstance(envelope, TickEnvelope):
-        obj: Dict[str, Any] = {
-            "kind": "tick",
-            "period": envelope.period,
-            "sent_monotonic": envelope.sent_monotonic,
-        }
-        if envelope.trace_ctx is not None:
-            obj["tc"] = _trace_ctx_item(envelope.trace_ctx)
-        return obj
-    if isinstance(envelope, UpdateEnvelope):
-        obj = {
-            "kind": "update",
-            "sender": envelope.sender,
-            "tree": sorted(envelope.tree),
-            "period": envelope.period,
-            "payload": _payload_items(envelope.payload),
-        }
-        if envelope.trace_ctx is not None:
-            obj["tc"] = _trace_ctx_item(envelope.trace_ctx)
-        return obj
-    if isinstance(envelope, HeartbeatEnvelope):
-        return {"kind": "heartbeat", "sender": envelope.sender, "period": envelope.period}
-    if isinstance(envelope, StopEnvelope):
-        return {"kind": "stop"}
+def encode_payload(envelope: Envelope) -> bytes:
+    """Serialize one envelope (raises :class:`CodecError` if it cannot be)."""
+    try:
+        if isinstance(envelope, UpdateEnvelope):
+            return _encode_update(envelope)
+        if isinstance(envelope, TickEnvelope):
+            trace = _trace_bytes(envelope.trace_ctx)
+            fixed = _TICK.pack(_KIND_TICK, bool(trace), envelope.period, envelope.sent_monotonic)
+            return fixed + trace
+        if isinstance(envelope, HeartbeatEnvelope):
+            return _HEARTBEAT.pack(_KIND_HEARTBEAT, envelope.sender, envelope.period)
+        if isinstance(envelope, StopEnvelope):
+            return bytes((_KIND_STOP,))
+    except (struct.error, AttributeError, TypeError, ValueError) as exc:
+        raise CodecError(f"cannot encode {type(envelope).__name__}: {exc}") from exc
     raise CodecError(f"cannot encode envelope type {type(envelope).__name__}")
 
 
-def _obj_tick(obj: Dict[str, Any]) -> Envelope:
-    return TickEnvelope(
-        period=int(obj["period"]),
-        sent_monotonic=float(obj["sent_monotonic"]),
-        trace_ctx=_obj_trace_ctx(obj),
-    )
-
-
-def _obj_update(obj: Dict[str, Any]) -> Envelope:
+def _decode_update(
+    buf: Buffer, pos: int, end: int, fields: Tuple[int, ...], trace_ctx: Optional[TraceContext]
+) -> Envelope:
+    _, _, sender, period, n_tree, n_attrs, n_values = fields
+    if n_tree > n_attrs:
+        raise CodecError(f"update declares {n_tree} tree attributes in a table of {n_attrs}")
+    attrs: List[str] = []
+    for _ in range(n_attrs):
+        if end - pos < _ATTR_LEN.size:
+            raise CodecError("payload ends inside the attribute table")
+        (length,) = _ATTR_LEN.unpack_from(buf, pos)
+        pos += _ATTR_LEN.size
+        if end - pos < length:
+            raise CodecError("payload ends inside an attribute name")
+        try:
+            attrs.append(str(buf[pos : pos + length], "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"attribute name is not valid UTF-8: {exc}") from exc
+        pos += length
+    if end - pos != n_values * _VALUE_BYTES:
+        raise CodecError(
+            f"update declares {n_values} values ({n_values * _VALUE_BYTES} bytes), "
+            f"{end - pos} bytes follow its attribute table"
+        )
+    flat = struct.unpack_from(">" + _VALUE_FORMAT * n_values, buf, pos)
+    slots = flat[1::4]
+    if slots and max(slots) >= n_attrs:
+        raise CodecError(f"attribute index {max(slots)} outside a table of {n_attrs}")
     payload = {
-        NodeAttributePair(int(node), str(attr)): Reading(
-            value=float(value), sampled_at=float(sampled_at)
-        )
-        for node, attr, value, sampled_at in obj["payload"]
+        NodeAttributePair(node, attrs[slot]): Reading(value, sampled_at)
+        for node, slot, value, sampled_at in zip(flat[0::4], slots, flat[2::4], flat[3::4])
     }
-    return UpdateEnvelope(
-        sender=int(obj["sender"]),
-        tree=frozenset(str(a) for a in obj["tree"]),
-        period=int(obj["period"]),
-        payload=payload,
-        trace_ctx=_obj_trace_ctx(obj),
-    )
+    return UpdateEnvelope(sender, frozenset(attrs[:n_tree]), period, payload, trace_ctx)
 
 
-def _obj_heartbeat(obj: Dict[str, Any]) -> Envelope:
-    return HeartbeatEnvelope(sender=int(obj["sender"]), period=int(obj["period"]))
+def decode_payload(buf: Buffer, pos: int = 0, end: Optional[int] = None) -> Envelope:
+    """The envelope ``buf[pos:end]`` holds exactly, else :class:`CodecError`."""
+    end = len(buf) if end is None else end
+    if pos >= end:
+        raise CodecError("empty payload")
+    kind = buf[pos]
+    if kind >= len(_KINDS):
+        raise CodecError(f"unknown envelope kind byte 0x{kind:02x}")
+    name, layout = _KINDS[kind]
+    if end - pos < layout.size:
+        raise CodecError(f"malformed {name}: shorter than its fixed fields")
+    fields = layout.unpack_from(buf, pos)
+    pos += layout.size
+    trace_ctx = None
+    if kind >= _KIND_TICK and fields[1]:  # the flags byte
+        if fields[1] != 1:
+            raise CodecError(f"bad flags byte 0x{fields[1]:02x}")
+        if end - pos < _TRACE.size:
+            raise CodecError("payload ends inside the trace context")
+        raw, span_id = _TRACE.unpack_from(buf, pos)
+        trace_ctx, pos = TraceContext(trace_id=raw.hex(), span_id=span_id), pos + _TRACE.size
+    if kind == _KIND_UPDATE:
+        return _decode_update(buf, pos, end, fields, trace_ctx)
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing bytes after the envelope")
+    if kind == _KIND_TICK:
+        return TickEnvelope(period=fields[2], sent_monotonic=fields[3], trace_ctx=trace_ctx)
+    if kind == _KIND_HEARTBEAT:
+        return HeartbeatEnvelope(sender=fields[1], period=fields[2])
+    return StopEnvelope()
 
 
-_DECODERS: Dict[str, Callable[[Dict[str, Any]], Envelope]] = {
-    "tick": _obj_tick,
-    "update": _obj_update,
-    "heartbeat": _obj_heartbeat,
-    "stop": lambda obj: StopEnvelope(),
-}
-
-
-def envelope_from_obj(obj: Dict[str, Any]) -> Envelope:
-    """Raise :class:`CodecError` unless ``obj`` is a valid tagged dict."""
-    if not isinstance(obj, dict):
-        raise CodecError(f"envelope payload must be a mapping, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise CodecError(f"unknown envelope kind {kind!r}")
-    try:
-        return decoder(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodecError(f"malformed {kind!r} envelope: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Payload bytes
-# ---------------------------------------------------------------------------
-def encode_payload(envelope: Envelope, codec: Optional[int] = None) -> Tuple[int, bytes]:
-    """Serialize one envelope; returns ``(codec_id, payload_bytes)``."""
-    codec = default_codec() if codec is None else codec
-    obj = envelope_to_obj(envelope)
-    if codec == CODEC_JSON:
-        return CODEC_JSON, json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise CodecError("msgpack codec requested but msgpack is not installed")
-        return CODEC_MSGPACK, msgpack.packb(obj, use_bin_type=True)
-    raise CodecError(f"unknown codec id {codec}")
-
-
-def decode_payload(codec: int, payload: bytes) -> Envelope:
-    if codec == CODEC_JSON:
-        try:
-            obj = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CodecError(f"payload is not valid JSON: {exc}") from exc
-    elif codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise CodecError("frame uses the msgpack codec but msgpack is not installed")
-        try:
-            obj = msgpack.unpackb(payload, raw=False)
-        except Exception as exc:
-            raise CodecError(f"payload is not valid msgpack: {exc}") from exc
-    else:
-        raise CodecError(f"unknown codec id {codec}")
-    return envelope_from_obj(obj)
-
-
-# ---------------------------------------------------------------------------
-# Frames
-# ---------------------------------------------------------------------------
-def encode_frame(dest: NodeId, envelope: Envelope, codec: Optional[int] = None) -> bytes:
+def encode_frame(dest: NodeId, envelope: Envelope) -> bytes:
     """One wire frame carrying ``envelope`` addressed to ``dest``."""
-    codec_id, payload = encode_payload(envelope, codec)
+    payload = encode_payload(envelope)
     if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"payload of {len(payload)} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-        )
-    header = _HEADER.pack(MAGIC, PROTOCOL_VERSION, codec_id, dest, len(payload))
+        raise FrameError(f"payload of {len(payload)} bytes exceeds MAX_FRAME_BYTES")
+    try:
+        header = _HEADER.pack(MAGIC, PROTOCOL_VERSION, CODEC_STRUCT, dest, len(payload))
+    except struct.error as exc:
+        raise FrameError(f"destination {dest!r} does not fit the header: {exc}") from exc
     return header + payload
 
 
-def decode_header(header: bytes) -> Tuple[int, NodeId, int]:
-    """Validate a 16-byte header; returns ``(codec, dest, length)``."""
-    magic, version, codec, dest, length = _HEADER.unpack(header)
+def decode_header(header: Buffer, offset: int = 0) -> Tuple[NodeId, int]:
+    """Validate the 16-byte header at ``offset``; returns ``(dest, length)``."""
+    magic, version, codec, dest, length = _HEADER.unpack_from(header, offset)
     if magic != MAGIC:
         raise FrameError(f"bad magic 0x{magic:04x} (expected 0x{MAGIC:04x})")
-    if version not in COMPAT_VERSIONS:
-        raise FrameError(
-            f"protocol version {version} not supported (this build speaks "
-            f"{sorted(COMPAT_VERSIONS)})"
-        )
+    if version != PROTOCOL_VERSION:
+        raise FrameError(f"protocol version {version} refused (this build speaks {PROTOCOL_VERSION})")
+    if codec != CODEC_STRUCT:
+        raise FrameError(f"unknown payload codec id {codec} (expected {CODEC_STRUCT})")
     if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"declared payload of {length} bytes exceeds MAX_FRAME_BYTES "
-            f"({MAX_FRAME_BYTES})"
-        )
-    return codec, dest, length
+        raise FrameError(f"declared payload of {length} bytes exceeds MAX_FRAME_BYTES")
+    return dest, length
 
 
 class FrameDecoder:
@@ -278,8 +266,10 @@ class FrameDecoder:
     Feed it whatever chunks the socket yields; it emits complete
     ``(dest, envelope)`` pairs and buffers the rest.  Corruption
     (:class:`FrameError` / :class:`CodecError`) propagates to the
-    caller, which should drop the connection -- once framing is lost
-    there is no way to resynchronize a length-prefixed stream.
+    caller carrying the frames that decoded cleanly ahead of it
+    (``exc.frames``); the caller routes those and drops the connection
+    -- once framing is lost there is no way to resynchronize a
+    length-prefixed stream.
     """
 
     def __init__(self) -> None:
@@ -290,16 +280,23 @@ class FrameDecoder:
         """Bytes held waiting for a complete frame."""
         return len(self._buffer)
 
-    def feed(self, data: bytes) -> List[Tuple[NodeId, Envelope]]:
-        self._buffer.extend(data)
+    def feed(self, data: Buffer) -> List[Tuple[NodeId, Envelope]]:
+        buffer = self._buffer
+        buffer += data
         frames: List[Tuple[NodeId, Envelope]] = []
-        while True:
-            if len(self._buffer) < HEADER_BYTES:
-                return frames
-            codec, dest, length = decode_header(bytes(self._buffer[:HEADER_BYTES]))
-            end = HEADER_BYTES + length
-            if len(self._buffer) < end:
-                return frames
-            payload = bytes(self._buffer[HEADER_BYTES:end])
-            del self._buffer[:end]
-            frames.append((dest, decode_payload(codec, payload)))
+        pos, end = 0, len(buffer)
+        try:
+            while end - pos >= HEADER_BYTES:
+                dest, length = decode_header(buffer, pos)
+                stop = pos + HEADER_BYTES + length
+                if stop > end:
+                    break
+                frames.append((dest, decode_payload(buffer, pos + HEADER_BYTES, stop)))
+                pos = stop
+        except CodecError as exc:
+            exc.frames = frames
+            buffer.clear()
+            raise
+        # Compact once per chunk, not once per frame.
+        del buffer[:pos]
+        return frames

@@ -1,26 +1,30 @@
-"""The socket transport: framed envelopes over asyncio TCP streams.
+"""The socket transport: framed envelopes over asyncio TCP.
 
-:class:`TcpTransport` implements the runtime's
-:class:`~repro.runtime.transport.Transport` contract with real
-sockets: local inboxes come from
-:class:`~repro.runtime.transport.MailboxTransport`, and anything
-addressed off-process is framed by :mod:`repro.net.codec` and written
-to a pooled per-endpoint connection.
+:class:`TcpTransport` implements the runtime's ``Transport`` contract
+with real sockets: local inboxes come from ``MailboxTransport``, and
+anything addressed off-process is framed by :mod:`repro.net.codec` and
+written to a pooled per-endpoint connection.
 
 Connection handling, in one place:
 
-- **lazy dial** -- a peer connection is opened on the first frame
-  addressed to its endpoint, never at startup, so process launch order
-  does not matter;
-- **reconnect** -- a failed dial or a broken write backs off
-  exponentially (``dial_backoff_base`` doubling to ``dial_backoff_cap``)
-  and retries with the frame still in hand, so a worker restart costs
-  latency, not messages queued on the sender;
-- **backpressure** -- each endpoint's send queue is bounded
-  (``send_queue_frames``); a sender outrunning a dead peer eventually
-  blocks in :meth:`TcpTransport.send` instead of growing memory;
-- **graceful close** -- :meth:`TcpTransport.aclose` drains send
-  queues (bounded by ``close_grace_seconds``), closes every stream,
+- **flush per turn** -- ``send`` encodes and appends to the link's
+  pending deque; one ``call_soon`` flush writes everything accepted in
+  that event-loop turn as a single buffer (a tick broadcast is one
+  syscall however many frames it holds);
+- **lazy dial, reconnect** -- a link dials on its first frame, never at
+  startup, so launch order does not matter.  A failed dial or a dead
+  stream retries under exponential backoff (``dial_backoff_base``
+  doubling to ``dial_backoff_cap``) in a task that lives only while the
+  link is down; frames not yet written stay in hand, in order, so a
+  worker restart costs latency, not the messages queued behind it.
+  Delivery is at-most-once: frames written to a stream that then dies
+  are lost;
+- **backpressure** -- ``send_queue_frames`` bounds what a dead peer can
+  make a sender hold (``send`` blocks), and a live but slow peer blocks
+  ``send`` on the stream's own ``drain()`` once asyncio's write-buffer
+  limit is passed;
+- **graceful close** -- :meth:`TcpTransport.aclose` flushes pending
+  frames (bounded by ``close_grace_seconds``), closes every stream,
   and stops the listener.
 
 ``force_wire=True`` disables the local-inbox fast path so even
@@ -33,7 +37,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional, Set
+from collections import deque
+from typing import Deque, Dict, Optional, Set
 
 from repro.core.attributes import NodeId
 from repro.net.codec import CodecError, FrameDecoder, encode_frame
@@ -45,101 +50,152 @@ from repro.runtime.transport import MailboxTransport
 
 
 class _PeerLink:
-    """One pooled outbound connection: bounded queue + sender task."""
+    """One pooled outbound connection: pending frames, one flush a turn."""
 
     def __init__(self, transport: "TcpTransport", endpoint: Endpoint) -> None:
         self.transport = transport
         self.endpoint = endpoint
-        self.queue: "asyncio.Queue[bytes]" = asyncio.Queue(
-            maxsize=transport.send_queue_frames
-        )
+        self._label = str(endpoint)
+        #: Frames accepted but not yet written: this turn's batch, or
+        #: the frames in hand while the link is down (``idle`` reads it).
+        self._pending: Deque[bytes] = deque()
+        self._flush_scheduled = False
+        #: Set whenever a flush empties ``_pending``.
+        self._room = asyncio.Event()
+        self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._sender_task: Optional["asyncio.Task[None]"] = None
+        self._dial_task: Optional["asyncio.Task[None]"] = None
         self._closing = False
 
-    # ------------------------------------------------------------------
     async def enqueue(self, frame: bytes) -> None:
-        """Queue ``frame`` for delivery (blocks when the queue is full)."""
-        if self._sender_task is None or self._sender_task.done():
-            self._sender_task = asyncio.ensure_future(self._sender())
-        await self.queue.put(frame)
+        """Accept ``frame`` for the next flush (blocks on backpressure)."""
+        while len(self._pending) >= self.transport.send_queue_frames and not self._closing:
+            self._room.clear()
+            await self._room.wait()
+        self._pending.append(frame)  # noqa: REMO421 -- the while re-tests the bound after every wake
+        if not self._flush_scheduled and self._dial_task is None:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush)
+        if self._writer is not None:
+            try:
+                # Returns at once unless the stream is above asyncio's
+                # write-buffer limit: a live but slow peer blocks here.
+                await self._writer.drain()
+            except (ConnectionError, OSError):
+                pass  # the flush finds the dead stream and redials
 
-    def idle(self) -> bool:
-        return self.queue.empty()
-
-    # ------------------------------------------------------------------
-    async def _sender(self) -> None:
-        """Drain the queue onto the stream, redialing as needed."""
+    def _flush(self) -> None:
+        """Write every pending frame as one buffer, or go (re)dial."""
+        self._flush_scheduled = False
+        if not self._pending or self._closing:
+            return
+        reader, writer = self._reader, self._writer
+        if reader is None or writer is None or writer.is_closing() or reader.at_eof():
+            if writer is not None:
+                # The peer went away (it never half-closes on purpose);
+                # what is pending was not written, so it is retried.
+                self._drop_writer()
+                self._note_reconnect(0.0)
+            self._dial_task = asyncio.ensure_future(self._dial())
+            return
+        data = b"".join(self._pending)
+        frames = len(self._pending)
+        self._pending.clear()
+        writer.write(data)
         metrics = self.transport.metrics
-        while not self._closing:
-            frame = await self.queue.get()
-            backoff = self.transport.dial_backoff_base
-            while not self._closing:
-                try:
-                    writer = await self._connect()
-                    writer.write(frame)
-                    await writer.drain()
-                    metrics.incr(names.NET_FRAMES_SENT, endpoint=str(self.endpoint))
-                    metrics.incr(
-                        names.NET_BYTES_SENT, len(frame), endpoint=str(self.endpoint)
-                    )
-                    break
-                except (ConnectionError, OSError):
-                    # The peer is down or restarting: drop the dead
-                    # stream, back off, and retry the same frame -- the
-                    # queue keeps ordering, the bounded size keeps memory.
-                    self._drop_writer()
-                    metrics.incr(names.NET_RECONNECTS, endpoint=str(self.endpoint))
-                    log.emit(
-                        names.LOG_NET_RECONNECT,
-                        lane=names.LANE_TRANSPORT,
-                        severity="warning",
-                        endpoint=str(self.endpoint),
-                        backoff_seconds=backoff,
-                    )
-                    await asyncio.sleep(backoff)
-                    backoff = min(backoff * 2.0, self.transport.dial_backoff_cap)
+        metrics.incr(names.NET_FRAMES_SENT, frames, endpoint=self._label)
+        metrics.incr(names.NET_BYTES_SENT, len(data), endpoint=self._label)
+        self._room.set()
 
-    async def _connect(self) -> asyncio.StreamWriter:
-        if self._writer is not None and not self._writer.is_closing():
-            return self._writer
-        started = time.monotonic()
-        reader, writer = await asyncio.open_connection(*self.endpoint.as_pair())
-        del reader  # outbound links are write-only; the peer never replies
-        self.transport.metrics.observe(
-            names.NET_DIAL_LATENCY_S,
-            time.monotonic() - started,
-            endpoint=str(self.endpoint),
+    async def _dial(self) -> None:
+        """Connect under exponential backoff, then flush the frames in hand."""
+        backoff = self.transport.dial_backoff_base
+        while not self._closing:
+            started = time.monotonic()
+            try:
+                self._reader, self._writer = await asyncio.open_connection(
+                    *self.endpoint.as_pair()
+                )
+            except (ConnectionError, OSError):
+                self._note_reconnect(backoff)
+                await asyncio.sleep(backoff)
+                backoff = min(backoff * 2.0, self.transport.dial_backoff_cap)
+            else:
+                self.transport.metrics.observe(
+                    names.NET_DIAL_LATENCY_S, time.monotonic() - started, endpoint=self._label
+                )
+                break
+        self._dial_task = None
+        self._flush()
+
+    def _note_reconnect(self, backoff: float) -> None:
+        self.transport.metrics.incr(names.NET_RECONNECTS, endpoint=self._label)
+        log.emit(
+            names.LOG_NET_RECONNECT,
+            lane=names.LANE_TRANSPORT,
+            severity="warning",
+            endpoint=self._label,
+            backoff_seconds=backoff,
         )
-        self._writer = writer  # noqa: REMO421 -- only the single sender task dials
-        return writer
 
     def _drop_writer(self) -> None:
-        writer, self._writer = self._writer, None
+        writer, self._writer, self._reader = self._writer, None, None
         if writer is not None:
             writer.close()
 
-    # ------------------------------------------------------------------
     async def aclose(self, grace_seconds: float) -> None:
-        """Bounded-grace drain, then tear the link down."""
-        deadline = time.monotonic() + grace_seconds
-        while not self.queue.empty() and time.monotonic() < deadline:
-            await asyncio.sleep(0.005)
+        """Bounded-grace flush, then tear the link down."""
+        try:
+            async with asyncio.timeout(grace_seconds):
+                while self._pending:
+                    self._room.clear()
+                    await self._room.wait()
+        except TimeoutError:
+            pass
+        dial_task = self._dial_task
         self.close()
-        if self._sender_task is not None:
-            try:
-                await asyncio.wait_for(
-                    asyncio.gather(self._sender_task, return_exceptions=True),
-                    timeout=grace_seconds,
-                )
-            except asyncio.TimeoutError:
-                pass
+        if dial_task is not None:
+            await asyncio.gather(dial_task, return_exceptions=True)
 
     def close(self) -> None:
         self._closing = True
-        if self._sender_task is not None and not self._sender_task.done():
-            self._sender_task.cancel()
+        if self._dial_task is not None:
+            self._dial_task.cancel()
+        self._room.set()  # a scheduled flush sees _closing and does nothing
         self._drop_writer()
+
+
+class _InboundLink(asyncio.Protocol):
+    """Inbound half of one peer connection: bytes -> frames -> inboxes."""
+
+    transport: asyncio.BaseTransport
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        self.owner = owner
+        self.decoder = FrameDecoder()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.owner._inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.owner._inbound.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        owner = self.owner
+        owner.metrics.incr(names.NET_BYTES_RECEIVED, len(data))
+        corrupt = False
+        try:
+            frames = self.decoder.feed(data)
+        except CodecError as exc:
+            frames, corrupt = exc.frames, True
+        for dest, envelope in frames:
+            owner._route_inbound(dest, envelope)
+        if corrupt:
+            # Framing is lost; nothing later on this stream can be
+            # trusted.  Count and drop this connection only.
+            owner._count_dropped("corrupt", "error")
+            self.transport.close()
 
 
 class TcpTransport(MailboxTransport):
@@ -154,7 +210,6 @@ class TcpTransport(MailboxTransport):
         listen_port: int = 0,
         metrics: Optional[RuntimeMetrics] = None,
         force_wire: bool = False,
-        codec: Optional[int] = None,
         send_queue_frames: int = 1024,
         dial_backoff_base: float = 0.05,
         dial_backoff_cap: float = 2.0,
@@ -165,25 +220,18 @@ class TcpTransport(MailboxTransport):
         self.listen_host = listen_host
         self.listen_port = listen_port
         self.force_wire = force_wire
-        self.codec = codec
         self.send_queue_frames = send_queue_frames
         self.dial_backoff_base = dial_backoff_base
         self.dial_backoff_cap = dial_backoff_cap
         self.close_grace_seconds = close_grace_seconds
         self._server: Optional[asyncio.base_events.Server] = None
         self._links: Dict[Endpoint, _PeerLink] = {}
-        self._inbound_writers: Set[asyncio.StreamWriter] = set()
+        self._inbound: Set[asyncio.BaseTransport] = set()
         self._start_lock = asyncio.Lock()
         #: Frames this process put on the wire / routed off the wire.
-        #: Their difference is the in-flight count ``idle`` consults in
-        #: ``force_wire`` (single-process) mode, where every wire frame
-        #: loops back to this very transport.
         self._wire_frames_out = 0
         self._wire_frames_in = 0
 
-    # ------------------------------------------------------------------
-    # Listener
-    # ------------------------------------------------------------------
     @property
     def endpoint(self) -> Endpoint:
         """The bound listen endpoint (resolved once started)."""
@@ -193,50 +241,11 @@ class TcpTransport(MailboxTransport):
         """Start the listener (idempotent); returns the bound endpoint."""
         async with self._start_lock:
             if self._server is None:
-                self._server = await asyncio.start_server(
-                    self._serve_connection, self.listen_host, self.listen_port
+                self._server = await asyncio.get_running_loop().create_server(
+                    lambda: _InboundLink(self), self.listen_host, self.listen_port
                 )
                 self.listen_port = self._server.sockets[0].getsockname()[1]
         return self.endpoint
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Inbound half: parse frames off one peer's stream and route."""
-        self._inbound_writers.add(writer)
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                self.metrics.incr(names.NET_BYTES_RECEIVED, len(chunk))
-                try:
-                    frames = decoder.feed(chunk)
-                except CodecError:
-                    # Framing is lost; nothing on this stream can be
-                    # trusted anymore.  Count and drop the connection.
-                    self.metrics.incr(names.NET_FRAMES_DROPPED, reason="corrupt")
-                    log.emit(
-                        names.LOG_NET_FRAME_DROPPED,
-                        lane=names.LANE_TRANSPORT,
-                        severity="error",
-                        reason="corrupt",
-                    )
-                    return
-                for dest, envelope in frames:
-                    self._route_inbound(dest, envelope)
-        except (ConnectionError, OSError):
-            return
-        except asyncio.CancelledError:
-            # Loop teardown cancels handler tasks still blocked in
-            # read(); exiting quietly here (the connection is going
-            # away regardless) keeps shutdown free of spurious
-            # "exception in callback" noise from the streams layer.
-            return
-        finally:
-            self._inbound_writers.discard(writer)  # noqa: REMO421 -- set add/discard of own entry
-            writer.close()
 
     def _route_inbound(self, dest: NodeId, envelope: Envelope) -> None:
         self._wire_frames_in += 1
@@ -245,18 +254,18 @@ class TcpTransport(MailboxTransport):
             # Arrived at the right process for the directory's idea of
             # ``dest``, but no such inbox lives here (stale shard map,
             # mid-restart window).  At-most-once: count and drop.
-            self.metrics.incr(names.NET_FRAMES_DROPPED, reason="unknown_address")
-            log.emit(
-                names.LOG_NET_FRAME_DROPPED,
-                lane=names.LANE_TRANSPORT,
-                severity="warning",
-                reason="unknown_address",
-                dest=dest,
-            )
+            self._count_dropped("unknown_address", "warning", dest=dest)
 
-    # ------------------------------------------------------------------
-    # Send path
-    # ------------------------------------------------------------------
+    def _count_dropped(self, reason: str, severity: str, **fields: object) -> None:
+        self.metrics.incr(names.NET_FRAMES_DROPPED, reason=reason)
+        log.emit(
+            names.LOG_NET_FRAME_DROPPED,
+            lane=names.LANE_TRANSPORT,
+            severity=severity,
+            reason=reason,
+            **fields,
+        )
+
     async def send(self, to: NodeId, envelope: Envelope) -> bool:
         if not self.force_wire and self.deliver_local(to, envelope):
             self._count_sent()
@@ -264,52 +273,45 @@ class TcpTransport(MailboxTransport):
         endpoint = self.directory.endpoint_of(to)
         if endpoint is None:
             return False
-        await self.start()
+        if self._server is None:
+            await self.start()
         link = self._links.get(endpoint)
         if link is None:
             link = self._links[endpoint] = _PeerLink(self, endpoint)
-        frame = encode_frame(to, envelope, self.codec)
+        frame = encode_frame(to, envelope)
         self._wire_frames_out += 1
         await link.enqueue(frame)
         self._count_sent()
         return True
 
     def idle(self) -> bool:
-        if any(not link.idle() for link in self._links.values()):
-            return False
+        # In force_wire mode every wire frame loops back to this very
+        # transport, so out minus in is the exact in-flight count
+        # (unflushed, in the kernel, or not yet parsed).
         if self.force_wire and self._wire_frames_out != self._wire_frames_in:
-            # Single-process wire mode: every frame sent loops back to
-            # this transport, so out minus in is the exact in-flight
-            # count (queued in the kernel or awaiting the reader task).
             return False
-        return super().idle()
+        return not any(link._pending for link in self._links.values()) and super().idle()
 
-    # ------------------------------------------------------------------
-    # Teardown
-    # ------------------------------------------------------------------
     async def aclose(self) -> None:
         for link in list(self._links.values()):
             await link.aclose(self.close_grace_seconds)
-        self._links.clear()  # noqa: REMO421 -- iterates a snapshot; teardown-only path
-        server, self._server = self._server, None
+        server = self._server
+        self.close()
         if server is not None:
-            server.close()
             try:
-                await asyncio.wait_for(server.wait_closed(), timeout=self.close_grace_seconds)
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(self.close_grace_seconds):
+                    await server.wait_closed()
+            except TimeoutError:
                 pass
-        for writer in list(self._inbound_writers):
-            writer.close()
-        self._inbound_writers.clear()
 
     def close(self) -> None:
-        """Sync best-effort teardown (no drain; prefer :meth:`aclose`)."""
+        """Sync best-effort teardown (no flush; prefer :meth:`aclose`)."""
         for link in list(self._links.values()):
             link.close()
         self._links.clear()
         server, self._server = self._server, None
         if server is not None:
             server.close()
-        for writer in list(self._inbound_writers):
-            writer.close()
-        self._inbound_writers.clear()
+        for transport in list(self._inbound):
+            transport.close()
+        self._inbound.clear()

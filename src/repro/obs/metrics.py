@@ -42,6 +42,13 @@ MetricKey = Tuple[str, LabelItems]
 
 def labels_key(labels: Mapping[str, object]) -> LabelItems:
     """Canonicalize a label mapping into a hashable series key."""
+    # Nearly every hot-path incr/observe carries zero or one label;
+    # those need no generator and no sort to be canonical.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((key, value),) = labels.items()
+        return ((key, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

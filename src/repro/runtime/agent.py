@@ -278,8 +278,10 @@ class NodeAgent:
                 if self._children_ready(role, period):
                     return
                 try:
-                    await asyncio.wait_for(self._update_event.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
+                    # asyncio.timeout, not wait_for: see MailboxTransport.recv.
+                    async with asyncio.timeout(remaining):
+                        await self._update_event.wait()
+                except TimeoutError:
                     self.metrics.incr(names.CHILD_WAIT_TIMEOUTS, node=self.node_id)
                     return
 

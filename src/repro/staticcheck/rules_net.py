@@ -26,6 +26,11 @@ from repro.staticcheck.registry import Rule, rule
 STREAM_TUPLE_FACTORIES = {"asyncio.open_connection"}
 STREAM_FACTORIES = {"asyncio.start_server"}
 
+#: The protocol-style listener is an event-loop *method*
+#: (``loop.create_server``), so it matches on the attribute name
+#: whatever the receiver.
+LOOP_SERVER_METHODS = {"create_server"}
+
 #: Method calls that count as releasing the handle.
 RELEASE_METHODS = {"close", "wait_closed", "abort", "aclose"}
 
@@ -93,6 +98,7 @@ def _acquired_handles(
         if not isinstance(call, ast.Call):
             continue
         dotted = _resolved_dotted(call.func, aliases)
+        method = call.func.attr if isinstance(call.func, ast.Attribute) else None
         target = node.targets[0]
         if dotted in STREAM_TUPLE_FACTORIES:
             # reader, writer = await asyncio.open_connection(...)
@@ -100,9 +106,9 @@ def _acquired_handles(
                 writer = target.elts[1]
                 if isinstance(writer, ast.Name):
                     yield writer.id, node.lineno, node.col_offset + 1, dotted
-        elif dotted in STREAM_FACTORIES:
+        elif dotted in STREAM_FACTORIES or method in LOOP_SERVER_METHODS:
             if isinstance(target, ast.Name):
-                yield target.id, node.lineno, node.col_offset + 1, dotted
+                yield target.id, node.lineno, node.col_offset + 1, dotted or method
 
 
 def _released_names(func: ast.AST) -> Set[str]:

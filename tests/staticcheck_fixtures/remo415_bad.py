@@ -14,3 +14,9 @@ async def leaky_server(handler, host, port):
     server = await asyncio.start_server(handler, host, port)
     await asyncio.sleep(1.0)
     return server.sockets[0].getsockname()
+
+
+async def leaky_protocol_server(factory, host, port):
+    server = await asyncio.get_running_loop().create_server(factory, host, port)
+    await asyncio.sleep(1.0)
+    return server.sockets[0].getsockname()

@@ -32,3 +32,11 @@ class Pool:
 async def delegating(registry, handler, host, port):
     server = await asyncio.start_server(handler, host, port)
     registry.adopt(server)
+
+
+async def closing_protocol_server(factory, host, port):
+    server = await asyncio.get_running_loop().create_server(factory, host, port)
+    try:
+        await asyncio.sleep(1.0)
+    finally:
+        server.close()

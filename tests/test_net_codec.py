@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.attributes import NodeAttributePair
 from repro.net.codec import (
-    CODEC_JSON,
-    CODEC_MSGPACK,
-    COMPAT_VERSIONS,
+    CODEC_STRUCT,
     HEADER_BYTES,
     MAGIC,
     MAX_FRAME_BYTES,
@@ -21,69 +19,118 @@ from repro.net.codec import (
     FrameError,
     decode_header,
     decode_payload,
+    default_codec,
     encode_frame,
     encode_payload,
-    envelope_from_obj,
-    envelope_to_obj,
 )
+from repro.net.deploy import CONTROL_ADDRESS_BASE
 from repro.obs.trace import TraceContext
 from repro.runtime.messages import (
+    MAX_COLLECTOR_SHARDS,
     HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
     UpdateEnvelope,
+    collector_shard_address,
 )
 from repro.simulation.messages import Reading
 
 _HEADER = struct.Struct(">HBBqI")
+_UPDATE = struct.Struct(">BBqqHHI")  # kind flags sender period n_tree n_attrs n_values
+_VALUE_BYTES = 26
 
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# NaNs included: the benchmark compares readings bit for bit.
+doubles = st.floats(width=64)
 node_ids = st.integers(min_value=0, max_value=2**31)
-attr_names = st.text(
-    alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8
-)
+attr_names = st.text(min_size=0, max_size=8)
 periods = st.integers(min_value=0, max_value=2**31)
+contexts = st.one_of(
+    st.none(),
+    st.builds(
+        TraceContext,
+        trace_id=st.binary(min_size=16, max_size=16).map(bytes.hex),
+        span_id=st.integers(min_value=0, max_value=2**64 - 1),
+    ),
+)
 
-ticks = st.builds(TickEnvelope, period=periods, sent_monotonic=finite)
+ticks = st.builds(TickEnvelope, period=periods, sent_monotonic=doubles, trace_ctx=contexts)
 heartbeats = st.builds(HeartbeatEnvelope, sender=node_ids, period=periods)
 stops = st.just(StopEnvelope())
+# Payload attributes are drawn independently of the tree's, so stray
+# (outside-the-tree) attributes are the common case here.
 updates = st.builds(
     UpdateEnvelope,
     sender=node_ids,
-    tree=st.frozensets(attr_names, min_size=1, max_size=4),
+    tree=st.frozensets(attr_names, max_size=4),
     period=periods,
     payload=st.dictionaries(
         st.builds(NodeAttributePair, node=node_ids, attribute=attr_names),
-        st.builds(Reading, value=finite, sampled_at=finite),
+        st.builds(Reading, value=doubles, sampled_at=doubles),
         max_size=6,
     ),
+    trace_ctx=contexts,
 )
 envelopes = st.one_of(ticks, heartbeats, stops, updates)
 
-#: Destinations span the full signed-64-bit header field (control
-#: addresses are negative).
-dests = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+#: The full signed-64-bit header field, plus the reserved negative
+#: addresses the runtime really uses (collector shards, control inboxes).
+dests = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=0, max_value=MAX_COLLECTOR_SHARDS - 1).map(collector_shard_address),
+    st.integers(min_value=0, max_value=64).map(lambda rank: CONTROL_ADDRESS_BASE - rank),
+)
+
+CTX = TraceContext(trace_id="0af7651916cd43dd8448eb211c80319c", span_id=0x1234ABCD5678)
+UPDATE = UpdateEnvelope(
+    sender=7,
+    tree=frozenset({"cpu", "mem"}),
+    period=2,
+    payload={
+        NodeAttributePair(7, "cpu"): Reading(0.1, 2.0),
+        NodeAttributePair(9, "mem"): Reading(-3.5, 1.0),
+        NodeAttributePair(9, "disk"): Reading(1e300, 2.0),  # outside the tree set
+    },
+    trace_ctx=CTX,
+)
+
+
+def same_bits(a, b):
+    """Equality that tells 0.0 from -0.0 and compares NaNs by payload."""
+    return struct.pack(">d", a) == struct.pack(">d", b)
+
+
+def assert_identical(decoded, sent):
+    """Dataclass equality, plus what it hides: contexts and float bits."""
+    assert type(decoded) is type(sent)
+    assert getattr(decoded, "trace_ctx", None) == getattr(sent, "trace_ctx", None)
+    if isinstance(sent, TickEnvelope):
+        assert decoded.period == sent.period
+        assert same_bits(decoded.sent_monotonic, sent.sent_monotonic)
+    elif isinstance(sent, UpdateEnvelope):
+        assert (decoded.sender, decoded.tree, decoded.period) == (
+            sent.sender, sent.tree, sent.period,
+        )  # fmt: skip
+        assert list(decoded.payload) == list(sent.payload)  # sender's order kept
+        for pair, reading in sent.payload.items():
+            assert same_bits(decoded.payload[pair].value, reading.value)
+            assert same_bits(decoded.payload[pair].sampled_at, reading.sampled_at)
+    else:
+        assert decoded == sent
 
 
 class TestRoundTripProperties:
-    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
-    @given(envelope=envelopes)
-    def test_obj_round_trip(self, envelope):
-        assert envelope_from_obj(envelope_to_obj(envelope)) == envelope
-
-    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
     @given(envelope=envelopes)
     def test_payload_round_trip(self, envelope):
-        codec, payload = encode_payload(envelope, CODEC_JSON)
-        assert codec == CODEC_JSON
-        assert decode_payload(codec, payload) == envelope
+        assert_identical(decode_payload(encode_payload(envelope)), envelope)
 
-    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
     @given(envelope=envelopes, dest=dests)
     def test_frame_round_trip(self, envelope, dest):
         decoder = FrameDecoder()
-        frames = decoder.feed(encode_frame(dest, envelope))
-        assert frames == [(dest, envelope)]
+        [(decoded_dest, decoded)] = decoder.feed(encode_frame(dest, envelope))
+        assert decoded_dest == dest
+        assert_identical(decoded, envelope)
         assert decoder.buffered == 0
 
     @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
@@ -99,69 +146,74 @@ class TestRoundTripProperties:
         out = []
         for start in range(0, len(stream), chunk):
             out.extend(decoder.feed(stream[start : start + chunk]))
-        assert out == batch
+        assert [dest for dest, _ in out] == [dest for dest, _ in batch]
+        for (_, decoded), (_, sent) in zip(out, batch):
+            assert_identical(decoded, sent)
         assert decoder.buffered == 0
+
+    def test_stream_split_at_every_offset_yields_the_same_frames(self):
+        # Pins the cursor walk and the once-per-feed compaction: a
+        # multi-frame chunk, a frame straddling two chunks, a header
+        # straddling two chunks.
+        batch = [
+            (-1, UPDATE),
+            (5, TickEnvelope(period=3, sent_monotonic=1.5, trace_ctx=CTX)),
+            (CONTROL_ADDRESS_BASE, StopEnvelope()),
+            (-2, HeartbeatEnvelope(sender=4, period=3)),
+            (6, UPDATE),
+        ]
+        stream = b"".join(encode_frame(dest, env) for dest, env in batch)
+        for cut in range(len(stream) + 1):
+            decoder = FrameDecoder()
+            out = decoder.feed(stream[:cut]) + decoder.feed(stream[cut:])
+            assert out == batch, cut
+            assert decoder.buffered == 0
+
+    def test_default_codec_is_the_one_format(self):
+        assert PROTOCOL_VERSION == 3
+        assert default_codec() == CODEC_STRUCT
+        assert encode_frame(0, StopEnvelope())[3] == CODEC_STRUCT
 
 
 class TestTraceContext:
-    """The optional ``tc`` envelope field added by wire version 2."""
+    """The optional 24-byte trace context on ticks and updates."""
 
-    CTX = TraceContext(trace_id="0af7651916cd43dd8448eb211c80319c", span_id=0x1234ABCD5678)
-
-    def test_tick_trace_context_survives_json(self):
-        tick = TickEnvelope(period=3, trace_ctx=self.CTX)
-        codec, payload = encode_payload(tick, CODEC_JSON)
-        assert decode_payload(codec, payload).trace_ctx == self.CTX
+    def test_tick_trace_context_survives_the_wire(self):
+        tick = TickEnvelope(period=3, trace_ctx=CTX)
+        assert decode_payload(encode_payload(tick)).trace_ctx == CTX
 
     def test_update_trace_context_survives_preferred_codec(self):
-        # Whichever codec the deployment lands on (msgpack when the
-        # dependency is present, the JSON fallback otherwise), the
-        # context must come back intact.
-        update = UpdateEnvelope(
-            sender=7, tree=frozenset({"cpu"}), period=2, payload={}, trace_ctx=self.CTX
-        )
-        try:
-            import msgpack  # noqa: F401
-
-            codec, payload = encode_payload(update, CODEC_MSGPACK)
-        except ImportError:
-            codec, payload = encode_payload(update, CODEC_JSON)
-        assert decode_payload(codec, payload).trace_ctx == self.CTX
+        [(dest, decoded)] = FrameDecoder().feed(encode_frame(-1, UPDATE))
+        assert (dest, decoded.trace_ctx) == (-1, CTX)
 
     def test_absent_trace_context_decodes_to_none(self):
-        obj = envelope_to_obj(TickEnvelope(period=1))
-        assert "tc" not in obj
-        assert envelope_from_obj(obj).trace_ctx is None
-
-    def test_version1_frame_without_tc_still_decodes(self):
-        # A frame hand-built by an old (version-1) peer: same payload
-        # schema minus the tc field.  New builds must keep decoding it.
-        payload = json.dumps(
-            {"kind": "tick", "period": 9, "sent_monotonic": 0.0}
-        ).encode()
-        header = _HEADER.pack(MAGIC, 1, CODEC_JSON, 5, len(payload))
-        frames = FrameDecoder().feed(header + payload)
-        assert frames == [(5, TickEnvelope(period=9, sent_monotonic=0.0))]
-        assert frames[0][1].trace_ctx is None
-
-    def test_compat_set_covers_both_versions(self):
-        assert PROTOCOL_VERSION == 2
-        assert COMPAT_VERSIONS == frozenset({1, 2})
+        bare = encode_payload(TickEnvelope(period=1))
+        assert len(encode_payload(TickEnvelope(period=1, trace_ctx=CTX))) == len(bare) + 24
+        assert decode_payload(bare).trace_ctx is None
 
     @pytest.mark.parametrize(
         "tc",
         [
             ["not-hex-and-short", 1],
             ["zz" * 16, 1],  # right length, not hex
-            "0af7651916cd43dd8448eb211c80319c",  # not a pair
-            ["0af7651916cd43dd8448eb211c80319c"],  # missing the span id
+            "0af7651916cd43dd8448eb211c80319c",  # not a context at all
+            ["0af7651916cd43dd8448eb211c80319c", 2**64],  # span id past u64
         ],
     )
     def test_malformed_trace_context_rejected(self, tc):
-        obj = envelope_to_obj(TickEnvelope(period=1))
-        obj["tc"] = tc
+        # An envelope carrying a context that cannot be put on the wire
+        # is refused at encode, not sent mangled.
+        ctx = TraceContext(*tc) if isinstance(tc, list) else tc
         with pytest.raises(CodecError):
-            envelope_from_obj(obj)
+            encode_payload(TickEnvelope(period=1, trace_ctx=ctx))
+
+    @pytest.mark.parametrize("flags", [2, 0x80, 0xFF])
+    def test_bad_flags_byte_rejected(self, flags):
+        for envelope in (TickEnvelope(period=1, trace_ctx=CTX), UPDATE):
+            payload = bytearray(encode_payload(envelope))
+            payload[1] = flags
+            with pytest.raises(CodecError, match="flags"):
+                decode_payload(bytes(payload))
 
 
 class TestRejection:
@@ -175,62 +227,133 @@ class TestRejection:
         assert decoder.feed(frame[-1:]) == [(3, tick)]
 
     def test_bad_magic_rejected(self):
-        header = _HEADER.pack(0xDEAD, PROTOCOL_VERSION, CODEC_JSON, 0, 0)
+        header = _HEADER.pack(0xDEAD, PROTOCOL_VERSION, CODEC_STRUCT, 0, 0)
         with pytest.raises(FrameError, match="magic"):
             decode_header(header)
 
     def test_version_mismatch_refused(self):
-        header = _HEADER.pack(MAGIC, PROTOCOL_VERSION + 1, CODEC_JSON, 0, 0)
+        header = _HEADER.pack(MAGIC, PROTOCOL_VERSION + 1, CODEC_STRUCT, 0, 0)
         with pytest.raises(FrameError, match="version"):
             decode_header(header)
 
+    @pytest.mark.parametrize("version,codec", [(1, 0), (2, 0), (2, 1)])
+    def test_v1_and_v2_frames_refused(self, version, codec):
+        # What an old peer would send: a JSON (or msgpack) tagged dict.
+        # There is no such peer; the frame is refused on its header.
+        payload = json.dumps({"kind": "tick", "period": 9, "sent_monotonic": 0.0}).encode()
+        frame = _HEADER.pack(MAGIC, version, codec, 5, len(payload)) + payload
+        with pytest.raises(FrameError, match="version"):
+            FrameDecoder().feed(frame)
+
     def test_oversized_length_prefix_refused(self):
-        header = _HEADER.pack(MAGIC, PROTOCOL_VERSION, CODEC_JSON, 0, MAX_FRAME_BYTES + 1)
+        header = _HEADER.pack(MAGIC, PROTOCOL_VERSION, CODEC_STRUCT, 0, MAX_FRAME_BYTES + 1)
         with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
             decode_header(header)
+        decoder = FrameDecoder()
+        with pytest.raises(FrameError):
+            decoder.feed(header + b"\x00" * 1024)
+        assert decoder.buffered == 0  # nothing is held for a refused frame
 
     def test_garbage_stream_raises_through_decoder(self):
         with pytest.raises(FrameError):
             FrameDecoder().feed(b"\x00" * 64)
 
     def test_unknown_codec_id_rejected(self):
-        with pytest.raises(CodecError, match="codec"):
-            decode_payload(7, b"{}")
+        for codec in (0, 1, 7):  # retired JSON, retired msgpack, never assigned
+            header = _HEADER.pack(MAGIC, PROTOCOL_VERSION, codec, 0, 0)
+            with pytest.raises(FrameError, match="codec"):
+                decode_header(header)
 
     def test_unknown_envelope_kind_rejected(self):
-        payload = json.dumps({"kind": "warp"}).encode()
         with pytest.raises(CodecError, match="kind"):
-            decode_payload(CODEC_JSON, payload)
+            decode_payload(b"\x09" + b"\x00" * 16)
+        with pytest.raises(CodecError, match="empty"):
+            decode_payload(b"")
 
     def test_malformed_known_kind_rejected(self):
-        payload = json.dumps({"kind": "tick"}).encode()  # missing period
-        with pytest.raises(CodecError, match="malformed"):
-            decode_payload(CODEC_JSON, payload)
-
-    def test_non_mapping_payload_rejected(self):
-        with pytest.raises(CodecError, match="mapping"):
-            envelope_from_obj([1, 2, 3])
+        tick = encode_payload(TickEnvelope(period=1))
+        with pytest.raises(CodecError, match="malformed tick"):
+            decode_payload(tick[:-1])  # sent_monotonic cut short
 
     def test_json_garbage_payload_rejected(self):
-        with pytest.raises(CodecError, match="JSON"):
-            decode_payload(CODEC_JSON, b"\xff\xfe")
-
-    def test_msgpack_frames_need_msgpack(self):
-        # Regardless of whether msgpack is installed, the codec id must
-        # resolve deliberately: missing-dependency decodes raise rather
-        # than guessing a format.
-        try:
-            import msgpack  # noqa: F401
-        except ImportError:
-            with pytest.raises(CodecError, match="msgpack"):
-                decode_payload(CODEC_MSGPACK, b"\x80")
-        else:
-            codec, payload = encode_payload(StopEnvelope(), CODEC_MSGPACK)
-            assert decode_payload(codec, payload) == StopEnvelope()
+        # A v2-style JSON document inside a v3 frame is just bad bytes.
+        with pytest.raises(CodecError, match="kind"):
+            decode_payload(b'{"kind":"stop"}')
 
     def test_unencodable_envelope_rejected(self):
         class Mystery:
             pass
 
         with pytest.raises(CodecError):
-            envelope_to_obj(Mystery())
+            encode_payload(Mystery())
+        with pytest.raises(CodecError):
+            encode_payload(HeartbeatEnvelope(sender=2**63, period=0))  # past i64
+        with pytest.raises(CodecError):
+            encode_payload(HeartbeatEnvelope(sender="seven", period=0))
+        with pytest.raises(FrameError):
+            encode_frame(2**63, StopEnvelope())
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [UPDATE, TickEnvelope(period=1, trace_ctx=CTX), HeartbeatEnvelope(1, 2), StopEnvelope()],
+        ids=lambda envelope: type(envelope).__name__,
+    )
+    def test_payload_truncated_or_extended_at_every_offset(self, envelope):
+        payload = encode_payload(envelope)
+        for cut in range(len(payload)):
+            with pytest.raises(CodecError):
+                decode_payload(payload[:cut])
+        with pytest.raises(CodecError):
+            decode_payload(payload + b"\x00")  # trailing bytes
+
+    def test_value_count_checked_before_allocating(self):
+        # 4 billion values declared, none present: the declared count
+        # must be refused against the bytes received, never sized from.
+        lie = _UPDATE.pack(3, 0, 1, 1, 0, 0, 2**32 - 1)
+        with pytest.raises(CodecError, match="declares 4294967295 values"):
+            decode_payload(lie)
+        lie = _UPDATE.pack(3, 0, 1, 1, 0, 0xFFFF, 0)  # same for the attribute table
+        with pytest.raises(CodecError, match="attribute table"):
+            decode_payload(lie)
+        lie = _UPDATE.pack(3, 0, 1, 1, 2, 1, 0) + b"\x00\x00"  # more tree attrs than attrs
+        with pytest.raises(CodecError, match="declares 2 tree attributes"):
+            decode_payload(lie)
+
+    def test_attribute_index_out_of_range_rejected(self):
+        payload = bytearray(encode_payload(UPDATE))
+        slot_at = len(payload) - _VALUE_BYTES + 8  # last value's u16 attribute index
+        payload[slot_at : slot_at + 2] = (3).to_bytes(2, "big")  # table holds 0..2
+        with pytest.raises(CodecError, match="index"):
+            decode_payload(bytes(payload))
+
+    def test_invalid_utf8_attribute_rejected(self):
+        payload = encode_payload(UPDATE)
+        assert payload.count(b"cpu") == 1
+        with pytest.raises(CodecError, match="UTF-8"):
+            decode_payload(payload.replace(b"cpu", b"c\xff\xfe"))
+
+    def test_hostile_frames_never_escape_as_other_exceptions(self):
+        # Every single-byte corruption of a valid two-frame stream
+        # either still decodes or fails typed, and what the decoder
+        # holds stays bounded by one maximal frame.
+        stream = encode_frame(-1, UPDATE) + encode_frame(4, TickEnvelope(period=1, trace_ctx=CTX))
+        for offset in range(len(stream)):
+            for byte in (0x00, 0x7F, 0xFF):
+                hostile = bytearray(stream)
+                hostile[offset] = byte
+                decoder = FrameDecoder()
+                try:
+                    decoder.feed(bytes(hostile))
+                except CodecError:
+                    assert decoder.buffered == 0
+                assert decoder.buffered <= HEADER_BYTES + MAX_FRAME_BYTES
+
+    def test_frames_ahead_of_a_corrupt_frame_ride_on_the_error(self):
+        good = [(1, HeartbeatEnvelope(sender=1, period=0)), (2, UPDATE)]
+        stream = b"".join(encode_frame(dest, env) for dest, env in good)
+        decoder = FrameDecoder()
+        with pytest.raises(FrameError) as caught:
+            decoder.feed(stream + b"\x00" * HEADER_BYTES + encode_frame(3, StopEnvelope()))
+        assert caught.value.frames == good
+        assert decoder.buffered == 0
+        assert CodecError("fresh").frames == ()

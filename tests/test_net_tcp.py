@@ -1,6 +1,7 @@
 """Tests for :class:`repro.net.TcpTransport` on localhost sockets."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.net import PeerDirectory, TcpTransport
+from repro.net.codec import encode_frame
 from repro.net.deploy import allocate_endpoints
 from repro.obs import names
 from repro.runtime import MonitoringRuntime, RuntimeConfig
@@ -137,6 +139,85 @@ class TestWireDelivery:
         asyncio.run(scenario())
 
 
+def _beats(count, start=0):
+    return [HeartbeatEnvelope(sender=7, period=start + index) for index in range(count)]
+
+
+async def _restart(endpoint):
+    """A fresh transport listening on ``endpoint`` with inbox 1."""
+    peer = TcpTransport(PeerDirectory(), listen_host=endpoint.host, listen_port=endpoint.port)
+    peer.register(1)
+    await peer.start()
+    return peer
+
+
+class TestCoalescedWrites:
+    def test_sends_of_one_turn_leave_as_one_write(self):
+        async def scenario():
+            a, b = await _started_pair()
+            try:
+                assert await a.send(1, TickEnvelope(period=0))  # dials the link
+                await _recv(b, 1)
+                [link] = a._links.values()
+                writes = []
+                write = link._writer.write
+                link._writer.write = lambda data: (writes.append(len(data)), write(data))[1]
+                registry = a.metrics.registry
+                frames_before = registry.counter_total(names.NET_FRAMES_SENT)
+                bytes_before = registry.counter_total(names.NET_BYTES_SENT)
+
+                batch = _beats(65)
+                for envelope in batch:  # no send suspends: all in one loop turn
+                    assert await a.send(1, envelope)
+                assert not a.idle()  # the batch is accepted but unflushed
+                assert [await _recv(b, 1) for _ in batch] == batch
+                assert a.idle()
+
+                sizes = [len(encode_frame(1, envelope)) for envelope in batch]
+                assert writes == [sum(sizes)]
+                assert registry.counter_total(names.NET_FRAMES_SENT) - frames_before == 65
+                assert registry.counter_total(names.NET_BYTES_SENT) - bytes_before == sum(sizes)
+                assert registry.counter(
+                    names.NET_FRAMES_SENT, endpoint=str(b.endpoint)
+                ) == 66.0
+            finally:
+                await a.aclose()
+                await b.aclose()
+
+        asyncio.run(scenario())
+
+    def test_aclose_flushes_a_pending_batch_to_a_live_peer(self):
+        async def scenario():
+            a, b = await _started_pair()
+            try:
+                batch = _beats(5)
+                for envelope in batch:
+                    assert await a.send(1, envelope)
+                await a.aclose()  # nothing has been dialed or written yet
+                assert [await _recv(b, 1) for _ in batch] == batch
+            finally:
+                await b.aclose()
+
+        asyncio.run(scenario())
+
+    def test_aclose_with_a_dead_peer_returns_within_the_grace(self):
+        async def scenario():
+            endpoint = allocate_endpoints(1)[0]  # nobody listens here
+            a = TcpTransport(
+                PeerDirectory({1: endpoint}), dial_backoff_base=0.01, close_grace_seconds=0.2
+            )
+            for envelope in _beats(3):
+                assert await a.send(1, envelope)
+            await asyncio.sleep(0.05)
+            assert not a.idle()  # frames in hand while the link is down
+            started = time.monotonic()
+            await a.aclose()
+            assert time.monotonic() - started < 1.0
+            assert a.metrics.registry.counter_total(names.NET_FRAMES_SENT) == 0.0
+
+        asyncio.run(scenario())
+
+
 class TestReconnect:
     def test_sender_survives_peer_restart(self):
         async def scenario():
@@ -178,6 +259,89 @@ class TestReconnect:
                     period += 1
                     delivered = await b.recv(1, timeout=0.2)
                 assert delivered.sender == 7
+            finally:
+                await a.aclose()
+                await b.aclose()
+
+        asyncio.run(scenario())
+
+    def test_frames_in_hand_reach_a_restarted_peer_once_in_order(self):
+        async def scenario():
+            endpoint = allocate_endpoints(1)[0]
+            b = await _restart(endpoint)
+            a = TcpTransport(PeerDirectory({1: endpoint}), dial_backoff_base=0.01)
+            try:
+                [first] = _beats(1)
+                assert await a.send(1, first)
+                assert await _recv(b, 1) == first
+                await b.aclose()
+                await asyncio.sleep(0.05)  # let A's loop see the stream end
+
+                in_hand = _beats(3, start=1)
+                for envelope in in_hand:  # the peer is down: held, not written
+                    assert await a.send(1, envelope)
+                await asyncio.sleep(0.05)
+                assert not a.idle()
+                b = await _restart(endpoint)
+                assert [await _recv(b, 1) for _ in in_hand] == in_hand
+                assert await b.recv(1, timeout=0.2) is None  # nothing duplicated
+                assert a.idle()
+                registry = a.metrics.registry
+                assert registry.counter_total(names.NET_FRAMES_SENT) == 4.0
+                assert registry.counter_total(names.NET_RECONNECTS) >= 1.0
+            finally:
+                await a.aclose()
+                await b.aclose()
+
+        asyncio.run(scenario())
+
+    def test_dead_peer_blocks_send_at_the_queue_bound(self):
+        async def scenario():
+            endpoint = allocate_endpoints(1)[0]  # nobody listens yet
+            a = TcpTransport(
+                PeerDirectory({1: endpoint}), send_queue_frames=4, dial_backoff_base=0.01
+            )
+            b = None
+            try:
+                held = _beats(4)
+                for envelope in held:
+                    assert await a.send(1, envelope)
+                [late] = _beats(1, start=4)
+                blocked = asyncio.ensure_future(a.send(1, late))
+                await asyncio.sleep(0.2)
+                assert not blocked.done()  # backpressure, not growth
+                [link] = a._links.values()
+                assert len(link._pending) == 4
+                b = await _restart(endpoint)
+                assert await asyncio.wait_for(blocked, timeout=5.0)
+                assert [await _recv(b, 1) for _ in range(5)] == held + [late]
+            finally:
+                await a.aclose()
+                if b is not None:
+                    await b.aclose()
+
+        asyncio.run(scenario())
+
+    def test_frames_ahead_of_corruption_in_one_chunk_are_delivered(self):
+        async def scenario():
+            a, b = await _started_pair()
+            try:
+                good = _beats(3)
+                chunk = b"".join(encode_frame(1, envelope) for envelope in good)
+                reader, writer = await asyncio.open_connection(*b.endpoint.as_pair())
+                writer.write(chunk + b"\x00" * 64 + encode_frame(1, TickEnvelope(period=9)))
+                await writer.drain()
+                # Routed first, then counted corrupt, then that
+                # connection (only) closed: the peer reads EOF.
+                assert [await _recv(b, 1) for _ in good] == good
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+                registry = b.metrics.registry
+                assert registry.counter(names.NET_FRAMES_DROPPED, reason="corrupt") == 1.0
+                assert registry.counter_total(names.NET_FRAMES_RECEIVED) == 3.0
+                assert b.pending(1) == 0  # nothing after the corruption got in
+                writer.close()
+                assert await a.send(2, good[0])  # other connections still served
+                assert await _recv(b, 2) == good[0]
             finally:
                 await a.aclose()
                 await b.aclose()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.obs.export import prometheus_text
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -17,6 +18,39 @@ from repro.obs.metrics import (
 class TestLabels:
     def test_labels_key_sorts_and_stringifies(self):
         assert labels_key({"b": 2, "a": "x"}) == (("a", "x"), ("b", "2"))
+
+    @pytest.mark.parametrize(
+        "labels", [{}, {"node": 3}, {"reason": "corrupt"}, {"tree": "t0", "node": 3}]
+    )
+    def test_labels_key_fast_paths_match_the_sorted_form(self, labels):
+        # The zero- and one-label shortcuts must return the identical
+        # canonical tuple the general (generator + sort) form would.
+        assert labels_key(labels) == tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+    def test_series_names_identical_across_views(self):
+        # counters(), the Prometheus export and dump/absorb all key on
+        # labels_key: pin the byte-exact series names for 0, 1 and 2
+        # labels so a change to the key shows up in every view.
+        reg = MetricsRegistry()
+        reg.incr("frames")
+        reg.incr("frames", 2, endpoint="127.0.0.1:9")
+        reg.incr("frames", 3, tree="t0", node=3)
+        reg.observe("lat", 0.5, node=3)
+        expected = {
+            "frames": 1.0,
+            'frames{endpoint="127.0.0.1:9"}': 2.0,
+            'frames{node="3",tree="t0"}': 3.0,
+        }
+        assert reg.counters() == expected
+        assert list(reg.histograms()) == ['lat{node="3"}']
+        text = prometheus_text(reg)
+        for series in expected:
+            assert f"\n{series} " in "\n" + text
+        merged = MetricsRegistry()
+        merged.absorb(reg.dump())
+        assert merged.counters() == expected
+        assert prometheus_text(merged) == text
+        assert merged.dump() == reg.dump()
 
     def test_format_series_bare_and_labeled(self):
         assert format_series("up", ()) == "up"

@@ -48,7 +48,7 @@ EXPECTED_BAD_COUNTS = {
     "REMO402": 3,
     "REMO403": 3,
     "REMO411": 2,
-    "REMO415": 2,
+    "REMO415": 3,
     "REMO431": 2,
     "REMO432": 2,
     "REMO433": 2,
