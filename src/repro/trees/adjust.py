@@ -86,7 +86,10 @@ class TreeAdjuster:
             return False
         started = time.perf_counter()
         relieved = False
-        for dc in sorted(cong, key=tree._depth.__getitem__):
+        # A total order: ``cong`` is a set, so a depth-only key would let
+        # its hash-table layout pick among equal-depth nodes.
+        depth_tab = tree._depth
+        for dc in sorted(cong, key=lambda n: (depth_tab[n], n)):
             if self._relieve_node(tree, dc, failed_cost):
                 relieved = True
                 break

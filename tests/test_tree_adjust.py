@@ -112,3 +112,76 @@ class TestBasicReattachRollback:
         assert not adjuster.relieve(tree, [0], failed_cost=3.0)
         assert tree.edges() == edges_before
         tree.validate()
+
+
+class TestRelieveOrderIndependence:
+    """``relieve`` must not depend on the order (or container type) its
+    congested nodes arrive in: equal-depth ties break on node id."""
+
+    # Ids 1 and 9 collide in a small CPython set, so {1, 9} and {9, 1}
+    # iterate in insertion order -- a depth-only sort key keeps that
+    # order and relieves whichever node the caller listed first.
+    A, B = 1, 9
+
+    def _two_hub_tree(self):
+        caps = {n: 1000.0 for n in (0, self.A, self.B, 20, 21, 30, 31)}
+        tree = MonitoringTree(("a",), COST, caps, central_capacity=math.inf)
+        tree.add_node(0, None, {"a": 1.0})
+        for hub, leaves in ((self.A, (20, 21)), (self.B, (30, 31))):
+            assert tree.add_node(hub, 0, {"a": 1.0})
+            for leaf in leaves:
+                assert tree.add_node(leaf, hub, {"a": 1.0})
+        return tree
+
+    def test_same_edges_for_every_order_and_container(self):
+        a, b = self.A, self.B
+        outcomes = []
+        for congested in ([a, b], [b, a], {a, b}, {b, a}, (b, a), [b, a, b, 777]):
+            tree = self._two_hub_tree()
+            assert TreeAdjuster().relieve(tree, congested, failed_cost=COST.message_cost(1))
+            tree.validate()
+            outcomes.append(tree.edges())
+        assert all(edges == outcomes[0] for edges in outcomes)
+        # The lower id among the equal-depth hubs is the one relieved.
+        assert tree.degree(a) == 1 and tree.degree(b) == 2
+
+    def test_shuffled_membership_on_a_built_tree(self):
+        import random
+
+        request = TreeBuildRequest(
+            attributes=frozenset({"a", "b"}),
+            demands={n: {"a": 1.0, "b": 1.0} for n in range(40)},
+            capacities={n: 30.0 for n in range(40)},
+            central_capacity=60.0,
+        )
+        cost = CostModel(per_message=4.0, per_value=1.0)
+        reference = None
+        for seed in range(6):
+            tree = AdaptiveTreeBuilder(cost).build(request).tree
+            congested = tree.nodes
+            random.Random(seed).shuffle(congested)
+            TreeAdjuster().relieve(tree, congested if seed % 2 else set(congested), 6.0)
+            tree.validate()
+            if reference is None:
+                reference = tree.edges()
+            assert tree.edges() == reference
+
+
+class _ShuffledCongestion(AdaptiveTreeBuilder):
+    """Hands the adjuster the same congested membership, reordered."""
+
+    def on_saturated(self, tree, request, node, failed_parents):
+        return super().on_saturated(tree, request, node, sorted(failed_parents, reverse=True))
+
+
+def test_plan_fingerprint_ignores_congested_order():
+    # sampled_workload(150, 150, capacity=200, seed=7) is the first input
+    # on which the old depth-only tie-break built different trees for
+    # different orderings of the same congested membership.
+    from repro.core.planner import RemoPlanner
+    from repro.workloads.presets import sampled_workload
+
+    cluster, cost, tasks = sampled_workload(nodes=150, tasks=150, capacity=200.0, seed=7)
+    default = RemoPlanner(cost).plan(tasks, cluster)
+    reordered = RemoPlanner(cost, tree_builder=_ShuffledCongestion(cost)).plan(tasks, cluster)
+    assert reordered.fingerprint() == default.fingerprint()
