@@ -15,37 +15,70 @@ against throughout Figs. 5, 6 and 8:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
 
 from repro.cluster.node import Cluster
-from repro.core.attributes import NodeAttributePair, NodeId
+from repro.core.attributes import AttributeId, NodeAttributePair, NodeId
 from repro.core.allocation import AllocationPolicy
 from repro.core.cost import AggregationMap, CostModel
 from repro.core.forest import ForestBuilder, PairWeights
 from repro.core.partition import Partition
 from repro.core.plan import MonitoringPlan
-from repro.core.tasks import MonitoringTask, TaskManager
+from repro.core.tasks import DuplicateTaskError, MonitoringTask, TaskManager
 from repro.trees.base import GreedyTreeBuilder
 
 #: Planner inputs: a task list, a task manager, or raw pair sets.
 TaskSource = Union[Iterable[MonitoringTask], TaskManager, Iterable[NodeAttributePair]]
 
 
+def _task_pairs(tasks: List[MonitoringTask], cluster: Optional[Cluster]) -> frozenset:
+    """De-duplicated expansion of a plain task list, clipped to what
+    ``cluster`` observes when given: per-node attribute sets are united
+    first, so each distinct pair is built and hashed once."""
+    seen: Set[str] = set()
+    wanted: Dict[NodeId, Set[AttributeId]] = {}
+    for task in tasks:
+        if task.task_id in seen:
+            raise DuplicateTaskError(task.task_id)
+        seen.add(task.task_id)
+        attributes = task.attributes
+        for node in task.nodes:
+            if node in wanted:
+                wanted[node] |= attributes
+            elif cluster is None or node in cluster:
+                wanted[node] = set(attributes)
+    if cluster is not None:
+        for node, attributes in wanted.items():
+            attributes &= cluster.node(node).attributes
+    return frozenset(
+        NodeAttributePair(node, attribute)
+        for node, attributes in wanted.items()
+        for attribute in attributes
+    )
+
+
+def _normalize(source: TaskSource, cluster: Optional[Cluster]) -> frozenset:
+    if isinstance(source, TaskManager):
+        pairs: Iterable[NodeAttributePair] = source.pairs()
+    else:
+        items = list(source)
+        if items and all(isinstance(item, MonitoringTask) for item in items):
+            return _task_pairs(items, cluster)
+        if not all(isinstance(item, NodeAttributePair) for item in items):
+            raise TypeError(
+                "task source must be MonitoringTasks, NodeAttributePairs, or a TaskManager"
+            )
+        pairs = items
+    if cluster is None:
+        return frozenset(pairs)
+    return frozenset(
+        p for p in pairs if p.node in cluster and cluster.node(p.node).observes(p.attribute)
+    )
+
+
 def as_pair_set(source: TaskSource) -> frozenset:
     """Normalize any supported task source into a de-duplicated pair set."""
-    if isinstance(source, TaskManager):
-        return frozenset(source.pairs())
-    items = list(source)
-    if not items:
-        return frozenset()
-    if all(isinstance(item, MonitoringTask) for item in items):
-        manager = TaskManager(items)
-        return frozenset(manager.pairs())
-    if all(isinstance(item, NodeAttributePair) for item in items):
-        return frozenset(items)
-    raise TypeError(
-        "task source must be MonitoringTasks, NodeAttributePairs, or a TaskManager"
-    )
+    return _normalize(source, None)
 
 
 def observable_pairs(source: TaskSource, cluster: Cluster) -> frozenset:
@@ -56,11 +89,7 @@ def observable_pairs(source: TaskSource, cluster: Cluster) -> frozenset:
     Statement 1); the rest are silently dropped, as the paper's task
     manager does.
     """
-    return frozenset(
-        p
-        for p in as_pair_set(source)
-        if p.node in cluster and cluster.node(p.node).observes(p.attribute)
-    )
+    return _normalize(source, cluster)
 
 
 class FixedPartitionPlanner:

@@ -73,8 +73,6 @@ class TreeAdjuster:
         ``<= F`` must fail too and is skipped outright.  Any committed
         mutation bumps the epoch and invalidates the memo.
         """
-        parent_tab = tree._parent
-        cong = {n for n in congested if n in parent_tab}
         memo = tree._relieve_memo
         same_config = (
             memo is not None
@@ -85,6 +83,8 @@ class TreeAdjuster:
         if same_config and memo is not None and failed_cost <= memo[3]:
             return False
         started = time.perf_counter()
+        parent_tab = tree._parent
+        cong = {n for n in congested if n in parent_tab}
         relieved = False
         # A total order: ``cong`` is a set, so a depth-only key would let
         # its hash-table layout pick among equal-depth nodes.
@@ -211,15 +211,9 @@ class TreeAdjuster:
             self.probe_count += 1
             if tree.move_branch(branch, target):
                 return True
-            if transferable:
-                fail_node, minimal = tree.last_attach_failure()
-                if minimal and fail_node is not None and fail_node != target:
-                    if fail_node == tree.root:
-                        # Everything routes through the root: no
-                        # remaining target can absorb the branch.
-                        return False
-                    if fail_node not in blocked:
-                        blocked.update(tree.subtree_nodes(fail_node))
+            fail_node, minimal = tree.last_attach_failure()
+            if transferable and minimal and fail_node is not None and fail_node != target:
+                blocked.update(tree.subtree_nodes(fail_node))
         return False
 
     def _reattach_nodes(

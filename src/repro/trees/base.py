@@ -145,73 +145,53 @@ class GreedyTreeBuilder:
 
     # -- helpers -----------------------------------------------------------
     def _insert(self, tree: MonitoringTree, request: TreeBuildRequest, node: NodeId) -> bool:
-        demand = request.demands[node]
-        msgw = request.msg_weight(node)
+        # Validation, the positive-demand filter, the outgoing content
+        # and its send cost are computed once here and shared by every
+        # candidate probe and the one commit.
+        leaf = tree.prepare_leaf(node, request.demands[node], request.msg_weight(node))
         if len(tree) == 0:
-            return tree.add_node(node, None, demand, msgw)
-        entry_cost = tree.entry_cost(demand, msgw)
+            if tree.leaf_fits(leaf, None):
+                tree.attach_leaf(leaf, None)
+                return True
+            return False
         # Payload of the insertion, available to parent_preference
         # implementations that trade relay depth against headroom.
-        payload = sum(w for w in demand.values() if w > 0)
+        payload = sum(leaf.demand.values())
         self._inserting_payload = payload
         # A parent pays the child's message on its receive side; with
         # no aggregation funnels its own send also grows by the full
         # relayed payload, so the headroom bar sharpens to exactly the
         # capacity check the feasibility walk performs at the parent.
-        min_headroom = entry_cost
-        if not tree.has_aggregation():
+        min_headroom = leaf.send
+        transferable = not tree.has_aggregation()
+        if transferable:
             min_headroom += self.cost.value_cost(payload)
         attempts = 0
         while True:
-            viable = self._ordered_parents(tree, min_headroom)
-            failed: List[NodeId] = []
-            # Minimal-delta failures transfer between candidate parents
-            # (see MonitoringTree.last_attach_failure): once an ancestor
-            # has rejected the insertion, every candidate routing
-            # through it can be skipped without probing.  ``blocked``
-            # holds the *subtree closure* of rejecting nodes (a
-            # candidate routes through a rejecting node iff it sits in
-            # that node's subtree), so the skip test is one set lookup
-            # instead of an ancestor-path walk per candidate.
-            transferable = not tree.has_aggregation()
-            blocked: set = set()
-            for idx, parent in enumerate(viable):
-                if parent in blocked:
-                    failed.append(parent)
-                    continue
-                if tree.add_node(node, parent, demand, msgw):
-                    return True
-                failed.append(parent)
-                if transferable:
+            # Everything routes through the root: when it cannot relay
+            # the payload no parent can host the node, so skip ranking
+            # and probing the candidates altogether.
+            if not tree.refuses(leaf):
+                # A minimal-delta failure at a relay hop transfers (see
+                # MonitoringTree.last_attach_failure): every candidate
+                # in that hop's subtree routes through it and is skipped.
+                blocked: set = set()
+                for parent in self._ordered_parents(tree, min_headroom):
+                    if parent in blocked:
+                        continue
+                    if tree.leaf_fits(leaf, parent):
+                        tree.attach_leaf(leaf, parent)
+                        return True
                     fail_node, minimal = tree.last_attach_failure()
-                    if fail_node == node:
-                        # The node's own capacity cannot absorb its own
-                        # message; no parent can help.
-                        failed.extend(viable[idx + 1 :])
-                        break
-                    if minimal and fail_node is not None and fail_node != parent:
-                        # A relay-hop failure transfers: any candidate
-                        # routing through fail_node delivers at least
-                        # the same delta there.  A failure at the
-                        # probed parent itself does NOT -- the direct
-                        # attach charges the new child's per-message
-                        # overhead, which routed attaches avoid.
-                        if fail_node == tree.root:
-                            # Everything routes through the root: all
-                            # remaining candidates fail without probing.
-                            failed.extend(viable[idx + 1 :])
-                            break
-                        if fail_node not in blocked:
-                            blocked.update(tree.subtree_nodes(fail_node))
+                    if transferable and minimal and fail_node is not None and fail_node != parent:
+                        blocked.update(tree.subtree_nodes(fail_node))
+            # No member could host the insertion -- whether it failed
+            # the headroom pre-filter or the path walk -- so all of them
+            # are congested in the paper's sense.
             attempts += 1
-            if attempts > self._max_retry_rounds():
-                return False
-            # Every node that could not host the insertion -- whether it
-            # failed the cheap headroom pre-filter or the full path walk
-            # -- is congested in the paper's sense.
-            viable_set = set(viable)
-            pruned = [p for p in tree.nodes if p not in viable_set]
-            if not self.on_saturated(tree, request, node, failed + pruned):
+            if attempts > self._max_retry_rounds() or not self.on_saturated(
+                tree, request, node, tree.nodes
+            ):
                 return False
 
     def _ordered_parents(self, tree: MonitoringTree, entry_cost: float = 0.0) -> List[NodeId]:

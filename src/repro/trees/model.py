@@ -86,11 +86,6 @@ _CHILD_DETACHED = -1
 #: value weights (0.0 encodes absence).
 _ValueDeltas = Dict[AttributeId, Tuple[float, float]]
 
-#: Shared read-only empty delta map; the fast probe path in
-#: ``_propagate_delta`` swaps it in so the general per-attribute loop
-#: below it iterates nothing.  Never mutate.
-_EMPTY_DELTAS: _ValueDeltas = {}
-
 
 class TreeInvariantError(AssertionError):
     """Raised by :meth:`MonitoringTree.validate` when bookkeeping drifts."""
@@ -113,6 +108,24 @@ class _Content:
 
     def total(self) -> float:
         return sum(self.values.values())
+
+
+class PreparedLeaf:
+    """A validated leaf insertion, prepared once and reused by every
+    candidate-parent probe and by the one commit: the positive-weight
+    ``demand``, its funnelled outgoing ``content``, that content's
+    value ``total`` and the ``send`` cost of the leaf's own message."""
+
+    __slots__ = ("node", "demand", "content", "total", "send")
+
+    def __init__(
+        self, node: NodeId, demand: NodeDemand, content: _Content, total: float, send: float
+    ) -> None:
+        self.node = node
+        self.demand = demand
+        self.content = content
+        self.total = total
+        self.send = send
 
 
 class _SimNodeState:
@@ -233,9 +246,6 @@ class MonitoringTree:
         # caches (e.g. the adjuster's relieve memo) key off it.
         self._epoch = 0
         self._relieve_memo: Optional[Tuple[int, bool, bool, float]] = None
-        # (branch_root, epoch, attach_deltas, detach_deltas) reused
-        # across consecutive move probes of the same branch.
-        self._move_deltas_cache: Optional[Tuple[NodeId, int, Dict, Dict]] = None
 
         self._parent: Dict[NodeId, Optional[NodeId]] = {}
         self._children: Dict[NodeId, Set[NodeId]] = {}
@@ -595,51 +605,63 @@ class MonitoringTree:
         ``check=False`` it is applied unconditionally (used by tests and
         by callers that have already validated).
         """
-        if node in self._parent:
-            raise ValueError(f"node {node} is already in the tree")
-        unknown = set(demand) - self.attributes
-        if unknown:
-            raise ValueError(
-                f"demand for node {node} names attributes outside the tree: {sorted(unknown)}"
-            )
-        if any(w < 0 for w in demand.values()):
-            raise ValueError(f"demand weights must be >= 0 for node {node}")
-        if msg_weight <= 0:
-            raise ValueError(f"msg_weight must be > 0, got {msg_weight}")
+        leaf = self.prepare_leaf(node, demand, msg_weight)
         if parent is None:
             if self._root is not None:
                 raise ValueError("tree already has a root; attach under an existing node")
         elif parent not in self._parent:
             raise ValueError(f"parent {parent} is not in the tree")
-
-        demand = {a: w for a, w in demand.items() if w > 0}
-        content = _Content(
-            {a: self._funnel(a, w) for a, w in demand.items()},
-            msg_weight,
-        )
-        content.values = {a: w for a, w in content.values.items() if w > 0}
-        if check and not self._attach_feasible(content, parent, extra_node=(node, demand)):
+        if check and not self.leaf_fits(leaf, parent):
             return False
+        self.attach_leaf(leaf, parent)
+        return True
 
+    def prepare_leaf(
+        self, node: NodeId, demand: NodeDemand, msg_weight: float = 1.0
+    ) -> PreparedLeaf:
+        """Validate a leaf insertion and compute, once, what all of its
+        probes and its commit share (builders try many parents)."""
+        if node in self._parent:
+            raise ValueError(f"node {node} is already in the tree")
+        if not self.attributes.issuperset(demand):
+            unknown = sorted(set(demand) - self.attributes)
+            raise ValueError(
+                f"demand for node {node} names attributes outside the tree: {unknown}"
+            )
+        if min(demand.values(), default=0.0) < 0:
+            raise ValueError(f"demand weights must be >= 0 for node {node}")
+        if msg_weight <= 0:
+            raise ValueError(f"msg_weight must be > 0, got {msg_weight}")
+        return self._leaf(node, demand, msg_weight)
+
+    def _leaf(self, node: NodeId, demand: NodeDemand, msg_weight: float) -> PreparedLeaf:
+        demand = {a: w for a, w in demand.items() if w > 0}
+        if self._has_agg:
+            funnelled = ((a, self._funnel(a, w)) for a, w in demand.items())
+            values = {a: w for a, w in funnelled if w > 0}
+        else:
+            values = dict(demand)  # the funnel is the identity
+        content = _Content(values, msg_weight)
         total = content.total()
-        send = (
-            self.cost.weighted_message_cost(content.msg_weight, total)
-            if content.msg_weight > 0.0
-            else 0.0
-        )
+        send = self.cost.weighted_message_cost(msg_weight, total) if msg_weight > 0.0 else 0.0
+        return PreparedLeaf(node, demand, content, total, send)
+
+    def attach_leaf(self, leaf: PreparedLeaf, parent: Optional[NodeId]) -> None:
+        """Commit a prepared leaf under ``parent``, unchecked."""
+        node, demand, content = leaf.node, leaf.demand, leaf.content
         self._parent[node] = parent
         self._children[node] = set()
         depth = 0 if parent is None else self._depth[parent] + 1
         self._depth[node] = depth
-        self._local[node] = dict(demand)
-        self._local_msgw[node] = msg_weight
+        self._local[node] = demand
+        self._local_msgw[node] = content.msg_weight
         self._in[node] = dict(demand)
         self._in_count[node] = {a: 1 for a in demand}
         self._out[node] = content
         self._msgw_count[node] = 1
         slot = self._acquire_slot(node)
-        self._send_a[slot] = send
-        self._tot_a[slot] = total
+        self._send_a[slot] = leaf.send
+        self._tot_a[slot] = leaf.total
         self._depth_a[slot] = float(depth)
         self._pair_count += len(demand)
         self._epoch += 1
@@ -654,11 +676,10 @@ class MonitoringTree:
                 0.0,
                 content.msg_weight,
                 0.0,
-                send,
+                leaf.send,
                 _CHILD_ATTACHED,
                 commit=True,
             )
-        return True
 
     def entry_cost(self, demand: NodeDemand, msg_weight: float = 1.0) -> float:
         """Send cost of the message a new leaf with ``demand`` would emit.
@@ -676,9 +697,47 @@ class MonitoringTree:
         """Feasibility of :meth:`add_node` without mutating."""
         if node in self._parent:
             return False
-        demand = {a: w for a, w in demand.items() if w > 0}
-        content = _Content({a: self._funnel(a, w) for a, w in demand.items()}, msg_weight)
-        return self._attach_feasible(content, parent, extra_node=(node, demand))
+        return self.leaf_fits(self._leaf(node, demand, msg_weight), parent)
+
+    def leaf_fits(self, leaf: PreparedLeaf, parent: Optional[NodeId]) -> bool:
+        """Would attaching ``leaf`` under ``parent`` (``None`` => as the
+        root) keep every capacity constraint satisfied?"""
+        self._last_check_fail = None
+        self._last_check_fail_minimal = True
+        # The joining node has no slot yet; read the mapping.
+        if leaf.send > self._capacities.get(leaf.node, 0.0) + EPSILON:
+            # Its own send exceeds its own capacity: no parent can fix that.
+            self._last_check_fail = leaf.node
+            return False
+        if parent is None:
+            # Becoming the root: the collector receives the message.
+            return leaf.send <= self.central_capacity + EPSILON
+        return self._attach_fits(parent, leaf.content, leaf.total, leaf.send)
+
+    def refuses(self, leaf: PreparedLeaf) -> bool:
+        """O(1) sufficient test that *no* member can host ``leaf``.
+
+        Either the leaf's own slice cannot pay for its own message, or
+        (funnel-free trees) the root cannot relay it: every attach adds
+        the payload to the root's outgoing message and at least
+        ``a * payload`` to what the root receives -- message-weight
+        growth on the way only adds to both -- so when that lower bound
+        overflows the root's slice or the central slice, every probe
+        would fail at the root.  Doubling the tolerance keeps the bound
+        on the refusing side of the probes' own float rounding.
+        """
+        if leaf.send > self._capacities.get(leaf.node, 0.0) + EPSILON:
+            return True
+        if self._has_agg or self._root is None:
+            return False
+        slot = self._slot[self._root]
+        send = self.cost.weighted_message_cost(
+            self._out[self._root].msg_weight, self._tot_a[slot] + leaf.total
+        )
+        if send > self.central_capacity + 2 * EPSILON:
+            return True
+        load = send + self._recv_a[slot] + self.cost.value_cost(leaf.total)
+        return load > self._cap_a[slot] + 2 * EPSILON
 
     def update_local(
         self,
@@ -941,45 +1000,24 @@ class MonitoringTree:
         old_parent = self._parent[branch_root]
         assert old_parent is not None
         branch_out = self._out[branch_root]
-        branch_send = self._send_a[self._slot[branch_root]]
-
-        # Consecutive probes of the same branch (one per candidate
-        # target) see identical content: reuse the delta maps until a
-        # committed mutation bumps the epoch.  Propagation only reads
-        # them, so sharing is safe.
-        cache = self._move_deltas_cache
-        if cache is not None and cache[0] == branch_root and cache[1] == self._epoch:
-            attach_deltas, detach_deltas = cache[2], cache[3]
-        else:
-            vals = branch_out.values
-            attach_deltas = {a: (0.0, w) for a, w in vals.items()}
-            detach_deltas = {a: (w, 0.0) for a, w in vals.items()}
-            self._move_deltas_cache = (branch_root, self._epoch, attach_deltas, detach_deltas)
-        if self._propagate_delta(
-            new_parent,
-            None,
-            attach_deltas,
-            0.0,
-            branch_out.msg_weight,
-            0.0,
-            branch_send,
-            _CHILD_ATTACHED,
-            check=True,
-        ):
+        slot = self._slot[branch_root]
+        branch_send = self._send_a[slot]
+        if self._attach_fits(new_parent, branch_out, self._tot_a[slot], branch_send):
             return True
         fail_node = self._last_check_fail
-        if fail_node is not None:
-            # Exact rejection if the failing node is untouched by the
-            # detach (i.e. not an ancestor of the old parent).
-            if not self._is_ancestor_or_self(fail_node, old_parent):
-                return False
+        # Exact rejection if the failing node is untouched by the
+        # detach (i.e. not an ancestor of the old parent).
+        if fail_node is not None and not self._is_ancestor_or_self(fail_node, old_parent):
+            return False
 
+        msgw = branch_out.msg_weight
+        values = branch_out.values
         overlay: Dict[NodeId, _SimNodeState] = {}
         self._propagate_delta(
             old_parent,
             branch_root,
-            detach_deltas,
-            branch_out.msg_weight,
+            {a: (w, 0.0) for a, w in values.items()},
+            msgw,
             0.0,
             branch_send,
             0.0,
@@ -989,9 +1027,9 @@ class MonitoringTree:
         return self._propagate_delta(
             new_parent,
             branch_root,
-            attach_deltas,
+            {a: (0.0, w) for a, w in values.items()},
             0.0,
-            branch_out.msg_weight,
+            msgw,
             0.0,
             branch_send,
             _CHILD_ATTACHED,
@@ -1092,57 +1130,6 @@ class MonitoringTree:
             out_pairs: _ValueDeltas = {}
             out_delta = 0.0
             in_changes: Optional[Dict[AttributeId, float]] = {} if overlay is not None else None
-            if not commit and in_changes is None:
-                # Feasibility probes (the vast majority of walks) take
-                # this branch: it is the general loop below with the
-                # commit/overlay plumbing constant-folded away.  The
-                # arithmetic and its evaluation order are identical, so
-                # probe outcomes match the general path bit for bit.
-                out_vals = real_out.values
-                if has_agg:
-                    for attr, (ow, nw) in changed.items():
-                        new_in = real_in.get(attr, 0.0) + (nw - ow)
-                        old_out_w = out_vals.get(attr, 0.0)
-                        new_out_w = funnel(attr, new_in)
-                        if new_out_w != old_out_w:
-                            out_pairs[attr] = (old_out_w, new_out_w)
-                            out_delta += new_out_w - old_out_w
-                else:
-                    for attr, (ow, nw) in changed.items():
-                        new_in = real_in.get(attr, 0.0) + (nw - ow)
-                        old_out_w = out_vals.get(attr, 0.0)
-                        new_out_w = new_in if new_in > 0.0 else 0.0
-                        if new_out_w != old_out_w:
-                            out_pairs[attr] = (old_out_w, new_out_w)
-                            out_delta += new_out_w - old_out_w
-                changed = _EMPTY_DELTAS
-            elif not commit:
-                # Overlay simulations: the same constant-folding, with
-                # reads falling through entry -> real tables and the
-                # simulated incoming weights recorded for the entry.
-                out_vals = real_out.values
-                ev_in = entry.in_values if entry is not None else None
-                ev_out = entry.out_values if entry is not None else None
-                assert in_changes is not None
-                for attr, (ow, nw) in changed.items():
-                    if ev_in is not None and attr in ev_in:
-                        cur_in = ev_in[attr]
-                    else:
-                        cur_in = real_in.get(attr, 0.0)
-                    new_in = cur_in + (nw - ow)
-                    in_changes[attr] = new_in
-                    if ev_out is not None and attr in ev_out:
-                        old_out_w = ev_out[attr]
-                    else:
-                        old_out_w = out_vals.get(attr, 0.0)
-                    if has_agg:
-                        new_out_w = funnel(attr, new_in)
-                    else:
-                        new_out_w = new_in if new_in > 0.0 else 0.0
-                    if new_out_w != old_out_w:
-                        out_pairs[attr] = (old_out_w, new_out_w)
-                        out_delta += new_out_w - old_out_w
-                changed = _EMPTY_DELTAS
             counts = self._in_count[node] if commit else None
             for attr, (ow, nw) in changed.items():
                 if commit:
@@ -1340,44 +1327,59 @@ class MonitoringTree:
                 count += 1
         return best, count
 
-    def _attach_feasible(
-        self,
-        content: _Content,
-        parent: Optional[NodeId],
-        extra_node: Optional[Tuple[NodeId, NodeDemand]] = None,
+    def _attach_fits(
+        self, start: NodeId, content: _Content, total: float, send: float
     ) -> bool:
-        """Would attaching a message source with ``content`` under
-        ``parent`` keep every constraint satisfied?
+        """Would a new child of ``start`` emitting ``content`` (value
+        sum ``total``, message cost ``send``) fit all the way up?
 
-        ``extra_node`` is set when the source is a brand-new node (not a
-        branch already accounted for); its own send cost is then checked
-        against its capacity too.
+        Aggregated trees take the general check-mode walk.  Without
+        funnels outgoing = incoming for every attribute, so each hop
+        sees the same scalar payload ``total`` and the walk needs only
+        the float columns; decisions, the failing node and the
+        ``minimal`` flag are those of ``_propagate_delta(check=True)``.
         """
-        new_msg_cost = self._send_cost_of(content)
+        msgw = content.msg_weight
+        if self._has_agg:
+            deltas = {a: (0.0, w) for a, w in content.values.items()}
+            return self._propagate_delta(
+                start, None, deltas, 0.0, msgw, 0.0, send, _CHILD_ATTACHED, check=True
+            )
+        parent_tab, out_tab, slot_tab = self._parent, self._out, self._slot
+        cap_a, send_a, recv_a, tot_a = self._cap_a, self._send_a, self._recv_a, self._tot_a
+        weighted_cost = self.cost.weighted_message_cost
+        central_limit = self.central_capacity + EPSILON
         self._last_check_fail = None
-        self._last_check_fail_minimal = True
-        if extra_node is not None:
-            node, _demand = extra_node
-            # The joining node has no slot yet; read the mapping.
-            if new_msg_cost > self._capacities.get(node, 0.0) + EPSILON:
-                # The new node's own send exceeds its own capacity: no
-                # choice of parent can fix that.
-                self._last_check_fail = node
-                return False
-        if parent is None:
-            # Becoming the root: the collector receives the message.
-            return new_msg_cost <= self.central_capacity + EPSILON
-        return self._propagate_delta(
-            parent,
-            None,
-            {a: (0.0, w) for a, w in content.values.items()},
-            0.0,
-            content.msg_weight,
-            0.0,
-            new_msg_cost,
-            _CHILD_ATTACHED,
-            check=True,
-        )
+        self._last_check_fail_minimal = minimal = True
+        old_send = 0.0
+        node: Optional[NodeId] = start
+        while node is not None:
+            slot = slot_tab[node]
+            cur_send = send_a[slot]
+            limit = cap_a[slot] + EPSILON
+            new_recv = recv_a[slot] + send - old_send
+            cur_msgw = out_tab[node].msg_weight
+            if msgw > cur_msgw:
+                # The relay must now forward more often than it did.
+                minimal = False
+            else:
+                msgw = cur_msgw
+                if total <= 0.0:
+                    # Outgoing message unchanged: nothing above moves.
+                    if cur_send + new_recv > limit:
+                        break
+                    return True
+            node_send = weighted_cost(msgw, tot_a[slot] + total) if msgw > 0.0 else 0.0
+            parent = parent_tab[node]
+            if node_send + new_recv > limit or (parent is None and node_send > central_limit):
+                break
+            old_send, send = cur_send, node_send
+            node = parent
+        else:
+            return True
+        self._last_check_fail = node
+        self._last_check_fail_minimal = minimal
+        return False
 
     # ------------------------------------------------------------------
     # Validation

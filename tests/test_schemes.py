@@ -10,7 +10,7 @@ from repro.core.schemes import (
     as_pair_set,
     observable_pairs,
 )
-from repro.core.tasks import MonitoringTask, TaskManager
+from repro.core.tasks import DuplicateTaskError, MonitoringTask, TaskManager
 
 COST = CostModel(2.0, 1.0)
 
@@ -39,6 +39,23 @@ class TestInputNormalization:
         tasks = [MonitoringTask("t", ["a", "zzz"], [0, 1, 99])]
         pairs = observable_pairs(tasks, small_cluster)
         assert pairs == frozenset(pairs_for([0, 1], ["a"]))
+
+    def test_task_list_matches_task_manager_path(self):
+        # The plain-list path unions per-node attribute sets and clips
+        # while expanding; a TaskManager goes through its refcounts.
+        from repro.workloads.presets import sampled_workload
+
+        cluster, _cost, tasks = sampled_workload(nodes=40, tasks=25, capacity=200.0, seed=3)
+        assert as_pair_set(tasks) == as_pair_set(TaskManager(tasks))
+        assert observable_pairs(tasks, cluster) == observable_pairs(TaskManager(tasks), cluster)
+        assert observable_pairs(tasks, cluster) == observable_pairs(as_pair_set(tasks), cluster)
+
+    def test_task_list_rejects_duplicate_ids(self, small_cluster):
+        tasks = [MonitoringTask("t", ["a"], [0]), MonitoringTask("t", ["b"], [1])]
+        with pytest.raises(DuplicateTaskError):
+            as_pair_set(tasks)
+        with pytest.raises(DuplicateTaskError):
+            observable_pairs(tasks, small_cluster)
 
 
 class TestSingletonSet:
