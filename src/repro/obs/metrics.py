@@ -217,6 +217,28 @@ class Histogram:
         self._sketching = True
 
 
+class BoundCounter:
+    """One counter series with its key built once.
+
+    ``incr(name, **labels)`` canonicalizes the labels on every call; a
+    hot path that always hits the same series binds it once
+    (:meth:`MetricsRegistry.bind_counter`) and pays one dict update per
+    :meth:`add`.  Binding records nothing: the series is created by the
+    first ``add``, exactly as the first ``incr`` would, so a bound but
+    untouched counter shows up in no reader, exporter or dump.
+    """
+
+    __slots__ = ("_counters", "_key")
+
+    def __init__(self, counters: Dict[MetricKey, float], key: MetricKey) -> None:
+        self._counters = counters
+        self._key = key
+
+    def add(self, amount: Number = 1) -> None:
+        counters, key = self._counters, self._key
+        counters[key] = counters.get(key, 0.0) + amount
+
+
 class MetricsRegistry:
     """Named counters, gauges, and histograms with label support."""
 
@@ -229,6 +251,10 @@ class MetricsRegistry:
     def incr(self, name: str, amount: Number = 1, **labels: object) -> None:
         key = (name, labels_key(labels))
         self._counters[key] = self._counters.get(key, 0.0) + float(amount)
+
+    def bind_counter(self, name: str, **labels: object) -> BoundCounter:
+        """The series ``incr(name, **labels)`` writes, pre-keyed."""
+        return BoundCounter(self._counters, (name, labels_key(labels)))
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self._gauges[(name, labels_key(labels))] = float(value)

@@ -314,7 +314,7 @@ class _PlainTimer:
 class _LiveSpan:
     """Context manager recording one span into the installed tracer."""
 
-    __slots__ = ("elapsed", "_tracer", "_name", "_attrs", "_lane", "_start",
+    __slots__ = ("elapsed", "_tracer", "_name", "_attrs", "_lane", "_since", "_start",
                  "_span_id", "_parent_id", "_trace_id", "_token")
 
     def __init__(
@@ -323,19 +323,22 @@ class _LiveSpan:
         name: str,
         attrs: Dict[str, object],
         lane: Optional[str],
+        since: Optional[float] = None,
     ) -> None:
         self.elapsed = 0.0
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
         self._lane = lane
+        self._since = since
 
     def __enter__(self) -> "_LiveSpan":
         self._parent_id = _CURRENT_SPAN.get()
         self._trace_id = _CURRENT_TRACE.get()
         self._span_id = self._tracer.next_id()
         self._token = _CURRENT_SPAN.set(self._span_id)
-        self._start = time.perf_counter()
+        since = self._since
+        self._start = time.perf_counter() if since is None else since
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -385,6 +388,23 @@ def span(name: str, lane: Optional[str] = None, **attrs: object) -> SpanHandle:
     if tracer is None:
         return _NULL_SPAN
     return _LiveSpan(tracer, name, attrs, lane)
+
+
+def span_since(
+    name: str, start: float, lane: Optional[str] = None, **attrs: object
+) -> SpanHandle:
+    """A :func:`span` that opened at ``start`` (a ``time.perf_counter``
+    reading taken earlier) and closes on exit.
+
+    For a region whose two ends fall in different reactions of one
+    event-driven actor, where no ``with`` block can span them: note the
+    clock at the first, enter this at the second.  Parent and trace id
+    come from the context at entry, as for :func:`span`.
+    """
+    tracer = _TRACER
+    if tracer is None:
+        return _NULL_SPAN
+    return _LiveSpan(tracer, name, attrs, lane, since=start)
 
 
 def timer(name: str, lane: Optional[str] = None, **attrs: object) -> SpanHandle:

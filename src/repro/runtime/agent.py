@@ -4,9 +4,21 @@ One :class:`NodeAgent` runs per cluster node that participates in any
 collection tree.  Each agent owns one inbox on the transport and plays
 one :class:`TreeRole` per tree it belongs to: sample the local
 node-attribute pairs, merge whatever child updates have arrived, and
-forward one batched message per tree per period -- phased bottom-up
-(deeper nodes send earlier) so the wave converges toward the root the
-same way the simulator schedules it.
+forward one batched message per tree per period -- bottom-up, so the
+wave converges toward the root the same way the simulator schedules it.
+
+The agent is a state machine driven from its one inbox coroutine; no
+task exists per role or per period.  A tick beacons, opens a
+*missing-children set* for every interior role and emits every role
+whose set is empty; a child's update is charged and buffered, leaves
+that one tree's set, and emits the role the moment the set empties.
+The child-wait deadline rides on the ``recv`` timeout the loop pays
+anyway; its expiry, or the next tick, flushes whoever still waits.
+(Not timer-phased like the simulator: under a real event loop an
+overdue timer can fire before the inbox coroutine that would have
+delivered a child's queued batch.)  Sends are awaited inline: a peer
+link at its queue bound stalls this node's inbox until it drains --
+node-level backpressure -- and nobody else's.
 
 Resource-awareness is enforced live: every send and receive is charged
 ``C + a*x`` against the node's per-period budget, and an agent that
@@ -15,19 +27,11 @@ cannot afford its payload applies the configured
 message, or defer the overflow to the next period (backpressure).
 """
 
-# The bottom-up wave is event-driven rather than timer-phased: an
-# interior node sends the moment every child has reported this period,
-# falling back to the ``child_wait`` deadline when one is dead or
-# dropped.  Timer phasing (the simulator's approach) is fragile under a
-# real event loop -- an overdue timer can fire before the inbox
-# coroutine that would have delivered a child's already-queued batch.
-
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
-from typing import Coroutine, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.metrics import MetricRegistry
 from repro.core.attributes import NodeAttributePair, NodeId
@@ -37,11 +41,12 @@ from repro.obs import names, trace
 from repro.runtime.config import DropPolicy, RuntimeConfig
 from repro.runtime.messages import (
     COLLECTOR_ADDRESS,
-    Envelope,
     HeartbeatEnvelope,
+    Payload,
     StopEnvelope,
     TickEnvelope,
     UpdateEnvelope,
+    union_payloads,
 )
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.transport import Transport
@@ -72,6 +77,19 @@ class TreeRole:
         return self.parent if self.parent is not None else self.collector
 
 
+@dataclass
+class _OpenWave:
+    """An interior role that has ticked but not yet sent."""
+
+    role: TreeRole
+    period: int
+    #: Children that have not reported ``period`` (or later) yet.
+    missing: Set[NodeId]
+    #: The tick's trace context and ``perf_counter``, for the spans.
+    ctx: Optional[trace.TraceContext]
+    started: float
+
+
 class NodeAgent:
     """A concurrent monitoring agent for one node."""
 
@@ -96,23 +114,37 @@ class NodeAgent:
         self.config = config
         self._budget = capacity
         self._current_period = -1
-        #: Child readings (and deferred overflow) pending relay, per tree.
-        self._buffers: Dict[AttributeSet, Dict[NodeAttributePair, Reading]] = {}
+        #: Payloads pending relay, per tree, in arrival order: any
+        #: deferred overflow, then child batches (owned once received).
+        self._buffers: Dict[AttributeSet, List[Payload]] = {}
         #: Latest period each child has reported, per tree.
         self._children_seen: Dict[AttributeSet, Dict[NodeId, int]] = {}
         #: Last period each pair made it into a sent batch, per tree
         #: (DEFER fairness: least-recently-sent pairs go first).
         self._last_sent: Dict[AttributeSet, Dict[NodeAttributePair, int]] = {}
-        #: Signalled whenever a child update lands.
-        self._update_event: Optional["asyncio.Event"] = None
-        self._period_tasks: Set["asyncio.Task[None]"] = set()
+        #: Roles waiting on children, per tree, and the monotonic time
+        #: at which they stop waiting.
+        self._waiting: Dict[AttributeSet, _OpenWave] = {}
+        self._deadline = 0.0
+        # With sharded collectors, each shard runs its own failure
+        # detector over the nodes in its trees -- beacon every shard
+        # this node reports to (the single-collector case sends one).
+        self._collectors = sorted({r.collector for r in self.roles}) or [COLLECTOR_ADDRESS]
         #: Trace-viewer row for this agent's spans.
         self._lane = names.node_lane(node_id)
+        # The per-envelope counters, keyed once (the last by tree).
+        self._count_delivered = metrics.bind_counter(names.MESSAGES_DELIVERED, node=node_id)
+        self._count_cost = metrics.bind_counter(names.COST_UNITS_SPENT, node=node_id)
+        self._count_heartbeats = metrics.bind_counter(names.HEARTBEATS_SENT, node=node_id)
+        self._count_sent = {
+            r.attr_set: metrics.bind_counter(names.MESSAGES_SENT, node=node_id, tree=r.tree_id)
+            for r in self.roles
+        }
 
     # ------------------------------------------------------------------
     def busy(self) -> bool:
-        """Whether any per-period send task is still outstanding."""
-        return any(not task.done() for task in self._period_tasks)
+        """Whether any role is still waiting on its children."""
+        return bool(self._waiting)
 
     def down(self, period: int) -> bool:
         """Whether this node is scripted dead during ``period``."""
@@ -120,117 +152,127 @@ class NodeAgent:
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        """Inbox loop: react to ticks, updates, and stop."""
-        self._update_event = asyncio.Event()
-        try:
-            while True:
-                envelope = await self.transport.recv(
-                    self.node_id, timeout=self.config.recv_timeout_seconds
-                )
-                if envelope is None:
-                    continue  # recv timed out; re-check the inbox
-                if isinstance(envelope, StopEnvelope):
-                    break
-                if isinstance(envelope, TickEnvelope):
-                    self._on_tick(envelope)
-                elif isinstance(envelope, UpdateEnvelope):
-                    self._on_update(envelope)
-        finally:
-            await self._retire_period_tasks()
-
-    async def _retire_period_tasks(self) -> None:
-        # Snapshot and clear BEFORE awaiting: nothing spawns once the
-        # run loop has exited, and clearing first means a task that
-        # finishes during the gather cannot be lost from the set's
-        # read-modify-write (REMO421).
-        pending = [task for task in self._period_tasks if not task.done()]
-        self._period_tasks.clear()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        """Inbox loop: react to ticks, updates, the wait deadline, stop."""
+        idle = self.config.recv_timeout_seconds
+        while True:
+            timeout = idle
+            if self._waiting:
+                timeout = min(idle, self._deadline - time.monotonic())
+                if timeout <= 0:
+                    await self._flush()
+                    continue
+            envelope = await self.transport.recv(self.node_id, timeout=timeout)
+            if envelope is None:
+                continue  # recv timed out; re-check the deadline and the inbox
+            if isinstance(envelope, UpdateEnvelope):
+                await self._on_update(envelope)
+            elif isinstance(envelope, TickEnvelope):
+                # Whoever still waits belongs to the period that just
+                # ended: it sends that batch before the new one opens.
+                await self._flush()
+                await self._on_tick(envelope)
+            elif isinstance(envelope, StopEnvelope):
+                await self._flush()
+                break
 
     # ------------------------------------------------------------------
     # Inbox reactions
     # ------------------------------------------------------------------
-    def _on_tick(self, tick: TickEnvelope) -> None:
-        self._current_period = tick.period
+    async def _on_tick(self, tick: TickEnvelope) -> None:
+        period = self._current_period = tick.period
         self._budget = self.capacity
-        self._period_tasks = {task for task in self._period_tasks if not task.done()}
-        if self.down(tick.period):
+        if self.down(period):
             self.metrics.incr(names.AGENT_DOWN_PERIODS, node=self.node_id)
             return
-        # Adopt the tick's trace context while spawning: asyncio tasks
-        # snapshot contextvars at creation, so every wave spawned here
-        # records spans inside the period's trace with the (possibly
-        # remote) period root span as parent.
+        started = time.perf_counter()
+        self._deadline = time.monotonic() + self.config.child_wait_seconds
+        ready = []
+        for role in self.roles:
+            # A child's update may beat the tick across processes.
+            seen = self._children_seen.get(role.attr_set, {})
+            missing = {c for c in role.children if seen.get(c, -1) < period}
+            if missing:
+                self._waiting[role.attr_set] = _OpenWave(
+                    role, period, missing, tick.trace_ctx, started
+                )
+            else:
+                ready.append(role)
+        # Adopt the tick's trace context: every wave records its spans
+        # inside the period's trace with the (possibly remote) period
+        # root span as parent.
         with trace.attach(tick.trace_ctx):
-            if tick.period % self.config.heartbeat_every == 0:
-                self._spawn(self._send_heartbeat(tick.period))
-            for role in self.roles:
-                self._spawn(self._send_update(role, tick.period))
+            if period % self.config.heartbeat_every == 0:
+                beacon = HeartbeatEnvelope(sender=self.node_id, period=period)
+                for collector in self._collectors:
+                    await self.transport.send(collector, beacon)
+                    self._count_heartbeats.add()
+            for role in ready:
+                await self._emit(role, period, started)
 
-    def _on_update(self, envelope: UpdateEnvelope) -> None:
+    async def _on_update(self, envelope: UpdateEnvelope) -> None:
+        tree, sender, period = envelope.tree, envelope.sender, envelope.period
         if envelope.trace_ctx is not None and trace.active_tracer() is not None:
             # Linked to the sender's wave span: the reverse-direction
             # cross-process edge in a merged trace.
             with trace.attach(envelope.trace_ctx):
-                trace.event(
-                    names.EVENT_AGENT_RECV,
-                    lane=self._lane,
-                    sender=envelope.sender,
-                    period=envelope.period,
-                )
+                trace.event(names.EVENT_AGENT_RECV, lane=self._lane, sender=sender, period=period)
         if self.down(self._current_period):
             self.metrics.incr(names.MESSAGES_DROPPED_FAILURE, node=self.node_id)
             return
         # The child reported, whether or not its batch is affordable --
         # record that first so a capacity drop cannot stall the wave.
-        seen = self._children_seen.setdefault(envelope.tree, {})
-        seen[envelope.sender] = max(seen.get(envelope.sender, -1), envelope.period)
-        if self._update_event is not None:
-            self._update_event.set()
+        seen = self._children_seen.setdefault(tree, {})
+        seen[sender] = max(seen.get(sender, -1), period)
         charge = envelope.cost(self.cost)
-        if self.config.enforce_capacity:
-            if self._budget < charge - _EPS:
-                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
-                return
-            self._budget -= charge
-        envelope.merge_into(self._buffers.setdefault(envelope.tree, {}))
-        self.metrics.incr(names.MESSAGES_DELIVERED, node=self.node_id)
-        self.metrics.incr(names.COST_UNITS_SPENT, charge, node=self.node_id)
+        if self.config.enforce_capacity and self._budget < charge - _EPS:
+            self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
+        else:
+            if self.config.enforce_capacity:
+                self._budget -= charge
+            self._buffers.setdefault(tree, []).append(envelope.payload)
+            self._count_delivered.add()
+            self._count_cost.add(charge)
+        wave = self._waiting.get(tree)
+        if wave is not None and period >= wave.period:
+            wave.missing.discard(sender)
+            if not wave.missing:
+                del self._waiting[tree]
+                await self._close(wave)
+
+    async def _flush(self) -> None:
+        """Stop waiting: every open wave sends what it has."""
+        stragglers, self._waiting = self._waiting, {}
+        for wave in stragglers.values():
+            self.metrics.incr(names.CHILD_WAIT_TIMEOUTS, node=self.node_id)
+            await self._close(wave)
+
+    async def _close(self, wave: _OpenWave) -> None:
+        with trace.attach(wave.ctx):
+            await self._emit(wave.role, wave.period, wave.started, waited=True)
 
     # ------------------------------------------------------------------
     # Per-period work
     # ------------------------------------------------------------------
-    def _spawn(self, coro: Coroutine[object, object, None]) -> None:
-        task = asyncio.ensure_future(coro)
-        self._period_tasks.add(task)
+    async def _emit(
+        self, role: TreeRole, period: int, started: float, waited: bool = False
+    ) -> None:
+        """Sample, batch, shape to the budget and send one tree's update.
 
-    async def _send_heartbeat(self, period: int) -> None:
-        # With sharded collectors, each shard runs its own failure
-        # detector over the nodes in its trees -- beacon every shard
-        # this node reports to (the single-collector case sends one).
-        collectors = sorted({role.collector for role in self.roles}) or [
-            COLLECTOR_ADDRESS
-        ]
-        for collector in collectors:
-            await self.transport.send(
-                collector, HeartbeatEnvelope(sender=self.node_id, period=period)
-            )
-            self.metrics.incr(names.HEARTBEATS_SENT, node=self.node_id)
-
-    async def _send_update(self, role: TreeRole, period: int) -> None:
-        with trace.span(
-            names.SPAN_AGENT_WAVE, lane=self._lane, tree=role.tree_id, period=period
-        ) as wave:
-            await self._await_children(role, period)
-            payload: Dict[NodeAttributePair, Reading] = {}
-            buffered = self._buffers.pop(role.attr_set, None)
-            if buffered:
-                payload.update(buffered)
+        Recorded once the role is ready, the spans still run from the
+        tick (``started``) to the send.
+        """
+        attrs = {"tree": role.tree_id, "period": period}
+        with trace.span_since(names.SPAN_AGENT_WAVE, started, lane=self._lane, **attrs) as wave:
+            if waited:
+                with trace.span_since(
+                    names.SPAN_AGENT_CHILD_WAIT, started, lane=self._lane, **attrs
+                ):
+                    pass
+            relayed = self._buffers.pop(role.attr_set, None)
+            payload = union_payloads(relayed) if relayed else {}
+            sampled_at = float(period)
             for pair in role.local_pairs:
-                payload[pair] = Reading(
-                    self.registry.value(pair), sampled_at=float(period)
-                )
+                payload[pair] = Reading(self.registry.value(pair), sampled_at=sampled_at)
             if not payload:
                 wave.set(outcome="empty")
                 return
@@ -241,53 +283,14 @@ class NodeAgent:
             charge = self.cost.message_cost(len(shaped))
             if self.config.enforce_capacity:
                 self._budget -= charge
-            self.metrics.incr(names.MESSAGES_SENT, node=self.node_id, tree=role.tree_id)
-            self.metrics.incr(names.COST_UNITS_SPENT, charge, node=self.node_id)
+            self._count_sent[role.attr_set].add()
+            self._count_cost.add(charge)
             self.metrics.observe(names.PAYLOAD_VALUES, len(shaped))
             wave.set(outcome="sent", values=len(shaped))
-            await self.transport.send(
-                role.receiver,
-                UpdateEnvelope(
-                    sender=self.node_id,
-                    tree=role.attr_set,
-                    period=period,
-                    payload=shaped,
-                    trace_ctx=wave.context(),
-                ),
-            )
+            update = UpdateEnvelope(self.node_id, role.attr_set, period, shaped, wave.context())
+            await self.transport.send(role.receiver, update)
 
-    def _children_ready(self, role: TreeRole, period: int) -> bool:
-        seen = self._children_seen.get(role.attr_set, {})
-        return all(seen.get(child, -1) >= period for child in role.children)
-
-    async def _await_children(self, role: TreeRole, period: int) -> None:
-        """Block until every child has reported ``period``'s batch for
-        this tree, or the child-wait deadline passes."""
-        if not role.children:
-            return
-        with trace.span(
-            names.SPAN_AGENT_CHILD_WAIT, lane=self._lane, tree=role.tree_id, period=period
-        ):
-            deadline = time.monotonic() + self.config.child_wait_seconds
-            while not self._children_ready(role, period):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._update_event is None:
-                    self.metrics.incr(names.CHILD_WAIT_TIMEOUTS, node=self.node_id)
-                    return
-                self._update_event.clear()
-                if self._children_ready(role, period):
-                    return
-                try:
-                    # asyncio.timeout, not wait_for: see MailboxTransport.recv.
-                    async with asyncio.timeout(remaining):
-                        await self._update_event.wait()
-                except TimeoutError:
-                    self.metrics.incr(names.CHILD_WAIT_TIMEOUTS, node=self.node_id)
-                    return
-
-    def _apply_budget(
-        self, role: TreeRole, payload: Dict[NodeAttributePair, Reading], period: int
-    ) -> Optional[Dict[NodeAttributePair, Reading]]:
+    def _apply_budget(self, role: TreeRole, payload: Payload, period: int) -> Optional[Payload]:
         """Shape ``payload`` to the remaining budget per the drop policy.
 
         Returns the payload to send, or ``None`` when nothing goes out
@@ -334,11 +337,8 @@ class NodeAgent:
             self.metrics.incr(names.VALUES_TRIMMED, len(overflow), node=self.node_id)
         return {pair: payload[pair] for pair in keep}
 
-    def _defer(self, role: TreeRole, overflow: Dict[NodeAttributePair, Reading]) -> None:
-        """Backpressure: carry unaffordable readings to the next period."""
-        buffer = self._buffers.setdefault(role.attr_set, {})
-        for pair, reading in overflow.items():
-            existing = buffer.get(pair)
-            if existing is None or reading.sampled_at >= existing.sampled_at:
-                buffer[pair] = reading
+    def _defer(self, role: TreeRole, overflow: Payload) -> None:
+        """Backpressure: carry unaffordable readings to the next period
+        (``_emit`` popped the tree's buffer; the overflow opens the next)."""
+        self._buffers[role.attr_set] = [overflow]
         self.metrics.incr(names.VALUES_DEFERRED, len(overflow), node=self.node_id)

@@ -82,6 +82,8 @@ class CollectorAgent:
         self._current_period = -1
         self._last_heartbeat: Dict[NodeId, int] = {}
         self._failed: Set[NodeId] = set()
+        #: Send time of recent ticks (collection-latency anchor); pruned
+        #: at period close to the last ``failure_timeout`` periods.
         self._tick_monotonic: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -161,23 +163,27 @@ class CollectorAgent:
             else:
                 total_error = 0.0
                 fresh = 0
-                received = 0
+                now = float(period)
+                ages = []  # of every pair received so far, in periods
                 for pair in pairs:
                     truth = self.registry.value(pair)
                     total_error += self.state.percentage_error(pair, truth)
                     reading = self.state.reading(pair)
                     if reading is not None:
-                        received += 1
-                        self.metrics.observe(
-                            names.STALENESS_PERIODS, float(period) - reading.sampled_at
-                        )
-                        if reading.sampled_at >= float(period) - _EPS:
+                        ages.append(now - reading.sampled_at)
+                        if reading.sampled_at >= now - _EPS:
                             fresh += 1
+                if ages:
+                    # One series lookup per close, not one per pair (and
+                    # none before the first reading: no empty series).
+                    staleness = self.metrics.histogram(names.STALENESS_PERIODS)
+                    for age in ages:
+                        staleness.observe(age)
                 sample = RuntimePeriodSample(
                     period=period,
                     mean_error=total_error / n,
                     fresh_fraction=fresh / n,
-                    received_fraction=received / n,
+                    received_fraction=len(ages) / n,
                 )
             self.samples.append(sample)
             self.metrics.observe(names.PERIOD_COVERAGE, sample.received_fraction)
@@ -185,6 +191,11 @@ class CollectorAgent:
                 coverage=sample.received_fraction, mean_error=sample.mean_error
             )
             self._detect_failures(period)
+            # An update later than this finds no anchor and records no
+            # latency, like one for a period this collector never saw.
+            horizon = period - self.config.failure_timeout
+            for old in [p for p in self._tick_monotonic if p <= horizon]:
+                del self._tick_monotonic[old]
         return sample
 
     def _detect_failures(self, period: int) -> None:

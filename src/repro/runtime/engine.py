@@ -308,8 +308,8 @@ class MonitoringRuntime:
         """Let in-flight work finish before the period is scored.
 
         Yields to the event loop until every inbox is drained and no
-        agent has an outstanding send task, bounded by one extra period
-        of wall-clock grace.  This makes scoring independent of
+        agent has a role still waiting on its children, bounded by one
+        extra period of wall-clock grace.  This makes scoring independent of
         machine speed: on a loaded box the sleep may end while the
         bottom-up wave is still relaying, and settling here is what
         keeps the parity with the lock-step simulator tight.

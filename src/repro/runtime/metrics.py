@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from repro.analysis.report import format_table
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import BoundCounter, Histogram, MetricsRegistry
 
 Number = Union[int, float]
 
@@ -45,6 +45,10 @@ class RuntimeMetrics:
     # -- recording -----------------------------------------------------
     def incr(self, name: str, amount: Number = 1, **labels: object) -> None:
         self.registry.incr(name, amount, **labels)
+
+    def bind_counter(self, name: str, **labels: object) -> BoundCounter:
+        """Pre-keyed :meth:`incr` for one series (see :class:`BoundCounter`)."""
+        return self.registry.bind_counter(name, **labels)
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         self.registry.observe(name, value, **labels)

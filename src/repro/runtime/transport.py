@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import abc
 import asyncio
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from repro.core.attributes import NodeId
 from repro.obs import names
+from repro.obs.metrics import BoundCounter
 from repro.runtime.messages import Envelope
 from repro.runtime.metrics import RuntimeMetrics
 
@@ -142,8 +144,22 @@ class MailboxTransport(Transport):
         """Total envelopes handed to a receiver via :meth:`recv`."""
         return int(self.metrics.counter(names.TRANSPORT_ENVELOPES_DELIVERED))
 
+    # One series each per transport, keyed on first use (by then the
+    # run's hub is bound; ``bind_metrics`` is a no-op afterwards).
+    @cached_property
+    def _sent(self) -> BoundCounter:
+        return self.metrics.bind_counter(
+            names.TRANSPORT_ENVELOPES_SENT, transport=self.transport_kind
+        )
+
+    @cached_property
+    def _delivered(self) -> BoundCounter:
+        return self.metrics.bind_counter(
+            names.TRANSPORT_ENVELOPES_DELIVERED, transport=self.transport_kind
+        )
+
     def _count_sent(self) -> None:
-        self.metrics.incr(names.TRANSPORT_ENVELOPES_SENT, transport=self.transport_kind)
+        self._sent.add()
 
     # -- inboxes -------------------------------------------------------
     def register(self, address: NodeId) -> None:
@@ -172,8 +188,9 @@ class MailboxTransport(Transport):
             # suspending the caller.  For the empty-queue wait, use
             # asyncio.timeout rather than wait_for: wait_for wraps the
             # get in an extra task, adding a scheduler hop to every
-            # wakeup, which is enough latency to miss child-wait
-            # deadlines in the hot inbox loop.
+            # wakeup of the hot inbox loops -- and an agent's recv
+            # timeout is its child-wait deadline, so a late wakeup is
+            # a late flush.
             try:
                 envelope = queue.get_nowait()
             except asyncio.QueueEmpty:
@@ -182,9 +199,7 @@ class MailboxTransport(Transport):
                         envelope = await queue.get()
                 except TimeoutError:
                     return None
-        self.metrics.incr(
-            names.TRANSPORT_ENVELOPES_DELIVERED, transport=self.transport_kind
-        )
+        self._delivered.add()
         return envelope
 
     def pending(self, address: NodeId) -> int:

@@ -9,13 +9,13 @@ imported).
 
 - REMO431: metric-registry calls (``incr``/``observe``/``counter``/...)
   must use a declared metric name;
-- REMO432: ``trace.span``/``trace.timer``/``trace.event`` must use a
-  declared span/event name;
+- REMO432: ``trace.span``/``span_since``/``timer``/``event`` must use
+  a declared span/event name;
 - REMO433: ``lane=`` must be a declared lane, a declared-prefix
   f-string, or a manifest lane helper (``names.node_lane(...)``);
-- REMO434: ``trace.span``/``trace.timer`` return context managers that
-  record on *exit* -- calling one outside a ``with`` header produces a
-  span that never closes;
+- REMO434: ``trace.span``/``span_since``/``timer`` return context
+  managers that record on *exit* -- calling one outside a ``with``
+  header produces a span that never closes;
 - REMO435: ``log.emit`` must use a declared structured-log event name
   (the manifest's ``LOG_EVENTS`` set) -- ad-hoc event strings fragment
   the flight-recorder ring and every JSONL log pipeline keyed on them.
@@ -41,13 +41,14 @@ METRIC_CALL_NAMES = {
     "set_gauge",
     "observe",
     "counter",
+    "bind_counter",
     "gauge",
     "histogram",
     "bump",
 }
 
 #: ``trace.<attr>`` entry points whose first argument is a span name.
-TRACE_CALL_NAMES = {"span", "timer", "event"}
+TRACE_CALL_NAMES = {"span", "span_since", "timer", "event"}
 
 #: The manifest itself declares the names; its own literals are exempt.
 MANIFEST_SUFFIX = "repro/obs/names.py"
@@ -58,8 +59,8 @@ def _is_manifest(module: ModuleUnderAnalysis) -> bool:
 
 
 def _is_trace_call(node: ast.Call) -> Optional[str]:
-    """``"span"``/``"timer"``/``"event"`` when ``node`` is a
-    ``trace.<attr>(...)`` call, else ``None``."""
+    """The entry point's name (``"span"``, ``"timer"``, ...) when
+    ``node`` is a ``trace.<attr>(...)`` call, else ``None``."""
     func = node.func
     if (
         isinstance(func, ast.Attribute)
@@ -287,7 +288,7 @@ class SpanNotContextManagedRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             kind = _is_trace_call(node)
-            if kind not in ("span", "timer"):
+            if kind is None or kind == "event":
                 continue
             if id(node) in with_contexts:
                 continue

@@ -5,4 +5,5 @@ from repro.obs import names, trace
 
 def work():
     handle = trace.span(names.SPAN_AGENT_WAVE)
-    return handle
+    late = trace.span_since(names.SPAN_AGENT_WAVE, 0.0)
+    return handle, late

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.cluster.metrics import MetricRegistry
-from repro.core.attributes import pairs_for
+from repro.core.attributes import NodeAttributePair, pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
@@ -14,8 +14,8 @@ from repro.net import PeerDirectory, TcpTransport
 from repro.net.codec import encode_frame
 from repro.net.deploy import allocate_endpoints
 from repro.obs import names
-from repro.runtime import MonitoringRuntime, RuntimeConfig
-from repro.runtime.messages import HeartbeatEnvelope, TickEnvelope
+from repro.runtime import MonitoringRuntime, NodeAgent, RuntimeConfig, RuntimeMetrics, TreeRole
+from repro.runtime.messages import HeartbeatEnvelope, StopEnvelope, TickEnvelope
 from repro.runtime.transport import UnknownAddressError
 from repro.simulation import MonitoringSimulation, SimulationConfig
 
@@ -316,6 +316,67 @@ class TestReconnect:
                 assert await asyncio.wait_for(blocked, timeout=5.0)
                 assert [await _recv(b, 1) for _ in range(5)] == held + [late]
             finally:
+                await a.aclose()
+                if b is not None:
+                    await b.aclose()
+
+        asyncio.run(scenario())
+
+    def test_agent_behind_a_dead_peer_stalls_alone_and_resumes_in_order(self):
+        """An agent awaits its own sends: at the queue bound its inbox
+        stalls (ticks queue up, no task is parked per period), agents on
+        other links carry on, and the peer's return replays every batch
+        once, in order."""
+
+        async def scenario():
+            endpoint = allocate_endpoints(1)[0]  # node 1's parent: nobody listens yet
+            a = TcpTransport(
+                PeerDirectory({1: endpoint}), send_queue_frames=2, dial_backoff_base=0.01
+            )
+            metrics = RuntimeMetrics()
+            a.bind_metrics(metrics)
+            config = RuntimeConfig(period_seconds=30.0, heartbeat_every=1000)
+            tree = frozenset({"a"})
+            agents = {}
+            for node, parent in ((5, 1), (6, 2)):  # 6's parent is a local inbox
+                pair = NodeAttributePair(node, "a")
+                role = TreeRole(tree, parent, (), (pair,), depth=1, height=1, tree_id="t0")
+                agents[node] = NodeAgent(
+                    node, 100.0, [role], COST, MetricRegistry([pair], seed=1), a, metrics, config
+                )
+            for address in (2, 5, 6):
+                a.register(address)
+            tasks = [asyncio.ensure_future(agent.run()) for agent in agents.values()]
+            b = None
+            try:
+                task_counts = []
+                for period in range(1, 7):  # period 0 is a beacon period
+                    for node in agents:
+                        a.deliver_local(node, TickEnvelope(period=period))
+                    await asyncio.sleep(0.02)
+                    task_counts.append(len(asyncio.all_tasks()))
+                # Two batches in hand, the third blocked in send, three ticks unread.
+                [link] = a._links.values()
+                assert len(link._pending) == 2
+                assert a.pending(5) == 3
+                assert len(set(task_counts[2:])) == 1, task_counts
+                # The agent on the healthy link never noticed.
+                assert a.pending(6) == 0
+                assert [(await _recv(a, 2)).period for _ in range(6)] == [1, 2, 3, 4, 5, 6]
+                assert metrics.registry.counter(names.MESSAGES_SENT, node=6, tree="t0") == 6.0
+
+                b = await _restart(endpoint)
+                batches = [await _recv(b, 1) for _ in range(6)]
+                assert [(u.sender, u.period) for u in batches] == [(5, p) for p in range(1, 7)]
+                assert await b.recv(1, timeout=0.2) is None  # nothing duplicated
+                assert a.pending(5) == 0
+            finally:
+                for node in agents:
+                    a.deliver_local(node, StopEnvelope())
+                if b is None:  # failed before the peer came up: unblock the sender
+                    for task in tasks:
+                        task.cancel()
+                await asyncio.wait(tasks, timeout=2.0)
                 await a.aclose()
                 if b is not None:
                     await b.aclose()

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -74,6 +75,24 @@ class TestRecording:
         assert event.kind == "instant"
         assert event.duration == 0.0
         assert event.parent_id == outer.span_id
+
+    def test_span_since_opens_at_a_noted_clock_under_the_entry_context(self):
+        assert trace.span_since("off", 0.0) is trace.span("off")  # the shared no-op
+        ctx = trace.new_root_context()
+        with trace.installed() as tracer:
+            opened = time.perf_counter()
+            sum(range(1000))
+            with trace.attach(ctx):
+                with trace.span_since("wave", opened, lane="node-1", tree="t0") as wave:
+                    trace.event("inside")
+                    stamped = wave.context()
+        event, span = tracer.spans()
+        assert (span.name, span.lane, span.attrs) == ("wave", "node-1", {"tree": "t0"})
+        assert span.start == opened
+        assert span.duration == pytest.approx(wave.elapsed) and span.duration > 0.0
+        assert span.trace_id == ctx.trace_id and span.parent_id is None
+        assert event.parent_id == span.span_id
+        assert stamped == trace.TraceContext(ctx.trace_id, span.span_id)
 
     def test_installed_restores_previous(self):
         with trace.installed() as first:

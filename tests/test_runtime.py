@@ -1,25 +1,40 @@
 """Tests for the live asyncio runtime (`repro.runtime`)."""
 
 import asyncio
+import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.metrics import MetricRegistry
 from repro.cluster.node import Cluster, SimNode
-from repro.core.attributes import pairs_for
+from repro.core.attributes import NodeAttributePair, pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.obs.export import prometheus_text
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
     AgentOutage,
     COLLECTOR_ADDRESS,
+    CollectorAgent,
     DropPolicy,
+    HeartbeatEnvelope,
     Histogram,
     InProcessTransport,
     MonitoringRuntime,
+    NodeAgent,
     RuntimeConfig,
     RuntimeMetrics,
+    StopEnvelope,
     TickEnvelope,
+    TreeRole,
+    UpdateEnvelope,
 )
+from repro.runtime.messages import union_payloads
+from repro.simulation.messages import Reading
 
 COST = CostModel(2.0, 1.0)
 
@@ -123,6 +138,38 @@ class TestMetrics:
         assert snapshot["counters"]["messages_sent"] == 3.0
         assert snapshot["histograms"]["latency"]["count"] == 1.0
         assert "messages_sent" in m.render()
+
+    def test_bound_counter_is_incr_with_the_key_built_once(self):
+        """Same series, same readers, exporter text and dump/absorb round
+        trip as ``incr(**labels)``; binding alone creates nothing."""
+        script = [
+            ("messages_sent", 1, dict(node=3, tree="t0")),
+            ("messages_sent", 1, dict(tree="t0", node=3)),
+            ("messages_sent", 1, dict(node=4, tree="t1")),
+            ("cost_units_spent", 12.5, dict(node=3)),
+            ("cost_units_spent", 3, dict(node=3)),
+            ("messages_delivered", 2, {}),
+        ]
+        by_incr, by_bound = RuntimeMetrics(), RuntimeMetrics()
+        for name, amount, labels in script:
+            by_incr.incr(name, amount, **labels)
+            by_bound.bind_counter(name, **labels).add(amount)
+        never = by_bound.bind_counter("values_trimmed", node=3)
+        assert by_bound.counters() == by_incr.counters()
+        assert by_bound.registry.counters() == by_incr.registry.counters()
+        assert prometheus_text(by_bound.registry) == prometheus_text(by_incr.registry)
+        assert by_bound.registry.dump() == by_incr.registry.dump()
+        merged = MetricsRegistry()
+        merged.absorb(by_bound.registry.dump())
+        assert merged.counters() == by_incr.registry.counters()
+        assert "values_trimmed" not in by_bound.counters()
+        assert "values_trimmed" not in prometheus_text(by_bound.registry)
+        never.add(0)  # the first add creates the series, as the first incr does
+        assert by_bound.counters()["values_trimmed"] == 0.0
+        # A bound counter survives the registry being cleared under it.
+        by_bound.registry.clear()
+        never.add(2)
+        assert by_bound.counters() == {"values_trimmed": 2.0}
 
 
 class TestConfig:
@@ -291,3 +338,213 @@ class TestFailureDetection:
         report = MonitoringRuntime(plan, small_cluster, config=config).run(4)
         assert int(report.metrics.counter("agent_down_periods")) == 4
         assert report.mean_fresh_coverage < 1.0
+
+
+TREE = frozenset({"a"})
+
+
+class OneAgent:
+    """Interior node 0 (children 1 and 2, parent 9) of one tree on an
+    in-process transport, fed one envelope at a time."""
+
+    def __init__(self, **config):
+        self.transport = InProcessTransport()
+        for address in (0, 9, COLLECTOR_ADDRESS):
+            self.transport.register(address)
+        self.metrics = RuntimeMetrics()
+        own = NodeAttributePair(0, "a")
+        role = TreeRole(
+            attr_set=TREE, parent=9, children=(1, 2), local_pairs=(own,),
+            depth=1, height=2, tree_id="t0",
+        )
+        self.agent = NodeAgent(
+            0, 100.0, [role], COST, MetricRegistry([own], seed=1),
+            self.transport, self.metrics, RuntimeConfig(**config),
+        )
+
+    def run(self, scenario):
+        async def main():
+            self.task = asyncio.ensure_future(self.agent.run())
+            try:
+                await scenario(self)
+            finally:
+                await self.stop()
+
+        asyncio.run(main())
+
+    async def stop(self):
+        if not self.task.done():
+            self.transport.deliver_local(0, StopEnvelope())
+        await asyncio.wait_for(self.task, timeout=2.0)
+
+    async def feed(self, *envelopes):
+        """Deliver to the agent's inbox and let it react to all of it."""
+        for envelope in envelopes:
+            self.transport.deliver_local(0, envelope)
+        while self.transport.pending(0):
+            await asyncio.sleep(0)
+        await asyncio.sleep(0)
+
+    def child(self, sender, period=0):
+        pair = NodeAttributePair(sender, "a")
+        return UpdateEnvelope(sender, TREE, period, {pair: Reading(1.0, float(period))})
+
+    async def outbox(self, address=9):
+        """Everything the agent has sent to ``address`` since last asked."""
+        return [
+            await self.transport.recv(address, timeout=0.1)
+            for _ in range(self.transport.pending(address))
+        ]
+
+    def counter(self, name):
+        return self.metrics.counter(name)
+
+
+def nodes_in(update):
+    return sorted(pair.node for pair in update.payload)
+
+
+class TestAgentStateMachine:
+    """The inbox-driven wave: one emit per role per period, whatever
+    the order of arrival; deadline, next tick and stop flush the rest."""
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_one_emit_per_period_in_any_arrival_order(self, order):
+        async def scenario(one):
+            events = [TickEnvelope(period=0), one.child(1), one.child(2)]
+            sent = []
+            for index in order:  # a child's update may even beat the tick
+                await one.feed(events[index])
+                sent.extend(await one.outbox())
+            assert len(sent) == 1
+            assert (sent[0].sender, sent[0].period, nodes_in(sent[0])) == (0, 0, [0, 1, 2])
+            assert not one.agent.busy()
+            # The next period is a new wave with nobody reported yet.
+            await one.feed(TickEnvelope(period=1))
+            assert await one.outbox() == [] and one.agent.busy()
+            await one.feed(one.child(2, period=1), one.child(1, period=1))
+            [second] = await one.outbox()
+            assert (second.period, nodes_in(second)) == (1, [0, 1, 2])
+            assert one.counter("child_wait_timeouts") == 0
+            assert one.counter("messages_sent") == 2
+            assert one.counter("messages_delivered") == 4
+
+        OneAgent(period_seconds=30.0).run(scenario)
+
+    def test_silent_child_costs_one_emit_at_the_deadline(self):
+        async def scenario(one):
+            wait = one.agent.config.child_wait_seconds
+            started = time.monotonic()
+            await one.feed(TickEnvelope(period=0), one.child(1))
+            assert await one.outbox() == [] and one.agent.busy()
+            update = await one.transport.recv(9, timeout=2.0)
+            assert time.monotonic() - started >= wait
+            assert (update.period, nodes_in(update)) == (0, [0, 1])
+            assert one.counter("child_wait_timeouts") == 1
+            assert not one.agent.busy()
+            # The straggler is kept for the next batch, not sent on its own.
+            await one.feed(one.child(2))
+            await asyncio.sleep(wait)
+            assert await one.outbox() == []
+            assert one.counter("child_wait_timeouts") == 1
+            assert one.counter("messages_sent") == 1
+            await one.feed(TickEnvelope(period=1), one.child(1, 1), one.child(2, 1))
+            [update] = await one.outbox()
+            assert (update.period, nodes_in(update)) == (1, [0, 1, 2])
+
+        OneAgent(period_seconds=0.1, child_wait_fraction=0.5).run(scenario)
+
+    def test_next_tick_flushes_the_old_period_first(self):
+        async def scenario(one):
+            await one.feed(TickEnvelope(period=0), one.child(1))
+            assert await one.outbox() == []
+            await one.feed(TickEnvelope(period=1))
+            [flushed] = await one.outbox()
+            assert (flushed.period, nodes_in(flushed)) == (0, [0, 1])
+            assert one.counter("child_wait_timeouts") == 1
+            assert one.agent.busy()  # period 1 now waits on both children
+            await one.feed(one.child(1, 1), one.child(2, 1))
+            [update] = await one.outbox()
+            assert (update.period, nodes_in(update)) == (1, [0, 1, 2])
+            assert one.counter("child_wait_timeouts") == 1
+            beats = await one.outbox(COLLECTOR_ADDRESS)
+            assert beats == [HeartbeatEnvelope(0, 0), HeartbeatEnvelope(0, 1)]
+
+        OneAgent(period_seconds=30.0).run(scenario)
+
+    def test_stop_flushes_an_open_wave(self):
+        async def scenario(one):
+            await one.feed(TickEnvelope(period=0), one.child(2))
+            await one.stop()
+            [update] = await one.outbox()
+            assert (update.period, nodes_in(update)) == (0, [0, 2])
+            assert one.counter("child_wait_timeouts") == 1
+
+        OneAgent(period_seconds=30.0).run(scenario)
+
+    def test_scripted_down_node_neither_emits_nor_beacons(self):
+        async def scenario(one):
+            await one.feed(TickEnvelope(period=0), one.child(1), one.child(2))
+            assert await one.outbox() == [] and await one.outbox(COLLECTOR_ADDRESS) == []
+            assert not one.agent.busy()
+            assert one.counter("agent_down_periods") == 1
+            assert one.counter("messages_dropped_failure") == 2
+            assert one.counter("messages_delivered") == 0
+            await one.feed(TickEnvelope(period=1), one.child(1, 1), one.child(2, 1))
+            [update] = await one.outbox()
+            assert (update.period, nodes_in(update)) == (1, [0, 1, 2])
+            assert await one.outbox(COLLECTOR_ADDRESS) == [HeartbeatEnvelope(0, 1)]
+
+        OneAgent(period_seconds=30.0, outages=[AgentOutage(node=0, start=0, end=1)]).run(scenario)
+
+
+PAIRS = [NodeAttributePair(node, attr) for node in range(3) for attr in "ab"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(st.sampled_from(PAIRS), st.sampled_from([0.0, 1.0, 2.0]), max_size=6),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_relay_union_is_repeated_merge_into(ages):
+    """Freshest wins, a tie goes to the later arrival -- whether the
+    payloads overlap (per-pair path) or not (dict.update path)."""
+    # Reading.value numbers the arrival, so equal readings are one arrival.
+    payloads = [
+        {pair: Reading(float(arrival), sampled_at) for pair, sampled_at in payload.items()}
+        for arrival, payload in enumerate(ages)
+    ]
+    before = [dict(payload) for payload in payloads]
+    expected = {}
+    for payload in payloads:
+        UpdateEnvelope(sender=1, tree=TREE, period=0, payload=payload).merge_into(expected)
+    assert union_payloads(payloads) == expected
+    assert payloads == before  # the inputs belong to their envelopes
+
+
+class TestCollectorTickAnchors:
+    def test_anchor_table_stays_bounded_over_a_long_run(self):
+        transport = InProcessTransport()
+        metrics = RuntimeMetrics()
+        pair = NodeAttributePair(0, "a")
+        collector = CollectorAgent(
+            [pair], [0], 100.0, COST, MetricRegistry([pair], seed=1), transport, metrics,
+            RuntimeConfig(failure_timeout=3),
+        )
+        reading = {pair: Reading(1.0, 0.0)}
+        for period in range(1000):
+            collector._on_tick(TickEnvelope(period=period))
+            collector._on_update(UpdateEnvelope(0, TREE, period, reading))
+            collector.close_period(period)
+            assert len(collector._tick_monotonic) <= 3
+        latency = metrics.histogram("collection_latency_s")
+        assert latency.count == 1000
+        # Recent periods keep their anchor; a pruned one records nothing.
+        collector._on_update(UpdateEnvelope(0, TREE, 999, reading))
+        assert latency.count == 1001
+        collector._on_update(UpdateEnvelope(0, TREE, 0, reading))
+        assert latency.count == 1001
+        assert metrics.counter("messages_delivered") == 1002

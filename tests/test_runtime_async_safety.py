@@ -1,11 +1,9 @@
-"""Regression tests for the async-safety fixes the static analysis
-framework surfaced (REMO414 recv timeouts, REMO421 retire ordering).
+"""Regression tests for the async-safety fix the static analysis
+framework surfaced (REMO414 recv timeouts).
 
-The findings: agent/collector inbox loops awaited ``transport.recv``
+The finding: agent/collector inbox loops awaited ``transport.recv``
 with no timeout (a dropped stop message would hang them forever on a
-real socket transport), and ``NodeAgent._retire_period_tasks`` read
-and cleared ``self._period_tasks`` across an ``await`` (a lost-update
-window).  These tests pin the fixed behaviour.
+real socket transport).  These tests pin the fixed behaviour.
 """
 
 import asyncio
@@ -44,13 +42,17 @@ class RecordingTransport(InProcessTransport):
         self.recv_timeouts = []
 
     async def recv(self, address, timeout=None):
-        self.recv_timeouts.append(timeout)
+        self.recv_timeouts.append((address, timeout))
         return await super().recv(address, timeout)
 
 
 class TestRecvTimeouts:
     def test_run_loops_always_recv_with_timeout(self):
-        """REMO414 regression: no inbox await may lack a timeout guard."""
+        """REMO414 regression: no inbox await may lack a timeout guard.
+
+        The collector always waits the idle timeout; an agent waits at
+        most that, less while a role's child-wait deadline is nearer.
+        """
         transport = RecordingTransport()
         runtime = small_runtime(recv_timeout_seconds=0.5)
         runtime.transport = transport
@@ -59,7 +61,11 @@ class TestRecvTimeouts:
         runtime.collector.transport = transport
         runtime.run(2)
         assert transport.recv_timeouts, "run loops never touched the transport"
-        assert all(t == 0.5 for t in transport.recv_timeouts)
+        for address, timeout in transport.recv_timeouts:
+            if address == runtime.collector.address:
+                assert timeout == 0.5
+            else:
+                assert timeout is not None and 0 < timeout <= 0.5
 
     def test_agent_loop_survives_recv_timeouts(self):
         """A timed-out recv (None envelope) re-checks the inbox instead
@@ -99,45 +105,3 @@ class TestRecvTimeouts:
             RuntimeConfig(recv_timeout_seconds=0.0)
         with pytest.raises(ValueError):
             RuntimeConfig(recv_timeout_seconds=-1.0)
-
-
-class TestRetirePeriodTasks:
-    def test_retire_awaits_pending_and_clears(self):
-        runtime = small_runtime()
-        agent = next(iter(runtime.agents.values()))
-        ran = []
-
-        async def period_work(tag):
-            await asyncio.sleep(0.01)
-            ran.append(tag)
-
-        async def scenario():
-            agent._period_tasks = {
-                asyncio.ensure_future(period_work("x")),
-                asyncio.ensure_future(period_work("y")),
-            }
-            await agent._retire_period_tasks()
-            assert sorted(ran) == ["x", "y"]
-            assert agent._period_tasks == set()
-
-        asyncio.run(scenario())
-
-    def test_retire_clears_before_awaiting(self):
-        """REMO421 regression: the set must be cleared *before* the
-        gather, so nothing added or discarded during the await can be
-        lost by a clear that runs after it."""
-        runtime = small_runtime()
-        agent = next(iter(runtime.agents.values()))
-        observed = []
-
-        async def snooping_task():
-            await asyncio.sleep(0)  # let _retire reach its await first
-            observed.append(set(agent._period_tasks))
-
-        async def scenario():
-            agent._period_tasks = {asyncio.ensure_future(snooping_task())}
-            await agent._retire_period_tasks()
-            # The task saw the set already emptied while it was awaited.
-            assert observed == [set()]
-
-        asyncio.run(scenario())

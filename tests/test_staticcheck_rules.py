@@ -49,9 +49,10 @@ EXPECTED_BAD_COUNTS = {
     "REMO403": 3,
     "REMO411": 2,
     "REMO415": 3,
-    "REMO431": 2,
+    "REMO431": 3,
     "REMO432": 2,
     "REMO433": 2,
+    "REMO434": 2,
     "REMO435": 2,
 }
 
