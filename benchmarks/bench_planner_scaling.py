@@ -26,36 +26,17 @@ from typing import Dict, List, Sequence
 
 from _common import emit, results_dir
 from repro.analysis.report import format_table
-from repro.cluster.topology import default_attribute_pool, make_uniform_cluster
-from repro.core.cost import CostModel
 from repro.core.planner import RemoPlanner
 from repro.obs import names
 from repro.obs.metrics import default_registry
-from repro.workloads.tasks import TaskSampler
+from repro.workloads.presets import sampled_workload
 
-COST = CostModel(per_message=20.0, per_value=1.0)
 DEFAULT_SIZES = (50, 100, 200, 500, 1000)
 
 #: Planner phases whose wall time the obs registry histograms record.
 #: ``adjustment`` runs inside ``tree_construction``, so its seconds are
 #: a subset of (not additive with) the construction phase.
 _PHASES = ("partition", "tree_construction", "adjustment")
-
-
-def _workload(n_nodes: int, n_tasks: int, seed: int = 1):
-    """The CLI-default regime at size ``n_nodes`` x ``n_tasks``."""
-    cluster = make_uniform_cluster(
-        n_nodes=n_nodes,
-        capacity=400.0,
-        attrs_per_node=16,
-        attribute_pool=default_attribute_pool(32),
-        central_capacity=1200.0,
-        seed=seed,
-    )
-    tasks = TaskSampler(cluster, seed=seed + 1).sample_many(
-        n_tasks, (2, 5), (max(5, n_nodes // 6), max(6, n_nodes // 2))
-    )
-    return cluster, tasks
 
 
 def _phase_seconds_snapshot() -> Dict[str, float]:
@@ -66,9 +47,9 @@ def _phase_seconds_snapshot() -> Dict[str, float]:
     }
 
 
-def measure(n_nodes: int, n_tasks: int, parallelism: int = 1) -> Dict:
-    cluster, tasks = _workload(n_nodes, n_tasks)
-    planner = RemoPlanner(COST, parallelism=parallelism)
+def measure(n_nodes: int, n_tasks: int) -> Dict:
+    cluster, cost, tasks = sampled_workload(nodes=n_nodes, tasks=n_tasks)
+    planner = RemoPlanner(cost)
     before = _phase_seconds_snapshot()
     plan, stats = planner.plan_with_stats(tasks, cluster)
     after = _phase_seconds_snapshot()
@@ -97,14 +78,13 @@ def measure(n_nodes: int, n_tasks: int, parallelism: int = 1) -> Dict:
     }
 
 
-def run_scaling(sizes: Sequence[int], parallelism: int = 1) -> List[Dict]:
-    return [measure(n, n, parallelism=parallelism) for n in sizes]
+def run_scaling(sizes: Sequence[int]) -> List[Dict]:
+    return [measure(n, n) for n in sizes]
 
 
-def persist(rows: List[Dict], parallelism: int) -> str:
+def persist(rows: List[Dict]) -> str:
     payload = {
         "bench": "planner_scaling",
-        "parallelism": parallelism,
         "results": rows,
     }
     target = results_dir()
@@ -150,7 +130,7 @@ def test_planner_scaling(benchmark):
     sizes = _env_sizes()
     rows = benchmark.pedantic(run_scaling, args=(sizes,), rounds=1, iterations=1)
     report(rows)
-    persist(rows, parallelism=1)
+    persist(rows)
     for row in rows:
         assert row["coverage"] > 0.0
 
@@ -164,16 +144,10 @@ def main() -> int:
         default=list(DEFAULT_SIZES),
         help="workload sizes (nodes; tasks = nodes)",
     )
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="planner worker processes (results are serial-identical)",
-    )
     args = parser.parse_args()
-    rows = run_scaling(args.sizes, parallelism=args.parallelism)
+    rows = run_scaling(args.sizes)
     report(rows)
-    path = persist(rows, args.parallelism)
+    path = persist(rows)
     print(f"wrote {path}")
     return 0
 

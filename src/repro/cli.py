@@ -218,8 +218,6 @@ def _plan(args) -> int:
     if args.scheme == "remo":
         planner = RemoPlanner(
             cost,
-            parallelism=getattr(args, "parallelism", 1),
-            beam_width=getattr(args, "beam_width", None),
             candidate_budget=None if getattr(args, "exhaustive", False) else 8,
         )
         plan, pstats = planner.plan_with_stats(tasks, cluster)
@@ -251,7 +249,6 @@ def _plan(args) -> int:
         }
         if pstats is not None:
             payload["planning"] = _planning_stats_payload(pstats)
-            payload["planning"]["beam_width"] = getattr(args, "beam_width", None)
             payload["planning"]["exhaustive"] = bool(getattr(args, "exhaustive", False))
         _emit_json(payload)
         return 0
@@ -930,21 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(plan_p)
     _add_json(plan_p)
     _add_obs(plan_p)
-    plan_p.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="worker processes for candidate evaluation (remo scheme only; "
-        "results are identical to a serial run)",
-    )
-    plan_p.add_argument(
-        "--beam-width",
-        type=int,
-        default=None,
-        help="cap ranked candidates evaluated per search iteration (remo "
-        "scheme only; default evaluates the full candidate budget and "
-        "keeps plans bit-identical across releases)",
-    )
     plan_p.add_argument(
         "--exhaustive",
         action="store_true",

@@ -21,9 +21,7 @@ paper's rationale for ranking by usage reduction in the first place).
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -33,7 +31,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -42,7 +39,6 @@ from repro.checks.runner import assert_plan_valid
 from repro.cluster.node import Cluster
 from repro.obs import names, trace
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.trace import Span
 from repro.core.attributes import AttributeId, NodeAttributePair, NodeId
 from repro.core.allocation import AllocationPolicy
 from repro.core.cost import AggregationMap, CostModel
@@ -56,12 +52,6 @@ from repro.trees.base import GreedyTreeBuilder, TreeBuildResult
 #: Cost comparisons use this tolerance so float noise cannot drive
 #: endless "improvements".
 _COST_EPS = 1e-6
-
-#: The forest-construction closure threaded through the local search:
-#: (partition, kept trees) -> evaluated plan.  All candidate plans flow
-#: through one such builder, which is where ``debug_checks`` hooks in.
-PlanBuilder = Callable[..., MonitoringPlan]
-
 
 class PlanningStats:
     """Search-effort accounting for one :meth:`RemoPlanner.plan` call.
@@ -127,12 +117,7 @@ class PlanningStats:
 
     @property
     def memo_hits(self) -> int:
-        """Tree builds answered from the construction memo.
-
-        Process-pool workers keep their own memos and do not ship
-        counters back, so under ``parallelism > 1`` this reflects only
-        the serial portions of the search (seeds, full rebuilds).
-        """
+        """Tree builds answered from the construction memo."""
         return self._delta(names.PLANNER_MEMO_HITS_TOTAL)
 
     @property
@@ -150,9 +135,8 @@ class _EvalContext:
     """Everything a candidate evaluation needs besides the incumbent.
 
     One instance is created per :meth:`RemoPlanner.plan_with_stats`
-    call and shared by the serial path and (via the process-pool
-    initializer) every worker, so both evaluate candidates through
-    literally the same code and produce bit-identical plans.
+    call; seeds, ranked candidates and full rebuilds all build through
+    it.
     """
 
     forest: ForestBuilder
@@ -161,9 +145,7 @@ class _EvalContext:
     pair_weights: Optional[PairWeights]
     msg_weights: Optional[Mapping[NodeId, float]]
     debug_checks: bool
-    #: Per-plan-call tree-construction cache (``None`` disables).  The
-    #: memo is created empty before the worker pool forks, so each
-    #: worker warms its own copy independently.
+    #: Per-plan-call tree-construction cache (``None`` disables).
     memo: Optional[TreeMemo] = None
 
 
@@ -216,45 +198,6 @@ def _evaluate_with_context(
         if s not in touched and s in incumbent.trees
     }
     return _context_build(ctx, candidate_partition, keep=keep)
-
-
-#: Per-worker evaluation context, installed by the pool initializer.
-_WORKER_CTX: Optional[_EvalContext] = None
-
-
-def _init_eval_worker(ctx: _EvalContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-    # The worker's tracer is a fork-time copy of the parent's,
-    # including any spans already recorded -- discard those so the
-    # batches below ship back only spans this worker produced.
-    trace.drain_local()
-
-
-def _eval_op_batch(
-    incumbent: MonitoringPlan,
-    indexed_ops: Sequence[Tuple[int, PartitionOp]],
-    worker_rank: int,
-) -> Tuple[List[Tuple[int, MonitoringPlan]], List[Span]]:
-    """Worker entry point: evaluate a batch of ranked candidates.
-
-    Results carry their rank index so the parent can merge batches
-    back into rank order and apply the exact serial acceptance logic.
-    Spans recorded during evaluation (attributed to this worker's
-    rank) ride along for the parent tracer to ingest.
-    """
-    ctx = _WORKER_CTX
-    assert ctx is not None, "worker used before initialization"
-    results: List[Tuple[int, MonitoringPlan]] = []
-    for idx, op in indexed_ops:
-        with trace.span(
-            names.SPAN_PLANNER_EVALUATE_CANDIDATE,
-            lane=names.worker_lane(worker_rank),
-            rank=idx,
-            worker=worker_rank,
-        ):
-            results.append((idx, _evaluate_with_context(ctx, incumbent, op)))
-    return results, trace.drain_local()
 
 
 def _separate_forbidden(
@@ -326,26 +269,6 @@ class RemoPlanner:
     forbidden_pairs:
         Attribute pairs that must never share a partition set (the
         reliability extension's SSDP/DSDP constraint, Section 6.2).
-    parallelism:
-        Number of worker processes for candidate evaluation.  The
-        ranked candidates of each iteration are independent, so they
-        are dispatched across a process pool and merged back in rank
-        order -- the accepted plan is bit-identical to a serial run.
-        ``1`` (the default) evaluates inline.  Workers are forked, so
-        the knob silently degrades to serial where fork is
-        unavailable.
-    beam_width:
-        Cap on ranked candidates that survive into full evaluation per
-        iteration, applied after ``candidate_budget``.  ``None`` (the
-        default) keeps the exact PR-4 search and bit-identical plans;
-        small beams trade plan quality (bounded in practice, see the
-        beam tests' objective-ratio envelope) for large-workload
-        speed.
-    early_termination:
-        Stop the local search once an accepted step improves message
-        cost by less than this *fraction* of the incumbent's cost
-        without improving coverage.  ``None`` (the default) runs to a
-        local optimum, preserving bit-identity.
     memo_size:
         Entries in the per-``plan()``-call tree-construction memo
         (:class:`~repro.core.forest.TreeMemo`).  ``0`` disables
@@ -365,23 +288,12 @@ class RemoPlanner:
         first_improvement: bool = False,
         forbidden_pairs: Optional[Set[FrozenSet[AttributeId]]] = None,
         plan_cost_fn: Optional[Callable[[MonitoringPlan], float]] = None,
-        parallelism: int = 1,
-        beam_width: Optional[int] = None,
-        early_termination: Optional[float] = None,
         memo_size: int = 128,
     ) -> None:
         if candidate_budget is not None and candidate_budget <= 0:
             raise ValueError(f"candidate_budget must be > 0 or None, got {candidate_budget}")
         if max_iterations <= 0:
             raise ValueError(f"max_iterations must be > 0, got {max_iterations}")
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-        if beam_width is not None and beam_width <= 0:
-            raise ValueError(f"beam_width must be > 0 or None, got {beam_width}")
-        if early_termination is not None and not 0.0 < early_termination < 1.0:
-            raise ValueError(
-                f"early_termination must be in (0, 1) or None, got {early_termination}"
-            )
         if memo_size < 0:
             raise ValueError(f"memo_size must be >= 0, got {memo_size}")
         self.cost = cost_model
@@ -394,9 +306,6 @@ class RemoPlanner:
         self.candidate_budget = candidate_budget
         self.max_iterations = max_iterations
         self.first_improvement = first_improvement
-        self.parallelism = parallelism
-        self.beam_width = beam_width
-        self.early_termination = early_termination
         self.memo_size = memo_size
         self.forbidden_pairs = set(forbidden_pairs or set())
         #: Top-ranked candidates granted a full forest rebuild when the
@@ -503,96 +412,51 @@ class RemoPlanner:
                 memo=TreeMemo(self.memo_size) if self.memo_size > 0 else None,
             )
 
-            def build(
-                part: Partition,
-                keep: Optional[Mapping[AttributeSet, TreeBuildResult]] = None,
-            ) -> MonitoringPlan:
-                return _context_build(ctx, part, keep)
-
-            executor = self._make_executor(ctx)
-            try:
-                if partition is not None:
-                    incumbent = build(partition)
-                else:
-                    # REMO seeks the middle ground between the two extreme
-                    # partitions, but a merge-walk from singletons cannot reach
-                    # merge-heavy optima within bounded iterations when there
-                    # are many attribute types (nor can a split-walk from the
-                    # one-set partition reach balanced k-way groupings).  Seed
-                    # the local search with both endpoints plus a ladder of
-                    # k-way partitions that cluster attributes by node-set
-                    # similarity, and start from whichever evaluates best.
-                    incumbent = build(Partition.singletons(attributes))
-                    for seed_rank, seed in enumerate(
-                        self._seed_partitions(pairs, attributes)
+            if partition is not None:
+                incumbent = _context_build(ctx, partition)
+            else:
+                # REMO seeks the middle ground between the two extreme
+                # partitions, but a merge-walk from singletons cannot reach
+                # merge-heavy optima within bounded iterations when there
+                # are many attribute types (nor can a split-walk from the
+                # one-set partition reach balanced k-way groupings).  Seed
+                # the local search with both endpoints plus a ladder of
+                # k-way partitions that cluster attributes by node-set
+                # similarity, and start from whichever evaluates best.
+                incumbent = _context_build(ctx, Partition.singletons(attributes))
+                for seed_rank, seed in enumerate(
+                    self._seed_partitions(pairs, attributes)
+                ):
+                    with trace.span(
+                        names.SPAN_PLANNER_SEED_EVAL,
+                        lane=names.LANE_PLANNER,
+                        rank=seed_rank,
+                        sets=len(seed),
                     ):
-                        with trace.span(
-                            names.SPAN_PLANNER_SEED_EVAL,
-                            lane=names.LANE_PLANNER,
-                            rank=seed_rank,
-                            sets=len(seed),
-                        ):
-                            candidate = build(seed)
-                        stats.bump(
-                            names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="seed"
-                        )
-                        if self._improves(candidate, incumbent):
-                            incumbent = candidate
-                for _ in range(self.max_iterations):
-                    stats.bump(names.PLANNER_ITERATIONS_TOTAL)
-                    accepted = self._improve_once(
-                        incumbent, ctx, build, stats, executor
+                        candidate = _context_build(ctx, seed)
+                    stats.bump(
+                        names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="seed"
                     )
-                    if accepted is None:
-                        break
-                    if self.early_termination is not None and (
-                        accepted.collected_pair_count()
-                        == incumbent.collected_pair_count()
-                    ):
-                        # A cost-only step this small signals a
-                        # flattening search; keep the improvement but
-                        # stop looking for more.
-                        prev_cost = incumbent.total_message_cost()
-                        saved = prev_cost - accepted.total_message_cost()
-                        if saved < self.early_termination * max(prev_cost, _COST_EPS):
-                            incumbent = accepted
-                            break
-                    incumbent = accepted
-                if stats.accepted_ops:
-                    # Candidate evaluation carries unaffected trees over, which
-                    # charges capacity in stale order; one final full rebuild of
-                    # the winning partition restores the allocation policy's
-                    # global ordering and is kept only if it helps.
-                    with trace.span(names.SPAN_PLANNER_FINAL_REBUILD, lane=names.LANE_PLANNER):
-                        final = build(incumbent.partition)
-                    if self._improves(final, incumbent):
-                        incumbent = final
-            finally:
-                if executor is not None:
-                    executor.shutdown()
+                    if self._improves(candidate, incumbent):
+                        incumbent = candidate
+            for _ in range(self.max_iterations):
+                stats.bump(names.PLANNER_ITERATIONS_TOTAL)
+                accepted = self._improve_once(incumbent, ctx, stats)
+                if accepted is None:
+                    break
+                incumbent = accepted
+            if stats.accepted_ops:
+                # Candidate evaluation carries unaffected trees over, which
+                # charges capacity in stale order; one final full rebuild of
+                # the winning partition restores the allocation policy's
+                # global ordering and is kept only if it helps.
+                with trace.span(names.SPAN_PLANNER_FINAL_REBUILD, lane=names.LANE_PLANNER):
+                    final = _context_build(ctx, incumbent.partition)
+                if self._improves(final, incumbent):
+                    incumbent = final
         stats.elapsed_seconds = plan_timer.elapsed
         stats.freeze()
         return incumbent, stats
-
-    def _make_executor(self, ctx: _EvalContext) -> Optional[ProcessPoolExecutor]:
-        """Spin up the candidate-evaluation pool, or ``None`` for serial.
-
-        Workers are forked so they inherit the parent's hash seed --
-        set iteration orders, and therefore every float accumulation
-        order, match the serial path exactly.
-        """
-        if self.parallelism <= 1:
-            return None
-        try:
-            mp_context = multiprocessing.get_context("fork")
-        except ValueError:
-            return None
-        return ProcessPoolExecutor(
-            max_workers=self.parallelism,
-            mp_context=mp_context,
-            initializer=_init_eval_worker,
-            initargs=(ctx,),
-        )
 
     # ------------------------------------------------------------------
     def _seed_partitions(
@@ -665,9 +529,7 @@ class RemoPlanner:
         self,
         incumbent: MonitoringPlan,
         ctx: _EvalContext,
-        build: "PlanBuilder",
         stats: PlanningStats,
-        executor: Optional[ProcessPoolExecutor] = None,
     ) -> Optional[MonitoringPlan]:
         with trace.span(
             names.SPAN_PARTITION_MERGE_ITERATION, lane=names.LANE_PLANNER, iteration=stats.iterations
@@ -684,8 +546,6 @@ class RemoPlanner:
             )
             ops.extend(partition.split_ops())
             ranked = rank_candidates(ops, gain_ctx, budget=self.candidate_budget)
-            if self.beam_width is not None:
-                ranked = ranked[: self.beam_width]
             default_registry().observe(
                 names.PLANNER_PHASE_SECONDS,
                 time.perf_counter() - phase_started,
@@ -694,25 +554,13 @@ class RemoPlanner:
             stats.bump(names.PLANNER_CANDIDATES_RANKED_TOTAL, len(ops))
             iteration_span.set(neighborhood=len(ops), candidates=len(ranked))
 
-            # With a pool, evaluate the whole ranked budget up front; the
-            # acceptance loop below then consumes the precomputed plans in
-            # rank order, so accepted plans (and, except for wasted work
-            # past a first-improvement cut, the stats) match serial runs
-            # exactly.
-            evaluated: Optional[List[MonitoringPlan]] = None
-            if executor is not None and len(ranked) > 1:
-                evaluated = self._evaluate_parallel(executor, incumbent, ranked)
-
             best_plan: Optional[MonitoringPlan] = None
             best_op: Optional[PartitionOp] = None
             for rank_idx, (_gain, op) in enumerate(ranked):
-                if evaluated is not None:
-                    candidate = evaluated[rank_idx]
-                else:
-                    with trace.span(
-                        names.SPAN_PLANNER_EVALUATE_CANDIDATE, lane=names.LANE_PLANNER, rank=rank_idx
-                    ):
-                        candidate = _evaluate_with_context(ctx, incumbent, op)
+                with trace.span(
+                    names.SPAN_PLANNER_EVALUATE_CANDIDATE, lane=names.LANE_PLANNER, rank=rank_idx
+                ):
+                    candidate = _evaluate_with_context(ctx, incumbent, op)
                 stats.bump(names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="search")
                 if not self._improves(candidate, incumbent):
                     continue
@@ -738,7 +586,7 @@ class RemoPlanner:
                         rank=rank_idx,
                         full_rebuild=True,
                     ):
-                        candidate = build(incumbent.partition.apply(op))
+                        candidate = _context_build(ctx, incumbent.partition.apply(op))
                     stats.bump(names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="rebuild")
                     if self._improves(candidate, incumbent) and (
                         best_plan is None or self._improves(candidate, best_plan)
@@ -749,31 +597,3 @@ class RemoPlanner:
                 stats.accepted_ops.append(best_op.describe())
                 trace.event(names.EVENT_PLANNER_ACCEPT, lane=names.LANE_PLANNER, op=best_op.describe())
             return best_plan
-
-    def _evaluate_parallel(
-        self,
-        executor: ProcessPoolExecutor,
-        incumbent: MonitoringPlan,
-        ranked: Sequence[Tuple[float, PartitionOp]],
-    ) -> List[MonitoringPlan]:
-        """Fan the ranked candidates across the pool, merge by rank.
-
-        Candidates are strided across workers (worker ``i`` gets ranks
-        ``i, i+P, ...``) so expensive low-rank evaluations spread out,
-        then reassembled into rank order for the acceptance loop.
-        """
-        workers = max(self.parallelism, 1)
-        indexed = [(idx, op) for idx, (_gain, op) in enumerate(ranked)]
-        chunks = [indexed[i::workers] for i in range(workers)]
-        futures = [
-            executor.submit(_eval_op_batch, incumbent, chunk, worker_rank)
-            for worker_rank, chunk in enumerate(chunks)
-            if chunk
-        ]
-        merged: Dict[int, MonitoringPlan] = {}
-        for future in futures:
-            results, spans = future.result()
-            trace.ingest(spans)
-            for idx, plan in results:
-                merged[idx] = plan
-        return [merged[idx] for idx in range(len(ranked))]

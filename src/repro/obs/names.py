@@ -11,8 +11,8 @@ The static analyzer (:mod:`repro.staticcheck`) parses this module
 *without importing it*: declarations must stay simple enough for that
 -- module-level ``UPPER_CASE = "literal"`` assignments, the
 ``METRICS`` / ``SPANS`` / ``LOG_EVENTS`` / ``LANES`` /
-``LANE_PREFIXES`` collections of those constants, and the two lane
-helper functions.  Keep it that way; anything dynamic belongs
+``LANE_PREFIXES`` collections of those constants, and the lane
+helper function.  Keep it that way; anything dynamic belongs
 elsewhere.
 
 Naming conventions:
@@ -25,8 +25,8 @@ Naming conventions:
 - span names are ``actor.action`` (``agent.wave``,
   ``collector.close_period``);
 - lanes name the logical actor row trace viewers draw; per-instance
-  lanes (one per node agent, one per planner worker) are derived from
-  a declared prefix via :func:`node_lane` / :func:`worker_lane`.
+  lanes (one per node agent) are derived from a declared prefix via
+  :func:`node_lane`.
 """
 
 from __future__ import annotations
@@ -277,9 +277,8 @@ LANE_SERVE = "serve"
 LANE_CONTROLPLANE = "controlplane"
 LANE_DEPLOY = "deploy"
 
-#: Prefixes of the per-instance lanes built by the helpers below.
+#: Prefix of the per-instance lanes built by the helper below.
 NODE_LANE_PREFIX = "node-"
-WORKER_LANE_PREFIX = "planner-worker-"
 
 LANES = frozenset(
     {
@@ -295,14 +294,9 @@ LANES = frozenset(
     }
 )
 
-LANE_PREFIXES = (NODE_LANE_PREFIX, WORKER_LANE_PREFIX)
+LANE_PREFIXES = (NODE_LANE_PREFIX,)
 
 
 def node_lane(node_id: object) -> str:
     """The trace lane of one node agent (``node-<id>``)."""
     return f"{NODE_LANE_PREFIX}{node_id}"
-
-
-def worker_lane(rank: object) -> str:
-    """The trace lane of one forked planner worker (``planner-worker-<rank>``)."""
-    return f"{WORKER_LANE_PREFIX}{rank}"

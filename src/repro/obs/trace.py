@@ -10,19 +10,13 @@ draw one row per logical actor in Perfetto.
 Tracing is off by default and costs one ``None`` check per
 instrumentation site: ``span(...)`` returns a shared no-op context
 manager until a :class:`Tracer` is installed (:func:`install` /
-:func:`installed`).  The overhead guard in
-``benchmarks/bench_telemetry_overhead.py`` holds the *enabled* path to
-<5% of planning wall-clock, so instrumentation can stay on in CI.
+:func:`installed`).
 
 Context propagation:
 
 - **asyncio**: the current span lives in a ``contextvars.ContextVar``,
   which asyncio snapshots per task -- concurrent agent tasks each see
   their own span stack;
-- **forked planner workers**: a worker inherits the installed tracer
-  through ``fork``, records spans locally (attributed by candidate
-  rank), and ships them back to the parent alongside its results via
-  :func:`drain_local` / :func:`ingest`;
 - **across processes**: a :class:`TraceContext` (128-bit trace id plus
   the sender's span id) travels on runtime envelopes and in W3C
   ``traceparent`` HTTP headers.  :func:`attach` adopts a received
@@ -208,7 +202,7 @@ class Tracer:
         default_registry().incr(names.TRACE_SPANS_DROPPED, count)
 
     def ingest(self, spans: Iterable[Span]) -> None:
-        """Merge spans shipped back from a forked worker (cap applies)."""
+        """Merge spans recorded by another process (cap applies)."""
         room = self.max_spans - len(self._spans)
         incoming = list(spans)
         if len(incoming) > room:
@@ -437,16 +431,8 @@ def event(name: str, lane: Optional[str] = None, **attrs: object) -> None:
     )
 
 
-def drain_local() -> List[Span]:
-    """Drain the process-local tracer (forked workers ship these back)."""
-    tracer = _TRACER
-    if tracer is None:
-        return []
-    return tracer.drain()
-
-
 def ingest(spans: Iterable[Span]) -> None:
-    """Merge worker spans into the parent's tracer (no-op when disabled)."""
+    """Merge another process's spans into the tracer (no-op when disabled)."""
     tracer = _TRACER
     if tracer is not None:
         tracer.ingest(spans)

@@ -57,7 +57,7 @@ class ObsManifest:
     lane_prefixes: Tuple[str, ...]
     #: Every UPPER_CASE string constant the manifest defines, by symbol.
     symbols: Dict[str, str]
-    #: Helper functions (``node_lane``, ``worker_lane``) whose return
+    #: Helper functions (``node_lane``) whose return
     #: values are legal dynamic lanes.
     lane_helpers: frozenset
     #: Structured-log event names (the LOG_EVENTS set; REMO435).

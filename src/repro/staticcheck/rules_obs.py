@@ -170,8 +170,8 @@ class UndeclaredLaneRule(Rule):
     title = "trace lane not declared in the obs manifest"
     family = "obs-consistency"
     hint = (
-        "use a LANE_* constant, a lane helper (names.node_lane/"
-        "worker_lane), or an f-string starting with a declared prefix"
+        "use a LANE_* constant, the lane helper (names.node_lane), or "
+        "an f-string starting with a declared prefix"
     )
 
     def check(
@@ -225,7 +225,7 @@ class UndeclaredLaneRule(Rule):
                 return None
             return (
                 f"lane computed by {helper or 'an expression'}() which is not "
-                "a manifest lane helper (node_lane/worker_lane)"
+                "a manifest lane helper (node_lane)"
             )
         # A plain variable: dynamic, not statically checkable.
         return None

@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from repro.core.attributes import NodeId
 from repro.core.cost import CostModel
-from repro.trees import model as _tree_model
 from repro.trees.adjust import TreeAdjuster
 from repro.trees.base import GreedyTreeBuilder, TreeBuildRequest
 from repro.trees.model import MonitoringTree
@@ -117,32 +116,11 @@ class AdaptiveTreeBuilder(GreedyTreeBuilder):
             self._pp_per_child = self.cost.weighted_message_cost(1.0, 2.0 * payload)
         per_child = self._pp_per_child
         value_cost = self.cost.value_cost
-        arrays = tree.viable_parent_arrays(entry_cost)
-        if arrays is not None:
-            # Whole-key vectorization: CostModel methods broadcast over
-            # ndarrays with the same elementwise IEEE operations as the
-            # scalar path, int() truncation equals int64 astype for the
-            # non-negative slot counts, and depths round-trip float64
-            # exactly -- so the sorted order matches the scalar path
-            # bit for bit.
-            np = _tree_model._np
-            nodes, depths, avail = arrays
-            relay_toll = value_cost(2.0 * payload * depths)
-            slots = np.minimum(64.0, np.maximum(0.0, (avail - relay_toll) / per_child))
-            keyed = list(
-                zip(
-                    (-slots.astype(np.int64)).tolist(),
-                    depths.astype(np.int64).tolist(),
-                    (-avail).tolist(),
-                    nodes,
-                )
-            )
-        else:
-            keyed = []
-            for parent, depth, avail in tree.viable_parent_stats(entry_cost):
-                relay_toll = value_cost(2.0 * payload * depth)
-                slots = min(64.0, max(0.0, (avail - relay_toll) / per_child))
-                keyed.append((-int(slots), depth, -avail, parent))
+        keyed = []
+        for parent, depth, avail in zip(*tree.viable_parent_arrays(entry_cost)):
+            relay_toll = value_cost(2.0 * payload * depth)
+            slots = min(64.0, max(0.0, (avail - relay_toll) / per_child))
+            keyed.append((-int(slots), depth, -avail, parent))
         keyed.sort()
         if self.max_parent_candidates is not None:
             keyed = keyed[: self.max_parent_candidates]

@@ -198,9 +198,9 @@ class GreedyTreeBuilder:
         # A parent must at least absorb the new child's message on its
         # receive side; anything with less headroom cannot host it, so
         # skip the (much costlier) full path walk for those.  The bulk
-        # kernel scans the flat capacity/send/recv columns (vectorized
-        # when numpy is available); preference keys are total orders,
-        # so the kernel's storage order never shows in the result.
+        # kernel scans the flat capacity/send/recv columns; preference
+        # keys are total orders, so the kernel's storage order never
+        # shows in the result.
         viable = tree.viable_parents(entry_cost)
         viable.sort(key=lambda p: self.parent_preference(tree, p))
         if self.max_parent_candidates is not None:

@@ -39,35 +39,16 @@ ancestor delta walks read contiguous floats instead of chasing
 dict-of-dict pointers.  Per-attribute content stays in sparse dicts
 (most nodes carry a handful of the tree's attributes), but funnel
 dispatch is precompiled into dense per-attribute-id kind/k arrays.
-When numpy is importable (the ``perf`` extra) the bulk headroom
-kernel :meth:`MonitoringTree.viable_parents` evaluates
-``capacity - (send + recv)`` vectorized over a zero-copy view of the
-columns; the pure-Python fallback computes the identical floats
-(same IEEE operations element by element), and setting
-``REPRO_NO_NUMPY=1`` forces the fallback for testing.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.attributes import AttributeId, NodeId
 from repro.core.cost import AggregationKind, AggregationMap, AggregationSpec, CostModel
-
-try:  # pragma: no cover - exercised via the fallback parity tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None  # type: ignore[assignment]
-
-#: Below this member count the vectorized headroom kernel costs more
-#: than the plain loop (array-view setup dominates), so small trees
-#: always take the Python path.
-_NUMPY_MIN_NODES = 16
 
 #: A node's local contribution to a tree: ``{attribute: weight}`` where
 #: weight is the expected number of values per collection period (1.0
@@ -234,14 +215,11 @@ class MonitoringTree:
         self._cap_a = array("d")
         self._send_a = array("d")
         self._recv_a = array("d")
-        # Maintained outgoing-value total (sum of ``_out[n].values``)
-        # and node depth, mirrored per slot so hot walks and the bulk
-        # headroom kernels never rescan dicts.  ``_tot_a`` is written
-        # wherever outgoing content is committed; ``_depth_a`` wherever
-        # ``_depth`` is.  ``validate`` cross-checks both against a full
-        # recompute.
+        # Maintained outgoing-value total (sum of ``_out[n].values``),
+        # mirrored per slot so hot walks never rescan dicts.  Written
+        # wherever outgoing content is committed; ``validate``
+        # cross-checks it against a full recompute.
         self._tot_a = array("d")
-        self._depth_a = array("d")
         # Monotone counter bumped on every committed mutation; negative
         # caches (e.g. the adjuster's relieve memo) key off it.
         self._epoch = 0
@@ -304,7 +282,6 @@ class MonitoringTree:
             self._send_a[slot] = 0.0
             self._recv_a[slot] = 0.0
             self._tot_a[slot] = 0.0
-            self._depth_a[slot] = 0.0
         else:
             slot = len(self._node_of)
             self._node_of.append(node)
@@ -312,7 +289,6 @@ class MonitoringTree:
             self._send_a.append(0.0)
             self._recv_a.append(0.0)
             self._tot_a.append(0.0)
-            self._depth_a.append(0.0)
         self._slot[node] = slot
         return slot
 
@@ -323,7 +299,6 @@ class MonitoringTree:
         self._send_a[slot] = 0.0
         self._recv_a[slot] = 0.0
         self._tot_a[slot] = 0.0
-        self._depth_a[slot] = 0.0
         self._free_slots.append(slot)
 
     # ------------------------------------------------------------------
@@ -332,77 +307,38 @@ class MonitoringTree:
     def viable_parents(self, min_headroom: float) -> List[NodeId]:
         """Members with ``available(n) >= min_headroom - 1e-9``.
 
-        The numpy path evaluates ``capacity - (send + recv)`` over
-        zero-copy views of the flat columns; the fallback performs the
-        same IEEE operations per element, so both return identical
-        node sets.  Order is slot order, which callers must not rely
-        on (every downstream ranking uses a total-order sort key).
+        One scan of the flat columns in slot order (a released slot's
+        ``-inf`` capacity can never pass).  Callers must not rely on
+        the order: every downstream ranking uses a total-order sort key.
         """
         bar = min_headroom - 1e-9
-        if _np is not None and len(self._slot) >= _NUMPY_MIN_NODES:
-            # Views must be retaken per call: array('d') may realloc.
-            cap = _np.frombuffer(self._cap_a)
-            send = _np.frombuffer(self._send_a)
-            recv = _np.frombuffer(self._recv_a)
-            ok = (cap - (send + recv) >= bar).nonzero()[0]
-            node_of = self._node_of
-            return [node_of[i] for i in ok.tolist()]
-        cap_a, send_a, recv_a = self._cap_a, self._send_a, self._recv_a
         return [
             node
-            for node, slot in self._slot.items()
-            if cap_a[slot] - (send_a[slot] + recv_a[slot]) >= bar
+            for node, cap, send, recv in zip(
+                self._node_of, self._cap_a, self._send_a, self._recv_a
+            )
+            if cap - (send + recv) >= bar
         ]
-
-    def viable_parent_stats(
-        self, min_headroom: float
-    ) -> List[Tuple[NodeId, int, float]]:
-        """Like :meth:`viable_parents` but yields ``(node, depth,
-        available)`` triples so rankers avoid per-node re-reads."""
-        bar = min_headroom - 1e-9
-        depth = self._depth
-        if _np is not None and len(self._slot) >= _NUMPY_MIN_NODES:
-            cap = _np.frombuffer(self._cap_a)
-            send = _np.frombuffer(self._send_a)
-            recv = _np.frombuffer(self._recv_a)
-            avail = cap - (send + recv)
-            ok = (avail >= bar).nonzero()[0]
-            node_of = self._node_of
-            return [
-                (node_of[i], depth[node_of[i]], float(avail[i])) for i in ok.tolist()
-            ]
-        cap_a, send_a, recv_a = self._cap_a, self._send_a, self._recv_a
-        result = []
-        for node, slot in self._slot.items():
-            avail = cap_a[slot] - (send_a[slot] + recv_a[slot])
-            if avail >= bar:
-                result.append((node, depth[node], avail))
-        return result
 
     def viable_parent_arrays(
         self, min_headroom: float
-    ) -> Optional[Tuple[List[NodeId], "object", "object"]]:
-        """Vectorized form of :meth:`viable_parent_stats`.
-
-        Returns ``(nodes, depths, avail)`` where ``depths`` and
-        ``avail`` are float64 ndarrays aligned with ``nodes``, or
-        ``None`` when the numpy kernel is inactive (no numpy, or a
-        small tree) -- callers then fall back to the per-node path.
-        Keeping the columns as arrays lets rankers compute their whole
-        sort key elementwise instead of per candidate.
-        """
-        if _np is None or len(self._slot) < _NUMPY_MIN_NODES:
-            return None
+    ) -> Tuple[List[NodeId], List[int], List[float]]:
+        """Like :meth:`viable_parents` but returns aligned ``(nodes,
+        depths, avail)`` columns so rankers avoid per-node re-reads."""
         bar = min_headroom - 1e-9
-        cap = _np.frombuffer(self._cap_a)
-        send = _np.frombuffer(self._send_a)
-        recv = _np.frombuffer(self._recv_a)
-        avail = cap - (send + recv)
-        ok = (avail >= bar).nonzero()[0]
-        node_of = self._node_of
-        nodes = [node_of[i] for i in ok.tolist()]
-        depths = _np.frombuffer(self._depth_a)[ok]
-        return nodes, depths, avail[ok]
+        depth = self._depth
+        nodes: List[NodeId] = []
+        depths: List[int] = []
+        avails: List[float] = []
+        for node, cap, send, recv in zip(
+            self._node_of, self._cap_a, self._send_a, self._recv_a
+        ):
+            avail = cap - (send + recv)
+            if avail >= bar:
+                nodes.append(node)
+                depths.append(depth[node])
+                avails.append(avail)
+        return nodes, depths, avails
 
     # ------------------------------------------------------------------
     # Introspection
@@ -662,7 +598,6 @@ class MonitoringTree:
         slot = self._acquire_slot(node)
         self._send_a[slot] = leaf.send
         self._tot_a[slot] = leaf.total
-        self._depth_a[slot] = float(depth)
         self._pair_count += len(demand)
         self._epoch += 1
         if parent is None:
@@ -1044,13 +979,10 @@ class MonitoringTree:
         parent = self._parent[branch_root]
         base = 0 if parent is None else self._depth[parent] + 1
         depth_tab = self._depth
-        depth_a = self._depth_a
-        slot_tab = self._slot
         stack = [(branch_root, base)]
         while stack:
             node, depth = stack.pop()
             depth_tab[node] = depth
-            depth_a[slot_tab[node]] = float(depth)
             for child in self._children[node]:
                 stack.append((child, depth + 1))
 
@@ -1499,11 +1431,6 @@ class MonitoringTree:
                 raise TreeInvariantError(
                     f"outgoing total drift at {node}: cached {self._tot_a[slot]}, "
                     f"actual {expected_total}"
-                )
-            if self._depth_a[slot] != float(self._depth[node]):
-                raise TreeInvariantError(
-                    f"depth column drift at {node}: cached {self._depth_a[slot]}, "
-                    f"actual {self._depth[node]}"
                 )
             if self.used(node) > self._cap_a[slot] + 1e-6:
                 raise TreeInvariantError(

@@ -7,6 +7,7 @@ from repro.core.cost import CostModel
 from repro.core.partition import Partition
 from repro.core.planner import RemoPlanner, objective
 from repro.core.schemes import OneSetPlanner, SingletonSetPlanner
+from repro.workloads.presets import sampled_workload
 
 HEAVY = CostModel(per_message=10.0, per_value=1.0)
 LIGHT = CostModel(per_message=2.0, per_value=1.0)
@@ -96,6 +97,26 @@ class TestConfiguration:
         pairs = pairs_for(range(6), ["a", "b"])
         planner = RemoPlanner(HEAVY, candidate_budget=None, max_iterations=4)
         assert planner.plan(pairs, small_cluster).coverage() > 0
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            dict(nodes=48, tasks=12, capacity=200.0, seed=1),  # search accepts ops
+            dict(nodes=200, tasks=200),  # capacity-saturated scaling-bench row
+        ],
+    )
+    def test_narrow_budget_stays_inside_envelope(self, workload):
+        """A budget of 2 searches less than the default 8, but its plan
+        must stay capacity-feasible and within the documented envelope:
+        coverage >= 95% and message cost <= 110% of the default plan's."""
+        cluster, cost, tasks = sampled_workload(**workload)
+        default_plan = RemoPlanner(cost).plan(tasks, cluster)
+        narrow_plan = RemoPlanner(cost, candidate_budget=2).plan(tasks, cluster)
+        narrow_plan.validate(
+            {n.node_id: n.capacity for n in cluster}, cluster.central_capacity
+        )
+        assert narrow_plan.coverage() >= 0.95 * default_plan.coverage()
+        assert narrow_plan.total_message_cost() <= 1.10 * default_plan.total_message_cost()
 
     def test_empty_workload_rejected(self, small_cluster):
         with pytest.raises(ValueError):

@@ -190,7 +190,7 @@ def test_context_extracts_obs_manifest():
     assert "agent.wave" in ctx.obs.spans
     assert "collector" in ctx.obs.lanes
     assert "node-" in ctx.obs.lane_prefixes
-    assert {"node_lane", "worker_lane"} <= set(ctx.obs.lane_helpers)
+    assert "node_lane" in ctx.obs.lane_helpers
 
 
 # ---------------------------------------------------------------------------

@@ -1,89 +1,25 @@
-"""Struct-of-arrays kernels: numpy path vs stdlib fallback parity.
+"""Struct-of-arrays tree state: slot recycling and maintained columns.
 
-The flat-column tree state (``_cap_a``/``_send_a``/``_recv_a`` plus
-the maintained ``_tot_a``/``_depth_a``) backs two implementations of
-the bulk headroom kernels: a vectorized numpy path and a pure
-stdlib-array loop.  They perform the same IEEE operations, so every
-observable output -- viable parent sets, built trees, whole plans --
-must be bit-identical whichever is active.
+Scalar per-node state lives in flat ``array('d')`` columns
+(``_cap_a``/``_send_a``/``_recv_a`` plus the maintained ``_tot_a``)
+indexed by a dense slot id.  These tests pin the slot lifecycle and
+that the bulk headroom scan over the columns agrees with the per-node
+accessors.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.cluster.topology import default_attribute_pool, make_uniform_cluster
 from repro.core.cost import CostModel
 from repro.core.planner import RemoPlanner
 from repro.trees import model as tree_model
-from repro.workloads.tasks import TaskSampler
+from repro.workloads.presets import sampled_workload
 
 COST = CostModel(per_message=20.0, per_value=1.0)
 
 
 def _workload(n: int, seed: int = 1):
-    cluster = make_uniform_cluster(
-        n_nodes=n,
-        capacity=400.0,
-        attrs_per_node=16,
-        attribute_pool=default_attribute_pool(32),
-        central_capacity=1200.0,
-        seed=seed,
-    )
-    tasks = TaskSampler(cluster, seed=seed + 1).sample_many(
-        n, (2, 5), (max(5, n // 6), max(6, n // 2))
-    )
+    cluster, _cost, tasks = sampled_workload(nodes=n, tasks=n, seed=seed)
     return cluster, tasks
-
-
-def _plan_fingerprint(n: int, seed: int) -> str:
-    cluster, tasks = _workload(n, seed)
-    plan, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
-    for result in plan.trees.values():
-        result.tree.validate()
-    return plan.fingerprint()
-
-
-@pytest.mark.skipif(tree_model._np is None, reason="numpy not installed")
-class TestNumpyFallbackParity:
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_plans_bit_identical_without_numpy(self, seed, monkeypatch):
-        with_np = _plan_fingerprint(60, seed)
-        monkeypatch.setattr(tree_model, "_np", None)
-        without_np = _plan_fingerprint(60, seed)
-        assert with_np == without_np
-
-    def test_viable_parent_kernels_agree(self, monkeypatch):
-        cluster, tasks = _workload(40)
-        plan, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
-        trees = [r.tree for r in plan.trees.values() if len(r.tree) >= 2]
-        assert trees, "expected at least one populated tree"
-        for tree in trees:
-            for bar in (0.0, 5.0, 50.0):
-                vec = sorted(tree.viable_parents(bar))
-                vec_stats = sorted(tree.viable_parent_stats(bar))
-                monkeypatch.setattr(tree_model, "_np", None)
-                scalar = sorted(tree.viable_parents(bar))
-                scalar_stats = sorted(tree.viable_parent_stats(bar))
-                assert tree.viable_parent_arrays(bar) is None
-                monkeypatch.undo()
-                assert vec == scalar
-                assert vec_stats == scalar_stats
-
-    def test_viable_parent_arrays_matches_stats(self):
-        cluster, tasks = _workload(40)
-        plan, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
-        tree = max((r.tree for r in plan.trees.values()), key=len)
-        if len(tree) < tree_model._NUMPY_MIN_NODES:
-            pytest.skip("tree below the numpy kernel threshold")
-        arrays = tree.viable_parent_arrays(1.0)
-        assert arrays is not None
-        nodes, depths, avail = arrays
-        stats = {n: (d, a) for n, d, a in tree.viable_parent_stats(1.0)}
-        assert set(nodes) == set(stats)
-        for node, depth, av in zip(nodes, depths.tolist(), avail.tolist()):
-            assert depth == stats[node][0]
-            assert av == stats[node][1]
 
 
 class TestSlotColumns:
@@ -108,7 +44,7 @@ class TestSlotColumns:
 
     def test_maintained_columns_survive_restructuring(self):
         """Exercise move_branch + update_local, then let the recompute
-        oracle cross-check the maintained total/depth columns."""
+        oracle cross-check the maintained total column."""
         cluster, tasks = _workload(30, seed=3)
         plan, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
         tree = max((r.tree for r in plan.trees.values()), key=len)
@@ -121,3 +57,19 @@ class TestSlotColumns:
             demand[attr] = w  # no-op rewrite still walks the commit path
             assert tree.update_local(leaf, demand)
         tree.validate()
+
+    def test_viable_parent_arrays_matches_per_node_accessors(self):
+        cluster, tasks = _workload(40)
+        plan, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
+        trees = [r.tree for r in plan.trees.values() if len(r.tree) >= 2]
+        assert trees, "expected at least one populated tree"
+        for tree in trees:
+            for bar in (0.0, 5.0, 50.0):
+                nodes, depths, avail = tree.viable_parent_arrays(bar)
+                assert sorted(nodes) == sorted(tree.viable_parents(bar))
+                assert set(nodes) == {
+                    n for n in tree.nodes if tree.available(n) >= bar - 1e-9
+                }
+                for node, depth, av in zip(nodes, depths, avail):
+                    assert depth == tree.depth(node)
+                    assert av == tree.available(node)
