@@ -15,7 +15,7 @@ per node-attribute pair.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.attributes import NodeAttributePair
 
@@ -188,6 +188,12 @@ class MetricRegistry:
     def value(self, pair: NodeAttributePair) -> float:
         """Ground-truth value of ``pair`` at the current instant."""
         return self._generators[pair].current
+
+    def reader(self, pairs: Sequence[NodeAttributePair]) -> Callable[[], List[float]]:
+        """A sampler bound to ``pairs``: each call returns their current
+        values, in order, without looking a pair up again."""
+        generators = [self._generators[pair] for pair in pairs]
+        return lambda: [generator.current for generator in generators]
 
     def advance_all(self) -> None:
         """Advance every signal by one unit of time."""

@@ -20,48 +20,57 @@ allocate unbounded memory.  The version byte must equal
 anything else is a :class:`FrameError`, fatal for that connection (both
 ends of a deployment run the same build, so negotiation is refusal).
 
-The payload is big-endian, unpadded, and starts with a kind byte::
+The payload is unpadded and starts with a kind byte; its fixed fields
+are big-endian::
 
     stop       kind
     heartbeat  kind | sender i64 | period i64
     tick       kind | flags u8 | period i64 | sent_monotonic f64 | [trace]
     update     kind | flags u8 | sender i64 | period i64
-               | tree attrs u16 | table attrs u16 | values u32 | [trace]
-               | table: attrs x (length u16 | UTF-8 bytes)
-               | values x (node i64 | attr index u16 | value f64 | sampled_at f64)
+               | tree u32 | first slot u32 | slots u32 | [trace]
+               | values: slots x f64 | stamps: slots x f64
 
 ``flags`` is 0, or 1 when the 24-byte trace context (16 raw trace-id
-bytes, span id u64) follows the fixed fields.  An update's attribute
-table lists the tree's attributes first (sorted), then any attribute
-only the readings name; readings refer to it by index and are packed
-and unpacked in one ``struct`` call.  No declared count sizes anything
-before the bytes are seen to be there (the table grows one name read at
-a time, the values unpack once their exact length is confirmed), and a
-payload must be consumed exactly.
+bytes, span id u64) follows the fixed fields.  An update is a
+:class:`~repro.runtime.messages.Batch`: the plan gives every pair of a
+tree a slot, both ends derive the same numbering from it, and the frame
+names a run of slots and carries their two columns as raw
+little-endian IEEE doubles -- 16 bytes a slot, no attribute names, no
+node ids, a stamp of ``-1.0`` for a slot with no reading.  The columns
+are copied in and out whole (``array.tobytes`` / ``array.frombytes``)
+once their exact length is confirmed against the declared slot count,
+so the count sizes nothing before the bytes are seen to be there; the
+number of readings present is counted from the stamps, never taken
+from the peer; and a payload must be consumed exactly.  Whether the
+tree exists and the slots are the sender's to report is the receiver's
+check, not the codec's.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.attributes import NodeAttributePair, NodeId
+from repro.core.attributes import NodeId
 from repro.obs.trace import TraceContext
 from repro.runtime.messages import (
+    Batch,
     Envelope,
     HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
     UpdateEnvelope,
 )
-from repro.simulation.messages import Reading
 
 #: First two frame bytes; "RM" for REMO.
 MAGIC = 0x524D
 
 #: Bump on any change to the frame layout or payload schema.  v1/v2
-#: (JSON / msgpack tagged dicts) are refused, not decoded.
-PROTOCOL_VERSION = 3
+#: (JSON / msgpack tagged dicts) and v3 (updates as per-value records
+#: behind an attribute-name table) are refused, not decoded.
+PROTOCOL_VERSION = 4
 
 #: Payload-format ids (the header's format byte).  JSON's id is retired
 #: and refused; the name stays because the repo benchmark's environment
@@ -81,8 +90,8 @@ HEADER_BYTES = _HEADER.size
 _KIND_STOP, _KIND_HEARTBEAT, _KIND_TICK, _KIND_UPDATE = range(4)
 _HEARTBEAT = struct.Struct(">Bqq")
 _TICK = struct.Struct(">BBqd")
-#: ``kind | flags | sender | period | tree attrs | table attrs | values``.
-_UPDATE = struct.Struct(">BBqqHHI")
+#: ``kind | flags | sender | period | tree | first slot | slots``.
+_UPDATE = struct.Struct(">BBqqIII")
 #: By kind byte: its name and the fixed fields its payload starts with.
 _KINDS = (
     ("stop", struct.Struct(">B")),
@@ -91,10 +100,8 @@ _KINDS = (
     ("update", _UPDATE),
 )
 _TRACE = struct.Struct(">16sQ")
-_ATTR_LEN = struct.Struct(">H")
-#: One reading: ``node | attr index | value | sampled_at``.
-_VALUE_FORMAT = "qHdd"
-_VALUE_BYTES = struct.calcsize(">" + _VALUE_FORMAT)
+#: The columns are little-endian on the wire whatever the host is.
+_SWAP_COLUMNS = sys.byteorder != "little"
 
 Buffer = Union[bytes, bytearray]
 
@@ -126,27 +133,26 @@ def _trace_bytes(ctx: Optional[TraceContext]) -> bytes:
     return _TRACE.pack(raw, ctx.span_id)
 
 
+def _column_bytes(column: object) -> bytes:
+    if not isinstance(column, array) or column.typecode != "d":
+        raise TypeError(f"an update column must be an array('d'), got {column!r}")
+    if _SWAP_COLUMNS:
+        column = array("d", column)
+        column.byteswap()
+    return column.tobytes()
+
+
 def _encode_update(envelope: UpdateEnvelope) -> bytes:
-    attrs = sorted(envelope.tree)
-    index = {attr: slot for slot, attr in enumerate(attrs)}
-    flat: List[object] = []
-    for pair, reading in envelope.payload.items():
-        slot = index.get(pair.attribute)
-        if slot is None:
-            slot = index[pair.attribute] = len(attrs)
-            attrs.append(pair.attribute)
-        flat += (pair.node, slot, reading.value, reading.sampled_at)
+    batch = envelope.payload
+    values, stamps = _column_bytes(batch.values), _column_bytes(batch.stamps)
+    if len(values) != len(stamps):
+        raise ValueError(f"{len(values) // 8} values beside {len(stamps) // 8} stamps")
     trace = _trace_bytes(envelope.trace_ctx)
     head = _UPDATE.pack(
         _KIND_UPDATE, bool(trace), envelope.sender, envelope.period,
-        len(envelope.tree), len(attrs), len(envelope.payload),
+        envelope.tree, batch.lo, len(stamps) // 8,
     )  # fmt: skip
-    parts = [head, trace]
-    for attr in attrs:
-        raw = attr.encode("utf-8")
-        parts += (_ATTR_LEN.pack(len(raw)), raw)
-    parts.append(struct.pack(">" + _VALUE_FORMAT * len(envelope.payload), *flat))
-    return b"".join(parts)
+    return b"".join((head, trace, values, stamps))
 
 
 def encode_payload(envelope: Envelope) -> bytes:
@@ -170,36 +176,19 @@ def encode_payload(envelope: Envelope) -> bytes:
 def _decode_update(
     buf: Buffer, pos: int, end: int, fields: Tuple[int, ...], trace_ctx: Optional[TraceContext]
 ) -> Envelope:
-    _, _, sender, period, n_tree, n_attrs, n_values = fields
-    if n_tree > n_attrs:
-        raise CodecError(f"update declares {n_tree} tree attributes in a table of {n_attrs}")
-    attrs: List[str] = []
-    for _ in range(n_attrs):
-        if end - pos < _ATTR_LEN.size:
-            raise CodecError("payload ends inside the attribute table")
-        (length,) = _ATTR_LEN.unpack_from(buf, pos)
-        pos += _ATTR_LEN.size
-        if end - pos < length:
-            raise CodecError("payload ends inside an attribute name")
-        try:
-            attrs.append(str(buf[pos : pos + length], "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"attribute name is not valid UTF-8: {exc}") from exc
-        pos += length
-    if end - pos != n_values * _VALUE_BYTES:
+    _, _, sender, period, tree, lo, slots = fields
+    if end - pos != 16 * slots:
         raise CodecError(
-            f"update declares {n_values} values ({n_values * _VALUE_BYTES} bytes), "
-            f"{end - pos} bytes follow its attribute table"
+            f"update declares {slots} slots ({16 * slots} bytes), "
+            f"{end - pos} bytes follow its fixed fields"
         )
-    flat = struct.unpack_from(">" + _VALUE_FORMAT * n_values, buf, pos)
-    slots = flat[1::4]
-    if slots and max(slots) >= n_attrs:
-        raise CodecError(f"attribute index {max(slots)} outside a table of {n_attrs}")
-    payload = {
-        NodeAttributePair(node, attrs[slot]): Reading(value, sampled_at)
-        for node, slot, value, sampled_at in zip(flat[0::4], slots, flat[2::4], flat[3::4])
-    }
-    return UpdateEnvelope(sender, frozenset(attrs[:n_tree]), period, payload, trace_ctx)
+    values, stamps = array("d"), array("d")
+    values.frombytes(buf[pos : pos + 8 * slots])
+    stamps.frombytes(buf[pos + 8 * slots : end])
+    if _SWAP_COLUMNS:
+        values.byteswap()
+        stamps.byteswap()
+    return UpdateEnvelope(sender, tree, period, Batch(lo, values, stamps), trace_ctx)
 
 
 def decode_payload(buf: Buffer, pos: int = 0, end: Optional[int] = None) -> Envelope:

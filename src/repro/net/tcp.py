@@ -38,12 +38,14 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
+from functools import cached_property
 from typing import Deque, Dict, Optional, Set
 
 from repro.core.attributes import NodeId
 from repro.net.codec import CodecError, FrameDecoder, encode_frame
 from repro.net.directory import Endpoint, PeerDirectory
 from repro.obs import log, names
+from repro.obs.metrics import BoundCounter
 from repro.runtime.messages import Envelope
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.transport import MailboxTransport
@@ -66,6 +68,10 @@ class _PeerLink:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._dial_task: Optional["asyncio.Task[None]"] = None
         self._closing = False
+        # The per-flush counters, keyed once.
+        metrics = transport.metrics
+        self._count_frames = metrics.bind_counter(names.NET_FRAMES_SENT, endpoint=self._label)
+        self._count_bytes = metrics.bind_counter(names.NET_BYTES_SENT, endpoint=self._label)
 
     async def enqueue(self, frame: bytes) -> None:
         """Accept ``frame`` for the next flush (blocks on backpressure)."""
@@ -102,9 +108,8 @@ class _PeerLink:
         frames = len(self._pending)
         self._pending.clear()
         writer.write(data)
-        metrics = self.transport.metrics
-        metrics.incr(names.NET_FRAMES_SENT, frames, endpoint=self._label)
-        metrics.incr(names.NET_BYTES_SENT, len(data), endpoint=self._label)
+        self._count_frames.add(frames)
+        self._count_bytes.add(len(data))
         self._room.set()
 
     async def _dial(self) -> None:
@@ -146,16 +151,18 @@ class _PeerLink:
     async def aclose(self, grace_seconds: float) -> None:
         """Bounded-grace flush, then tear the link down."""
         try:
-            async with asyncio.timeout(grace_seconds):
-                while self._pending:
-                    self._room.clear()
-                    await self._room.wait()
-        except TimeoutError:
+            await asyncio.wait_for(self._drained(), grace_seconds)
+        except asyncio.TimeoutError:
             pass
         dial_task = self._dial_task
         self.close()
         if dial_task is not None:
             await asyncio.gather(dial_task, return_exceptions=True)
+
+    async def _drained(self) -> None:
+        while self._pending:
+            self._room.clear()
+            await self._room.wait()
 
     def close(self) -> None:
         self._closing = True
@@ -183,7 +190,7 @@ class _InboundLink(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         owner = self.owner
-        owner.metrics.incr(names.NET_BYTES_RECEIVED, len(data))
+        owner._count_bytes_in.add(len(data))
         corrupt = False
         try:
             frames = self.decoder.feed(data)
@@ -232,6 +239,16 @@ class TcpTransport(MailboxTransport):
         self._wire_frames_out = 0
         self._wire_frames_in = 0
 
+    # The per-chunk and per-frame inbound counters, keyed on first use
+    # (by then the run's hub is bound).
+    @cached_property
+    def _count_bytes_in(self) -> BoundCounter:
+        return self.metrics.bind_counter(names.NET_BYTES_RECEIVED)
+
+    @cached_property
+    def _count_frames_in(self) -> BoundCounter:
+        return self.metrics.bind_counter(names.NET_FRAMES_RECEIVED)
+
     @property
     def endpoint(self) -> Endpoint:
         """The bound listen endpoint (resolved once started)."""
@@ -249,7 +266,7 @@ class TcpTransport(MailboxTransport):
 
     def _route_inbound(self, dest: NodeId, envelope: Envelope) -> None:
         self._wire_frames_in += 1
-        self.metrics.incr(names.NET_FRAMES_RECEIVED)
+        self._count_frames_in.add()
         if not self.deliver_local(dest, envelope):
             # Arrived at the right process for the directory's idea of
             # ``dest``, but no such inbox lives here (stale shard map,
@@ -299,9 +316,8 @@ class TcpTransport(MailboxTransport):
         self.close()
         if server is not None:
             try:
-                async with asyncio.timeout(self.close_grace_seconds):
-                    await server.wait_closed()
-            except TimeoutError:
+                await asyncio.wait_for(server.wait_closed(), self.close_grace_seconds)
+            except asyncio.TimeoutError:
                 pass
 
     def close(self) -> None:

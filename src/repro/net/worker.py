@@ -39,7 +39,12 @@ from repro.obs import log, names, trace
 from repro.obs.export import write_jsonl_spans
 from repro.runtime.agent import NodeAgent
 from repro.runtime.collector import CollectorAgent
-from repro.runtime.engine import build_roles, collector_addresses, merge_period_samples
+from repro.runtime.engine import (
+    build_roles,
+    collector_addresses,
+    compile_layouts,
+    merge_period_samples,
+)
 from repro.runtime.messages import (
     StopEnvelope,
     TickEnvelope,
@@ -87,6 +92,7 @@ class WorkerRuntime:
         sharded = spec.build_sharded(plan)
         roles = build_roles(
             plan,
+            compile_layouts(plan),
             collector_of=collector_addresses(sharded) if sharded is not None else None,
         )
         self.agents: Dict[NodeId, NodeAgent] = {
@@ -176,9 +182,11 @@ class CollectorRuntime:
         # shard's pairs and expects heartbeats only from nodes with a
         # role in its shard's trees (other nodes never dial it).
         sharded = spec.build_sharded(plan)
+        # The workers' own slot layouts, derived from the same plan.
+        layouts = compile_layouts(plan)
         if sharded is None:
             shard_specs = [
-                (collector_shard_address(0), sorted(plan.pairs), self.expected_nodes)
+                (collector_shard_address(0), sorted(plan.pairs), layouts, self.expected_nodes)
             ]
         else:
             expected = set(self.expected_nodes)
@@ -186,6 +194,7 @@ class CollectorRuntime:
                 (
                     collector_shard_address(shard),
                     sorted(sharded.pairs_for(shard)),
+                    [lay for lay in layouts if sharded.shard_of(lay.attr_set) == shard],
                     [n for n in sharded.nodes_for(shard) if n in expected],
                 )
                 for shard in range(sharded.shards)
@@ -193,6 +202,7 @@ class CollectorRuntime:
         self.collectors = {
             address: CollectorAgent(
                 requested_pairs=pairs,
+                layouts=reporting,
                 expected_nodes=nodes,
                 central_capacity=cluster.central_capacity,
                 cost=cost,
@@ -202,10 +212,10 @@ class CollectorRuntime:
                 config=self.config,
                 address=address,
             )
-            for address, pairs, nodes in shard_specs
+            for address, pairs, reporting, nodes in shard_specs
         }
         self._shard_weights = {
-            address: len(pairs) for address, pairs, _nodes in shard_specs
+            address: len(pairs) for address, pairs, _reporting, _nodes in shard_specs
         }
         #: Shard-0 agent, for callers written against one collector.
         self.collector = self.collectors[collector_shard_address(0)]

@@ -38,6 +38,9 @@ MESSAGES_SENT = "messages_sent"
 MESSAGES_DELIVERED = "messages_delivered"
 MESSAGES_DROPPED_CAPACITY = "messages_dropped_capacity"
 MESSAGES_DROPPED_FAILURE = "messages_dropped_failure"
+# An update for a tree, from a sender, or naming slots the plan does
+# not give the receiver: refused before any budget is charged.
+MESSAGES_DROPPED_INVALID = "messages_dropped_invalid"
 COST_UNITS_SPENT = "cost_units_spent"
 HEARTBEATS_SENT = "heartbeats_sent"
 CHILD_WAIT_TIMEOUTS = "child_wait_timeouts"
@@ -122,6 +125,7 @@ METRICS = frozenset(
         MESSAGES_DELIVERED,
         MESSAGES_DROPPED_CAPACITY,
         MESSAGES_DROPPED_FAILURE,
+        MESSAGES_DROPPED_INVALID,
         COST_UNITS_SPENT,
         HEARTBEATS_SENT,
         CHILD_WAIT_TIMEOUTS,

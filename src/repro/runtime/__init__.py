@@ -6,8 +6,8 @@ simulator, this package *runs* one: every cluster node becomes a
 concurrent :class:`~repro.runtime.agent.NodeAgent` task, the central
 collector becomes a :class:`~repro.runtime.collector.CollectorAgent`,
 and update messages travel over a pluggable
-:class:`~repro.runtime.transport.Transport` (an in-process asyncio
-queue transport today; a socket transport is a planned follow-up).
+:class:`~repro.runtime.transport.Transport` (in-process mailboxes
+here, framed TCP in :mod:`repro.net`).
 
 The behaviours the analytical evaluation cannot show live here:
 per-period capacity budgets with explicit drop / trim / defer
@@ -20,14 +20,21 @@ and histograms and renders through :mod:`repro.analysis`.
 from repro.runtime.agent import NodeAgent, TreeRole
 from repro.runtime.collector import CollectorAgent, FailureEvent
 from repro.runtime.config import AgentOutage, DropPolicy, RuntimeConfig
-from repro.runtime.engine import MonitoringRuntime, build_roles, merge_period_samples
+from repro.runtime.engine import (
+    MonitoringRuntime,
+    build_roles,
+    compile_layouts,
+    merge_period_samples,
+)
 from repro.runtime.messages import (
     COLLECTOR_ADDRESS,
     MAX_COLLECTOR_SHARDS,
+    Batch,
     Envelope,
     HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
+    TreeLayout,
     UpdateEnvelope,
     collector_shard_address,
 )
@@ -44,8 +51,10 @@ __all__ = [
     "AgentOutage",
     "COLLECTOR_ADDRESS",
     "MAX_COLLECTOR_SHARDS",
+    "Batch",
     "CollectorAgent",
     "build_roles",
+    "compile_layouts",
     "collector_shard_address",
     "merge_period_samples",
     "DropPolicy",
@@ -64,6 +73,7 @@ __all__ = [
     "StopEnvelope",
     "TickEnvelope",
     "Transport",
+    "TreeLayout",
     "TreeRole",
     "UnknownAddressError",
     "UpdateEnvelope",

@@ -10,8 +10,9 @@ wave converges toward the root the same way the simulator schedules it.
 The agent is a state machine driven from its one inbox coroutine; no
 task exists per role or per period.  A tick beacons, opens a
 *missing-children set* for every interior role and emits every role
-whose set is empty; a child's update is charged and buffered, leaves
-that one tree's set, and emits the role the moment the set empties.
+whose set is empty; a child's update is checked against the slots the
+plan gives that child, charged and buffered, leaves that one tree's
+set, and emits the role the moment the set empties.
 The child-wait deadline rides on the ``recv`` timeout the loop pays
 anyway; its expiry, or the next tick, flushes whoever still waits.
 (Not timer-phased like the simulator: under a real event loop an
@@ -30,27 +31,29 @@ message, or defer the overflow to the next period (backpressure).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.metrics import MetricRegistry
 from repro.core.attributes import NodeAttributePair, NodeId
 from repro.core.cost import CostModel
-from repro.core.partition import AttributeSet
 from repro.obs import names, trace
 from repro.runtime.config import DropPolicy, RuntimeConfig
 from repro.runtime.messages import (
+    ABSENT,
     COLLECTOR_ADDRESS,
+    Batch,
     HeartbeatEnvelope,
-    Payload,
     StopEnvelope,
     TickEnvelope,
+    TreeLayout,
     UpdateEnvelope,
-    union_payloads,
+    gather,
 )
-from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.metrics import Histogram, RuntimeMetrics
 from repro.runtime.transport import Transport
-from repro.simulation.messages import Reading
 
 _EPS = 1e-9
 
@@ -59,12 +62,20 @@ _EPS = 1e-9
 class TreeRole:
     """This node's position in one collection tree."""
 
-    attr_set: AttributeSet
+    #: The tree's index (what updates name it by) and its slots.
+    tree: int
+    layout: TreeLayout = field(repr=False)
     parent: Optional[NodeId]
     children: Tuple[NodeId, ...]
+    #: The node's own pairs: the first slots of its range.
     local_pairs: Tuple[NodeAttributePair, ...]
     depth: int
     height: int
+    #: The node's subtree is slots ``lo .. lo + size``.
+    lo: int
+    size: int
+    #: ``(lo, size)`` of each child's subtree, aligned with ``children``.
+    child_ranges: Tuple[Tuple[int, int], ...]
     #: Stable short id (``t0``, ``t1``, ...) labeling this tree's
     #: metric series and trace spans; assigned by the engine.
     tree_id: str = ""
@@ -114,17 +125,29 @@ class NodeAgent:
         self.config = config
         self._budget = capacity
         self._current_period = -1
-        #: Payloads pending relay, per tree, in arrival order: any
-        #: deferred overflow, then child batches (owned once received).
-        self._buffers: Dict[AttributeSet, List[Payload]] = {}
+        #: Batches pending relay, per tree, in arrival order: any
+        #: deferred overflow, then child batches (never written to).
+        self._buffers: Dict[int, List[Batch]] = {}
         #: Latest period each child has reported, per tree.
-        self._children_seen: Dict[AttributeSet, Dict[NodeId, int]] = {}
-        #: Last period each pair made it into a sent batch, per tree
-        #: (DEFER fairness: least-recently-sent pairs go first).
-        self._last_sent: Dict[AttributeSet, Dict[NodeAttributePair, int]] = {}
+        self._children_seen: Dict[int, Dict[NodeId, int]] = {r.tree: {} for r in self.roles}
+        #: The slots ``lo .. hi`` each child may report, by (tree, child):
+        #: an update from anyone else, or outside them, is refused.
+        self._child_slots: Dict[Tuple[int, NodeId], Tuple[int, int]] = {
+            (r.tree, child): (lo, lo + size)
+            for r in self.roles
+            for child, (lo, size) in zip(r.children, r.child_ranges)
+        }
+        #: Each role's local pairs, bound to their generators once.
+        self._samplers = {r.tree: registry.reader(r.local_pairs) for r in self.roles}
+        #: Per tree, built when shaping first needs them: the role's
+        #: slot offsets in pair order, and the last period each offset
+        #: made it into a sent batch (DEFER fairness: least-recently-sent
+        #: pairs go first).
+        self._pair_order: Dict[int, List[int]] = {}
+        self._last_sent: Dict[int, List[int]] = {}
         #: Roles waiting on children, per tree, and the monotonic time
         #: at which they stop waiting.
-        self._waiting: Dict[AttributeSet, _OpenWave] = {}
+        self._waiting: Dict[int, _OpenWave] = {}
         self._deadline = 0.0
         # With sharded collectors, each shard runs its own failure
         # detector over the nodes in its trees -- beacon every shard
@@ -137,9 +160,14 @@ class NodeAgent:
         self._count_cost = metrics.bind_counter(names.COST_UNITS_SPENT, node=node_id)
         self._count_heartbeats = metrics.bind_counter(names.HEARTBEATS_SENT, node=node_id)
         self._count_sent = {
-            r.attr_set: metrics.bind_counter(names.MESSAGES_SENT, node=node_id, tree=r.tree_id)
+            r.tree: metrics.bind_counter(names.MESSAGES_SENT, node=node_id, tree=r.tree_id)
             for r in self.roles
         }
+
+    @cached_property
+    def _payload_values(self) -> Histogram:
+        # Created by the first emit: an idle agent exports no empty series.
+        return self.metrics.histogram(names.PAYLOAD_VALUES)
 
     # ------------------------------------------------------------------
     def busy(self) -> bool:
@@ -189,10 +217,10 @@ class NodeAgent:
         ready = []
         for role in self.roles:
             # A child's update may beat the tick across processes.
-            seen = self._children_seen.get(role.attr_set, {})
+            seen = self._children_seen[role.tree]
             missing = {c for c in role.children if seen.get(c, -1) < period}
             if missing:
-                self._waiting[role.attr_set] = _OpenWave(
+                self._waiting[role.tree] = _OpenWave(
                     role, period, missing, tick.trace_ctx, started
                 )
             else:
@@ -211,6 +239,13 @@ class NodeAgent:
 
     async def _on_update(self, envelope: UpdateEnvelope) -> None:
         tree, sender, period = envelope.tree, envelope.sender, envelope.period
+        batch = envelope.payload
+        slots = self._child_slots.get((tree, sender))
+        if slots is None or batch.lo < slots[0] or batch.lo + len(batch.stamps) > slots[1]:
+            # Not this node's tree, not its child, or not that child's
+            # slots: refused before it costs budget or memory.
+            self.metrics.incr(names.MESSAGES_DROPPED_INVALID, node=self.node_id)
+            return
         if envelope.trace_ctx is not None and trace.active_tracer() is not None:
             # Linked to the sender's wave span: the reverse-direction
             # cross-process edge in a merged trace.
@@ -221,7 +256,7 @@ class NodeAgent:
             return
         # The child reported, whether or not its batch is affordable --
         # record that first so a capacity drop cannot stall the wave.
-        seen = self._children_seen.setdefault(tree, {})
+        seen = self._children_seen[tree]
         seen[sender] = max(seen.get(sender, -1), period)
         charge = envelope.cost(self.cost)
         if self.config.enforce_capacity and self._budget < charge - _EPS:
@@ -229,7 +264,7 @@ class NodeAgent:
         else:
             if self.config.enforce_capacity:
                 self._budget -= charge
-            self._buffers.setdefault(tree, []).append(envelope.payload)
+            self._buffers.setdefault(tree, []).append(batch)
             self._count_delivered.add()
             self._count_cost.add(charge)
         wave = self._waiting.get(tree)
@@ -268,77 +303,86 @@ class NodeAgent:
                     names.SPAN_AGENT_CHILD_WAIT, started, lane=self._lane, **attrs
                 ):
                     pass
-            relayed = self._buffers.pop(role.attr_set, None)
-            payload = union_payloads(relayed) if relayed else {}
-            sampled_at = float(period)
-            for pair in role.local_pairs:
-                payload[pair] = Reading(self.registry.value(pair), sampled_at=sampled_at)
-            if not payload:
+            # Children first (disjoint ranges: a slice each), then this
+            # node's own pairs, sampled now, over whatever a deferred
+            # batch still held for them.
+            values, stamps = gather(role.lo, role.size, self._buffers.pop(role.tree, ()))
+            local = len(role.local_pairs)
+            values[:local] = array("d", self._samplers[role.tree]())
+            stamps[:local] = array("d", (float(period),)) * local
+            batch = Batch(role.lo, values, stamps)
+            if not batch.count:
                 wave.set(outcome="empty")
                 return
-            shaped = self._apply_budget(role, payload, period)
+            shaped = self._apply_budget(role, batch, period)
             if shaped is None:
-                wave.set(outcome="shaped_out", offered=len(payload))
+                wave.set(outcome="shaped_out", offered=batch.count)
                 return
-            charge = self.cost.message_cost(len(shaped))
+            charge = self.cost.message_cost(shaped.count)
             if self.config.enforce_capacity:
                 self._budget -= charge
-            self._count_sent[role.attr_set].add()
+            self._count_sent[role.tree].add()
             self._count_cost.add(charge)
-            self.metrics.observe(names.PAYLOAD_VALUES, len(shaped))
-            wave.set(outcome="sent", values=len(shaped))
-            update = UpdateEnvelope(self.node_id, role.attr_set, period, shaped, wave.context())
+            self._payload_values.observe(shaped.count)
+            wave.set(outcome="sent", values=shaped.count)
+            update = UpdateEnvelope(self.node_id, role.tree, period, shaped, wave.context())
             await self.transport.send(role.receiver, update)
 
-    def _apply_budget(self, role: TreeRole, payload: Payload, period: int) -> Optional[Payload]:
-        """Shape ``payload`` to the remaining budget per the drop policy.
+    def _apply_budget(self, role: TreeRole, batch: Batch, period: int) -> Optional[Batch]:
+        """Shape ``batch`` (this emit's own, edited in place) to the
+        remaining budget per the drop policy.
 
-        Returns the payload to send, or ``None`` when nothing goes out
+        Returns the batch to send, or ``None`` when nothing goes out
         this period.
         """
         if not self.config.enforce_capacity:
-            return payload
+            return batch
         policy = self.config.drop_policy
         if policy is DropPolicy.DROP:
-            if self._budget < self.cost.message_cost(len(payload)) - _EPS:
+            if self._budget < self.cost.message_cost(batch.count) - _EPS:
                 self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
                 return None
-            return payload
+            return batch
         affordable = int(self.cost.values_within_budget(self._budget) + _EPS)
         if affordable <= 0:
             # Cannot even cover the per-message overhead.
             if policy is DropPolicy.DEFER:
-                self._defer(role, payload)
+                self._defer(role, batch)
             else:
                 self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
             return None
-        if affordable >= len(payload):
-            return payload
+        if affordable >= batch.count:
+            return batch
+        order = self._pair_order.get(role.tree)
+        if order is None:
+            pairs = role.layout.pairs[role.lo : role.lo + role.size]
+            order = self._pair_order[role.tree] = sorted(range(role.size), key=pairs.__getitem__)
+        stamps = batch.stamps
+        present = [offset for offset in order if stamps[offset] != ABSENT]
         if policy is DropPolicy.DEFER:
             # Fairness under sustained overload: least-recently-sent
-            # pairs first, then oldest readings.  Pure recency (or a
-            # fixed pair order) permanently starves the same pairs,
-            # because every pair is refreshed each period.
-            last_sent = self._last_sent.setdefault(role.attr_set, {})
-            ordered = sorted(
-                payload,
-                key=lambda pair: (last_sent.get(pair, -1), payload[pair].sampled_at, pair),
-            )
+            # pairs first, then oldest readings, then pair order (the
+            # sort is stable).  Pure recency (or a fixed pair order)
+            # permanently starves the same pairs, because every pair is
+            # refreshed each period.
+            last_sent = self._last_sent.setdefault(role.tree, [-1] * role.size)
+            present.sort(key=lambda offset: (last_sent[offset], stamps[offset]))
+            for offset in present[:affordable]:
+                last_sent[offset] = period
+            held = array("d", (ABSENT,)) * role.size
+            for offset in present[affordable:]:
+                held[offset], stamps[offset] = stamps[offset], ABSENT
+            # A hole's value is never read, so the two batches share the column.
+            self._defer(role, Batch(role.lo, batch.values, held, len(present) - affordable))
         else:
-            ordered = sorted(payload)
-        keep = ordered[:affordable]
-        overflow = {pair: payload[pair] for pair in ordered[affordable:]}
-        if policy is DropPolicy.DEFER:
-            last_sent = self._last_sent.setdefault(role.attr_set, {})
-            for pair in keep:
-                last_sent[pair] = period
-            self._defer(role, overflow)
-        else:
-            self.metrics.incr(names.VALUES_TRIMMED, len(overflow), node=self.node_id)
-        return {pair: payload[pair] for pair in keep}
+            for offset in present[affordable:]:
+                stamps[offset] = ABSENT
+            self.metrics.incr(names.VALUES_TRIMMED, len(present) - affordable, node=self.node_id)
+        batch.count = affordable
+        return batch
 
-    def _defer(self, role: TreeRole, overflow: Payload) -> None:
+    def _defer(self, role: TreeRole, overflow: Batch) -> None:
         """Backpressure: carry unaffordable readings to the next period
         (``_emit`` popped the tree's buffer; the overflow opens the next)."""
-        self._buffers[role.attr_set] = [overflow]
-        self.metrics.incr(names.VALUES_DEFERRED, len(overflow), node=self.node_id)
+        self._buffers[role.tree] = [overflow]
+        self.metrics.incr(names.VALUES_DEFERRED, overflow.count, node=self.node_id)

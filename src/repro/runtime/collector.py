@@ -1,10 +1,11 @@
 """The collector agent: scoring, staleness, and failure detection.
 
 The collector is the runtime's sink.  It keeps the last reading per
-node-attribute pair (reusing the simulator's
-:class:`~repro.simulation.collection.CollectorState`, so percentage
-error is computed by the exact same rule in both engines), and adds
-the two behaviours only a live system exhibits:
+slot of every tree that reports to it (:class:`CollectedColumns`;
+percentage error is the simulator's
+:func:`~repro.simulation.collection.percentage_error`, the exact same
+rule in both engines), and adds the two behaviours only a live system
+exhibits:
 
 - **failure detection** -- each agent heartbeats every
   ``heartbeat_every`` periods; a node silent for ``failure_timeout``
@@ -19,8 +20,9 @@ the two behaviours only a live system exhibits:
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.metrics import MetricRegistry
 from repro.core.attributes import NodeAttributePair, NodeId
@@ -28,16 +30,23 @@ from repro.core.cost import CostModel
 from repro.obs import names, trace
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.messages import (
+    ABSENT,
     COLLECTOR_ADDRESS,
+    Batch,
+    Columns,
     HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
+    TreeLayout,
     UpdateEnvelope,
+    blank_columns,
+    fold,
 )
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimePeriodSample
 from repro.runtime.transport import Transport
-from repro.simulation.collection import CollectorState
+from repro.simulation.collection import percentage_error
+from repro.simulation.messages import Reading
 
 _EPS = 1e-9
 
@@ -51,12 +60,51 @@ class FailureEvent:
     kind: str  # "down" | "recovered"
 
 
+#: A pair's place in the collector's state: its tree's value and stamp
+#: columns, and its slot in them.
+Cell = Tuple["array[float]", "array[float]", int]
+
+
+class CollectedColumns:
+    """Last-received reading per slot: one value and one stamp column
+    for each tree that reports here."""
+
+    def __init__(self, layouts: Iterable[TreeLayout]) -> None:
+        self._columns: Dict[int, Columns] = {}
+        self._cells: Dict[NodeAttributePair, Cell] = {}
+        for layout in layouts:
+            values, stamps = self._columns[layout.tree] = blank_columns(len(layout.pairs))
+            for slot, pair in enumerate(layout.pairs):
+                self._cells[pair] = values, stamps, slot
+
+    def columns(self, tree: int, batch: Batch) -> Optional[Columns]:
+        """The columns ``batch`` folds into, or ``None`` when ``tree`` does
+        not report here or the batch names slots the tree does not have."""
+        columns = self._columns.get(tree)
+        if columns is None or not 0 <= batch.lo <= len(columns[1]) - len(batch.stamps):
+            return None
+        return columns
+
+    def cell(self, pair: NodeAttributePair) -> Optional[Cell]:
+        return self._cells.get(pair)
+
+    def reading(self, pair: NodeAttributePair) -> Optional[Reading]:
+        """The newest reading of ``pair`` received so far, if any."""
+        cell = self._cells.get(pair)
+        if cell is not None:
+            values, stamps, slot = cell
+            if stamps[slot] != ABSENT:
+                return Reading(values[slot], stamps[slot])
+        return None
+
+
 class CollectorAgent:
     """The central collector's runtime half."""
 
     def __init__(
         self,
         requested_pairs: Sequence[NodeAttributePair],
+        layouts: Iterable[TreeLayout],
         expected_nodes: Sequence[NodeId],
         central_capacity: float,
         cost: CostModel,
@@ -75,7 +123,11 @@ class CollectorAgent:
         self.transport = transport
         self.metrics = metrics
         self.config = config
-        self.state = CollectorState()
+        self.state = CollectedColumns(layouts)
+        #: Per requested pair, in order: where its reading lives (``None``
+        #: for a pair no tree collects), and the truth it is scored against.
+        self._cells = [self.state.cell(pair) for pair in self.requested_pairs]
+        self._truths = registry.reader(self.requested_pairs)
         self.samples: List[RuntimePeriodSample] = []
         self.failure_events: List[FailureEvent] = []
         self._budget = central_capacity
@@ -111,6 +163,10 @@ class CollectorAgent:
         self._tick_monotonic[tick.period] = tick.sent_monotonic
 
     def _on_update(self, envelope: UpdateEnvelope) -> None:
+        columns = self.state.columns(envelope.tree, envelope.payload)
+        if columns is None:
+            self.metrics.incr(names.MESSAGES_DROPPED_INVALID)
+            return
         if envelope.trace_ctx is not None and trace.active_tracer() is not None:
             # Linked to the sending agent's wave span -- in a deploy
             # this edge crosses the worker->collector TCP boundary.
@@ -127,8 +183,7 @@ class CollectorAgent:
                 self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY)
                 return
             self._budget -= charge
-        for pair, reading in envelope.payload.items():
-            self.state.record(pair, reading)
+        fold(columns[0], columns[1], 0, envelope.payload)
         self.metrics.incr(names.MESSAGES_DELIVERED)
         self.metrics.incr(names.COST_UNITS_SPENT, charge)
         tick_at = self._tick_monotonic.get(envelope.period)
@@ -156,8 +211,7 @@ class CollectorAgent:
         with trace.span(
             names.SPAN_COLLECTOR_CLOSE_PERIOD, lane=names.LANE_COLLECTOR, period=period
         ) as score_span:
-            pairs = self.requested_pairs
-            n = len(pairs)
+            n = len(self.requested_pairs)
             if n == 0:
                 sample = RuntimePeriodSample(period, 0.0, 1.0, 1.0)
             else:
@@ -165,14 +219,17 @@ class CollectorAgent:
                 fresh = 0
                 now = float(period)
                 ages = []  # of every pair received so far, in periods
-                for pair in pairs:
-                    truth = self.registry.value(pair)
-                    total_error += self.state.percentage_error(pair, truth)
-                    reading = self.state.reading(pair)
-                    if reading is not None:
-                        ages.append(now - reading.sampled_at)
-                        if reading.sampled_at >= now - _EPS:
-                            fresh += 1
+                for truth, cell in zip(self._truths(), self._cells):
+                    if cell is not None:
+                        values, stamps, slot = cell
+                        stamp = stamps[slot]
+                        if stamp != ABSENT:
+                            total_error += percentage_error(truth, values[slot])
+                            ages.append(now - stamp)
+                            if stamp >= now - _EPS:
+                                fresh += 1
+                            continue
+                    total_error += 1.0  # never seen: as useless as arbitrarily wrong
                 if ages:
                     # One series lookup per close, not one per pair (and
                     # none before the first reading: no empty series).

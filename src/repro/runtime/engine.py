@@ -40,6 +40,7 @@ from repro.runtime.messages import (
     Envelope,
     StopEnvelope,
     TickEnvelope,
+    TreeLayout,
     collector_shard_address,
 )
 from repro.runtime.metrics import RuntimeMetrics
@@ -47,11 +48,42 @@ from repro.runtime.report import RuntimePeriodSample, RuntimeReport
 from repro.runtime.transport import InProcessTransport, Transport
 
 
+def compile_layouts(plan: MonitoringPlan) -> List[TreeLayout]:
+    """One :class:`TreeLayout` per tree, in sorted attribute-set order.
+
+    A function of the plan alone, like :func:`build_roles`: the engine,
+    every deploy worker and the collector process each derive it and
+    agree on every slot without exchanging a byte.
+    """
+    layouts = []
+    ordered_trees = sorted(plan.trees.items(), key=lambda kv: sorted(kv[0]))
+    for index, (attr_set, result) in enumerate(ordered_trees):
+        tree = result.tree
+        pairs: List[NodeAttributePair] = []
+        ranges: Dict[NodeId, Tuple[int, int]] = {}
+        # Preorder, children by id; a node's range closes when the walk
+        # comes back to it after its last child.
+        stack = [(tree.root, False)] if tree.root is not None else []
+        while stack:
+            node, done = stack.pop()
+            if done:
+                ranges[node] = (ranges[node][0], len(pairs) - ranges[node][0])
+                continue
+            ranges[node] = (len(pairs), 0)
+            pairs.extend(NodeAttributePair(node, attr) for attr in sorted(tree.local_demand(node)))
+            stack.append((node, True))
+            stack.extend((child, False) for child in sorted(tree.children(node), reverse=True))
+        layouts.append(TreeLayout(index, attr_set, tuple(pairs), ranges))
+    return layouts
+
+
 def build_roles(
     plan: MonitoringPlan,
+    layouts: Sequence[TreeLayout],
     collector_of: Optional[Mapping[AttributeSet, NodeId]] = None,
 ) -> Dict[NodeId, List[TreeRole]]:
-    """One :class:`TreeRole` per (member node, tree) of the plan.
+    """One :class:`TreeRole` per (member node, tree) of the plan, over
+    ``layouts = compile_layouts(plan)``.
 
     Trees get stable short ids (``t0``, ``t1``, ... in sorted
     attribute-set order) so metric labels and trace spans can name a
@@ -65,29 +97,29 @@ def build_roles(
     to the single central :data:`COLLECTOR_ADDRESS`).
     """
     roles: Dict[NodeId, List[TreeRole]] = {}
-    ordered_trees = sorted(plan.trees.items(), key=lambda kv: sorted(kv[0]))
-    for index, (attr_set, result) in enumerate(ordered_trees):
-        tree = result.tree
+    for layout in layouts:
+        tree = plan.trees[layout.attr_set].tree
         height = tree.height()
-        tree_id = f"t{index}"
         collector = (
-            collector_of.get(attr_set, COLLECTOR_ADDRESS)
+            collector_of.get(layout.attr_set, COLLECTOR_ADDRESS)
             if collector_of is not None
             else COLLECTOR_ADDRESS
         )
-        for node in tree.nodes:
-            local_pairs = tuple(
-                NodeAttributePair(node, attr) for attr in sorted(tree.local_demand(node))
-            )
+        for node, (lo, size) in layout.ranges.items():
+            children = tuple(sorted(tree.children(node)))
             roles.setdefault(node, []).append(
                 TreeRole(
-                    attr_set=attr_set,
+                    tree=layout.tree,
+                    layout=layout,
                     parent=tree.parent(node),
-                    children=tuple(sorted(tree.children(node))),
-                    local_pairs=local_pairs,
+                    children=children,
+                    local_pairs=layout.pairs[lo : lo + len(tree.local_demand(node))],
                     depth=tree.depth(node),
                     height=height,
-                    tree_id=tree_id,
+                    lo=lo,
+                    size=size,
+                    child_ranges=tuple(layout.ranges[child] for child in children),
+                    tree_id=f"t{layout.tree}",
                     collector=collector,
                 )
             )
@@ -156,7 +188,8 @@ class MonitoringRuntime:
             self.registry.ensure(pair)
 
         collector_of = collector_addresses(sharded) if sharded is not None else None
-        roles = build_roles(plan, collector_of)
+        layouts = compile_layouts(plan)
+        roles = build_roles(plan, layouts, collector_of)
         self.agents: Dict[NodeId, NodeAgent] = {
             node: NodeAgent(
                 node_id=node,
@@ -176,19 +209,21 @@ class MonitoringRuntime:
         #: Pair-count weight per shard address, for score merging.
         self._shard_weights: Dict[NodeId, int] = {}
         if sharded is None:
-            shard_specs = [(COLLECTOR_ADDRESS, sorted(plan.pairs), list(self.agents))]
+            shard_specs = [(COLLECTOR_ADDRESS, sorted(plan.pairs), layouts, list(self.agents))]
         else:
             shard_specs = [
                 (
                     collector_shard_address(shard),
                     sorted(sharded.pairs_for(shard)),
+                    [lay for lay in layouts if sharded.shard_of(lay.attr_set) == shard],
                     [n for n in sharded.nodes_for(shard) if n in self.agents],
                 )
                 for shard in range(sharded.shards)
             ]
-        for address, requested, expected in shard_specs:
+        for address, requested, reporting, expected in shard_specs:
             self.collectors[address] = CollectorAgent(
                 requested_pairs=requested,
+                layouts=reporting,
                 expected_nodes=expected,
                 central_capacity=cluster.central_capacity,
                 cost=plan.cost,

@@ -1,36 +1,131 @@
-"""Wire envelopes exchanged between runtime agents.
+"""Wire envelopes exchanged between runtime agents, and the slot layout
+their update batches are written in.
 
 Everything an agent can find in its inbox is an :class:`Envelope`:
 
 - :class:`TickEnvelope` -- the engine's period-start broadcast (the
   runtime's clock distribution; a later socket transport would replace
   this with per-node timers plus NTP-style sync);
-- :class:`UpdateEnvelope` -- a batch of attribute readings travelling
-  one hop up a monitoring tree;
+- :class:`UpdateEnvelope` -- a :class:`Batch` of attribute readings
+  travelling one hop up a monitoring tree;
 - :class:`HeartbeatEnvelope` -- the liveness signal the collector's
   failure detector consumes;
 - :class:`StopEnvelope` -- orderly shutdown.
 
-Updates reuse the simulator's :class:`~repro.simulation.messages.Reading`
-value type, and their capacity charge is computed through the same
-:class:`~repro.core.cost.CostModel` -- one cost model, two execution
-engines.
+The plan fixes, before the first tick, which pairs every node
+contributes and relays in every tree, so an update never names them:
+a :class:`TreeLayout` gives each collected pair of a tree a dense
+*slot*, and a :class:`Batch` is a run of consecutive slots as two
+columns of doubles -- the values and the periods they were sampled in
+(the two fields of the simulator's
+:class:`~repro.simulation.messages.Reading`).  Its capacity charge is
+computed through the same :class:`~repro.core.cost.CostModel` -- one
+cost model, two execution engines.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.attributes import NodeAttributePair, NodeId
 from repro.core.cost import CostModel
 from repro.core.partition import AttributeSet
 from repro.obs.trace import TraceContext
-from repro.simulation.messages import Reading
 
-#: What an update carries, and what an agent buffers for relay.
-Payload = Dict[NodeAttributePair, Reading]
+#: The stamp of a slot that holds no reading (periods count from 0).
+ABSENT = -1.0
+
+
+@dataclass(frozen=True)
+class TreeLayout:
+    """The slots of one collection tree, fixed by the plan.
+
+    Slots run in preorder -- a node's own pairs (by attribute), then
+    its children's subtrees (by node id) -- so every subtree is one
+    contiguous range and a relay places a child's batch with one slice
+    assignment.
+    """
+
+    #: Position in ``compile_layouts(plan)``; what an update's ``tree`` names.
+    tree: int
+    attr_set: AttributeSet
+    #: Slot -> the pair it carries.
+    pairs: Tuple[NodeAttributePair, ...]
+    #: Member node -> ``(first slot, slot count)`` of its subtree.
+    ranges: Dict[NodeId, Tuple[int, int]] = field(repr=False)
+
+
+@dataclass
+class Batch:
+    """Slots ``lo .. lo + len(stamps)`` of one tree, as two columns.
+
+    ``stamps[i]`` is the period slot ``lo + i`` was sampled in, or
+    :data:`ABSENT` for a hole (a trimmed or deferred value, a child that
+    stayed silent).  ``count`` is the number of readings present -- the
+    ``x`` of every ``C + a*x`` charge, whatever the span -- and is
+    counted from the stamps when not given.
+    """
+
+    lo: int
+    values: "array[float]"
+    stamps: "array[float]"
+    count: int = -1
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            self.count = len(self.stamps) - self.stamps.count(ABSENT)
+
+
+#: A value column and a stamp column over the same slots.
+Columns = Tuple["array[float]", "array[float]"]
+
+
+def blank_columns(size: int) -> Columns:
+    """Value and stamp columns of ``size`` slots, every one a hole."""
+    return array("d", bytes(8 * size)), array("d", (ABSENT,)) * size
+
+
+def fold(values: "array[float]", stamps: "array[float]", base: int, batch: Batch) -> None:
+    """Fold ``batch`` into columns whose first slot is ``base``: slot by
+    slot the fresher reading stays, and on equal stamps the incoming one
+    wins.  The batch must lie inside the columns."""
+    at = batch.lo - base
+    incoming = batch.values
+    for index, stamp in enumerate(batch.stamps):
+        if stamp != ABSENT and stamp >= stamps[at + index]:
+            stamps[at + index] = stamp
+            values[at + index] = incoming[index]
+
+
+def gather(lo: int, size: int, batches: Sequence[Batch]) -> Columns:
+    """Columns for slots ``lo .. lo + size`` holding what :func:`fold`
+    of each batch in turn (arrival order) would build, at C speed when
+    no slot arrives twice.
+
+    Children of one tree report disjoint ranges, so the usual union is
+    one slice assignment per batch -- no per-slot Python -- and the
+    count proves it exact: as many readings present as went in, so none
+    displaced another.  A short count means some slot repeats (a DEFER
+    leftover, a late period) and the later arrival won whatever its
+    age; only then is the union redone slot by slot.  The batches must
+    lie inside the range and are never written to.
+    """
+    values, stamps = blank_columns(size)
+    expected = 0
+    for batch in batches:
+        at = batch.lo - lo
+        values[at : at + len(batch.values)] = batch.values
+        stamps[at : at + len(batch.stamps)] = batch.stamps
+        expected += batch.count
+    if size - stamps.count(ABSENT) != expected:
+        values, stamps = blank_columns(size)
+        for batch in batches:
+            fold(values, stamps, lo, batch)
+    return values, stamps
+
 
 #: Address of the central collector on any transport.  With sharded
 #: collectors this is shard 0's address; see
@@ -88,53 +183,17 @@ class UpdateEnvelope(Envelope):
     """
 
     sender: NodeId
-    tree: AttributeSet
+    #: The tree's :attr:`TreeLayout.tree` index.
+    tree: int
     period: int
-    payload: Payload
+    payload: Batch
     trace_ctx: Optional[TraceContext] = field(
         default=None, compare=False, repr=False
     )
 
     def cost(self, model: CostModel) -> float:
         """Capacity charge on each endpoint (the ``C + a*x`` model)."""
-        return model.message_cost(len(self.payload))
-
-    def merge_into(self, buffer: Payload) -> None:
-        """Fold readings into a relay buffer, keeping the freshest."""
-        merge_freshest(buffer, self.payload)
-
-
-def merge_freshest(buffer: Payload, payload: Payload) -> None:
-    """Fold ``payload`` into ``buffer`` pair by pair: the fresher reading
-    stays, and on equal ``sampled_at`` the incoming one wins."""
-    for pair, reading in payload.items():
-        existing = buffer.get(pair)
-        if existing is None or reading.sampled_at >= existing.sampled_at:
-            buffer[pair] = reading
-
-
-def union_payloads(payloads: Sequence[Payload]) -> Payload:
-    """What :func:`merge_freshest` of each payload in turn (arrival
-    order) would build, at C speed when no pair arrives twice.
-
-    Children of one tree report disjoint pairs, so the usual union is a
-    ``dict`` copy plus ``dict.update`` -- stored hashes, no per-pair
-    Python -- and the key count proves it exact: every key went in
-    once, so no reading displaced another.  A short count means some
-    pair repeats (a DEFER leftover, a late period) and ``update`` let
-    the later arrival win whatever its age; only then is the union
-    redone pair by pair.  The inputs are never written to.
-    """
-    merged = dict(payloads[0])
-    expected = len(merged)
-    for payload in payloads[1:]:
-        merged.update(payload)
-        expected += len(payload)
-    if len(merged) != expected:
-        merged = dict(payloads[0])
-        for payload in payloads[1:]:
-            merge_freshest(merged, payload)
-    return merged
+        return model.message_cost(self.payload.count)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,7 @@ class RuntimeReport:
         return int(
             self.metrics.counter(names.MESSAGES_DROPPED_CAPACITY)
             + self.metrics.counter(names.MESSAGES_DROPPED_FAILURE)
+            + self.metrics.counter(names.MESSAGES_DROPPED_INVALID)
         )
 
     # -- serialization -------------------------------------------------

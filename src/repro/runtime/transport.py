@@ -4,9 +4,9 @@ Agents never talk to each other directly; they address peers by
 :class:`~repro.core.attributes.NodeId` (the collector is ``-1``)
 through a :class:`Transport`.  This is the seam the socket transport
 (:class:`repro.net.TcpTransport`) plugs into: :class:`MailboxTransport`
-owns the per-address inbox queues both implementations share, and
-:class:`InProcessTransport` completes it with loopback delivery -- the
-agents are identical either way.
+owns the per-address inboxes and the one receive-deadline timer both
+implementations share, and :class:`InProcessTransport` completes it
+with loopback delivery -- the agents are identical either way.
 
 Error contract (uniform across implementations):
 
@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import heapq
+import itertools
+from collections import deque
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.attributes import NodeId
 from repro.obs import names
@@ -105,22 +108,47 @@ class Transport(abc.ABC):
         self.close()
 
 
-class MailboxTransport(Transport):
-    """Shared inbox machinery: one :class:`asyncio.Queue` per address.
+#: One address's inbox: queued envelopes, and the futures of receivers
+#: parked on it while it is empty.
+_Inbox = Tuple[Deque[Envelope], Deque["asyncio.Future[bool]"]]
 
-    Subclasses decide how an envelope reaches a queue --
+
+class MailboxTransport(Transport):
+    """Shared inbox machinery: a deque and its parked receivers per
+    address, one deadline timer per transport.
+
+    Subclasses decide how an envelope reaches an inbox --
     :class:`InProcessTransport` enqueues directly on send,
     :class:`repro.net.TcpTransport` enqueues from its frame-reader
     loop -- while registration, receive, and the envelope counters are
     identical on every path.
+
+    An envelope is queued first and its receiver woken second, never
+    handed over through the future: it stays counted by
+    :meth:`pending` (so by ``idle``, which the engine's settle loop
+    polls) until a receiver has actually taken it.  Timed receives
+    share one ``loop.call_at`` timer, armed for the earliest deadline
+    in a min-heap; an inbox loop that times its every ``recv`` and
+    almost never times out pays a heap push per wait, not a timer.
     """
 
     #: Metric label distinguishing implementations in the shared series.
     transport_kind = "mailbox"
 
     def __init__(self, metrics: Optional[RuntimeMetrics] = None) -> None:
-        self._queues: Dict[NodeId, "asyncio.Queue[Envelope]"] = {}
+        self._inboxes: Dict[NodeId, _Inbox] = {}
         self._metrics: Optional[RuntimeMetrics] = metrics
+        #: ``(deadline, tie-break, waiter)`` of every timed receive
+        #: parked since the timer last fired; entries whose waiter has
+        #: been woken meanwhile are skipped when they surface.
+        self._deadlines: List[Tuple[float, int, "asyncio.Future[bool]"]] = []
+        self._sequence = itertools.count()
+        self._sweep_at = 1024
+        #: The armed timer, the deadline it is armed for, and its loop
+        #: (a transport may outlive one ``asyncio.run``).
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer_at = 0.0
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- metrics -------------------------------------------------------
     def bind_metrics(self, metrics: RuntimeMetrics) -> None:
@@ -163,48 +191,115 @@ class MailboxTransport(Transport):
 
     # -- inboxes -------------------------------------------------------
     def register(self, address: NodeId) -> None:
-        if address not in self._queues:
-            self._queues[address] = asyncio.Queue()
+        if address not in self._inboxes:
+            self._inboxes[address] = deque(), deque()
 
     def addresses(self) -> List[NodeId]:
-        return sorted(self._queues)
+        return sorted(self._inboxes)
 
     def deliver_local(self, address: NodeId, envelope: Envelope) -> bool:
         """Enqueue ``envelope`` on a local inbox (no send accounting)."""
-        queue = self._queues.get(address)
-        if queue is None:
+        inbox = self._inboxes.get(address)
+        if inbox is None:
             return False
-        queue.put_nowait(envelope)
+        inbox[0].append(envelope)
+        self._wake(inbox[1])
         return True
 
+    @staticmethod
+    def _wake(waiters: Deque["asyncio.Future[bool]"]) -> None:
+        """Wake the longest-parked receiver that is still waiting."""
+        while waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(True)
+                return
+
+    @staticmethod
+    def _unpark(waiters: Deque["asyncio.Future[bool]"], waiter: "asyncio.Future[bool]") -> None:
+        """Forget a receiver that timed out or was cancelled (a delivery
+        in the same turn may already have skipped over it)."""
+        try:
+            waiters.remove(waiter)
+        except ValueError:
+            pass
+
     async def recv(self, address: NodeId, timeout: Optional[float] = None) -> Optional[Envelope]:
-        queue = self._queues.get(address)
-        if queue is None:
+        inbox = self._inboxes.get(address)
+        if inbox is None:
             raise UnknownAddressError(address)
-        if timeout is None:
-            envelope = await queue.get()
-        else:
-            # Fast path: a queued envelope is handed over without
-            # suspending the caller.  For the empty-queue wait, use
-            # asyncio.timeout rather than wait_for: wait_for wraps the
-            # get in an extra task, adding a scheduler hop to every
-            # wakeup of the hot inbox loops -- and an agent's recv
-            # timeout is its child-wait deadline, so a late wakeup is
-            # a late flush.
+        queue, waiters = inbox
+        deadline = None
+        while not queue:
+            # Park until a delivery (True) or the deadline (False).  The
+            # deadline is fixed by the first pass: a receiver woken for
+            # an envelope another one took does not start over.
+            loop = asyncio.get_running_loop()
+            if timeout is not None and deadline is None:
+                deadline = loop.time() + timeout
+            waiter: "asyncio.Future[bool]" = loop.create_future()
+            waiters.append(waiter)
+            if deadline is not None:
+                self._park(loop, deadline, waiter)
             try:
-                envelope = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                try:
-                    async with asyncio.timeout(timeout):
-                        envelope = await queue.get()
-                except TimeoutError:
+                delivered = await waiter
+            except asyncio.CancelledError:
+                if not waiter.done() or waiter.cancelled() or not waiter.result():
+                    self._unpark(waiters, waiter)
+                elif queue:
+                    # Cancelled after its wake-up: what it was woken for
+                    # is still queued, so the wake-up passes down the line.
+                    self._wake(waiters)
+                raise
+            if not delivered:
+                self._unpark(waiters, waiter)
+                if not queue:
                     return None
+        envelope = queue.popleft()
         self._delivered.add()
         return envelope
 
+    def _park(
+        self, loop: asyncio.AbstractEventLoop, deadline: float, waiter: "asyncio.Future[bool]"
+    ) -> None:
+        """Time ``waiter`` out at ``deadline`` (``loop.time()`` based)."""
+        if self._loop is not loop:
+            # First use, or a new event loop: the old loop's timer and
+            # whoever it was to wake ended with it.
+            self._loop, self._timer, self._deadlines = loop, None, []
+        heap = self._deadlines
+        if len(heap) >= self._sweep_at:
+            # Mostly receivers woken long before their deadline: keep
+            # the heap within twice the receivers actually parked.
+            heap[:] = [entry for entry in heap if not entry[2].done()]
+            heapq.heapify(heap)
+            self._sweep_at = max(1024, 2 * len(heap))
+        heapq.heappush(heap, (deadline, next(self._sequence), waiter))
+        if self._timer is None or deadline < self._timer_at:
+            self._arm(loop, deadline)
+
+    def _arm(self, loop: asyncio.AbstractEventLoop, deadline: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer_at = deadline
+        self._timer = loop.call_at(deadline, self._expire, loop)
+
+    def _expire(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Time out every receiver whose deadline has passed, drop the
+        entries of receivers already woken, re-arm for the next live one."""
+        self._timer = None
+        heap = self._deadlines
+        now = loop.time()
+        while heap and (heap[0][2].done() or heap[0][0] <= now):
+            waiter = heapq.heappop(heap)[2]
+            if not waiter.done():
+                waiter.set_result(False)
+        if heap:
+            self._arm(loop, heap[0][0])
+
     def pending(self, address: NodeId) -> int:
-        queue = self._queues.get(address)
-        return 0 if queue is None else queue.qsize()
+        inbox = self._inboxes.get(address)
+        return 0 if inbox is None else len(inbox[0])
 
 
 class InProcessTransport(MailboxTransport):

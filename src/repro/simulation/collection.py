@@ -24,6 +24,11 @@ from repro.simulation.messages import Reading
 _ERROR_FLOOR = 1.0
 
 
+def percentage_error(truth: float, seen: float) -> float:
+    """Capped percentage error of a collected value against the truth."""
+    return min(abs(truth - seen) / max(abs(truth), _ERROR_FLOOR), 1.0)
+
+
 class CollectorState:
     """Last-received reading per node-attribute pair."""
 
@@ -49,8 +54,7 @@ class CollectorState:
         reading = self._readings.get(pair)
         if reading is None:
             return 1.0
-        denom = max(abs(truth), _ERROR_FLOOR)
-        return min(abs(truth - reading.value) / denom, 1.0)
+        return percentage_error(truth, reading.value)
 
 
 @dataclass

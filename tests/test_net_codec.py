@@ -2,12 +2,12 @@
 
 import json
 import struct
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.attributes import NodeAttributePair
 from repro.net.codec import (
     CODEC_STRUCT,
     HEADER_BYTES,
@@ -26,24 +26,26 @@ from repro.net.codec import (
 from repro.net.deploy import CONTROL_ADDRESS_BASE
 from repro.obs.trace import TraceContext
 from repro.runtime.messages import (
+    ABSENT,
     MAX_COLLECTOR_SHARDS,
+    Batch,
     HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
     UpdateEnvelope,
     collector_shard_address,
 )
-from repro.simulation.messages import Reading
 
 _HEADER = struct.Struct(">HBBqI")
-_UPDATE = struct.Struct(">BBqqHHI")  # kind flags sender period n_tree n_attrs n_values
-_VALUE_BYTES = 26
+_UPDATE = struct.Struct(">BBqqIII")  # kind flags sender period tree first-slot slots
+_SLOT_BYTES = 16  # one value, one stamp
 
-# NaNs included: the benchmark compares readings bit for bit.
+# NaNs (any payload), -0.0 and the infinities included: the benchmark
+# compares readings bit for bit.
 doubles = st.floats(width=64)
 node_ids = st.integers(min_value=0, max_value=2**31)
-attr_names = st.text(min_size=0, max_size=8)
 periods = st.integers(min_value=0, max_value=2**31)
+u32 = st.integers(min_value=0, max_value=2**32 - 1)
 contexts = st.one_of(
     st.none(),
     st.builds(
@@ -56,19 +58,20 @@ contexts = st.one_of(
 ticks = st.builds(TickEnvelope, period=periods, sent_monotonic=doubles, trace_ctx=contexts)
 heartbeats = st.builds(HeartbeatEnvelope, sender=node_ids, period=periods)
 stops = st.just(StopEnvelope())
-# Payload attributes are drawn independently of the tree's, so stray
-# (outside-the-tree) attributes are the common case here.
+# Any doubles at all in either column, holes more often than chance
+# would draw them, the empty batch included.
+batches = st.lists(
+    st.tuples(doubles, st.one_of(st.just(ABSENT), doubles)), max_size=6
+).flatmap(
+    lambda slots: st.builds(
+        Batch,
+        lo=u32,
+        values=st.just(array("d", [value for value, _ in slots])),
+        stamps=st.just(array("d", [stamp for _, stamp in slots])),
+    )
+)
 updates = st.builds(
-    UpdateEnvelope,
-    sender=node_ids,
-    tree=st.frozensets(attr_names, max_size=4),
-    period=periods,
-    payload=st.dictionaries(
-        st.builds(NodeAttributePair, node=node_ids, attribute=attr_names),
-        st.builds(Reading, value=doubles, sampled_at=doubles),
-        max_size=6,
-    ),
-    trace_ctx=contexts,
+    UpdateEnvelope, sender=node_ids, tree=u32, period=periods, payload=batches, trace_ctx=contexts
 )
 envelopes = st.one_of(ticks, heartbeats, stops, updates)
 
@@ -83,13 +86,13 @@ dests = st.one_of(
 CTX = TraceContext(trace_id="0af7651916cd43dd8448eb211c80319c", span_id=0x1234ABCD5678)
 UPDATE = UpdateEnvelope(
     sender=7,
-    tree=frozenset({"cpu", "mem"}),
+    tree=3,
     period=2,
-    payload={
-        NodeAttributePair(7, "cpu"): Reading(0.1, 2.0),
-        NodeAttributePair(9, "mem"): Reading(-3.5, 1.0),
-        NodeAttributePair(9, "disk"): Reading(1e300, 2.0),  # outside the tree set
-    },
+    payload=Batch(
+        lo=40,
+        values=array("d", [0.1, -3.5, 0.0, 1e300]),
+        stamps=array("d", [2.0, 1.0, ABSENT, 2.0]),  # slot 42 is a hole
+    ),
     trace_ctx=CTX,
 )
 
@@ -97,6 +100,10 @@ UPDATE = UpdateEnvelope(
 def same_bits(a, b):
     """Equality that tells 0.0 from -0.0 and compares NaNs by payload."""
     return struct.pack(">d", a) == struct.pack(">d", b)
+
+
+def present(stamps):
+    return sum(1 for stamp in stamps if stamp != ABSENT)
 
 
 def assert_identical(decoded, sent):
@@ -110,10 +117,13 @@ def assert_identical(decoded, sent):
         assert (decoded.sender, decoded.tree, decoded.period) == (
             sent.sender, sent.tree, sent.period,
         )  # fmt: skip
-        assert list(decoded.payload) == list(sent.payload)  # sender's order kept
-        for pair, reading in sent.payload.items():
-            assert same_bits(decoded.payload[pair].value, reading.value)
-            assert same_bits(decoded.payload[pair].sampled_at, reading.sampled_at)
+        got, batch = decoded.payload, sent.payload
+        assert got.lo == batch.lo
+        assert got.values.typecode == got.stamps.typecode == "d"
+        # Whole columns, bit for bit -- a hole's value included.
+        assert got.values.tobytes() == batch.values.tobytes()
+        assert got.stamps.tobytes() == batch.stamps.tobytes()
+        assert got.count == present(batch.stamps)
     else:
         assert decoded == sent
 
@@ -170,7 +180,7 @@ class TestRoundTripProperties:
             assert decoder.buffered == 0
 
     def test_default_codec_is_the_one_format(self):
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
         assert default_codec() == CODEC_STRUCT
         assert encode_frame(0, StopEnvelope())[3] == CODEC_STRUCT
 
@@ -245,6 +255,21 @@ class TestRejection:
         with pytest.raises(FrameError, match="version"):
             FrameDecoder().feed(frame)
 
+    def test_v3_frame_refused_on_its_version_byte(self):
+        # A v3 update: same header layout, same format byte, per-value
+        # records behind an attribute table.  Its tick and heartbeat
+        # payloads are byte-identical to v4's, so only the version byte
+        # can tell the peers apart -- and it does, before the payload.
+        v3_update = (
+            struct.pack(">BBqqHHI", 3, 0, 7, 2, 1, 1, 1)
+            + struct.pack(">H", 3) + b"cpu"
+            + struct.pack(">qHdd", 7, 0, 0.1, 2.0)
+        )  # fmt: skip
+        for payload in (v3_update, encode_payload(TickEnvelope(period=1))):
+            frame = _HEADER.pack(MAGIC, 3, CODEC_STRUCT, -1, len(payload)) + payload
+            with pytest.raises(FrameError, match="version 3 refused"):
+                FrameDecoder().feed(frame)
+
     def test_oversized_length_prefix_refused(self):
         header = _HEADER.pack(MAGIC, PROTOCOL_VERSION, CODEC_STRUCT, 0, MAX_FRAME_BYTES + 1)
         with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
@@ -276,7 +301,7 @@ class TestRejection:
             decode_payload(tick[:-1])  # sent_monotonic cut short
 
     def test_json_garbage_payload_rejected(self):
-        # A v2-style JSON document inside a v3 frame is just bad bytes.
+        # A v2-style JSON document inside a current frame is just bad bytes.
         with pytest.raises(CodecError, match="kind"):
             decode_payload(b'{"kind":"stop"}')
 
@@ -307,30 +332,60 @@ class TestRejection:
             decode_payload(payload + b"\x00")  # trailing bytes
 
     def test_value_count_checked_before_allocating(self):
-        # 4 billion values declared, none present: the declared count
+        # 4 billion slots declared, none present: the declared count
         # must be refused against the bytes received, never sized from.
         lie = _UPDATE.pack(3, 0, 1, 1, 0, 0, 2**32 - 1)
-        with pytest.raises(CodecError, match="declares 4294967295 values"):
+        with pytest.raises(CodecError, match="declares 4294967295 slots"):
             decode_payload(lie)
-        lie = _UPDATE.pack(3, 0, 1, 1, 0, 0xFFFF, 0)  # same for the attribute table
-        with pytest.raises(CodecError, match="attribute table"):
-            decode_payload(lie)
-        lie = _UPDATE.pack(3, 0, 1, 1, 2, 1, 0) + b"\x00\x00"  # more tree attrs than attrs
-        with pytest.raises(CodecError, match="declares 2 tree attributes"):
-            decode_payload(lie)
+        with pytest.raises(CodecError, match="declares 4294967295 slots"):
+            decode_payload(lie + b"\x00" * 64)
 
-    def test_attribute_index_out_of_range_rejected(self):
+    def test_slot_count_lied_about_in_both_directions(self):
         payload = bytearray(encode_payload(UPDATE))
-        slot_at = len(payload) - _VALUE_BYTES + 8  # last value's u16 attribute index
-        payload[slot_at : slot_at + 2] = (3).to_bytes(2, "big")  # table holds 0..2
-        with pytest.raises(CodecError, match="index"):
-            decode_payload(bytes(payload))
+        slots_at = _UPDATE.size - 4
+        assert int.from_bytes(payload[slots_at : slots_at + 4], "big") == 4
+        for lie in (0, 3, 5, 8):
+            payload[slots_at : slots_at + 4] = lie.to_bytes(4, "big")
+            with pytest.raises(CodecError, match=f"declares {lie} slots"):
+                decode_payload(bytes(payload))
+        # Nor can the frame carry one column longer than the other.
+        honest = encode_payload(UPDATE)
+        with pytest.raises(CodecError, match="slots"):
+            decode_payload(honest + b"\x00" * 8)
+        with pytest.raises(CodecError, match="slots"):
+            decode_payload(honest[:-8])
 
-    def test_invalid_utf8_attribute_rejected(self):
-        payload = encode_payload(UPDATE)
-        assert payload.count(b"cpu") == 1
-        with pytest.raises(CodecError, match="UTF-8"):
-            decode_payload(payload.replace(b"cpu", b"c\xff\xfe"))
+    def test_count_is_recounted_from_the_stamps_never_trusted(self):
+        # The receiver bills C + a*x by ``count``: a sender cannot
+        # understate it, because it is not on the wire.
+        lying = UpdateEnvelope(7, 3, 2, Batch(40, UPDATE.payload.values, UPDATE.payload.stamps, 0))
+        assert lying.payload.count == 0
+        assert encode_payload(lying)[_UPDATE.size :] == encode_payload(
+            UpdateEnvelope(7, 3, 2, UPDATE.payload)
+        )[_UPDATE.size :]
+        assert decode_payload(encode_payload(lying)).payload.count == 3
+        assert len(encode_payload(UPDATE)) == _UPDATE.size + 24 + 4 * _SLOT_BYTES
+
+    @pytest.mark.parametrize(
+        "values,stamps",
+        [
+            (array("d", [1.0, 2.0]), array("d", [0.0])),  # unequal columns
+            (array("d", [1.0]), array("d", [0.0, 0.0])),
+            (array("f", [1.0]), array("f", [0.0])),  # same byte count as no 'd' column has
+            (array("d", [1.0]), array("q", [0])),  # right width, wrong type
+            ([1.0], [0.0]),  # not arrays at all
+            (array("d", [1.0]).tobytes(), array("d", [0.0]).tobytes()),
+        ],
+    )
+    def test_malformed_columns_refuse_to_encode(self, values, stamps):
+        with pytest.raises(CodecError):
+            encode_payload(UpdateEnvelope(1, 0, 0, Batch(0, values, stamps, count=1)))
+
+    @pytest.mark.parametrize("tree,lo", [(-1, 0), (2**32, 0), (0, -1), (0, 2**32)])
+    def test_tree_and_slot_past_u32_refuse_to_encode(self, tree, lo):
+        batch = Batch(lo, array("d", [1.0]), array("d", [0.0]))
+        with pytest.raises(CodecError):
+            encode_payload(UpdateEnvelope(1, tree, 0, batch))
 
     def test_hostile_frames_never_escape_as_other_exceptions(self):
         # Every single-byte corruption of a valid two-frame stream

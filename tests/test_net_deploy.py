@@ -164,14 +164,13 @@ class TestParseChaosKill:
 
 
 class TestDeployEndToEnd:
-    def _single_process_coverage(self, plan, cluster):
-        report = MonitoringRuntime(
+    def _single_process_run(self, plan, cluster):
+        return MonitoringRuntime(
             plan,
             cluster,
             registry=MetricRegistry(sorted(plan.pairs), seed=CONFIG["seed"]),
             config=RuntimeConfig(**CONFIG),
         ).run(6)
-        return report.mean_coverage
 
     def test_two_worker_deploy_matches_single_process(self, tmp_path):
         spec, plan, cluster, report = make_spec(
@@ -188,10 +187,20 @@ class TestDeployEndToEnd:
         assert merged["periods"] == 6
         assert len(merged["per_period"]) == 6
 
-        baseline = self._single_process_coverage(plan, cluster)
+        baseline = self._single_process_run(plan, cluster)
         assert outcome.report.mean_coverage == pytest.approx(
-            baseline, abs=TOLERANCE
+            baseline.mean_coverage, abs=TOLERANCE
         )
+        # Every process derived the same slot layouts from the plan: no
+        # update was refused, no frame dropped, and the run moved the
+        # messages -- and, unless a late child split a batch in two,
+        # paid the cost -- the single process did.
+        counters = outcome.report.metrics.counters()
+        assert not counters.get("messages_dropped_invalid")
+        assert not counters.get("net_frames_dropped")
+        assert merged["messages"]["sent"] == baseline.messages_sent
+        if "child_wait_timeouts" not in {**counters, **baseline.metrics.counters()}:
+            assert merged["cost_units_spent"] == baseline.as_dict()["cost_units_spent"]
 
     def test_worker_kill_and_restart_completes(self, tmp_path):
         spec, plan, _cluster, report = make_spec(

@@ -14,7 +14,14 @@ from repro.net import PeerDirectory, TcpTransport
 from repro.net.codec import encode_frame
 from repro.net.deploy import allocate_endpoints
 from repro.obs import names
-from repro.runtime import MonitoringRuntime, NodeAgent, RuntimeConfig, RuntimeMetrics, TreeRole
+from repro.runtime import (
+    MonitoringRuntime,
+    NodeAgent,
+    RuntimeConfig,
+    RuntimeMetrics,
+    TreeLayout,
+    TreeRole,
+)
 from repro.runtime.messages import HeartbeatEnvelope, StopEnvelope, TickEnvelope
 from repro.runtime.transport import UnknownAddressError
 from repro.simulation import MonitoringSimulation, SimulationConfig
@@ -336,11 +343,14 @@ class TestReconnect:
             metrics = RuntimeMetrics()
             a.bind_metrics(metrics)
             config = RuntimeConfig(period_seconds=30.0, heartbeat_every=1000)
-            tree = frozenset({"a"})
             agents = {}
             for node, parent in ((5, 1), (6, 2)):  # 6's parent is a local inbox
                 pair = NodeAttributePair(node, "a")
-                role = TreeRole(tree, parent, (), (pair,), depth=1, height=1, tree_id="t0")
+                layout = TreeLayout(0, frozenset({"a"}), (pair,), {node: (0, 1)})
+                role = TreeRole(
+                    0, layout, parent, (), (pair,), depth=1, height=1, lo=0, size=1,
+                    child_ranges=(), tree_id="t0",
+                )  # fmt: skip
                 agents[node] = NodeAgent(
                     node, 100.0, [role], COST, MetricRegistry([pair], seed=1), a, metrics, config
                 )

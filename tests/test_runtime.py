@@ -2,7 +2,12 @@
 
 import asyncio
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +21,12 @@ from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
+from repro.core.planner import RemoPlanner
+from repro.net import PeerDirectory, TcpTransport
+from repro.net.deploy import allocate_endpoints
 from repro.runtime import (
     AgentOutage,
+    Batch,
     COLLECTOR_ADDRESS,
     CollectorAgent,
     DropPolicy,
@@ -30,11 +39,13 @@ from repro.runtime import (
     RuntimeMetrics,
     StopEnvelope,
     TickEnvelope,
+    TreeLayout,
     TreeRole,
     UpdateEnvelope,
+    compile_layouts,
 )
-from repro.runtime.messages import union_payloads
-from repro.simulation.messages import Reading
+from repro.runtime.messages import ABSENT, gather
+from repro.workloads.presets import quickstart_workload, sampled_workload
 
 COST = CostModel(2.0, 1.0)
 
@@ -340,25 +351,48 @@ class TestFailureDetection:
         assert report.mean_fresh_coverage < 1.0
 
 
-TREE = frozenset({"a"})
+def doubles(*items):
+    return array("d", items)
+
+
+def hand_layout(subtrees, attrs="a", tree=0):
+    """A one-tree layout from ``[(node, slot count of its subtree)]`` in
+    preorder; every node owns one pair per attribute."""
+    pairs = tuple(NodeAttributePair(node, attr) for node, _ in subtrees for attr in attrs)
+    ranges = {
+        node: (index * len(attrs), span * len(attrs))
+        for index, (node, span) in enumerate(subtrees)
+    }
+    return TreeLayout(tree, frozenset(attrs), pairs, ranges)
+
+
+def hand_role(layout, node, parent, children, attrs="a"):
+    lo, size = layout.ranges[node]
+    return TreeRole(
+        tree=layout.tree, layout=layout, parent=parent, children=children,
+        local_pairs=layout.pairs[lo : lo + len(attrs)], depth=1, height=2, lo=lo, size=size,
+        child_ranges=tuple(layout.ranges[child] for child in children),
+        tree_id=f"t{layout.tree}",
+    )  # fmt: skip
+
+
+#: Root 9 over interior node 0 over leaves 1 and 2, one pair each.
+LAYOUT = hand_layout([(9, 4), (0, 3), (1, 1), (2, 1)])
 
 
 class OneAgent:
     """Interior node 0 (children 1 and 2, parent 9) of one tree on an
     in-process transport, fed one envelope at a time."""
 
-    def __init__(self, **config):
+    def __init__(self, layout=LAYOUT, children=(1, 2), attrs="a", capacity=100.0, **config):
         self.transport = InProcessTransport()
         for address in (0, 9, COLLECTOR_ADDRESS):
             self.transport.register(address)
         self.metrics = RuntimeMetrics()
-        own = NodeAttributePair(0, "a")
-        role = TreeRole(
-            attr_set=TREE, parent=9, children=(1, 2), local_pairs=(own,),
-            depth=1, height=2, tree_id="t0",
-        )
+        self.layout = layout
+        role = hand_role(layout, 0, 9, children, attrs)
         self.agent = NodeAgent(
-            0, 100.0, [role], COST, MetricRegistry([own], seed=1),
+            0, capacity, [role], COST, MetricRegistry(layout.pairs, seed=1),
             self.transport, self.metrics, RuntimeConfig(**config),
         )
 
@@ -385,9 +419,12 @@ class OneAgent:
             await asyncio.sleep(0)
         await asyncio.sleep(0)
 
-    def child(self, sender, period=0):
-        pair = NodeAttributePair(sender, "a")
-        return UpdateEnvelope(sender, TREE, period, {pair: Reading(1.0, float(period))})
+    def child(self, sender, period=0, stamps=None):
+        """``sender``'s whole range, sampled in ``period`` (or as stamped)."""
+        lo, size = self.layout.ranges[sender]
+        stamps = doubles(*stamps) if stamps is not None else doubles(float(period)) * size
+        batch = Batch(lo, doubles(1.0) * size, stamps)
+        return UpdateEnvelope(sender, self.layout.tree, period, batch)
 
     async def outbox(self, address=9):
         """Everything the agent has sent to ``address`` since last asked."""
@@ -400,8 +437,20 @@ class OneAgent:
         return self.metrics.counter(name)
 
 
+def pairs_in(update, layout=LAYOUT):
+    """The pairs ``update`` holds a reading for, in slot order."""
+    batch = update.payload
+    held = [
+        layout.pairs[batch.lo + offset]
+        for offset, stamp in enumerate(batch.stamps)
+        if stamp != ABSENT
+    ]
+    assert batch.count == len(held)  # what the message is billed for
+    return held
+
+
 def nodes_in(update):
-    return sorted(pair.node for pair in update.payload)
+    return sorted(pair.node for pair in pairs_in(update))
 
 
 class TestAgentStateMachine:
@@ -498,53 +547,404 @@ class TestAgentStateMachine:
         OneAgent(period_seconds=30.0, outages=[AgentOutage(node=0, start=0, end=1)]).run(scenario)
 
 
-PAIRS = [NodeAttributePair(node, attr) for node in range(3) for attr in "ab"]
+class TestStrayUpdates:
+    """An update the plan does not give its receiver is refused before
+    it costs budget or memory (it used to be billed, counted delivered
+    and buffered for a tree no emit ever pops)."""
+
+    def test_agent_refuses_what_is_not_its_childs_to_send(self):
+        def update(sender, tree, lo, slots):
+            batch = Batch(lo, doubles(1.0) * slots, doubles(0.0) * slots)
+            return UpdateEnvelope(sender, tree, 0, batch)
+
+        strays = [
+            update(1, tree=7, lo=2, slots=1),  # a tree this node has no role in
+            update(5, tree=0, lo=2, slots=1),  # not a child
+            update(9, tree=0, lo=0, slots=4),  # its own parent
+            update(1, tree=0, lo=3, slots=1),  # child 1 naming child 2's slot
+            update(1, tree=0, lo=2, slots=2),  # ... running past its own
+            update(2, tree=0, lo=1, slots=3),  # ... starting before its own
+            update(2, tree=0, lo=2**32, slots=1),
+        ]
+
+        async def scenario(one):
+            await one.feed(TickEnvelope(period=0))
+            budget = one.agent._budget
+            for _ in range(100):
+                await one.feed(*strays)
+            assert one.counter("messages_dropped_invalid") == 100 * len(strays)
+            assert one.counter("messages_delivered") == 0
+            assert one.counter("messages_dropped_capacity") == 0
+            assert one.agent._buffers == {}
+            assert one.agent._children_seen == {0: {}}
+            assert one.agent._budget == budget
+            # The budget they did not touch still pays for the real children.
+            assert await one.outbox() == [] and one.agent.busy()
+            await one.feed(one.child(1), one.child(2))
+            [update] = await one.outbox()
+            assert nodes_in(update) == [0, 1, 2]
+            assert one.counter("messages_delivered") == 2
+
+        OneAgent(period_seconds=30.0, capacity=12.0).run(scenario)
+
+    def test_collector_refuses_a_tree_or_slots_it_does_not_have(self):
+        collector, metrics = hand_collector()
+        collector._on_tick(TickEnvelope(period=0))
+        budget = collector._budget
+        for tree, lo, slots in [(1, 0, 4), (0, 1, 4), (0, 4, 1), (0, -1, 2), (0, 0, 5)]:
+            batch = Batch(lo, doubles(1.0) * slots, doubles(0.0) * slots)
+            collector._on_update(UpdateEnvelope(9, tree, 0, batch))
+        assert metrics.counter("messages_dropped_invalid") == 5
+        assert metrics.counter("messages_delivered") == 0
+        assert collector._budget == budget
+        assert all(collector.state.reading(pair) is None for pair in LAYOUT.pairs)
+        collector._on_update(UpdateEnvelope(9, 0, 0, Batch(0, doubles(1.0) * 4, doubles(0.0) * 4)))
+        assert metrics.counter("messages_delivered") == 1
+        assert collector.state.reading(LAYOUT.pairs[3]).sampled_at == 0.0
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.dictionaries(st.sampled_from(PAIRS), st.sampled_from([0.0, 1.0, 2.0]), max_size=6),
-        min_size=1,
-        max_size=5,
+def hand_collector(**config):
+    metrics = RuntimeMetrics()
+    collector = CollectorAgent(
+        LAYOUT.pairs, [LAYOUT], [0], 100.0, COST, MetricRegistry(LAYOUT.pairs, seed=1),
+        InProcessTransport(), metrics, RuntimeConfig(**config),
+    )  # fmt: skip
+    return collector, metrics
+
+
+SLOTS = 8
+stamp_runs = st.integers(0, SLOTS - 1).flatmap(
+    lambda at: st.tuples(
+        st.just(at), st.lists(st.sampled_from([ABSENT, 0.0, 1.0, 2.0]), max_size=SLOTS - at)
     )
 )
-def test_relay_union_is_repeated_merge_into(ages):
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(stamp_runs, max_size=5))
+def test_relay_union_is_repeated_merge_into(runs):
     """Freshest wins, a tie goes to the later arrival -- whether the
-    payloads overlap (per-pair path) or not (dict.update path)."""
-    # Reading.value numbers the arrival, so equal readings are one arrival.
-    payloads = [
-        {pair: Reading(float(arrival), sampled_at) for pair, sampled_at in payload.items()}
-        for arrival, payload in enumerate(ages)
+    batches overlap (slot-by-slot path) or not (slice path) -- held
+    against a dict keyed by slot."""
+    base = 3
+    # The value numbers the arrival, so a tie shows who won it.
+    batches = [
+        Batch(base + at, doubles(float(arrival)) * len(stamps), doubles(*stamps))
+        for arrival, (at, stamps) in enumerate(runs)
     ]
-    before = [dict(payload) for payload in payloads]
+    before = [(b.lo, list(b.values), list(b.stamps), b.count) for b in batches]
     expected = {}
-    for payload in payloads:
-        UpdateEnvelope(sender=1, tree=TREE, period=0, payload=payload).merge_into(expected)
-    assert union_payloads(payloads) == expected
-    assert payloads == before  # the inputs belong to their envelopes
+    for batch in batches:
+        for offset, stamp in enumerate(batch.stamps):
+            seen = expected.get(batch.lo + offset)
+            if stamp != ABSENT and (seen is None or stamp >= seen[0]):
+                expected[batch.lo + offset] = (stamp, batch.values[offset])
+    values, stamps = gather(base, SLOTS, batches)
+    assert len(values) == len(stamps) == SLOTS
+    merged = {
+        base + offset: (stamp, values[offset])
+        for offset, stamp in enumerate(stamps)
+        if stamp != ABSENT
+    }
+    assert merged == expected
+    # The inputs belong to their envelopes.
+    assert [(b.lo, list(b.values), list(b.stamps), b.count) for b in batches] == before
+
+
+#: Node 0's range in slot order is 0, 1, 5, 2 -- not its pair order.
+DEEP = hand_layout([(9, 5), (0, 4), (1, 2), (5, 1), (2, 1)])
+
+
+class TestShapingParity:
+    """TRIM and DEFER keep exactly the readings the dict payload kept:
+    the first ``affordable`` present in pair order, or in ``(last sent,
+    stamp, pair)`` order with the rest carried into the next emit."""
+
+    #: Per period from 3 on: the stamps each child reports for its range.
+    SCRIPT = [
+        {1: [3.0, 3.0], 2: [2.0]},  # child 2's reading is a period old
+        {1: [4.0, ABSENT], 2: [4.0]},  # node 5 missing from child 1's batch; room for all
+        {1: [5.0, 5.0], 2: [5.0]},
+        {1: [6.0, 6.0], 2: [6.0]},
+    ]
+    CAPACITY = 12.0
+
+    @pytest.mark.parametrize("policy", [DropPolicy.TRIM, DropPolicy.DEFER])
+    def test_survivors_match_the_dict_oracle(self, policy):
+        own = NodeAttributePair(0, "a")
+        defer = policy is DropPolicy.DEFER
+
+        async def scenario(one):
+            last_sent, carried, shed = {}, {}, 0
+            for period, reports in enumerate(self.SCRIPT, start=3):
+                # The oracle: a dict of stamps by pair, shaped the old way.
+                payload, budget = dict(carried), self.CAPACITY
+                updates = [one.child(child, period, stamps) for child, stamps in reports.items()]
+                for update, (child, stamps) in zip(updates, reports.items()):
+                    budget -= COST.message_cost(update.payload.count)
+                    for pair, stamp in zip(pairs_in_range(DEEP, child), stamps):
+                        if stamp != ABSENT and stamp >= payload.get(pair, ABSENT):
+                            payload[pair] = stamp
+                payload[own] = float(period)
+                affordable = int(budget - COST.per_message)
+                ordered, carried = sorted(payload), {}
+                if affordable < len(payload):
+                    if defer:
+                        ordered.sort(key=lambda p: (last_sent.get(p, -1), payload[p]))
+                        last_sent.update(dict.fromkeys(ordered[:affordable], period))
+                        carried = {pair: payload[pair] for pair in ordered[affordable:]}
+                    shed += len(payload) - affordable
+                kept = {pair: payload[pair] for pair in ordered[:affordable]}
+
+                await one.feed(TickEnvelope(period=period), *updates)
+                [sent] = await one.outbox()
+                stamps = dict(zip(pairs_in_range(DEEP, 0), sent.payload.stamps))
+                assert {pair: stamps[pair] for pair in pairs_in(sent, DEEP)} == kept
+            assert shed >= 3  # the script did overload the node
+            assert one.counter("values_deferred") == (shed if defer else 0)
+            assert one.counter("values_trimmed") == (0 if defer else shed)
+            assert one.counter("messages_dropped_capacity") == 0
+
+        OneAgent(
+            DEEP, capacity=self.CAPACITY, drop_policy=policy, period_seconds=30.0
+        ).run(scenario)
+
+    def test_trim_keeps_pair_order_not_slot_order(self):
+        async def scenario(one):
+            await one.feed(TickEnvelope(period=0), one.child(1), one.child(2))
+            [sent] = await one.outbox()
+            # Slots 0, 1, 5, 2: the trimmed reading sits mid-batch.
+            assert [pair.node for pair in pairs_in(sent, DEEP)] == [0, 1, 2]
+            assert list(sent.payload.stamps) == [0.0, 0.0, ABSENT, 0.0]
+            assert one.counter("values_trimmed") == 1
+            assert one.counter("cost_units_spent") == 12.0  # 4 + 3 received, 2 + 3 sent
+
+        OneAgent(DEEP, capacity=12.0, period_seconds=30.0).run(scenario)
+
+
+def pairs_in_range(layout, node):
+    lo, size = layout.ranges[node]
+    return layout.pairs[lo : lo + size]
 
 
 class TestCollectorTickAnchors:
     def test_anchor_table_stays_bounded_over_a_long_run(self):
-        transport = InProcessTransport()
-        metrics = RuntimeMetrics()
-        pair = NodeAttributePair(0, "a")
-        collector = CollectorAgent(
-            [pair], [0], 100.0, COST, MetricRegistry([pair], seed=1), transport, metrics,
-            RuntimeConfig(failure_timeout=3),
-        )
-        reading = {pair: Reading(1.0, 0.0)}
+        collector, metrics = hand_collector(failure_timeout=3)
+
+        def update(period):
+            return UpdateEnvelope(9, 0, period, Batch(1, doubles(1.0), doubles(0.0)))
+
         for period in range(1000):
             collector._on_tick(TickEnvelope(period=period))
-            collector._on_update(UpdateEnvelope(0, TREE, period, reading))
+            collector._on_update(update(period))
             collector.close_period(period)
             assert len(collector._tick_monotonic) <= 3
         latency = metrics.histogram("collection_latency_s")
         assert latency.count == 1000
         # Recent periods keep their anchor; a pruned one records nothing.
-        collector._on_update(UpdateEnvelope(0, TREE, 999, reading))
+        collector._on_update(update(999))
         assert latency.count == 1001
-        collector._on_update(UpdateEnvelope(0, TREE, 0, reading))
+        collector._on_update(update(0))
         assert latency.count == 1001
         assert metrics.counter("messages_delivered") == 1002
+
+
+# ---------------------------------------------------------------------------
+# The plan-compiled slot layout
+# ---------------------------------------------------------------------------
+LAYOUT_PLANS = {"quickstart": quickstart_workload, "sampled_64": lambda: sampled_workload(seed=2)}
+_planned = {}
+
+
+def planned(name):
+    if name not in _planned:
+        cluster, cost, tasks = LAYOUT_PLANS[name]()
+        _planned[name] = RemoPlanner(cost).plan(tasks, cluster), cluster
+    return _planned[name]
+
+
+def observe_layouts():
+    """Every layout of both plans, JSON-shaped, for the hash-seed check."""
+    return {
+        name: [
+            [sorted(lay.attr_set), [p.as_tuple() for p in lay.pairs], sorted(lay.ranges.items())]
+            for lay in compile_layouts(planned(name)[0])
+        ]
+        for name in LAYOUT_PLANS
+    }
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("name", LAYOUT_PLANS)
+    def test_every_subtree_is_one_range(self, name):
+        plan, _ = planned(name)
+        layouts = compile_layouts(plan)
+        assert [lay.tree for lay in layouts] == list(range(len(plan.trees)))
+        assert [sorted(lay.attr_set) for lay in layouts] == sorted(sorted(s) for s in plan.trees)
+        for layout in layouts:
+            tree = plan.trees[layout.attr_set].tree
+            assert layout.ranges[tree.root] == (0, tree.pair_count())
+            assert len(set(layout.pairs)) == len(layout.pairs) == tree.pair_count()
+            assert set(layout.ranges) == set(tree.nodes)
+            for node, (lo, size) in layout.ranges.items():
+                assert set(layout.pairs[lo : lo + size]) == {
+                    NodeAttributePair(member, attr)
+                    for member in tree.subtree_nodes(node)
+                    for attr in tree.local_demand(member)
+                }
+                # Own pairs first, then the children by id, back to
+                # back: sibling ranges are disjoint and leave no gap.
+                own = tuple(NodeAttributePair(node, a) for a in sorted(tree.local_demand(node)))
+                assert layout.pairs[lo : lo + len(own)] == own
+                at = lo + len(own)
+                for child in sorted(tree.children(node)):
+                    assert layout.ranges[child][0] == at
+                    at += layout.ranges[child][1]
+                assert at == lo + size
+        assert sum(len(lay.pairs) for lay in layouts) == plan.collected_pair_count()
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+    def test_layouts_do_not_depend_on_the_hash_seed(self, hash_seed):
+        """Workers and the collector derive the layouts separately, each
+        under its own hash randomization."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )  # fmt: skip
+        assert json.loads(proc.stdout) == json.loads(json.dumps(observe_layouts()))
+
+
+# ---------------------------------------------------------------------------
+# The cost identity
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("wire", [False, True], ids=["inproc", "forced_wire_tcp"])
+@pytest.mark.parametrize("name", LAYOUT_PLANS)
+def test_a_clean_run_spends_twice_the_plans_traffic(name, wire):
+    """Every message is charged ``C + a*x`` once at each end, heartbeats
+    nothing: a failure-free run costs ``2 x plan.total_message_cost()``
+    a period, to the unit -- not so if a batch were billed by its span."""
+    plan, cluster = planned(name)
+    transport = None
+    if wire:
+        endpoint = allocate_endpoints(1)[0]
+        transport = TcpTransport(
+            PeerDirectory(default=endpoint), listen_host=endpoint.host,
+            listen_port=endpoint.port, force_wire=True,
+        )  # fmt: skip
+    config = RuntimeConfig(period_seconds=0.2, child_wait_fraction=1.0, seed=1)
+    report = MonitoringRuntime(plan, cluster, config=config, transport=transport).run(3)
+    counters = report.metrics.counters()
+    assert report.messages_dropped == 0 and "child_wait_timeouts" not in counters
+    assert counters["messages_delivered"] == counters["messages_sent"]
+    assert counters["cost_units_spent"] == 2 * plan.total_message_cost() * 3
+    assert report.mean_fresh_coverage == pytest.approx(plan.coverage())
+
+
+# ---------------------------------------------------------------------------
+# The mailbox contract
+# ---------------------------------------------------------------------------
+def live_timers(loop):
+    return sum(1 for handle in loop._scheduled if not handle.cancelled())
+
+
+class TestMailbox:
+    def test_a_timeout_never_returns_early(self):
+        async def scenario():
+            transport = InProcessTransport()
+            transport.register(1)
+
+            async def waited(timeout):
+                started = time.monotonic()
+                assert await transport.recv(1, timeout) is None
+                return time.monotonic() - started
+
+            for timeout in (0.0, 0.001, 0.02):
+                assert await waited(timeout) >= timeout
+            # Many at once, deadlines in no order, one timer between them.
+            timeouts = [0.002 * ((7 * k) % 20) for k in range(40)]
+            elapsed = await asyncio.gather(*(waited(timeout) for timeout in timeouts))
+            assert all(took >= timeout for took, timeout in zip(elapsed, timeouts))
+
+        asyncio.run(scenario())
+
+    def test_fifty_parked_timed_receivers_leave_one_live_loop_timer(self):
+        async def scenario():
+            transport = InProcessTransport()
+            loop = asyncio.get_running_loop()
+            idle = live_timers(loop)
+            parked = []
+            for address in range(50):
+                transport.register(address)
+                # Each deadline earlier than the last: the timer moves every time.
+                parked.append(asyncio.ensure_future(transport.recv(address, 60.0 - address)))
+            await asyncio.sleep(0)
+            assert live_timers(loop) == idle + 1
+            for address in range(50):
+                transport.deliver_local(address, TickEnvelope(period=address))
+            got = await asyncio.wait_for(asyncio.gather(*parked), timeout=2.0)
+            assert [tick.period for tick in got] == list(range(50))
+            assert live_timers(loop) <= idle + 1
+
+        asyncio.run(scenario())
+
+    def test_a_receiver_cancelled_after_its_wakeup_strands_no_envelope(self):
+        async def scenario():
+            transport = InProcessTransport()
+            transport.register(1)
+            first = asyncio.ensure_future(transport.recv(1, 5.0))
+            second = asyncio.ensure_future(transport.recv(1, 5.0))
+            await asyncio.sleep(0)
+            tick = TickEnvelope(period=0)
+            transport.deliver_local(1, tick)  # wakes `first`...
+            first.cancel()  # ...which is cancelled before it runs again
+            assert await asyncio.wait_for(second, timeout=1.0) is tick
+            assert first.cancelled() and transport.pending(1) == 0
+            # A receiver cancelled while parked, or timed out, leaves nothing behind.
+            third = asyncio.ensure_future(transport.recv(1, 5.0))
+            await asyncio.sleep(0)
+            third.cancel()
+            assert await transport.recv(1, 0.001) is None
+            assert not transport._inboxes[1][1]
+
+        asyncio.run(scenario())
+
+    def test_one_transport_works_across_two_event_loops(self):
+        transport = InProcessTransport()
+        transport.register(1)
+
+        async def scenario(period):
+            # Left parked at exit: its deadline is the one the (then
+            # dead) loop's timer stays armed for.
+            asyncio.ensure_future(transport.recv(1, 0.05))
+            assert await asyncio.wait_for(transport.recv(1, 0.2), timeout=2.0) is None
+            parked = asyncio.ensure_future(transport.recv(1, 5.0))
+            await asyncio.sleep(0)
+            assert await transport.send(1, TickEnvelope(period=period))
+            return (await asyncio.wait_for(parked, timeout=2.0)).period
+
+        assert asyncio.run(scenario(0)) == 0
+        assert asyncio.run(scenario(1)) == 1
+
+    def test_pending_counts_an_envelope_until_it_is_received(self):
+        async def scenario():
+            transport = InProcessTransport()
+            transport.register(1)
+            parked = asyncio.ensure_future(transport.recv(1, 5.0))
+            await asyncio.sleep(0)
+            tick = TickEnvelope(period=0)
+            transport.deliver_local(1, tick)
+            # Woken, not yet run: the settle loop must not see an idle transport.
+            assert transport.pending(1) == 1 and not transport.idle()
+            assert await parked is tick
+            assert transport.pending(1) == 0 and transport.idle()
+
+        asyncio.run(scenario())
+
+
+if __name__ == "__main__":
+    print(json.dumps(observe_layouts()))

@@ -44,6 +44,23 @@ def test_repo_lints_clean_with_all_rules():
     assert result.context is not None and result.context.obs is not None
 
 
+def test_source_names_no_asyncio_api_newer_than_the_declared_floor():
+    """pyproject.toml declares Python >= 3.10; only 3.11 is installed
+    here, so the floor is guarded by name: ``asyncio.timeout``,
+    ``TaskGroup`` and ``Runner`` arrived in 3.11."""
+    import re
+
+    assert 'requires-python = ">=3.10"' in (REPO_ROOT / "pyproject.toml").read_text()
+    newer = re.compile(r"asyncio\.(timeout|TaskGroup|Runner)\b")
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}"
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if newer.search(line)
+    ]
+    assert offenders == []
+
+
 def test_shipped_baseline_is_empty():
     baseline = Baseline.load(REPO_ROOT / "staticcheck-baseline.json")
     assert baseline.budgets == {}
