@@ -65,7 +65,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.checks import (
@@ -74,11 +74,11 @@ from repro.checks import (
     describe_codes,
     inject_fault,
 )
+from repro.core import SCHEMES
 from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
 from repro.core.cost import CostModel
 from repro.core.plan import SHARD_MODES
 from repro.core.planner import RemoPlanner
-from repro.core.schemes import OneSetPlanner, SingletonSetPlanner
 from repro.obs import log, names, trace
 from repro.obs.export import (
     check_prometheus_text,
@@ -100,14 +100,8 @@ from repro.runtime import AgentOutage, DropPolicy, MonitoringRuntime, RuntimeCon
 from repro.runtime.metrics import RuntimeMetrics
 from repro.serve import ControlPlane, run_serve
 from repro.simulation import MonitoringSimulation, SimulationConfig
-from repro.workloads.presets import quickstart_workload, sampled_workload
+from repro.workloads.presets import build_workload
 from repro.workloads.updates import TaskUpdateStream
-
-SCHEMES = {
-    "remo": RemoPlanner,
-    "singleton": SingletonSetPlanner,
-    "one-set": OneSetPlanner,
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -176,8 +170,16 @@ def _workload_params(args) -> Dict[str, Any]:
     }
 
 
+def _workload(args) -> Tuple[Dict[str, Any], str]:
+    """The workload description ``args`` names (``--preset`` or the
+    sampling flags) and its label for report headers."""
+    if getattr(args, "preset", None) == "quickstart":
+        return {"preset": "quickstart"}, "quickstart"
+    return _workload_params(args), f"{args.nodes} nodes, {args.tasks} tasks"
+
+
 def _setup(args):
-    return sampled_workload(**_workload_params(args))
+    return build_workload(_workload(args)[0])
 
 
 def _plan_summary(plan, elapsed: Optional[float] = None) -> Dict[str, Any]:
@@ -401,12 +403,8 @@ def _check(args) -> int:
         ]
         print(format_table("diagnostic codes", ["code", "severity", "title"], rows))
         return 0
-    if args.preset == "quickstart":
-        cluster, cost, tasks = quickstart_workload()
-        label = "quickstart"
-    else:
-        cluster, cost, tasks = _setup(args)
-        label = f"{args.nodes} nodes, {args.tasks} tasks"
+    workload, label = _workload(args)
+    cluster, cost, tasks = build_workload(workload)
     plan = SCHEMES[args.scheme](cost).plan(tasks, cluster)
     if args.corrupt:
         print(f"injected fault: {inject_fault(plan, args.corrupt)}")
@@ -421,6 +419,22 @@ def _check(args) -> int:
     )
     print(report.format(with_hints=args.hints))
     return 1 if report.has_errors else 0
+
+
+def _launch_gate(args, plan, cluster) -> Tuple[Optional[Dict[str, int]], int]:
+    """Never start agents or spawn processes for a plan the static
+    verifier rejects.
+
+    Returns the ``plan_check`` summary (``None`` under ``--no-verify``)
+    and the number of errors refusing the launch, already reported.
+    """
+    if args.no_verify:
+        return None, 0
+    report = check_plan_for_cluster(plan, cluster)
+    if report.has_errors:
+        print("plan verification failed, refusing to launch:", file=sys.stderr)
+        print(report.format(with_hints=True), file=sys.stderr)
+    return {"errors": len(report.errors), "warnings": len(report.warnings)}, len(report.errors)
 
 
 def _parse_outage(spec: str) -> AgentOutage:
@@ -441,28 +455,12 @@ def _parse_outage(spec: str) -> AgentOutage:
 
 
 def _run(args) -> int:
-    if args.preset == "quickstart":
-        cluster, cost, tasks = quickstart_workload()
-        label = "quickstart"
-    else:
-        cluster, cost, tasks = _setup(args)
-        label = f"{args.nodes} nodes, {args.tasks} tasks"
+    workload, label = _workload(args)
+    cluster, cost, tasks = build_workload(workload)
     plan = SCHEMES[args.scheme](cost).plan(tasks, cluster)
-
-    check_summary: Optional[Dict[str, int]] = None
-    if not args.no_verify:
-        # Launch gate: never start agents for a plan the static
-        # verifier rejects.
-        check_report = check_plan_for_cluster(plan, cluster)
-        check_summary = {
-            "errors": len(check_report.errors),
-            "warnings": len(check_report.warnings),
-        }
-        if check_report.has_errors:
-            print("plan verification failed, refusing to launch:", file=sys.stderr)
-            print(check_report.format(with_hints=True), file=sys.stderr)
-            return 1
-
+    check_summary, refusing_errors = _launch_gate(args, plan, cluster)
+    if refusing_errors:
+        return 1
     config = RuntimeConfig(
         period_seconds=args.period_seconds,
         drop_policy=DropPolicy(args.drop_policy),
@@ -508,12 +506,7 @@ def _parse_chaos(spec: str):
 
 def _deploy(args) -> int:
     """Shard the plan across worker processes over real TCP."""
-    if args.preset == "quickstart":
-        workload: Dict[str, Any] = {"preset": "quickstart"}
-        label = "quickstart"
-    else:
-        workload = _workload_params(args)
-        label = f"{args.nodes} nodes, {args.tasks} tasks"
+    workload, label = _workload(args)
     config = {
         "period_seconds": args.period_seconds,
         "drop_policy": args.drop_policy,
@@ -541,20 +534,10 @@ def _deploy(args) -> int:
         print(shard_report.format(with_hints=True), file=sys.stderr)
         _record_check_failure(spec, "shard", len(shard_report.errors))
         return 1
-    check_summary: Optional[Dict[str, int]] = None
-    if not args.no_verify:
-        # Same launch gate as ``repro run``: never spawn processes for
-        # a plan the static verifier rejects.
-        check_report = check_plan_for_cluster(plan, cluster)
-        check_summary = {
-            "errors": len(check_report.errors),
-            "warnings": len(check_report.warnings),
-        }
-        if check_report.has_errors:
-            print("plan verification failed, refusing to launch:", file=sys.stderr)
-            print(check_report.format(with_hints=True), file=sys.stderr)
-            _record_check_failure(spec, "plan", len(check_report.errors))
-            return 1
+    check_summary, refusing_errors = _launch_gate(args, plan, cluster)
+    if refusing_errors:
+        _record_check_failure(spec, "plan", refusing_errors)
+        return 1
     try:
         outcome = run_deploy(
             spec,
@@ -817,12 +800,8 @@ def _trace_cmd(args) -> int:
 
 def _serve(args) -> int:
     """Run the control-plane HTTP service (blocks until stopped)."""
-    if args.preset == "quickstart":
-        cluster, cost, _tasks = quickstart_workload()
-        label = "quickstart"
-    else:
-        cluster, cost, _tasks = _setup(args)
-        label = f"{args.nodes} nodes"
+    cluster, cost, _tasks = _setup(args)
+    label = "quickstart" if args.preset == "quickstart" else f"{args.nodes} nodes"
     config = RuntimeConfig(
         period_seconds=args.period_seconds,
         drop_policy=DropPolicy(args.drop_policy),

@@ -25,6 +25,15 @@ from repro.core.schemes import OneSetPlanner, SingletonSetPlanner
 from repro.core.planner import RemoPlanner
 from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
 
+#: ``--scheme`` name -> planner class: the one table behind the CLI and
+#: every ``repro deploy`` process.  (It lives here, not in
+#: ``core/schemes.py``, because ``core/planner.py`` imports that module.)
+SCHEMES = {
+    "remo": RemoPlanner,
+    "singleton": SingletonSetPlanner,
+    "one-set": OneSetPlanner,
+}
+
 __all__ = [
     "AdaptationStrategy",
     "AdaptiveMonitoringService",
@@ -40,6 +49,7 @@ __all__ = [
     "OneSetPlanner",
     "Partition",
     "RemoPlanner",
+    "SCHEMES",
     "ShardedPlan",
     "shard_partition_sets",
     "SingletonSetPlanner",

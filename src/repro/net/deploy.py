@@ -30,6 +30,7 @@ dumps into one :class:`~repro.runtime.report.RuntimeReport` whose
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import socket
@@ -41,18 +42,19 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.checks import check_shard_assignment
 from repro.checks.diagnostics import DiagnosticReport
 from repro.cluster.node import Cluster
+from repro.core import SCHEMES
 from repro.core.attributes import NodeId
 from repro.core.cost import CostModel
 from repro.core.plan import MonitoringPlan, ShardedPlan
-from repro.core.planner import RemoPlanner
-from repro.core.schemes import OneSetPlanner, SingletonSetPlanner
 from repro.net.directory import Endpoint, PeerDirectory
 from repro.obs import log, names
+from repro.runtime.collector import FailureEvent
 from repro.runtime.config import DropPolicy, RuntimeConfig
+from repro.runtime.engine import wait_until
 from repro.runtime.messages import MAX_COLLECTOR_SHARDS, collector_shard_address
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimePeriodSample, RuntimeReport
-from repro.workloads.presets import quickstart_workload, sampled_workload
+from repro.workloads.presets import build_workload
 
 #: Worker control inboxes live at ``CONTROL_ADDRESS_BASE - rank`` --
 #: below every plan NodeId (>= 0) and distinct from the collector (-1).
@@ -60,12 +62,6 @@ CONTROL_ADDRESS_BASE = -1000
 
 #: A worker that crashes more than this many times stays down.
 MAX_RESTARTS_PER_WORKER = 3
-
-PLANNERS = {
-    "remo": RemoPlanner,
-    "singleton": SingletonSetPlanner,
-    "one-set": OneSetPlanner,
-}
 
 
 def control_address(rank: int) -> NodeId:
@@ -143,17 +139,11 @@ class DeploySpec:
 
     # -- reconstruction -------------------------------------------------
     def build_workload(self) -> Tuple[Cluster, CostModel, list]:
-        workload = dict(self.workload)
-        preset = workload.pop("preset", None)
-        if preset == "quickstart":
-            return quickstart_workload()
-        if preset is not None:
-            raise ValueError(f"unknown workload preset {preset!r}")
-        return sampled_workload(**workload)
+        return build_workload(self.workload)
 
     def build_plan(self) -> Tuple[Cluster, CostModel, MonitoringPlan]:
         cluster, cost, tasks = self.build_workload()
-        plan = PLANNERS[self.scheme](cost).plan(tasks, cluster)
+        plan = SCHEMES[self.scheme](cost).plan(tasks, cluster)
         return cluster, cost, plan
 
     def build_config(self) -> RuntimeConfig:
@@ -347,16 +337,6 @@ class DeployError(RuntimeError):
     """The deployment could not complete (startup or collector failure)."""
 
 
-def _wait_for_files(paths: Sequence[str], timeout: float, what: str) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if all(os.path.exists(path) for path in paths):
-            return
-        time.sleep(0.02)
-    missing = [path for path in paths if not os.path.exists(path)]
-    raise DeployError(f"timed out after {timeout:.0f}s waiting for {what}: {missing}")
-
-
 def run_deploy(
     spec: DeploySpec,
     plan: Optional[MonitoringPlan] = None,
@@ -403,12 +383,24 @@ def run_deploy(
     workers = {rank: spawn_worker(rank) for rank in range(spec.workers)}
     go_at: Optional[float] = None
     try:
-        _wait_for_files(
-            [spec.ready_path("collector")]
-            + [spec.ready_path(f"worker-{rank}") for rank in range(spec.workers)],
-            timeout=startup_timeout,
-            what="process readiness",
-        )
+        children = {"collector": collector}
+        children.update((f"worker-{rank}", process) for rank, process in workers.items())
+
+        def unready() -> List[str]:
+            return [role for role in children if not os.path.exists(spec.ready_path(role))]
+
+        def dead_child() -> None:
+            # A child that died before its ready marker (unreadable
+            # spec, port taken) will never write it: say so now.
+            for role in unready():
+                code = children[role].exitcode
+                if code is not None:
+                    raise DeployError(f"{role} exited with code {code} before it was ready")
+
+        if not asyncio.run(wait_until(lambda: not unready(), startup_timeout, 0.02, dead_child)):
+            raise DeployError(
+                f"timed out after {startup_timeout:.0f}s waiting for readiness of {unready()}"
+            )
         # Every listener is up: release the collector's clock.
         write_json_atomic(spec.go_path, {"go": True})
         go_at = time.monotonic()
@@ -486,24 +478,11 @@ def run_deploy(
             merged.registry.absorb(json.load(fh)["metrics"])
         worker_reports += 1
 
-    from repro.runtime.collector import FailureEvent
-
     report = RuntimeReport(
         requested_pairs=len(plan.pairs),
         n_periods=spec.periods,
-        samples=[
-            RuntimePeriodSample(
-                period=int(s["period"]),
-                mean_error=float(s["mean_error"]),
-                fresh_fraction=float(s["fresh_fraction"]),
-                received_fraction=float(s["received_fraction"]),
-            )
-            for s in collector_dump["samples"]
-        ],
-        failure_events=[
-            FailureEvent(int(e["node"]), int(e["period"]), str(e["kind"]))
-            for e in collector_dump["failure_events"]
-        ],
+        samples=[RuntimePeriodSample(**s) for s in collector_dump["samples"]],
+        failure_events=[FailureEvent(**e) for e in collector_dump["failure_events"]],
         metrics=merged,
         wall_seconds=time.monotonic() - started,
     )

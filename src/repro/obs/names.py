@@ -248,6 +248,7 @@ LOG_DEPLOY_WORKER_CRASH = "deploy.worker_crash"
 LOG_DEPLOY_WORKER_RESTART = "deploy.worker_restart"
 LOG_DEPLOY_CHAOS_KILL = "deploy.chaos_kill"
 LOG_DEPLOY_CHECK_FAILED = "deploy.check_failed"
+LOG_DEPLOY_GO_TIMEOUT = "deploy.go_timeout"
 LOG_NET_RECONNECT = "net.reconnect"
 LOG_NET_FRAME_DROPPED = "net.frame_dropped"
 LOG_FLIGHT_DUMP = "obs.flight_dump"
@@ -262,6 +263,7 @@ LOG_EVENTS = frozenset(
         LOG_DEPLOY_WORKER_RESTART,
         LOG_DEPLOY_CHAOS_KILL,
         LOG_DEPLOY_CHECK_FAILED,
+        LOG_DEPLOY_GO_TIMEOUT,
         LOG_NET_RECONNECT,
         LOG_NET_FRAME_DROPPED,
         LOG_FLIGHT_DUMP,

@@ -7,7 +7,7 @@ one definition, not three drifting copies.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.cluster.node import Cluster
 from repro.cluster.topology import default_attribute_pool, make_uniform_cluster
@@ -72,3 +72,21 @@ def sampled_workload(
         tasks, (2, 5), (max(5, nodes // 6), max(6, nodes // 2))
     )
     return cluster, cost, sampled
+
+
+def build_workload(
+    workload: Mapping[str, Any],
+) -> Tuple[Cluster, CostModel, List[MonitoringTask]]:
+    """Resolve a workload description: ``{"preset": "quickstart"}`` or
+    the :func:`sampled_workload` keyword arguments.
+
+    The one place a ``--preset`` choice is turned into a workload, for
+    the CLI and for every ``repro deploy`` child rebuilding its spec's.
+    """
+    params = dict(workload)
+    preset = params.pop("preset", None)
+    if preset == "quickstart":
+        return quickstart_workload()
+    if preset is not None:
+        raise ValueError(f"unknown workload preset {preset!r}")
+    return sampled_workload(**params)

@@ -7,6 +7,7 @@ effects.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,12 @@ import pytest
 from repro.checks import check_shard_assignment
 from repro.cli import main
 from repro.cluster.metrics import MetricRegistry
+from repro.core.plan import ShardedPlan
 from repro.obs import names
 from repro.obs.export import read_jsonl_spans
 from repro.net.deploy import (
     CONTROL_ADDRESS_BASE,
+    DeployError,
     DeploySpec,
     control_address,
     make_spec,
@@ -164,18 +167,25 @@ class TestParseChaosKill:
 
 
 class TestDeployEndToEnd:
-    def _single_process_run(self, plan, cluster):
+    def _single_process_run(self, plan, cluster, collectors):
         return MonitoringRuntime(
             plan,
             cluster,
             registry=MetricRegistry(sorted(plan.pairs), seed=CONFIG["seed"]),
             config=RuntimeConfig(**CONFIG),
+            sharded=ShardedPlan.build(plan, collectors, "hash") if collectors > 1 else None,
         ).run(6)
 
     def test_two_worker_deploy_matches_single_process(self, tmp_path):
+        self._deploy_matches_single_process(tmp_path, collectors=1)
+
+    def test_sharded_collector_deploy_matches_single_process(self, tmp_path):
+        self._deploy_matches_single_process(tmp_path, collectors=2)
+
+    def _deploy_matches_single_process(self, tmp_path, collectors):
         spec, plan, cluster, report = make_spec(
             WORKLOAD, "remo", workers=2, periods=6, config=CONFIG,
-            rundir=str(tmp_path),
+            rundir=str(tmp_path), collectors=collectors,
         )
         assert not report.has_errors
         outcome = run_deploy(spec, plan=plan)
@@ -187,20 +197,35 @@ class TestDeployEndToEnd:
         assert merged["periods"] == 6
         assert len(merged["per_period"]) == 6
 
-        baseline = self._single_process_run(plan, cluster)
+        baseline = self._single_process_run(plan, cluster, collectors)
         assert outcome.report.mean_coverage == pytest.approx(
             baseline.mean_coverage, abs=TOLERANCE
         )
+        assert len(outcome.report.samples) == len(baseline.samples) == 6
+        assert outcome.report.failure_events == baseline.failure_events
         # Every process derived the same slot layouts from the plan: no
         # update was refused, no frame dropped, and the run moved the
         # messages -- and, unless a late child split a batch in two,
-        # paid the cost -- the single process did.
+        # paid the cost -- the single process did.  What a plan moves
+        # and costs does not depend on how many processes or collector
+        # shards run it.
         counters = outcome.report.metrics.counters()
         assert not counters.get("messages_dropped_invalid")
         assert not counters.get("net_frames_dropped")
         assert merged["messages"]["sent"] == baseline.messages_sent
         if "child_wait_timeouts" not in {**counters, **baseline.metrics.counters()}:
             assert merged["cost_units_spent"] == baseline.as_dict()["cost_units_spent"]
+
+    def test_a_child_dead_before_ready_fails_the_launch_at_once(self, tmp_path):
+        spec, plan, _cluster, _report = make_spec(
+            WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
+            rundir=str(tmp_path),
+        )
+        Path(spec.spec_path).unlink()  # no child can load its world
+        started = time.monotonic()
+        with pytest.raises(DeployError, match=r"exited with code \d+ before it was ready"):
+            run_deploy(spec, plan=plan, startup_timeout=60.0)
+        assert time.monotonic() - started < 30.0
 
     def test_worker_kill_and_restart_completes(self, tmp_path):
         spec, plan, _cluster, report = make_spec(

@@ -9,6 +9,10 @@ tasks=n)`` is the scaling bench's ``_workload(n, n)``), the third is a
 ``plan_search``-shaped input where the guided search accepts an
 operation.  Each is checked in-process and in fresh interpreters under
 three hash seeds, since a plan must not depend on set iteration order.
+Neither may the ground truth a live run of it is scored against: the
+same processes check that ``MonitoringRuntime``'s default registry is
+the one built from the sorted pairs (``repro run --seed S`` used to
+report a different error under each ``PYTHONHASHSEED``).
 
 A deliberate change to the default plan re-pins these values in the
 same commit as ``BENCH_planner.json``; nothing else may move them.
@@ -24,7 +28,9 @@ import sys
 import pytest
 
 import repro
+from repro.cluster.metrics import MetricRegistry
 from repro.core.planner import RemoPlanner
+from repro.runtime import MonitoringRuntime, RuntimeConfig
 from repro.workloads.presets import sampled_workload
 
 SATURATED_50 = dict(nodes=50, tasks=50)
@@ -57,6 +63,15 @@ def observe() -> dict:
             "fingerprint": plan.fingerprint(),
             "accepted_ops": len(stats.accepted_ops),
         }
+    # ``plan`` and ``cluster`` are the last golden input's.
+    pairs = sorted(plan.pairs)
+    default = MonitoringRuntime(plan, cluster, config=RuntimeConfig(seed=7)).registry
+    sorted_build = MetricRegistry(pairs, seed=7)
+    for registry in (default, sorted_build):
+        registry.advance_all()
+    out["default_ground_truth_is_sorted_build"] = all(
+        default.value(pair) == sorted_build.value(pair) for pair in pairs
+    )
     return out
 
 
@@ -66,6 +81,7 @@ def _check(observed: dict) -> None:
     assert observed["saturated_50"]["accepted_ops"] == 0
     assert observed["saturated_100"]["accepted_ops"] == 0
     assert observed["search_48"]["accepted_ops"] >= 1
+    assert observed["default_ground_truth_is_sorted_build"]
 
 
 def test_golden_fingerprints_in_process():

@@ -44,6 +44,7 @@ from repro.runtime import (
     UpdateEnvelope,
     compile_layouts,
 )
+from repro.runtime.engine import wait_until
 from repro.runtime.messages import ABSENT, gather
 from repro.workloads.presets import quickstart_workload, sampled_workload
 
@@ -255,6 +256,46 @@ class TestHappyPath:
         assert payload["coverage"]["final"] == pytest.approx(1.0)
         assert payload["messages"]["sent"] > 0
         assert len(payload["per_period"]) == 3
+
+
+class TestCrashedTask:
+    """A coroutine the runtime hosts must not die unnoticed."""
+
+    @pytest.mark.parametrize("victim", ["agent", "collector"])
+    def test_a_crashed_task_fails_the_run(self, small_cluster, victim):
+        plan = plan_for(small_cluster, pairs_for(range(6), ["a"]))
+        runtime = MonitoringRuntime(plan, small_cluster, config=RuntimeConfig(**FAST))
+
+        async def crash():
+            raise RuntimeError(f"{victim} crashed")
+
+        target = runtime.collector if victim == "collector" else runtime.agents[0]
+        target.run = crash
+        with pytest.raises(RuntimeError, match=f"{victim} crashed"):
+            runtime.run(4)
+
+
+class TestWaitUntil:
+    def test_true_as_soon_as_the_predicate_holds(self):
+        looks = itertools.count()
+        started = time.monotonic()
+        assert asyncio.run(wait_until(lambda: next(looks) == 3, timeout=5.0, poll=0.001))
+        assert next(looks) == 4
+        assert time.monotonic() - started < 1.0
+
+    def test_false_no_earlier_than_the_timeout(self):
+        started = time.monotonic()
+        assert not asyncio.run(wait_until(lambda: False, timeout=0.05, poll=0))
+        assert time.monotonic() - started >= 0.05
+
+    def test_abort_ends_the_wait_by_raising(self):
+        def abort():
+            raise LookupError("can no longer come true")
+
+        started = time.monotonic()
+        with pytest.raises(LookupError):
+            asyncio.run(wait_until(lambda: False, timeout=5.0, poll=0.001, abort=abort))
+        assert time.monotonic() - started < 1.0
 
 
 class TestDropPolicies:

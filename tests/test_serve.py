@@ -8,12 +8,9 @@ script would.
 
 import asyncio
 import http.client
-import importlib
 import json
 import re
-import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -257,23 +254,3 @@ class TestErrorMapping:
         with pytest.raises(ControlPlaneClientError) as err:
             client.run(0)
         assert err.value.status == 400
-
-
-class TestBenchSmoke:
-    def test_churn_bench_emits_results(self, tmp_path, monkeypatch):
-        bench_dir = str(Path(__file__).resolve().parent.parent / "benchmarks")
-        monkeypatch.syspath_prepend(bench_dir)
-        monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-        bench = importlib.import_module("bench_controlplane_churn")
-        rc = bench.main(["--ops", "12", "--tenants", "2", "--collectors", "2"])
-        assert rc == 0
-        payload = json.loads((tmp_path / "BENCH_controlplane.json").read_text())
-        assert payload["bench"] == "controlplane_churn"
-        assert payload["collectors"] == 2
-        ops = {row["op"] for row in payload["rows"]}
-        assert {"submit", "delete"} <= ops
-        for row in payload["rows"]:
-            assert row["ops_per_sec"] > 0
-            assert row["p99_ms"] >= row["p50_ms"] >= 0
-        # Leave no stale module behind for other tests.
-        sys.modules.pop("bench_controlplane_churn", None)
