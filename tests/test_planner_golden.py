@@ -9,6 +9,14 @@ tasks=n)`` is the scaling bench's ``_workload(n, n)``), the third is a
 ``plan_search``-shaped input where the guided search accepts an
 operation.  Each is checked in-process and in fresh interpreters under
 three hash seeds, since a plan must not depend on set iteration order.
+Two more pin what those unit-weight plans never run, on the same 48
+nodes with slices tight enough that the adjuster works: the frequency
+extension (fractional value weights, non-unit message weights) and an
+aggregation-aware plan (the per-attribute funnel step of the tree
+walk).  A third pins DIRECT-APPLY plus the restricted search over a
+run of update batches; adaptation still depends on the interpreter's
+hash seed (ROADMAP, determinism), so it runs under ``PYTHONHASHSEED=0``
+only.
 Neither may the ground truth a live run of it is scored against: the
 same processes check that ``MonitoringRuntime``'s default registry is
 the one built from the sorted pairs (``repro run --seed S`` used to
@@ -20,6 +28,7 @@ same commit as ``BENCH_planner.json``; nothing else may move them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -29,13 +38,29 @@ import pytest
 
 import repro
 from repro.cluster.metrics import MetricRegistry
+from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
+from repro.core.cost import AggregationKind, AggregationSpec
 from repro.core.planner import RemoPlanner
+from repro.core.tasks import MonitoringTask
+from repro.ext.frequencies import frequency_weights
 from repro.runtime import MonitoringRuntime, RuntimeConfig
 from repro.workloads.presets import sampled_workload
+from repro.workloads.updates import TaskUpdateStream
 
 SATURATED_50 = dict(nodes=50, tasks=50)
 SATURATED_100 = dict(nodes=100, tasks=100)
 SEARCH_48 = dict(nodes=48, tasks=12, capacity=200.0, seed=1)
+#: The same shape with slices tight enough to saturate (coverage ~0.8).
+TIGHT_48 = dict(nodes=48, tasks=12, capacity=120.0, seed=1)
+#: Dyadic, so every weighted sum is exact in binary floating point.
+FREQUENCIES = (1.0, 0.5, 0.25)
+#: Funnels by attribute rank: saturating, top-k, holistic, ...
+FUNNELS = (
+    AggregationSpec(kind=AggregationKind.SUM),
+    AggregationSpec(kind=AggregationKind.TOP_K, k=2),
+    None,
+)
+ADAPT_BATCHES = 14
 
 GOLDEN = {
     "saturated_50": (
@@ -51,6 +76,67 @@ GOLDEN = {
         "558ce883cfb22ed112cae87c2bad41309c8f4739e22a8f77bdd05a9ed5a20cc8",
     ),
 }
+
+
+EXTENSION_GOLDEN = {
+    "frequency_48": "596a0207c1c78dfbe92f729b89a2f4f980392b6e57e868a39342ed26c356a82b",
+    "aggregated_48": "2c75d647efbd08190c48f0c8dface7a0bf7679a3ff5c49f7497d7ea139965ec1",
+}
+
+#: Digest of the per-batch reports, then the final plan's fingerprint.
+ADAPT_GOLDEN = (
+    "c5d51a40b3864053813991279bfca3ee094c02731ba32a73bb395b74f8a38fc2",
+    "78f7aadcdb99b1bbd4cbe66445f5de533c903e07553d334b2821664386b2c264",
+)
+
+
+def observe_extensions() -> dict:
+    """Plan the tight 48-node input frequency-aware and aggregation-aware."""
+    cluster, cost, tasks = sampled_workload(**TIGHT_48)
+    slowed = [
+        MonitoringTask(t.task_id, t.attributes, t.nodes, FREQUENCIES[i % len(FREQUENCIES)])
+        for i, t in enumerate(tasks)
+    ]
+    weights = frequency_weights(slowed)
+    frequency_plan = RemoPlanner(cost).plan(
+        slowed, cluster, pair_weights=weights.pair_weights, msg_weights=weights.msg_weights
+    )
+    ranked = enumerate(sorted({a for t in tasks for a in t.attributes}))
+    funnels = {a: FUNNELS[i % len(FUNNELS)] for i, a in ranked if FUNNELS[i % len(FUNNELS)]}
+    aggregated_plan = RemoPlanner(cost, aggregation=funnels).plan(tasks, cluster)
+    return {
+        "frequency_48": frequency_plan.fingerprint(),
+        "aggregated_48": aggregated_plan.fingerprint(),
+    }
+
+
+def observe_adaptation() -> dict:
+    """ADAPTIVE over a run of update batches on the tight 48-node input."""
+    cluster, cost, tasks = sampled_workload(**TIGHT_48)
+    service = AdaptiveMonitoringService(cluster, cost, AdaptationStrategy.ADAPTIVE)
+    service.initialize(tasks)
+    stream = TaskUpdateStream(cluster, tasks, node_fraction=0.05, attr_fraction=0.5, seed=11)
+    digest = hashlib.sha256()
+    applied = throttled = 0
+    for batch in range(ADAPT_BATCHES):
+        report = service.apply_changes(stream.next_batch(), now=10.0 * (batch + 1))
+        applied += len(report.applied_ops)
+        throttled += report.throttled_ops
+        record = (
+            report.applied_ops,
+            report.throttled_ops,
+            report.adaptation_messages,
+            report.collected_pairs,
+            repr(report.monitoring_volume),
+        )
+        digest.update(json.dumps(record).encode("utf-8"))
+    assert service.plan is not None
+    return {
+        "digest": digest.hexdigest(),
+        "fingerprint": service.plan.fingerprint(),
+        "applied_ops": applied,
+        "throttled_ops": throttled,
+    }
 
 
 def observe() -> dict:
@@ -72,6 +158,7 @@ def observe() -> dict:
     out["default_ground_truth_is_sorted_build"] = all(
         default.value(pair) == sorted_build.value(pair) for pair in pairs
     )
+    out["extensions"] = observe_extensions()
     return out
 
 
@@ -82,6 +169,24 @@ def _check(observed: dict) -> None:
     assert observed["saturated_100"]["accepted_ops"] == 0
     assert observed["search_48"]["accepted_ops"] >= 1
     assert observed["default_ground_truth_is_sorted_build"]
+    assert observed["extensions"] == EXTENSION_GOLDEN
+
+
+def _observe_in_fresh_interpreter(hash_seed: str, what: str) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), what],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def test_golden_fingerprints_in_process():
@@ -90,21 +195,16 @@ def test_golden_fingerprints_in_process():
 
 @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
 def test_golden_fingerprints_under_hash_seed(hash_seed):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    _check(json.loads(proc.stdout))
+    _check(_observe_in_fresh_interpreter(hash_seed, "plans"))
+
+
+def test_adaptation_sequence_under_hash_seed_0():
+    observed = _observe_in_fresh_interpreter("0", "adaptation")
+    assert (observed["digest"], observed["fingerprint"]) == ADAPT_GOLDEN
+    # The pin is only worth having while both DIRECT-APPLY's in-place
+    # tree edits and the throttled restricted search take part.
+    assert observed["applied_ops"] >= 1 and observed["throttled_ops"] >= 1
 
 
 if __name__ == "__main__":
-    print(json.dumps(observe()))
+    print(json.dumps(observe_adaptation() if sys.argv[1:] == ["adaptation"] else observe()))
