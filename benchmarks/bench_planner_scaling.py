@@ -34,8 +34,8 @@ from repro.workloads.presets import sampled_workload
 DEFAULT_SIZES = (50, 100, 200, 500, 1000)
 
 #: Planner phases whose wall time the obs registry histograms record.
-#: ``adjustment`` runs inside ``tree_construction``, so its seconds are
-#: a subset of (not additive with) the construction phase.
+#: ``adjustment`` interleaves with ``tree_construction``; each build
+#: reports the two exclusive of each other, so the phases add up.
 _PHASES = ("partition", "tree_construction", "adjustment")
 
 

@@ -2,7 +2,8 @@
 
 Each fault models one real failure class the verifier must catch and
 is engineered so its *primary* diagnostic code is distinct from the
-other faults':
+other faults' (the two stale caches share theirs and differ in the
+quantity the diagnostic names):
 
 - ``drop-tree``   -> ``REMO102`` (a partition set loses its tree);
 - ``cycle``       -> ``REMO111`` (a parent pointer loops, the classic
@@ -11,7 +12,10 @@ other faults':
   its budget with bookkeeping kept *consistent*, so only the budget
   check can see it);
 - ``stale-cost``  -> ``REMO203`` (a cached send cost is poked without
-  touching the structure, so only the recomputation diff can see it).
+  touching the structure, so only the recomputation diff can see it);
+- ``stale-total`` -> ``REMO203`` (a cached outgoing-value total is
+  poked: on a funnel-free tree that column is the only record of what
+  a node forwards, so nothing else would contradict it).
 
 The injectors mutate the plan **in place** (plans are deliberately
 mutable dataclass-style objects; the whole point of the verifier is
@@ -27,7 +31,7 @@ from repro.core.partition import AttributeSet
 from repro.core.plan import MonitoringPlan
 
 #: Public names of the supported corruption classes.
-FAULT_KINDS = ("drop-tree", "cycle", "overload", "stale-cost")
+FAULT_KINDS = ("drop-tree", "cycle", "overload", "stale-cost", "stale-total")
 
 
 def _sorted_sets(plan: MonitoringPlan) -> List[AttributeSet]:
@@ -77,18 +81,23 @@ def _overload(plan: MonitoringPlan) -> str:
     raise ValueError("no tree with local demand to corrupt")
 
 
-def _stale_cost(plan: MonitoringPlan) -> str:
+def _stale_column(plan: MonitoringPlan, column: str, what: str) -> str:
     for attr_set in _sorted_sets(plan):
         tree = plan.trees[attr_set].tree
         if not tree.nodes:
             continue
         node = min(tree.nodes)
-        tree._send_a[tree._slot[node]] += 37.0
-        return (
-            f"desynced cached send cost at node {node} in tree "
-            f"{sorted(attr_set)}"
-        )
+        getattr(tree, column)[tree._slot[node]] += 37.0
+        return f"desynced cached {what} at node {node} in tree {sorted(attr_set)}"
     raise ValueError("no non-empty tree to corrupt")
+
+
+def _stale_cost(plan: MonitoringPlan) -> str:
+    return _stale_column(plan, "_send_a", "send cost")
+
+
+def _stale_total(plan: MonitoringPlan) -> str:
+    return _stale_column(plan, "_tot_a", "outgoing-value total")
 
 
 _INJECTORS: Dict[str, Callable[[MonitoringPlan], str]] = {
@@ -96,6 +105,7 @@ _INJECTORS: Dict[str, Callable[[MonitoringPlan], str]] = {
     "cycle": _cycle,
     "overload": _overload,
     "stale-cost": _stale_cost,
+    "stale-total": _stale_total,
 }
 
 

@@ -85,8 +85,9 @@ PLANNER_MEMO_HITS_TOTAL = "planner_memo_hits_total"
 PLANNER_MEMO_MISSES_TOTAL = "planner_memo_misses_total"
 
 # Planner phase histogram: wall seconds per phase (labels:
-# phase=partition|tree_construction|adjustment).  The adjustment phase
-# runs inside tree construction, so its time is a subset, not additive.
+# phase=partition|tree_construction|adjustment).  The adjusting
+# procedure interleaves with tree construction; each build reports the
+# two exclusive of each other, so the phases add up.
 PLANNER_PHASE_SECONDS = "planner_phase_seconds"
 
 # Adaptive-service counters.

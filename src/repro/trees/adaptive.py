@@ -129,6 +129,9 @@ class AdaptiveTreeBuilder(GreedyTreeBuilder):
     def _max_retry_rounds(self) -> int:
         return self.max_adjust_rounds_per_node
 
+    def adjustment_seconds(self) -> float:
+        return self.adjuster.seconds
+
     def on_saturated(
         self,
         tree: MonitoringTree,

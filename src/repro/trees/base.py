@@ -110,6 +110,11 @@ class GreedyTreeBuilder:
         the tree was restructured and the insertion should be retried."""
         return False
 
+    def adjustment_seconds(self) -> float:
+        """Running total of wall seconds :meth:`on_saturated` has spent
+        restructuring trees (builders that never adjust: 0.0)."""
+        return 0.0
+
     # -- template --------------------------------------------------------
     def insertion_order(self, request: TreeBuildRequest) -> List[NodeId]:
         """Candidates ordered by decreasing allocated capacity.
@@ -125,6 +130,7 @@ class GreedyTreeBuilder:
     def build(self, request: TreeBuildRequest) -> TreeBuildResult:
         """Construct a tree for ``request`` and report exclusions."""
         started = time.perf_counter()
+        adjusted_before = self.adjustment_seconds()
         tree = MonitoringTree(
             attributes=request.attributes,
             cost_model=self.cost,
@@ -136,11 +142,17 @@ class GreedyTreeBuilder:
         for node in self.insertion_order(request):
             if not self._insert(tree, request, node):
                 excluded.append(node)
-        default_registry().observe(
+        # The two phases add up: construction is reported exclusive of
+        # the adjusting procedure it interleaves with.
+        adjusting = self.adjustment_seconds() - adjusted_before
+        registry = default_registry()
+        registry.observe(
             names.PLANNER_PHASE_SECONDS,
-            time.perf_counter() - started,
+            time.perf_counter() - started - adjusting,
             phase="tree_construction",
         )
+        if adjusting > 0.0:
+            registry.observe(names.PLANNER_PHASE_SECONDS, adjusting, phase="adjustment")
         return TreeBuildResult(tree=tree, excluded=excluded)
 
     # -- helpers -----------------------------------------------------------

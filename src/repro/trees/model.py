@@ -11,20 +11,25 @@ incrementally so that feasibility of attaching a node or moving a
 branch can be checked in ``O(depth * |attributes|)``.
 
 Cost maintenance is *delta based*: when a child's outgoing content
-changes, only the per-attribute deltas are pushed up the ancestor
-path (never a from-scratch recomputation per level), and the walk
-terminates early at the first ancestor whose outgoing message is
-unchanged -- funnel saturation (``min(1.0, incoming)``) makes deltas
-vanish after one hop in aggregation-heavy trees, so most propagations
-are O(1) instead of O(depth * attrs).  Two auxiliary caches make the
-per-level step O(changed attrs): per-attribute *contributor refcounts*
-(how many of {local demand, children} supply each incoming attribute)
-decide key removal without scanning children, and a cached
+changes, only the change is pushed up the ancestor path (never a
+from-scratch recomputation per level), by the one walk every mutation
+and every probe shares.  The resource model is scalar, so a tree
+without aggregation funnels keeps no per-attribute state above the
+local demands: each hop forwards what it receives, and the walk
+carries the change of the value total, of the message weight and of
+the send cost, O(depth) whatever the attribute count.  A tree with
+funnels adds the per-attribute tables the funnels need -- incoming
+values, *contributor refcounts* (how many of {local demand, children}
+supply each incoming attribute, so key removal needs no child scan)
+and outgoing values -- and one extra step per hop that re-funnels the
+changed attributes; there the walk also ends early at the first
+ancestor whose outgoing message is unchanged, which saturation
+(``min(1.0, incoming)``) makes the common case.  A cached
 *max-child-message-weight* with a contributor count avoids re-deriving
 ``max()`` over children at every level.  The from-scratch recomputer
 in :mod:`repro.checks.recompute` is the oracle every incremental
-state must match; :meth:`MonitoringTree.validate` cross-checks all
-caches against it.
+state must match; :meth:`MonitoringTree.validate` recomputes content
+from the local demands and cross-checks every cache against it.
 
 Capacity semantics (Problem Statement 2, constraint 1): for every
 member node ``i``, ``send(i) + recv(i) <= capacity(i)``, where
@@ -36,9 +41,10 @@ Memory layout: scalar per-node state (capacity slice, send cost, recv
 cost) lives in flat ``array('d')`` columns indexed by a dense *slot*
 id assigned at attach time (struct of arrays), so headroom scans and
 ancestor delta walks read contiguous floats instead of chasing
-dict-of-dict pointers.  Per-attribute content stays in sparse dicts
-(most nodes carry a handful of the tree's attributes), but funnel
-dispatch is precompiled into dense per-attribute-id kind/k arrays.
+dict-of-dict pointers.  Per-attribute content, where a tree keeps it,
+stays in sparse dicts (most nodes carry a handful of the tree's
+attributes), but funnel dispatch is precompiled into dense
+per-attribute-id kind/k arrays.
 """
 
 from __future__ import annotations
@@ -58,68 +64,59 @@ NodeDemand = Dict[AttributeId, float]
 #: Tolerance for floating-point capacity comparisons.
 EPSILON = 1e-9
 
-#: How the changed child relates to the node a delta walk starts at.
-_CHILD_MODIFIED = 0
-_CHILD_ATTACHED = 1
-_CHILD_DETACHED = -1
-
 #: Per-attribute delta of a child's outgoing content: ``(old, new)``
-#: value weights (0.0 encodes absence).
+#: value weights (0.0 encodes absence).  Aggregated trees only.
 _ValueDeltas = Dict[AttributeId, Tuple[float, float]]
+
+#: What one child contributes to its parent: ``(values, total,
+#: msg_weight, send)`` -- its outgoing per-attribute value weights
+#: (``None`` on a funnel-free tree, which keeps none), their sum, the
+#: expected number of messages per collection period (1.0 for ordinary
+#: nodes; the frequency extension can lower a leaf's weight, and a
+#: relay inherits the max over itself and its children because it must
+#: forward whenever anything arrives) and the cost of those messages.
+_Content = Tuple[Optional[Dict[AttributeId, float]], float, float, float]
+
+#: The contribution of a child that is not there (before it attaches,
+#: after it detaches).
+_ABSENT: _Content = (None, 0.0, 0.0, 0.0)
 
 
 class TreeInvariantError(AssertionError):
     """Raised by :meth:`MonitoringTree.validate` when bookkeeping drifts."""
 
 
-class _Content:
-    """Outgoing message content: per-attribute value weights + message weight.
-
-    ``msg_weight`` is the expected number of messages per collection
-    period (1.0 for ordinary nodes; the frequency extension can lower
-    a leaf's weight, and a relay inherits the max over itself and its
-    children because it must forward whenever anything arrives).
-    """
-
-    __slots__ = ("values", "msg_weight")
-
-    def __init__(self, values: Optional[Dict[AttributeId, float]] = None, msg_weight: float = 0.0):
-        self.values = values if values is not None else {}
-        self.msg_weight = msg_weight
-
-    def total(self) -> float:
-        return sum(self.values.values())
-
-
 class PreparedLeaf:
     """A validated leaf insertion, prepared once and reused by every
     candidate-parent probe and by the one commit: the positive-weight
-    ``demand``, its funnelled outgoing ``content``, that content's
-    value ``total`` and the ``send`` cost of the leaf's own message."""
+    ``demand``, the ``content`` its parent would see, and that
+    content's value ``total`` and ``send`` cost on their own."""
 
     __slots__ = ("node", "demand", "content", "total", "send")
 
-    def __init__(
-        self, node: NodeId, demand: NodeDemand, content: _Content, total: float, send: float
-    ) -> None:
+    def __init__(self, node: NodeId, demand: NodeDemand, content: _Content) -> None:
         self.node = node
         self.demand = demand
         self.content = content
-        self.total = total
-        self.send = send
+        self.total = content[1]
+        self.send = content[3]
 
 
 class _SimNodeState:
-    """Overlay state for one node during a read-only walk simulation.
+    """Overlay state for one node during a read-only walk simulation:
+    the simulated message weight, its contributor count, outgoing value
+    ``total``, send and receive cost, so consecutive walk phases
+    (detach, then attach) compose without touching the real tables.
 
-    ``in_values``/``out_values`` hold only the attributes the
-    simulation changed; unchanged attributes fall through to the real
-    tables.  ``total`` caches the node's simulated outgoing value sum
-    so consecutive walk phases (detach, then attach) compose without
-    rescanning the values dict.
+    On aggregated trees ``in_values``/``out_values`` also hold the
+    attributes the simulation changed; unchanged attributes fall
+    through to the real tables.  A funnel-free overlay has no such maps.
     """
 
-    __slots__ = ("in_values", "out_values", "msg_weight", "msgw_count", "total", "send", "recv")
+    __slots__ = ("msg_weight", "msgw_count", "total", "send", "recv", "in_values", "out_values")
+
+    in_values: Dict[AttributeId, float]
+    out_values: Dict[AttributeId, float]
 
     def __init__(
         self,
@@ -128,14 +125,16 @@ class _SimNodeState:
         total: float,
         send: float,
         recv: float,
+        per_attribute: bool,
     ) -> None:
-        self.in_values: Dict[AttributeId, float] = {}
-        self.out_values: Dict[AttributeId, float] = {}
         self.msg_weight = msg_weight
         self.msgw_count = msgw_count
         self.total = total
         self.send = send
         self.recv = recv
+        if per_attribute:
+            self.in_values = {}
+            self.out_values = {}
 
 
 class MonitoringTree:
@@ -182,8 +181,10 @@ class MonitoringTree:
                 AggregationKind.DISTINCT,
             ):
                 self._agg[attr] = spec
-        #: Fast-path flag: with no funnels, outgoing = incoming and the
-        #: delta walk can skip the per-attribute funnel dispatch.
+        #: With no funnels outgoing = incoming at every node, and the
+        #: cost model reads only the total: the tree then keeps no
+        #: per-attribute state above ``_local`` and the delta walk
+        #: skips its per-attribute step.
         self._has_agg = bool(self._agg)
 
         # Dense attribute ids: funnel dispatch compiled into flat
@@ -215,10 +216,9 @@ class MonitoringTree:
         self._cap_a = array("d")
         self._send_a = array("d")
         self._recv_a = array("d")
-        # Maintained outgoing-value total (sum of ``_out[n].values``),
-        # mirrored per slot so hot walks never rescan dicts.  Written
-        # wherever outgoing content is committed; ``validate``
-        # cross-checks it against a full recompute.
+        # Maintained outgoing-value total ``y_i``.  On a funnel-free
+        # tree this column is the only record of what a node forwards;
+        # ``validate`` cross-checks it against a full recompute.
         self._tot_a = array("d")
         # Monotone counter bumped on every committed mutation; negative
         # caches (e.g. the adjuster's relieve memo) key off it.
@@ -230,19 +230,35 @@ class MonitoringTree:
         self._depth: Dict[NodeId, int] = {}
         self._local: Dict[NodeId, NodeDemand] = {}
         self._local_msgw: Dict[NodeId, float] = {}
-        # Incoming per-attribute weights (local + children outputs).
+        # Outgoing message weight: max over the local weight and the
+        # children's outgoing weights.
+        self._msgw: Dict[NodeId, float] = {}
+        # How many contributors (local msg weight + children's outgoing
+        # weights) achieve ``_msgw[node]``.  A departing contributor
+        # only forces a rescan when this count hits zero.
+        self._msgw_count: Dict[NodeId, int] = {}
+        self._node_tables: Tuple[dict, ...] = (
+            self._parent,
+            self._children,
+            self._depth,
+            self._local,
+            self._local_msgw,
+            self._msgw,
+            self._msgw_count,
+        )
+        # What the funnels need on top, populated on aggregated trees
+        # only.  Incoming per-attribute weights (local + children
+        # outputs).
         self._in: Dict[NodeId, Dict[AttributeId, float]] = {}
         # Contributor refcounts per incoming attribute: 1 for the local
         # demand plus 1 per child whose outgoing content carries the
         # attribute.  A key is dropped from ``_in`` exactly when its
         # refcount reaches zero -- no child scan needed.
         self._in_count: Dict[NodeId, Dict[AttributeId, int]] = {}
-        # Cached outgoing content (funnel applied) and costs.
-        self._out: Dict[NodeId, _Content] = {}
-        # How many contributors (local msg weight + children's outgoing
-        # weights) achieve ``_out[node].msg_weight``.  A departing
-        # contributor only forces a rescan when this count hits zero.
-        self._msgw_count: Dict[NodeId, int] = {}
+        # Outgoing per-attribute weights (funnel applied to ``_in``).
+        self._out: Dict[NodeId, Dict[AttributeId, float]] = {}
+        if self._has_agg:
+            self._node_tables += (self._in, self._in_count, self._out)
         self._root: Optional[NodeId] = None
         self._pair_count = 0
         # Node at which the most recent check-mode walk failed (None if
@@ -419,11 +435,11 @@ class MonitoringTree:
 
     def outgoing_values(self, node: NodeId) -> float:
         """``y_i``: total value weight in the node's update message."""
-        return self._out[node].total()
+        return self._tot_a[self._slot[node]]
 
     def message_weight(self, node: NodeId) -> float:
         """Expected messages per period sent by ``node``."""
-        return self._out[node].msg_weight
+        return self._msgw[node]
 
     def pair_count(self) -> int:
         """Number of node-attribute pairs this tree collects."""
@@ -505,22 +521,15 @@ class MonitoringTree:
         # (fractional frequencies) nothing can be saved.
         return min(1.0, incoming)
 
-    def _compute_out(self, node: NodeId) -> _Content:
-        incoming = self._in[node]
-        values = {}
-        for attr, weight in incoming.items():
-            out = self._funnel(attr, weight)
-            if out > 0.0:
-                values[attr] = out
-        msgw = self._local_msgw[node]
-        for child in self._children[node]:
-            msgw = max(msgw, self._out[child].msg_weight)
-        return _Content(values, msgw)
-
-    def _send_cost_of(self, content: _Content) -> float:
-        if content.msg_weight <= 0.0:
-            return 0.0
-        return self.cost.weighted_message_cost(content.msg_weight, content.total())
+    def _content(self, node: NodeId) -> _Content:
+        """What member ``node`` currently contributes to its parent."""
+        slot = self._slot[node]
+        return (
+            self._out[node] if self._has_agg else None,
+            self._tot_a[slot],
+            self._msgw[node],
+            self._send_a[slot],
+        )
 
     # ------------------------------------------------------------------
     # Structural mutation
@@ -572,49 +581,40 @@ class MonitoringTree:
 
     def _leaf(self, node: NodeId, demand: NodeDemand, msg_weight: float) -> PreparedLeaf:
         demand = {a: w for a, w in demand.items() if w > 0}
+        values: Optional[Dict[AttributeId, float]] = None
         if self._has_agg:
             funnelled = ((a, self._funnel(a, w)) for a, w in demand.items())
             values = {a: w for a, w in funnelled if w > 0}
-        else:
-            values = dict(demand)  # the funnel is the identity
-        content = _Content(values, msg_weight)
-        total = content.total()
+        # Without funnels the leaf forwards its demand as it stands.
+        total = sum((demand if values is None else values).values())
         send = self.cost.weighted_message_cost(msg_weight, total) if msg_weight > 0.0 else 0.0
-        return PreparedLeaf(node, demand, content, total, send)
+        return PreparedLeaf(node, demand, (values, total, msg_weight, send))
 
     def attach_leaf(self, leaf: PreparedLeaf, parent: Optional[NodeId]) -> None:
         """Commit a prepared leaf under ``parent``, unchecked."""
-        node, demand, content = leaf.node, leaf.demand, leaf.content
+        node, demand = leaf.node, leaf.demand
+        values, total, msgw, send = leaf.content
         self._parent[node] = parent
         self._children[node] = set()
-        depth = 0 if parent is None else self._depth[parent] + 1
-        self._depth[node] = depth
+        self._depth[node] = 0 if parent is None else self._depth[parent] + 1
         self._local[node] = demand
-        self._local_msgw[node] = content.msg_weight
-        self._in[node] = dict(demand)
-        self._in_count[node] = {a: 1 for a in demand}
-        self._out[node] = content
+        self._local_msgw[node] = msgw
+        self._msgw[node] = msgw
         self._msgw_count[node] = 1
+        if values is not None:
+            self._in[node] = dict(demand)
+            self._in_count[node] = {a: 1 for a in demand}
+            self._out[node] = values
         slot = self._acquire_slot(node)
-        self._send_a[slot] = leaf.send
-        self._tot_a[slot] = leaf.total
+        self._send_a[slot] = send
+        self._tot_a[slot] = total
         self._pair_count += len(demand)
         self._epoch += 1
         if parent is None:
             self._root = node
         else:
             self._children[parent].add(node)
-            self._propagate_delta(
-                parent,
-                node,
-                {a: (0.0, w) for a, w in content.values.items()},
-                0.0,
-                content.msg_weight,
-                0.0,
-                leaf.send,
-                _CHILD_ATTACHED,
-                commit=True,
-            )
+            self._walk(parent, node, _ABSENT, leaf.content, commit=True)
 
     def entry_cost(self, demand: NodeDemand, msg_weight: float = 1.0) -> float:
         """Send cost of the message a new leaf with ``demand`` would emit.
@@ -623,10 +623,10 @@ class MonitoringTree:
         have available (its receive-side share), which makes it a sound
         pre-filter before the full path feasibility walk.
         """
-        content = _Content(
-            {a: self._funnel(a, w) for a, w in demand.items() if w > 0}, msg_weight
-        )
-        return self._send_cost_of(content)
+        if msg_weight <= 0.0:
+            return 0.0
+        total = sum(self._funnel(a, w) for a, w in demand.items() if w > 0)
+        return self.cost.weighted_message_cost(msg_weight, total)
 
     def can_add_node(self, node: NodeId, parent: Optional[NodeId], demand: NodeDemand, msg_weight: float = 1.0) -> bool:
         """Feasibility of :meth:`add_node` without mutating."""
@@ -647,7 +647,7 @@ class MonitoringTree:
         if parent is None:
             # Becoming the root: the collector receives the message.
             return leaf.send <= self.central_capacity + EPSILON
-        return self._attach_fits(parent, leaf.content, leaf.total, leaf.send)
+        return self._walk(parent, None, _ABSENT, leaf.content, check=True)
 
     def refuses(self, leaf: PreparedLeaf) -> bool:
         """O(1) sufficient test that *no* member can host ``leaf``.
@@ -667,7 +667,7 @@ class MonitoringTree:
             return False
         slot = self._slot[self._root]
         send = self.cost.weighted_message_cost(
-            self._out[self._root].msg_weight, self._tot_a[slot] + leaf.total
+            self._msgw[self._root], self._tot_a[slot] + leaf.total
         )
         if send > self.central_capacity + 2 * EPSILON:
             return True
@@ -715,51 +715,36 @@ class MonitoringTree:
 
     def _apply_local(self, node: NodeId, demand: NodeDemand, msgw: float) -> None:
         slot = self._slot[node]
-        old_out = self._out[node]
-        old_send = self._send_a[slot]
+        old = self._content(node)
         self._epoch += 1
         self._local[node] = dict(demand)
         self._local_msgw[node] = msgw
-        incoming: Dict[AttributeId, float] = dict(demand)
-        counts: Dict[AttributeId, int] = {a: 1 for a in demand}
-        for child in self._children[node]:
-            for attr, weight in self._out[child].values.items():
-                incoming[attr] = incoming.get(attr, 0.0) + weight
-                counts[attr] = counts.get(attr, 0) + 1
-        self._in[node] = incoming
-        self._in_count[node] = counts
-        new_out = self._compute_out(node)
-        self._out[node] = new_out
-        self._msgw_count[node] = self._count_msgw_contributors(node, new_out.msg_weight)
-        new_total = new_out.total()
-        new_send = (
-            self.cost.weighted_message_cost(new_out.msg_weight, new_total)
-            if new_out.msg_weight > 0.0
-            else 0.0
-        )
-        self._send_a[slot] = new_send
-        self._tot_a[slot] = new_total
+        # The node's own content is re-derived from its local demand and
+        # its children's contributions; only the ancestors see a delta.
+        values: Optional[Dict[AttributeId, float]] = None
+        if self._has_agg:
+            incoming: Dict[AttributeId, float] = dict(demand)
+            counts: Dict[AttributeId, int] = {a: 1 for a in demand}
+            for child in self._children[node]:
+                for attr, weight in self._out[child].items():
+                    incoming[attr] = incoming.get(attr, 0.0) + weight
+                    counts[attr] = counts.get(attr, 0) + 1
+            self._in[node] = incoming
+            self._in_count[node] = counts
+            funnelled = ((a, self._funnel(a, w)) for a, w in incoming.items())
+            self._out[node] = values = {a: w for a, w in funnelled if w > 0.0}
+            total = sum(values.values())
+        else:
+            tot_a, slot_tab = self._tot_a, self._slot
+            total = sum(demand.values()) + sum(tot_a[slot_tab[c]] for c in self._children[node])
+        new_msgw, self._msgw_count[node] = self._rescan_msgw(node, None, 0.0, None)
+        self._msgw[node] = new_msgw
+        send = self.cost.weighted_message_cost(new_msgw, total) if new_msgw > 0.0 else 0.0
+        self._send_a[slot] = send
+        self._tot_a[slot] = total
         parent = self._parent[node]
         if parent is not None:
-            changed = _diff_values(old_out.values, new_out.values)
-            self._propagate_delta(
-                parent,
-                node,
-                changed,
-                old_out.msg_weight,
-                new_out.msg_weight,
-                old_send,
-                new_send,
-                _CHILD_MODIFIED,
-                commit=True,
-            )
-
-    def _count_msgw_contributors(self, node: NodeId, msgw: float) -> int:
-        count = 1 if self._local_msgw[node] == msgw else 0
-        for child in self._children[node]:
-            if self._out[child].msg_weight == msgw:
-                count += 1
-        return count
+            self._walk(parent, node, old, (values, total, new_msgw, send), commit=True)
 
     def _path_within_capacity(self, node: NodeId) -> bool:
         slot_tab, cap_a = self._slot, self._cap_a
@@ -783,7 +768,6 @@ class MonitoringTree:
         if branch_root not in self._parent:
             raise ValueError(f"node {branch_root} is not in the tree")
         parent = self._parent[branch_root]
-        branch_out = self._out[branch_root]
         order = self.subtree_nodes(branch_root)
         records = []
         for node in order:
@@ -798,33 +782,13 @@ class MonitoringTree:
             )
         if parent is not None:
             self._children[parent].discard(branch_root)
-            self._propagate_delta(
-                parent,
-                branch_root,
-                {a: (w, 0.0) for a, w in branch_out.values.items()},
-                branch_out.msg_weight,
-                0.0,
-                self._send_a[self._slot[branch_root]],
-                0.0,
-                _CHILD_DETACHED,
-                commit=True,
-            )
+            self._walk(parent, branch_root, self._content(branch_root), _ABSENT, commit=True)
         else:
             self._root = None
         for node in order:
             self._pair_count -= len(self._local[node])
             self._release_slot(node)
-            for table in (
-                self._parent,
-                self._children,
-                self._depth,
-                self._local,
-                self._local_msgw,
-                self._in,
-                self._in_count,
-                self._out,
-                self._msgw_count,
-            ):
+            for table in self._node_tables:
                 del table[node]
         self._epoch += 1
         return records
@@ -856,33 +820,13 @@ class MonitoringTree:
         if check and not self._move_feasible(branch_root, new_parent):
             return False
 
-        branch_out = self._out[branch_root]
-        branch_send = self._send_a[self._slot[branch_root]]
+        # Moving the branch does not change what it sends.
+        content = self._content(branch_root)
         self._children[old_parent].discard(branch_root)
-        self._propagate_delta(
-            old_parent,
-            branch_root,
-            {a: (w, 0.0) for a, w in branch_out.values.items()},
-            branch_out.msg_weight,
-            0.0,
-            branch_send,
-            0.0,
-            _CHILD_DETACHED,
-            commit=True,
-        )
+        self._walk(old_parent, branch_root, content, _ABSENT, commit=True)
         self._parent[branch_root] = new_parent
         self._children[new_parent].add(branch_root)
-        self._propagate_delta(
-            new_parent,
-            branch_root,
-            {a: (0.0, w) for a, w in branch_out.values.items()},
-            0.0,
-            branch_out.msg_weight,
-            0.0,
-            branch_send,
-            _CHILD_ATTACHED,
-            commit=True,
-        )
+        self._walk(new_parent, branch_root, _ABSENT, content, commit=True)
         self._refresh_depths(branch_root)
         self._epoch += 1
         return True
@@ -934,43 +878,17 @@ class MonitoringTree:
         """
         old_parent = self._parent[branch_root]
         assert old_parent is not None
-        branch_out = self._out[branch_root]
-        slot = self._slot[branch_root]
-        branch_send = self._send_a[slot]
-        if self._attach_fits(new_parent, branch_out, self._tot_a[slot], branch_send):
+        content = self._content(branch_root)
+        if self._walk(new_parent, branch_root, _ABSENT, content, check=True):
             return True
         fail_node = self._last_check_fail
         # Exact rejection if the failing node is untouched by the
         # detach (i.e. not an ancestor of the old parent).
         if fail_node is not None and not self._is_ancestor_or_self(fail_node, old_parent):
             return False
-
-        msgw = branch_out.msg_weight
-        values = branch_out.values
         overlay: Dict[NodeId, _SimNodeState] = {}
-        self._propagate_delta(
-            old_parent,
-            branch_root,
-            {a: (w, 0.0) for a, w in values.items()},
-            msgw,
-            0.0,
-            branch_send,
-            0.0,
-            _CHILD_DETACHED,
-            overlay=overlay,
-        )
-        return self._propagate_delta(
-            new_parent,
-            branch_root,
-            {a: (0.0, w) for a, w in values.items()},
-            0.0,
-            msgw,
-            0.0,
-            branch_send,
-            _CHILD_ATTACHED,
-            check=True,
-            overlay=overlay,
-        )
+        self._walk(old_parent, branch_root, content, _ABSENT, overlay=overlay)
+        return self._walk(new_parent, branch_root, _ABSENT, content, check=True, overlay=overlay)
 
     # ------------------------------------------------------------------
     # Internals
@@ -986,30 +904,22 @@ class MonitoringTree:
             for child in self._children[node]:
                 stack.append((child, depth + 1))
 
-    def _propagate_delta(
+    def _walk(
         self,
         start: NodeId,
         child: Optional[NodeId],
-        changed: _ValueDeltas,
-        old_msgw: float,
-        new_msgw: float,
-        old_send: float,
-        new_send: float,
-        sign: int,
+        old: _Content,
+        new: _Content,
         commit: bool = False,
         check: bool = False,
         overlay: Optional[Dict[NodeId, _SimNodeState]] = None,
     ) -> bool:
-        """Push a child's content delta up the ancestor path.
+        """Push a change of ``child``'s contribution up from ``start``.
 
-        ``changed`` maps each attribute whose outgoing weight changed at
-        the child to its ``(old, new)`` pair; ``old_/new_msgw`` and
-        ``old_/new_send`` describe the child's message weight and send
-        cost before/after; ``sign`` says whether the child was modified
-        in place, newly attached, or detached.
-
-        Three modes share this one walk so the incremental math cannot
-        drift between them:
+        ``old`` and ``new`` are what the child contributed to ``start``
+        before and after (:data:`_ABSENT` for a child that attaches or
+        detaches).  Every mutation and every probe is this one walk, so
+        the incremental math cannot drift between them:
 
         - ``commit=True`` writes the real tables (the mutation path);
         - ``check=True`` verifies capacity along the way and returns
@@ -1018,300 +928,228 @@ class MonitoringTree:
           and write *to* simulated per-node state, so multi-phase
           simulations (detach, then attach) compose read-only.
 
-        The walk stops at the first ancestor whose outgoing message is
-        unchanged: its parent then sees zero delta, so nothing above
-        can change.  Under funnel saturation this usually happens after
-        one hop.
+        Each hop settles the receive side, the message weight and its
+        contributor count, and forwards the change of its own message
+        to the next.  Without funnels that change is the child's, value
+        for value, so the walk carries three scalars -- the change of
+        the total, of the message weight and of the send cost -- over
+        the float columns.  With funnels one more step per hop derives
+        the hop's outgoing per-attribute deltas from its incoming ones
+        (:meth:`_refunnel`).  The walk stops at the first ancestor whose
+        outgoing message is unchanged: its parent then sees no change,
+        so nothing above can differ.  Under funnel saturation this
+        usually happens after one hop.
         """
+        old_values, old_total, old_msgw, old_send = old
+        new_values, new_total, new_msgw, new_send = new
+        delta = new_total - old_total
+        changed: Optional[_ValueDeltas] = None
+        if self._has_agg:
+            changed = _diff_values(old_values or {}, new_values or {})
+            moves = bool(changed)
+        else:
+            # Exact on purpose: a bit-identical total re-derives a
+            # bit-identical send cost one hop up.
+            moves = new_total != old_total
         parent_tab = self._parent
-        in_tab = self._in
-        out_tab = self._out
-        funnel = self._funnel
-        has_agg = self._has_agg
         slot_tab = self._slot
         cap_a = self._cap_a
         send_a = self._send_a
         recv_a = self._recv_a
         tot_a = self._tot_a
-        msgw_count_tab = self._msgw_count
+        msgw_tab = self._msgw
+        count_tab = self._msgw_count
         weighted_cost = self.cost.weighted_message_cost
         if check:
             self._last_check_fail = None
             self._last_check_fail_minimal = True
-        msgw_grew = False
+        minimal = True
+        entry: Optional[_SimNodeState] = None
         node: Optional[NodeId] = start
         while node is not None:
             slot = slot_tab[node]
-            entry = overlay.get(node) if overlay is not None else None
-            real_out = out_tab[node]
-            if entry is not None:
+            if overlay is None:
+                cur_msgw = msgw_tab[node]
+                cur_count = count_tab[node]
+                cur_total = tot_a[slot]
+                cur_send = send_a[slot]
+                cur_recv = recv_a[slot]
+            else:
+                entry = overlay.get(node)
+                if entry is None:
+                    entry = overlay[node] = _SimNodeState(
+                        msgw_tab[node],
+                        count_tab[node],
+                        tot_a[slot],
+                        send_a[slot],
+                        recv_a[slot],
+                        changed is not None,
+                    )
                 cur_msgw = entry.msg_weight
                 cur_count = entry.msgw_count
                 cur_total = entry.total
                 cur_send = entry.send
                 cur_recv = entry.recv
-            else:
-                cur_msgw = real_out.msg_weight
-                cur_count = msgw_count_tab[node]
-                cur_total = tot_a[slot]
-                cur_send = send_a[slot]
-                cur_recv = recv_a[slot]
 
-            # -- per-attribute incoming/outgoing deltas ----------------
-            real_in = in_tab[node]
-            out_pairs: _ValueDeltas = {}
-            out_delta = 0.0
-            in_changes: Optional[Dict[AttributeId, float]] = {} if overlay is not None else None
-            counts = self._in_count[node] if commit else None
-            for attr, (ow, nw) in changed.items():
-                if commit:
-                    counts_t = counts
-                    assert counts_t is not None
-                    if sign == _CHILD_ATTACHED:
-                        gained, lost = nw > 0.0, False
-                    elif sign == _CHILD_DETACHED:
-                        gained, lost = False, ow > 0.0
-                    else:
-                        gained = ow <= 0.0 < nw
-                        lost = nw <= 0.0 < ow
-                    if gained:
-                        counts_t[attr] = counts_t.get(attr, 0) + 1
-                    ref = counts_t.get(attr, 0)
-                    if lost:
-                        ref -= 1
-                        if ref <= 0:
-                            counts_t.pop(attr, None)
-                            ref = 0
-                        else:
-                            counts_t[attr] = ref
-                else:
-                    ref = -1  # unknown; simulations tolerate ~0 residue
-                if entry is not None and attr in entry.in_values:
-                    cur_in = entry.in_values[attr]
-                else:
-                    cur_in = real_in.get(attr, 0.0)
-                new_in = cur_in + (nw - ow)
-                if ref == 0:
-                    # Last contributor gone: snap the residue to exactly
-                    # zero so incremental state matches a recompute.
-                    new_in = 0.0
-                if commit:
-                    if ref == 0:
-                        real_in.pop(attr, None)
-                    else:
-                        real_in[attr] = new_in if new_in > 0.0 else 0.0
-                elif in_changes is not None:
-                    in_changes[attr] = new_in
-                if entry is not None and attr in entry.out_values:
-                    old_out_w = entry.out_values[attr]
-                else:
-                    old_out_w = real_out.values.get(attr, 0.0)
-                if has_agg:
-                    new_out_w = funnel(attr, new_in)
-                else:
-                    new_out_w = new_in if new_in > 0.0 else 0.0
-                if new_out_w != old_out_w:
-                    out_pairs[attr] = (old_out_w, new_out_w)
-                    out_delta += new_out_w - old_out_w
+            if changed is not None:
+                changed, delta = self._refunnel(node, changed, entry, commit)
+                moves = bool(changed)
 
             # -- cached max over {local msgw, children msgw} -----------
+            # An absent contributor weighs 0.0 and every present one
+            # more, so attaching and detaching are the in-place change
+            # from or to 0.0.
             node_msgw = cur_msgw
             node_count = cur_count
-            if sign == _CHILD_ATTACHED:
-                if new_msgw > cur_msgw:
-                    node_msgw, node_count = new_msgw, 1
-                elif new_msgw == cur_msgw:
+            if new_msgw > cur_msgw:
+                node_msgw, node_count = new_msgw, 1
+            elif new_msgw == cur_msgw:
+                if old_msgw != cur_msgw:
                     node_count = cur_count + 1
-            elif sign == _CHILD_DETACHED:
-                if old_msgw == cur_msgw:
-                    node_count = cur_count - 1
-                    if node_count <= 0:
-                        node_msgw, node_count = self._rescan_msgw(node, child, None, overlay)
-            else:  # modified in place
-                if new_msgw > cur_msgw:
-                    node_msgw, node_count = new_msgw, 1
-                elif new_msgw == cur_msgw:
-                    if old_msgw != cur_msgw:
-                        node_count = cur_count + 1
-                elif old_msgw == cur_msgw:
-                    node_count = cur_count - 1
-                    if node_count <= 0:
-                        node_msgw, node_count = self._rescan_msgw(node, child, new_msgw, overlay)
-
+            elif old_msgw == cur_msgw:
+                node_count = cur_count - 1
+                if node_count <= 0:
+                    node_msgw, node_count = self._rescan_msgw(node, child, new_msgw, overlay)
             if node_msgw != cur_msgw:
-                msgw_grew = True
+                minimal = False
             new_recv = cur_recv + new_send - old_send
             if new_recv < 0.0:
                 new_recv = 0.0
 
-            # -- early termination -------------------------------------
-            if not out_pairs and node_msgw == cur_msgw:
-                # Outgoing message unchanged: the parent sees no delta.
-                # Settle recv (and the msgw contributor count) here and
-                # stop walking.
-                if commit:
-                    recv_a[slot] = new_recv
-                    msgw_count_tab[node] = node_count
-                elif overlay is not None:
-                    if entry is None:
-                        entry = self._overlay_entry(node, cur_msgw, cur_count, real_out)
-                        overlay[node] = entry
-                    if in_changes:
-                        entry.in_values.update(in_changes)
-                    entry.msgw_count = node_count
-                    entry.recv = new_recv
-                if check and cur_send + new_recv > cap_a[slot] + EPSILON:
-                    self._last_check_fail = node
-                    self._last_check_fail_minimal = not msgw_grew
-                    return False
-                return True
-
-            new_total = cur_total + out_delta
-            node_send = (
-                weighted_cost(node_msgw, new_total) if node_msgw > 0.0 else 0.0
-            )
-            if check and node_send + new_recv > cap_a[slot] + EPSILON:
-                self._last_check_fail = node
-                self._last_check_fail_minimal = not msgw_grew
-                return False
-
+            # Outgoing message unchanged: the parent sees no delta.
+            # Settle recv (and the msgw contributor count) here and
+            # stop walking.
+            last = not moves and node_msgw == cur_msgw
+            if last:
+                node_total, node_send = cur_total, cur_send
+            else:
+                node_total = cur_total + delta
+                node_send = weighted_cost(node_msgw, node_total) if node_msgw > 0.0 else 0.0
             parent = parent_tab[node]
-            if check and parent is None and node_send > self.central_capacity + EPSILON:
-                # The root's message grows; the collector must absorb it.
+            # Where the root's message grows the collector must absorb it.
+            if check and (
+                node_send + new_recv > cap_a[slot] + EPSILON
+                or (parent is None and not last and node_send > self.central_capacity + EPSILON)
+            ):
                 self._last_check_fail = node
-                self._last_check_fail_minimal = not msgw_grew
+                self._last_check_fail_minimal = minimal
                 return False
-
             if commit:
-                values = real_out.values
-                for attr, (_ow2, nw2) in out_pairs.items():
-                    if nw2 > 0.0:
-                        values[attr] = nw2
-                    else:
-                        values.pop(attr, None)
-                real_out.msg_weight = node_msgw
-                msgw_count_tab[node] = node_count
+                msgw_tab[node] = node_msgw
+                count_tab[node] = node_count
+                tot_a[slot] = node_total
                 send_a[slot] = node_send
                 recv_a[slot] = new_recv
-                tot_a[slot] = new_total
-            elif overlay is not None:
-                if entry is None:
-                    entry = self._overlay_entry(node, cur_msgw, cur_count, real_out)
-                    overlay[node] = entry
-                if in_changes:
-                    entry.in_values.update(in_changes)
-                for attr, (_ow2, nw2) in out_pairs.items():
-                    entry.out_values[attr] = nw2
+            elif entry is not None:
                 entry.msg_weight = node_msgw
                 entry.msgw_count = node_count
-                entry.total = new_total
+                entry.total = node_total
                 entry.send = node_send
                 entry.recv = new_recv
+            if last:
+                return True
 
             # The node itself is the changed child at the next level.
-            changed = out_pairs
             old_msgw, new_msgw = cur_msgw, node_msgw
             old_send, new_send = cur_send, node_send
-            sign = _CHILD_MODIFIED
             child = node
             node = parent
         return True
 
-    def _overlay_entry(
-        self, node: NodeId, msgw: float, msgw_count: int, real_out: _Content
-    ) -> _SimNodeState:
-        slot = self._slot[node]
-        return _SimNodeState(
-            msgw,
-            msgw_count,
-            self._tot_a[slot],
-            self._send_a[slot],
-            self._recv_a[slot],
-        )
+    def _refunnel(
+        self,
+        node: NodeId,
+        changed: _ValueDeltas,
+        entry: Optional[_SimNodeState],
+        commit: bool,
+    ) -> Tuple[_ValueDeltas, float]:
+        """The aggregation-specific step of one hop of :meth:`_walk`.
+
+        ``changed`` maps each attribute whose weight changed in a
+        child's message to its ``(old, new)`` pair.  Applies them to
+        ``node``'s incoming values, re-funnels only those attributes
+        and returns how ``node``'s own outgoing values change -- the
+        same kind of map -- with the change of their total.  ``commit``
+        writes the tables; an overlay ``entry`` is read through and
+        written to; with neither the step is read-only.
+        """
+        real_in = self._in[node]
+        real_out = self._out[node]
+        funnel = self._funnel
+        counts = self._in_count[node] if commit else None
+        out_pairs: _ValueDeltas = {}
+        out_delta = 0.0
+        for attr, (ow, nw) in changed.items():
+            ref = -1  # unknown; simulations tolerate ~0 residue
+            if counts is not None:
+                if ow <= 0.0 < nw:
+                    counts[attr] = counts.get(attr, 0) + 1
+                ref = counts.get(attr, 0)
+                if nw <= 0.0 < ow:
+                    ref -= 1
+                    if ref <= 0:
+                        counts.pop(attr, None)
+                        ref = 0
+                    else:
+                        counts[attr] = ref
+            if entry is not None and attr in entry.in_values:
+                cur_in = entry.in_values[attr]
+            else:
+                cur_in = real_in.get(attr, 0.0)
+            new_in = cur_in + (nw - ow)
+            if ref == 0:
+                # Last contributor gone: snap the residue to exactly
+                # zero so incremental state matches a recompute.
+                new_in = 0.0
+            if entry is not None and attr in entry.out_values:
+                old_out_w = entry.out_values[attr]
+            else:
+                old_out_w = real_out.get(attr, 0.0)
+            new_out_w = funnel(attr, new_in)
+            if commit:
+                if ref == 0:
+                    real_in.pop(attr, None)
+                else:
+                    real_in[attr] = new_in if new_in > 0.0 else 0.0
+            elif entry is not None:
+                entry.in_values[attr] = new_in
+            if new_out_w != old_out_w:
+                out_pairs[attr] = (old_out_w, new_out_w)
+                out_delta += new_out_w - old_out_w
+                if commit:
+                    if new_out_w > 0.0:
+                        real_out[attr] = new_out_w
+                    else:
+                        real_out.pop(attr, None)
+                elif entry is not None:
+                    entry.out_values[attr] = new_out_w
+        return out_pairs, out_delta
 
     def _rescan_msgw(
         self,
         node: NodeId,
         child: Optional[NodeId],
-        replacement: Optional[float],
+        replacement: float,
         overlay: Optional[Dict[NodeId, _SimNodeState]],
     ) -> Tuple[float, int]:
         """Recompute the max message weight over {local, children} and
-        its contributor count, with the changed ``child`` excluded (or
-        its weight replaced by ``replacement`` for in-place changes)."""
+        its contributor count, with the changed ``child``'s weight
+        replaced by ``replacement`` (0.0: it is gone)."""
         best = self._local_msgw[node]
         count = 1
         for c in self._children[node]:
             if c == child:
                 continue
-            if overlay is not None and c in overlay:
-                w = overlay[c].msg_weight
-            else:
-                w = self._out[c].msg_weight
+            w = overlay[c].msg_weight if overlay is not None and c in overlay else self._msgw[c]
             if w > best:
                 best, count = w, 1
             elif w == best:
                 count += 1
-        if replacement is not None:
-            if replacement > best:
-                best, count = replacement, 1
-            elif replacement == best:
-                count += 1
+        if replacement > best:
+            best, count = replacement, 1
+        elif replacement == best:
+            count += 1
         return best, count
-
-    def _attach_fits(
-        self, start: NodeId, content: _Content, total: float, send: float
-    ) -> bool:
-        """Would a new child of ``start`` emitting ``content`` (value
-        sum ``total``, message cost ``send``) fit all the way up?
-
-        Aggregated trees take the general check-mode walk.  Without
-        funnels outgoing = incoming for every attribute, so each hop
-        sees the same scalar payload ``total`` and the walk needs only
-        the float columns; decisions, the failing node and the
-        ``minimal`` flag are those of ``_propagate_delta(check=True)``.
-        """
-        msgw = content.msg_weight
-        if self._has_agg:
-            deltas = {a: (0.0, w) for a, w in content.values.items()}
-            return self._propagate_delta(
-                start, None, deltas, 0.0, msgw, 0.0, send, _CHILD_ATTACHED, check=True
-            )
-        parent_tab, out_tab, slot_tab = self._parent, self._out, self._slot
-        cap_a, send_a, recv_a, tot_a = self._cap_a, self._send_a, self._recv_a, self._tot_a
-        weighted_cost = self.cost.weighted_message_cost
-        central_limit = self.central_capacity + EPSILON
-        self._last_check_fail = None
-        self._last_check_fail_minimal = minimal = True
-        old_send = 0.0
-        node: Optional[NodeId] = start
-        while node is not None:
-            slot = slot_tab[node]
-            cur_send = send_a[slot]
-            limit = cap_a[slot] + EPSILON
-            new_recv = recv_a[slot] + send - old_send
-            cur_msgw = out_tab[node].msg_weight
-            if msgw > cur_msgw:
-                # The relay must now forward more often than it did.
-                minimal = False
-            else:
-                msgw = cur_msgw
-                if total <= 0.0:
-                    # Outgoing message unchanged: nothing above moves.
-                    if cur_send + new_recv > limit:
-                        break
-                    return True
-            node_send = weighted_cost(msgw, tot_a[slot] + total) if msgw > 0.0 else 0.0
-            parent = parent_tab[node]
-            if node_send + new_recv > limit or (parent is None and node_send > central_limit):
-                break
-            old_send, send = cur_send, node_send
-            node = parent
-        else:
-            return True
-        self._last_check_fail = node
-        self._last_check_fail_minimal = minimal
-        return False
 
     # ------------------------------------------------------------------
     # Validation
@@ -1364,8 +1202,9 @@ class MonitoringTree:
         if seen != set(self._parent):
             raise TreeInvariantError("orphan nodes disconnected from the root")
 
-        # Recompute contents bottom-up.
+        # Recompute contents bottom-up from the local demands alone.
         order = self.subtree_nodes(self._root)
+        outgoing: Dict[NodeId, Dict[AttributeId, float]] = {}
         for node in reversed(order):
             incoming: Dict[AttributeId, float] = dict(self._local[node])
             counts: Dict[AttributeId, int] = {a: 1 for a in self._local[node]}
@@ -1373,42 +1212,20 @@ class MonitoringTree:
             msgw_count = 1
             recv = 0.0
             for child in self._children[node]:
-                for attr, weight in self._out[child].values.items():
+                for attr, weight in outgoing.pop(child).items():
                     incoming[attr] = incoming.get(attr, 0.0) + weight
                     counts[attr] = counts.get(attr, 0) + 1
                 recv += self._send_a[self._slot[child]]
-                child_msgw = self._out[child].msg_weight
+                child_msgw = self._msgw[child]
                 if child_msgw > msgw:
                     msgw, msgw_count = child_msgw, 1
                 elif child_msgw == msgw:
                     msgw_count += 1
-            for attr, weight in incoming.items():
-                cached = self._in[node].get(attr, 0.0)
-                if abs(cached - weight) > 1e-6:
-                    raise TreeInvariantError(
-                        f"incoming weight drift at {node}/{attr}: cached {cached}, actual {weight}"
-                    )
-            stale = set(self._in[node]) - set(incoming)
-            if stale:
-                raise TreeInvariantError(
-                    f"stale incoming attributes cached at {node}: {sorted(stale)}"
-                )
-            if self._in_count[node] != counts:
-                raise TreeInvariantError(
-                    f"incoming refcount drift at {node}: cached {self._in_count[node]}, "
-                    f"actual {counts}"
-                )
-            expected_out = {
-                attr: self._funnel(attr, weight) for attr, weight in incoming.items()
-            }
-            expected_out = {a: w for a, w in expected_out.items() if w > 0}
-            cached_out = self._out[node].values
-            if set(expected_out) != {a for a, w in cached_out.items() if w > 1e-9}:
-                raise TreeInvariantError(f"outgoing attr set drift at {node}")
-            for attr, weight in expected_out.items():
-                if abs(cached_out.get(attr, 0.0) - weight) > 1e-6:
-                    raise TreeInvariantError(f"outgoing weight drift at {node}/{attr}")
-            if abs(self._out[node].msg_weight - msgw) > 1e-6:
+            funnelled = ((a, self._funnel(a, w)) for a, w in incoming.items())
+            outgoing[node] = expected_out = {a: w for a, w in funnelled if w > 0}
+            if self._has_agg:
+                self._validate_attribute_tables(node, incoming, counts, expected_out)
+            if abs(self._msgw[node] - msgw) > 1e-6:
                 raise TreeInvariantError(f"message weight drift at {node}")
             if self._msgw_count[node] != msgw_count:
                 raise TreeInvariantError(
@@ -1420,17 +1237,19 @@ class MonitoringTree:
                 raise TreeInvariantError(
                     f"recv drift at {node}: cached {self._recv_a[slot]}, actual {recv}"
                 )
-            expected_send = self._send_cost_of(self._out[node])
-            if abs(self._send_a[slot] - expected_send) > 1e-6:
-                raise TreeInvariantError(
-                    f"send drift at {node}: cached {self._send_a[slot]}, "
-                    f"actual {expected_send}"
-                )
-            expected_total = self._out[node].total()
+            expected_total = sum(expected_out.values())
             if abs(self._tot_a[slot] - expected_total) > 1e-6:
                 raise TreeInvariantError(
                     f"outgoing total drift at {node}: cached {self._tot_a[slot]}, "
                     f"actual {expected_total}"
+                )
+            expected_send = (
+                self.cost.weighted_message_cost(msgw, expected_total) if msgw > 0.0 else 0.0
+            )
+            if abs(self._send_a[slot] - expected_send) > 1e-6:
+                raise TreeInvariantError(
+                    f"send drift at {node}: cached {self._send_a[slot]}, "
+                    f"actual {expected_send}"
                 )
             if self.used(node) > self._cap_a[slot] + 1e-6:
                 raise TreeInvariantError(
@@ -1446,6 +1265,39 @@ class MonitoringTree:
             raise TreeInvariantError(
                 f"pair count drift: cached {self._pair_count}, actual {expected_pairs}"
             )
+
+
+    def _validate_attribute_tables(
+        self,
+        node: NodeId,
+        incoming: Dict[AttributeId, float],
+        counts: Dict[AttributeId, int],
+        expected_out: Dict[AttributeId, float],
+    ) -> None:
+        """What an aggregated tree caches per attribute, against the
+        recomputed incoming weights, refcounts and funnelled output."""
+        for attr, weight in incoming.items():
+            cached = self._in[node].get(attr, 0.0)
+            if abs(cached - weight) > 1e-6:
+                raise TreeInvariantError(
+                    f"incoming weight drift at {node}/{attr}: cached {cached}, actual {weight}"
+                )
+        stale = set(self._in[node]) - set(incoming)
+        if stale:
+            raise TreeInvariantError(
+                f"stale incoming attributes cached at {node}: {sorted(stale)}"
+            )
+        if self._in_count[node] != counts:
+            raise TreeInvariantError(
+                f"incoming refcount drift at {node}: cached {self._in_count[node]}, "
+                f"actual {counts}"
+            )
+        cached_out = self._out[node]
+        if set(expected_out) != {a for a, w in cached_out.items() if w > 1e-9}:
+            raise TreeInvariantError(f"outgoing attr set drift at {node}")
+        for attr, weight in expected_out.items():
+            if abs(cached_out.get(attr, 0.0) - weight) > 1e-6:
+                raise TreeInvariantError(f"outgoing weight drift at {node}/{attr}")
 
 
 def _diff_values(

@@ -25,6 +25,7 @@ from repro.checks import (
 )
 from repro.core.partition import MergeOp, Partition, SplitOp
 from repro.core.planner import RemoPlanner
+from repro.trees.model import TreeInvariantError
 
 
 @pytest.fixture
@@ -108,6 +109,19 @@ def test_stale_cost_is_caught_only_by_the_drift_check(planned):
     inject_fault(plan, "stale-cost")
     report = check_plan_for_cluster(plan, cluster)
     assert set(report.codes()) == {"REMO203"}
+
+
+def test_stale_total_is_caught_only_by_the_drift_check(planned):
+    """The total column is all a funnel-free tree remembers of what a
+    node forwards; the recompute comparison is what contradicts it."""
+    plan, cluster = planned
+    inject_fault(plan, "stale-total")
+    report = check_plan_for_cluster(plan, cluster)
+    assert set(report.codes()) == {"REMO203"}
+    (drift,) = report.diagnostics
+    assert "outgoing values" in drift.message and "send" not in drift.message
+    with pytest.raises(TreeInvariantError, match="outgoing total drift"):
+        plan.validate({n.node_id: n.capacity for n in cluster}, cluster.central_capacity)
 
 
 def test_corruption_classes_have_distinct_primary_codes(

@@ -102,6 +102,7 @@ class TestCommands:
             "cycle": "REMO111",
             "overload": "REMO201",
             "stale-cost": "REMO203",
+            "stale-total": "REMO203",
         }
         for kind, code in expected.items():
             rc = main(

@@ -29,6 +29,7 @@ same commit as ``BENCH_planner.json``; nothing else may move them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -94,15 +95,15 @@ def observe_extensions() -> dict:
     """Plan the tight 48-node input frequency-aware and aggregation-aware."""
     cluster, cost, tasks = sampled_workload(**TIGHT_48)
     slowed = [
-        MonitoringTask(t.task_id, t.attributes, t.nodes, FREQUENCIES[i % len(FREQUENCIES)])
-        for i, t in enumerate(tasks)
+        MonitoringTask(t.task_id, t.attributes, t.nodes, frequency)
+        for t, frequency in zip(tasks, itertools.cycle(FREQUENCIES))
     ]
     weights = frequency_weights(slowed)
     frequency_plan = RemoPlanner(cost).plan(
         slowed, cluster, pair_weights=weights.pair_weights, msg_weights=weights.msg_weights
     )
-    ranked = enumerate(sorted({a for t in tasks for a in t.attributes}))
-    funnels = {a: FUNNELS[i % len(FUNNELS)] for i, a in ranked if FUNNELS[i % len(FUNNELS)]}
+    ranked = sorted({a for t in tasks for a in t.attributes})
+    funnels = {a: spec for a, spec in zip(ranked, itertools.cycle(FUNNELS)) if spec}
     aggregated_plan = RemoPlanner(cost, aggregation=funnels).plan(tasks, cluster)
     return {
         "frequency_48": frequency_plan.fingerprint(),

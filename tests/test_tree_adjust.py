@@ -1,10 +1,13 @@
 """Unit tests for the adjusting procedure and its Section 5.1 optimizations."""
 
 import math
+import time
 
 import pytest
 
 from repro.core.cost import CostModel
+from repro.obs import names
+from repro.obs.metrics import default_registry
 from repro.trees.adaptive import AdaptiveTreeBuilder
 from repro.trees.adjust import TreeAdjuster
 from repro.trees.base import TreeBuildRequest
@@ -100,6 +103,41 @@ class TestOptimizationEquivalence:
             return adjuster.probe_count
 
         assert probes(True) <= probes(False)
+
+
+class TestPhaseTiming:
+    def test_a_build_reports_each_phase_once_and_they_add_up(self):
+        """``adjustment`` used to be observed per ``relieve`` call and
+        counted a second time inside ``tree_construction``."""
+
+        def phases():
+            registry = default_registry()
+            return {
+                phase: registry.histogram(names.PLANNER_PHASE_SECONDS, phase=phase)
+                for phase in ("tree_construction", "adjustment")
+            }
+
+        before = {phase: (h.count, h.sum) for phase, h in phases().items()}
+        builder = AdaptiveTreeBuilder(COST)
+        req = TreeBuildRequest(
+            attributes=frozenset({"a"}),
+            demands={i: {"a": 1.0} for i in range(60)},
+            capacities={i: 16.0 for i in range(60)},
+            central_capacity=500.0,
+        )
+        started = time.perf_counter()
+        builder.build(req)
+        elapsed = time.perf_counter() - started
+        spent = {
+            phase: (h.count - before[phase][0], h.sum - before[phase][1])
+            for phase, h in phases().items()
+        }
+        assert spent["tree_construction"][0] == 1
+        assert spent["adjustment"][0] == 1
+        assert spent["adjustment"][1] == pytest.approx(builder.adjuster.seconds)
+        assert 0.0 < spent["adjustment"][1] < elapsed
+        assert 0.0 < spent["tree_construction"][1]
+        assert spent["tree_construction"][1] + spent["adjustment"][1] <= elapsed
 
 
 class TestBasicReattachRollback:

@@ -7,9 +7,9 @@ early termination once nothing downstream can differ.  These tests
 drive random mutation sequences through a :class:`MonitoringTree` and,
 after every operation, compare the cached state against the from-scratch
 oracle in :mod:`repro.checks.recompute` and the tree's own
-``validate()`` invariants.  Any bookkeeping drift -- a stale ``_in``
-residue, a miscounted message-weight contributor, an early exit taken
-too eagerly -- surfaces here.
+``validate()`` invariants.  Any bookkeeping drift -- a stale total, a
+miscounted message-weight contributor, an early exit taken too
+eagerly -- surfaces here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.checks import assert_tree_matches_recompute
 from repro.core.cost import AggregationKind, AggregationSpec, CostModel
 from repro.trees.adaptive import AdaptiveTreeBuilder
 from repro.trees.base import TreeBuildRequest
-from repro.trees.model import _CHILD_ATTACHED, EPSILON, MonitoringTree
+from repro.trees.model import EPSILON, MonitoringTree
 
 ATTRS = ("cpu", "mem", "net", "disk", "io")
 
@@ -153,20 +153,27 @@ def test_readonly_probes_leave_no_trace(run):
 
 
 # ----------------------------------------------------------------------
-# The funnel-free scalar probe against the general walk
+# The scalar walk of a funnel-free tree against the per-attribute walk
 # ----------------------------------------------------------------------
-# Dyadic weights, costs and capacities keep every sum exact in binary
-# floating point, so the two walks must agree *exactly*, knife edges
-# included (the general walk re-derives the payload attribute by
-# attribute; with arbitrary floats the two can differ in the last bit).
+# A funnel-free tree keeps no per-attribute state and walks three
+# scalars; a tree with any funnel keeps the tables and re-funnels every
+# changed attribute at every hop.  The oracle is a *twin*: the same
+# tree given a funnel on an attribute no node ever demands, so it takes
+# the per-attribute step with identity funnels on everything it
+# carries.  Dyadic weights, costs and capacities keep every sum exact
+# in binary floating point, so the twins must agree *exactly*, knife
+# edges included (the per-attribute walk re-derives the payload
+# attribute by attribute; with arbitrary floats the two can differ in
+# the last bit).
 _DYADIC_WEIGHTS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 _DYADIC_MSGW = (0.25, 0.5, 1.0, 1.0, 1.0)
+_GHOST = "ghost"
 
 
 @st.composite
-def funnel_free_trees(draw):
-    """A random funnel-free tree with fractional value weights and
-    non-unit message weights, plus the rng that built it."""
+def twin_runs(draw):
+    """Dyadic cost model and slices for a pair of twins, an op count
+    and the rng that scripts the ops."""
     rnd = draw(st.randoms(use_true_random=False))
     cost = CostModel(
         per_message=draw(st.sampled_from((0.5, 1.0, 2.0, 4.0, 8.0))),
@@ -174,45 +181,15 @@ def funnel_free_trees(draw):
     )
     n_nodes = draw(st.integers(min_value=4, max_value=16))
     capacities = {
-        node: draw(st.integers(min_value=8, max_value=160)) / 4.0 for node in range(n_nodes + 1)
+        node: draw(st.integers(min_value=8, max_value=160)) / 4.0 for node in range(n_nodes)
     }
     central = draw(st.integers(min_value=40, max_value=400)) / 4.0
-    tree = MonitoringTree(ATTRS, cost, capacities, central_capacity=central)
-    for node in range(n_nodes):
-        members = tree.nodes
-        tree.add_node(
-            node,
-            rnd.choice(members) if members else None,
-            _dyadic_demand(rnd),
-            rnd.choice(_DYADIC_MSGW),
-        )
-    return rnd, tree, n_nodes
+    return rnd, cost, capacities, central, draw(st.integers(min_value=8, max_value=40))
 
 
 def _dyadic_demand(rnd):
     attrs = rnd.sample(ATTRS, rnd.randint(1, len(ATTRS)))
     return {a: rnd.choice(_DYADIC_WEIGHTS) for a in attrs}
-
-
-def _general_attach_probe(tree, start, content, send):
-    """The attach probe as ``_propagate_delta(check=True)`` answers it."""
-    ok = tree._propagate_delta(
-        start,
-        None,
-        {a: (0.0, w) for a, w in content.values.items()},
-        0.0,
-        content.msg_weight,
-        0.0,
-        send,
-        _CHILD_ATTACHED,
-        check=True,
-    )
-    return (ok, *tree.last_attach_failure())
-
-
-def _scalar_attach_probe(tree, start, content, total, send):
-    ok = tree._attach_fits(start, content, total, send)
-    return (ok, *tree.last_attach_failure())
 
 
 def _overloaded(tree):
@@ -222,48 +199,111 @@ def _overloaded(tree):
     )
 
 
+def _would_overload(tree, mutate):
+    trial = copy.deepcopy(tree)
+    mutate(trial)
+    return _overloaded(trial)
+
+
+def _state(tree):
+    return {
+        n: (
+            tree.parent(n),
+            tree.send_cost(n),
+            tree.recv_cost(n),
+            tree.outgoing_values(n),
+            tree.message_weight(n),
+        )
+        for n in tree.nodes
+    }
+
+
 @settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(funnel_free_trees())
-def test_scalar_probe_agrees_with_general_walk(built):
-    rnd, tree, new_node = built
-    if len(tree) == 0:
-        return
-    assert not tree.has_aggregation()
-    # Attaches: a fresh leaf (sometimes a pure relay) under every member.
-    for _ in range(3):
-        demand = {} if rnd.random() < 0.15 else _dyadic_demand(rnd)
-        leaf = tree.prepare_leaf(new_node, demand, rnd.choice(_DYADIC_MSGW))
-        for parent in tree.nodes:
-            scalar = _scalar_attach_probe(tree, parent, leaf.content, leaf.total, leaf.send)
-            assert scalar == _general_attach_probe(tree, parent, leaf.content, leaf.send)
-            # ... and both agree with actually doing it.
-            trial = copy.deepcopy(tree)
-            trial.add_node(new_node, parent, demand, leaf.content.msg_weight, check=False)
-            own = leaf.send > tree.capacities[new_node] + EPSILON
-            assert tree.leaf_fits(leaf, parent) == (not own and not _overloaded(trial))
-    # Moves: the pessimistic pass of every (branch, target) pair, and the
-    # whole probe against the committed move.
-    for branch in tree.nodes:
-        if tree.parent(branch) is None:
-            continue
-        inside = set(tree.subtree_nodes(branch))
-        content = tree._out[branch]
-        total = tree.outgoing_values(branch)
-        send = tree.send_cost(branch)
-        for target in tree.nodes:
-            if target in inside or target == tree.parent(branch):
+@given(twin_runs())
+def test_scalar_probe_agrees_with_general_walk(run):
+    rnd, cost, capacities, central, n_ops = run
+    scalar = MonitoringTree(ATTRS, cost, capacities, central_capacity=central)
+    general = MonitoringTree(
+        ATTRS + (_GHOST,),
+        cost,
+        capacities,
+        central_capacity=central,
+        aggregation={_GHOST: AggregationSpec(kind=AggregationKind.SUM)},
+    )
+    assert not scalar.has_aggregation() and general.has_aggregation()
+    twins = (scalar, general)
+
+    def both(call):
+        """One operation on both twins: same answer, and where a
+        feasibility walk ran, the same failing node and flag."""
+        first, second = call(scalar), call(general)
+        assert first == second
+        assert scalar.last_attach_failure() == general.last_attach_failure()
+        return first
+
+    next_node = 0
+    for _ in range(n_ops):
+        members = scalar.nodes
+        movable = [n for n in members if scalar.parent(n) is not None]
+        op = rnd.choice(("add", "add", "add", "update", "move", "move", "remove"))
+        checked = rnd.random() < 0.7
+        if op == "add" or not members:
+            if next_node >= len(capacities):
                 continue
-            scalar = _scalar_attach_probe(tree, target, content, total, send)
-            assert scalar == _general_attach_probe(tree, target, content, send)
-            trial = copy.deepcopy(tree)
-            trial.move_branch(branch, target, check=False)
-            assert tree.can_move_branch(branch, target) == (not _overloaded(trial))
-    assert_tree_matches_recompute(tree)
-    tree.validate()
+            node, parent = next_node, rnd.choice(members) if members else None
+            # Sometimes a pure relay: no values, only a message weight.
+            demand = {} if rnd.random() < 0.15 else _dyadic_demand(rnd)
+            msgw = rnd.choice(_DYADIC_MSGW)
+            fits = both(lambda t: t.can_add_node(node, parent, demand, msgw))
+            # The probe agrees with actually doing it.
+            assert fits == (
+                cost.weighted_message_cost(msgw, sum(demand.values()))
+                <= capacities[node] + EPSILON
+                and not _would_overload(
+                    scalar, lambda t: t.add_node(node, parent, demand, msgw, check=False)
+                )
+            )
+            if checked:
+                assert both(lambda t: t.add_node(node, parent, demand, msgw)) == fits
+            elif fits:
+                both(lambda t: t.add_node(node, parent, demand, msgw, check=False))
+            next_node += fits
+        elif op == "update":
+            node = rnd.choice(members)
+            before = scalar.local_demand(node), scalar.local_message_weight(node)
+            demand = {} if rnd.random() < 0.2 else _dyadic_demand(rnd)
+            msgw = rnd.choice(_DYADIC_MSGW)
+            both(lambda t: t.update_local(node, demand, msgw, check=checked))
+            if _overloaded(scalar):
+                # Only an unchecked update can get here; undo it the
+                # same way (DIRECT-APPLY strips pairs unchecked too).
+                assert not checked
+                both(lambda t: t.update_local(node, *before, check=False))
+        elif op == "move" and movable:
+            branch = rnd.choice(movable)
+            inside = set(scalar.subtree_nodes(branch))
+            hosts = [n for n in members if n not in inside]
+            target = rnd.choice(hosts)
+            fits = both(lambda t: t.can_move_branch(branch, target))
+            assert fits == (
+                not _would_overload(scalar, lambda t: t.move_branch(branch, target, check=False))
+            )
+            if checked:
+                assert both(lambda t: t.move_branch(branch, target)) == fits
+            elif fits:
+                both(lambda t: t.move_branch(branch, target, check=False))
+        elif op == "remove" and movable:
+            branch = rnd.choice(movable)
+            both(lambda t: t.remove_branch(branch))
+        assert _state(scalar) == _state(general)
+        for tree in twins:
+            if len(tree) > 0:
+                assert_tree_matches_recompute(tree)
+                tree.validate()
 
 
 @settings(
