@@ -243,7 +243,7 @@ CODES: Dict[str, CodeInfo] = {
             "empty collector shard",
             Severity.WARNING,
             "a collector shard hosting no trees only burns an agent slot; "
-            "lower --collectors or switch the shard mode",
+            "lower --collectors",
         ),
         CodeInfo(
             "REMO364",

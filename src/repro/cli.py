@@ -1,6 +1,6 @@
 """Command-line interface: plan, simulate, adapt, check, and run.
 
-Five subcommands over synthetic workloads, mirroring the examples:
+Ten subcommands over synthetic workloads, mirroring the examples:
 
 - ``plan``       build a monitoring forest and print its summary;
 - ``simulate``   run the planned forest in the discrete-event simulator
@@ -11,13 +11,14 @@ Five subcommands over synthetic workloads, mirroring the examples:
 - ``run``        execute the plan live on the asyncio runtime -- one
   concurrent agent per node plus a collector -- with capacity
   budgets, heartbeats, and failure detection;
+- ``deploy``     run the plan across worker processes over real TCP;
 - ``metrics``    render (and validate) a ``--metrics`` Prometheus
   snapshot -- as a table, canonical Prometheus series lines (diffable
   against a ``repro serve`` ``/metrics`` scrape), or JSONL;
 - ``serve``      run the multi-tenant control-plane HTTP service:
   tenants submit/update/delete tasks over HTTP, trigger adaptation,
-  launch runs, and scrape ``/metrics``, over hash- or range-sharded
-  collector roots;
+  launch runs, and scrape ``/metrics``, over hash-sharded collector
+  roots;
 - ``trace``      merge a deploy rundir's per-process span artifacts
   into one trace, with per-period critical-path and cross-process
   latency summaries (``--strict`` fails when any worker's spans are
@@ -37,6 +38,8 @@ On ``deploy``, ``--trace`` also switches every child process into
 tracing mode: each writes ``trace-<role>.jsonl`` into the rundir, the
 supervisor folds them into the exported trace, and ``repro trace
 RUNDIR`` re-merges them after the fact.
+
+``run`` and ``deploy`` never launch a plan the static verifier rejects.
 
 Usage::
 
@@ -65,7 +68,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.checks import (
@@ -77,7 +80,6 @@ from repro.checks import (
 from repro.core import SCHEMES
 from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
 from repro.core.cost import CostModel
-from repro.core.plan import SHARD_MODES
 from repro.core.planner import RemoPlanner
 from repro.obs import log, names, trace
 from repro.obs.export import (
@@ -96,7 +98,7 @@ from repro.net.deploy import (
     run_deploy,
 )
 from repro.obs.metrics import MetricsRegistry, default_registry, use_registry
-from repro.runtime import AgentOutage, DropPolicy, MonitoringRuntime, RuntimeConfig
+from repro.runtime import AgentOutage, MonitoringRuntime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.serve import ControlPlane, run_serve
 from repro.simulation import MonitoringSimulation, SimulationConfig
@@ -149,6 +151,62 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         help="write a Prometheus text-format snapshot of every metric "
         "this command touched",
     )
+
+
+def _add_preset(
+    parser: argparse.ArgumentParser,
+    help: str = "use a canonical workload instead of the sampled one",
+) -> None:
+    parser.add_argument("--preset", choices=["quickstart"], default=None, help=help)
+
+
+def _positive(kind: type) -> Callable[[str], Any]:
+    """argparse ``type=`` for a ``kind`` number > 0: anything else is a
+    usage error (exit 2, one line on stderr), not a traceback from
+    deep inside a launch."""
+
+    def parse(text: str) -> Any:
+        value = kind(text)  # a ValueError here reads "invalid positive int value"
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
+def _add_runtime(
+    parser: argparse.ArgumentParser, period_seconds: float = 0.1, periods: bool = True
+) -> None:
+    """The runtime settings ``run``, ``deploy`` and ``serve`` share;
+    :func:`_runtime_config` reads them back."""
+    if periods:
+        parser.add_argument(
+            "--periods", type=_positive(int), default=10, help="collection periods"
+        )
+    parser.add_argument(
+        "--period-seconds",
+        type=_positive(float),
+        default=period_seconds,
+        help="wall-clock seconds per collection period",
+    )
+    parser.add_argument(
+        "--failure-timeout",
+        type=_positive(int),
+        default=3,
+        help="periods without heartbeat before a collector flags a node",
+    )
+
+
+def _runtime_config(args) -> Dict[str, Any]:
+    """The :class:`RuntimeConfig` fields the launch flags set: ``run``
+    and ``serve`` construct the config from it, ``deploy`` ships it in
+    its spec for every child to construct its own."""
+    return {
+        "period_seconds": args.period_seconds,
+        "failure_timeout": args.failure_timeout,
+        "seed": args.seed,
+    }
 
 
 def _emit_json(payload: Dict[str, Any]) -> None:
@@ -421,20 +479,15 @@ def _check(args) -> int:
     return 1 if report.has_errors else 0
 
 
-def _launch_gate(args, plan, cluster) -> Tuple[Optional[Dict[str, int]], int]:
+def _launch_gate(plan, cluster) -> Dict[str, int]:
     """Never start agents or spawn processes for a plan the static
-    verifier rejects.
-
-    Returns the ``plan_check`` summary (``None`` under ``--no-verify``)
-    and the number of errors refusing the launch, already reported.
-    """
-    if args.no_verify:
-        return None, 0
+    verifier rejects: returns the ``plan_check`` summary, whose errors
+    (already reported) refuse the launch."""
     report = check_plan_for_cluster(plan, cluster)
     if report.has_errors:
         print("plan verification failed, refusing to launch:", file=sys.stderr)
         print(report.format(with_hints=True), file=sys.stderr)
-    return {"errors": len(report.errors), "warnings": len(report.warnings)}, len(report.errors)
+    return {"errors": len(report.errors), "warnings": len(report.warnings)}
 
 
 def _parse_outage(spec: str) -> AgentOutage:
@@ -458,17 +511,10 @@ def _run(args) -> int:
     workload, label = _workload(args)
     cluster, cost, tasks = build_workload(workload)
     plan = SCHEMES[args.scheme](cost).plan(tasks, cluster)
-    check_summary, refusing_errors = _launch_gate(args, plan, cluster)
-    if refusing_errors:
+    check_summary = _launch_gate(plan, cluster)
+    if check_summary["errors"]:
         return 1
-    config = RuntimeConfig(
-        period_seconds=args.period_seconds,
-        drop_policy=DropPolicy(args.drop_policy),
-        heartbeat_every=args.heartbeat_every,
-        failure_timeout=args.failure_timeout,
-        seed=args.seed,
-        outages=list(args.fail_node),
-    )
+    config = RuntimeConfig(outages=list(args.fail_node), **_runtime_config(args))
     # Record into the ambient registry so a ``--metrics`` snapshot
     # covers planner and runtime counters together and always
     # reconciles with the report (they are the same bookkeeping).
@@ -485,10 +531,8 @@ def _run(args) -> int:
             "scheme": args.scheme,
             "workload": label,
             "plan": _plan_summary(plan),
-            "drop_policy": config.drop_policy.value,
+            "plan_check": check_summary,
         }
-        if check_summary is not None:
-            payload["plan_check"] = check_summary
         payload.update(report.as_dict())
         _emit_json(payload)
         return 0
@@ -507,26 +551,19 @@ def _parse_chaos(spec: str):
 def _deploy(args) -> int:
     """Shard the plan across worker processes over real TCP."""
     workload, label = _workload(args)
-    config = {
-        "period_seconds": args.period_seconds,
-        "drop_policy": args.drop_policy,
-        "heartbeat_every": args.heartbeat_every,
-        "failure_timeout": args.failure_timeout,
-        "seed": args.seed,
-    }
     try:
         spec, plan, cluster, shard_report = make_spec(
             workload=workload,
             scheme=args.scheme,
             workers=args.workers,
             periods=args.periods,
-            config=config,
+            config=_runtime_config(args),
             rundir=args.rundir,
             host=args.host,
             collectors=args.collectors,
             trace=getattr(args, "trace", None) is not None,
         )
-    except DeployError as exc:
+    except ValueError as exc:
         print(f"repro deploy: {exc}", file=sys.stderr)
         return 1
     if shard_report.has_errors:
@@ -534,9 +571,9 @@ def _deploy(args) -> int:
         print(shard_report.format(with_hints=True), file=sys.stderr)
         _record_check_failure(spec, "shard", len(shard_report.errors))
         return 1
-    check_summary, refusing_errors = _launch_gate(args, plan, cluster)
-    if refusing_errors:
-        _record_check_failure(spec, "plan", refusing_errors)
+    check_summary = _launch_gate(plan, cluster)
+    if check_summary["errors"]:
+        _record_check_failure(spec, "plan", check_summary["errors"])
         return 1
     try:
         outcome = run_deploy(
@@ -571,10 +608,8 @@ def _deploy(args) -> int:
             "trace_files": outcome.trace_files,
             "flight_records": outcome.flight_records,
             "plan": _plan_summary(plan),
-            "drop_policy": args.drop_policy,
+            "plan_check": check_summary,
         }
-        if check_summary is not None:
-            payload["plan_check"] = check_summary
         payload.update(report.as_dict())
         _emit_json(payload)
         return 0
@@ -802,13 +837,6 @@ def _serve(args) -> int:
     """Run the control-plane HTTP service (blocks until stopped)."""
     cluster, cost, _tasks = _setup(args)
     label = "quickstart" if args.preset == "quickstart" else f"{args.nodes} nodes"
-    config = RuntimeConfig(
-        period_seconds=args.period_seconds,
-        drop_policy=DropPolicy(args.drop_policy),
-        heartbeat_every=args.heartbeat_every,
-        failure_timeout=args.failure_timeout,
-        seed=args.seed,
-    )
     # The workload's sampled tasks are ignored on purpose: the service
     # starts empty and tenants populate it over HTTP.
     try:
@@ -816,19 +844,14 @@ def _serve(args) -> int:
             cluster,
             cost,
             collectors=args.collectors,
-            shard_mode=args.shard_mode,
             strategy=AdaptationStrategy(args.strategy),
-            config=config,
+            config=RuntimeConfig(**_runtime_config(args)),
             metrics=default_registry(),
         )
     except ValueError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"control plane over {label}: {args.collectors} collector shard(s), "
-        f"{args.shard_mode} sharding",
-        flush=True,
-    )
+    print(f"control plane over {label}: {args.collectors} collector shard(s)", flush=True)
     run_serve(
         controlplane,
         host=args.host,
@@ -938,12 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="plan, then statically verify the plan's invariants"
     )
     _add_common(check_p)
-    check_p.add_argument(
-        "--preset",
-        choices=["quickstart"],
-        default=None,
-        help="use a canonical workload instead of the sampled one",
-    )
+    _add_preset(check_p)
     check_p.add_argument(
         "--corrupt",
         choices=list(FAULT_KINDS),
@@ -964,34 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
     _add_json(run_p)
     _add_obs(run_p)
-    run_p.add_argument(
-        "--preset",
-        choices=["quickstart"],
-        default=None,
-        help="use a canonical workload instead of the sampled one",
-    )
-    run_p.add_argument("--periods", type=int, default=10, help="collection periods")
-    run_p.add_argument(
-        "--period-seconds",
-        type=float,
-        default=0.1,
-        help="wall-clock seconds per collection period",
-    )
-    run_p.add_argument(
-        "--drop-policy",
-        choices=[p.value for p in DropPolicy],
-        default=DropPolicy.TRIM.value,
-        help="behaviour when a payload exceeds the per-period budget",
-    )
-    run_p.add_argument(
-        "--heartbeat-every", type=int, default=1, help="heartbeat interval in periods"
-    )
-    run_p.add_argument(
-        "--failure-timeout",
-        type=int,
-        default=3,
-        help="periods without heartbeat before the collector flags a node",
-    )
+    _add_preset(run_p)
+    _add_runtime(run_p)
     run_p.add_argument(
         "--fail-node",
         type=_parse_outage,
@@ -999,11 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NODE:START:END",
         help="crash NODE during periods [START, END) (repeatable)",
-    )
-    run_p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the pre-launch plan invariant check",
     )
     run_p.set_defaults(func=_run)
 
@@ -1014,43 +1001,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(deploy_p)
     _add_json(deploy_p)
     _add_obs(deploy_p)
+    _add_preset(deploy_p)
+    _add_runtime(deploy_p)
     deploy_p.add_argument(
-        "--preset",
-        choices=["quickstart"],
-        default=None,
-        help="use a canonical workload instead of the sampled one",
-    )
-    deploy_p.add_argument(
-        "--workers", type=int, default=3, help="worker processes to shard nodes across"
+        "--workers",
+        type=_positive(int),
+        default=3,
+        help="worker processes to shard nodes across",
     )
     deploy_p.add_argument(
         "--collectors",
-        type=int,
+        type=_positive(int),
         default=1,
         help="collector shards co-hosted in the collector process "
         "(hash-sharded collection trees)",
-    )
-    deploy_p.add_argument("--periods", type=int, default=10, help="collection periods")
-    deploy_p.add_argument(
-        "--period-seconds",
-        type=float,
-        default=0.1,
-        help="wall-clock seconds per collection period",
-    )
-    deploy_p.add_argument(
-        "--drop-policy",
-        choices=[p.value for p in DropPolicy],
-        default=DropPolicy.TRIM.value,
-        help="behaviour when a payload exceeds the per-period budget",
-    )
-    deploy_p.add_argument(
-        "--heartbeat-every", type=int, default=1, help="heartbeat interval in periods"
-    )
-    deploy_p.add_argument(
-        "--failure-timeout",
-        type=int,
-        default=3,
-        help="periods without heartbeat before the collector flags a node",
     )
     deploy_p.add_argument(
         "--host",
@@ -1072,11 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RANK:SECONDS",
         help="SIGKILL worker RANK this many seconds into the run, once "
         "(exercises the supervisor's restart path; repeatable)",
-    )
-    deploy_p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the pre-launch plan invariant check",
     )
     deploy_p.set_defaults(func=_deploy)
 
@@ -1125,25 +1084,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(serve_p)
     _add_obs(serve_p)
-    serve_p.add_argument(
-        "--preset",
-        choices=["quickstart"],
-        default=None,
+    _add_preset(
+        serve_p,
         help="use the canonical cluster instead of the sampled one "
         "(workload tasks are ignored either way: tenants submit "
         "tasks over HTTP)",
     )
+    # POST /run names its own period count.
+    _add_runtime(serve_p, period_seconds=0.05, periods=False)
     serve_p.add_argument(
         "--collectors",
-        type=int,
+        type=_positive(int),
         default=1,
         help="collector shards to split the collection trees across",
-    )
-    serve_p.add_argument(
-        "--shard-mode",
-        choices=list(SHARD_MODES),
-        default="hash",
-        help="how partition sets map to collector shards",
     )
     serve_p.add_argument(
         "--strategy",
@@ -1166,27 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="stop after this many seconds (CI smoke jobs); default: serve forever",
-    )
-    serve_p.add_argument(
-        "--period-seconds",
-        type=float,
-        default=0.05,
-        help="wall-clock seconds per collection period for POST /run",
-    )
-    serve_p.add_argument(
-        "--drop-policy",
-        choices=[p.value for p in DropPolicy],
-        default=DropPolicy.TRIM.value,
-        help="behaviour when a payload exceeds the per-period budget",
-    )
-    serve_p.add_argument(
-        "--heartbeat-every", type=int, default=1, help="heartbeat interval in periods"
-    )
-    serve_p.add_argument(
-        "--failure-timeout",
-        type=int,
-        default=3,
-        help="periods without heartbeat before a collector flags a node",
     )
     serve_p.set_defaults(func=_serve)
 

@@ -227,42 +227,26 @@ class MonitoringPlan:
 #: Which collector shard each partition set reports to.
 ShardAssignment = Dict[AttributeSet, int]
 
-#: Shard modes accepted by :func:`shard_partition_sets`.
-SHARD_MODES = ("hash", "range")
-
 
 def _set_key(attr_set: AttributeSet) -> str:
     """Canonical string key for a partition set (stable across processes)."""
     return ",".join(str(attr) for attr in sorted(attr_set))
 
 
-def shard_partition_sets(
-    sets: Iterable[AttributeSet],
-    shards: int,
-    mode: str = "hash",
-) -> ShardAssignment:
+def shard_partition_sets(sets: Iterable[AttributeSet], shards: int) -> ShardAssignment:
     """Assign each partition set to one of ``shards`` collector roots.
 
-    ``hash`` buckets by CRC-32 of the canonical attribute list -- stable
-    across interpreter runs and processes (never the builtin ``hash``,
-    which is salted per process).  ``range`` sorts sets by that same key
-    and cuts the order into near-equal contiguous blocks, which keeps
-    lexicographically adjacent attribute sets on the same collector.
+    Buckets by CRC-32 of the canonical attribute list -- stable across
+    interpreter runs and processes (never the builtin ``hash``, which is
+    salted per process), so every process that replans from the same
+    inputs derives the same assignment without shipping it.
     """
     if shards < 1:
         raise ValueError(f"shard count must be >= 1, got {shards}")
-    if mode not in SHARD_MODES:
-        raise ValueError(f"unknown shard mode {mode!r}; expected one of {SHARD_MODES}")
-    ordered = sorted(sets, key=_set_key)
     assignment: ShardAssignment = {}
-    if mode == "hash":
-        for attr_set in ordered:
-            digest = zlib.crc32(_set_key(attr_set).encode("utf-8"))
-            assignment[attr_set] = digest % shards
-    else:
-        total = len(ordered)
-        for index, attr_set in enumerate(ordered):
-            assignment[attr_set] = (index * shards) // total if total else 0
+    for attr_set in sorted(sets, key=_set_key):
+        digest = zlib.crc32(_set_key(attr_set).encode("utf-8"))
+        assignment[attr_set] = digest % shards
     return assignment
 
 
@@ -292,8 +276,8 @@ class ShardedPlan:
                 self._attr_shard[str(attr)] = shard
 
     @classmethod
-    def build(cls, plan: MonitoringPlan, shards: int, mode: str = "hash") -> "ShardedPlan":
-        return cls(plan, shard_partition_sets(plan.partition.sets, shards, mode), shards)
+    def build(cls, plan: MonitoringPlan, shards: int) -> "ShardedPlan":
+        return cls(plan, shard_partition_sets(plan.partition.sets, shards), shards)
 
     def shard_of(self, attr_set: AttributeSet) -> int:
         return self.assignment[attr_set]
@@ -313,17 +297,6 @@ class ShardedPlan:
             if owner == shard:
                 result.add(pair)
         return result
-
-    def nodes_for(self, shard: int) -> List[NodeId]:
-        """Nodes participating in any tree hosted by ``shard``, sorted."""
-        nodes: Set[NodeId] = set()
-        for attr_set in self.sets_for(shard):
-            nodes.update(self.plan.trees[attr_set].tree.nodes)
-        return sorted(nodes)
-
-    def collector_of_sets(self) -> Dict[AttributeSet, int]:
-        """Alias of the raw assignment, as a fresh dict."""
-        return dict(self.assignment)
 
     def subplan(self, shard: int) -> MonitoringPlan:
         """The shard's own forest as a standalone :class:`MonitoringPlan`."""

@@ -45,7 +45,7 @@ from repro.core.cost import AggregationMap, CostModel
 from repro.core.forest import ForestBuilder, PairWeights, TreeMemo
 from repro.core.gain import GainContext, rank_candidates
 from repro.core.partition import AttributeSet, MergeOp, Partition, PartitionOp
-from repro.core.plan import MonitoringPlan, ShardedPlan
+from repro.core.plan import MonitoringPlan
 from repro.core.schemes import TaskSource, observable_pairs
 from repro.trees.base import GreedyTreeBuilder, TreeBuildResult
 
@@ -339,32 +339,6 @@ class RemoPlanner:
             debug_checks=debug_checks,
         )
         return plan
-
-    def plan_sharded(
-        self,
-        tasks: TaskSource,
-        cluster: Cluster,
-        collectors: int = 1,
-        shard_mode: str = "hash",
-        pair_weights: Optional[PairWeights] = None,
-        msg_weights: Optional[Mapping[NodeId, float]] = None,
-        initial_partition: Optional[Partition] = None,
-    ) -> ShardedPlan:
-        """Plan a forest, then shard its trees across ``collectors`` roots.
-
-        Sharding is a deterministic post-pass over the planned partition
-        (see :func:`repro.core.plan.shard_partition_sets`), so the plan
-        itself is bit-identical to :meth:`plan` -- only the collector
-        each tree reports to changes.
-        """
-        plan = self.plan(
-            tasks,
-            cluster,
-            pair_weights=pair_weights,
-            msg_weights=msg_weights,
-            initial_partition=initial_partition,
-        )
-        return ShardedPlan.build(plan, collectors, shard_mode)
 
     def plan_with_stats(
         self,

@@ -49,9 +49,9 @@ from repro.core.plan import MonitoringPlan, ShardedPlan
 from repro.net.directory import Endpoint, PeerDirectory
 from repro.obs import log, names
 from repro.runtime.collector import FailureEvent
-from repro.runtime.config import DropPolicy, RuntimeConfig
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import wait_until
-from repro.runtime.messages import MAX_COLLECTOR_SHARDS, collector_shard_address
+from repro.runtime.messages import check_collector_count, collector_shard_address
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimePeriodSample, RuntimeReport
 from repro.workloads.presets import build_workload
@@ -147,21 +147,18 @@ class DeploySpec:
         return cluster, cost, plan
 
     def build_config(self) -> RuntimeConfig:
-        config = dict(self.config)
-        if "drop_policy" in config:
-            config["drop_policy"] = DropPolicy(config["drop_policy"])
-        return RuntimeConfig(**config)
+        return RuntimeConfig(**self.config)
 
     def build_sharded(self, plan: MonitoringPlan) -> Optional[ShardedPlan]:
         """The collector-shard layout, or ``None`` when unsharded.
 
-        Hash mode keys on canonical attribute-set strings, so every
+        Sharding keys on canonical attribute-set strings, so every
         process that replans from this spec derives the identical
         set -> shard assignment without shipping it in the spec.
         """
         if self.collectors <= 1:
             return None
-        return ShardedPlan.build(plan, self.collectors, "hash")
+        return ShardedPlan.build(plan, self.collectors)
 
     def build_directory(self) -> PeerDirectory:
         """The full address table every process shares."""
@@ -278,10 +275,7 @@ def make_spec(
     pre-launch plan check and report headers), and the shard
     :class:`DiagnosticReport` (callers gate on its errors).
     """
-    if not 1 <= collectors <= MAX_COLLECTOR_SHARDS:
-        raise DeployError(
-            f"collectors must be in [1, {MAX_COLLECTOR_SHARDS}], got {collectors}"
-        )
+    check_collector_count(collectors)
     if rundir is None:
         rundir = tempfile.mkdtemp(prefix="repro-deploy-")
     else:

@@ -45,7 +45,6 @@ COST_UNITS_SPENT = "cost_units_spent"
 HEARTBEATS_SENT = "heartbeats_sent"
 CHILD_WAIT_TIMEOUTS = "child_wait_timeouts"
 VALUES_TRIMMED = "values_trimmed"
-VALUES_DEFERRED = "values_deferred"
 AGENT_DOWN_PERIODS = "agent_down_periods"
 FAILURE_DETECTIONS = "failure_detections"
 FAILURE_RECOVERIES = "failure_recoveries"
@@ -131,7 +130,6 @@ METRICS = frozenset(
         HEARTBEATS_SENT,
         CHILD_WAIT_TIMEOUTS,
         VALUES_TRIMMED,
-        VALUES_DEFERRED,
         AGENT_DOWN_PERIODS,
         FAILURE_DETECTIONS,
         FAILURE_RECOVERIES,

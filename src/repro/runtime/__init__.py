@@ -10,16 +10,17 @@ and update messages travel over a pluggable
 here, framed TCP in :mod:`repro.net`).
 
 The behaviours the analytical evaluation cannot show live here:
-per-period capacity budgets with explicit drop / trim / defer
-(backpressure) policies, heartbeat-based failure detection at the
-collector, per-pair staleness, and real message-passing concurrency.
+per-period ``C + a*x`` capacity budgets that always hold (a payload
+the budget cannot carry is trimmed, as in the simulator),
+heartbeat-based failure detection at the collector, per-pair
+staleness, and real message-passing concurrency.
 A :class:`~repro.runtime.metrics.RuntimeMetrics` hub records counters
 and histograms and renders through :mod:`repro.analysis`.
 """
 
 from repro.runtime.agent import NodeAgent, TreeRole
 from repro.runtime.collector import CollectorAgent, FailureEvent
-from repro.runtime.config import AgentOutage, DropPolicy, RuntimeConfig
+from repro.runtime.config import AgentOutage, RuntimeConfig
 from repro.runtime.engine import (
     MonitoringRuntime,
     build_roles,
@@ -57,7 +58,6 @@ __all__ = [
     "compile_layouts",
     "collector_shard_address",
     "merge_period_samples",
-    "DropPolicy",
     "Envelope",
     "FailureEvent",
     "HeartbeatEnvelope",

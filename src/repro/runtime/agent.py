@@ -22,10 +22,11 @@ link at its queue bound stalls this node's inbox until it drains --
 node-level backpressure -- and nobody else's.
 
 Resource-awareness is enforced live: every send and receive is charged
-``C + a*x`` against the node's per-period budget, and an agent that
-cannot afford its payload applies the configured
-:class:`~repro.runtime.config.DropPolicy` -- trim values, drop the
-message, or defer the overflow to the next period (backpressure).
+``C + a*x`` against the node's per-period budget, always.  An agent
+that cannot afford its whole payload trims it, as the simulator does:
+the readings the budget affords go in ``(node, attribute)`` order and
+the rest are shed; one that cannot cover even the per-message overhead
+sends nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.cluster.metrics import MetricRegistry
 from repro.core.attributes import NodeAttributePair, NodeId
 from repro.core.cost import CostModel
 from repro.obs import names, trace
-from repro.runtime.config import DropPolicy, RuntimeConfig
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.messages import (
     ABSENT,
     COLLECTOR_ADDRESS,
@@ -125,8 +126,8 @@ class NodeAgent:
         self.config = config
         self._budget = capacity
         self._current_period = -1
-        #: Batches pending relay, per tree, in arrival order: any
-        #: deferred overflow, then child batches (never written to).
+        #: Child batches pending relay, per tree, in arrival order
+        #: (never written to).
         self._buffers: Dict[int, List[Batch]] = {}
         #: Latest period each child has reported, per tree.
         self._children_seen: Dict[int, Dict[NodeId, int]] = {r.tree: {} for r in self.roles}
@@ -139,12 +140,9 @@ class NodeAgent:
         }
         #: Each role's local pairs, bound to their generators once.
         self._samplers = {r.tree: registry.reader(r.local_pairs) for r in self.roles}
-        #: Per tree, built when shaping first needs them: the role's
-        #: slot offsets in pair order, and the last period each offset
-        #: made it into a sent batch (DEFER fairness: least-recently-sent
-        #: pairs go first).
+        #: Per tree, built when trimming first needs it: the role's
+        #: slot offsets in pair order.
         self._pair_order: Dict[int, List[int]] = {}
-        self._last_sent: Dict[int, List[int]] = {}
         #: Roles waiting on children, per tree, and the monotonic time
         #: at which they stop waiting.
         self._waiting: Dict[int, _OpenWave] = {}
@@ -229,11 +227,10 @@ class NodeAgent:
         # inside the period's trace with the (possibly remote) period
         # root span as parent.
         with trace.attach(tick.trace_ctx):
-            if period % self.config.heartbeat_every == 0:
-                beacon = HeartbeatEnvelope(sender=self.node_id, period=period)
-                for collector in self._collectors:
-                    await self.transport.send(collector, beacon)
-                    self._count_heartbeats.add()
+            beacon = HeartbeatEnvelope(sender=self.node_id, period=period)
+            for collector in self._collectors:
+                await self.transport.send(collector, beacon)
+                self._count_heartbeats.add()
             for role in ready:
                 await self._emit(role, period, started)
 
@@ -259,11 +256,10 @@ class NodeAgent:
         seen = self._children_seen[tree]
         seen[sender] = max(seen.get(sender, -1), period)
         charge = envelope.cost(self.cost)
-        if self.config.enforce_capacity and self._budget < charge - _EPS:
+        if self._budget < charge - _EPS:
             self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
         else:
-            if self.config.enforce_capacity:
-                self._budget -= charge
+            self._budget -= charge
             self._buffers.setdefault(tree, []).append(batch)
             self._count_delivered.add()
             self._count_cost.add(charge)
@@ -304,8 +300,7 @@ class NodeAgent:
                 ):
                     pass
             # Children first (disjoint ranges: a slice each), then this
-            # node's own pairs, sampled now, over whatever a deferred
-            # batch still held for them.
+            # node's own pairs, sampled now.
             values, stamps = gather(role.lo, role.size, self._buffers.pop(role.tree, ()))
             local = len(role.local_pairs)
             values[:local] = array("d", self._samplers[role.tree]())
@@ -314,75 +309,40 @@ class NodeAgent:
             if not batch.count:
                 wave.set(outcome="empty")
                 return
-            shaped = self._apply_budget(role, batch, period)
-            if shaped is None:
+            if not self._trim_to_budget(role, batch):
                 wave.set(outcome="shaped_out", offered=batch.count)
                 return
-            charge = self.cost.message_cost(shaped.count)
-            if self.config.enforce_capacity:
-                self._budget -= charge
+            charge = self.cost.message_cost(batch.count)
+            self._budget -= charge
             self._count_sent[role.tree].add()
             self._count_cost.add(charge)
-            self._payload_values.observe(shaped.count)
-            wave.set(outcome="sent", values=shaped.count)
-            update = UpdateEnvelope(self.node_id, role.tree, period, shaped, wave.context())
+            self._payload_values.observe(batch.count)
+            wave.set(outcome="sent", values=batch.count)
+            update = UpdateEnvelope(self.node_id, role.tree, period, batch, wave.context())
             await self.transport.send(role.receiver, update)
 
-    def _apply_budget(self, role: TreeRole, batch: Batch, period: int) -> Optional[Batch]:
-        """Shape ``batch`` (this emit's own, edited in place) to the
-        remaining budget per the drop policy.
+    def _trim_to_budget(self, role: TreeRole, batch: Batch) -> bool:
+        """Trim ``batch`` (this emit's own, edited in place) to the
+        remaining budget: the first readings it affords in pair order
+        stay, the rest are shed.
 
-        Returns the batch to send, or ``None`` when nothing goes out
-        this period.
+        Returns whether anything goes out: ``False`` when the budget
+        cannot cover even the per-message overhead.
         """
-        if not self.config.enforce_capacity:
-            return batch
-        policy = self.config.drop_policy
-        if policy is DropPolicy.DROP:
-            if self._budget < self.cost.message_cost(batch.count) - _EPS:
-                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
-                return None
-            return batch
         affordable = int(self.cost.values_within_budget(self._budget) + _EPS)
         if affordable <= 0:
-            # Cannot even cover the per-message overhead.
-            if policy is DropPolicy.DEFER:
-                self._defer(role, batch)
-            else:
-                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
-            return None
+            self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
+            return False
         if affordable >= batch.count:
-            return batch
+            return True
         order = self._pair_order.get(role.tree)
         if order is None:
             pairs = role.layout.pairs[role.lo : role.lo + role.size]
             order = self._pair_order[role.tree] = sorted(range(role.size), key=pairs.__getitem__)
         stamps = batch.stamps
         present = [offset for offset in order if stamps[offset] != ABSENT]
-        if policy is DropPolicy.DEFER:
-            # Fairness under sustained overload: least-recently-sent
-            # pairs first, then oldest readings, then pair order (the
-            # sort is stable).  Pure recency (or a fixed pair order)
-            # permanently starves the same pairs, because every pair is
-            # refreshed each period.
-            last_sent = self._last_sent.setdefault(role.tree, [-1] * role.size)
-            present.sort(key=lambda offset: (last_sent[offset], stamps[offset]))
-            for offset in present[:affordable]:
-                last_sent[offset] = period
-            held = array("d", (ABSENT,)) * role.size
-            for offset in present[affordable:]:
-                held[offset], stamps[offset] = stamps[offset], ABSENT
-            # A hole's value is never read, so the two batches share the column.
-            self._defer(role, Batch(role.lo, batch.values, held, len(present) - affordable))
-        else:
-            for offset in present[affordable:]:
-                stamps[offset] = ABSENT
-            self.metrics.incr(names.VALUES_TRIMMED, len(present) - affordable, node=self.node_id)
+        for offset in present[affordable:]:
+            stamps[offset] = ABSENT
+        self.metrics.incr(names.VALUES_TRIMMED, len(present) - affordable, node=self.node_id)
         batch.count = affordable
-        return batch
-
-    def _defer(self, role: TreeRole, overflow: Batch) -> None:
-        """Backpressure: carry unaffordable readings to the next period
-        (``_emit`` popped the tree's buffer; the overflow opens the next)."""
-        self._buffers[role.tree] = [overflow]
-        self.metrics.incr(names.VALUES_DEFERRED, overflow.count, node=self.node_id)
+        return True

@@ -7,10 +7,9 @@ percentage error is the simulator's
 rule in both engines), and adds the two behaviours only a live system
 exhibits:
 
-- **failure detection** -- each agent heartbeats every
-  ``heartbeat_every`` periods; a node silent for ``failure_timeout``
-  periods is flagged ``down``, and flagged ``recovered`` when its
-  heartbeats resume;
+- **failure detection** -- each live agent heartbeats every period;
+  a node silent for ``failure_timeout`` periods is flagged ``down``,
+  and flagged ``recovered`` when its heartbeats resume;
 - **staleness tracking** -- at every period close, the age (in
   periods) of each requested pair's newest reading is recorded into
   the ``staleness_periods`` histogram, alongside wall-clock collection
@@ -178,11 +177,10 @@ class CollectorAgent:
                     period=envelope.period,
                 )
         charge = envelope.cost(self.cost)
-        if self.config.enforce_capacity:
-            if self._budget < charge - _EPS:
-                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY)
-                return
-            self._budget -= charge
+        if self._budget < charge - _EPS:
+            self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY)
+            return
+        self._budget -= charge
         fold(columns[0], columns[1], 0, envelope.payload)
         self.metrics.incr(names.MESSAGES_DELIVERED)
         self.metrics.incr(names.COST_UNITS_SPENT, charge)

@@ -1,36 +1,19 @@
-"""Runtime configuration: pacing, policies, and scripted outages.
+"""Runtime configuration: pacing, failure detection, and scripted outages.
 
 The runtime paces collection periods in *wall-clock seconds* (the
 simulator's abstract unit time becomes real time here), but all quality
 metrics are kept in *period units* so results are comparable across
-machines of different speed.
+machines of different speed.  What the paper fixes is not configurable:
+every message is charged ``C + a*x`` against a budget that always
+holds, and every live node beacons every period.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.attributes import NodeId
-
-
-class DropPolicy(enum.Enum):
-    """What an agent does when its per-period budget cannot carry the
-    full payload it wants to send.
-
-    - ``TRIM``: send as many values as the budget affords, discard the
-      rest (mirrors the simulator's graceful-degradation behaviour, so
-      it is the parity default);
-    - ``DROP``: all-or-nothing -- if the whole payload does not fit,
-      send nothing and discard it;
-    - ``DEFER``: backpressure -- send what fits now and carry the
-      remainder over to the next period's payload.
-    """
-
-    TRIM = "trim"
-    DROP = "drop"
-    DEFER = "defer"
 
 
 @dataclass(frozen=True)
@@ -70,12 +53,6 @@ class RuntimeConfig:
     #: child has reported -- so this deadline only binds when a child
     #: is dead, dropped, or late.
     child_wait_fraction: float = 0.5
-    #: Enforce per-period node/collector capacity budgets.
-    enforce_capacity: bool = True
-    #: Behaviour when a payload exceeds the sender's remaining budget.
-    drop_policy: DropPolicy = DropPolicy.TRIM
-    #: Send a heartbeat every this many periods.
-    heartbeat_every: int = 1
     #: Collector flags a node as failed after this many periods without
     #: a heartbeat.
     failure_timeout: int = 3
@@ -97,8 +74,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"child_wait_fraction must be in (0, 1], got {self.child_wait_fraction}"
             )
-        if self.heartbeat_every < 1:
-            raise ValueError(f"heartbeat_every must be >= 1, got {self.heartbeat_every}")
         if self.failure_timeout < 1:
             raise ValueError(f"failure_timeout must be >= 1, got {self.failure_timeout}")
         if self.recv_timeout_seconds <= 0:

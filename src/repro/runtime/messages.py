@@ -63,8 +63,8 @@ class Batch:
     """Slots ``lo .. lo + len(stamps)`` of one tree, as two columns.
 
     ``stamps[i]`` is the period slot ``lo + i`` was sampled in, or
-    :data:`ABSENT` for a hole (a trimmed or deferred value, a child that
-    stayed silent).  ``count`` is the number of readings present -- the
+    :data:`ABSENT` for a hole (a trimmed value, a child that stayed
+    silent).  ``count`` is the number of readings present -- the
     ``x`` of every ``C + a*x`` charge, whatever the span -- and is
     counted from the stamps when not given.
     """
@@ -108,10 +108,10 @@ def gather(lo: int, size: int, batches: Sequence[Batch]) -> Columns:
     Children of one tree report disjoint ranges, so the usual union is
     one slice assignment per batch -- no per-slot Python -- and the
     count proves it exact: as many readings present as went in, so none
-    displaced another.  A short count means some slot repeats (a DEFER
-    leftover, a late period) and the later arrival won whatever its
-    age; only then is the union redone slot by slot.  The batches must
-    lie inside the range and are never written to.
+    displaced another.  A short count means some slot repeats (a late
+    period) and the later arrival won whatever its age; only then is
+    the union redone slot by slot.  The batches must lie inside the
+    range and are never written to.
     """
     values, stamps = blank_columns(size)
     expected = 0
@@ -136,6 +136,15 @@ COLLECTOR_ADDRESS: NodeId = -1
 #: the cap keeps them clear of the deploy control addresses, which
 #: start at ``-1000`` (``repro.net.deploy.CONTROL_ADDRESS_BASE``).
 MAX_COLLECTOR_SHARDS = 998
+
+
+def check_collector_count(collectors: int) -> None:
+    """Refuse a collector-shard count the address range cannot hold
+    (``ValueError``); every entry point that takes one asks here."""
+    if not 1 <= collectors <= MAX_COLLECTOR_SHARDS:
+        raise ValueError(
+            f"collectors must be in [1, {MAX_COLLECTOR_SHARDS}], got {collectors}"
+        )
 
 
 def collector_shard_address(shard: int) -> NodeId:

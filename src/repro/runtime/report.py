@@ -105,10 +105,7 @@ class RuntimeReport:
                 "dropped_failure": int(self.metrics.counter(names.MESSAGES_DROPPED_FAILURE)),
                 "heartbeats": int(self.metrics.counter(names.HEARTBEATS_SENT)),
             },
-            "values": {
-                "trimmed": int(self.metrics.counter(names.VALUES_TRIMMED)),
-                "deferred": int(self.metrics.counter(names.VALUES_DEFERRED)),
-            },
+            "values": {"trimmed": int(self.metrics.counter(names.VALUES_TRIMMED))},
             "cost_units_spent": self.metrics.counter(names.COST_UNITS_SPENT),
             "failure_events": [
                 {"node": e.node, "period": e.period, "kind": e.kind}
@@ -140,7 +137,6 @@ class RuntimeReport:
             ["dropped (capacity)", int(self.metrics.counter(names.MESSAGES_DROPPED_CAPACITY))],
             ["dropped (failure)", int(self.metrics.counter(names.MESSAGES_DROPPED_FAILURE))],
             ["values trimmed", int(self.metrics.counter(names.VALUES_TRIMMED))],
-            ["values deferred", int(self.metrics.counter(names.VALUES_DEFERRED))],
             ["heartbeats", int(self.metrics.counter(names.HEARTBEATS_SENT))],
             ["failure events", len(self.failure_events)],
             ["wall seconds", round(self.wall_seconds, 3)],

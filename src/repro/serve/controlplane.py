@@ -35,7 +35,7 @@ from repro.core.adaptation import (
     TaskOp,
 )
 from repro.core.cost import CostModel
-from repro.core.plan import SHARD_MODES, ShardedPlan
+from repro.core.plan import ShardedPlan
 from repro.core.tasks import (
     MonitoringTask,
     MultiTenantTaskManager,
@@ -45,7 +45,7 @@ from repro.obs import names, trace
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import MonitoringRuntime
-from repro.runtime.messages import MAX_COLLECTOR_SHARDS
+from repro.runtime.messages import check_collector_count
 from repro.runtime.metrics import RuntimeMetrics
 
 
@@ -91,21 +91,14 @@ class ControlPlane:
         cluster: Cluster,
         cost_model: CostModel,
         collectors: int = 1,
-        shard_mode: str = "hash",
         strategy: AdaptationStrategy = AdaptationStrategy.ADAPTIVE,
         config: Optional[RuntimeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if not 1 <= collectors < MAX_COLLECTOR_SHARDS:
-            raise ValueError(
-                f"collectors must be in [1, {MAX_COLLECTOR_SHARDS}), got {collectors}"
-            )
-        if shard_mode not in SHARD_MODES:
-            raise ValueError(f"shard_mode must be one of {SHARD_MODES}, got {shard_mode!r}")
+        check_collector_count(collectors)
         self.cluster = cluster
         self.cost = cost_model
         self.collectors = collectors
-        self.shard_mode = shard_mode
         self.config = config if config is not None else RuntimeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tenants = MultiTenantTaskManager()
@@ -183,7 +176,7 @@ class ControlPlane:
         plan = self.service.plan
         problems: List[str] = []
         if plan is not None:
-            self.sharded = ShardedPlan.build(plan, self.collectors, self.shard_mode)
+            self.sharded = ShardedPlan.build(plan, self.collectors)
             shard_report = check_collector_shards(
                 plan,
                 self.sharded.assignment,
@@ -257,7 +250,6 @@ class ControlPlane:
             "message_cost": plan.total_message_cost(),
             "max_depth": plan.max_tree_depth(),
             "central_usage": plan.central_usage(),
-            "shard_mode": self.shard_mode,
             "shards": self.sharded.summary(),
         }
 
@@ -268,7 +260,6 @@ class ControlPlane:
             "pairs": self.tenants.pair_count(),
             "pending_ops": self.pending_ops,
             "collectors": self.collectors,
-            "shard_mode": self.shard_mode,
             "adaptations": len(self.adaptations),
             "runs": len(self.reports),
             "has_plan": self.service.plan is not None,

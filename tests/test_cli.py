@@ -36,6 +36,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "--corrupt", "bit-rot"])
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("run", "--periods", "0"),
+            ("run", "--period-seconds", "0"),
+            ("run", "--failure-timeout", "0"),
+            ("deploy", "--workers", "0"),
+            ("deploy", "--collectors", "0"),
+            ("serve", "--collectors", "0"),
+            ("serve", "--period-seconds", "-0.5"),
+        ],
+    )
+    def test_a_non_positive_runtime_value_is_a_usage_error(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exited:
+            main([command, flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be > 0, got {value}" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_plan_runs_and_prints_summary(self, capsys):

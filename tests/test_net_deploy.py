@@ -29,7 +29,9 @@ from repro.net.deploy import (
     run_deploy,
     shard_nodes,
 )
-from repro.runtime import MonitoringRuntime, RuntimeConfig
+from repro.runtime import MonitoringRuntime, RuntimeConfig, collector_shard_address
+from repro.serve import ControlPlane
+from repro.workloads.presets import build_workload
 
 #: Small-but-real workload shared by the e2e tests: enough nodes to
 #: give every worker a shard, small enough to finish in seconds.
@@ -146,6 +148,27 @@ class TestDeploySpec:
                 spec.worker_endpoints[rank]
             )
 
+    @pytest.mark.parametrize("entry", ["make_spec", "ControlPlane"])
+    def test_collector_bound_is_the_shard_address_range(self, tmp_path, entry):
+        """``repro deploy`` and ``repro serve`` take every collector count
+        whose shard addresses exist (the last is shard 997), refuse the
+        next one, and say so in the same words."""
+        cluster, cost, _tasks = build_workload(WORKLOAD)
+
+        def launch(collectors):
+            if entry == "make_spec":
+                make_spec(
+                    WORKLOAD, "remo", workers=1, periods=1, config=CONFIG,
+                    rundir=str(tmp_path), collectors=collectors,
+                )  # fmt: skip
+            else:
+                ControlPlane(cluster, cost, collectors=collectors)
+
+        assert collector_shard_address(997) == -998
+        launch(998)
+        with pytest.raises(ValueError, match=r"^collectors must be in \[1, 998\], got 999$"):
+            launch(999)
+
     def test_unknown_preset_rejected(self):
         spec = DeploySpec(
             workload={"preset": "warp"}, scheme="remo", periods=1,
@@ -173,7 +196,7 @@ class TestDeployEndToEnd:
             cluster,
             registry=MetricRegistry(sorted(plan.pairs), seed=CONFIG["seed"]),
             config=RuntimeConfig(**CONFIG),
-            sharded=ShardedPlan.build(plan, collectors, "hash") if collectors > 1 else None,
+            sharded=ShardedPlan.build(plan, collectors) if collectors > 1 else None,
         ).run(6)
 
     def test_two_worker_deploy_matches_single_process(self, tmp_path):

@@ -22,7 +22,12 @@ from repro.runtime import (
     TreeLayout,
     TreeRole,
 )
-from repro.runtime.messages import HeartbeatEnvelope, StopEnvelope, TickEnvelope
+from repro.runtime.messages import (
+    COLLECTOR_ADDRESS,
+    HeartbeatEnvelope,
+    StopEnvelope,
+    TickEnvelope,
+)
 from repro.runtime.transport import UnknownAddressError
 from repro.simulation import MonitoringSimulation, SimulationConfig
 
@@ -342,7 +347,7 @@ class TestReconnect:
             )
             metrics = RuntimeMetrics()
             a.bind_metrics(metrics)
-            config = RuntimeConfig(period_seconds=30.0, heartbeat_every=1000)
+            config = RuntimeConfig(period_seconds=30.0)
             agents = {}
             for node, parent in ((5, 1), (6, 2)):  # 6's parent is a local inbox
                 pair = NodeAttributePair(node, "a")
@@ -354,13 +359,14 @@ class TestReconnect:
                 agents[node] = NodeAgent(
                     node, 100.0, [role], COST, MetricRegistry([pair], seed=1), a, metrics, config
                 )
-            for address in (2, 5, 6):
+            # Beacons land in a local inbox: only batches use node 5's link.
+            for address in (2, 5, 6, COLLECTOR_ADDRESS):
                 a.register(address)
             tasks = [asyncio.ensure_future(agent.run()) for agent in agents.values()]
             b = None
             try:
                 task_counts = []
-                for period in range(1, 7):  # period 0 is a beacon period
+                for period in range(1, 7):
                     for node in agents:
                         a.deliver_local(node, TickEnvelope(period=period))
                     await asyncio.sleep(0.02)

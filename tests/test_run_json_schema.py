@@ -57,7 +57,7 @@ class TestRunJsonSchema:
             "scheme",
             "workload",
             "plan",
-            "drop_policy",
+            "plan_check",
             "requested_pairs",
             "periods",
             "wall_seconds",
@@ -81,7 +81,7 @@ class TestRunJsonSchema:
             "dropped_failure",
             "heartbeats",
         }
-        assert set(payload["values"]) == {"trimmed", "deferred"}
+        assert set(payload["values"]) == {"trimmed"}
         assert set(payload["plan"]) >= {
             "coverage",
             "collected_pairs",

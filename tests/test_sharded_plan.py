@@ -4,7 +4,7 @@ import pytest
 
 from repro.checks.controlplane import check_collector_shards, check_tenant_namespaces
 from repro.core.attributes import NodeAttributePair
-from repro.core.plan import SHARD_MODES, ShardedPlan, shard_partition_sets
+from repro.core.plan import ShardedPlan, shard_partition_sets
 from repro.core.planner import RemoPlanner
 from repro.core.tasks import (
     DuplicateTaskError,
@@ -27,35 +27,27 @@ def quickstart_plan():
 class TestShardPartitionSets:
     def test_every_set_assigned_in_range(self, quickstart_plan):
         _cluster, _cost, plan = quickstart_plan
-        for mode in SHARD_MODES:
-            assignment = shard_partition_sets(plan.partition.sets, 3, mode)
-            assert set(assignment) == set(plan.partition.sets)
-            assert all(0 <= shard < 3 for shard in assignment.values())
+        assignment = shard_partition_sets(plan.partition.sets, 3)
+        assert set(assignment) == set(plan.partition.sets)
+        assert all(0 <= shard < 3 for shard in assignment.values())
 
     def test_hash_mode_is_deterministic(self, quickstart_plan):
         _cluster, _cost, plan = quickstart_plan
-        first = shard_partition_sets(plan.partition.sets, 4, "hash")
-        second = shard_partition_sets(plan.partition.sets, 4, "hash")
+        first = shard_partition_sets(plan.partition.sets, 4)
+        second = shard_partition_sets(plan.partition.sets, 4)
         assert first == second
-
-    def test_range_mode_covers_all_shards_when_possible(self, quickstart_plan):
-        _cluster, _cost, plan = quickstart_plan
-        sets = list(plan.partition.sets)
-        shards = min(2, len(sets))
-        assignment = shard_partition_sets(sets, shards, "range")
-        assert set(assignment.values()) == set(range(shards))
 
     def test_single_shard_collapses_to_zero(self, quickstart_plan):
         _cluster, _cost, plan = quickstart_plan
-        assignment = shard_partition_sets(plan.partition.sets, 1, "hash")
+        assignment = shard_partition_sets(plan.partition.sets, 1)
         assert set(assignment.values()) == {0}
 
     def test_rejects_bad_inputs(self, quickstart_plan):
         _cluster, _cost, plan = quickstart_plan
         with pytest.raises(ValueError):
-            shard_partition_sets(plan.partition.sets, 0, "hash")
+            shard_partition_sets(plan.partition.sets, 0)
         with pytest.raises(ValueError):
-            shard_partition_sets(plan.partition.sets, 2, "round-robin")
+            shard_partition_sets(plan.partition.sets, -1)
 
 
 class TestShardedPlan:
@@ -90,7 +82,7 @@ class TestShardedPlan:
 
     def test_summary_shape(self, quickstart_plan):
         _cluster, _cost, plan = quickstart_plan
-        summary = ShardedPlan.build(plan, 2, "range").summary()
+        summary = ShardedPlan.build(plan, 2).summary()
         assert summary["shards"] == 2
         assert set(summary["sets_per_shard"]) == {"0", "1"}
         assert set(summary["pairs_per_shard"]) == {"0", "1"}
