@@ -109,13 +109,15 @@ class TreeAdjuster:
 
     # ------------------------------------------------------------------
     def _relieve_node(self, tree: MonitoringTree, dc: NodeId, failed_cost: float) -> bool:
-        child_set = tree.children(dc)
-        if len(child_set) < 2 and tree.parent(dc) is not None:
+        if tree.degree(dc) < 2 and tree.parent(dc) is not None:
             # Pruning the only branch of a non-root just shifts the
             # problem to the parent without freeing overhead at dc's
             # ancestors; skip (before paying for the child sort).
             return False
-        children = sorted(child_set, key=tree.send_cost)
+        # A total order: siblings of equal send cost break on node id,
+        # not on the order the child set happens to iterate in.
+        send_cost = tree.send_cost
+        children = sorted(tree._children[dc], key=lambda c: (send_cost(c), c))
         for branch in children:
             branch_cost = tree.send_cost(branch)
             targets = self._candidate_targets(tree, dc, branch, branch_cost, failed_cost)
