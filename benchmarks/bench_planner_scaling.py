@@ -12,7 +12,9 @@ Besides the human-readable table, results are persisted as
 ``repro plan --json`` emits in its ``planning`` block, so the two
 sources can be joined.
 
-Run standalone for custom sizes (the CI perf-smoke job does this)::
+The CI perf-smoke job re-runs the default sizes and fails when any
+row's fingerprint differs from the committed report, so a change to a
+default plan lands with its re-run report.  Custom sizes::
 
     PYTHONPATH=src python benchmarks/bench_planner_scaling.py --sizes 80
 """

@@ -22,8 +22,8 @@ from typing import List, Optional
 from repro.core.attributes import NodeId
 from repro.core.cost import CostModel
 from repro.trees.adjust import TreeAdjuster
-from repro.trees.base import GreedyTreeBuilder, TreeBuildRequest
-from repro.trees.model import MonitoringTree
+from repro.trees.base import GreedyTreeBuilder
+from repro.trees.model import MonitoringTree, PreparedLeaf
 
 
 class AdaptiveTreeBuilder(GreedyTreeBuilder):
@@ -133,14 +133,6 @@ class AdaptiveTreeBuilder(GreedyTreeBuilder):
         return self.adjuster.seconds
 
     def on_saturated(
-        self,
-        tree: MonitoringTree,
-        request: TreeBuildRequest,
-        node: NodeId,
-        failed_parents: List[NodeId],
+        self, tree: MonitoringTree, leaf: PreparedLeaf, failed_parents: List[NodeId]
     ) -> bool:
-        demand = request.demands[node]
-        failed_cost = self.cost.weighted_message_cost(
-            request.msg_weight(node), sum(w for w in demand.values() if w > 0)
-        )
-        return self.adjuster.relieve(tree, failed_parents, failed_cost)
+        return self.adjuster.relieve(tree, failed_parents, leaf.send)

@@ -20,7 +20,7 @@ from repro.core.attributes import NodeId
 from repro.core.cost import AggregationMap, CostModel
 from repro.obs import names
 from repro.obs.metrics import default_registry
-from repro.trees.model import MonitoringTree, NodeDemand
+from repro.trees.model import MonitoringTree, NodeDemand, PreparedLeaf
 
 
 @dataclass
@@ -100,14 +100,11 @@ class GreedyTreeBuilder:
         raise NotImplementedError
 
     def on_saturated(
-        self,
-        tree: MonitoringTree,
-        request: TreeBuildRequest,
-        node: NodeId,
-        failed_parents: List[NodeId],
+        self, tree: MonitoringTree, leaf: PreparedLeaf, failed_parents: List[NodeId]
     ) -> bool:
-        """Called when ``node`` fits under no parent.  Return ``True`` if
-        the tree was restructured and the insertion should be retried."""
+        """Called when ``leaf`` fits under no parent but is not
+        :meth:`~MonitoringTree.out_of_reach`.  Return ``True`` if the
+        tree was restructured and the insertion should be retried."""
         return False
 
     def adjustment_seconds(self) -> float:
@@ -166,6 +163,9 @@ class GreedyTreeBuilder:
                 tree.attach_leaf(leaf, None)
                 return True
             return False
+        # A refusal no branch move can cure: exclude without adjusting.
+        if tree.out_of_reach(leaf):
+            return False
         # Payload of the insertion, available to parent_preference
         # implementations that trade relay depth against headroom.
         payload = sum(leaf.demand.values())
@@ -179,6 +179,7 @@ class GreedyTreeBuilder:
         if transferable:
             min_headroom += self.cost.value_cost(payload)
         attempts = 0
+        members: Optional[List[NodeId]] = None
         while True:
             # Everything routes through the root: when it cannot relay
             # the payload no parent can host the node, so skip ranking
@@ -197,13 +198,17 @@ class GreedyTreeBuilder:
                     fail_node, minimal = tree.last_attach_failure()
                     if transferable and minimal and fail_node is not None and fail_node != parent:
                         blocked.update(tree.subtree_nodes(fail_node))
-            # No member could host the insertion -- whether it failed
-            # the headroom pre-filter or the path walk -- so all of them
-            # are congested in the paper's sense.
+            # Past the out-of-reach gate, every member refused the
+            # insertion on capacity -- at the headroom pre-filter, on its
+            # path walk or at the root's own slice -- so all of them are
+            # congested in the paper's sense.  Adjusting moves members
+            # but never adds or drops one, so one list serves every round.
             attempts += 1
-            if attempts > self._max_retry_rounds() or not self.on_saturated(
-                tree, request, node, tree.nodes
-            ):
+            if attempts > self._max_retry_rounds():
+                return False
+            if members is None:
+                members = tree.nodes
+            if not self.on_saturated(tree, leaf, members):
                 return False
 
     def _ordered_parents(self, tree: MonitoringTree, entry_cost: float = 0.0) -> List[NodeId]:

@@ -649,18 +649,34 @@ class MonitoringTree:
             return leaf.send <= self.central_capacity + EPSILON
         return self._walk(parent, None, _ABSENT, leaf.content, check=True)
 
-    def refuses(self, leaf: PreparedLeaf) -> bool:
-        """O(1) sufficient test that *no* member can host ``leaf``.
+    def out_of_reach(self, leaf: PreparedLeaf) -> bool:
+        """O(1) sufficient test that *no* restructuring of the current
+        members lets any of them host ``leaf``.
 
         Either the leaf's own slice cannot pay for its own message, or
-        (funnel-free trees) the root cannot relay it: every attach adds
-        the payload to the root's outgoing message and at least
-        ``a * payload`` to what the root receives -- message-weight
-        growth on the way only adds to both -- so when that lower bound
-        overflows the root's slice or the central slice, every probe
-        would fail at the root.  Doubling the tolerance keeps the bound
-        on the refusing side of the probes' own float rounding.
+        (funnel-free trees) the central slice cannot take the root's
+        message grown by the payload.  Moving branches never changes
+        what the root sends -- every member's local values at the
+        largest local message weight -- so neither refusal is relievable.
         """
+        return self._refused(leaf, root_slice=False)
+
+    def refuses(self, leaf: PreparedLeaf) -> bool:
+        """O(1) sufficient test that *no* member can host ``leaf`` now.
+
+        :meth:`out_of_reach`, or (funnel-free trees) the root's own
+        slice cannot relay the leaf: every attach adds the payload to
+        the root's outgoing message and at least ``a * payload`` to what
+        it receives -- message-weight growth on the way only adds to
+        both -- so when that lower bound overflows, every probe would
+        fail at the root.  Moving a root child deeper takes one
+        message's ``C`` off the root's receive side, so this refusal
+        stays relievable.  Doubling the tolerance keeps both bounds on
+        the refusing side of the probes' own float rounding.
+        """
+        return self._refused(leaf, root_slice=True)
+
+    def _refused(self, leaf: PreparedLeaf, root_slice: bool) -> bool:
         if leaf.send > self._capacities.get(leaf.node, 0.0) + EPSILON:
             return True
         if self._has_agg or self._root is None:
@@ -671,6 +687,8 @@ class MonitoringTree:
         )
         if send > self.central_capacity + 2 * EPSILON:
             return True
+        if not root_slice:
+            return False
         load = send + self._recv_a[slot] + self.cost.value_cost(leaf.total)
         return load > self._cap_a[slot] + 2 * EPSILON
 
