@@ -303,7 +303,71 @@ class TestFrequencyWeights:
         tree.validate()
 
 
+def tamper_fixture(aggregated):
+    """Root 0 with children 1 and 2, 3 under 1, and one freed slot
+    (node 4 joined under 3 and left); on the aggregated variant ``s``
+    is a SUM funnel and ``h`` stays holistic."""
+    agg = {"s": AggregationSpec(AggregationKind.SUM)} if aggregated else None
+    tree = make_tree(attrs=("s", "h"), aggregation=agg)
+    tree.add_node(0, None, {"s": 1.0, "h": 1.0})
+    for node, parent in ((1, 0), (2, 0), (3, 1), (4, 3)):
+        assert tree.add_node(node, parent, {"s": 1.0, "h": 1.0})
+    tree.remove_branch(4)
+    tree.validate()
+    return tree
+
+
+def _bump(table, key, by):
+    table[key] += by
+
+
+def _misfile_child(tree):
+    # Node 3 listed under 2 while its parent pointer still names 1.
+    tree._children[1].discard(3)
+    tree._children[2].add(3)
+
+
+def _unpoison_free_slot(tree):
+    tree._cap_a[tree._free_slots[0]] = 100.0
+
+
+#: One corruption per cache ``validate`` must hold against the truth.
+TAMPERS = {
+    "_send_a": lambda t: _bump(t._send_a, t._slot[3], 0.5),
+    "_recv_a": lambda t: _bump(t._recv_a, t._slot[1], 0.5),
+    "_tot_a": lambda t: _bump(t._tot_a, t._slot[1], 0.5),
+    "_msgw": lambda t: _bump(t._msgw, 3, -0.5),
+    "_msgw_count": lambda t: _bump(t._msgw_count, 0, 1),
+    "_depth": lambda t: _bump(t._depth, 3, 1),
+    "mirror": _misfile_child,
+    "_cap_a": lambda t: _bump(t._cap_a, t._slot[2], -50.0),
+    "free-slot-poison": _unpoison_free_slot,
+    "_pair_count": lambda t: setattr(t, "_pair_count", t._pair_count + 1),
+}
+
+#: What only an aggregated tree caches, per attribute.
+AGG_TAMPERS = {
+    "_in": lambda t: _bump(t._in[1], "h", 0.5),
+    "_in_count": lambda t: _bump(t._in_count[1], "s", 1),
+    "_out": lambda t: _bump(t._out[1], "h", 0.5),
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize(
+        "aggregated, target",
+        [pytest.param(False, name, id=f"plain-{name}") for name in TAMPERS]
+        + [
+            pytest.param(True, name, id=f"aggregated-{name}")
+            for name in (*TAMPERS, *AGG_TAMPERS)
+        ],
+    )
+    def test_validate_catches_every_tampered_cache(self, aggregated, target):
+        tree = tamper_fixture(aggregated)
+        {**TAMPERS, **AGG_TAMPERS}[target](tree)
+        with pytest.raises(TreeInvariantError):
+            tree.validate()
+
     def test_validate_catches_tampered_send(self):
         tree = chain_tree(3)
         tree._send_a[tree._slot[1]] += 1.0
