@@ -34,14 +34,9 @@ from repro.checks.diagnostics import (
     describe_codes,
 )
 from repro.checks.faults import FAULT_KINDS, inject_fault
-from repro.checks.recompute import (
-    NodeAccounting,
-    TreeAccounting,
-    assert_tree_matches_recompute,
-    recompute_tree,
-)
 from repro.checks.runner import assert_plan_valid, check_plan, check_plan_for_cluster
 from repro.checks.structure import check_partition, check_tree
+from repro.trees.recompute import NodeAccounting, TreeAccounting, recompute_tree
 
 __all__ = [
     "CODES",
@@ -54,7 +49,6 @@ __all__ = [
     "Severity",
     "TreeAccounting",
     "assert_plan_valid",
-    "assert_tree_matches_recompute",
     "check_adaptation_step",
     "check_budgets",
     "check_collector_shards",

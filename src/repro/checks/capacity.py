@@ -2,7 +2,7 @@
 
 These checkers trust nothing the trees cache.  Every quantity is
 recomputed from the primitive structure via
-:func:`repro.checks.recompute.recompute_tree`, then
+:func:`repro.trees.recompute.recompute_tree`, then
 
 - the recomputation is diffed against the cached bookkeeping
   (``REMO203`` for costs, ``REMO204`` for pair counts), and
@@ -11,9 +11,9 @@ recomputed from the primitive structure via
   (``REMO201``/``REMO202``) -- so a stale cache can never hide a
   genuine overload.
 
-Budget comparisons reuse the same ``1e-6`` slack as
-``MonitoringPlan.validate``; cache diffs use a much tighter relative
-tolerance because both sides are derived from the identical floats.
+Both comparisons use the tolerances :meth:`MonitoringTree.validate
+<repro.trees.model.MonitoringTree.validate>` uses: ``BUDGET_TOLERANCE``
+for budgets, :func:`~repro.trees.recompute.matches` for cache diffs.
 """
 
 from __future__ import annotations
@@ -22,29 +22,11 @@ import math
 from typing import Dict, Mapping, Optional
 
 from repro.checks.diagnostics import DiagnosticReport
-from repro.checks.recompute import TreeAccounting, recompute_tree
+from repro.checks.structure import set_label
 from repro.core.attributes import NodeId
 from repro.core.partition import AttributeSet
 from repro.trees.model import MonitoringTree
-
-#: Slack for budget feasibility, matching ``MonitoringPlan.validate``.
-BUDGET_TOLERANCE = 1e-6
-#: Tolerance for cached-vs-recomputed drift.  Both sides are computed
-#: from the same primitive floats, so only accumulation-order noise is
-#: acceptable.
-DRIFT_REL_TOL = 1e-9
-DRIFT_ABS_TOL = 1e-9
-
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=DRIFT_REL_TOL, abs_tol=DRIFT_ABS_TOL)
-
-
-def _set_label(attr_set: AttributeSet) -> str:
-    inner = ",".join(sorted(attr_set)[:4])
-    if len(attr_set) > 4:
-        inner += ",..."
-    return "tree {" + inner + "}"
+from repro.trees.recompute import BUDGET_TOLERANCE, TreeAccounting, matches, recompute_tree
 
 
 def check_tree_costs(
@@ -58,7 +40,7 @@ def check_tree_costs(
     ``None`` when the structure cannot be traversed -- the structural
     checkers report that case separately.
     """
-    label = _set_label(attr_set)
+    label = set_label(attr_set)
 
     # Primitive-input sanity first: a recomputation of garbage demands
     # would just reproduce the garbage.
@@ -98,13 +80,13 @@ def check_tree_costs(
         cached_values = tree.outgoing_values(node)
         cached_msgw = tree.message_weight(node)
         drift = []
-        if not _close(cached_send, acc.send):
+        if not matches(cached_send, acc.send):
             drift.append(f"send {cached_send!r} != {acc.send!r}")
-        if not _close(cached_recv, acc.recv):
+        if not matches(cached_recv, acc.recv):
             drift.append(f"recv {cached_recv!r} != {acc.recv!r}")
-        if not _close(cached_values, acc.total_values):
+        if not matches(cached_values, acc.total_values):
             drift.append(f"outgoing values {cached_values!r} != {acc.total_values!r}")
-        if not _close(cached_msgw, acc.msg_weight):
+        if not matches(cached_msgw, acc.msg_weight):
             drift.append(f"message weight {cached_msgw!r} != {acc.msg_weight!r}")
         if drift:
             report.add(
@@ -113,7 +95,7 @@ def check_tree_costs(
                 "cached vs recomputed: " + "; ".join(drift),
             )
 
-    if not _close(tree.central_used(), accounting.central_used):
+    if not matches(tree.central_used(), accounting.central_used):
         report.add(
             "REMO203",
             label,

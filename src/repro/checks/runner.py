@@ -13,12 +13,12 @@ from typing import Dict, Mapping, Optional
 
 from repro.checks.capacity import check_budgets, check_tree_costs
 from repro.checks.diagnostics import DiagnosticReport
-from repro.checks.recompute import TreeAccounting
 from repro.checks.structure import check_partition, check_tree
 from repro.cluster.node import Cluster
 from repro.core.attributes import NodeId
 from repro.core.partition import AttributeSet
 from repro.core.plan import MonitoringPlan
+from repro.trees.recompute import TreeAccounting
 
 
 def check_plan(

@@ -28,7 +28,9 @@ from repro.core.plan import MonitoringPlan
 from repro.trees.model import MonitoringTree
 
 
-def _set_label(attr_set: AttributeSet) -> str:
+def set_label(attr_set: AttributeSet) -> str:
+    """A tree's diagnostic location: ``tree {a,b}``, its first four
+    attributes then an ellipsis."""
     inner = ",".join(sorted(attr_set)[:4])
     if len(attr_set) > 4:
         inner += ",..."
@@ -60,13 +62,13 @@ def check_partition(plan: MonitoringPlan, report: DiagnosticReport) -> None:
     for attr_set in sorted(partition_sets - tree_sets, key=sorted):
         report.add(
             "REMO102",
-            _set_label(attr_set),
+            set_label(attr_set),
             f"partition set {sorted(attr_set)} has no tree",
         )
     for attr_set in sorted(tree_sets - partition_sets, key=sorted):
         report.add(
             "REMO103",
-            _set_label(attr_set),
+            set_label(attr_set),
             f"tree built for {sorted(attr_set)}, which is not a partition set",
         )
 
@@ -75,7 +77,7 @@ def check_partition(plan: MonitoringPlan, report: DiagnosticReport) -> None:
     # its own attribute set.
     for attr_set, result in plan.trees.items():
         tree = result.tree
-        label = _set_label(attr_set)
+        label = set_label(attr_set)
         for node in tree.nodes:
             for attr, weight in tree.local_demand(node).items():
                 if weight <= 0.0:
@@ -99,7 +101,7 @@ def check_tree(
 ) -> bool:
     """Well-formedness of one tree; returns ``True`` when the structure
     is sound enough for a cost recomputation to traverse it."""
-    label = _set_label(attr_set)
+    label = set_label(attr_set)
     members = list(tree.nodes)
     if not members:
         return True

@@ -194,30 +194,21 @@ class MonitoringPlan:
     # Validation
     # ------------------------------------------------------------------
     def validate(self, node_capacities: Mapping[NodeId, float], central_capacity: float) -> None:
-        """Check every per-tree invariant plus the cross-tree budget.
+        """Every tree's :meth:`~repro.trees.model.MonitoringTree.validate`,
+        then every REMO check (:func:`repro.checks.check_plan`) against
+        the full node budgets ``b_i`` and the collector's budget.
 
-        ``node_capacities`` are full node budgets ``b_i``; the sum of a
-        node's usage across all trees must stay within them (and the
-        collector within ``central_capacity``).
+        Raises :class:`~repro.trees.model.TreeInvariantError` for a tree
+        whose caches drift or that overruns a slice, and
+        :class:`~repro.checks.PlanCheckError` for any ERROR finding --
+        a partition set without a tree, a pair no task requested, a node
+        or the collector over budget.  Both subclass ``AssertionError``.
         """
+        from repro.checks.runner import check_plan  # repro.checks imports this module
+
         for result in self.trees.values():
             result.tree.validate()
-        for node, used in self.node_usage().items():
-            budget = node_capacities.get(node, 0.0)
-            if used > budget + 1e-6:
-                raise AssertionError(
-                    f"cross-tree capacity violated at node {node}: "
-                    f"used {used:.6f} > budget {budget:.6f}"
-                )
-        if self.central_usage() > central_capacity + 1e-6:
-            raise AssertionError(
-                f"central capacity violated: {self.central_usage():.6f} > "
-                f"{central_capacity:.6f}"
-            )
-        collected = self.collected_pairs()
-        if not collected <= self.pairs:
-            extra = collected - self.pairs
-            raise AssertionError(f"plan collects pairs never requested: {sorted(extra)[:5]}")
+        check_plan(self, node_capacities, central_capacity).raise_if_errors("plan validation")
 
 
 # ----------------------------------------------------------------------

@@ -26,10 +26,10 @@ changed attributes; there the walk also ends early at the first
 ancestor whose outgoing message is unchanged, which saturation
 (``min(1.0, incoming)``) makes the common case.  A cached
 *max-child-message-weight* with a contributor count avoids re-deriving
-``max()`` over children at every level.  The from-scratch recomputer
-in :mod:`repro.checks.recompute` is the oracle every incremental
-state must match; :meth:`MonitoringTree.validate` recomputes content
-from the local demands and cross-checks every cache against it.
+``max()`` over children at every level.  The one from-scratch
+recomputation, :func:`repro.trees.recompute.recompute_tree`, is the
+oracle every incremental state must match: :meth:`MonitoringTree.validate`
+holds every cache against it, and so do the plan checkers.
 
 Capacity semantics (Problem Statement 2, constraint 1): for every
 member node ``i``, ``send(i) + recv(i) <= capacity(i)``, where
@@ -55,6 +55,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.attributes import AttributeId, NodeId
 from repro.core.cost import AggregationKind, AggregationMap, AggregationSpec, CostModel
+from repro.trees.recompute import BUDGET_TOLERANCE, NodeAccounting, matches, recompute_tree
 
 #: A node's local contribution to a tree: ``{attribute: weight}`` where
 #: weight is the expected number of values per collection period (1.0
@@ -1173,9 +1174,14 @@ class MonitoringTree:
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Recompute all bookkeeping from scratch and compare.
+        """Hold every cache against :func:`~repro.trees.recompute.recompute_tree`.
 
-        Raises :class:`TreeInvariantError` on any drift or constraint
+        The recomputation rebuilds each member's content and costs from
+        the local demands alone; this method adds what only the tree
+        itself can check: its slot table, the parent/children/depth
+        mirror, the message-weight contributor counts, an aggregated
+        tree's per-attribute tables, and the capacity slices.  Raises
+        :class:`TreeInvariantError` on any drift or constraint
         violation.  Intended for tests and debugging; it is O(n * m).
         """
         if not self._parent:
@@ -1199,123 +1205,80 @@ class MonitoringTree:
         if len(self._slot) + len(self._free_slots) != len(self._node_of):
             raise TreeInvariantError("slot accounting leak")
         roots = [n for n, p in self._parent.items() if p is None]
-        if len(roots) != 1 or roots[0] != self._root:
+        if roots != [self._root]:
             raise TreeInvariantError(f"expected exactly one root, found {roots}")
-        # Acyclicity + depth correctness via BFS from the root.
-        seen = {self._root}
-        frontier = [self._root]
-        if self._depth[self._root] != 0:
-            raise TreeInvariantError("root depth must be 0")
-        while frontier:
-            node = frontier.pop()
-            for child in self._children[node]:
-                if child in seen:
-                    raise TreeInvariantError(f"cycle detected at node {child}")
+        # The recomputation reaches every member exactly once through
+        # the children tables (or refuses); each parent pointer must
+        # name the node whose children set lists it.
+        try:
+            acc = recompute_tree(self)
+        except ValueError as exc:
+            raise TreeInvariantError(str(exc)) from None
+        for node, children in self._children.items():
+            for child in children:
                 if self._parent[child] != node:
                     raise TreeInvariantError(f"parent pointer mismatch at {child}")
-                if self._depth[child] != self._depth[node] + 1:
-                    raise TreeInvariantError(f"depth mismatch at {child}")
-                seen.add(child)
-                frontier.append(child)
-        if seen != set(self._parent):
-            raise TreeInvariantError("orphan nodes disconnected from the root")
 
-        # Recompute contents bottom-up from the local demands alone.
-        order = self.subtree_nodes(self._root)
-        outgoing: Dict[NodeId, Dict[AttributeId, float]] = {}
-        for node in reversed(order):
-            incoming: Dict[AttributeId, float] = dict(self._local[node])
-            counts: Dict[AttributeId, int] = {a: 1 for a in self._local[node]}
-            msgw = self._local_msgw[node]
-            msgw_count = 1
-            recv = 0.0
-            for child in self._children[node]:
-                for attr, weight in outgoing.pop(child).items():
-                    incoming[attr] = incoming.get(attr, 0.0) + weight
-                    counts[attr] = counts.get(attr, 0) + 1
-                recv += self._send_a[self._slot[child]]
-                child_msgw = self._msgw[child]
-                if child_msgw > msgw:
-                    msgw, msgw_count = child_msgw, 1
-                elif child_msgw == msgw:
-                    msgw_count += 1
-            funnelled = ((a, self._funnel(a, w)) for a, w in incoming.items())
-            outgoing[node] = expected_out = {a: w for a, w in funnelled if w > 0}
-            if self._has_agg:
-                self._validate_attribute_tables(node, incoming, counts, expected_out)
-            if abs(self._msgw[node] - msgw) > 1e-6:
-                raise TreeInvariantError(f"message weight drift at {node}")
-            if self._msgw_count[node] != msgw_count:
-                raise TreeInvariantError(
-                    f"message weight contributor count drift at {node}: "
-                    f"cached {self._msgw_count[node]}, actual {msgw_count}"
-                )
+        for node, expected in acc.nodes.items():
+            parent = self._parent[node]
+            if self._depth[node] != (0 if parent is None else self._depth[parent] + 1):
+                raise TreeInvariantError(f"depth mismatch at {node}")
             slot = self._slot[node]
-            if abs(self._recv_a[slot] - recv) > 1e-6:
+            children = [acc.nodes[child] for child in self._children[node]]
+            weights = [self._local_msgw[node]] + [child.msg_weight for child in children]
+            contributors = weights.count(expected.msg_weight)
+            for what, cached, actual in (
+                ("outgoing total", self._tot_a[slot], expected.total_values),
+                ("send", self._send_a[slot], expected.send),
+                ("recv", self._recv_a[slot], expected.recv),
+                ("message weight", self._msgw[node], expected.msg_weight),
+                ("message weight contributor count", self._msgw_count[node], contributors),
+            ):
+                if not matches(cached, actual):
+                    raise TreeInvariantError(
+                        f"{what} drift at {node}: cached {cached!r}, actual {actual!r}"
+                    )
+            if self._has_agg:
+                self._validate_attribute_tables(node, expected, children)
+            if expected.used > self._cap_a[slot] + BUDGET_TOLERANCE:
                 raise TreeInvariantError(
-                    f"recv drift at {node}: cached {self._recv_a[slot]}, actual {recv}"
-                )
-            expected_total = sum(expected_out.values())
-            if abs(self._tot_a[slot] - expected_total) > 1e-6:
-                raise TreeInvariantError(
-                    f"outgoing total drift at {node}: cached {self._tot_a[slot]}, "
-                    f"actual {expected_total}"
-                )
-            expected_send = (
-                self.cost.weighted_message_cost(msgw, expected_total) if msgw > 0.0 else 0.0
-            )
-            if abs(self._send_a[slot] - expected_send) > 1e-6:
-                raise TreeInvariantError(
-                    f"send drift at {node}: cached {self._send_a[slot]}, "
-                    f"actual {expected_send}"
-                )
-            if self.used(node) > self._cap_a[slot] + 1e-6:
-                raise TreeInvariantError(
-                    f"capacity violated at {node}: used {self.used(node)}, "
+                    f"capacity violated at {node}: used {expected.used}, "
                     f"capacity {self._cap_a[slot]}"
                 )
-        if self.central_used() > self.central_capacity + 1e-6:
+        if acc.central_used > self.central_capacity + BUDGET_TOLERANCE:
             raise TreeInvariantError(
-                f"central capacity violated: {self.central_used()} > {self.central_capacity}"
+                f"central capacity violated: {acc.central_used} > {self.central_capacity}"
             )
-        expected_pairs = sum(len(d) for d in self._local.values())
-        if expected_pairs != self._pair_count:
+        if acc.pair_count != self._pair_count:
             raise TreeInvariantError(
-                f"pair count drift: cached {self._pair_count}, actual {expected_pairs}"
+                f"pair count drift: cached {self._pair_count}, actual {acc.pair_count}"
             )
-
 
     def _validate_attribute_tables(
-        self,
-        node: NodeId,
-        incoming: Dict[AttributeId, float],
-        counts: Dict[AttributeId, int],
-        expected_out: Dict[AttributeId, float],
+        self, node: NodeId, expected: NodeAccounting, children: List[NodeAccounting]
     ) -> None:
         """What an aggregated tree caches per attribute, against the
-        recomputed incoming weights, refcounts and funnelled output."""
-        for attr, weight in incoming.items():
-            cached = self._in[node].get(attr, 0.0)
-            if abs(cached - weight) > 1e-6:
-                raise TreeInvariantError(
-                    f"incoming weight drift at {node}/{attr}: cached {cached}, actual {weight}"
-                )
-        stale = set(self._in[node]) - set(incoming)
-        if stale:
-            raise TreeInvariantError(
-                f"stale incoming attributes cached at {node}: {sorted(stale)}"
-            )
+        recomputed incoming and outgoing weights and the refcounts they
+        imply (the local demand plus each child forwarding the attribute)."""
+        counts = dict.fromkeys(self._local[node], 1)
+        for child in children:
+            for attr in child.outgoing_values:
+                counts[attr] = counts.get(attr, 0) + 1
         if self._in_count[node] != counts:
             raise TreeInvariantError(
                 f"incoming refcount drift at {node}: cached {self._in_count[node]}, "
                 f"actual {counts}"
             )
-        cached_out = self._out[node]
-        if set(expected_out) != {a for a, w in cached_out.items() if w > 1e-9}:
-            raise TreeInvariantError(f"outgoing attr set drift at {node}")
-        for attr, weight in expected_out.items():
-            if abs(cached_out.get(attr, 0.0) - weight) > 1e-6:
-                raise TreeInvariantError(f"outgoing weight drift at {node}/{attr}")
+        for what, cached, actual in (
+            ("incoming", self._in[node], expected.incoming),
+            ("outgoing", self._out[node], expected.outgoing_values),
+        ):
+            if cached.keys() != actual.keys() or not all(
+                matches(cached[attr], weight) for attr, weight in actual.items()
+            ):
+                raise TreeInvariantError(
+                    f"{what} weight drift at {node}: cached {cached}, actual {actual}"
+                )
 
 
 def _diff_values(

@@ -12,6 +12,7 @@ import pytest
 
 from repro.checks import (
     CODES,
+    FAULT_KINDS,
     DiagnosticReport,
     PlanCheckError,
     Severity,
@@ -121,6 +122,14 @@ def test_stale_total_is_caught_only_by_the_drift_check(planned):
     (drift,) = report.diagnostics
     assert "outgoing values" in drift.message and "send" not in drift.message
     with pytest.raises(TreeInvariantError, match="outgoing total drift"):
+        plan.validate({n.node_id: n.capacity for n in cluster}, cluster.central_capacity)
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_plan_validate_rejects_every_fault_kind(planned, kind):
+    plan, cluster = planned
+    inject_fault(plan, kind)
+    with pytest.raises(AssertionError):
         plan.validate({n.node_id: n.capacity for n in cluster}, cluster.central_capacity)
 
 

@@ -5,9 +5,9 @@ send/receive costs *delta by delta* -- attach, detach, move, and local
 update each propagate only their change along the ancestor path, with
 early termination once nothing downstream can differ.  These tests
 drive random mutation sequences through a :class:`MonitoringTree` and,
-after every operation, compare the cached state against the from-scratch
-oracle in :mod:`repro.checks.recompute` and the tree's own
-``validate()`` invariants.  Any bookkeeping drift -- a stale total, a
+after every operation, hold the cached state against the from-scratch
+oracle :func:`repro.trees.recompute.recompute_tree` through the tree's
+own ``validate()``.  Any bookkeeping drift -- a stale total, a
 miscounted message-weight contributor, an early exit taken too
 eagerly -- surfaces here.
 """
@@ -19,7 +19,6 @@ import copy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checks import assert_tree_matches_recompute
 from repro.core.cost import AggregationKind, AggregationSpec, CostModel
 from repro.trees.adaptive import AdaptiveTreeBuilder
 from repro.trees.base import TreeBuildRequest
@@ -108,7 +107,6 @@ def test_incremental_state_matches_recompute_oracle(run):
         # Whether the operation committed or was refused on capacity
         # grounds, the cached state must match a from-scratch pass.
         if len(tree) > 0:
-            assert_tree_matches_recompute(tree)
             tree.validate()
 
 
@@ -148,7 +146,6 @@ def test_readonly_probes_leave_no_trace(run):
             target = rnd.choice(members)
             if branch != target:
                 tree.can_move_branch(branch, target)
-        assert_tree_matches_recompute(tree)
         tree.validate()
 
 
@@ -302,7 +299,6 @@ def test_scalar_probe_agrees_with_general_walk(run):
         assert _state(scalar) == _state(general)
         for tree in twins:
             if len(tree) > 0:
-                assert_tree_matches_recompute(tree)
                 tree.validate()
 
 
@@ -380,5 +376,4 @@ def test_refused_then_relieved_inserts_match_unshortcut_build(case):
     assert fast.excluded == slow.excluded
     assert fast.tree.edges() == slow.tree.edges()
     if len(fast.tree) > 0:
-        assert_tree_matches_recompute(fast.tree)
         fast.tree.validate()
