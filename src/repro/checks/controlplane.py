@@ -15,13 +15,10 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.checks.diagnostics import DiagnosticReport
+from repro.checks.structure import set_label
 from repro.core.partition import AttributeSet
 from repro.core.plan import MonitoringPlan
 from repro.core.tasks import TENANT_SEPARATOR, MonitoringTask
-
-
-def _set_label(attr_set: AttributeSet) -> str:
-    return "{" + ",".join(str(a) for a in sorted(attr_set)) + "}"
 
 
 def check_collector_shards(
@@ -50,12 +47,12 @@ def check_collector_shards(
     for attr_set in sorted(partition_sets - set(assignment), key=sorted):
         report.add(
             "REMO361",
-            f"set {_set_label(attr_set)}",
+            set_label(attr_set),
             "partition set is assigned to no collector shard",
         )
     usage: Dict[int, float] = {shard: 0.0 for shard in range(shards)}
     for attr_set, shard in sorted(assignment.items(), key=lambda kv: sorted(kv[0])):
-        label = f"set {_set_label(attr_set)}"
+        label = set_label(attr_set)
         if attr_set not in partition_sets:
             report.add(
                 "REMO361", label, "assigned set does not belong to the partition"

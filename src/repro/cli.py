@@ -864,42 +864,21 @@ def _serve(args) -> int:
 
 def _lint(args) -> int:
     """Run the REMO4xx static analysis (see :mod:`repro.staticcheck`)."""
-    from repro.staticcheck import Baseline, describe_rules, lint_paths, render
-    from repro.staticcheck.baseline import BASELINE_FILENAME
+    from repro.staticcheck import describe_rules, lint_paths, render
 
     if args.codes:
         rows = [[info.code, info.family, info.title] for info in describe_rules()]
         print(format_table("staticcheck rules", ["code", "family", "title"], rows))
         return 0
-    root = Path.cwd()
     targets = [Path(p) for p in args.paths] or [Path("src")]
-    baseline_path = Path(args.baseline) if args.baseline else root / BASELINE_FILENAME
     try:
-        baseline = Baseline.load(baseline_path)
-    except (ValueError, OSError) as exc:
-        print(f"repro lint: cannot load baseline: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = lint_paths(
-            targets,
-            root=root,
-            codes=args.rule,
-            baseline=baseline,
-            context_cache=Path(args.context_cache) if args.context_cache else None,
-        )
+        result = lint_paths(targets, root=Path.cwd(), codes=args.rule)
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         print(f"repro lint: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        Baseline.from_diagnostics(result.pre_baseline).save(baseline_path)
-        print(
-            f"wrote {baseline_path} ({len(result.pre_baseline)} finding(s) "
-            "grandfathered)"
-        )
-        return 0
     print(render(result, args.format))
     return 0 if result.ok else 1
 
@@ -1144,25 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="CODE",
         help="run only this rule (repeatable; default: all)",
-    )
-    lint_p.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file of grandfathered findings "
-        "(default: ./staticcheck-baseline.json when present)",
-    )
-    lint_p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
-    )
-    lint_p.add_argument(
-        "--context-cache",
-        metavar="PATH",
-        default=None,
-        help="JSON cache for the analysis context (reused when file "
-        "hashes match; for CI)",
     )
     lint_p.add_argument(
         "--codes",

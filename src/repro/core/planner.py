@@ -263,9 +263,6 @@ class RemoPlanner:
         baseline).
     max_iterations:
         Hard cap on local-search steps.
-    first_improvement:
-        Accept the first evaluated candidate that improves instead of
-        the best of the budget (cheaper, slightly worse plans).
     forbidden_pairs:
         Attribute pairs that must never share a partition set (the
         reliability extension's SSDP/DSDP constraint, Section 6.2).
@@ -285,7 +282,6 @@ class RemoPlanner:
         aggregation: Optional[AggregationMap] = None,
         candidate_budget: Optional[int] = 8,
         max_iterations: int = 64,
-        first_improvement: bool = False,
         forbidden_pairs: Optional[Set[FrozenSet[AttributeId]]] = None,
         plan_cost_fn: Optional[Callable[[MonitoringPlan], float]] = None,
         memo_size: int = 128,
@@ -305,7 +301,6 @@ class RemoPlanner:
         )
         self.candidate_budget = candidate_budget
         self.max_iterations = max_iterations
-        self.first_improvement = first_improvement
         self.memo_size = memo_size
         self.forbidden_pairs = set(forbidden_pairs or set())
         #: Top-ranked candidates granted a full forest rebuild when the
@@ -538,10 +533,6 @@ class RemoPlanner:
                 stats.bump(names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="search")
                 if not self._improves(candidate, incumbent):
                     continue
-                if self.first_improvement:
-                    stats.accepted_ops.append(op.describe())
-                    trace.event(names.EVENT_PLANNER_ACCEPT, lane=names.LANE_PLANNER, op=op.describe())
-                    return candidate
                 if best_plan is None or self._improves(candidate, best_plan):
                     best_plan = candidate
                     best_op = op

@@ -104,9 +104,7 @@ class WorkerRuntime(_DeployHost):
                 # Listener bound, agents listening: tell the supervisor.
                 write_json_atomic(self.spec.ready_path(role), {"rank": self.rank})
                 while True:
-                    envelope = await self.transport.recv(
-                        ctrl, timeout=self.config.recv_timeout_seconds
-                    )
+                    envelope = await self.transport.recv(ctrl)
                     if isinstance(envelope, StopEnvelope):
                         break
                     if isinstance(envelope, TickEnvelope):

@@ -178,18 +178,21 @@ class NodeAgent:
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        """Inbox loop: react to ticks, updates, the wait deadline, stop."""
-        idle = self.config.recv_timeout_seconds
+        """Inbox loop: react to ticks, updates, the wait deadline, stop.
+
+        An idle agent parks on its inbox with no timeout; only while a
+        role waits on children does ``recv`` time out, at the deadline.
+        """
         while True:
-            timeout = idle
+            timeout: Optional[float] = None
             if self._waiting:
-                timeout = min(idle, self._deadline - time.monotonic())
+                timeout = self._deadline - time.monotonic()
                 if timeout <= 0:
                     await self._flush()
                     continue
             envelope = await self.transport.recv(self.node_id, timeout=timeout)
             if envelope is None:
-                continue  # recv timed out; re-check the deadline and the inbox
+                continue  # the deadline passed; the next pass flushes
             if isinstance(envelope, UpdateEnvelope):
                 await self._on_update(envelope)
             elif isinstance(envelope, TickEnvelope):

@@ -141,11 +141,7 @@ class CollectorAgent:
     async def run(self) -> None:
         """Inbox loop for ticks, updates, and heartbeats."""
         while True:
-            envelope = await self.transport.recv(
-                self.address, timeout=self.config.recv_timeout_seconds
-            )
-            if envelope is None:
-                continue  # recv timed out; re-check the inbox
+            envelope = await self.transport.recv(self.address)
             if isinstance(envelope, StopEnvelope):
                 break
             if isinstance(envelope, TickEnvelope):

@@ -56,11 +56,6 @@ class RuntimeConfig:
     #: Collector flags a node as failed after this many periods without
     #: a heartbeat.
     failure_timeout: int = 3
-    #: Inbox-recv timeout for the agent/collector run loops.  A recv
-    #: that returns None (timed out) just re-checks the loop; without
-    #: this guard a dropped stop message would hang the coroutine
-    #: forever once the transport is a real socket.
-    recv_timeout_seconds: float = 1.0
     #: Seed for the ground-truth metric registry (when the engine
     #: constructs one itself).
     seed: Optional[int] = None
@@ -76,10 +71,6 @@ class RuntimeConfig:
             )
         if self.failure_timeout < 1:
             raise ValueError(f"failure_timeout must be >= 1, got {self.failure_timeout}")
-        if self.recv_timeout_seconds <= 0:
-            raise ValueError(
-                f"recv_timeout_seconds must be > 0, got {self.recv_timeout_seconds}"
-            )
 
     @property
     def child_wait_seconds(self) -> float:

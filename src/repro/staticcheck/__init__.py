@@ -12,43 +12,35 @@ REMO403   raw arithmetic over CostModel attributes    (ex-C003)
 REMO411   blocking call inside ``async def``
 REMO412   coroutine called but never awaited
 REMO413   ``create_task``/``ensure_future`` handle dropped
-REMO414   transport ``recv`` awaited without a timeout guard
 REMO415   stream writer/server acquired but never closed
 REMO421   instance attr read-modify-written across an ``await``
 REMO431   metric name not declared in ``repro/obs/names.py``
 REMO432   span/event name not declared in the manifest
 REMO433   trace lane not declared in the manifest
 REMO434   ``trace.span``/``timer`` not used as a with-context
+REMO435   log event name not declared in the manifest
 ========  =====================================================
 
 Typical use::
 
     from pathlib import Path
-    from repro.staticcheck import Baseline, lint_paths, render
+    from repro.staticcheck import lint_paths, render
 
-    result = lint_paths([Path("src")], root=Path.cwd(),
-                        baseline=Baseline.load(Path("staticcheck-baseline.json")))
+    result = lint_paths([Path("src")], root=Path.cwd())
     print(render(result, "text"))
     raise SystemExit(0 if result.ok else 1)
 
-Suppression: ``# noqa: REMO4xx -- why`` on the line, or a fingerprint
-budget in ``staticcheck-baseline.json`` (see
-:mod:`repro.staticcheck.baseline`).
+Suppression: ``# noqa: REMO4xx -- why`` on the line (see
+:mod:`repro.staticcheck.runner`).
 """
 
-from repro.staticcheck.baseline import (
-    BASELINE_FILENAME,
-    Baseline,
-    is_suppressed_by_noqa,
-    noqa_codes,
-)
 from repro.staticcheck.context import (
     AnalysisContext,
     ModuleUnderAnalysis,
     ObsManifest,
     parse_obs_manifest,
 )
-from repro.staticcheck.diagnostics import LintDiagnostic, Severity
+from repro.staticcheck.diagnostics import LintDiagnostic
 from repro.staticcheck.output import FORMATS, render
 from repro.staticcheck.registry import (
     SYNTAX_ERROR_CODE,
@@ -59,12 +51,16 @@ from repro.staticcheck.registry import (
     rule,
     rules_for,
 )
-from repro.staticcheck.runner import LintResult, iter_python_files, lint_paths
+from repro.staticcheck.runner import (
+    LintResult,
+    is_suppressed_by_noqa,
+    iter_python_files,
+    lint_paths,
+    noqa_codes,
+)
 
 __all__ = [
     "AnalysisContext",
-    "BASELINE_FILENAME",
-    "Baseline",
     "FORMATS",
     "LintDiagnostic",
     "LintResult",
@@ -73,7 +69,6 @@ __all__ = [
     "Rule",
     "RuleInfo",
     "SYNTAX_ERROR_CODE",
-    "Severity",
     "all_rule_classes",
     "describe_rules",
     "is_suppressed_by_noqa",

@@ -1,37 +1,28 @@
 """The shared analysis context: project-wide tables rules consult.
 
-A single AST pass per file builds what the rules need to see *across*
-module boundaries:
+Built from the trees the runner already parsed (no file is parsed
+twice), it holds what the rules need to see *across* module
+boundaries:
 
-- the **import graph** (which module imports which), so tooling can
-  reason about layering;
-- the **known-async function table**: every ``async def`` name in the
+- the **known-async name table**: every ``async def`` name in the
   project, with ambiguity tracking -- a bare name defined both sync
   and async somewhere (``run`` is both ``MonitoringRuntime.run`` and
   ``NodeAgent.run``) is excluded from name-based coroutine matching,
   which is what keeps REMO412 free of false positives;
 - **class attribute maps**: for every class, the instance attributes
-  assigned via ``self.x = ...`` anywhere in its body, plus which
-  methods are coroutines (REMO421's shared-state analysis);
+  assigned via ``self.x = ...`` anywhere in its body (REMO421's
+  shared-state analysis);
 - the **obs manifest**: metric/span/lane/log-event names statically
   extracted from ``repro/obs/names.py`` -- parsed, never imported, so
   linting a broken tree cannot execute it.
-
-The context serializes to JSON keyed by per-file SHA-256, so CI caches
-it across runs (:meth:`AnalysisContext.load_or_build`): when no source
-file changed, the whole build is skipped.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-CONTEXT_CACHE_VERSION = 2
 
 #: Where the obs manifest lives, relative to a project root.
 MANIFEST_RELPATH = Path("src") / "repro" / "obs" / "names.py"
@@ -127,49 +118,26 @@ class _ModuleScan(ast.NodeVisitor):
     """Single pass over one module collecting the context's raw facts."""
 
     def __init__(self) -> None:
-        self.imports: Set[str] = set()
-        self.async_qualnames: List[str] = []
         self.async_names: Set[str] = set()
         self.sync_names: Set[str] = set()
         self.class_attrs: Dict[str, Set[str]] = {}
-        self.async_methods: Dict[str, Set[str]] = {}
         self._class_stack: List[str] = []
-
-    # -- imports -------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.imports.add(alias.name)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module and node.level == 0:
-            self.imports.add(node.module)
 
     # -- classes and functions -----------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         qual = ".".join([*self._class_stack, node.name])
         self.class_attrs.setdefault(qual, set())
-        self.async_methods.setdefault(qual, set())
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()
 
-    def _handle_def(self, node: ast.AST, name: str, is_async: bool) -> None:
-        if is_async:
-            self.async_names.add(name)
-            qual = ".".join([*self._class_stack, name]) if self._class_stack else name
-            self.async_qualnames.append(qual)
-            if self._class_stack:
-                owner = ".".join(self._class_stack)
-                self.async_methods.setdefault(owner, set()).add(name)
-        else:
-            self.sync_names.add(name)
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.sync_names.add(node.name)
         self.generic_visit(node)
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._handle_def(node, node.name, is_async=False)
-
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._handle_def(node, node.name, is_async=True)
+        self.async_names.add(node.name)
+        self.generic_visit(node)
 
     # -- instance attributes -------------------------------------------
     def _record_self_store(self, target: ast.expr) -> None:
@@ -196,36 +164,15 @@ class _ModuleScan(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def module_name_for(path: Path, root: Path) -> str:
-    """Dotted module name for ``path`` (best effort outside src/)."""
-    try:
-        rel = path.resolve().relative_to(root.resolve())
-    except ValueError:
-        rel = Path(path.name)
-    parts = list(rel.with_suffix("").parts)
-    if parts and parts[0] == "src":
-        parts = parts[1:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
 @dataclass
 class AnalysisContext:
-    """Project-wide tables shared by every rule, JSON-serializable."""
+    """Project-wide tables shared by every rule."""
 
-    root: str = "."
-    file_hashes: Dict[str, str] = field(default_factory=dict)
-    import_graph: Dict[str, List[str]] = field(default_factory=dict)
-    async_functions: List[str] = field(default_factory=list)
     async_names: Set[str] = field(default_factory=set)
     sync_names: Set[str] = field(default_factory=set)
-    class_attrs: Dict[str, List[str]] = field(default_factory=dict)
-    async_methods: Dict[str, List[str]] = field(default_factory=dict)
+    #: Class qualname -> instance attributes assigned on ``self``, merged
+    #: over every module that defines a class of that name.
+    class_attrs: Dict[str, Set[str]] = field(default_factory=dict)
     obs: Optional[ObsManifest] = None
 
     @property
@@ -234,40 +181,27 @@ class AnalysisContext:
         from name-based coroutine matching (REMO412)."""
         return self.async_names & self.sync_names
 
-    # -- construction --------------------------------------------------
     @classmethod
-    def build(cls, files: Sequence[Path], root: Path) -> "AnalysisContext":
-        ctx = cls(root=str(root))
+    def build(
+        cls, modules: Sequence[ModuleUnderAnalysis], root: Path
+    ) -> "AnalysisContext":
+        """Scan the already-parsed ``modules``; the manifest is parsed
+        here only when it is not one of them."""
+        ctx = cls()
         manifest_tree: Optional[ast.Module] = None
         manifest_path = (root / MANIFEST_RELPATH).resolve()
-        for path in files:
-            try:
-                raw = path.read_bytes()
-                tree = ast.parse(raw.decode("utf-8"), filename=str(path))
-            except (OSError, SyntaxError, UnicodeDecodeError):
-                continue  # the runner reports unreadable/unparsable files
-            ctx.file_hashes[path.as_posix()] = hashlib.sha256(raw).hexdigest()
+        for module in modules:
             scan = _ModuleScan()
-            scan.visit(tree)
-            module = module_name_for(path, root)
-            ctx.import_graph[module] = sorted(scan.imports)
-            ctx.async_functions.extend(
-                f"{module}:{qual}" for qual in scan.async_qualnames
-            )
+            scan.visit(module.tree)
             ctx.async_names |= scan.async_names
             ctx.sync_names |= scan.sync_names
             for owner, attrs in scan.class_attrs.items():
-                key = f"{module}:{owner}"
-                merged = set(ctx.class_attrs.get(key, [])) | attrs
-                ctx.class_attrs[key] = sorted(merged)
-            for owner, methods in scan.async_methods.items():
-                key = f"{module}:{owner}"
-                merged = set(ctx.async_methods.get(key, [])) | methods
-                ctx.async_methods[key] = sorted(merged)
+                ctx.class_attrs.setdefault(owner, set()).update(attrs)
+            path = module.path
             if path.resolve() == manifest_path or path.as_posix().endswith(
                 MANIFEST_RELPATH.as_posix()
             ):
-                manifest_tree = tree
+                manifest_tree = module.tree
         if manifest_tree is None and manifest_path.exists():
             try:
                 manifest_tree = ast.parse(
@@ -278,92 +212,4 @@ class AnalysisContext:
                 manifest_tree = None
         if manifest_tree is not None:
             ctx.obs = parse_obs_manifest(manifest_tree)
-        ctx.async_functions.sort()
-        return ctx
-
-    # -- serialization (CI cache) --------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "version": CONTEXT_CACHE_VERSION,
-            "root": self.root,
-            "file_hashes": dict(sorted(self.file_hashes.items())),
-            "import_graph": {k: v for k, v in sorted(self.import_graph.items())},
-            "async_functions": list(self.async_functions),
-            "async_names": sorted(self.async_names),
-            "sync_names": sorted(self.sync_names),
-            "class_attrs": {k: v for k, v in sorted(self.class_attrs.items())},
-            "async_methods": {k: v for k, v in sorted(self.async_methods.items())},
-        }
-        if self.obs is not None:
-            payload["obs"] = {
-                "metrics": sorted(self.obs.metrics),
-                "spans": sorted(self.obs.spans),
-                "lanes": sorted(self.obs.lanes),
-                "lane_prefixes": list(self.obs.lane_prefixes),
-                "symbols": dict(sorted(self.obs.symbols.items())),
-                "lane_helpers": sorted(self.obs.lane_helpers),
-                "log_events": sorted(self.obs.log_events),
-            }
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "AnalysisContext":
-        obs_raw = payload.get("obs")
-        obs = None
-        if isinstance(obs_raw, dict):
-            obs = ObsManifest(
-                metrics=frozenset(obs_raw.get("metrics", [])),
-                spans=frozenset(obs_raw.get("spans", [])),
-                lanes=frozenset(obs_raw.get("lanes", [])),
-                lane_prefixes=tuple(obs_raw.get("lane_prefixes", [])),
-                symbols=dict(obs_raw.get("symbols", {})),
-                lane_helpers=frozenset(obs_raw.get("lane_helpers", [])),
-                log_events=frozenset(obs_raw.get("log_events", [])),
-            )
-        return cls(
-            root=str(payload.get("root", ".")),
-            file_hashes=dict(payload.get("file_hashes", {})),
-            import_graph={
-                k: list(v) for k, v in dict(payload.get("import_graph", {})).items()
-            },
-            async_functions=list(payload.get("async_functions", [])),
-            async_names=set(payload.get("async_names", [])),
-            sync_names=set(payload.get("sync_names", [])),
-            class_attrs={
-                k: list(v) for k, v in dict(payload.get("class_attrs", {})).items()
-            },
-            async_methods={
-                k: list(v) for k, v in dict(payload.get("async_methods", {})).items()
-            },
-            obs=obs,
-        )
-
-    def save(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n",
-            encoding="utf-8",
-        )
-
-    @classmethod
-    def load_or_build(
-        cls, cache_path: Path, files: Sequence[Path], root: Path
-    ) -> "AnalysisContext":
-        """Reuse a cached context when every file hash still matches."""
-        current = {
-            path.as_posix(): _sha256(path) for path in files if path.exists()
-        }
-        if cache_path.exists():
-            try:
-                payload = json.loads(cache_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                payload = None
-            if (
-                isinstance(payload, dict)
-                and payload.get("version") == CONTEXT_CACHE_VERSION
-                and payload.get("file_hashes") == current
-            ):
-                return cls.from_dict(payload)
-        ctx = cls.build(files, root)
-        ctx.save(cache_path)
         return ctx

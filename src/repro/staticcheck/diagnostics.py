@@ -2,35 +2,26 @@
 
 Mirrors the runtime verifier's design (:mod:`repro.checks.diagnostics`):
 every finding carries a stable ``REMO4xx`` code so tests, CI gates, and
-baselines key on exact failure classes rather than message strings.
-The numbering extends the existing registry:
+``# noqa`` comments key on exact failure classes rather than message
+strings.  The numbering extends the existing registry:
 
 - ``REMO1xx``-``REMO3xx`` -- *runtime* plan-invariant diagnostics,
   raised by :mod:`repro.checks` after a plan exists;
 - ``REMO40x`` -- source conventions (cost-model discipline; the
   retired conventions linter's C00x rules, migrated);
 - ``REMO41x`` -- async-safety (blocking calls in coroutines, dropped
-  task handles, timeout-less transport awaits);
+  task handles, unclosed stream writers);
 - ``REMO42x`` -- interleaving hazards (shared agent state
   read-modify-written across ``await`` points);
 - ``REMO43x`` -- observability consistency (metric/span/lane names
   must come from the :mod:`repro.obs.names` manifest).
+
+Every finding is an error: the lint gate is binary.
 """
 
 from __future__ import annotations
 
-import enum
-import hashlib
 from dataclasses import dataclass
-
-
-class Severity(enum.Enum):
-    """How bad a finding is.  All shipped rules default to ``ERROR``
-    (the lint gate is binary); ``WARNING`` exists for downstream rule
-    authors who want annotations without failing CI."""
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -42,22 +33,10 @@ class LintDiagnostic:
     col: int  # 1-based, matching compiler convention
     code: str
     message: str
-    severity: Severity = Severity.ERROR
 
     def format(self) -> str:
         """The text-output line: ``path:line:col: CODE message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def fingerprint(self) -> str:
-        """Stable identity for the baseline file.
-
-        Deliberately excludes ``line``/``col`` so unrelated edits above
-        a baselined finding do not churn the baseline; two findings of
-        the same code with the same message in the same file share one
-        fingerprint and are budgeted by count.
-        """
-        raw = f"{self.path}::{self.code}::{self.message}"
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.code, self.message)

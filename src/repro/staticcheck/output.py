@@ -3,7 +3,7 @@
 - ``text`` is the human/terminal form: one ``path:line:col: CODE
   message`` line per finding (clickable in editors), plus a summary.
 - ``json`` is the machine form: a stable schema with the findings,
-  per-code counts, and suppression tallies.
+  per-code counts, and the noqa-suppression tally.
 - ``github`` emits ``::error`` workflow commands so findings surface
   as inline PR annotations in Actions, followed by the text summary on
   stderr-safe plain lines (Actions ignores non-command lines).
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from repro.staticcheck.diagnostics import LintDiagnostic, Severity
+from repro.staticcheck.diagnostics import LintDiagnostic
 from repro.staticcheck.runner import LintResult
 
 FORMATS = ("text", "json", "github")
@@ -28,8 +28,6 @@ def _summary_line(result: LintResult) -> str:
     ]
     if result.suppressed_noqa:
         parts.append(f"{len(result.suppressed_noqa)} noqa-suppressed")
-    if result.suppressed_baseline:
-        parts.append(f"{len(result.suppressed_baseline)} baselined")
     return f"staticcheck: {verdict} ({', '.join(parts)})"
 
 
@@ -46,8 +44,6 @@ def _diag_dict(diag: LintDiagnostic) -> Dict[str, object]:
         "col": diag.col,
         "code": diag.code,
         "message": diag.message,
-        "severity": diag.severity.value,
-        "fingerprint": diag.fingerprint(),
     }
 
 
@@ -56,7 +52,7 @@ def render_json(result: LintResult) -> str:
     for diag in result.findings:
         by_code[diag.code] = by_code.get(diag.code, 0) + 1
     payload = {
-        "version": 1,
+        "version": 2,
         "ok": not result.findings,
         "checked_files": [str(p) for p in result.checked_files],
         "findings": [_diag_dict(d) for d in result.findings],
@@ -64,7 +60,6 @@ def render_json(result: LintResult) -> str:
             "findings": len(result.findings),
             "by_code": {code: by_code[code] for code in sorted(by_code)},
             "suppressed_noqa": len(result.suppressed_noqa),
-            "suppressed_baseline": len(result.suppressed_baseline),
         },
     }
     return json.dumps(payload, indent=2)
@@ -88,14 +83,13 @@ def _github_escape_message(value: str) -> str:
 def render_github(result: LintResult) -> str:
     lines: List[str] = []
     for diag in result.findings:
-        level = "error" if diag.severity is Severity.ERROR else "warning"
         props = (
             f"file={_github_escape(diag.path)},"
             f"line={diag.line},col={diag.col},"
             f"title={_github_escape(diag.code)}"
         )
         lines.append(
-            f"::{level} {props}::{_github_escape_message(diag.message)}"
+            f"::error {props}::{_github_escape_message(diag.message)}"
         )
     lines.append(_summary_line(result))
     return "\n".join(lines)

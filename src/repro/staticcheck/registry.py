@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Type
 
-from repro.staticcheck.diagnostics import LintDiagnostic, Severity
+from repro.staticcheck.diagnostics import LintDiagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.staticcheck.context import AnalysisContext, ModuleUnderAnalysis
@@ -57,15 +57,9 @@ class Rule(abc.ABC):
         line: int,
         col: int,
         message: str,
-        severity: Severity = Severity.ERROR,
     ) -> LintDiagnostic:
         return LintDiagnostic(
-            path=module.rel,
-            line=line,
-            col=col,
-            code=self.code,
-            message=message,
-            severity=severity,
+            path=module.rel, line=line, col=col, code=self.code, message=message
         )
 
     @classmethod

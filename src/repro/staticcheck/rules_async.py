@@ -10,9 +10,7 @@ the classic ways to break it are all statically visible:
   needed the send (REMO412);
 - a task handle dropped on the floor can be garbage-collected
   mid-flight, cancelling the task (REMO413: asyncio only keeps weak
-  references to tasks);
-- an inbox ``recv`` with no timeout turns one lost peer into a hung
-  agent once the transport is a real socket (REMO414).
+  references to tasks).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.staticcheck.astutil import call_name, dotted_name, keyword_arg
+from repro.staticcheck.astutil import call_name, dotted_name
 from repro.staticcheck.context import AnalysisContext, ModuleUnderAnalysis
 from repro.staticcheck.diagnostics import LintDiagnostic
 from repro.staticcheck.registry import Rule, rule
@@ -51,9 +49,6 @@ BLOCKING_CALLS = {
 
 #: Calls that return a Task the caller must retain.
 TASK_FACTORY_NAMES = {"create_task", "ensure_future"}
-
-#: Method names treated as transport/collector receive operations.
-RECV_NAMES = {"recv"}
 
 
 def _alias_map(tree: ast.Module) -> Dict[str, str]:
@@ -189,35 +184,3 @@ class DroppedTaskHandleRule(Rule):
                     "weak reference, so the task can be garbage-collected "
                     "mid-flight",
                 )
-
-
-@rule
-class TimeoutlessRecvRule(Rule):
-    code = "REMO414"
-    title = "transport receive awaited without a timeout guard"
-    family = "async-safety"
-    hint = (
-        "pass timeout= to recv (or wrap in asyncio.wait_for); over a real "
-        "socket transport a silent peer would otherwise hang the agent forever"
-    )
-
-    def check(
-        self, module: ModuleUnderAnalysis, ctx: AnalysisContext
-    ) -> Iterator[LintDiagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Await) or not isinstance(node.value, ast.Call):
-                continue
-            call = node.value
-            if not isinstance(call.func, ast.Attribute):
-                continue
-            if call.func.attr not in RECV_NAMES:
-                continue
-            if keyword_arg(call, "timeout") is not None or len(call.args) >= 2:
-                continue
-            yield self.diagnostic(
-                module,
-                node.lineno,
-                node.col_offset + 1,
-                f"await {call.func.attr}(...) has no timeout guard; a lost "
-                "peer or dropped stop message hangs this coroutine forever",
-            )

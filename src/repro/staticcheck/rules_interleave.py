@@ -145,24 +145,15 @@ class AwaitInterleavingRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            class_attrs = self._attrs_for(node, ctx)
+            # Any module's class of this name: class names are unique
+            # enough here.
+            class_attrs = ctx.class_attrs.get(node.name)
             if not class_attrs:
                 continue
             for item in node.body:
                 if not isinstance(item, ast.AsyncFunctionDef):
                     continue
                 yield from self._check_coroutine(module, node.name, item, class_attrs)
-
-    def _attrs_for(self, node: ast.ClassDef, ctx: AnalysisContext) -> Set[str]:
-        """Instance attrs of this class, from the context's class maps
-        (any module's entry for this class name; the map is keyed
-        ``module:Class`` and class names are unique enough here)."""
-        attrs: Set[str] = set()
-        suffix = f":{node.name}"
-        for key, names in ctx.class_attrs.items():
-            if key.endswith(suffix):
-                attrs.update(names)
-        return attrs
 
     def _check_coroutine(
         self,

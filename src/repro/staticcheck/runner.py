@@ -1,28 +1,31 @@
-"""The lint driver: discover files, build context, run rules, suppress.
+"""The lint driver: discover files, parse once, run rules, suppress.
 
 :func:`lint_paths` is the one entry point everything else goes
 through -- the ``repro lint`` CLI, CI, and the test suite.  Pipeline:
 
 1. discover ``.py`` files under the targets (:func:`iter_python_files`);
-2. build the project-wide :class:`AnalysisContext` (or reuse a hash-
-   matched cache, for CI);
-3. parse each file once and run every selected rule over it, emitting
-   ``REMO400`` for files the parser rejects;
-4. drop findings suppressed by ``# noqa`` comments, then findings
-   absorbed by the baseline's fingerprint budgets.
+2. parse each file once, emitting ``REMO400`` for files the parser
+   rejects;
+3. build the project-wide :class:`AnalysisContext` from those trees;
+4. run every selected rule over the same trees and drop findings a
+   ``# noqa`` comment suppresses.
 
-The result keeps the suppressed findings visible (separately) so
-formats and tests can report *why* the gate passed.
+``# noqa: REMO421 -- <why>`` on the offending line is a permanent,
+reviewed suppression: it lives next to the code, travels with it in
+diffs, and documents the justification.  A bare ``# noqa`` (no codes)
+suppresses every rule on that line, flake8-style.  The result keeps
+the suppressed findings visible (separately) so formats and tests can
+report *why* the gate passed.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.staticcheck.baseline import Baseline, is_suppressed_by_noqa
 from repro.staticcheck.context import AnalysisContext, ModuleUnderAnalysis
 from repro.staticcheck.diagnostics import LintDiagnostic
 from repro.staticcheck.registry import SYNTAX_ERROR_CODE, Rule, rules_for
@@ -39,6 +42,11 @@ EXCLUDED_DIRS = {
     "build",
     "dist",
 }
+
+_NOQA_RE = re.compile(
+    r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+?))?\s*(?:--.*)?$",
+    re.IGNORECASE,
+)
 
 
 def iter_python_files(targets: Sequence[Path]) -> List[Path]:
@@ -69,6 +77,36 @@ def iter_python_files(targets: Sequence[Path]) -> List[Path]:
     return files
 
 
+def noqa_codes(line: str) -> Optional[frozenset]:
+    """The codes suppressed by a ``# noqa`` comment on ``line``.
+
+    Returns ``None`` when the line carries no noqa comment, an empty
+    frozenset for a bare ``# noqa`` (suppress everything), and the
+    parsed code set for ``# noqa: REMO411, REMO421``-style comments.
+    """
+    match = _NOQA_RE.search(line)
+    if match is None:
+        return None
+    codes = match.group("codes")
+    if not codes:
+        return frozenset()
+    return frozenset(
+        code.strip().upper() for code in codes.split(",") if code.strip()
+    )
+
+
+def is_suppressed_by_noqa(
+    diag: LintDiagnostic, source_lines: Sequence[str]
+) -> bool:
+    """True when the physical line the finding anchors to suppresses it."""
+    if not 1 <= diag.line <= len(source_lines):
+        return False
+    codes = noqa_codes(source_lines[diag.line - 1])
+    if codes is None:
+        return False
+    return not codes or diag.code in codes
+
+
 @dataclass
 class LintResult:
     """Everything a caller needs to render or gate on a lint run."""
@@ -76,21 +114,11 @@ class LintResult:
     findings: List[LintDiagnostic] = field(default_factory=list)
     checked_files: List[Path] = field(default_factory=list)
     suppressed_noqa: List[LintDiagnostic] = field(default_factory=list)
-    suppressed_baseline: List[LintDiagnostic] = field(default_factory=list)
     context: Optional[AnalysisContext] = None
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    #: All raw findings before baseline suppression (noqa already
-    #: applied) -- what ``--write-baseline`` snapshots.
-    @property
-    def pre_baseline(self) -> List[LintDiagnostic]:
-        return sorted(
-            [*self.findings, *self.suppressed_baseline],
-            key=LintDiagnostic.sort_key,
-        )
 
 
 def _load_module(path: Path, root: Path) -> "ModuleUnderAnalysis | LintDiagnostic":
@@ -121,36 +149,34 @@ def lint_paths(
     targets: Sequence[Path],
     root: Optional[Path] = None,
     codes: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
-    context_cache: Optional[Path] = None,
 ) -> LintResult:
     """Run the selected rules (all, when ``codes`` is empty) over the
     python files under ``targets``."""
     root = (root or Path.cwd()).resolve()
     files = iter_python_files(targets)
     rules: List[Rule] = rules_for(list(codes or []))
-    if context_cache is not None:
-        ctx = AnalysisContext.load_or_build(context_cache, files, root)
-    else:
-        ctx = AnalysisContext.build(files, root)
 
-    raw: List[LintDiagnostic] = []
-    noqa_dropped: List[LintDiagnostic] = []
-    result = LintResult(checked_files=list(files), context=ctx)
+    findings: List[LintDiagnostic] = []
+    modules: List[ModuleUnderAnalysis] = []
     for path in files:
         loaded = _load_module(path, root)
         if isinstance(loaded, LintDiagnostic):
-            raw.append(loaded)
-            continue
+            findings.append(loaded)
+        else:
+            modules.append(loaded)
+    ctx = AnalysisContext.build(modules, root)
+
+    noqa_dropped: List[LintDiagnostic] = []
+    for module in modules:
         for a_rule in rules:
-            for diag in a_rule.check(loaded, ctx):
-                if is_suppressed_by_noqa(diag, loaded.source_lines):
+            for diag in a_rule.check(module, ctx):
+                if is_suppressed_by_noqa(diag, module.source_lines):
                     noqa_dropped.append(diag)
                 else:
-                    raw.append(diag)
-
-    surviving, baselined = (baseline or Baseline()).apply(raw)
-    result.findings = sorted(surviving, key=LintDiagnostic.sort_key)
-    result.suppressed_noqa = sorted(noqa_dropped, key=LintDiagnostic.sort_key)
-    result.suppressed_baseline = baselined
-    return result
+                    findings.append(diag)
+    return LintResult(
+        findings=sorted(findings, key=LintDiagnostic.sort_key),
+        checked_files=list(files),
+        suppressed_noqa=sorted(noqa_dropped, key=LintDiagnostic.sort_key),
+        context=ctx,
+    )

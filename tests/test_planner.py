@@ -55,17 +55,6 @@ class TestSearchMechanics:
                 pairs, small_cluster, initial_partition=Partition.one_set(["a", "b"])
             )
 
-    def test_first_improvement_mode(self, medium_cluster):
-        pairs = {
-            p
-            for p in pairs_for(range(40), ["attr00", "attr01", "attr02"])
-            if p.node in medium_cluster
-            and medium_cluster.node(p.node).observes(p.attribute)
-        }
-        eager = RemoPlanner(HEAVY, first_improvement=True)
-        plan, stats = eager.plan_with_stats(pairs, medium_cluster)
-        assert plan.coverage() > 0
-
     def test_forbidden_pairs_never_merged(self, small_cluster):
         pairs = pairs_for(range(6), ["a", "a#r1"])
         planner = RemoPlanner(

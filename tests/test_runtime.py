@@ -196,8 +196,6 @@ class TestConfig:
     def test_rejects_bad_timeouts(self):
         with pytest.raises(ValueError):
             RuntimeConfig(failure_timeout=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(recv_timeout_seconds=0.0)
 
     def test_outage_window_validates(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,15 @@
-"""Regression tests for the async-safety fix the static analysis
-framework surfaced (REMO414 recv timeouts).
+"""The inbox loops' receive contract.
 
-The finding: agent/collector inbox loops awaited ``transport.recv``
-with no timeout (a dropped stop message would hang them forever on a
-real socket transport).  These tests pin the fixed behaviour.
+An idle agent and the collector park on their inboxes with no timeout:
+nothing they could do on a wake-up without an envelope.  Only while an
+agent role waits on its children does ``recv`` time out, and then at
+that role's child-wait deadline.  Both loops end on ``StopEnvelope``;
+a stop that never arrives is the engine's to handle (``hosting`` drains
+and then cancels the tasks), not the loops'.
 """
 
 import asyncio
-
-import pytest
+import time
 
 from repro.cluster.node import Cluster, SimNode
 from repro.core.attributes import pairs_for
@@ -16,6 +17,8 @@ from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.runtime import (
+    COLLECTOR_ADDRESS,
+    AgentOutage,
     InProcessTransport,
     MonitoringRuntime,
     RuntimeConfig,
@@ -31,63 +34,100 @@ def small_runtime(**config_kwargs):
     pairs = pairs_for(range(4), ["a"])
     plan = ForestBuilder(COST).build(Partition.one_set(["a"]), pairs, cluster)
     config = RuntimeConfig(period_seconds=0.02, seed=1, **config_kwargs)
-    return MonitoringRuntime(plan, cluster, config=config)
+    return MonitoringRuntime(plan, cluster, config=config), plan
 
 
 class RecordingTransport(InProcessTransport):
-    """InProcessTransport that records the timeout of every recv."""
+    """InProcessTransport that records every recv's timeout.
 
-    def __init__(self):
+    For a waiting agent it also records the deadline's distance from
+    two instants that bracket the agent's own ``deadline - now``: the
+    moment its previous recv returned (before) and the moment this recv
+    began (after).
+    """
+
+    def __init__(self, agents):
         super().__init__()
-        self.recv_timeouts = []
+        self.agents = agents
+        self.idle_recvs = []  # (address, timeout)
+        self.waiting_recvs = []  # (timeout, deadline - before, deadline - after)
+        self._returned = {}
 
     async def recv(self, address, timeout=None):
-        self.recv_timeouts.append((address, timeout))
-        return await super().recv(address, timeout)
+        agent = self.agents.get(address)
+        if agent is not None and agent.busy():
+            deadline = agent._deadline
+            self.waiting_recvs.append(
+                (
+                    timeout,
+                    deadline - self._returned[address],
+                    deadline - time.monotonic(),
+                )
+            )
+        else:
+            self.idle_recvs.append((address, timeout))
+        envelope = await super().recv(address, timeout)
+        self._returned[address] = time.monotonic()
+        return envelope
 
 
-class TestRecvTimeouts:
-    def test_run_loops_always_recv_with_timeout(self):
-        """REMO414 regression: no inbox await may lack a timeout guard.
+def recording_run(periods, **config_kwargs):
+    runtime, plan = small_runtime(**config_kwargs)
+    transport = RecordingTransport(runtime.agents)
+    runtime.transport = transport
+    for agent in runtime.agents.values():
+        agent.transport = transport
+    runtime.collector.transport = transport
+    runtime.run(periods)
+    return runtime, transport
 
-        The collector always waits the idle timeout; an agent waits at
-        most that, less while a role's child-wait deadline is nearer.
-        """
-        transport = RecordingTransport()
-        runtime = small_runtime(recv_timeout_seconds=0.5)
-        runtime.transport = transport
-        for agent in runtime.agents.values():
-            agent.transport = transport
-        runtime.collector.transport = transport
-        runtime.run(2)
-        assert transport.recv_timeouts, "run loops never touched the transport"
-        for address, timeout in transport.recv_timeouts:
-            if address == runtime.collector.address:
-                assert timeout == 0.5
-            else:
-                assert timeout is not None and 0 < timeout <= 0.5
 
-    def test_agent_loop_survives_recv_timeouts(self):
-        """A timed-out recv (None envelope) re-checks the inbox instead
-        of crashing or treating None as a message."""
-        runtime = small_runtime(recv_timeout_seconds=0.01)
+def a_leaf(plan):
+    (built,) = plan.trees.values()
+    tree = built.tree
+    return next(n for n in tree.nodes if tree.parent(n) is not None and not tree.children(n))
+
+
+class TestRecvContract:
+    def test_idle_agents_and_collector_recv_without_timeout(self):
+        runtime, transport = recording_run(2)
+        addresses = {address for address, _ in transport.idle_recvs}
+        assert runtime.collector.address in addresses
+        assert set(runtime.agents) <= addresses
+        assert all(timeout is None for _, timeout in transport.idle_recvs)
+
+    def test_waiting_agent_times_out_at_its_deadline(self):
+        _runtime, plan = small_runtime()
+        dead_leaf = a_leaf(plan)
+        # The dead leaf never reports, so its parent waits out the
+        # child-wait deadline every period.
+        _runtime, transport = recording_run(
+            3, outages=[AgentOutage(node=dead_leaf, start=0, end=100)]
+        )
+        assert transport.waiting_recvs, "no agent ever waited on a child"
+        for timeout, until_deadline_before, until_deadline_after in transport.waiting_recvs:
+            assert timeout is not None and timeout > 0
+            assert until_deadline_after <= timeout <= until_deadline_before
+
+
+class TestStop:
+    def test_agent_loop_exits_on_stop(self):
+        runtime, _plan = small_runtime()
         agent = next(iter(runtime.agents.values()))
         transport = runtime.transport
 
         async def scenario():
             transport.register(agent.node_id)
             task = asyncio.ensure_future(agent.run())
-            await asyncio.sleep(0.05)  # several recv timeouts elapse
-            assert not task.done()
+            await asyncio.sleep(0.05)
+            assert not task.done()  # parked on the inbox, not spinning out
             await transport.send(agent.node_id, StopEnvelope())
             await asyncio.wait_for(task, timeout=1.0)
 
         asyncio.run(scenario())
 
-    def test_collector_loop_survives_recv_timeouts(self):
-        from repro.runtime import COLLECTOR_ADDRESS
-
-        runtime = small_runtime(recv_timeout_seconds=0.01)
+    def test_collector_loop_exits_on_stop(self):
+        runtime, _plan = small_runtime()
         transport = runtime.transport
 
         async def scenario():
@@ -99,9 +139,3 @@ class TestRecvTimeouts:
             await asyncio.wait_for(task, timeout=1.0)
 
         asyncio.run(scenario())
-
-    def test_recv_timeout_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(recv_timeout_seconds=0.0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(recv_timeout_seconds=-1.0)

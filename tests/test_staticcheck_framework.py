@@ -1,24 +1,18 @@
-"""Framework behaviour of ``repro.staticcheck``: suppression (noqa +
-baseline), output formats, the context cache, the CLI, and the
+"""Framework behaviour of ``repro.staticcheck``: ``# noqa``
+suppression, output formats, the one parse per file, the CLI, and the
 acceptance gate that the repo's own source lints clean.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.staticcheck import (
-    AnalysisContext,
-    Baseline,
-    LintDiagnostic,
-    lint_paths,
-    noqa_codes,
-    render,
-)
+from repro.staticcheck import iter_python_files, lint_paths, noqa_codes, render
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,11 +55,6 @@ def test_source_names_no_asyncio_api_newer_than_the_declared_floor():
     assert offenders == []
 
 
-def test_shipped_baseline_is_empty():
-    baseline = Baseline.load(REPO_ROOT / "staticcheck-baseline.json")
-    assert baseline.budgets == {}
-
-
 # ---------------------------------------------------------------------------
 # noqa suppression
 # ---------------------------------------------------------------------------
@@ -95,50 +84,6 @@ def test_noqa_for_other_code_does_not_suppress(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-def test_baseline_absorbs_exactly_its_budget(tmp_path):
-    bad = write(tmp_path, "bad.py", BAIT)
-    first = lint_paths([bad], root=tmp_path)
-    baseline = Baseline.from_diagnostics(first.findings)
-
-    # Same findings: fully absorbed.
-    again = lint_paths([bad], root=tmp_path, baseline=baseline)
-    assert again.findings == []
-    assert [d.code for d in again.suppressed_baseline] == ["REMO401"]
-
-    # A second instance of the same defect exceeds the budget.
-    worse = write(
-        tmp_path, "bad.py", BAIT + "def again(cost):\n    return cost == 0.5\n"
-    )
-    result = lint_paths([worse], root=tmp_path, baseline=baseline)
-    assert len(result.findings) == 1 and len(result.suppressed_baseline) == 1
-
-
-def test_baseline_fingerprints_survive_line_moves(tmp_path):
-    bad = write(tmp_path, "bad.py", BAIT)
-    baseline = Baseline.from_diagnostics(lint_paths([bad], root=tmp_path).findings)
-    shifted = write(tmp_path, "bad.py", "# a comment pushing lines down\n\n" + BAIT)
-    assert lint_paths([shifted], root=tmp_path, baseline=baseline).findings == []
-
-
-def test_baseline_round_trips_through_json(tmp_path):
-    diag = LintDiagnostic(path="a.py", line=3, col=1, code="REMO401", message="m")
-    baseline = Baseline.from_diagnostics([diag, diag])
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    assert loaded.budgets == {diag.fingerprint(): 2}
-    assert json.loads(path.read_text())["version"] == 1
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    path = write(tmp_path, "baseline.json", '{"version": 99, "findings": {}}')
-    with pytest.raises(ValueError):
-        Baseline.load(path)
-
-
-# ---------------------------------------------------------------------------
 # Output formats
 # ---------------------------------------------------------------------------
 def test_text_format(tmp_path):
@@ -151,12 +96,11 @@ def test_text_format(tmp_path):
 def test_json_format_schema(tmp_path):
     bad = write(tmp_path, "bad.py", BAIT)
     payload = json.loads(render(lint_paths([bad], root=tmp_path), "json"))
-    assert payload["version"] == 1 and payload["ok"] is False
+    assert payload["version"] == 2 and payload["ok"] is False
     (finding,) = payload["findings"]
-    assert set(finding) == {
-        "path", "line", "col", "code", "message", "severity", "fingerprint",
-    }
-    assert finding["code"] == "REMO401" and finding["severity"] == "error"
+    assert set(finding) == {"path", "line", "col", "code", "message"}
+    assert finding["code"] == "REMO401"
+    assert set(payload["counts"]) == {"findings", "by_code", "suppressed_noqa"}
     assert payload["counts"]["by_code"] == {"REMO401": 1}
     assert payload["counts"]["findings"] == 1
 
@@ -176,33 +120,54 @@ def test_unknown_format_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Context cache
+# The analysis context: built from the trees the rules run on
 # ---------------------------------------------------------------------------
-def test_context_cache_reused_when_hashes_match(tmp_path):
-    src = write(tmp_path, "mod.py", "async def go():\n    return 1\n")
-    cache = tmp_path / "ctx.json"
-    first = AnalysisContext.load_or_build(cache, [src], tmp_path)
-    assert cache.exists() and "go" in first.async_names
-    stamp = cache.stat().st_mtime_ns
-    second = AnalysisContext.load_or_build(cache, [src], tmp_path)
-    assert cache.stat().st_mtime_ns == stamp  # reused, not rebuilt
-    assert second.async_names == first.async_names
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Filenames of every ``ast.parse`` call made while the fixture lives."""
+    calls = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        calls.append(kwargs.get("filename"))
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    return calls
 
 
-def test_context_cache_rebuilt_on_change(tmp_path):
-    src = write(tmp_path, "mod.py", "async def go():\n    return 1\n")
-    cache = tmp_path / "ctx.json"
-    AnalysisContext.load_or_build(cache, [src], tmp_path)
-    write(tmp_path, "mod.py", "async def stop():\n    return 2\n")
-    rebuilt = AnalysisContext.load_or_build(cache, [src], tmp_path)
-    assert "stop" in rebuilt.async_names and "go" not in rebuilt.async_names
+def test_each_file_is_parsed_once(parse_calls):
+    """N files cost N parses, plus one for the obs manifest when it is
+    not among the targets."""
+    fixtures = REPO_ROOT / "tests" / "staticcheck_fixtures"
+    manifest = REPO_ROOT / "src" / "repro" / "obs" / "names.py"
+    n = len(iter_python_files([fixtures]))
+    assert n > 10
+
+    lint_paths([fixtures], root=REPO_ROOT)
+    assert len(parse_calls) == n + 1
+    assert parse_calls[-1] == str(manifest.resolve())
+
+    parse_calls.clear()
+    result = lint_paths([fixtures, manifest], root=REPO_ROOT)
+    assert len(parse_calls) == n + 1 == len(result.checked_files)
+    assert result.context is not None and result.context.obs is not None
+
+
+def test_no_manifest_no_extra_parse(tmp_path, parse_calls):
+    for name in ("a.py", "b.py", "c.py"):
+        write(tmp_path, name, "async def go():\n    return 1\n")
+    result = lint_paths([tmp_path], root=tmp_path)
+    assert len(parse_calls) == 3
+    assert result.context is not None and result.context.obs is None
+    assert "go" in result.context.async_names
 
 
 def test_context_extracts_obs_manifest():
-    ctx = AnalysisContext.build(
-        [REPO_ROOT / "src" / "repro" / "obs" / "names.py"], REPO_ROOT
-    )
-    assert ctx.obs is not None
+    ctx = lint_paths(
+        [REPO_ROOT / "src" / "repro" / "obs" / "names.py"], root=REPO_ROOT
+    ).context
+    assert ctx is not None and ctx.obs is not None
     assert "messages_sent" in ctx.obs.metrics
     assert "agent.wave" in ctx.obs.spans
     assert "collector" in ctx.obs.lanes
@@ -225,26 +190,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli_main(["lint", "--rule", "REMO999", "clean.py"]) == 2
 
 
-def test_cli_write_baseline_then_clean(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "dirty.py", BAIT)
-    assert cli_main(["lint", "--write-baseline", "dirty.py"]) == 0
-    assert (tmp_path / "staticcheck-baseline.json").exists()
-    capsys.readouterr()
-    assert cli_main(["lint", "dirty.py"]) == 0  # grandfathered
-    assert "1 baselined" in capsys.readouterr().out
-
-
 def test_cli_github_format(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write(tmp_path, "dirty.py", BAIT)
     assert cli_main(["lint", "--format", "github", "dirty.py"]) == 1
     assert capsys.readouterr().out.startswith("::error ")
-
-
-def test_cli_context_cache(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "clean.py", "x = 1\n")
-    assert cli_main(["lint", "--context-cache", "ctx.json", "clean.py"]) == 0
-    assert (tmp_path / "ctx.json").exists()
-    assert cli_main(["lint", "--context-cache", "ctx.json", "clean.py"]) == 0

@@ -32,7 +32,6 @@ RULE_FIXTURES = {
     "REMO411": ("remo411_bad.py", "remo411_ok.py"),
     "REMO412": ("remo412_bad.py", "remo412_ok.py"),
     "REMO413": ("remo413_bad.py", "remo413_ok.py"),
-    "REMO414": ("remo414_bad.py", "remo414_ok.py"),
     "REMO415": ("remo415_bad.py", "remo415_ok.py"),
     "REMO421": ("remo421_bad.py", "remo421_ok.py"),
     "REMO431": ("remo431_bad.py", "remo431_ok.py"),
