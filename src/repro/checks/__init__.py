@@ -1,29 +1,24 @@
 """Static plan-invariant verifier (``repro.checks``).
 
 Verifies a :class:`~repro.core.plan.MonitoringPlan` without running
-the simulator: partition exact cover, tree well-formedness, capacity
-feasibility against a from-scratch cost recomputation, and adaptation
-legality.  Every finding carries a stable ``REMOxxx`` code -- see
-:data:`repro.checks.diagnostics.CODES` for the registry and the
-README for the table.
+the simulator against the paper's validity conditions (Problem 2): the
+partition covers the requested attributes exactly, every set has a
+well-formed tree, and no node or collector exceeds its ``C + a*x``
+budget under a from-scratch cost recomputation.  Every finding carries
+a stable ``REMOxxx`` code -- see :data:`repro.checks.diagnostics.CODES`
+for the registry and the README for the table.
 
 Entry points:
 
 - :func:`check_plan` / :func:`check_plan_for_cluster` -- collect every
   finding into a :class:`DiagnosticReport`;
 - :func:`assert_plan_valid` -- raise :class:`PlanCheckError` on ERROR
-  findings (the hook behind ``RemoPlanner(...).plan(...,
-  debug_checks=True)``);
-- :func:`check_adaptation_step` -- replay-differ for one adaptation
-  step's merge/split trail;
+  findings;
 - :func:`inject_fault` -- deterministic corruption injectors used by
   the test suite and ``repro check --corrupt``.
 """
 
-from repro.checks.adaptation import check_adaptation_step
 from repro.checks.capacity import check_budgets, check_tree_costs
-from repro.checks.controlplane import check_collector_shards, check_tenant_namespaces
-from repro.checks.deployment import check_shard_assignment
 from repro.checks.diagnostics import (
     CODES,
     CodeInfo,
@@ -49,14 +44,10 @@ __all__ = [
     "Severity",
     "TreeAccounting",
     "assert_plan_valid",
-    "check_adaptation_step",
     "check_budgets",
-    "check_collector_shards",
     "check_partition",
     "check_plan",
     "check_plan_for_cluster",
-    "check_shard_assignment",
-    "check_tenant_namespaces",
     "check_tree",
     "check_tree_costs",
     "describe_codes",

@@ -1,16 +1,14 @@
 """Diagnostic framework for the plan-invariant verifier.
 
 Every invariant the checkers in this package enforce is identified by
-a stable code so that tests, CI gates, and operators can key on exact
-failure classes rather than message strings:
+a stable code so that tests and operators can key on exact failure
+classes rather than message strings:
 
 - ``REMO1xx`` -- structural invariants (partition exact cover, tree
   well-formedness);
 - ``REMO2xx`` -- capacity and cost-model invariants (recomputed load
   within budgets, cached bookkeeping in sync with a from-scratch
-  recomputation);
-- ``REMO3xx`` -- adaptation legality (a pre/post-step differ over the
-  merge/split operations the throttled search reports applying).
+  recomputation).
 
 A :class:`Diagnostic` carries the code, a severity, a human-readable
 location (which tree, which node), the concrete finding, and a fix
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 
 class Severity(enum.Enum):
@@ -31,12 +29,11 @@ class Severity(enum.Enum):
 
     ``ERROR`` findings mean the plan violates a paper invariant and
     must not be deployed; ``WARNING`` findings are legal but wasteful
-    or suspicious; ``INFO`` findings are observations.
+    or suspicious.
     """
 
     ERROR = "error"
     WARNING = "warning"
-    INFO = "info"
 
 
 @dataclass(frozen=True)
@@ -49,8 +46,9 @@ class CodeInfo:
     hint: str
 
 
-#: Every diagnostic code the checkers can emit, with its default
-#: severity and fix hint.  Codes are append-only: never renumber.
+#: Every diagnostic code the checkers can emit, with its severity and
+#: fix hint.  Codes are never renumbered, and a retired number is not
+#: reused.
 CODES: Dict[str, CodeInfo] = {
     info.code: info
     for info in (
@@ -172,93 +170,6 @@ CODES: Dict[str, CodeInfo] = {
             "demand weights must be > 0 and message weights > 0; reject the "
             "workload at the task manager",
         ),
-        # -- REMO3xx: adaptation ---------------------------------------
-        CodeInfo(
-            "REMO301",
-            "adaptation applied an illegal merge/split",
-            Severity.ERROR,
-            "an applied operation does not name member sets of the partition "
-            "it was applied to; the restricted search corrupted its state",
-        ),
-        CodeInfo(
-            "REMO302",
-            "adaptation result diverges from replaying its operations",
-            Severity.ERROR,
-            "replaying the reported merge/split sequence on the pre-step "
-            "partition does not yield the post-step partition",
-        ),
-        CodeInfo(
-            "REMO303",
-            "adaptation changed the attribute universe",
-            Severity.ERROR,
-            "merge/split operations can never add or retire attribute types; "
-            "universe changes must come from the task delta, not the search",
-        ),
-        # -- REMO35x: deployment sharding ------------------------------
-        CodeInfo(
-            "REMO351",
-            "shard assignment does not cover the plan's nodes exactly",
-            Severity.ERROR,
-            "every participating node must belong to exactly one worker "
-            "shard; rebuild the shard plan from the plan's node set",
-        ),
-        CodeInfo(
-            "REMO352",
-            "reserved address assigned to a worker shard",
-            Severity.ERROR,
-            "the collector and per-worker control inboxes live at reserved "
-            "negative addresses; shards may only contain plan nodes",
-        ),
-        CodeInfo(
-            "REMO353",
-            "two deployment processes share one endpoint",
-            Severity.ERROR,
-            "each worker and the collector need a distinct host:port to "
-            "listen on; re-allocate ports",
-        ),
-        CodeInfo(
-            "REMO354",
-            "empty worker shard",
-            Severity.WARNING,
-            "a worker process with no nodes only burns a process slot; "
-            "lower --workers or rebalance the shards",
-        ),
-        # -- REMO36x: control plane (collector shards, tenancy) --------
-        CodeInfo(
-            "REMO361",
-            "collector-shard assignment does not cover the partition exactly",
-            Severity.ERROR,
-            "every partition set must map to exactly one collector shard "
-            "in [0, shards); rebuild with ShardedPlan.build",
-        ),
-        CodeInfo(
-            "REMO362",
-            "collector shard exceeds the central capacity budget",
-            Severity.ERROR,
-            "the root messages landing on one collector shard exceed the "
-            "per-collector budget; add shards or rebalance the assignment",
-        ),
-        CodeInfo(
-            "REMO363",
-            "empty collector shard",
-            Severity.WARNING,
-            "a collector shard hosting no trees only burns an agent slot; "
-            "lower --collectors",
-        ),
-        CodeInfo(
-            "REMO364",
-            "malformed tenant or task identifier",
-            Severity.ERROR,
-            "tenant names and task ids must be non-empty and must not "
-            "contain the '/' namespace separator; reject at the API",
-        ),
-        CodeInfo(
-            "REMO365",
-            "tenant namespace with no tasks",
-            Severity.WARNING,
-            "an empty tenant namespace still occupies control-plane state; "
-            "drop the tenant or submit its tasks",
-        ),
     )
 }
 
@@ -278,23 +189,13 @@ class Diagnostic:
     hint: str
 
     @classmethod
-    def of(
-        cls,
-        code: str,
-        location: str,
-        message: str,
-        severity: Optional[Severity] = None,
-    ) -> "Diagnostic":
-        """Build a diagnostic from the code registry.
-
-        The registry supplies the default severity and the fix hint;
-        ``severity`` overrides the default (e.g. downgrading a finding
-        in an advisory context).
-        """
+    def of(cls, code: str, location: str, message: str) -> "Diagnostic":
+        """Build a diagnostic from the code registry, which supplies the
+        severity and the fix hint."""
         info = CODES[code]
         return cls(
             code=code,
-            severity=severity if severity is not None else info.severity,
+            severity=info.severity,
             location=location,
             message=message,
             hint=info.hint,
@@ -326,18 +227,9 @@ class DiagnosticReport:
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
-    def add(
-        self,
-        code: str,
-        location: str,
-        message: str,
-        severity: Optional[Severity] = None,
-    ) -> None:
+    def add(self, code: str, location: str, message: str) -> None:
         """Append a finding built from the code registry."""
-        self.diagnostics.append(Diagnostic.of(code, location, message, severity))
-
-    def extend(self, other: "DiagnosticReport") -> None:
-        self.diagnostics.extend(other.diagnostics)
+        self.diagnostics.append(Diagnostic.of(code, location, message))
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)

@@ -3,13 +3,12 @@
 The order matters: structural soundness is a precondition for the
 cost recomputation (a cyclic tree cannot be traversed bottom-up), so
 :func:`check_plan` only runs the capacity checkers on trees the
-structure checkers certified, and only runs the budget summation when
-capacities were supplied at all.
+structure checkers certified.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.checks.capacity import check_budgets, check_tree_costs
 from repro.checks.diagnostics import DiagnosticReport
@@ -23,15 +22,15 @@ from repro.trees.recompute import TreeAccounting
 
 def check_plan(
     plan: MonitoringPlan,
-    node_capacities: Optional[Mapping[NodeId, float]] = None,
-    central_capacity: Optional[float] = None,
+    node_capacities: Mapping[NodeId, float],
+    central_capacity: float,
 ) -> DiagnosticReport:
     """Statically verify a plan; returns every finding, never raises.
 
-    Structure (``REMO1xx``) and cache-drift (``REMO2xx``) checks always
-    run; budget checks additionally require ``node_capacities`` /
-    ``central_capacity`` (pass a :class:`Cluster` via
-    :func:`check_plan_for_cluster` for the common case).
+    Structure (``REMO1xx``) and cost (``REMO2xx``) checks, with loads
+    held against ``node_capacities`` / ``central_capacity`` (pass a
+    :class:`Cluster` via :func:`check_plan_for_cluster` for the common
+    case).
     """
     report = DiagnosticReport()
     check_partition(plan, report)
@@ -44,8 +43,7 @@ def check_plan(
         if accounting is not None:
             accountings[attr_set] = accounting
 
-    if node_capacities is not None and central_capacity is not None:
-        check_budgets(accountings, node_capacities, central_capacity, report)
+    check_budgets(accountings, node_capacities, central_capacity, report)
     return report
 
 
@@ -57,19 +55,15 @@ def check_plan_for_cluster(plan: MonitoringPlan, cluster: Cluster) -> Diagnostic
 
 def assert_plan_valid(
     plan: MonitoringPlan,
-    cluster: Optional[Cluster] = None,
+    cluster: Cluster,
     context: str = "plan check",
 ) -> DiagnosticReport:
-    """Run :func:`check_plan` and raise on ERROR findings.
+    """Run :func:`check_plan_for_cluster` and raise on ERROR findings.
 
     Raises :class:`~repro.checks.diagnostics.PlanCheckError` (an
     ``AssertionError``) listing every error; warnings are returned in
-    the report but never raise.  This is the hook behind the planner's
-    ``debug_checks=True`` flag.
+    the report but never raise.
     """
-    if cluster is not None:
-        report = check_plan_for_cluster(plan, cluster)
-    else:
-        report = check_plan(plan)
+    report = check_plan_for_cluster(plan, cluster)
     report.raise_if_errors(context)
     return report

@@ -107,16 +107,23 @@ from repro.workloads.updates import TaskUpdateStream
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=64, help="cluster size")
-    parser.add_argument("--capacity", type=float, default=400.0, help="node budget b_i")
+    parser.add_argument("--nodes", type=_positive(int), default=64, help="cluster size")
+    parser.add_argument(
+        "--capacity", type=_positive(float), default=400.0, help="node budget b_i"
+    )
     parser.add_argument(
         "--central", type=float, default=None, help="collector budget (default 3x capacity)"
     )
-    parser.add_argument("--pool", type=int, default=32, help="attribute pool size")
+    parser.add_argument("--pool", type=_positive(int), default=32, help="attribute pool size")
     parser.add_argument(
-        "--attrs-per-node", type=int, default=16, help="attributes observable per node"
+        "--attrs-per-node",
+        type=_positive(int),
+        default=16,
+        help="attributes observable per node",
     )
-    parser.add_argument("--tasks", type=int, default=15, help="number of monitoring tasks")
+    parser.add_argument(
+        "--tasks", type=_positive(int), default=15, help="number of monitoring tasks"
+    )
     parser.add_argument("--cost-c", type=float, default=20.0, help="per-message overhead C")
     parser.add_argument("--cost-a", type=float, default=1.0, help="per-value cost a")
     parser.add_argument("--seed", type=int, default=1, help="random seed")
@@ -552,7 +559,7 @@ def _deploy(args) -> int:
     """Shard the plan across worker processes over real TCP."""
     workload, label = _workload(args)
     try:
-        spec, plan, cluster, shard_report = make_spec(
+        spec, plan, cluster = make_spec(
             workload=workload,
             scheme=args.scheme,
             workers=args.workers,
@@ -566,14 +573,9 @@ def _deploy(args) -> int:
     except ValueError as exc:
         print(f"repro deploy: {exc}", file=sys.stderr)
         return 1
-    if shard_report.has_errors:
-        print("shard assignment invalid, refusing to launch:", file=sys.stderr)
-        print(shard_report.format(with_hints=True), file=sys.stderr)
-        _record_check_failure(spec, "shard", len(shard_report.errors))
-        return 1
     check_summary = _launch_gate(plan, cluster)
     if check_summary["errors"]:
-        _record_check_failure(spec, "plan", check_summary["errors"])
+        _record_check_failure(spec, check_summary["errors"])
         return 1
     try:
         outcome = run_deploy(
@@ -642,18 +644,18 @@ def _deploy(args) -> int:
     return 0
 
 
-def _record_check_failure(spec: "DeploySpec", kind: str, errors: int) -> None:
+def _record_check_failure(spec: "DeploySpec", errors: int) -> None:
     """Flight-record a refused launch so the rundir explains itself."""
     log.emit(
         names.LOG_DEPLOY_CHECK_FAILED,
         lane=names.LANE_DEPLOY,
         severity="error",
-        check=kind,
+        check="plan",
         errors=errors,
     )
     log.dump_flight(
         spec.flight_path("supervisor"),
-        reason=f"{kind} check failed with {errors} error(s); launch refused",
+        reason=f"plan check failed with {errors} error(s); launch refused",
     )
 
 
@@ -921,7 +923,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim_p)
     _add_json(sim_p)
     _add_obs(sim_p)
-    sim_p.add_argument("--periods", type=int, default=20, help="collection periods")
+    sim_p.add_argument(
+        "--periods", type=_positive(int), default=20, help="collection periods"
+    )
     sim_p.set_defaults(func=_simulate)
 
     adapt_p = sub.add_parser("adapt", help="run the adaptive service under churn")

@@ -81,10 +81,6 @@ class AdaptationReport:
     collected_pairs: int
     requested_pairs: int
     applied_ops: List[str] = field(default_factory=list)
-    #: The same operations as ``applied_ops`` but as live
-    #: :data:`~repro.core.partition.PartitionOp` objects, so verifiers
-    #: can replay them (``repro.checks.check_adaptation_step``).
-    applied_partition_ops: List[PartitionOp] = field(default_factory=list)
     throttled_ops: int = 0
 
     @property
@@ -109,12 +105,6 @@ class AdaptiveMonitoringService:
         Restricted-search effort caps: how many ranked candidates to
         evaluate per merge/split round, and how many operations one
         batch may apply.
-    debug_checks:
-        Run the static verifier (``repro.checks``) on the plan produced
-        by every ``apply_changes`` batch, including a replay-differ
-        over the restricted search's merge/split trail; raises
-        ``PlanCheckError`` at the first violation.  Expensive; for
-        tests and bug hunts.
     """
 
     def __init__(
@@ -127,7 +117,6 @@ class AdaptiveMonitoringService:
         aggregation: Optional[AggregationMap] = None,
         candidate_budget: int = 8,
         max_ops_per_batch: int = 16,
-        debug_checks: bool = False,
     ) -> None:
         if not allocation.is_sequential:
             raise ValueError(
@@ -145,7 +134,6 @@ class AdaptiveMonitoringService:
         )
         self.candidate_budget = candidate_budget
         self.max_ops_per_batch = max_ops_per_batch
-        self.debug_checks = debug_checks
         self.tasks = TaskManager()
         self.plan: Optional[MonitoringPlan] = None
         self._tadj: Dict[AttributeSet, float] = {}
@@ -232,7 +220,6 @@ class AdaptiveMonitoringService:
                 requested_pairs=0,
             )
 
-        base_partition: Optional[Partition] = None
         if force_rebuild or self.strategy is AdaptationStrategy.REBUILD or previous_plan is None:
             new_plan = self._rebuild_planner.plan(pairs, self.cluster)
             self._tadj = {s: now for s in new_plan.partition.sets}
@@ -243,13 +230,10 @@ class AdaptiveMonitoringService:
                 AdaptationStrategy.NO_THROTTLE,
                 AdaptationStrategy.ADAPTIVE,
             ):
-                base_partition = base_plan.partition
                 new_plan, applied, throttled = self._restricted_search(
                     base_plan, pairs, dirty, now
                 )
 
-        if self.debug_checks:
-            self._verify_step(new_plan, base_partition, applied)
         self.plan = new_plan
         new_edges = new_plan.edge_multiset()
         adaptation_messages = (
@@ -265,29 +249,8 @@ class AdaptiveMonitoringService:
             collected_pairs=new_plan.collected_pair_count(),
             requested_pairs=new_plan.requested_pair_count(),
             applied_ops=[op.describe() for op in applied],
-            applied_partition_ops=applied,
             throttled_ops=throttled,
         )
-
-    def _verify_step(
-        self,
-        new_plan: MonitoringPlan,
-        base_partition: Optional[Partition],
-        applied: List[PartitionOp],
-    ) -> None:
-        """``debug_checks`` hook: statically verify one batch's outcome."""
-        # Imported lazily: ``repro.core.__init__`` imports this module,
-        # and ``repro.checks.adaptation`` imports ``repro.core`` types,
-        # so a top-level import here would close an import cycle.
-        from repro.checks.adaptation import check_adaptation_step
-        from repro.checks.runner import check_plan_for_cluster
-
-        report = check_plan_for_cluster(new_plan, self.cluster)
-        if base_partition is not None:
-            check_adaptation_step(
-                base_partition, new_plan.partition, applied, report
-            )
-        report.raise_if_errors(f"{self.strategy.value} adaptation step")
 
     # ------------------------------------------------------------------
     # DIRECT-APPLY base topology

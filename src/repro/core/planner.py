@@ -35,7 +35,6 @@ from typing import (
     Tuple,
 )
 
-from repro.checks.runner import assert_plan_valid
 from repro.cluster.node import Cluster
 from repro.obs import names, trace
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -144,7 +143,6 @@ class _EvalContext:
     cluster: Cluster
     pair_weights: Optional[PairWeights]
     msg_weights: Optional[Mapping[NodeId, float]]
-    debug_checks: bool
     #: Per-plan-call tree-construction cache (``None`` disables).
     memo: Optional[TreeMemo] = None
 
@@ -154,7 +152,7 @@ def _context_build(
     part: Partition,
     keep: Optional[Mapping[AttributeSet, TreeBuildResult]] = None,
 ) -> MonitoringPlan:
-    built = ctx.forest.build(
+    return ctx.forest.build(
         part,
         ctx.pairs,
         ctx.cluster,
@@ -163,15 +161,6 @@ def _context_build(
         keep=keep,
         memo=ctx.memo,
     )
-    if ctx.debug_checks:
-        # Every candidate the search evaluates flows through this
-        # helper, so one hook verifies them all.
-        assert_plan_valid(
-            built,
-            ctx.cluster,
-            context=f"candidate plan for {len(part)} set(s)",
-        )
-    return built
 
 
 def _evaluate_with_context(
@@ -322,7 +311,6 @@ class RemoPlanner:
         pair_weights: Optional[PairWeights] = None,
         msg_weights: Optional[Mapping[NodeId, float]] = None,
         initial_partition: Optional[Partition] = None,
-        debug_checks: bool = False,
     ) -> MonitoringPlan:
         """Plan a monitoring forest; see :meth:`plan_with_stats`."""
         plan, _stats = self.plan_with_stats(
@@ -331,7 +319,6 @@ class RemoPlanner:
             pair_weights=pair_weights,
             msg_weights=msg_weights,
             initial_partition=initial_partition,
-            debug_checks=debug_checks,
         )
         return plan
 
@@ -342,19 +329,11 @@ class RemoPlanner:
         pair_weights: Optional[PairWeights] = None,
         msg_weights: Optional[Mapping[NodeId, float]] = None,
         initial_partition: Optional[Partition] = None,
-        debug_checks: bool = False,
     ) -> Tuple[MonitoringPlan, PlanningStats]:
         """Plan a monitoring forest and report search effort.
 
         ``initial_partition`` overrides the singleton-set starting
         point (used by REBUILD-from-current ablations and tests).
-
-        ``debug_checks`` runs the static verifier
-        (:func:`repro.checks.assert_plan_valid`) on every candidate
-        plan the search evaluates -- seeds, accepted incumbents, and
-        the final rebuild alike -- raising
-        :class:`~repro.checks.PlanCheckError` at the first invariant
-        violation.  Expensive; meant for tests and bug hunts.
         """
         stats = PlanningStats()
         with trace.timer(names.SPAN_PLANNER_PLAN, lane=names.LANE_PLANNER) as plan_timer:
@@ -377,7 +356,6 @@ class RemoPlanner:
                 cluster=cluster,
                 pair_weights=pair_weights,
                 msg_weights=msg_weights,
-                debug_checks=debug_checks,
                 memo=TreeMemo(self.memo_size) if self.memo_size > 0 else None,
             )
 

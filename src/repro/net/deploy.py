@@ -39,8 +39,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.checks import check_shard_assignment
-from repro.checks.diagnostics import DiagnosticReport
 from repro.cluster.node import Cluster
 from repro.core import SCHEMES
 from repro.core.attributes import NodeId
@@ -256,7 +254,7 @@ def write_json_atomic(path: str, payload: Mapping[str, Any]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Spec construction + pre-launch validation
+# Spec construction
 # ---------------------------------------------------------------------------
 def make_spec(
     workload: Mapping[str, Any],
@@ -268,12 +266,11 @@ def make_spec(
     host: str = "127.0.0.1",
     collectors: int = 1,
     trace: bool = False,
-) -> Tuple[DeploySpec, MonitoringPlan, Cluster, DiagnosticReport]:
-    """Plan once, shard, allocate ports, and validate the assignment.
+) -> Tuple[DeploySpec, MonitoringPlan, Cluster]:
+    """Plan once, shard, allocate ports, and save the spec.
 
-    Returns the saved spec, the supervisor's plan and cluster (for the
-    pre-launch plan check and report headers), and the shard
-    :class:`DiagnosticReport` (callers gate on its errors).
+    Returns the saved spec and the supervisor's plan and cluster (for
+    the pre-launch plan check and report headers).
     """
     check_collector_count(collectors)
     if rundir is None:
@@ -297,14 +294,8 @@ def make_spec(
     endpoints = allocate_endpoints(workers + 1, host=host)
     spec.worker_endpoints = endpoints[:workers]
     spec.collector_endpoint = endpoints[workers]
-    shard_report = check_shard_assignment(
-        participating_nodes(plan),
-        spec.shards,
-        [e.as_pair() for e in endpoints],
-    )
-    if not shard_report.has_errors:
-        spec.save()
-    return spec, plan, cluster, shard_report
+    spec.save()
+    return spec, plan, cluster
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Mapping, Optional
 
-from repro.checks.controlplane import check_collector_shards, check_tenant_namespaces
 from repro.cluster.node import Cluster
 from repro.core.adaptation import (
     AdaptationStrategy,
@@ -174,23 +173,7 @@ class ControlPlane:
                     ops, now=now, force_rebuild=force_rebuild
                 )
         plan = self.service.plan
-        problems: List[str] = []
-        if plan is not None:
-            self.sharded = ShardedPlan.build(plan, self.collectors)
-            shard_report = check_collector_shards(
-                plan,
-                self.sharded.assignment,
-                self.collectors,
-                central_capacity=self.cluster.central_capacity,
-            )
-            shard_report.raise_if_errors("collector shard layout")
-            problems.extend(d.format() for d in shard_report.warnings)
-        else:
-            self.sharded = None
-        tenant_report = check_tenant_namespaces(
-            {tenant: self.tenants.tasks(tenant) for tenant in self.tenants.tenants()}
-        )
-        problems.extend(d.format() for d in tenant_report.warnings)
+        self.sharded = ShardedPlan.build(plan, self.collectors) if plan is not None else None
         self.metrics.incr(names.CONTROLPLANE_ADAPTATIONS_TOTAL)
         self.metrics.observe(names.CONTROLPLANE_REPLAN_SECONDS, report.planning_seconds)
         self.metrics.set_gauge(names.CONTROLPLANE_COLLECTOR_SHARDS, self.collectors)
@@ -205,7 +188,6 @@ class ControlPlane:
             "requested_pairs": report.requested_pairs,
             "applied_ops": list(report.applied_ops),
             "throttled_ops": report.throttled_ops,
-            "warnings": problems,
             "shards": self.sharded.summary() if self.sharded is not None else None,
         }
         self.adaptations.append(record)

@@ -1,6 +1,6 @@
 """AST-based static analysis for the REMO reproduction (``repro lint``).
 
-The runtime verifier (:mod:`repro.checks`, REMO1xx-3xx) validates
+The runtime verifier (:mod:`repro.checks`, REMO1xx-2xx) validates
 *plans* after they exist; this package validates *source* before it
 runs, under the REMO4xx code space:
 

@@ -5,7 +5,7 @@ every finding carries a stable ``REMO4xx`` code so tests, CI gates, and
 ``# noqa`` comments key on exact failure classes rather than message
 strings.  The numbering extends the existing registry:
 
-- ``REMO1xx``-``REMO3xx`` -- *runtime* plan-invariant diagnostics,
+- ``REMO1xx``-``REMO2xx`` -- *runtime* plan-invariant diagnostics,
   raised by :mod:`repro.checks` after a plan exists;
 - ``REMO40x`` -- source conventions (cost-model discipline; the
   retired conventions linter's C00x rules, migrated);

@@ -1,4 +1,4 @@
-"""The static plan verifier: clean plans, corruption fixtures, differ.
+"""The static plan verifier: clean plans, candidate forests, corruption fixtures.
 
 Each corruption class must be caught with its own distinct primary
 diagnostic code -- that distinctness is what makes the codes usable as
@@ -17,16 +17,17 @@ from repro.checks import (
     PlanCheckError,
     Severity,
     assert_plan_valid,
-    check_adaptation_step,
-    check_plan,
     check_plan_for_cluster,
     describe_codes,
     inject_fault,
     recompute_tree,
 )
-from repro.core.partition import MergeOp, Partition, SplitOp
+from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
+from repro.core.forest import ForestBuilder
 from repro.core.planner import RemoPlanner
 from repro.trees.model import TreeInvariantError
+from repro.workloads.presets import sampled_workload
+from repro.workloads.updates import TaskUpdateStream
 
 
 @pytest.fixture
@@ -56,12 +57,38 @@ def test_assert_plan_valid_passes_and_returns_report(planned):
     assert not report.has_errors
 
 
-def test_debug_checks_planning_matches_plain_planning(cost, small_cluster, task_factory):
-    tasks = [task_factory("t", ("a", "b", "c"), range(6))]
-    plain = RemoPlanner(cost).plan(tasks, small_cluster)
-    checked = RemoPlanner(cost).plan(tasks, small_cluster, debug_checks=True)
-    assert checked.partition == plain.partition
-    assert checked.collected_pair_count() == plain.collected_pair_count()
+def test_every_candidate_forest_passes_the_plan_check(monkeypatch):
+    """Every forest the planner and the four adaptation strategies build
+    -- seeds, ranked candidates, incremental rebuilds, D-A patches --
+    passes the full plan check against the cluster's budgets, and
+    checking them changes no final plan."""
+    cluster, cost, tasks = sampled_workload(nodes=24, tasks=6, capacity=200.0, seed=3)
+
+    def final_plans():
+        plans = [RemoPlanner(cost).plan(tasks, cluster)]
+        for strategy in AdaptationStrategy:
+            service = AdaptiveMonitoringService(cluster, cost, strategy=strategy)
+            service.initialize(tasks)
+            stream = TaskUpdateStream(cluster, tasks, node_fraction=0.25, seed=5)
+            for batch in range(3):
+                service.apply_changes(stream.next_batch(), now=float(batch + 1))
+            plans.append(service.plan)
+        return [plan.fingerprint() for plan in plans]
+
+    unwrapped = final_plans()
+    build = ForestBuilder.build
+    checked = 0
+
+    def checked_build(self, *args, **kwargs):
+        nonlocal checked
+        plan = build(self, *args, **kwargs)
+        assert_plan_valid(plan, cluster, context=f"candidate forest {checked}")
+        checked += 1
+        return plan
+
+    monkeypatch.setattr(ForestBuilder, "build", checked_build)
+    assert final_plans() == unwrapped
+    assert checked > 0
 
 
 def test_recompute_matches_cached_bookkeeping(planned):
@@ -165,59 +192,6 @@ def test_assert_plan_valid_raises_with_codes_in_message(planned):
         assert_plan_valid(plan, cluster, context="corrupted fixture")
 
 
-def test_check_plan_without_capacities_skips_budget_checks(planned):
-    plan, _cluster = planned
-    inject_fault(plan, "overload")
-    report = check_plan(plan)  # no budgets supplied
-    assert "REMO201" not in report.codes()
-
-
-# ----------------------------------------------------------------------
-# Adaptation differ
-# ----------------------------------------------------------------------
-def test_adaptation_differ_accepts_a_faithful_trail():
-    before = Partition.singletons({"a", "b", "c"})
-    op = MergeOp(frozenset({"a"}), frozenset({"b"}))
-    after = before.apply(op)
-    report = DiagnosticReport()
-    check_adaptation_step(before, after, [op], report)
-    assert not report
-
-
-def test_adaptation_differ_flags_illegal_op():
-    before = Partition.singletons({"a", "b", "c"})
-    bogus = MergeOp(frozenset({"a", "b"}), frozenset({"c"}))  # not a member set
-    report = DiagnosticReport()
-    check_adaptation_step(before, before, [bogus], report)
-    assert report.codes() == ["REMO301"]
-
-
-def test_adaptation_differ_flags_divergent_result():
-    before = Partition.singletons({"a", "b", "c"})
-    op = MergeOp(frozenset({"a"}), frozenset({"b"}))
-    lied_about = before.apply(MergeOp(frozenset({"a"}), frozenset({"c"})))
-    report = DiagnosticReport()
-    check_adaptation_step(before, lied_about, [op], report)
-    assert report.codes() == ["REMO302"]
-
-
-def test_adaptation_differ_flags_universe_change():
-    before = Partition.singletons({"a", "b"})
-    after = Partition.singletons({"a", "b", "c"})
-    report = DiagnosticReport()
-    check_adaptation_step(before, after, [], report)
-    assert report.codes() == ["REMO303"]
-
-
-def test_adaptation_differ_replays_splits():
-    before = Partition.one_set({"a", "b", "c"})
-    op = SplitOp(frozenset({"a", "b", "c"}), "c")
-    after = before.apply(op)
-    report = DiagnosticReport()
-    check_adaptation_step(before, after, [op], report)
-    assert not report
-
-
 # ----------------------------------------------------------------------
 # Diagnostics framework
 # ----------------------------------------------------------------------
@@ -225,7 +199,7 @@ def test_code_registry_is_complete_and_partitioned_by_family():
     for info in describe_codes():
         assert info.code.startswith("REMO")
         family = info.code[4]
-        assert family in {"1", "2", "3"}
+        assert family in {"1", "2"}
         assert info.hint
         assert isinstance(info.severity, Severity)
 
@@ -240,9 +214,3 @@ def test_report_formatting_and_filtering():
     assert "WARNING REMO105 [partition]: spare attribute" in report.format()
     assert report.by_code("REMO201")[0].location == "node 3"
     assert "hint:" in report.format(with_hints=True)
-
-
-def test_severity_override():
-    report = DiagnosticReport()
-    report.add("REMO201", "node 1", "advisory only", severity=Severity.WARNING)
-    assert not report.has_errors

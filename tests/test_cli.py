@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.checks import FAULT_KINDS
 from repro.cli import build_parser, main
 
 
@@ -46,6 +47,13 @@ class TestParser:
             ("deploy", "--collectors", "0"),
             ("serve", "--collectors", "0"),
             ("serve", "--period-seconds", "-0.5"),
+            ("plan", "--nodes", "0"),
+            ("plan", "--tasks", "0"),
+            ("plan", "--pool", "0"),
+            ("plan", "--attrs-per-node", "0"),
+            ("plan", "--capacity", "0"),
+            ("simulate", "--periods", "0"),
+            ("simulate", "--periods", "-3"),
         ],
     )
     def test_a_non_positive_runtime_value_is_a_usage_error(self, capsys, command, flag, value):
@@ -102,6 +110,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "no diagnostics" in out
+        assert main(["check", "--preset", "quickstart"]) == 0
+        assert "no diagnostics" in capsys.readouterr().out
 
     def test_check_corrupted_plan_exits_nonzero(self, capsys):
         rc = main(
@@ -116,32 +126,30 @@ class TestCommands:
         assert "REMO203" in out
         assert "hint:" in out
 
-    def test_check_each_fault_kind_fails_with_its_code(self, capsys):
-        expected = {
-            "drop-tree": "REMO102",
-            "cycle": "REMO111",
-            "overload": "REMO201",
-            "stale-cost": "REMO203",
-            "stale-total": "REMO203",
-        }
-        for kind, code in expected.items():
-            rc = main(
-                [
-                    "check",
-                    "--nodes", "12", "--tasks", "3", "--pool", "8",
-                    "--seed", "5", "--corrupt", kind,
-                ]
-            )
-            out = capsys.readouterr().out
-            assert rc == 1, kind
-            assert code in out, (kind, out)
+    #: The primary code each ``repro check --corrupt`` kind fails with.
+    FAULT_CODES = {
+        "drop-tree": "REMO102",
+        "cycle": "REMO111",
+        "overload": "REMO201",
+        "stale-cost": "REMO203",
+        "stale-total": "REMO203",
+    }
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_check_each_fault_kind_fails_with_its_code(self, capsys, kind):
+        assert set(self.FAULT_CODES) == set(FAULT_KINDS)
+        rc = main(["check", "--preset", "quickstart", "--corrupt", kind])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert self.FAULT_CODES[kind] in out, out
 
     def test_check_codes_lists_registry(self, capsys):
         rc = main(["check", "--codes"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "REMO101" in out
-        assert "REMO303" in out
+        assert "REMO205" in out
+        assert "REMO3" not in out
 
 
 class TestJsonOutput:

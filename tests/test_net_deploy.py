@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import check_shard_assignment
 from repro.cli import main
 from repro.cluster.metrics import MetricRegistry
 from repro.core.plan import ShardedPlan
@@ -80,53 +79,18 @@ class TestShardNodes:
         assert shard_nodes([3, 1, 2], 2) == shard_nodes([2, 3, 1], 2)
 
 
-class TestShardAssignmentCheck:
-    def test_clean_split_passes(self):
-        report = check_shard_assignment([1, 2, 3, 4], [[1, 3], [2, 4]])
-        assert not report
-
-    def test_missing_node_is_remo351(self):
-        report = check_shard_assignment([1, 2, 3], [[1], [2]])
-        assert report.has_errors
-        assert "REMO351" in report.codes()
-
-    def test_duplicate_assignment_is_remo351(self):
-        report = check_shard_assignment([1, 2], [[1, 2], [2]])
-        assert report.has_errors
-        assert "REMO351" in report.codes()
-
-    def test_reserved_address_is_remo352(self):
-        report = check_shard_assignment([1], [[1, control_address(0)]])
-        assert "REMO352" in report.codes()
-
-    def test_endpoint_collision_is_remo353(self):
-        report = check_shard_assignment(
-            [1, 2],
-            [[1], [2]],
-            endpoints=[("127.0.0.1", 9000), ("127.0.0.1", 9000)],
-        )
-        assert report.has_errors
-        assert "REMO353" in report.codes()
-
-    def test_empty_shard_is_remo354_warning(self):
-        report = check_shard_assignment([1], [[1], []])
-        assert not report.has_errors
-        assert "REMO354" in report.codes()
-
-
 class TestDeploySpec:
     def test_round_trip_through_json(self, tmp_path):
-        spec, plan, _cluster, report = make_spec(
+        spec, plan, _cluster = make_spec(
             WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
         )
-        assert not report.has_errors
         loaded = DeploySpec.load(spec.spec_path)
         assert loaded.as_dict() == spec.as_dict()
         assert loaded.workers == 2
 
     def test_children_rebuild_the_identical_plan(self, tmp_path):
-        spec, plan, _cluster, _report = make_spec(
+        spec, plan, _cluster = make_spec(
             WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
         )
@@ -136,7 +100,7 @@ class TestDeploySpec:
         assert participating_nodes(plan2) == participating_nodes(plan)
 
     def test_directory_routes_every_address(self, tmp_path):
-        spec, plan, _cluster, _report = make_spec(
+        spec, plan, _cluster = make_spec(
             WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
         )
@@ -206,11 +170,10 @@ class TestDeployEndToEnd:
         self._deploy_matches_single_process(tmp_path, collectors=2)
 
     def _deploy_matches_single_process(self, tmp_path, collectors):
-        spec, plan, cluster, report = make_spec(
+        spec, plan, cluster = make_spec(
             WORKLOAD, "remo", workers=2, periods=6, config=CONFIG,
             rundir=str(tmp_path), collectors=collectors,
         )
-        assert not report.has_errors
         outcome = run_deploy(spec, plan=plan)
         assert outcome.restart_total() == 0
         assert outcome.worker_reports == 2
@@ -240,7 +203,7 @@ class TestDeployEndToEnd:
             assert merged["cost_units_spent"] == baseline.as_dict()["cost_units_spent"]
 
     def test_a_child_dead_before_ready_fails_the_launch_at_once(self, tmp_path):
-        spec, plan, _cluster, _report = make_spec(
+        spec, plan, _cluster = make_spec(
             WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
         )
@@ -251,11 +214,10 @@ class TestDeployEndToEnd:
         assert time.monotonic() - started < 30.0
 
     def test_worker_kill_and_restart_completes(self, tmp_path):
-        spec, plan, _cluster, report = make_spec(
+        spec, plan, _cluster = make_spec(
             WORKLOAD, "remo", workers=2, periods=8, config=CONFIG,
             rundir=str(tmp_path),
         )
-        assert not report.has_errors
         outcome = run_deploy(spec, plan=plan, chaos_kill={1: 0.15})
         assert outcome.restarts[1] >= 1
         assert len(outcome.report.samples) == 8
@@ -273,11 +235,10 @@ class TestDeployTracing:
         return {role: read_jsonl_spans(spec.trace_path(role)) for role in self.ROLES}
 
     def test_every_period_is_one_trace_across_processes(self, tmp_path):
-        spec, plan, _cluster, report = make_spec(
+        spec, plan, _cluster = make_spec(
             WORKLOAD, "remo", workers=2, periods=5, config=CONFIG,
             rundir=str(tmp_path), trace=True,
         )
-        assert not report.has_errors
         outcome = run_deploy(spec, plan=plan)
         assert sorted(outcome.trace_files) == sorted(
             spec.trace_path(role) for role in self.ROLES
@@ -307,11 +268,10 @@ class TestDeployTracing:
                     assert span.parent_id in span_ids
 
     def test_trace_context_survives_chaos_restart(self, tmp_path):
-        spec, plan, _cluster, report = make_spec(
+        spec, plan, _cluster = make_spec(
             WORKLOAD, "remo", workers=2, periods=8, config=CONFIG,
             rundir=str(tmp_path), trace=True,
         )
-        assert not report.has_errors
         outcome = run_deploy(spec, plan=plan, chaos_kill={1: 0.15})
         assert outcome.restarts[1] >= 1
         # The supervisor flight-records every restart (the SIGKILLed

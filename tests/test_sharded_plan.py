@@ -1,8 +1,7 @@
-"""Collector sharding, multi-tenant namespaces, and the REMO36x checks."""
+"""Collector sharding and multi-tenant namespaces."""
 
 import pytest
 
-from repro.checks.controlplane import check_collector_shards, check_tenant_namespaces
 from repro.core.attributes import NodeAttributePair
 from repro.core.plan import ShardedPlan, shard_partition_sets
 from repro.core.planner import RemoPlanner
@@ -89,6 +88,13 @@ class TestShardedPlan:
         assert sum(summary["central_usage"].values()) == pytest.approx(
             plan.central_usage()
         )
+        # More collectors than trees: some shard hosts no tree, and the
+        # summary reports it as a 0 instead of dropping it.
+        many = plan.tree_count() + 1
+        sparse = ShardedPlan.build(plan, many).summary()["sets_per_shard"]
+        assert set(sparse) == {str(shard) for shard in range(many)}
+        assert sum(sparse.values()) == plan.tree_count()
+        assert 0 in sparse.values()
 
     def test_build_rejects_foreign_plan_pairing(self, quickstart_plan):
         _cluster, _cost, plan = quickstart_plan
@@ -166,63 +172,3 @@ class TestMultiTenantTaskManager:
 
     def test_qualified_task_id(self):
         assert qualified_task_id("alpha", "t1") == "alpha/t1"
-
-
-class TestCollectorShardChecks:
-    def test_clean_layout_passes(self, quickstart_plan):
-        cluster, _cost, plan = quickstart_plan
-        sharded = ShardedPlan.build(plan, 2)
-        report = check_collector_shards(
-            plan, sharded.assignment, 2, central_capacity=cluster.central_capacity
-        )
-        assert not report.has_errors
-
-    def test_missing_set_is_remo361(self, quickstart_plan):
-        _cluster, _cost, plan = quickstart_plan
-        sharded = ShardedPlan.build(plan, 2)
-        broken = dict(sharded.assignment)
-        broken.pop(next(iter(broken)))
-        report = check_collector_shards(plan, broken, 2)
-        assert any(d.code == "REMO361" for d in report.errors)
-
-    def test_out_of_range_shard_is_remo361(self, quickstart_plan):
-        _cluster, _cost, plan = quickstart_plan
-        sharded = ShardedPlan.build(plan, 2)
-        broken = dict(sharded.assignment)
-        broken[next(iter(broken))] = 7
-        report = check_collector_shards(plan, broken, 2)
-        assert any(d.code == "REMO361" for d in report.errors)
-
-    def test_overloaded_shard_is_remo362(self, quickstart_plan):
-        _cluster, _cost, plan = quickstart_plan
-        # Everything on shard 0 with a tiny central budget must trip
-        # the per-shard capacity check.
-        assignment = {attr_set: 0 for attr_set in plan.trees}
-        report = check_collector_shards(plan, assignment, 2, central_capacity=1.0)
-        assert any(d.code == "REMO362" for d in report.errors)
-        # ...and the deliberately empty shard 1 warns.
-        assert any(d.code == "REMO363" for d in report.warnings)
-
-
-class TestTenantNamespaceChecks:
-    def test_clean_namespaces_pass(self):
-        report = check_tenant_namespaces(
-            {"alpha": [MonitoringTask("t", ["a"], [1])]}
-        )
-        assert not report.has_errors
-        assert not report.warnings
-
-    def test_separator_and_empty_names_are_remo364(self):
-        report = check_tenant_namespaces(
-            {
-                "bad/tenant": [MonitoringTask("t", ["a"], [1])],
-                "": [MonitoringTask("t", ["a"], [1])],
-                "gamma": [MonitoringTask("x/y", ["a"], [1])],
-            }
-        )
-        codes = [d.code for d in report.errors]
-        assert codes.count("REMO364") >= 3
-
-    def test_empty_tenant_is_remo365(self):
-        report = check_tenant_namespaces({"alpha": []})
-        assert any(d.code == "REMO365" for d in report.warnings)
