@@ -1,26 +1,20 @@
 #!/usr/bin/env python3
-"""In-network aggregation and DISTINCT cardinality estimation.
+"""In-network aggregation awareness (Section 6.1).
 
-Two monitoring tasks over the same cluster: a MAX watermark (classic
-in-network aggregation -- every relay forwards a single partial
-result) and a DISTINCT census whose result size is data-dependent.
-The planner is run three ways:
+Two aggregated monitoring tasks over the same cluster: a MAX watermark
+(classic in-network aggregation -- every relay forwards a single
+partial result) and a DISTINCT census whose result size is
+data-dependent. The planner is run two ways:
 
 1. oblivious (holistic cost estimates everywhere);
-2. aggregation-aware with the paper's conservative DISTINCT upper
-   bound (holistic);
-3. aggregation-aware with a sampling-based DISTINCT estimate (the
-   paper's stated future work, implemented via a k-minimum-values
-   sketch in ``repro.ext.distinct``).
+2. aggregation-aware, with the paper's conservative DISTINCT upper
+   bound (holistic).
 
 Run:  python examples/aggregation_monitoring.py
 """
 
-import random
-
 from repro import CostModel, MonitoringTask, RemoPlanner, make_uniform_cluster
 from repro.core.cost import AggregationKind, AggregationSpec
-from repro.ext.distinct import DistinctEstimator
 
 
 def main() -> None:
@@ -39,22 +33,13 @@ def main() -> None:
         MonitoringTask("cpu-dashboard", ["cpu"], range(60)),
     ]
 
-    # Sample the tenant_id stream: only ~8 distinct tenants exist, so
-    # a DISTINCT relay forwards at most ~8 values -- far below the
-    # holistic worst case of "one per node".
-    estimator = DistinctEstimator(k=64)
-    rng = random.Random(99)
-    estimator.observe_many("tenant_id", [float(rng.randint(1, 8)) for _ in range(500)])
-    print(f"estimated distinct tenants: {estimator.cardinality('tenant_id'):.1f}\n")
-
-    base_agg = {
+    specs = {
         "watermark": AggregationSpec(AggregationKind.MAX),
         "tenant_id": AggregationSpec(AggregationKind.DISTINCT),
     }
     variants = {
         "oblivious": None,
-        "aware (DISTINCT=holistic)": base_agg,
-        "aware (DISTINCT sampled)": estimator.refine(base_agg),
+        "aware (DISTINCT=holistic)": specs,
     }
     print(f"{'planner variant':<28} {'coverage':>9} {'trees':>6} {'traffic':>9}")
     for name, aggregation in variants.items():
@@ -66,10 +51,9 @@ def main() -> None:
         )
 
     print(
-        "\nKnowing that MAX collapses to one value (and DISTINCT to ~8) "
-        "lets the planner merge attributes into shared trees without "
-        "fearing relay blow-up -- the Fig. 12a effect, sharpened by the "
-        "sampling-based DISTINCT bound."
+        "\nKnowing that MAX collapses to one value lets the planner merge "
+        "attributes into shared trees without fearing relay blow-up -- "
+        "the Fig. 12a effect."
     )
 
 

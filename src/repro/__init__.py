@@ -50,7 +50,6 @@ from repro.core.adaptation import (
 )
 from repro.cluster import Cluster, SimNode, make_uniform_cluster
 from repro.cluster.topology import make_heterogeneous_cluster
-from repro.trees import TreeBuilderKind
 
 __all__ = [
     "AdaptationStrategy",
@@ -72,7 +71,6 @@ __all__ = [
     "SingletonSetPlanner",
     "TaskManager",
     "TaskSetDelta",
-    "TreeBuilderKind",
     "assert_plan_valid",
     "check_plan",
     "check_plan_for_cluster",

@@ -1,17 +1,11 @@
-"""Reporting, rendering, and summary-statistics helpers."""
+"""Table-formatting and summary-statistics helpers."""
 
-from repro.analysis.render import render_plan, render_tree
-from repro.analysis.report import Series, format_table, print_series, print_table
-from repro.analysis.stats import mean, percentile, relative_change
+from repro.analysis.report import Series, format_table
+from repro.analysis.stats import mean, percentile
 
 __all__ = [
     "Series",
     "format_table",
     "mean",
     "percentile",
-    "print_series",
-    "print_table",
-    "relative_change",
-    "render_plan",
-    "render_tree",
 ]

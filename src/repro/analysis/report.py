@@ -8,9 +8,7 @@ output verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Union
-
-Number = Union[int, float]
+from typing import Iterable, List, Sequence
 
 
 @dataclass
@@ -36,45 +34,19 @@ def format_table(
     title: str,
     columns: Sequence[str],
     rows: Iterable[Sequence[object]],
-    min_width: int = 10,
 ) -> str:
-    """Render an aligned table with a title rule."""
+    """Render an aligned table with a title rule; columns are at least
+    ten characters wide."""
     rows = [list(r) for r in rows]
     widths = []
     for i, col in enumerate(columns):
         cells = [col] + [
             f"{r[i]:.4f}" if isinstance(r[i], float) else str(r[i]) for r in rows
         ]
-        widths.append(max(min_width, max(len(c) for c in cells)))
+        widths.append(max(10, max(len(c) for c in cells)))
     lines = [f"== {title} =="]
     lines.append("  ".join(c.rjust(w) for c, w in zip(columns, widths)))
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(_format_cell(cell, w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def print_table(
-    title: str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> None:
-    print()
-    print(format_table(title, columns, rows))
-
-
-def print_series(
-    title: str,
-    x_label: str,
-    xs: Sequence[object],
-    series: Sequence[Series],
-) -> None:
-    """Print plotted lines as a table: one row per x, one column per line."""
-    columns = [x_label] + [s.name for s in series]
-    rows = []
-    for i, x in enumerate(xs):
-        row: List[object] = [x]
-        for s in series:
-            row.append(s.values[i] if i < len(s.values) else float("nan"))
-        rows.append(row)
-    print_table(title, columns, rows)

@@ -30,10 +30,3 @@ def percentile(values: Sequence[float], q: float) -> float:
         return data[low]
     frac = rank - low
     return data[low] * (1.0 - frac) + data[high] * frac
-
-
-def relative_change(new: float, baseline: float) -> float:
-    """``(new - baseline) / |baseline|`` with a zero-safe denominator."""
-    if math.isclose(baseline, 0.0):
-        return 0.0 if math.isclose(new, 0.0) else math.copysign(math.inf, new)
-    return (new - baseline) / abs(baseline)

@@ -65,6 +65,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,7 +80,6 @@ from repro.checks import (
 )
 from repro.core import SCHEMES
 from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
-from repro.core.cost import CostModel
 from repro.core.planner import RemoPlanner
 from repro.obs import log, names, trace
 from repro.obs.export import (
@@ -112,7 +112,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--capacity", type=_positive(float), default=400.0, help="node budget b_i"
     )
     parser.add_argument(
-        "--central", type=float, default=None, help="collector budget (default 3x capacity)"
+        "--central",
+        type=_positive(float),
+        default=None,
+        help="collector budget (default 3x capacity)",
     )
     parser.add_argument("--pool", type=_positive(int), default=32, help="attribute pool size")
     parser.add_argument(
@@ -124,8 +127,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tasks", type=_positive(int), default=15, help="number of monitoring tasks"
     )
-    parser.add_argument("--cost-c", type=float, default=20.0, help="per-message overhead C")
-    parser.add_argument("--cost-a", type=float, default=1.0, help="per-value cost a")
+    parser.add_argument(
+        "--cost-c", type=_bounded(float, 0), default=20.0, help="per-message overhead C"
+    )
+    parser.add_argument("--cost-a", type=_positive(float), default=1.0, help="per-value cost a")
     parser.add_argument("--seed", type=int, default=1, help="random seed")
     parser.add_argument(
         "--scheme",
@@ -179,6 +184,21 @@ def _positive(kind: type) -> Callable[[str], Any]:
         return value
 
     parse.__name__ = f"positive {kind.__name__}"
+    return parse
+
+
+def _bounded(kind: type, low: float, high: float = math.inf) -> Callable[[str], Any]:
+    """argparse ``type=`` for a ``kind`` number in ``[low, high]``, with
+    the same usage-error contract as :func:`_positive`."""
+    rule = f">= {low}" if high == math.inf else f"in {low}..{high}"
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
     return parse
 
 
@@ -932,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(adapt_p)
     _add_json(adapt_p)
     _add_obs(adapt_p)
-    adapt_p.add_argument("--batches", type=int, default=5, help="update batches")
+    adapt_p.add_argument("--batches", type=_positive(int), default=5, help="update batches")
     adapt_p.add_argument(
         "--strategy",
         choices=[s.value for s in AdaptationStrategy],
@@ -1089,7 +1109,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--host", default="127.0.0.1", help="interface to bind")
     serve_p.add_argument(
-        "--port", type=int, default=0, help="TCP port (0 binds an ephemeral port)"
+        "--port",
+        type=_bounded(int, 0, 65535),
+        default=0,
+        help="TCP port (0 binds an ephemeral port)",
     )
     serve_p.add_argument(
         "--announce",
@@ -1099,7 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--max-seconds",
-        type=float,
+        type=_positive(float),
         default=None,
         help="stop after this many seconds (CI smoke jobs); default: serve forever",
     )

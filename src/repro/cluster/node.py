@@ -93,18 +93,6 @@ class Cluster:
         """All node ids, ascending."""
         return sorted(self._nodes)
 
-    def validate_pairs(self, pairs: Iterable[NodeAttributePair]) -> None:
-        """Raise ``ValueError`` for pairs naming unknown nodes or
-        attributes the node cannot observe."""
-        for pair in pairs:
-            if pair.node not in self._nodes:
-                raise ValueError(f"pair {pair} names unknown node {pair.node}")
-            if not self._nodes[pair.node].observes(pair.attribute):
-                raise ValueError(
-                    f"node {pair.node} does not observe attribute "
-                    f"{pair.attribute!r} (pair {pair})"
-                )
-
     def observable_pairs(self) -> Set[NodeAttributePair]:
         """Every (node, attribute) pair the cluster can produce."""
         return {
@@ -112,7 +100,3 @@ class Cluster:
             for node in self._nodes.values()
             for attr in node.attributes
         }
-
-    def total_capacity(self) -> float:
-        """Sum of all monitoring-node capacities (excludes the collector)."""
-        return sum(n.capacity for n in self._nodes.values())

@@ -16,7 +16,7 @@ violating any node's resource constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Set, Tuple
+from typing import Iterable, Set
 
 #: Node identifiers are small integers assigned by the cluster substrate.
 NodeId = int
@@ -37,10 +37,6 @@ class NodeAttributePair:
     node: NodeId
     attribute: AttributeId
 
-    def as_tuple(self) -> Tuple[NodeId, AttributeId]:
-        """Return the pair as a plain ``(node, attribute)`` tuple."""
-        return (self.node, self.attribute)
-
     def __str__(self) -> str:  # pragma: no cover - display convenience
         return f"{self.node}:{self.attribute}"
 
@@ -53,33 +49,3 @@ def pairs_for(nodes: Iterable[NodeId], attributes: Iterable[AttributeId]) -> Set
     """
     attrs = tuple(attributes)
     return {NodeAttributePair(n, a) for n in nodes for a in attrs}
-
-
-def attributes_of(pairs: Iterable[NodeAttributePair]) -> FrozenSet[AttributeId]:
-    """The set of attribute types appearing in ``pairs``."""
-    return frozenset(p.attribute for p in pairs)
-
-
-def nodes_of(pairs: Iterable[NodeAttributePair]) -> FrozenSet[NodeId]:
-    """The set of nodes appearing in ``pairs``."""
-    return frozenset(p.node for p in pairs)
-
-
-def group_by_attribute(pairs: Iterable[NodeAttributePair]) -> dict:
-    """Group pairs into ``{attribute: set_of_nodes}``.
-
-    The partition machinery works at attribute granularity; this is the
-    canonical bridge from a flat pair set to that view.
-    """
-    grouped: dict = {}
-    for pair in pairs:
-        grouped.setdefault(pair.attribute, set()).add(pair.node)
-    return grouped
-
-
-def group_by_node(pairs: Iterable[NodeAttributePair]) -> dict:
-    """Group pairs into ``{node: set_of_attributes}``."""
-    grouped: dict = {}
-    for pair in pairs:
-        grouped.setdefault(pair.node, set()).add(pair.attribute)
-    return grouped

@@ -118,11 +118,6 @@ class CostModel:
         if self.per_value <= 0:
             raise ValueError(f"per_value must be > 0, got {self.per_value}")
 
-    @property
-    def overhead_ratio(self) -> float:
-        """The ``C/a`` ratio the evaluation section sweeps."""
-        return self.per_message / self.per_value
-
     def message_cost(self, n_values: int) -> float:
         """Cost of sending (or receiving) one message with ``n_values`` values."""
         if n_values < 0:
@@ -169,9 +164,3 @@ class CostModel:
         if n_children < 0:
             raise ValueError(f"n_children must be >= 0, got {n_children}")
         return n_children * self.message_cost(values_per_child)
-
-    def with_ratio(self, ratio: float) -> "CostModel":
-        """A copy of this model with ``C = ratio * a`` (same ``a``)."""
-        if ratio < 0:
-            raise ValueError(f"ratio must be >= 0, got {ratio}")
-        return CostModel(per_message=ratio * self.per_value, per_value=self.per_value)

@@ -114,12 +114,6 @@ class GainContext:
             return self.collected_masks[attr_set]
         return self.set_mask(attr_set)
 
-    def pair_volume(self, attr_set: AttributeSet) -> int:
-        """Total node-attribute pairs the set's tree must carry."""
-        return sum(
-            self.node_masks.get(attr, 0).bit_count() for attr in attr_set
-        )
-
 
 def estimate_gain(op: PartitionOp, ctx: GainContext) -> float:
     """Estimated capacity-usage reduction (higher = more promising)."""
@@ -169,14 +163,14 @@ def rank_candidates(
     ops: Iterable[PartitionOp],
     ctx: GainContext,
     budget: Optional[int] = None,
-    min_gain: float = float("-inf"),
 ) -> list:
-    """Order candidate ops by decreasing estimated gain, keep the top
-    ``budget`` with gain strictly above ``min_gain``."""
+    """Order candidate ops by decreasing estimated gain and keep the top
+    ``budget``. A merge of disjoint node sets scores ``-inf`` and is
+    never a candidate."""
     scored = []
     for op in ops:
         gain = estimate_gain(op, ctx)
-        if gain > min_gain:
+        if gain > float("-inf"):
             scored.append((gain, op))
     scored.sort(key=lambda item: (-item[0], item[1].describe()))
     if budget is not None:

@@ -20,10 +20,6 @@ from repro.core.cost import CostModel
 from repro.core.partition import AttributeSet, Partition
 from repro.trees.base import TreeBuildResult
 
-#: One monitoring edge: node -> parent within the tree for a given
-#: attribute set.  Parent ``-1`` denotes the central collector.
-Assignment = Tuple[NodeId, AttributeSet, NodeId]
-
 
 class MonitoringPlan:
     """An immutable-by-convention snapshot of a planned forest."""
@@ -118,21 +114,6 @@ class MonitoringPlan:
     # ------------------------------------------------------------------
     # Structure (for adaptation diffs and the simulator)
     # ------------------------------------------------------------------
-    def assignments(self) -> Set[Assignment]:
-        """Every monitoring edge, tagged by its tree's attribute set.
-
-        The symmetric difference between two plans' assignments counts
-        the connect/disconnect control messages an adaptation would
-        send -- the paper's ``M_adapt``.
-        """
-        edges: Set[Assignment] = set()
-        for attr_set, result in self.trees.items():
-            tree = result.tree
-            for node in tree.nodes:
-                parent = tree.parent(node)
-                edges.add((node, attr_set, parent if parent is not None else -1))
-        return edges
-
     def edge_multiset(self) -> Dict[Tuple[NodeId, NodeId], int]:
         """Structural ``(node, parent)`` connections with multiplicity.
 
@@ -288,12 +269,6 @@ class ShardedPlan:
             if owner == shard:
                 result.add(pair)
         return result
-
-    def subplan(self, shard: int) -> MonitoringPlan:
-        """The shard's own forest as a standalone :class:`MonitoringPlan`."""
-        sets = self.sets_for(shard)
-        trees = {s: self.plan.trees[s] for s in sets}
-        return MonitoringPlan(Partition(sets), trees, self.pairs_for(shard), self.plan.cost)
 
     def central_usage_by_shard(self) -> Dict[int, float]:
         """Collector capacity consumed at each shard root."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -124,11 +123,6 @@ class PlanningStats:
         return self._delta(names.PLANNER_MEMO_MISSES_TOTAL)
 
 
-def objective(plan: MonitoringPlan) -> Tuple[int, float]:
-    """Lexicographic objective: collected pairs up, message volume down."""
-    return (plan.collected_pair_count(), -plan.total_message_cost())
-
-
 @dataclass(frozen=True)
 class _EvalContext:
     """Everything a candidate evaluation needs besides the incumbent.
@@ -212,20 +206,12 @@ def _separate_forbidden(
     return [s for s in result if s]
 
 
-def _improves(
-    candidate: MonitoringPlan,
-    incumbent: MonitoringPlan,
-    cost_fn: Optional[Callable[[MonitoringPlan], float]] = None,
-) -> bool:
-    """Strict improvement under the (coverage up, cost down) objective.
-
-    ``cost_fn`` overrides the cost tie-break term (default: per-period
-    message volume); the network-aware extension passes a scorer that
-    adds forwarding cost (Section 3.3).
-    """
-    cost_of = cost_fn if cost_fn is not None else MonitoringPlan.total_message_cost
-    cand_pairs, cand_cost = candidate.collected_pair_count(), cost_of(candidate)
-    inc_pairs, inc_cost = incumbent.collected_pair_count(), cost_of(incumbent)
+def _improves(candidate: MonitoringPlan, incumbent: MonitoringPlan) -> bool:
+    """Strict improvement under the (coverage up, cost down) objective:
+    more collected pairs, or as many at a lower per-period message
+    volume."""
+    cand_pairs, cand_cost = candidate.collected_pair_count(), candidate.total_message_cost()
+    inc_pairs, inc_cost = incumbent.collected_pair_count(), incumbent.total_message_cost()
     if cand_pairs != inc_pairs:
         return cand_pairs > inc_pairs
     return cand_cost < inc_cost - _COST_EPS
@@ -272,7 +258,6 @@ class RemoPlanner:
         candidate_budget: Optional[int] = 8,
         max_iterations: int = 64,
         forbidden_pairs: Optional[Set[FrozenSet[AttributeId]]] = None,
-        plan_cost_fn: Optional[Callable[[MonitoringPlan], float]] = None,
         memo_size: int = 128,
     ) -> None:
         if candidate_budget is not None and candidate_budget <= 0:
@@ -295,13 +280,6 @@ class RemoPlanner:
         #: Top-ranked candidates granted a full forest rebuild when the
         #: cheap incremental evaluation finds no improvement.
         self._full_rebuild_budget = 3
-        #: Optional override of the cost tie-break term in plan
-        #: comparisons (e.g. adding network forwarding cost, Section
-        #: 3.3's extension); ``None`` uses per-period message volume.
-        self.plan_cost_fn = plan_cost_fn
-
-    def _improves(self, candidate: MonitoringPlan, incumbent: MonitoringPlan) -> bool:
-        return _improves(candidate, incumbent, cost_fn=self.plan_cost_fn)
 
     # ------------------------------------------------------------------
     def plan(
@@ -384,7 +362,7 @@ class RemoPlanner:
                     stats.bump(
                         names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="seed"
                     )
-                    if self._improves(candidate, incumbent):
+                    if _improves(candidate, incumbent):
                         incumbent = candidate
             for _ in range(self.max_iterations):
                 stats.bump(names.PLANNER_ITERATIONS_TOTAL)
@@ -399,7 +377,7 @@ class RemoPlanner:
                 # global ordering and is kept only if it helps.
                 with trace.span(names.SPAN_PLANNER_FINAL_REBUILD, lane=names.LANE_PLANNER):
                     final = _context_build(ctx, incumbent.partition)
-                if self._improves(final, incumbent):
+                if _improves(final, incumbent):
                     incumbent = final
         stats.elapsed_seconds = plan_timer.elapsed
         stats.freeze()
@@ -509,9 +487,9 @@ class RemoPlanner:
                 ):
                     candidate = _evaluate_with_context(ctx, incumbent, op)
                 stats.bump(names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="search")
-                if not self._improves(candidate, incumbent):
+                if not _improves(candidate, incumbent):
                     continue
-                if best_plan is None or self._improves(candidate, best_plan):
+                if best_plan is None or _improves(candidate, best_plan):
                     best_plan = candidate
                     best_op = op
             if best_plan is None:
@@ -531,8 +509,8 @@ class RemoPlanner:
                     ):
                         candidate = _context_build(ctx, incumbent.partition.apply(op))
                     stats.bump(names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="rebuild")
-                    if self._improves(candidate, incumbent) and (
-                        best_plan is None or self._improves(candidate, best_plan)
+                    if _improves(candidate, incumbent) and (
+                        best_plan is None or _improves(candidate, best_plan)
                     ):
                         best_plan = candidate
                         best_op = op

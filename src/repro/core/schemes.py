@@ -31,10 +31,10 @@ from repro.trees.base import GreedyTreeBuilder
 TaskSource = Union[Iterable[MonitoringTask], TaskManager, Iterable[NodeAttributePair]]
 
 
-def _task_pairs(tasks: List[MonitoringTask], cluster: Optional[Cluster]) -> frozenset:
+def _task_pairs(tasks: List[MonitoringTask], cluster: Cluster) -> frozenset:
     """De-duplicated expansion of a plain task list, clipped to what
-    ``cluster`` observes when given: per-node attribute sets are united
-    first, so each distinct pair is built and hashed once."""
+    ``cluster`` observes: per-node attribute sets are united first, so
+    each distinct pair is built and hashed once."""
     seen: Set[str] = set()
     wanted: Dict[NodeId, Set[AttributeId]] = {}
     for task in tasks:
@@ -45,11 +45,10 @@ def _task_pairs(tasks: List[MonitoringTask], cluster: Optional[Cluster]) -> froz
         for node in task.nodes:
             if node in wanted:
                 wanted[node] |= attributes
-            elif cluster is None or node in cluster:
+            elif node in cluster:
                 wanted[node] = set(attributes)
-    if cluster is not None:
-        for node, attributes in wanted.items():
-            attributes &= cluster.node(node).attributes
+    for node, attributes in wanted.items():
+        attributes &= cluster.node(node).attributes
     return frozenset(
         NodeAttributePair(node, attribute)
         for node, attributes in wanted.items()
@@ -57,7 +56,14 @@ def _task_pairs(tasks: List[MonitoringTask], cluster: Optional[Cluster]) -> froz
     )
 
 
-def _normalize(source: TaskSource, cluster: Optional[Cluster]) -> frozenset:
+def observable_pairs(source: TaskSource, cluster: Cluster) -> frozenset:
+    """De-duplicated pairs clipped to what the cluster can observe.
+
+    A task ``(A_t, N_t)`` expands to its full cross product, but only
+    pairs ``(i, j)`` with ``j in A_i`` are collectable (Problem
+    Statement 1); the rest are silently dropped, as the paper's task
+    manager does.
+    """
     if isinstance(source, TaskManager):
         pairs: Iterable[NodeAttributePair] = source.pairs()
     else:
@@ -69,27 +75,9 @@ def _normalize(source: TaskSource, cluster: Optional[Cluster]) -> frozenset:
                 "task source must be MonitoringTasks, NodeAttributePairs, or a TaskManager"
             )
         pairs = items
-    if cluster is None:
-        return frozenset(pairs)
     return frozenset(
         p for p in pairs if p.node in cluster and cluster.node(p.node).observes(p.attribute)
     )
-
-
-def as_pair_set(source: TaskSource) -> frozenset:
-    """Normalize any supported task source into a de-duplicated pair set."""
-    return _normalize(source, None)
-
-
-def observable_pairs(source: TaskSource, cluster: Cluster) -> frozenset:
-    """De-duplicated pairs clipped to what the cluster can observe.
-
-    A task ``(A_t, N_t)`` expands to its full cross product, but only
-    pairs ``(i, j)`` with ``j in A_i`` are collectable (Problem
-    Statement 1); the rest are silently dropped, as the paper's task
-    manager does.
-    """
-    return _normalize(source, cluster)
 
 
 class FixedPartitionPlanner:

@@ -77,14 +77,6 @@ class MonitoringTask:
         """Number of node-attribute pairs the task requests."""
         return len(self.attributes) * len(self.nodes)
 
-    def with_attributes(self, attributes: Iterable[AttributeId]) -> "MonitoringTask":
-        """A copy of this task monitoring a different attribute set."""
-        return MonitoringTask(self.task_id, attributes, self.nodes, self.frequency)
-
-    def with_nodes(self, nodes: Iterable[NodeId]) -> "MonitoringTask":
-        """A copy of this task monitoring a different node set."""
-        return MonitoringTask(self.task_id, self.attributes, nodes, self.frequency)
-
 
 @dataclass(frozen=True)
 class TaskSetDelta:
@@ -99,10 +91,6 @@ class TaskSetDelta:
 
     added: FrozenSet[NodeAttributePair]
     removed: FrozenSet[NodeAttributePair]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed
 
 
 class DuplicateTaskError(ValueError):
@@ -159,18 +147,6 @@ class TaskManager:
     def pair_count(self) -> int:
         """Number of distinct node-attribute pairs currently required."""
         return len(self._refcount)
-
-    def multiplicity(self, pair: NodeAttributePair) -> int:
-        """How many registered tasks require ``pair``."""
-        return self._refcount.get(pair, 0)
-
-    def tasks_requiring(self, pair: NodeAttributePair) -> List[MonitoringTask]:
-        """All tasks whose expansion contains ``pair``."""
-        return [
-            t
-            for t in self._tasks.values()
-            if pair.node in t.nodes and pair.attribute in t.attributes
-        ]
 
     # ------------------------------------------------------------------
     # Mutation side
@@ -301,9 +277,6 @@ class MultiTenantTaskManager:
         """All tenant names with a registered namespace, sorted."""
         return sorted(self._tenants)
 
-    def has_tenant(self, tenant: str) -> bool:
-        return tenant in self._tenants
-
     def tasks(self, tenant: str) -> List[MonitoringTask]:
         """The tenant's registered tasks (empty for unknown tenants)."""
         manager = self._tenants.get(tenant)
@@ -327,14 +300,6 @@ class MultiTenantTaskManager:
 
     def pair_count(self) -> int:
         return len(self._tenant_count)
-
-    def tenant_multiplicity(self, pair: NodeAttributePair) -> int:
-        """How many tenants currently require ``pair``."""
-        return self._tenant_count.get(pair, 0)
-
-    def tenant_pairs(self, tenant: str) -> Set[NodeAttributePair]:
-        manager = self._tenants.get(tenant)
-        return manager.pairs() if manager is not None else set()
 
     # ------------------------------------------------------------------
     # Mutation side
@@ -379,13 +344,3 @@ class MultiTenantTaskManager:
         if manager is None:
             raise UnknownTaskError(qualified_task_id(tenant, task.task_id))
         return self._globalize(tenant, manager.modify_task(task))
-
-    def drop_tenant(self, tenant: str) -> TaskSetDelta:
-        """Remove every task of ``tenant`` and the namespace itself."""
-        manager = self._tenants.get(tenant)
-        if manager is None:
-            return TaskSetDelta(frozenset(), frozenset())
-        ops = [("remove", task) for task in manager.tasks]
-        delta = self._globalize(tenant, manager.apply(ops))
-        del self._tenants[tenant]
-        return delta

@@ -15,9 +15,7 @@ planner *inputs* rather than modifying the planning framework:
 """
 
 from repro.ext.aggregation import uniform_aggregation
-from repro.ext.distinct import DistinctEstimator, KMVSketch
 from repro.ext.frequencies import FrequencyPlanningInputs, frequency_weights
-from repro.ext.network import NetworkModel, forwarding_cost, network_cost_fn
 from repro.ext.reliability import (
     ReplicatedRegistry,
     ReplicationRewrite,
@@ -28,16 +26,11 @@ from repro.ext.reliability import (
 )
 
 __all__ = [
-    "DistinctEstimator",
     "FrequencyPlanningInputs",
-    "KMVSketch",
-    "NetworkModel",
     "ReplicatedRegistry",
     "ReplicationRewrite",
     "alias_cluster",
-    "forwarding_cost",
     "frequency_weights",
-    "network_cost_fn",
     "replica_plan_coverage",
     "rewrite_dsdp",
     "rewrite_ssdp",

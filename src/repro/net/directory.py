@@ -64,10 +64,6 @@ class PeerDirectory:
     def addresses(self) -> List[NodeId]:
         return sorted(self._mapping)
 
-    def addresses_at(self, endpoint: Endpoint) -> List[NodeId]:
-        """Every explicitly mapped address served by ``endpoint``."""
-        return sorted(a for a, e in self._mapping.items() if e == endpoint)
-
     def endpoints(self) -> List[Endpoint]:
         """Every distinct endpoint in the table (sorted, deduplicated)."""
         found = set(self._mapping.values())

@@ -238,14 +238,6 @@ def install(tracer: Optional[Tracer] = None) -> Tracer:
     return _TRACER
 
 
-def uninstall() -> Optional[Tracer]:
-    """Disable tracing; returns the tracer that was active."""
-    global _TRACER
-    previous = _TRACER
-    _TRACER = None
-    return previous
-
-
 @contextmanager
 def installed(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
     """Scope a tracer: install on entry, restore the previous on exit."""

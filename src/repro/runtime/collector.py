@@ -258,8 +258,3 @@ class CollectorAgent:
                 self._failed.add(node)
                 self.failure_events.append(FailureEvent(node, period, "down"))
                 self.metrics.incr(names.FAILURE_DETECTIONS)
-
-    @property
-    def failed_nodes(self) -> Set[NodeId]:
-        """Nodes currently flagged down by the failure detector."""
-        return set(self._failed)

@@ -77,14 +77,6 @@ class RuntimeReport:
     def messages_sent(self) -> int:
         return int(self.metrics.counter(names.MESSAGES_SENT))
 
-    @property
-    def messages_dropped(self) -> int:
-        return int(
-            self.metrics.counter(names.MESSAGES_DROPPED_CAPACITY)
-            + self.metrics.counter(names.MESSAGES_DROPPED_FAILURE)
-            + self.metrics.counter(names.MESSAGES_DROPPED_INVALID)
-        )
-
     # -- serialization -------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
         """Machine-readable snapshot (``repro run --json``)."""

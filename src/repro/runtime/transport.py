@@ -162,16 +162,6 @@ class MailboxTransport(Transport):
             self._metrics = RuntimeMetrics()
         return self._metrics
 
-    @property
-    def envelopes_sent(self) -> int:
-        """Total envelopes accepted for delivery (all series labels)."""
-        return int(self.metrics.counter(names.TRANSPORT_ENVELOPES_SENT))
-
-    @property
-    def envelopes_delivered(self) -> int:
-        """Total envelopes handed to a receiver via :meth:`recv`."""
-        return int(self.metrics.counter(names.TRANSPORT_ENVELOPES_DELIVERED))
-
     # One series each per transport, keyed on first use (by then the
     # run's hub is bound; ``bind_metrics`` is a no-op afterwards).
     @cached_property

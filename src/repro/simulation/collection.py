@@ -97,12 +97,6 @@ class CollectionStats:
             return 0.0
         return sum(p.fresh_fraction for p in self.periods) / len(self.periods)
 
-    @property
-    def delivery_ratio(self) -> float:
-        if self.messages_sent == 0:
-            return 1.0
-        return self.messages_delivered / self.messages_sent
-
     def summary(self) -> str:
         return (
             f"pairs={self.requested_pairs} periods={len(self.periods)} "

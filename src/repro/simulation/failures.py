@@ -10,9 +10,8 @@ outages that sever a single path.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List
 
 from repro.core.attributes import NodeId
 from repro.core.partition import AttributeSet
@@ -74,24 +73,3 @@ class FailureInjector:
         if receiver >= 0 and self.node_down(receiver, time):
             return True
         return False
-
-    @classmethod
-    def random_link_outages(
-        cls,
-        edges: Iterable[Tuple[NodeId, AttributeSet]],
-        outage_probability: float,
-        duration: float,
-        horizon: float,
-        seed: Optional[int] = None,
-    ) -> "FailureInjector":
-        """Each edge independently suffers one outage of ``duration`` at a
-        uniform start time with probability ``outage_probability``."""
-        if not 0.0 <= outage_probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {outage_probability}")
-        rng = random.Random(seed)
-        outages = []
-        for child, tree in edges:
-            if rng.random() < outage_probability:
-                start = rng.uniform(0.0, max(horizon - duration, 0.0))
-                outages.append(LinkOutage(child, tree, start, start + duration))
-        return cls(link_outages=outages)

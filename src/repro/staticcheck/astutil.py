@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Optional
 
 
 def dotted_name(node: ast.expr) -> Optional[str]:
@@ -33,23 +33,6 @@ def keyword_arg(node: ast.Call, name: str) -> Optional[ast.expr]:
         if kw.arg == name:
             return kw.value
     return None
-
-
-def walk_function_body(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's own body, not descending into nested defs.
-
-    Comprehensions and lambdas that merely *read* state still count as
-    part of the function (they run inline); nested ``def``/``async
-    def`` bodies do not (they run later, in their own frame).
-    """
-    stack = list(getattr(func, "body", []))
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stack.append(child)
 
 
 def is_upper_constant_ref(node: ast.expr) -> Optional[str]:

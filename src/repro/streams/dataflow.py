@@ -62,14 +62,8 @@ class DataflowGraph:
     def upstream_of(self, op_id: str) -> List[Operator]:
         return [self._operators[u] for u in self._graph.predecessors(op_id)]
 
-    def downstream_of(self, op_id: str) -> List[Operator]:
-        return [self._operators[d] for d in self._graph.successors(op_id)]
-
     def sources(self) -> List[Operator]:
         return [op for op in self if op.kind is OperatorKind.SOURCE]
-
-    def sinks(self) -> List[Operator]:
-        return [op for op in self if op.kind is OperatorKind.SINK]
 
     def topological_order(self) -> List[Operator]:
         """Operators in a valid processing order."""

@@ -29,11 +29,13 @@ from repro.streams.app import OS_METRICS, StreamApp
 from repro.streams.dataflow import DataflowGraph
 from repro.streams.operators import Operator, OperatorKind
 
+#: Statistical-predictor operators on each test line.
+PREDICTORS_PER_LINE = 4
+
 
 def make_yieldmonitor(
     n_nodes: int = 200,
     n_lines: int = 50,
-    predictors_per_line: int = 4,
     seed: Optional[int] = None,
 ) -> StreamApp:
     """Build and place the synthetic YieldMonitor application.
@@ -42,7 +44,7 @@ def make_yieldmonitor(
     operators over 200 nodes (>200 processes, as published) and every
     node exposes between 30 and 50 attributes.
     """
-    if n_nodes <= 0 or n_lines <= 0 or predictors_per_line <= 0:
+    if n_nodes <= 0 or n_lines <= 0:
         raise ValueError("application shape parameters must be positive")
     rng = random.Random(seed)
     graph = DataflowGraph()
@@ -79,7 +81,7 @@ def make_yieldmonitor(
             )
         )
         graph.connect(source.op_id, parse.op_id)
-        for p in range(predictors_per_line):
+        for p in range(PREDICTORS_PER_LINE):
             predictor = graph.add_operator(
                 Operator(
                     f"line{line:03d}.pred{p}",

@@ -21,33 +21,11 @@ Four builders are provided, mirroring Section 3.2.1 and Fig. 7:
   per-message overhead to maximize tree size.
 """
 
-import enum
-
 from repro.trees.model import MonitoringTree, NodeDemand, TreeInvariantError
 from repro.trees.star import StarTreeBuilder
 from repro.trees.chain import ChainTreeBuilder
 from repro.trees.max_avb import MaxAvailableTreeBuilder
 from repro.trees.adaptive import AdaptiveTreeBuilder
-
-
-class TreeBuilderKind(enum.Enum):
-    """Selector for the tree construction scheme (Fig. 7 comparands)."""
-
-    STAR = "star"
-    CHAIN = "chain"
-    MAX_AVB = "max_avb"
-    ADAPTIVE = "adaptive"
-
-    def create(self, **kwargs):
-        """Instantiate the corresponding builder."""
-        builders = {
-            TreeBuilderKind.STAR: StarTreeBuilder,
-            TreeBuilderKind.CHAIN: ChainTreeBuilder,
-            TreeBuilderKind.MAX_AVB: MaxAvailableTreeBuilder,
-            TreeBuilderKind.ADAPTIVE: AdaptiveTreeBuilder,
-        }
-        return builders[self](**kwargs)
-
 
 __all__ = [
     "AdaptiveTreeBuilder",
@@ -56,6 +34,5 @@ __all__ = [
     "MonitoringTree",
     "NodeDemand",
     "StarTreeBuilder",
-    "TreeBuilderKind",
     "TreeInvariantError",
 ]

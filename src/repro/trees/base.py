@@ -73,10 +73,6 @@ class TreeBuildResult:
     def included_count(self) -> int:
         return len(self.tree)
 
-    @property
-    def excluded_count(self) -> int:
-        return len(self.excluded)
-
 
 class GreedyTreeBuilder:
     """Template-method greedy builder.

@@ -478,10 +478,6 @@ class MonitoringTree:
             stack.extend(self._children[current])
         return result
 
-    def subtree_size(self, node: NodeId) -> int:
-        """Number of nodes in the subtree rooted at ``node``."""
-        return len(self.subtree_nodes(node))
-
     def edges(self) -> Set[Tuple[NodeId, NodeId]]:
         """All ``(child, parent)`` edges; the root edge uses parent ``-1``."""
         result: Set[Tuple[NodeId, NodeId]] = set()

@@ -8,16 +8,10 @@ picks 5% of the monitoring nodes and replaces 50% of their monitored
 attributes.
 """
 
-from repro.workloads.tasks import (
-    TaskSampler,
-    sample_large_tasks,
-    sample_small_tasks,
-)
+from repro.workloads.tasks import TaskSampler
 from repro.workloads.updates import TaskUpdateStream
 
 __all__ = [
     "TaskSampler",
     "TaskUpdateStream",
-    "sample_large_tasks",
-    "sample_small_tasks",
 ]

@@ -31,7 +31,7 @@ class TestLifecycle:
         report = svc.initialize(initial_tasks(), now=0.0)
         assert svc.plan is not None
         assert report.collected_pairs > 0
-        assert report.adaptation_messages == len(svc.plan.assignments())
+        assert report.adaptation_messages == sum(svc.plan.edge_multiset().values())
 
     @pytest.mark.parametrize("strategy", list(AdaptationStrategy))
     def test_add_task_extends_coverage(self, small_cluster, strategy):

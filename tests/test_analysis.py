@@ -1,11 +1,9 @@
 """Unit tests for reporting and statistics helpers."""
 
-import math
-
 import pytest
 
-from repro.analysis.report import Series, format_table, print_series, print_table
-from repro.analysis.stats import mean, percentile, relative_change
+from repro.analysis.report import Series, format_table
+from repro.analysis.stats import mean, percentile
 
 
 class TestStats:
@@ -30,12 +28,6 @@ class TestStats:
         with pytest.raises(ValueError):
             percentile([], 50)
 
-    def test_relative_change(self):
-        assert relative_change(12.0, 10.0) == pytest.approx(0.2)
-        assert relative_change(8.0, 10.0) == pytest.approx(-0.2)
-        assert relative_change(0.0, 0.0) == 0.0
-        assert math.isinf(relative_change(1.0, 0.0))
-
 
 class TestReport:
     def test_format_table_aligns(self):
@@ -50,17 +42,6 @@ class TestReport:
         s.add(0.5)
         s.add(0.7)
         assert s.values == [0.5, 0.7]
-
-    def test_print_series_shapes_rows(self, capsys):
-        s1, s2 = Series("a", [1.0, 2.0]), Series("b", [3.0])
-        print_series("fig", "n", [10, 20], [s1, s2])
-        out = capsys.readouterr().out
-        assert "fig" in out
-        assert "nan" in out  # missing point padded
-
-    def test_print_table(self, capsys):
-        print_table("t", ["c"], [[1]])
-        assert "== t ==" in capsys.readouterr().out
 
     def test_float_formatting(self):
         text = format_table("f", ["v"], [[0.123456]])

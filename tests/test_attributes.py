@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.core.attributes import (
-    NodeAttributePair,
-    attributes_of,
-    group_by_attribute,
-    group_by_node,
-    nodes_of,
-    pairs_for,
-)
+from repro.core.attributes import NodeAttributePair, pairs_for
 
 
 class TestNodeAttributePair:
@@ -17,9 +10,6 @@ class TestNodeAttributePair:
         pair = NodeAttributePair(3, "cpu")
         assert pair.node == 3
         assert pair.attribute == "cpu"
-
-    def test_as_tuple(self):
-        assert NodeAttributePair(1, "mem").as_tuple() == (1, "mem")
 
     def test_hashable_and_equal(self):
         assert NodeAttributePair(1, "a") == NodeAttributePair(1, "a")
@@ -48,23 +38,3 @@ class TestHelpers:
 
     def test_pairs_for_empty_nodes(self):
         assert pairs_for([], ["a"]) == set()
-
-    def test_attributes_of(self):
-        pairs = pairs_for([1, 2], ["a", "b"])
-        assert attributes_of(pairs) == {"a", "b"}
-
-    def test_nodes_of(self):
-        pairs = pairs_for([1, 2], ["a"])
-        assert nodes_of(pairs) == {1, 2}
-
-    def test_group_by_attribute(self):
-        pairs = pairs_for([1, 2], ["a"]) | {NodeAttributePair(3, "b")}
-        grouped = group_by_attribute(pairs)
-        assert grouped["a"] == {1, 2}
-        assert grouped["b"] == {3}
-
-    def test_group_by_node(self):
-        pairs = pairs_for([1], ["a", "b"]) | {NodeAttributePair(2, "a")}
-        grouped = group_by_node(pairs)
-        assert grouped[1] == {"a", "b"}
-        assert grouped[2] == {"a"}

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.checks import FAULT_KINDS
 from repro.cli import build_parser, main
+from repro.workloads import presets
 
 
 class TestParser:
@@ -54,6 +56,10 @@ class TestParser:
             ("plan", "--capacity", "0"),
             ("simulate", "--periods", "0"),
             ("simulate", "--periods", "-3"),
+            ("plan", "--central", "-5"),
+            ("plan", "--cost-a", "0"),
+            ("adapt", "--batches", "-2"),
+            ("serve", "--max-seconds", "-1"),
         ],
     )
     def test_a_non_positive_runtime_value_is_a_usage_error(self, capsys, command, flag, value):
@@ -63,6 +69,41 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be > 0, got {value}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, rule",
+        [
+            ("plan", "--cost-c", "-5", ">= 0"),
+            ("serve", "--port", "-1", "in 0..65535"),
+            ("serve", "--port", "65536", "in 0..65535"),
+        ],
+    )
+    def test_an_out_of_range_value_is_a_usage_error(self, capsys, command, flag, value, rule):
+        with pytest.raises(SystemExit) as exited:
+            main([command, flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be {rule}, got {value}" in err
+        assert "Traceback" not in err
+
+    def test_workload_flags_reach_the_built_workload(self, monkeypatch, capsys):
+        built = []
+
+        def spy(workload):
+            built.append(presets.build_workload(workload))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_workload", spy)
+        rc = main(
+            [
+                "plan", "--nodes", "12", "--tasks", "3", "--pool", "8", "--json",
+                "--central", "777", "--cost-c", "7.5", "--cost-a", "0.5",
+            ]
+        )
+        assert rc == 0
+        ((cluster, cost, _tasks),) = built
+        assert cluster.central_capacity == 777.0
+        assert (cost.per_message, cost.per_value) == (7.5, 0.5)
 
 
 class TestCommands:
@@ -79,6 +120,17 @@ class TestCommands:
         rc = main(["plan", "--nodes", "12", "--tasks", "3", "--pool", "8", "--seed", "5"])
         assert rc == 0
         assert "remo plan" in capsys.readouterr().out
+
+    def test_exhaustive_plan_evaluates_at_least_the_ranked_candidates(self, capsys):
+        small = ["plan", "--nodes", "20", "--tasks", "5", "--pool", "16", "--seed", "3", "--json"]
+        assert main(small) == 0
+        ranked = json.loads(capsys.readouterr().out)["planning"]
+        assert main([*small, "--exhaustive"]) == 0
+        exhaustive = json.loads(capsys.readouterr().out)["planning"]
+        assert ranked["exhaustive"] is False
+        assert exhaustive["exhaustive"] is True
+        # On this workload the whole neighbourhood outnumbers the ranked budget.
+        assert exhaustive["candidates_evaluated"] > ranked["candidates_evaluated"]
 
     def test_simulate_reports_error_metric(self, capsys):
         rc = main(

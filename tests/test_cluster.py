@@ -8,7 +8,6 @@ from repro.cluster.topology import (
     make_heterogeneous_cluster,
     make_uniform_cluster,
 )
-from repro.core.attributes import NodeAttributePair
 
 
 class TestSimNode:
@@ -42,26 +41,12 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster([SimNode(0, 5.0)], central_capacity=0.0)
 
-    def test_validate_pairs(self):
-        cluster = Cluster(
-            [SimNode(0, 5.0, frozenset({"a"}))], central_capacity=10.0
-        )
-        cluster.validate_pairs([NodeAttributePair(0, "a")])
-        with pytest.raises(ValueError):
-            cluster.validate_pairs([NodeAttributePair(0, "b")])
-        with pytest.raises(ValueError):
-            cluster.validate_pairs([NodeAttributePair(9, "a")])
-
     def test_observable_pairs(self):
         cluster = Cluster(
             [SimNode(0, 5.0, frozenset({"a", "b"})), SimNode(1, 5.0, frozenset({"a"}))],
             central_capacity=10.0,
         )
         assert len(cluster.observable_pairs()) == 3
-
-    def test_total_capacity(self):
-        cluster = Cluster([SimNode(0, 5.0), SimNode(1, 7.0)], central_capacity=10.0)
-        assert cluster.total_capacity() == pytest.approx(12.0)
 
 
 class TestGenerators:

@@ -11,9 +11,6 @@ class TestCostModel:
         assert model.message_cost(0) == pytest.approx(2.0)
         assert model.message_cost(10) == pytest.approx(7.0)
 
-    def test_overhead_ratio(self):
-        assert CostModel(8.0, 2.0).overhead_ratio == pytest.approx(4.0)
-
     def test_star_root_cost_linear_in_message_count(self):
         """The Fig. 2 observation: root cost scales with #messages."""
         model = CostModel(per_message=2.0, per_value=1.0)
@@ -28,11 +25,6 @@ class TestCostModel:
         one_big = model.message_cost(256)
         assert one_big < many_small / 50
 
-    def test_with_ratio(self):
-        model = CostModel(2.0, 1.0).with_ratio(16.0)
-        assert model.per_message == pytest.approx(16.0)
-        assert model.per_value == pytest.approx(1.0)
-
     def test_rejects_negative_per_message(self):
         with pytest.raises(ValueError):
             CostModel(per_message=-1.0)
@@ -44,10 +36,6 @@ class TestCostModel:
     def test_rejects_negative_values_in_message(self):
         with pytest.raises(ValueError):
             CostModel().message_cost(-1)
-
-    def test_rejects_negative_ratio(self):
-        with pytest.raises(ValueError):
-            CostModel().with_ratio(-2.0)
 
     def test_rejects_negative_children(self):
         with pytest.raises(ValueError):

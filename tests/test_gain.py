@@ -21,11 +21,6 @@ class TestContext:
         ctx = ctx_for(pairs_for([0], ["a"]) | pairs_for([1], ["b"]))
         assert ctx.set_mask(frozenset({"a", "b"})) == 0b11
 
-    def test_pair_volume(self):
-        ctx = ctx_for(pairs_for([0, 1, 2], ["a", "b"]))
-        assert ctx.pair_volume(frozenset({"a"})) == 3
-        assert ctx.pair_volume(frozenset({"a", "b"})) == 6
-
 
 class TestMergeGain:
     def test_shared_nodes_drive_gain(self):

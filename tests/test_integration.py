@@ -25,7 +25,7 @@ from repro.streams import (
     make_yieldmonitor,
     yieldmonitor_tasks,
 )
-from repro.workloads.tasks import sample_small_tasks
+from repro.workloads.tasks import TaskSampler
 from repro.workloads.updates import TaskUpdateStream
 
 COST = CostModel(per_message=8.0, per_value=1.0)
@@ -77,7 +77,9 @@ class TestPlanSimulateLoop:
 
 class TestAdaptationLoop:
     def test_service_survives_update_storm(self, medium_cluster):
-        tasks = sample_small_tasks(medium_cluster, 15, seed=31)
+        tasks = TaskSampler(medium_cluster, seed=31).sample_many(
+            15, (1, 4), (5, 20), prefix="small"
+        )
         stream = TaskUpdateStream(medium_cluster, tasks, seed=32)
         svc = AdaptiveMonitoringService(
             medium_cluster, COST, strategy=AdaptationStrategy.ADAPTIVE
@@ -90,7 +92,9 @@ class TestAdaptationLoop:
             svc.plan.validate(caps, medium_cluster.central_capacity)
 
     def test_adaptive_cheaper_than_rebuild_over_time(self, medium_cluster):
-        tasks = sample_small_tasks(medium_cluster, 15, seed=31)
+        tasks = TaskSampler(medium_cluster, seed=31).sample_many(
+            15, (1, 4), (5, 20), prefix="small"
+        )
         totals = {}
         for strategy in (AdaptationStrategy.REBUILD, AdaptationStrategy.ADAPTIVE):
             stream = TaskUpdateStream(medium_cluster, tasks, seed=32)

@@ -36,12 +36,6 @@ class TestConstruction:
         assert Partition([{"a"}, {"b", "c"}]) == Partition([{"c", "b"}, {"a"}])
         assert hash(Partition([{"a"}, {"b"}])) == hash(Partition([{"b"}, {"a"}]))
 
-    def test_set_of(self):
-        part = Partition([{"a", "b"}, {"c"}])
-        assert part.set_of("b") == {"a", "b"}
-        with pytest.raises(KeyError):
-            part.set_of("z")
-
 
 class TestOperations:
     def test_merge_unions_two_sets(self):
@@ -101,8 +95,8 @@ class TestNeighborhood:
 
     def test_neighbors_are_valid_partitions(self):
         part = Partition([{"a", "b"}, {"c"}, {"d"}])
-        for op, neighbor in part.neighbors():
-            assert neighbor.universe == part.universe
+        for op in [*part.merge_ops(), *part.split_ops()]:
+            assert part.apply(op).universe == part.universe
 
     def test_restrict_to_filters_merges(self):
         part = Partition([{"a"}, {"b"}, {"c"}])

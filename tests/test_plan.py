@@ -73,7 +73,7 @@ class TestAssignments:
         pairs = pairs_for(range(6), ["a", "b"])
         plan = plan_for(small_cluster, pairs, Partition([{"a"}, {"b"}]))
         total_nodes = sum(len(r.tree) for r in plan.trees.values())
-        assert len(plan.assignments()) == total_nodes
+        assert sum(plan.edge_multiset().values()) == total_nodes
 
     def test_identical_plans_have_zero_adaptation_cost(self, small_cluster):
         pairs = pairs_for(range(6), ["a"])

@@ -5,7 +5,7 @@ import pytest
 from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.partition import Partition
-from repro.core.planner import RemoPlanner, objective
+from repro.core.planner import RemoPlanner
 from repro.core.schemes import OneSetPlanner, SingletonSetPlanner
 from repro.workloads.presets import sampled_workload
 
@@ -37,6 +37,10 @@ class TestSearchMechanics:
         pairs = pairs_for(range(20), ["a", "b", "c"])
         sp_plan = SingletonSetPlanner(LIGHT).plan(pairs, tight_cluster)
         remo_plan = RemoPlanner(LIGHT).plan(pairs, tight_cluster)
+        # Problem Statement 1, lexicographically: pairs up, then volume down.
+        def objective(plan):
+            return (plan.collected_pair_count(), -plan.total_message_cost())
+
         assert objective(remo_plan) >= objective(sp_plan)
 
     def test_initial_partition_override(self, small_cluster):

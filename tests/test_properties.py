@@ -147,8 +147,6 @@ def test_task_manager_pairs_always_equal_union(script):
         for task in manager:
             expected |= task.pairs()
         assert manager.pairs() == expected
-        for pair in expected:
-            assert manager.multiplicity(pair) >= 1
 
 
 # ---------------------------------------------------------------------------

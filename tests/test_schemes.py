@@ -4,36 +4,31 @@ import pytest
 
 from repro.core.attributes import NodeAttributePair, pairs_for
 from repro.core.cost import CostModel
-from repro.core.schemes import (
-    OneSetPlanner,
-    SingletonSetPlanner,
-    as_pair_set,
-    observable_pairs,
-)
+from repro.core.schemes import OneSetPlanner, SingletonSetPlanner, observable_pairs
 from repro.core.tasks import DuplicateTaskError, MonitoringTask, TaskManager
 
 COST = CostModel(2.0, 1.0)
 
 
 class TestInputNormalization:
-    def test_accepts_task_list(self):
+    def test_accepts_task_list(self, small_cluster):
         tasks = [MonitoringTask("t", ["a"], [1, 2])]
-        assert as_pair_set(tasks) == frozenset(pairs_for([1, 2], ["a"]))
+        assert observable_pairs(tasks, small_cluster) == frozenset(pairs_for([1, 2], ["a"]))
 
-    def test_accepts_task_manager(self):
+    def test_accepts_task_manager(self, small_cluster):
         manager = TaskManager([MonitoringTask("t", ["a"], [1])])
-        assert as_pair_set(manager) == frozenset({NodeAttributePair(1, "a")})
+        assert observable_pairs(manager, small_cluster) == frozenset({NodeAttributePair(1, "a")})
 
-    def test_accepts_pairs(self):
+    def test_accepts_pairs(self, small_cluster):
         pairs = pairs_for([1], ["a"])
-        assert as_pair_set(pairs) == frozenset(pairs)
+        assert observable_pairs(pairs, small_cluster) == frozenset(pairs)
 
-    def test_empty_source(self):
-        assert as_pair_set([]) == frozenset()
+    def test_empty_source(self, small_cluster):
+        assert observable_pairs([], small_cluster) == frozenset()
 
-    def test_rejects_mixed_garbage(self):
+    def test_rejects_mixed_garbage(self, small_cluster):
         with pytest.raises(TypeError):
-            as_pair_set([MonitoringTask("t", ["a"], [1]), "nonsense"])
+            observable_pairs([MonitoringTask("t", ["a"], [1]), "nonsense"], small_cluster)
 
     def test_observable_pairs_clips_unobservable(self, small_cluster):
         tasks = [MonitoringTask("t", ["a", "zzz"], [0, 1, 99])]
@@ -46,14 +41,12 @@ class TestInputNormalization:
         from repro.workloads.presets import sampled_workload
 
         cluster, _cost, tasks = sampled_workload(nodes=40, tasks=25, capacity=200.0, seed=3)
-        assert as_pair_set(tasks) == as_pair_set(TaskManager(tasks))
         assert observable_pairs(tasks, cluster) == observable_pairs(TaskManager(tasks), cluster)
-        assert observable_pairs(tasks, cluster) == observable_pairs(as_pair_set(tasks), cluster)
+        pairs = TaskManager(tasks).pairs()
+        assert observable_pairs(tasks, cluster) == observable_pairs(pairs, cluster)
 
     def test_task_list_rejects_duplicate_ids(self, small_cluster):
         tasks = [MonitoringTask("t", ["a"], [0]), MonitoringTask("t", ["b"], [1])]
-        with pytest.raises(DuplicateTaskError):
-            as_pair_set(tasks)
         with pytest.raises(DuplicateTaskError):
             observable_pairs(tasks, small_cluster)
 

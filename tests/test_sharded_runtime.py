@@ -7,6 +7,7 @@ from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.core.plan import ShardedPlan
+from repro.obs import names
 from repro.runtime import COLLECTOR_ADDRESS, MonitoringRuntime, RuntimeConfig
 from repro.runtime.messages import collector_shard_address
 
@@ -76,4 +77,6 @@ class TestShardedRuntime:
             plan, small_cluster, config=RuntimeConfig(**FAST), sharded=sharded
         ).run(5)
         assert report.messages_sent == 5 * members
-        assert report.messages_dropped == 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) == 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) == 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_INVALID) == 0

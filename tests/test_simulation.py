@@ -31,7 +31,7 @@ class TestHappyPath:
         ).run(10)
         assert stats.messages_dropped_capacity == 0
         assert stats.messages_dropped_failure == 0
-        assert stats.delivery_ratio == pytest.approx(1.0)
+        assert stats.messages_delivered == stats.messages_sent
 
     def test_full_coverage_gives_low_error(self, small_cluster):
         pairs = pairs_for(range(6), ["a", "b"])
@@ -121,13 +121,6 @@ class TestFailures:
             LinkOutage(0, frozenset({"a"}), 5.0, 5.0)
         with pytest.raises(ValueError):
             NodeOutage(0, 2.0, 1.0)
-
-    def test_random_link_outages_respect_probability(self):
-        edges = [(i, frozenset({"a"})) for i in range(100)]
-        none = FailureInjector.random_link_outages(edges, 0.0, 1.0, 10.0, seed=1)
-        all_ = FailureInjector.random_link_outages(edges, 1.0, 1.0, 10.0, seed=1)
-        assert len(none.link_outages) == 0
-        assert len(all_.link_outages) == 100
 
 
 class TestConfig:

@@ -162,14 +162,3 @@ class TestInjectorSemantics:
         assert injector.node_down(1, 2.0)
         assert injector.node_down(1, 4.999)
         assert not injector.node_down(1, 5.0)
-
-    def test_random_outages_deterministic_for_seed(self):
-        edges = [(i, frozenset({"a"})) for i in range(50)]
-        a = FailureInjector.random_link_outages(edges, 0.5, 2.0, 20.0, seed=7)
-        b = FailureInjector.random_link_outages(edges, 0.5, 2.0, 20.0, seed=7)
-        assert a.link_outages == b.link_outages
-        assert 0 < len(a.link_outages) < 50
-
-    def test_random_outages_reject_bad_probability(self):
-        with pytest.raises(ValueError):
-            FailureInjector.random_link_outages([], 1.5, 1.0, 10.0)

@@ -105,7 +105,7 @@ class TestDataflowGraph:
     def test_sources_and_sinks(self):
         graph = small_graph()
         assert [op.op_id for op in graph.sources()] == ["src"]
-        assert [op.op_id for op in graph.sinks()] == ["sink"]
+        assert graph.topological_order()[-1].op_id == "sink"
 
 
 class TestStreamApp:

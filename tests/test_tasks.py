@@ -42,17 +42,6 @@ class TestMonitoringTask:
         with pytest.raises(ValueError):
             MonitoringTask("t", ["a"], [1], frequency=1.5)
 
-    def test_with_attributes_keeps_rest(self):
-        task = MonitoringTask("t", ["a"], [1], frequency=0.5)
-        updated = task.with_attributes(["b", "c"])
-        assert updated.attributes == {"b", "c"}
-        assert updated.nodes == {1}
-        assert updated.frequency == 0.5
-
-    def test_with_nodes(self):
-        task = MonitoringTask("t", ["a"], [1])
-        assert task.with_nodes([2, 3]).nodes == {2, 3}
-
 
 class TestTaskManagerDeduplication:
     def test_duplicate_pair_counted_once(self):
@@ -61,7 +50,10 @@ class TestTaskManagerDeduplication:
         manager.add_task(MonitoringTask("t1", ["cpu"], ["a", "b"]))
         manager.add_task(MonitoringTask("t2", ["cpu"], ["b", "c"]))
         assert manager.pair_count() == 3
-        assert manager.multiplicity(NodeAttributePair("b", "cpu")) == 2
+        manager.remove_task("t1")
+        assert NodeAttributePair("b", "cpu") in manager.pairs()
+        manager.remove_task("t2")
+        assert NodeAttributePair("b", "cpu") not in manager.pairs()
 
     def test_add_reports_only_new_pairs(self):
         manager = TaskManager()
@@ -94,16 +86,6 @@ class TestTaskManagerDeduplication:
         with pytest.raises(UnknownTaskError):
             TaskManager().remove_task("nope")
 
-    def test_tasks_requiring(self):
-        manager = TaskManager(
-            [
-                MonitoringTask("t1", ["a"], [1]),
-                MonitoringTask("t2", ["a", "b"], [1, 2]),
-            ]
-        )
-        requiring = manager.tasks_requiring(NodeAttributePair(1, "a"))
-        assert {t.task_id for t in requiring} == {"t1", "t2"}
-
     def test_len_and_contains(self):
         manager = TaskManager([MonitoringTask("t", ["a"], [1])])
         assert len(manager) == 1
@@ -116,7 +98,7 @@ class TestTaskManagerBatches:
         manager = TaskManager()
         task = MonitoringTask("t", ["a"], [1])
         delta = manager.apply([("add", task), ("remove", task)])
-        assert delta.is_empty
+        assert delta.added == delta.removed == frozenset()
         assert len(manager) == 0
 
     def test_batch_modify_sequence_nets(self):
@@ -127,7 +109,7 @@ class TestTaskManagerBatches:
                 ("modify", MonitoringTask("t", ["a"], [1])),
             ]
         )
-        assert delta.is_empty
+        assert delta.added == delta.removed == frozenset()
 
     def test_batch_unknown_op_rejected(self):
         with pytest.raises(ValueError):
@@ -138,4 +120,5 @@ class TestTaskManagerBatches:
         manager.add_task(MonitoringTask("t1", ["a"], [1]))
         manager.remove_task("t1")
         assert manager.pair_count() == 0
-        assert manager.multiplicity(NodeAttributePair(1, "a")) == 0
+        delta = manager.add_task(MonitoringTask("t2", ["a"], [1]))
+        assert delta.added == frozenset({NodeAttributePair(1, "a")})

@@ -81,7 +81,7 @@ class TestStructure:
     def test_subtree_nodes(self):
         tree = chain_tree(4)
         assert set(tree.subtree_nodes(1)) == {1, 2, 3}
-        assert tree.subtree_size(0) == 4
+        assert len(tree.subtree_nodes(0)) == 4
 
     def test_edges_include_central(self):
         tree = chain_tree(2)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.tasks import TaskManager
-from repro.workloads.tasks import TaskSampler, sample_large_tasks, sample_small_tasks
+from repro.workloads.tasks import TaskSampler
 from repro.workloads.updates import TaskUpdateStream
 
 
@@ -44,8 +44,13 @@ class TestTaskSampler:
             assert a.nodes == b.nodes
 
     def test_small_and_large_profiles(self, medium_cluster):
-        small = sample_small_tasks(medium_cluster, 10, seed=1)
-        large = sample_large_tasks(medium_cluster, 10, seed=1)
+        n = len(medium_cluster)
+        small = TaskSampler(medium_cluster, seed=1).sample_many(
+            10, (1, 4), (5, 20), prefix="small"
+        )
+        large = TaskSampler(medium_cluster, seed=1).sample_many(
+            10, (5, 15), (int(0.4 * n), int(0.9 * n)), prefix="large"
+        )
         mean_small = sum(len(t.nodes) for t in small) / len(small)
         mean_large = sum(len(t.nodes) for t in large) / len(large)
         assert mean_large > mean_small
@@ -53,7 +58,9 @@ class TestTaskSampler:
 
 class TestUpdateStream:
     def test_batches_modify_existing_tasks(self, medium_cluster):
-        tasks = sample_small_tasks(medium_cluster, 20, seed=2)
+        tasks = TaskSampler(medium_cluster, seed=2).sample_many(
+            20, (1, 4), (5, 20), prefix="small"
+        )
         stream = TaskUpdateStream(medium_cluster, tasks, seed=3)
         batch = stream.next_batch()
         known = {t.task_id for t in tasks}
@@ -62,7 +69,9 @@ class TestUpdateStream:
             assert task.task_id in known
 
     def test_batches_apply_cleanly_to_manager(self, medium_cluster):
-        tasks = sample_small_tasks(medium_cluster, 20, seed=2)
+        tasks = TaskSampler(medium_cluster, seed=2).sample_many(
+            20, (1, 4), (5, 20), prefix="small"
+        )
         manager = TaskManager(tasks)
         stream = TaskUpdateStream(medium_cluster, tasks, seed=3)
         for _ in range(5):
@@ -71,8 +80,8 @@ class TestUpdateStream:
         assert len(manager) == 20
 
     def test_attr_replacement_fraction(self, medium_cluster):
-        tasks = sample_small_tasks(
-            medium_cluster, 10, seed=2, attr_range=(4, 4)
+        tasks = TaskSampler(medium_cluster, seed=2).sample_many(
+            10, (4, 4), (5, 20), prefix="small"
         )
         stream = TaskUpdateStream(
             medium_cluster, tasks, node_fraction=1.0, attr_fraction=0.5, seed=3
@@ -85,7 +94,9 @@ class TestUpdateStream:
             assert kept <= len(old.attributes) - 1  # something replaced
 
     def test_rejects_bad_fractions(self, medium_cluster):
-        tasks = sample_small_tasks(medium_cluster, 5, seed=2)
+        tasks = TaskSampler(medium_cluster, seed=2).sample_many(
+            5, (1, 4), (5, 20), prefix="small"
+        )
         with pytest.raises(ValueError):
             TaskUpdateStream(medium_cluster, tasks, node_fraction=0.0)
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.schemes import as_pair_set
+from repro.core.tasks import TaskManager
 from repro.streams.app import build_stream_cluster
 from repro.streams.yieldmonitor import make_yieldmonitor, yieldmonitor_tasks
 
@@ -52,7 +52,7 @@ class TestTasks:
         app = make_yieldmonitor(n_nodes=20, n_lines=8, seed=3)
         cluster = build_stream_cluster(app, capacity=100.0)
         tasks = yieldmonitor_tasks(app, 15, seed=4)
-        pairs = as_pair_set(tasks)
+        pairs = TaskManager(tasks).pairs()
         observable = sum(
             1
             for p in pairs
