@@ -15,8 +15,7 @@ violating any node's resource constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Set
+from typing import Iterable, NamedTuple, Set
 
 #: Node identifiers are small integers assigned by the cluster substrate.
 NodeId = int
@@ -26,18 +25,22 @@ NodeId = int
 AttributeId = str
 
 
-@dataclass(frozen=True, order=True)
-class NodeAttributePair:
+class NodeAttributePair(NamedTuple):
     """A single unit of monitoring work: attribute ``attribute`` at node ``node``.
 
     Instances are immutable, hashable, and totally ordered so they can
     be used in sets, as dict keys, and in deterministic sorted output.
+    A tuple keeps hashing, equality and ordering in C; the hash is
+    ``hash((node, attribute))``, so sets of pairs iterate in a fixed
+    order for a given hash seed.  Being a tuple, a pair also equals
+    the plain ``(node, attribute)`` tuple and encodes to JSON as a
+    two-element list.
     """
 
     node: NodeId
     attribute: AttributeId
 
-    def __str__(self) -> str:  # pragma: no cover - display convenience
+    def __str__(self) -> str:
         return f"{self.node}:{self.attribute}"
 
 

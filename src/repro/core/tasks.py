@@ -16,8 +16,7 @@ became newly required or are no longer required by *any* task.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.attributes import AttributeId, NodeAttributePair, NodeId
@@ -45,6 +44,10 @@ class MonitoringTask:
     attributes: FrozenSet[AttributeId]
     nodes: FrozenSet[NodeId]
     frequency: float = 1.0
+    #: :meth:`pairs`' expansion, built on its first call.
+    _pairs: Optional[FrozenSet[NodeAttributePair]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __init__(
         self,
@@ -68,9 +71,19 @@ class MonitoringTask:
                 f"task {task_id!r} frequency must be in (0, 1], got {frequency}"
             )
 
-    def pairs(self) -> Set[NodeAttributePair]:
-        """Expand the task into its node-attribute pair list."""
-        return {NodeAttributePair(n, a) for n in self.nodes for a in self.attributes}
+    def pairs(self) -> FrozenSet[NodeAttributePair]:
+        """Expand the task into its node-attribute pair list.
+
+        The task is immutable, so the expansion is built once and the
+        same set is returned on every call.
+        """
+        pairs = self._pairs
+        if pairs is None:
+            pairs = frozenset(
+                NodeAttributePair(n, a) for n in self.nodes for a in self.attributes
+            )
+            object.__setattr__(self, "_pairs", pairs)
+        return pairs
 
     @property
     def size(self) -> int:
@@ -93,6 +106,34 @@ class TaskSetDelta:
     removed: FrozenSet[NodeAttributePair]
 
 
+def _acquire(
+    counts: Dict[NodeAttributePair, int], pairs: Iterable[NodeAttributePair]
+) -> FrozenSet[NodeAttributePair]:
+    """Count one more holder of each pair; return the pairs new to ``counts``."""
+    added: Set[NodeAttributePair] = set()
+    for pair in pairs:
+        held = counts.get(pair, 0)
+        if not held:
+            added.add(pair)
+        counts[pair] = held + 1
+    return frozenset(added)
+
+
+def _release(
+    counts: Dict[NodeAttributePair, int], pairs: Iterable[NodeAttributePair]
+) -> FrozenSet[NodeAttributePair]:
+    """Count one holder fewer of each pair; return the pairs now unheld."""
+    removed: Set[NodeAttributePair] = set()
+    for pair in pairs:
+        held = counts[pair] - 1
+        if held:
+            counts[pair] = held
+        else:
+            del counts[pair]
+            removed.add(pair)
+    return frozenset(removed)
+
+
 class DuplicateTaskError(ValueError):
     """Raised when adding a task whose id is already registered."""
 
@@ -112,7 +153,7 @@ class TaskManager:
 
     def __init__(self, tasks: Iterable[MonitoringTask] = ()) -> None:
         self._tasks: Dict[str, MonitoringTask] = {}
-        self._refcount: Counter = Counter()
+        self._refcount: Dict[NodeAttributePair, int] = {}
         for task in tasks:
             self.add_task(task)
 
@@ -155,44 +196,24 @@ class TaskManager:
         """Register ``task``; return the newly required pairs."""
         if task.task_id in self._tasks:
             raise DuplicateTaskError(task.task_id)
-        added = set()
-        for pair in task.pairs():
-            if self._refcount[pair] == 0:
-                added.add(pair)
-            self._refcount[pair] += 1
         self._tasks[task.task_id] = task
-        return TaskSetDelta(frozenset(added), frozenset())
+        return TaskSetDelta(_acquire(self._refcount, task.pairs()), frozenset())
 
     def remove_task(self, task_id: str) -> TaskSetDelta:
         """Deregister the task; return the pairs no longer required."""
         task = self.get(task_id)
-        removed = set()
-        for pair in task.pairs():
-            self._refcount[pair] -= 1
-            if self._refcount[pair] == 0:
-                del self._refcount[pair]
-                removed.add(pair)
         del self._tasks[task_id]
-        return TaskSetDelta(frozenset(), frozenset(removed))
+        return TaskSetDelta(frozenset(), _release(self._refcount, task.pairs()))
 
     def modify_task(self, task: MonitoringTask) -> TaskSetDelta:
         """Replace the registered task with the same id; return the net delta."""
         old = self.get(task.task_id)
         old_pairs = old.pairs()
         new_pairs = task.pairs()
-        removed = set()
-        for pair in old_pairs - new_pairs:
-            self._refcount[pair] -= 1
-            if self._refcount[pair] == 0:
-                del self._refcount[pair]
-                removed.add(pair)
-        added = set()
-        for pair in new_pairs - old_pairs:
-            if self._refcount[pair] == 0:
-                added.add(pair)
-            self._refcount[pair] += 1
+        removed = _release(self._refcount, old_pairs - new_pairs)
+        added = _acquire(self._refcount, new_pairs - old_pairs)
         self._tasks[task.task_id] = task
-        return TaskSetDelta(frozenset(added), frozenset(removed))
+        return TaskSetDelta(added, removed)
 
     def apply(self, delta_ops: Iterable[Tuple[str, Optional[MonitoringTask]]]) -> TaskSetDelta:
         """Apply a batch of ``(op, task)`` mutations, returning the net delta.
@@ -268,7 +289,7 @@ class MultiTenantTaskManager:
 
     def __init__(self) -> None:
         self._tenants: Dict[str, TaskManager] = {}
-        self._tenant_count: Counter = Counter()
+        self._tenant_count: Dict[NodeAttributePair, int] = {}
 
     # ------------------------------------------------------------------
     # Read side
@@ -312,18 +333,10 @@ class MultiTenantTaskManager:
 
     def _globalize(self, tenant: str, delta: TaskSetDelta) -> TaskSetDelta:
         """Translate a tenant-local delta into the cross-tenant delta."""
-        added: Set[NodeAttributePair] = set()
-        removed: Set[NodeAttributePair] = set()
-        for pair in delta.added:
-            if self._tenant_count[pair] == 0:
-                added.add(pair)
-            self._tenant_count[pair] += 1
-        for pair in delta.removed:
-            self._tenant_count[pair] -= 1
-            if self._tenant_count[pair] == 0:
-                del self._tenant_count[pair]
-                removed.add(pair)
-        return TaskSetDelta(frozenset(added), frozenset(removed))
+        return TaskSetDelta(
+            _acquire(self._tenant_count, delta.added),
+            _release(self._tenant_count, delta.removed),
+        )
 
     def add_task(self, tenant: str, task: MonitoringTask) -> TaskSetDelta:
         """Register ``task`` under ``tenant``; return the *global* delta."""

@@ -68,8 +68,18 @@ def parse_task(payload: object, task_id: Optional[str] = None) -> MonitoringTask
     nodes = payload.get("nodes")
     if not isinstance(attributes, list) or not isinstance(nodes, list):
         raise ValueError("task body needs 'attributes' and 'nodes' lists")
-    frequency = float(payload.get("frequency", 1.0))
-    return MonitoringTask(final_id, attributes, [int(n) for n in nodes], frequency)
+    # Types are checked, never coerced: what GET renders must PUT back
+    # as the same task (an int attribute would come back as a string).
+    for attribute in attributes:
+        if not isinstance(attribute, str) or not attribute:
+            raise ValueError(f"attributes must be non-empty strings, got {attribute!r}")
+    for node in nodes:
+        if isinstance(node, bool) or not isinstance(node, int):
+            raise ValueError(f"nodes must be JSON integers, got {node!r}")
+    frequency = payload.get("frequency", 1.0)
+    if isinstance(frequency, bool) or not isinstance(frequency, (int, float)):
+        raise ValueError(f"frequency must be a JSON number, got {frequency!r}")
+    return MonitoringTask(final_id, attributes, nodes, float(frequency))
 
 
 def task_as_dict(task: MonitoringTask) -> Dict[str, object]:

@@ -11,9 +11,12 @@ go negative, and plans never claim pairs they were not asked for.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.topology import make_uniform_cluster
 from repro.core.cost import AggregationKind, AggregationSpec, CostModel
 from repro.core.partition import Partition
-from repro.core.tasks import MonitoringTask, TaskManager
+from repro.core.tasks import MonitoringTask, MultiTenantTaskManager, TaskManager
+from repro.obs.metrics import MetricsRegistry
+from repro.serve import ControlPlane
 from repro.trees.adaptive import AdaptiveTreeBuilder
 from repro.trees.base import TreeBuildRequest
 from repro.trees.chain import ChainTreeBuilder
@@ -133,20 +136,100 @@ def task_scripts(draw):
     return script
 
 
+def _union(tasks):
+    pairs = set()
+    for task in tasks:
+        pairs |= task.pairs()
+    return pairs
+
+
 @given(task_scripts())
 def test_task_manager_pairs_always_equal_union(script):
     manager = TaskManager()
     for op, tid, attrs, nodes in script:
+        before = _union(manager)
         if op == "add":
-            manager.add_task(MonitoringTask(tid, attrs, nodes))
+            delta = manager.add_task(MonitoringTask(tid, attrs, nodes))
         elif op == "remove":
-            manager.remove_task(tid)
+            delta = manager.remove_task(tid)
         else:
-            manager.modify_task(MonitoringTask(tid, attrs, nodes))
-        expected = set()
-        for task in manager:
-            expected |= task.pairs()
+            delta = manager.modify_task(MonitoringTask(tid, attrs, nodes))
+        expected = _union(manager)
         assert manager.pairs() == expected
+        # Each op's delta is exactly the change in the union.
+        assert delta.added == expected - before
+        assert delta.removed == before - expected
+
+
+TENANTS = ["t0", "t1", "t2"]
+
+
+@st.composite
+def tenant_scripts(draw):
+    """Add/modify/remove ops over a few tenants on a small pair space,
+    so the same pair is often held by several tenants at once."""
+    script = []
+    live = set()
+    for i in range(draw(st.integers(1, 16))):
+        attrs = draw(st.sets(st.sampled_from(ATTRS[:3]), min_size=1, max_size=2))
+        nodes = draw(st.sets(st.integers(0, 3), min_size=1, max_size=3))
+        if live and draw(st.booleans()):
+            tenant, tid = draw(st.sampled_from(sorted(live)))
+            if draw(st.booleans()):
+                script.append(("remove", tenant, tid, None, None))
+                live.discard((tenant, tid))
+            else:
+                script.append(("modify", tenant, tid, attrs, nodes))
+        else:
+            tenant = draw(st.sampled_from(TENANTS))
+            # Ids repeat across tenants: namespaces are per tenant.
+            tid = f"t{i % 3}"
+            if (tenant, tid) in live:
+                tid = f"u{i}"
+            script.append(("add", tenant, tid, attrs, nodes))
+            live.add((tenant, tid))
+    return script
+
+
+def _tenant_union(manager):
+    return _union(task for tenant in manager.tenants() for task in manager.tasks(tenant))
+
+
+@given(tenant_scripts())
+def test_multi_tenant_delta_is_union_difference_per_op(script):
+    manager = MultiTenantTaskManager()
+    for op, tenant, tid, attrs, nodes in script:
+        before = _tenant_union(manager)
+        if op == "add":
+            delta = manager.add_task(tenant, MonitoringTask(tid, attrs, nodes))
+        elif op == "remove":
+            delta = manager.remove_task(tenant, tid)
+        else:
+            delta = manager.modify_task(tenant, MonitoringTask(tid, attrs, nodes))
+        after = _tenant_union(manager)
+        assert delta.added == after - before
+        assert delta.removed == before - after
+        assert manager.pairs() == after
+        assert manager.pair_count() == len(after)
+
+
+@settings(max_examples=15)
+@given(tenant_scripts(), st.integers(1, 4))
+def test_controlplane_service_pairs_match_tenants_after_adapt(script, adapt_every):
+    cluster = make_uniform_cluster(
+        n_nodes=4, capacity=100.0, attrs_per_node=2, attribute_pool=ATTRS[:3], seed=1
+    )
+    cp = ControlPlane(cluster, CostModel(per_message=2.0), metrics=MetricsRegistry())
+    for index, (op, tenant, tid, attrs, nodes) in enumerate(script, start=1):
+        if op == "add":
+            cp.submit_task(tenant, MonitoringTask(tid, attrs, nodes))
+        elif op == "remove":
+            cp.delete_task(tenant, tid)
+        else:
+            cp.update_task(tenant, MonitoringTask(tid, attrs, nodes))
+        if index % adapt_every == 0 or index == len(script):
+            cp.adapt()
+            assert cp.service.tasks.pairs() == cp.tenants.pairs()
 
 
 # ---------------------------------------------------------------------------

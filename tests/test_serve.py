@@ -254,3 +254,43 @@ class TestErrorMapping:
         with pytest.raises(ControlPlaneClientError) as err:
             client.run(0)
         assert err.value.status == 400
+
+
+class TestTaskBodyValidation:
+    """A task body is taken as JSON types, never coerced: what GET
+    renders is exactly what was stored."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nodes", [3.7]),
+            ("nodes", [True]),
+            ("nodes", ["4"]),
+            ("attributes", [1, 2]),
+            ("attributes", [""]),
+            ("frequency", True),
+        ],
+    )
+    def test_uncoerced_field_is_400(self, client, field, value):
+        body = {"attributes": ["attr00"], "nodes": [0, 1], "frequency": 1.0, field: value}
+        with pytest.raises(ControlPlaneClientError) as err:
+            client.submit_task("acme", "cpu", **body)
+        assert err.value.status == 400
+        assert field in err.value.message
+        assert client.tenants() == []
+
+    def test_get_put_round_trip_changes_nothing(self, controlplane, client):
+        client.submit_task("acme", "cpu", ["attr01", "attr00"], [5, 0, 3], frequency=0.5)
+        first = client.adapt()
+        before = client.get_task("acme", "cpu")
+        pairs = controlplane.tenants.pairs()
+        client.update_task(
+            "acme", "cpu", before["attributes"], before["nodes"], before["frequency"]
+        )
+        assert client.get_task("acme", "cpu") == before
+        assert controlplane.tenants.pairs() == pairs
+        # The staged modify nets to nothing: the plan does not move.
+        record = client.adapt()
+        assert record["requested_pairs"] == first["requested_pairs"]
+        assert record["coverage"] == first["coverage"]
+        assert record["adaptation_messages"] == 0
