@@ -69,7 +69,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.checks import (
@@ -102,7 +102,7 @@ from repro.runtime import AgentOutage, MonitoringRuntime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.serve import ControlPlane, run_serve
 from repro.simulation import MonitoringSimulation, SimulationConfig
-from repro.workloads.presets import build_workload
+from repro.workloads.presets import Scenario
 from repro.workloads.updates import TaskUpdateStream
 
 
@@ -240,31 +240,27 @@ def _emit_json(payload: Dict[str, Any]) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False))
 
 
-def _workload_params(args) -> Dict[str, Any]:
-    """The :func:`sampled_workload` kwargs described by CLI args."""
-    return {
-        "nodes": args.nodes,
-        "capacity": args.capacity,
-        "central": args.central,
-        "pool": args.pool,
-        "attrs_per_node": args.attrs_per_node,
-        "tasks": args.tasks,
-        "cost_c": args.cost_c,
-        "cost_a": args.cost_a,
-        "seed": args.seed,
-    }
+def _fail(message: str, code: int = 2) -> int:
+    """One line on stderr; the exit code is 2 (usage) unless given."""
+    print(message, file=sys.stderr)
+    return code
 
 
-def _workload(args) -> Tuple[Dict[str, Any], str]:
-    """The workload description ``args`` names (``--preset`` or the
-    sampling flags) and its label for report headers."""
-    if getattr(args, "preset", None) == "quickstart":
-        return {"preset": "quickstart"}, "quickstart"
-    return _workload_params(args), f"{args.nodes} nodes, {args.tasks} tasks"
-
-
-def _setup(args):
-    return build_workload(_workload(args)[0])
+def _scenario(args) -> Scenario:
+    """The scenario the :func:`_add_common` flags and ``--preset`` name."""
+    return Scenario(
+        preset=getattr(args, "preset", None),
+        nodes=args.nodes,
+        capacity=args.capacity,
+        central=args.central,
+        pool=args.pool,
+        attrs_per_node=args.attrs_per_node,
+        tasks=args.tasks,
+        cost_c=args.cost_c,
+        cost_a=args.cost_a,
+        seed=args.seed,
+        scheme=args.scheme,
+    )
 
 
 def _plan_summary(plan, elapsed: Optional[float] = None) -> Dict[str, Any]:
@@ -300,19 +296,16 @@ def _planning_stats_payload(stats) -> Dict[str, Any]:
 
 
 def _plan(args) -> int:
-    cluster, cost, tasks = _setup(args)
-    pstats = None
-    if args.scheme == "remo":
-        planner = RemoPlanner(
-            cost,
-            candidate_budget=None if getattr(args, "exhaustive", False) else 8,
-        )
+    scenario = _scenario(args)
+    cluster, cost, tasks = scenario.workload
+    scheme, pstats = scenario.scheme, None
+    if scheme == "remo":
+        planner = RemoPlanner(cost, candidate_budget=None if args.exhaustive else 8)
         plan, pstats = planner.plan_with_stats(tasks, cluster)
         elapsed = pstats.elapsed_seconds
     else:
-        planner = SCHEMES[args.scheme](cost)
-        with trace.timer(names.SPAN_PLANNER_PLAN, lane=names.LANE_PLANNER, scheme=args.scheme) as t:
-            plan = planner.plan(tasks, cluster)
+        with trace.timer(names.SPAN_PLANNER_PLAN, lane=names.LANE_PLANNER, scheme=scheme) as t:
+            plan = scenario.plan()
         elapsed = t.elapsed
     plan.validate({n.node_id: n.capacity for n in cluster}, cluster.central_capacity)
     summary = _plan_summary(plan, elapsed)
@@ -328,15 +321,15 @@ def _plan(args) -> int:
     if args.json:
         payload: Dict[str, Any] = {
             "command": "plan",
-            "scheme": args.scheme,
-            "nodes": args.nodes,
-            "tasks": args.tasks,
+            "scheme": scenario.scheme,
+            "nodes": scenario.nodes,
+            "tasks": scenario.tasks,
             "summary": summary,
             "trees": tree_rows,
         }
         if pstats is not None:
             payload["planning"] = _planning_stats_payload(pstats)
-            payload["planning"]["exhaustive"] = bool(getattr(args, "exhaustive", False))
+            payload["planning"]["exhaustive"] = args.exhaustive
         _emit_json(payload)
         return 0
     metric_rows = [
@@ -360,7 +353,7 @@ def _plan(args) -> int:
         )
     print(
         format_table(
-            f"{args.scheme} plan ({args.nodes} nodes, {args.tasks} tasks)",
+            f"{scenario.scheme} plan ({scenario.label})",
             ["metric", "value"],
             metric_rows,
         )
@@ -380,18 +373,18 @@ def _plan(args) -> int:
 
 
 def _simulate(args) -> int:
-    cluster, cost, tasks = _setup(args)
-    plan = SCHEMES[args.scheme](cost).plan(tasks, cluster)
+    scenario = _scenario(args)
+    plan = scenario.plan()
     stats = MonitoringSimulation(
-        plan, cluster, config=SimulationConfig(seed=args.seed)
+        plan, scenario.workload[0], config=SimulationConfig(seed=scenario.seed)
     ).run(args.periods)
     if args.json:
         _emit_json(
             {
                 "command": "simulate",
-                "scheme": args.scheme,
-                "nodes": args.nodes,
-                "tasks": args.tasks,
+                "scheme": scenario.scheme,
+                "nodes": scenario.nodes,
+                "tasks": scenario.tasks,
                 "periods": args.periods,
                 "planned_coverage": plan.coverage(),
                 "mean_percentage_error": stats.mean_percentage_error,
@@ -409,7 +402,7 @@ def _simulate(args) -> int:
         return 0
     print(
         format_table(
-            f"{args.scheme} simulated over {args.periods} periods",
+            f"{scenario.scheme} simulated over {args.periods} periods",
             ["metric", "value"],
             [
                 ["coverage (planned)", round(plan.coverage(), 4)],
@@ -427,11 +420,12 @@ def _simulate(args) -> int:
 
 
 def _adapt(args) -> int:
-    cluster, cost, tasks = _setup(args)
+    scenario = _scenario(args)
+    cluster, cost, tasks = scenario.workload
     strategy = AdaptationStrategy(args.strategy)
     svc = AdaptiveMonitoringService(cluster, cost, strategy=strategy)
     svc.initialize(tasks, now=0.0)
-    stream = TaskUpdateStream(cluster, tasks, seed=args.seed + 2)
+    stream = TaskUpdateStream(cluster, tasks, seed=scenario.seed + 2)
     batches = []
     for step in range(args.batches):
         batch = stream.next_batch()
@@ -452,8 +446,8 @@ def _adapt(args) -> int:
             {
                 "command": "adapt",
                 "strategy": strategy.value,
-                "nodes": args.nodes,
-                "tasks": args.tasks,
+                "nodes": scenario.nodes,
+                "tasks": scenario.tasks,
                 "batches": batches,
             }
         )
@@ -488,13 +482,12 @@ def _check(args) -> int:
         ]
         print(format_table("diagnostic codes", ["code", "severity", "title"], rows))
         return 0
-    workload, label = _workload(args)
-    cluster, cost, tasks = build_workload(workload)
-    plan = SCHEMES[args.scheme](cost).plan(tasks, cluster)
+    scenario = _scenario(args)
+    plan = scenario.plan()
     if args.corrupt:
         print(f"injected fault: {inject_fault(plan, args.corrupt)}")
-    report = check_plan_for_cluster(plan, cluster)
-    header = f"{args.scheme} plan ({label}): "
+    report = check_plan_for_cluster(plan, scenario.workload[0])
+    header = f"{scenario.scheme} plan ({scenario.label}): "
     if not report:
         print(header + "all invariants hold, no diagnostics")
         return 0
@@ -535,9 +528,15 @@ def _parse_outage(spec: str) -> AgentOutage:
 
 
 def _run(args) -> int:
-    workload, label = _workload(args)
-    cluster, cost, tasks = build_workload(workload)
-    plan = SCHEMES[args.scheme](cost).plan(tasks, cluster)
+    scenario = _scenario(args)
+    cluster = scenario.workload[0]
+    missing = [outage.node for outage in args.fail_node if outage.node not in cluster]
+    if missing:
+        return _fail(
+            f"repro run: --fail-node names node {missing[0]}, which the "
+            f"{len(cluster)}-node cluster does not have"
+        )
+    plan = scenario.plan()
     check_summary = _launch_gate(plan, cluster)
     if check_summary["errors"]:
         return 1
@@ -555,15 +554,15 @@ def _run(args) -> int:
     if args.json:
         payload: Dict[str, Any] = {
             "command": "run",
-            "scheme": args.scheme,
-            "workload": label,
+            "scheme": scenario.scheme,
+            "workload": scenario.label,
             "plan": _plan_summary(plan),
             "plan_check": check_summary,
         }
         payload.update(report.as_dict())
         _emit_json(payload)
         return 0
-    print(report.render(f"{args.scheme} live run ({label}, {args.periods} periods)"))
+    print(report.render(f"{scenario.scheme} live run ({scenario.label}, {args.periods} periods)"))
     return 0
 
 
@@ -577,23 +576,27 @@ def _parse_chaos(spec: str):
 
 def _deploy(args) -> int:
     """Shard the plan across worker processes over real TCP."""
-    workload, label = _workload(args)
+    beyond = [rank for rank, _seconds in args.chaos_kill if rank >= args.workers]
+    if beyond:
+        return _fail(
+            f"repro deploy: --chaos-kill rank {beyond[0]} is out of range "
+            f"for {args.workers} worker(s)"
+        )
+    scenario = _scenario(args)
     try:
-        spec, plan, cluster = make_spec(
-            workload=workload,
-            scheme=args.scheme,
+        spec, plan = make_spec(
+            scenario,
             workers=args.workers,
             periods=args.periods,
             config=_runtime_config(args),
             rundir=args.rundir,
             host=args.host,
             collectors=args.collectors,
-            trace=getattr(args, "trace", None) is not None,
+            trace=args.trace is not None,
         )
     except ValueError as exc:
-        print(f"repro deploy: {exc}", file=sys.stderr)
-        return 1
-    check_summary = _launch_gate(plan, cluster)
+        return _fail(f"repro deploy: {exc}", 1)
+    check_summary = _launch_gate(plan, scenario.workload[0])
     if check_summary["errors"]:
         _record_check_failure(spec, check_summary["errors"])
         return 1
@@ -605,8 +608,7 @@ def _deploy(args) -> int:
             metrics=RuntimeMetrics(registry=default_registry()),
         )
     except DeployError as exc:
-        print(f"repro deploy: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"repro deploy: {exc}", 1)
     # Fold every child process's span artifact into the supervisor's
     # tracer: the ``--trace`` export then covers the whole deployment
     # (one monitoring period = one trace id across all processes).
@@ -620,8 +622,8 @@ def _deploy(args) -> int:
     if args.json:
         payload: Dict[str, Any] = {
             "command": "deploy",
-            "scheme": args.scheme,
-            "workload": label,
+            "scheme": scenario.scheme,
+            "workload": scenario.label,
             "workers": spec.workers,
             "collectors": spec.collectors,
             "restarts": outcome.restarts,
@@ -637,7 +639,7 @@ def _deploy(args) -> int:
         return 0
     print(
         format_table(
-            f"deployment ({label}, {spec.workers} workers)",
+            f"deployment ({scenario.label}, {spec.workers} workers)",
             ["process", "endpoint", "nodes"],
             [
                 *[
@@ -655,7 +657,7 @@ def _deploy(args) -> int:
     print()
     print(
         report.render(
-            f"{args.scheme} deployed run ({label}, {args.periods} periods, "
+            f"{scenario.scheme} deployed run ({scenario.label}, {args.periods} periods, "
             f"{spec.workers} workers, {outcome.restart_total()} restart(s))"
         )
     )
@@ -693,8 +695,7 @@ def _metrics(args) -> int:
         with open(args.path) as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"cannot read {args.path}: {exc}", 1)
     problems = check_prometheus_text(text)
     if problems:
         for problem in problems:
@@ -744,36 +745,27 @@ def _critical_path(trace_spans) -> List[str]:
 
 def _trace_cmd(args) -> int:
     """Merge a deploy rundir's per-process span artifacts into one trace."""
-    files = sorted(glob.glob(os.path.join(args.rundir, "trace-*.jsonl")))
-    if not files:
-        print(
-            f"repro trace: no trace-*.jsonl artifacts in {args.rundir} "
-            "(was the deploy run with --trace?)",
-            file=sys.stderr,
-        )
-        return 2
     by_file: Dict[str, list] = {}
     spans = []
-    for path in files:
+    for path in sorted(glob.glob(os.path.join(args.rundir, "trace-*.jsonl"))):
         try:
             by_file[os.path.basename(path)] = read_jsonl_spans(path)
         except (OSError, ValueError) as exc:
-            print(f"repro trace: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
+            return _fail(f"repro trace: cannot read {path}: {exc}")
         spans.extend(by_file[os.path.basename(path)])
+    if not spans:
+        return _fail(
+            f"repro trace: no trace-*.jsonl spans in {args.rundir} "
+            "(was the deploy run with --trace?)"
+        )
 
     problems: List[str] = []
     if args.strict:
         spec_path = os.path.join(args.rundir, "spec.json")
         try:
-            with open(spec_path, encoding="utf-8") as fh:
-                spec = DeploySpec.from_dict(json.load(fh))
+            spec = DeploySpec.load(spec_path)
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(
-                f"repro trace: --strict needs a readable {spec_path}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+            return _fail(f"repro trace: --strict needs a readable {spec_path}: {exc}")
         roles = ["collector"] + [f"worker-{rank}" for rank in range(spec.workers)]
         for role in roles:
             if not by_file.get(f"trace-{role}.jsonl"):
@@ -857,10 +849,9 @@ def _trace_cmd(args) -> int:
 
 def _serve(args) -> int:
     """Run the control-plane HTTP service (blocks until stopped)."""
-    cluster, cost, _tasks = _setup(args)
-    label = "quickstart" if args.preset == "quickstart" else f"{args.nodes} nodes"
-    # The workload's sampled tasks are ignored on purpose: the service
-    # starts empty and tenants populate it over HTTP.
+    # The scenario's tasks are ignored on purpose, and it is never
+    # planned: the service starts empty and tenants populate it over HTTP.
+    cluster, cost, _tasks = _scenario(args).workload
     try:
         controlplane = ControlPlane(
             cluster,
@@ -871,9 +862,8 @@ def _serve(args) -> int:
             metrics=default_registry(),
         )
     except ValueError as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
-    print(f"control plane over {label}: {args.collectors} collector shard(s)", flush=True)
+        return _fail(f"repro serve: {exc}")
+    print(f"control plane: {len(cluster)} nodes, {args.collectors} collector shard(s)", flush=True)
     run_serve(
         controlplane,
         host=args.host,
@@ -896,11 +886,9 @@ def _lint(args) -> int:
     try:
         result = lint_paths(targets, root=Path.cwd(), codes=args.rule)
     except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"repro lint: {exc}")
     except KeyError as exc:
-        print(f"repro lint: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _fail(f"repro lint: {exc.args[0]}")
     print(render(result, args.format))
     return 0 if result.ok else 1
 

@@ -2,10 +2,10 @@
 
 The deployment model keeps every process *deterministically
 reconstructible* instead of shipping objects between processes: a
-:class:`DeploySpec` (a small JSON document) names the workload
-parameters, scheme, runtime config, shard assignment, and endpoint
-table, and every child process independently rebuilds the identical
-cluster, task list, plan, and ground-truth
+:class:`DeploySpec` (a small JSON document) carries the
+:class:`~repro.workloads.presets.Scenario`, runtime config, shard
+assignment, and endpoint table, and every child process independently
+rebuilds the identical cluster, task list, plan, and ground-truth
 :class:`~repro.cluster.metrics.MetricRegistry` from it.  (Planning and
 sampling are fully seeded and hash-order independent, so N processes
 re-planning from one spec agree bit-for-bit -- and a worker that is
@@ -36,13 +36,10 @@ import os
 import socket
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster.node import Cluster
-from repro.core import SCHEMES
 from repro.core.attributes import NodeId
-from repro.core.cost import CostModel
 from repro.core.plan import MonitoringPlan, ShardedPlan
 from repro.net.directory import Endpoint, PeerDirectory
 from repro.obs import log, names
@@ -52,7 +49,7 @@ from repro.runtime.engine import wait_until
 from repro.runtime.messages import check_collector_count, collector_shard_address
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimePeriodSample, RuntimeReport
-from repro.workloads.presets import build_workload
+from repro.workloads.presets import Scenario
 
 #: Worker control inboxes live at ``CONTROL_ADDRESS_BASE - rank`` --
 #: below every plan NodeId (>= 0) and distinct from the collector (-1).
@@ -115,8 +112,7 @@ def allocate_endpoints(count: int, host: str = "127.0.0.1") -> List[Endpoint]:
 class DeploySpec:
     """The JSON-serializable contract between supervisor and children."""
 
-    workload: Dict[str, Any]
-    scheme: str
+    scenario: Scenario
     periods: int
     shards: List[List[NodeId]]
     worker_endpoints: List[Endpoint]
@@ -136,14 +132,6 @@ class DeploySpec:
         return len(self.shards)
 
     # -- reconstruction -------------------------------------------------
-    def build_workload(self) -> Tuple[Cluster, CostModel, list]:
-        return build_workload(self.workload)
-
-    def build_plan(self) -> Tuple[Cluster, CostModel, MonitoringPlan]:
-        cluster, cost, tasks = self.build_workload()
-        plan = SCHEMES[self.scheme](cost).plan(tasks, cluster)
-        return cluster, cost, plan
-
     def build_config(self) -> RuntimeConfig:
         return RuntimeConfig(**self.config)
 
@@ -201,41 +189,18 @@ class DeploySpec:
         return os.path.join(self.rundir, "go")
 
     # -- serialization -------------------------------------------------
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "scheme": self.scheme,
-            "periods": self.periods,
-            "shards": [list(shard) for shard in self.shards],
-            "worker_endpoints": [list(e.as_pair()) for e in self.worker_endpoints],
-            "collector_endpoint": list(self.collector_endpoint.as_pair()),
-            "rundir": self.rundir,
-            "config": self.config,
-            "collectors": self.collectors,
-            "trace": self.trace,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DeploySpec":
-        return cls(
-            workload=dict(data["workload"]),
-            scheme=str(data["scheme"]),
-            periods=int(data["periods"]),
-            shards=[[int(n) for n in shard] for shard in data["shards"]],
-            worker_endpoints=[
-                Endpoint(str(h), int(p)) for h, p in data["worker_endpoints"]
-            ],
-            collector_endpoint=Endpoint(
-                str(data["collector_endpoint"][0]), int(data["collector_endpoint"][1])
-            ),
-            rundir=str(data["rundir"]),
-            config=dict(data.get("config", {})),
-            collectors=int(data.get("collectors", 1)),
-            trace=bool(data.get("trace", False)),
-        )
+        """Inverse of the ``asdict`` that :meth:`save` writes."""
+        return cls(**{
+            **data,
+            "scenario": Scenario(**data["scenario"]),
+            "worker_endpoints": [Endpoint(**e) for e in data["worker_endpoints"]],
+            "collector_endpoint": Endpoint(**data["collector_endpoint"]),
+        })  # fmt: skip
 
     def save(self) -> str:
-        write_json_atomic(self.spec_path, self.as_dict())
+        write_json_atomic(self.spec_path, asdict(self))
         return self.spec_path
 
     @classmethod
@@ -257,8 +222,7 @@ def write_json_atomic(path: str, payload: Mapping[str, Any]) -> None:
 # Spec construction
 # ---------------------------------------------------------------------------
 def make_spec(
-    workload: Mapping[str, Any],
-    scheme: str,
+    scenario: Scenario,
     workers: int,
     periods: int,
     config: Mapping[str, Any],
@@ -266,36 +230,32 @@ def make_spec(
     host: str = "127.0.0.1",
     collectors: int = 1,
     trace: bool = False,
-) -> Tuple[DeploySpec, MonitoringPlan, Cluster]:
+) -> Tuple[DeploySpec, MonitoringPlan]:
     """Plan once, shard, allocate ports, and save the spec.
 
-    Returns the saved spec and the supervisor's plan and cluster (for
-    the pre-launch plan check and report headers).
+    Returns the saved spec and the supervisor's plan (for the pre-launch
+    plan check and report headers).
     """
     check_collector_count(collectors)
     if rundir is None:
         rundir = tempfile.mkdtemp(prefix="repro-deploy-")
     else:
         os.makedirs(rundir, exist_ok=True)
+    plan = scenario.plan()
+    endpoints = allocate_endpoints(workers + 1, host=host)
     spec = DeploySpec(
-        workload=dict(workload),
-        scheme=scheme,
+        scenario=scenario,
         periods=periods,
-        shards=[],
-        worker_endpoints=[],
-        collector_endpoint=Endpoint(host, 0),
+        shards=shard_nodes(participating_nodes(plan), workers),
+        worker_endpoints=endpoints[:workers],
+        collector_endpoint=endpoints[workers],
         rundir=rundir,
         config=dict(config),
         collectors=collectors,
         trace=trace,
     )
-    cluster, _cost, plan = spec.build_plan()
-    spec.shards = shard_nodes(participating_nodes(plan), workers)
-    endpoints = allocate_endpoints(workers + 1, host=host)
-    spec.worker_endpoints = endpoints[:workers]
-    spec.collector_endpoint = endpoints[workers]
     spec.save()
-    return spec, plan, cluster
+    return spec, plan
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +284,7 @@ class DeployError(RuntimeError):
 
 def run_deploy(
     spec: DeploySpec,
-    plan: Optional[MonitoringPlan] = None,
+    plan: MonitoringPlan,
     chaos_kill: Optional[Mapping[int, float]] = None,
     startup_timeout: float = 30.0,
     metrics: Optional[RuntimeMetrics] = None,
@@ -346,8 +306,6 @@ def run_deploy(
 
     from repro.net.worker import collector_main, worker_main
 
-    if plan is None:
-        _cluster, _cost, plan = spec.build_plan()
     merged = metrics if metrics is not None else RuntimeMetrics()
     started = time.monotonic()
     context = multiprocessing.get_context("spawn")

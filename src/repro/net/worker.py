@@ -56,7 +56,7 @@ class _DeployHost:
     def __init__(self, spec: DeploySpec, endpoint: Endpoint) -> None:
         self.spec = spec
         self.config = spec.build_config()
-        self.cluster, _cost, self.plan = spec.build_plan()
+        self.cluster, self.plan = spec.scenario.workload[0], spec.scenario.plan()
         self.sharded = spec.build_sharded(self.plan)
         self.registry = ground_truth(self.plan, self.config.seed)
         self.metrics = RuntimeMetrics()

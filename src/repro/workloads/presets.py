@@ -1,17 +1,22 @@
-"""Canonical ready-made workloads.
+"""Canonical ready-made workloads and the :class:`Scenario` built on them.
 
 The quickstart example, the ``repro check`` CLI default, and CI all
 exercise the same cluster + task mix so "the quickstart workload" is
-one definition, not three drifting copies.
+one definition, not three drifting copies.  Outside ``repro.core``,
+:meth:`Scenario.plan` is the one place a workload becomes a plan.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 from repro.cluster.node import Cluster
 from repro.cluster.topology import default_attribute_pool, make_uniform_cluster
+from repro.core import SCHEMES
 from repro.core.cost import CostModel
+from repro.core.plan import MonitoringPlan
 from repro.core.tasks import MonitoringTask
 from repro.workloads.tasks import TaskSampler
 
@@ -54,10 +59,10 @@ def sampled_workload(
 ) -> Tuple[Cluster, CostModel, List[MonitoringTask]]:
     """The CLI's sampled workload: a uniform cluster plus random tasks.
 
-    ``repro plan/simulate/run`` and every ``repro deploy`` child
-    process construct their workload through this one function, so a
-    worker rebuilding its world from a deploy spec gets bit-identical
-    cluster, cost model, and task list (sampling is fully seeded).
+    A :class:`Scenario` without a preset builds through this one
+    function, so a deploy worker rebuilding its world from the spec
+    gets a bit-identical cluster, cost model, and task list (sampling
+    is fully seeded).
     """
     cluster = make_uniform_cluster(
         n_nodes=nodes,
@@ -74,19 +79,56 @@ def sampled_workload(
     return cluster, cost, sampled
 
 
-def build_workload(
-    workload: Mapping[str, Any],
-) -> Tuple[Cluster, CostModel, List[MonitoringTask]]:
-    """Resolve a workload description: ``{"preset": "quickstart"}`` or
-    the :func:`sampled_workload` keyword arguments.
+@dataclass(frozen=True)
+class Scenario:
+    """The paper's planning input and the scheme that plans it.
 
-    The one place a ``--preset`` choice is turned into a workload, for
-    the CLI and for every ``repro deploy`` child rebuilding its spec's.
+    ``preset="quickstart"`` names :func:`quickstart_workload`; otherwise
+    the nine sampled fields are :func:`sampled_workload`'s arguments.
+    The CLI builds one from its flags and every ``repro deploy`` child
+    rebuilds it from the spec, so all of them plan the identical input.
     """
-    params = dict(workload)
-    preset = params.pop("preset", None)
-    if preset == "quickstart":
-        return quickstart_workload()
-    if preset is not None:
-        raise ValueError(f"unknown workload preset {preset!r}")
-    return sampled_workload(**params)
+
+    preset: Optional[str] = None
+    nodes: int = 64
+    capacity: float = 400.0
+    central: Optional[float] = None
+    pool: int = 32
+    attrs_per_node: int = 16
+    tasks: int = 15
+    cost_c: float = 20.0
+    cost_a: float = 1.0
+    seed: int = 1
+    scheme: str = "remo"
+
+    def __post_init__(self) -> None:
+        if self.preset not in (None, "quickstart"):
+            raise ValueError(f"unknown workload preset {self.preset!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+
+    @cached_property
+    def workload(self) -> Tuple[Cluster, CostModel, List[MonitoringTask]]:
+        """The cluster, cost model and tasks, built once per scenario."""
+        if self.preset == "quickstart":
+            return quickstart_workload()
+        return sampled_workload(
+            nodes=self.nodes,
+            capacity=self.capacity,
+            central=self.central,
+            pool=self.pool,
+            attrs_per_node=self.attrs_per_node,
+            tasks=self.tasks,
+            cost_c=self.cost_c,
+            cost_a=self.cost_a,
+            seed=self.seed,
+        )
+
+    @property
+    def label(self) -> str:
+        """The workload's name in report headers."""
+        return self.preset or f"{self.nodes} nodes, {self.tasks} tasks"
+
+    def plan(self) -> MonitoringPlan:
+        cluster, cost, tasks = self.workload
+        return SCHEMES[self.scheme](cost).plan(tasks, cluster)

@@ -7,7 +7,9 @@ import pytest
 from repro import cli
 from repro.checks import FAULT_KINDS
 from repro.cli import build_parser, main
-from repro.workloads import presets
+from repro.net.deploy import participating_nodes
+from repro.obs.export import parse_prometheus_text
+from repro.workloads.presets import Scenario
 
 
 class TestParser:
@@ -88,22 +90,36 @@ class TestParser:
 
     def test_workload_flags_reach_the_built_workload(self, monkeypatch, capsys):
         built = []
+        scenario_of = cli._scenario
 
-        def spy(workload):
-            built.append(presets.build_workload(workload))
+        def spy(args):
+            built.append(scenario_of(args))
             return built[-1]
 
-        monkeypatch.setattr(cli, "build_workload", spy)
+        monkeypatch.setattr(cli, "_scenario", spy)
         rc = main(
             [
-                "plan", "--nodes", "12", "--tasks", "3", "--pool", "8", "--json",
-                "--central", "777", "--cost-c", "7.5", "--cost-a", "0.5",
+                "plan", "--nodes", "12", "--capacity", "250", "--central", "777",
+                "--pool", "8", "--attrs-per-node", "5", "--tasks", "3",
+                "--cost-c", "7.5", "--cost-a", "0.5", "--seed", "4",
+                "--scheme", "one-set", "--json",
             ]
         )
         assert rc == 0
-        ((cluster, cost, _tasks),) = built
+        (scenario,) = built
+        assert scenario == Scenario(
+            nodes=12, capacity=250.0, central=777.0, pool=8, attrs_per_node=5,
+            tasks=3, cost_c=7.5, cost_a=0.5, seed=4, scheme="one-set",
+        )  # fmt: skip
+        cluster, cost, tasks = scenario.workload
+        assert len(cluster) == 12
+        assert {node.capacity for node in cluster} == {250.0}
         assert cluster.central_capacity == 777.0
+        assert {len(node.attributes) for node in cluster} == {5}
+        assert len({a for node in cluster for a in node.attributes}) <= 8
+        assert len(tasks) == 3
         assert (cost.per_message, cost.per_value) == (7.5, 0.5)
+        assert json.loads(capsys.readouterr().out)["scheme"] == "one-set"
 
 
 class TestCommands:
@@ -195,6 +211,32 @@ class TestCommands:
         assert rc == 1
         assert self.FAULT_CODES[kind] in out, out
 
+    def test_run_rejects_an_outage_on_a_node_the_cluster_lacks(self, capsys):
+        rc = main(["run", "--preset", "quickstart", "--fail-node", "999:0:2", "--periods", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "node 999" in err and "64-node cluster" in err
+
+    def test_run_accepts_an_outage_on_a_node_the_plan_leaves_out(self, capsys):
+        flags = ["--nodes", "24", "--tasks", "1", "--pool", "8", "--seed", "5"]
+        plan = Scenario(nodes=24, tasks=1, pool=8, seed=5).plan()
+        idle = min(set(range(24)) - set(participating_nodes(plan)))
+        argv = ["run", *flags, "--fail-node", f"{idle}:0:1", "--periods", "2", "--json"]
+        assert main([*argv, "--period-seconds", "0.05"]) == 0
+        assert json.loads(capsys.readouterr().out)["periods"] == 2
+
+    def test_serve_uses_the_cluster_and_never_plans(self, tmp_path, monkeypatch, capsys):
+        def no_plan(scenario):
+            raise AssertionError("repro serve planned its scenario")
+
+        monkeypatch.setattr(Scenario, "plan", no_plan)
+        announce = tmp_path / "serve.json"
+        argv = ["serve", "--preset", "quickstart", "--host", "127.0.0.1", "--port", "0"]
+        assert main([*argv, "--announce", str(announce), "--max-seconds", "0.2"]) == 0
+        assert json.loads(announce.read_text())["host"] == "127.0.0.1"
+        assert "control plane: 64 nodes, 1 collector shard(s)" in capsys.readouterr().out
+
     def test_check_codes_lists_registry(self, capsys):
         rc = main(["check", "--codes"])
         out = capsys.readouterr().out
@@ -249,3 +291,55 @@ class TestJsonOutput:
         assert payload["strategy"] == "direct_apply"
         assert [b["batch"] for b in payload["batches"]] == [1, 2]
         assert all("coverage" in b for b in payload["batches"])
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    """A ``repro run --metrics`` snapshot file."""
+    path = tmp_path_factory.mktemp("metrics") / "run.prom"
+    argv = ["run", "--preset", "quickstart", "--periods", "2", "--period-seconds", "0.05"]
+    assert main([*argv, "--metrics", str(path)]) == 0
+    return path
+
+
+class TestMetricsCommand:
+    def test_table(self, snapshot, capsys):
+        assert main(["metrics", str(snapshot)]) == 0
+        out = capsys.readouterr().out
+        assert f"metrics snapshot ({snapshot})" in out
+        assert "messages_sent" in out
+
+    def test_prometheus_lines_are_sorted_series_value_pairs(self, snapshot, capsys):
+        assert main(["metrics", str(snapshot), "--format", "prometheus"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        samples = parse_prometheus_text(snapshot.read_text())
+        assert lines == [f"{series} {value:g}" for series, value in sorted(samples.items())]
+        assert len(lines) == len(samples) > 0
+
+    def test_jsonl(self, snapshot, capsys):
+        assert main(["metrics", str(snapshot), "--format", "jsonl"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["series"] for row in rows] == sorted(row["series"] for row in rows)
+        samples = parse_prometheus_text(snapshot.read_text())
+        assert {row["series"]: row["value"] for row in rows} == samples
+
+    def test_json(self, snapshot, capsys):
+        assert main(["metrics", str(snapshot), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "command": "metrics",
+            "path": str(snapshot),
+            "samples": parse_prometheus_text(snapshot.read_text()),
+        }
+
+    def test_malformed_snapshot_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.prom"
+        bad.write_text("messages_sent 3\nnot a sample line\n")
+        assert main(["metrics", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2: malformed sample" in captured.err
+
+    def test_unreadable_path_exits_one(self, tmp_path, capsys):
+        assert main(["metrics", str(tmp_path / "missing.prom")]) == 1
+        assert "cannot read" in capsys.readouterr().err

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster.metrics import MetricRegistry
+from repro.net import deploy
 from repro.core.plan import ShardedPlan
 from repro.obs import names
 from repro.obs.export import read_jsonl_spans
@@ -30,11 +31,11 @@ from repro.net.deploy import (
 )
 from repro.runtime import MonitoringRuntime, RuntimeConfig, collector_shard_address
 from repro.serve import ControlPlane
-from repro.workloads.presets import build_workload
+from repro.workloads.presets import Scenario
 
-#: Small-but-real workload shared by the e2e tests: enough nodes to
+#: Small-but-real scenario shared by the e2e tests: enough nodes to
 #: give every worker a shard, small enough to finish in seconds.
-WORKLOAD = {"nodes": 16, "pool": 8, "attrs_per_node": 6, "tasks": 4, "seed": 3}
+SCENARIO = Scenario(nodes=16, pool=8, attrs_per_node=6, tasks=4, seed=3)
 CONFIG = {"period_seconds": 0.05, "seed": 9}
 
 #: Acceptance tolerance: deploy coverage within five percentage points
@@ -81,27 +82,28 @@ class TestShardNodes:
 
 class TestDeploySpec:
     def test_round_trip_through_json(self, tmp_path):
-        spec, plan, _cluster = make_spec(
-            WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
         )
         loaded = DeploySpec.load(spec.spec_path)
-        assert loaded.as_dict() == spec.as_dict()
+        assert loaded == spec
         assert loaded.workers == 2
 
     def test_children_rebuild_the_identical_plan(self, tmp_path):
-        spec, plan, _cluster = make_spec(
-            WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
         )
         loaded = DeploySpec.load(spec.spec_path)
-        _cluster2, _cost2, plan2 = loaded.build_plan()
+        assert loaded.scenario == SCENARIO
+        plan2 = loaded.scenario.plan()
         assert plan2.pairs == plan.pairs
         assert participating_nodes(plan2) == participating_nodes(plan)
 
     def test_directory_routes_every_address(self, tmp_path):
-        spec, plan, _cluster = make_spec(
-            WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
         )
         directory = spec.build_directory()
@@ -117,12 +119,12 @@ class TestDeploySpec:
         """``repro deploy`` and ``repro serve`` take every collector count
         whose shard addresses exist (the last is shard 997), refuse the
         next one, and say so in the same words."""
-        cluster, cost, _tasks = build_workload(WORKLOAD)
+        cluster, cost, _tasks = SCENARIO.workload
 
         def launch(collectors):
             if entry == "make_spec":
                 make_spec(
-                    WORKLOAD, "remo", workers=1, periods=1, config=CONFIG,
+                    SCENARIO, workers=1, periods=1, config=CONFIG,
                     rundir=str(tmp_path), collectors=collectors,
                 )  # fmt: skip
             else:
@@ -134,13 +136,13 @@ class TestDeploySpec:
             launch(999)
 
     def test_unknown_preset_rejected(self):
-        spec = DeploySpec(
-            workload={"preset": "warp"}, scheme="remo", periods=1,
-            shards=[], worker_endpoints=[],
-            collector_endpoint=None, rundir=".",
-        )
+        data = {
+            "scenario": {"preset": "warp"}, "periods": 1, "shards": [],
+            "worker_endpoints": [], "collector_endpoint": {"host": "127.0.0.1", "port": 0},
+            "rundir": ".",
+        }
         with pytest.raises(ValueError, match="preset"):
-            spec.build_workload()
+            DeploySpec.from_dict(data)
 
 
 class TestParseChaosKill:
@@ -170,8 +172,8 @@ class TestDeployEndToEnd:
         self._deploy_matches_single_process(tmp_path, collectors=2)
 
     def _deploy_matches_single_process(self, tmp_path, collectors):
-        spec, plan, cluster = make_spec(
-            WORKLOAD, "remo", workers=2, periods=6, config=CONFIG,
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=6, config=CONFIG,
             rundir=str(tmp_path), collectors=collectors,
         )
         outcome = run_deploy(spec, plan=plan)
@@ -183,7 +185,7 @@ class TestDeployEndToEnd:
         assert merged["periods"] == 6
         assert len(merged["per_period"]) == 6
 
-        baseline = self._single_process_run(plan, cluster, collectors)
+        baseline = self._single_process_run(plan, SCENARIO.workload[0], collectors)
         assert outcome.report.mean_coverage == pytest.approx(
             baseline.mean_coverage, abs=TOLERANCE
         )
@@ -203,8 +205,8 @@ class TestDeployEndToEnd:
             assert merged["cost_units_spent"] == baseline.as_dict()["cost_units_spent"]
 
     def test_a_child_dead_before_ready_fails_the_launch_at_once(self, tmp_path):
-        spec, plan, _cluster = make_spec(
-            WORKLOAD, "remo", workers=2, periods=4, config=CONFIG,
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
         )
         Path(spec.spec_path).unlink()  # no child can load its world
@@ -214,8 +216,8 @@ class TestDeployEndToEnd:
         assert time.monotonic() - started < 30.0
 
     def test_worker_kill_and_restart_completes(self, tmp_path):
-        spec, plan, _cluster = make_spec(
-            WORKLOAD, "remo", workers=2, periods=8, config=CONFIG,
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=8, config=CONFIG,
             rundir=str(tmp_path),
         )
         outcome = run_deploy(spec, plan=plan, chaos_kill={1: 0.15})
@@ -235,8 +237,8 @@ class TestDeployTracing:
         return {role: read_jsonl_spans(spec.trace_path(role)) for role in self.ROLES}
 
     def test_every_period_is_one_trace_across_processes(self, tmp_path):
-        spec, plan, _cluster = make_spec(
-            WORKLOAD, "remo", workers=2, periods=5, config=CONFIG,
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=5, config=CONFIG,
             rundir=str(tmp_path), trace=True,
         )
         outcome = run_deploy(spec, plan=plan)
@@ -268,8 +270,8 @@ class TestDeployTracing:
                     assert span.parent_id in span_ids
 
     def test_trace_context_survives_chaos_restart(self, tmp_path):
-        spec, plan, _cluster = make_spec(
-            WORKLOAD, "remo", workers=2, periods=8, config=CONFIG,
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=8, config=CONFIG,
             rundir=str(tmp_path), trace=True,
         )
         outcome = run_deploy(spec, plan=plan, chaos_kill={1: 0.15})
@@ -307,11 +309,15 @@ class TestDeployCli:
                 "--nodes", "12", "--tasks", "3", "--pool", "6",
                 "--scheme", "remo",
                 "--workers", "2", "--periods", "4", "--period-seconds", "0.05",
-                "--seed", "4", "--rundir", str(tmp_path), "--json",
+                "--seed", "4", "--rundir", str(tmp_path), "--host", "127.0.0.1", "--json",
             ]
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
+        spec = DeploySpec.load(str(tmp_path / "spec.json"))
+        assert spec.scenario == Scenario(nodes=12, tasks=3, pool=6, seed=4)
+        endpoints = [*spec.worker_endpoints, spec.collector_endpoint]
+        assert {endpoint.host for endpoint in endpoints} == {"127.0.0.1"}
         assert payload["command"] == "deploy"
         assert payload["workers"] == 2
         assert payload["restarts"] == {"0": 0, "1": 0}
@@ -321,6 +327,20 @@ class TestDeployCli:
     def test_deploy_rejects_malformed_chaos_spec(self):
         with pytest.raises(SystemExit):
             main(["deploy", "--chaos-kill", "nonsense"])
+
+    def test_deploy_rejects_a_chaos_rank_beyond_the_workers_before_launch(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_ports(*args, **kwargs):
+            raise AssertionError("ports reserved for a launch that must not happen")
+
+        monkeypatch.setattr(deploy, "allocate_endpoints", no_ports)
+        argv = ["deploy", "--preset", "quickstart", "--workers", "2", "--chaos-kill", "7:0.1"]
+        assert main([*argv, "--rundir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "rank 7" in err and "2 worker" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceCli:
@@ -376,6 +396,18 @@ class TestTraceCli:
     def test_trace_on_empty_rundir_is_usage_error(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path)]) == 2
         assert "no trace-" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [None, "merged.trace.json", "merged.jsonl"])
+    def test_trace_artifacts_without_spans_are_a_usage_error(self, tmp_path, capsys, out):
+        (tmp_path / "trace-collector.jsonl").write_text("")
+        argv = ["trace", str(tmp_path)]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "no trace-*.jsonl spans" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace-collector.jsonl"]
 
 
 def test_control_addresses_are_reserved_negative():

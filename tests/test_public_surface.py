@@ -23,12 +23,16 @@ Liveness is a fixpoint over identifiers:
 
 Names are matched as bare identifiers, so a method is live when any
 reachable code mentions a word of that name; the check errs towards
-keeping code. Keyword parameters are outside it: ``build_workload``
-forwards ``**params`` by dict, so no static check sees who sets them.
+keeping code. Keyword parameters are outside it; the CLI's are not
+forwarded by dict, though: ``cli._scenario`` names each flag's
+``Scenario`` field, so the flags are checked instead. Every option
+string ``build_parser()`` declares must be passed by some test, CI
+step or ``remo_bench/`` invocation.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import builtins
 import functools
@@ -58,9 +62,6 @@ KEEP = {
     "Histogram.is_exact": (
         "the only observable of a histogram's switch from exact values "
         "to the reservoir"
-    ),
-    "ControlPlaneClient.reports_stream": (
-        "the client's way to GET /reports/stream, which README documents"
     ),
 }
 
@@ -290,3 +291,43 @@ def test_the_keep_list_is_short_and_every_entry_is_still_dead():
     assert not missing, f"keep-list entries that no longer exist: {missing}"
     revived = sorted(q for q in KEEP if _is_live(by_qualname[q], live))
     assert not revived, f"keep-list entries that are live now; drop them: {revived}"
+
+
+def _declared_options() -> set[tuple[str, str]]:
+    """(command, option) for every option ``build_parser()`` declares."""
+    from repro.cli import build_parser
+
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    return {
+        (command, option)
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+
+
+def _passed_options() -> set[str]:
+    """Option-like strings in the tests, the CI workflows and ``remo_bench/``:
+    string constants in Python, words in YAML."""
+    option = re.compile(r"(?<![\w-])--?[a-z][a-z-]*")
+    found: set[str] = set()
+    python = [*sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "remo_bench").rglob("*.py"))]
+    for path in python:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found |= set(option.findall(node.value))
+    for path in sorted(WORKFLOWS.glob("*.yml")):
+        found |= set(option.findall(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_every_cli_option_is_passed_somewhere():
+    declared = _declared_options()
+    passed = _passed_options()
+    unused = sorted(f"{command} {opt}" for command, opt in declared if opt not in passed)
+    assert not unused, (
+        "CLI options that no test, CI step or remo_bench invocation passes; "
+        "test them or delete them:\n  " + "\n  ".join(unused)
+    )
