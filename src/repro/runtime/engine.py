@@ -399,7 +399,7 @@ class MonitoringRuntime:
         self.registry = (
             registry if registry is not None else ground_truth(plan, self.config.seed)
         )
-        for pair in plan.pairs:
+        for pair in sorted(plan.pairs):
             self.registry.ensure(pair)
         layouts = compile_layouts(plan)
         roles = build_roles(plan, layouts, sharded)

@@ -70,12 +70,13 @@ class MonitoringSimulation:
         self.cluster = cluster
         self.config = config if config is not None else SimulationConfig()
         self.failures = failures if failures is not None else FailureInjector()
+        # The runtime imports this package, so its engine loads late.
+        from repro.runtime.engine import ground_truth
+
         self.registry = (
-            registry
-            if registry is not None
-            else MetricRegistry(plan.pairs, seed=self.config.seed)
+            registry if registry is not None else ground_truth(plan, self.config.seed)
         )
-        for pair in plan.pairs:
+        for pair in sorted(plan.pairs):
             self.registry.ensure(pair)
 
         self.queue = EventQueue()
@@ -238,7 +239,7 @@ class MonitoringSimulation:
 
     def _make_measure(self, period: int):
         def action(now: float) -> None:
-            pairs = self.plan.pairs
+            pairs = sorted(self.plan.pairs)
             if not pairs:
                 self.stats.record_period(PeriodSample(period, 0.0, 1.0, 1.0))
                 return
