@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set
 
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.node import Cluster, SimNode
@@ -216,6 +216,9 @@ class ReplicatedRegistry(MetricRegistry):
 
     def value(self, pair: NodeAttributePair) -> float:
         return self._base.value(self._resolve(pair))
+
+    def reader(self, pairs: Sequence[NodeAttributePair]) -> Callable[[], List[float]]:
+        return self._base.reader([self._resolve(pair) for pair in pairs])
 
     def advance_all(self) -> None:
         self._base.advance_all()

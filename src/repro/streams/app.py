@@ -11,7 +11,7 @@ so the same discrete-event engine measures percentage error against
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.node import Cluster, SimNode
@@ -127,8 +127,9 @@ class StreamApp:
 class StreamMetricRegistry(MetricRegistry):
     """Registry view over a live :class:`StreamApp`.
 
-    ``advance_all`` steps the application; ``value`` reads the current
-    operator/OS metric -- the simulator needs no special casing.
+    ``advance_all`` steps the application; ``value`` and ``reader``
+    read the current operator/OS metric -- neither engine needs special
+    casing.
     """
 
     def __init__(self, app: StreamApp) -> None:
@@ -148,6 +149,11 @@ class StreamMetricRegistry(MetricRegistry):
 
     def value(self, pair: NodeAttributePair) -> float:
         return self._app.metric_value(pair.node, pair.attribute)
+
+    def reader(self, pairs: Sequence[NodeAttributePair]) -> Callable[[], List[float]]:
+        metric_value = self._app.metric_value
+        bound = [(pair.node, pair.attribute) for pair in pairs]
+        return lambda: [metric_value(node, attribute) for node, attribute in bound]
 
     def advance_all(self) -> None:
         self._app.step()

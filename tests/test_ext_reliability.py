@@ -112,6 +112,7 @@ class TestReplicatedRegistry:
         assert registry.value(alias_pair) == pytest.approx(base.value(base_pair))
         registry.advance_all()
         assert registry.value(alias_pair) == pytest.approx(base.value(base_pair))
+        assert registry.reader([alias_pair, base_pair])() == [base.value(base_pair)] * 2
 
     def test_contains_and_ensure(self):
         base_pair = NodeAttributePair(0, "a")

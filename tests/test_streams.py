@@ -153,6 +153,8 @@ class TestStreamApp:
         registry.ensure(pair)
         with pytest.raises(KeyError):
             registry.ensure(NodeAttributePair(0, "agg.queue"))
+        read = registry.reader([pair, NodeAttributePair(1, "os.cpu")])
+        assert read() == [registry.value(pair), app.metric_value(1, "os.cpu")]
 
     def test_build_stream_cluster(self):
         app = self.make_app()

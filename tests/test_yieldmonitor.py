@@ -71,3 +71,28 @@ class TestTasks:
         app = make_yieldmonitor(n_nodes=10, n_lines=4, seed=1)
         with pytest.raises(ValueError):
             yieldmonitor_tasks(app, 0)
+
+
+class TestLiveRuntime:
+    def test_runtime_scores_against_the_application(self):
+        """The application's own metrics drive the live runtime: agents
+        sample them and the collector scores against them."""
+        from repro.core.cost import CostModel
+        from repro.core.planner import RemoPlanner
+        from repro.runtime import MonitoringRuntime, RuntimeConfig
+        from repro.streams.app import StreamMetricRegistry
+
+        app = make_yieldmonitor(n_nodes=12, n_lines=4, seed=61)
+        cluster = build_stream_cluster(app, capacity=260.0, central_capacity=520.0)
+        tasks = yieldmonitor_tasks(app, 4, seed=62)
+        plan = RemoPlanner(CostModel(per_message=20.0, per_value=1.0)).plan(tasks, cluster)
+        report = MonitoringRuntime(
+            plan,
+            cluster,
+            registry=StreamMetricRegistry(app),
+            config=RuntimeConfig(period_seconds=0.05, seed=5),
+        ).run(4)
+        assert len(report.samples) == 4
+        assert report.messages_sent > 0
+        assert report.final_coverage > 0.0
+        assert 0.0 <= report.mean_percentage_error < 1.0
