@@ -191,7 +191,9 @@ class MetricRegistry:
 
     def reader(self, pairs: Sequence[NodeAttributePair]) -> Callable[[], List[float]]:
         """A sampler bound to ``pairs``: each call returns their current
-        values, in order, without looking a pair up again."""
+        values, in order, without looking a pair up again.  Agents sample
+        and both engines score through it, so a registry that overrides
+        :meth:`value` overrides this too."""
         generators = [self._generators[pair] for pair in pairs]
         return lambda: [generator.current for generator in generators]
 

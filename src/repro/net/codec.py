@@ -264,11 +264,6 @@ class FrameDecoder:
     def __init__(self) -> None:
         self._buffer = bytearray()
 
-    @property
-    def buffered(self) -> int:
-        """Bytes held waiting for a complete frame."""
-        return len(self._buffer)
-
     def feed(self, data: Buffer) -> List[Tuple[NodeId, Envelope]]:
         buffer = self._buffer
         buffer += data

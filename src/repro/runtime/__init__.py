@@ -2,7 +2,8 @@
 
 Where :mod:`repro.simulation` *scores* a
 :class:`~repro.core.plan.MonitoringPlan` in a lock-step discrete-event
-simulator, this package *runs* one: every cluster node becomes a
+simulator (built on this package's layouts, batches and scorer), this
+package *runs* one: every cluster node becomes a
 concurrent :class:`~repro.runtime.agent.NodeAgent` task, the central
 collector becomes a :class:`~repro.runtime.collector.CollectorAgent`,
 and update messages travel over a pluggable

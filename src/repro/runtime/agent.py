@@ -23,10 +23,10 @@ node-level backpressure -- and nobody else's.
 
 Resource-awareness is enforced live: every send and receive is charged
 ``C + a*x`` against the node's per-period budget, always.  An agent
-that cannot afford its whole payload trims it, as the simulator does:
-the readings the budget affords go in ``(node, attribute)`` order and
-the rest are shed; one that cannot cover even the per-message overhead
-sends nothing.
+that cannot afford its whole payload trims it with the simulator's
+rule (:func:`~repro.runtime.messages.trim`): the readings the budget
+affords go in ``(node, attribute)`` order and the rest are shed; one
+that cannot cover even the per-message overhead sends nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.core.cost import CostModel
 from repro.obs import names, trace
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.messages import (
-    ABSENT,
     COLLECTOR_ADDRESS,
     Batch,
     HeartbeatEnvelope,
@@ -52,6 +51,7 @@ from repro.runtime.messages import (
     TreeLayout,
     UpdateEnvelope,
     gather,
+    trim,
 )
 from repro.runtime.metrics import Histogram, RuntimeMetrics
 from repro.runtime.transport import Transport
@@ -87,6 +87,12 @@ class TreeRole:
     def receiver(self) -> NodeId:
         """Where this node's batch goes: parent, or the tree's collector."""
         return self.parent if self.parent is not None else self.collector
+
+    @cached_property
+    def pair_order(self) -> List[int]:
+        """The subtree's slot offsets in pair order (what :func:`trim` keeps)."""
+        pairs = self.layout.pairs[self.lo : self.lo + self.size]
+        return sorted(range(self.size), key=pairs.__getitem__)
 
 
 @dataclass
@@ -140,9 +146,6 @@ class NodeAgent:
         }
         #: Each role's local pairs, bound to their generators once.
         self._samplers = {r.tree: registry.reader(r.local_pairs) for r in self.roles}
-        #: Per tree, built when trimming first needs it: the role's
-        #: slot offsets in pair order.
-        self._pair_order: Dict[int, List[int]] = {}
         #: Roles waiting on children, per tree, and the monotonic time
         #: at which they stop waiting.
         self._waiting: Dict[int, _OpenWave] = {}
@@ -325,27 +328,15 @@ class NodeAgent:
             await self.transport.send(role.receiver, update)
 
     def _trim_to_budget(self, role: TreeRole, batch: Batch) -> bool:
-        """Trim ``batch`` (this emit's own, edited in place) to the
-        remaining budget: the first readings it affords in pair order
-        stay, the rest are shed.
+        """Trim ``batch`` (this emit's own) to the remaining budget.
 
         Returns whether anything goes out: ``False`` when the budget
         cannot cover even the per-message overhead.
         """
-        affordable = int(self.cost.values_within_budget(self._budget) + _EPS)
-        if affordable <= 0:
+        shed = trim(batch, role.pair_order, self.cost, self._budget)
+        if shed is None:
             self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
             return False
-        if affordable >= batch.count:
-            return True
-        order = self._pair_order.get(role.tree)
-        if order is None:
-            pairs = role.layout.pairs[role.lo : role.lo + role.size]
-            order = self._pair_order[role.tree] = sorted(range(role.size), key=pairs.__getitem__)
-        stamps = batch.stamps
-        present = [offset for offset in order if stamps[offset] != ABSENT]
-        for offset in present[affordable:]:
-            stamps[offset] = ABSENT
-        self.metrics.incr(names.VALUES_TRIMMED, len(present) - affordable, node=self.node_id)
-        batch.count = affordable
+        if shed:
+            self.metrics.incr(names.VALUES_TRIMMED, shed, node=self.node_id)
         return True

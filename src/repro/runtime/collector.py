@@ -1,11 +1,20 @@
-"""The collector agent: scoring, staleness, and failure detection.
+"""The collector side of both engines, and the collector agent.
 
-The collector is the runtime's sink.  It keeps the last reading per
-slot of every tree that reports to it (:class:`CollectedColumns`;
-percentage error is the simulator's
-:func:`~repro.simulation.collection.percentage_error`, the exact same
-rule in both engines), and adds the two behaviours only a live system
-exhibits:
+Scoring is shared: the live :class:`CollectorAgent` and the
+discrete-event simulator both keep the last reading per slot of every
+tree that reports to them (:class:`CollectedColumns`) and score each
+period with :func:`score_period` -- the paper's Fig. 8 metrics, one
+rule in both engines:
+
+- **percentage error** per requested pair: ``|truth - seen| /
+  max(|truth|, 1)``, capped at 100% (a pair the collector has never
+  seen counts as 100% error -- it is exactly as useless as an
+  arbitrarily wrong value);
+- **freshness**: the fraction of requested pairs whose reading was
+  sampled in the scored period;
+- **received**: the fraction received at all so far.
+
+The agent adds the two behaviours only a live system exhibits:
 
 - **failure detection** -- each live agent heartbeats every period;
   a node silent for ``failure_timeout`` periods is flagged ``down``,
@@ -44,10 +53,11 @@ from repro.runtime.messages import (
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimePeriodSample
 from repro.runtime.transport import Transport
-from repro.simulation.collection import percentage_error
-from repro.simulation.messages import Reading
 
 _EPS = 1e-9
+#: Denominator floor of the percentage error: avoids dividing by
+#: near-zero truths.
+_ERROR_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -59,9 +69,60 @@ class FailureEvent:
     kind: str  # "down" | "recovered"
 
 
+@dataclass(frozen=True)
+class Reading:
+    """One attribute observation: the value and when it was sampled."""
+
+    value: float
+    sampled_at: float
+
+
 #: A pair's place in the collector's state: its tree's value and stamp
 #: columns, and its slot in them.
 Cell = Tuple["array[float]", "array[float]", int]
+
+
+def percentage_error(truth: float, seen: float) -> float:
+    """Capped percentage error of a collected value against the truth."""
+    return min(abs(truth - seen) / max(abs(truth), _ERROR_FLOOR), 1.0)
+
+
+def score_period(
+    period: int, truths: Sequence[float], cells: Sequence[Optional[Cell]]
+) -> Tuple[RuntimePeriodSample, List[float]]:
+    """Score ``period`` over the requested pairs, and return with the
+    sample the age (in periods) of every pair received so far.
+
+    ``truths`` and ``cells`` are aligned, one entry per requested pair:
+    its ground truth now, and where its newest reading lives (``None``
+    for a pair no tree collects).  A reading stamped ``period`` or
+    later is fresh.
+    """
+    n = len(cells)
+    if n == 0:
+        return RuntimePeriodSample(period, 0.0, 1.0, 1.0), []
+    total_error = 0.0
+    fresh = 0
+    now = float(period)
+    ages = []  # of every pair received so far, in periods
+    for truth, cell in zip(truths, cells):
+        if cell is not None:
+            values, stamps, slot = cell
+            stamp = stamps[slot]
+            if stamp != ABSENT:
+                total_error += percentage_error(truth, values[slot])
+                ages.append(now - stamp)
+                if stamp >= now - _EPS:
+                    fresh += 1
+                continue
+        total_error += 1.0  # never seen: as useless as arbitrarily wrong
+    sample = RuntimePeriodSample(
+        period=period,
+        mean_error=total_error / n,
+        fresh_fraction=fresh / n,
+        received_fraction=len(ages) / n,
+    )
+    return sample, ages
 
 
 class CollectedColumns:
@@ -200,42 +261,18 @@ class CollectorAgent:
         Called by the engine after the period's wall-clock window (and
         message settle) so the collector's view is compared against the
         ground truth of the same period -- the simulator's deadline
-        measurement, reproduced live.
+        measurement, with the same :func:`score_period`.
         """
         with trace.span(
             names.SPAN_COLLECTOR_CLOSE_PERIOD, lane=names.LANE_COLLECTOR, period=period
         ) as score_span:
-            n = len(self.requested_pairs)
-            if n == 0:
-                sample = RuntimePeriodSample(period, 0.0, 1.0, 1.0)
-            else:
-                total_error = 0.0
-                fresh = 0
-                now = float(period)
-                ages = []  # of every pair received so far, in periods
-                for truth, cell in zip(self._truths(), self._cells):
-                    if cell is not None:
-                        values, stamps, slot = cell
-                        stamp = stamps[slot]
-                        if stamp != ABSENT:
-                            total_error += percentage_error(truth, values[slot])
-                            ages.append(now - stamp)
-                            if stamp >= now - _EPS:
-                                fresh += 1
-                            continue
-                    total_error += 1.0  # never seen: as useless as arbitrarily wrong
-                if ages:
-                    # One series lookup per close, not one per pair (and
-                    # none before the first reading: no empty series).
-                    staleness = self.metrics.histogram(names.STALENESS_PERIODS)
-                    for age in ages:
-                        staleness.observe(age)
-                sample = RuntimePeriodSample(
-                    period=period,
-                    mean_error=total_error / n,
-                    fresh_fraction=fresh / n,
-                    received_fraction=len(ages) / n,
-                )
+            sample, ages = score_period(period, self._truths(), self._cells)
+            if ages:
+                # One series lookup per close, not one per pair (and
+                # none before the first reading: no empty series).
+                staleness = self.metrics.histogram(names.STALENESS_PERIODS)
+                for age in ages:
+                    staleness.observe(age)
             self.samples.append(sample)
             self.metrics.observe(names.PERIOD_COVERAGE, sample.received_fraction)
             score_span.set(

@@ -23,11 +23,10 @@ one :class:`~repro.runtime.agent.NodeAgent` per participating node plus
 one :class:`~repro.runtime.collector.CollectorAgent` per collector
 shard, wired over a :class:`~repro.runtime.transport.Transport`.
 
-The same plan and :class:`~repro.cluster.metrics.MetricRegistry` seed
-produce matching collected-pair coverage in
-:class:`~repro.simulation.engine.MonitoringSimulation` -- the parity
-test in ``tests/test_runtime_parity.py`` holds the two engines to
-within five percentage points of each other.
+:class:`~repro.simulation.engine.MonitoringSimulation` runs on the
+same layouts, roles and ground truth under a schedule of its own; the
+parity test in ``tests/test_runtime_parity.py`` holds the two engines'
+collected-pair coverage to within five percentage points.
 """
 
 from __future__ import annotations

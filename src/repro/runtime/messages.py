@@ -17,10 +17,11 @@ contributes and relays in every tree, so an update never names them:
 a :class:`TreeLayout` gives each collected pair of a tree a dense
 *slot*, and a :class:`Batch` is a run of consecutive slots as two
 columns of doubles -- the values and the periods they were sampled in
-(the two fields of the simulator's
-:class:`~repro.simulation.messages.Reading`).  Its capacity charge is
-computed through the same :class:`~repro.core.cost.CostModel` -- one
-cost model, two execution engines.
+(the two fields of a :class:`~repro.runtime.collector.Reading`).  Its
+capacity charge is computed through the same
+:class:`~repro.core.cost.CostModel`, and a sender short on budget
+shapes it with :func:`trim` -- in the live agents and in the
+discrete-event simulator alike.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import NodeAttributePair, NodeId
 from repro.core.cost import CostModel
@@ -37,6 +38,7 @@ from repro.obs.trace import TraceContext
 
 #: The stamp of a slot that holds no reading (periods count from 0).
 ABSENT = -1.0
+_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,27 @@ def gather(lo: int, size: int, batches: Sequence[Batch]) -> Columns:
         for batch in batches:
             fold(values, stamps, lo, batch)
     return values, stamps
+
+
+def trim(batch: Batch, order: List[int], cost: CostModel, budget: float) -> Optional[int]:
+    """Shape ``batch`` (edited in place) to what ``budget`` can send:
+    the first readings it affords in pair order stay, the rest are
+    shed.  ``order`` lists the batch's slot offsets in pair order.
+
+    Returns how many readings were shed, or ``None`` when the budget
+    cannot cover even the per-message overhead and nothing may go out.
+    """
+    affordable = int(cost.values_within_budget(budget) + _EPS)
+    if affordable <= 0:
+        return None
+    if affordable >= batch.count:
+        return 0
+    stamps = batch.stamps
+    present = [offset for offset in order if stamps[offset] != ABSENT]
+    for offset in present[affordable:]:
+        stamps[offset] = ABSENT
+    batch.count = affordable
+    return len(present) - affordable
 
 
 #: Address of the central collector on any transport.  With sharded

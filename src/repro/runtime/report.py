@@ -1,9 +1,9 @@
 """The outcome of one live run.
 
 :class:`RuntimeReport` is the runtime's analogue of the simulator's
-:class:`~repro.simulation.collection.CollectionStats`: per-period
-quality samples plus the metrics-hub snapshot and the failure
-detector's event log.  ``as_dict`` is the stable machine-readable
+:class:`~repro.simulation.collection.CollectionStats`: the same
+per-period quality samples plus the metrics-hub snapshot and the
+failure detector's event log.  ``as_dict`` is the stable machine-readable
 shape behind ``repro run --json``; ``render`` produces the aligned
 tables (via :mod:`repro.analysis`) for humans.
 """
@@ -23,9 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (collector imports us
 
 @dataclass
 class RuntimePeriodSample:
-    """Quality metrics scored at one period close.
+    """Quality metrics scored at one period close, by either engine.
 
-    Field meanings match the simulator's ``PeriodSample`` exactly:
     ``received_fraction`` is cumulative collected-pair coverage,
     ``fresh_fraction`` counts pairs sampled within the scored period.
     """

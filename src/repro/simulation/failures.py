@@ -1,9 +1,10 @@
 """Failure injection for reliability experiments (Section 6.2).
 
-Outages are declared as time windows: a link outage silences one
-child->parent edge of one tree (messages in flight during the window
-are lost); a node outage silences every message the node would send or
-receive.  The reliability extension's SSDP/DSDP replication is
+A link outage silences one child->parent edge of one tree over a
+window of simulated time (messages sent during the window are lost).
+A node outage is the runtime's :class:`~repro.runtime.config.AgentOutage`:
+over whole periods, the node's messages -- sent or addressed to it --
+are lost.  The reliability extension's SSDP/DSDP replication is
 validated against these: values duplicated onto disjoint trees survive
 outages that sever a single path.
 """
@@ -15,6 +16,7 @@ from typing import Iterable, List
 
 from repro.core.attributes import NodeId
 from repro.core.partition import AttributeSet
+from repro.runtime.config import AgentOutage
 
 
 @dataclass(frozen=True)
@@ -31,29 +33,16 @@ class LinkOutage:
             raise ValueError(f"outage window must have end > start, got [{self.start}, {self.end})")
 
 
-@dataclass(frozen=True)
-class NodeOutage:
-    """Node ``node`` neither sends nor receives in [start, end)."""
-
-    node: NodeId
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError(f"outage window must have end > start, got [{self.start}, {self.end})")
-
-
 class FailureInjector:
     """Queryable outage schedule."""
 
     def __init__(
         self,
         link_outages: Iterable[LinkOutage] = (),
-        node_outages: Iterable[NodeOutage] = (),
+        node_outages: Iterable[AgentOutage] = (),
     ) -> None:
         self.link_outages: List[LinkOutage] = list(link_outages)
-        self.node_outages: List[NodeOutage] = list(node_outages)
+        self.node_outages: List[AgentOutage] = list(node_outages)
 
     def link_down(self, child: NodeId, tree: AttributeSet, time: float) -> bool:
         return any(
@@ -62,7 +51,10 @@ class FailureInjector:
         )
 
     def node_down(self, node: NodeId, time: float) -> bool:
-        return any(o.node == node and o.start <= time < o.end for o in self.node_outages)
+        """Whether ``node`` is down at ``time``, which falls in period
+        ``int(time)``."""
+        period = int(time)
+        return any(o.node == node and o.covers(period) for o in self.node_outages)
 
     def blocks(self, sender: NodeId, receiver: NodeId, tree: AttributeSet, time: float) -> bool:
         """Whether a message on this edge at ``time`` is lost."""

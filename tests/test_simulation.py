@@ -6,11 +6,11 @@ from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.runtime import AgentOutage
 from repro.simulation import (
     FailureInjector,
     LinkOutage,
     MonitoringSimulation,
-    NodeOutage,
     SimulationConfig,
 )
 
@@ -83,8 +83,8 @@ class TestLatencyStaleness:
         plan = plan_for(small_cluster, pairs)
         # hop_latency so large that (H+1) hops > period for any tree
         # deeper than 2.
-        slow = SimulationConfig(period=1.0, hop_latency=0.4, seed=1)
-        fast = SimulationConfig(period=1.0, hop_latency=0.001, seed=1)
+        slow = SimulationConfig(hop_latency=0.4, seed=1)
+        fast = SimulationConfig(hop_latency=0.001, seed=1)
         stale = MonitoringSimulation(plan, small_cluster, config=slow).run(10)
         fresh = MonitoringSimulation(plan, small_cluster, config=fast).run(10)
         assert stale.mean_fresh_coverage <= fresh.mean_fresh_coverage
@@ -109,7 +109,7 @@ class TestFailures:
     def test_node_outage_blocks_sends(self, small_cluster):
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
-        injector = FailureInjector(node_outages=[NodeOutage(0, 0.0, 100.0)])
+        injector = FailureInjector(node_outages=[AgentOutage(0, 0, 100)])
         stats = MonitoringSimulation(
             plan, small_cluster, config=SimulationConfig(seed=1), failures=injector
         ).run(5)
@@ -120,14 +120,10 @@ class TestFailures:
         with pytest.raises(ValueError):
             LinkOutage(0, frozenset({"a"}), 5.0, 5.0)
         with pytest.raises(ValueError):
-            NodeOutage(0, 2.0, 1.0)
+            AgentOutage(0, 2, 1)
 
 
 class TestConfig:
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(period=0.0)
-
     def test_rejects_bad_hop_latency(self):
         with pytest.raises(ValueError):
             SimulationConfig(hop_latency=-1.0)

@@ -13,11 +13,11 @@ from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.runtime import AgentOutage
 from repro.simulation import (
     FailureInjector,
     LinkOutage,
     MonitoringSimulation,
-    NodeOutage,
     SimulationConfig,
 )
 
@@ -51,7 +51,7 @@ class TestCrashRecovery:
         plan = one_tree_plan(small_cluster)
         tree = plan.trees[frozenset({"a"})].tree
         leaf = next(n for n in tree.nodes if not tree.children(n))
-        injector = FailureInjector(node_outages=[NodeOutage(leaf, 2.0, 5.0)])
+        injector = FailureInjector(node_outages=[AgentOutage(leaf, 2, 5)])
         stats = run(plan, small_cluster, 9, injector)
         dark = [p.fresh_fraction for p in stats.periods if 2 <= p.period < 5]
         after = [p.fresh_fraction for p in stats.periods if p.period >= 5]
@@ -64,7 +64,7 @@ class TestCrashRecovery:
         plan = one_tree_plan(small_cluster)
         tree = plan.trees[frozenset({"a"})].tree
         leaf = next(n for n in tree.nodes if not tree.children(n))
-        injector = FailureInjector(node_outages=[NodeOutage(leaf, 2.0, 6.0)])
+        injector = FailureInjector(node_outages=[AgentOutage(leaf, 2, 6)])
         stats = run(plan, small_cluster, 10, injector)
         dark_error = max(p.mean_error for p in stats.periods if 3 <= p.period < 6)
         final_error = stats.periods[-1].mean_error
@@ -78,7 +78,7 @@ class TestCrashRecovery:
         plan = one_tree_plan(small_cluster)
         tree = plan.trees[frozenset({"a"})].tree
         leaf = next(n for n in tree.nodes if not tree.children(n))
-        injector = FailureInjector(node_outages=[NodeOutage(leaf, 2.0, 5.0)])
+        injector = FailureInjector(node_outages=[AgentOutage(leaf, 2, 5)])
         stats = run(plan, small_cluster, 8, injector)
         dark = [p for p in stats.periods if 2 <= p.period < 5]
         assert all(p.received_fraction == pytest.approx(1.0) for p in dark)
@@ -88,8 +88,8 @@ class TestCrashRecovery:
         plan = one_tree_plan(small_cluster)
         tree = plan.trees[frozenset({"a"})].tree
         leaf = next(n for n in tree.nodes if not tree.children(n))
-        short = FailureInjector(node_outages=[NodeOutage(leaf, 2.0, 3.0)])
-        long = FailureInjector(node_outages=[NodeOutage(leaf, 2.0, 7.0)])
+        short = FailureInjector(node_outages=[AgentOutage(leaf, 2, 3)])
+        long = FailureInjector(node_outages=[AgentOutage(leaf, 2, 7)])
         short_stats = run(plan, small_cluster, 9, short)
         long_stats = run(plan, small_cluster, 9, long)
         assert 0 < short_stats.messages_dropped_failure
@@ -103,7 +103,7 @@ class TestInteriorNodeFailure:
         victim = interior_node(tree)
         assert victim is not None, "ONE-SET over 6 nodes should build a multi-level tree"
         subtree = tree.subtree_nodes(victim)
-        injector = FailureInjector(node_outages=[NodeOutage(victim, 2.0, 5.0)])
+        injector = FailureInjector(node_outages=[AgentOutage(victim, 2, 5)])
         stats = run(plan, small_cluster, 8, injector)
         # Everything below the dead hop goes stale, not just the victim.
         dark_fresh = min(p.fresh_fraction for p in stats.periods if 2 <= p.period < 5)
@@ -111,14 +111,13 @@ class TestInteriorNodeFailure:
         assert stats.periods[-1].fresh_fraction == pytest.approx(1.0)
 
     def test_interior_crash_mid_period_loses_that_periods_wave(self, small_cluster):
-        # An outage window covering only a fraction of one period still
-        # kills the sends scheduled inside it: the wave fires near the
-        # period start, so [2.0, 2.5) is enough to lose period 2.
+        # An outage of the one period 2 kills the sends scheduled in it:
+        # the wave fires near the period start, so period 2 is lost.
         plan = one_tree_plan(small_cluster)
         tree = plan.trees[frozenset({"a"})].tree
         victim = interior_node(tree)
         assert victim is not None
-        injector = FailureInjector(node_outages=[NodeOutage(victim, 2.0, 2.5)])
+        injector = FailureInjector(node_outages=[AgentOutage(victim, 2, 3)])
         stats = run(plan, small_cluster, 6, injector)
         assert stats.messages_dropped_failure > 0
         assert stats.periods[2].fresh_fraction < 1.0
@@ -147,7 +146,7 @@ class TestInjectorSemantics:
         attrs = frozenset({"a"})
         injector = FailureInjector(
             link_outages=[LinkOutage(1, attrs, 0.0, 10.0)],
-            node_outages=[NodeOutage(2, 0.0, 10.0)],
+            node_outages=[AgentOutage(2, 0, 10)],
         )
         assert injector.blocks(1, 0, attrs, 5.0)  # link down
         assert injector.blocks(2, 0, attrs, 5.0)  # sender down
@@ -157,7 +156,7 @@ class TestInjectorSemantics:
         assert not injector.blocks(0, -1, attrs, 5.0)
 
     def test_outage_windows_are_half_open(self):
-        injector = FailureInjector(node_outages=[NodeOutage(1, 2.0, 5.0)])
+        injector = FailureInjector(node_outages=[AgentOutage(1, 2, 5)])
         assert not injector.node_down(1, 1.999)
         assert injector.node_down(1, 2.0)
         assert injector.node_down(1, 4.999)

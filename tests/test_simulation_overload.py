@@ -66,17 +66,6 @@ class TestPayloadTrimming:
         ).run(5)
         assert stats.messages_dropped_capacity > 0
 
-    def test_enforcement_off_ignores_budgets(self):
-        plan, cluster = overloaded_setup(root_budget_delta=-1e9)
-        stats = MonitoringSimulation(
-            plan,
-            cluster,
-            config=SimulationConfig(seed=1, enforce_capacity=False),
-        ).run(5)
-        assert stats.messages_dropped_capacity == 0
-        assert stats.values_trimmed == 0
-        assert stats.mean_fresh_coverage == pytest.approx(1.0)
-
 
 class TestEdgeMultiset:
     def test_rename_costs_nothing(self, small_cluster):

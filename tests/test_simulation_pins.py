@@ -27,11 +27,11 @@ from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.runtime import AgentOutage
 from repro.simulation import (
     FailureInjector,
     LinkOutage,
     MonitoringSimulation,
-    NodeOutage,
     SimulationConfig,
 )
 from repro.workloads.presets import Scenario
@@ -48,7 +48,7 @@ def outage_run():
     child = min(node for node in tree.nodes if tree.parent(node) is not None)
     injector = FailureInjector(
         link_outages=[LinkOutage(child, first, 3.0, 7.0)],
-        node_outages=[NodeOutage(members[3], 2.0, 6.0)],
+        node_outages=[AgentOutage(members[3], 2, 6)],
     )
     return MonitoringSimulation(
         plan, scenario.workload[0], config=SimulationConfig(seed=5), failures=injector
