@@ -23,10 +23,11 @@ node-level backpressure -- and nobody else's.
 
 Resource-awareness is enforced live: every send and receive is charged
 ``C + a*x`` against the node's per-period budget, always.  An agent
-that cannot afford its whole payload trims it with the simulator's
-rule (:func:`~repro.runtime.messages.trim`): the readings the budget
-affords go in ``(node, attribute)`` order and the rest are shed; one
-that cannot cover even the per-message overhead sends nothing.
+that cannot afford its whole payload trims it by the rule the
+simulator uses too (:func:`~repro.runtime.messages.trim`): the
+readings the budget affords go in ``(node, attribute)`` order and the
+rest are shed; one that cannot cover even the per-message overhead
+sends nothing.
 """
 
 from __future__ import annotations

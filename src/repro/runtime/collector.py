@@ -90,13 +90,13 @@ def percentage_error(truth: float, seen: float) -> float:
 def score_period(
     period: int, truths: Sequence[float], cells: Sequence[Optional[Cell]]
 ) -> Tuple[RuntimePeriodSample, List[float]]:
-    """Score ``period`` over the requested pairs, and return with the
-    sample the age (in periods) of every pair received so far.
+    """Score ``period`` over the requested pairs.
 
-    ``truths`` and ``cells`` are aligned, one entry per requested pair:
-    its ground truth now, and where its newest reading lives (``None``
-    for a pair no tree collects).  A reading stamped ``period`` or
-    later is fresh.
+    Returns the sample and the age (in periods) of every pair received
+    so far.  ``truths`` and ``cells`` are aligned, one entry per
+    requested pair: its ground truth now, and where its newest reading
+    lives (``None`` for a pair no tree collects).  A reading stamped
+    ``period`` or later is fresh.
     """
     n = len(cells)
     if n == 0:

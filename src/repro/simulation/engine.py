@@ -110,8 +110,8 @@ class MonitoringSimulation:
             for node in result.tree.nodes:
                 role = role_of[node, attr_set]
                 self._senders.append((node, role, self.registry.reader(role.local_pairs)))
-        self.collected = CollectedColumns(layouts)
-        self._cells = [self.collected.cell(pair) for pair in requested]
+        self._collected = CollectedColumns(layouts)
+        self._cells = [self._collected.cell(pair) for pair in requested]
         self._truths = self.registry.reader(requested)
 
         self.stats = CollectionStats(requested_pairs=len(requested))
@@ -222,7 +222,7 @@ class MonitoringSimulation:
                 self.stats.messages_dropped_capacity += 1
                 return
             self._central_budget -= cost
-            columns = self.collected.columns(tree, batch)
+            columns = self._collected.columns(tree, batch)
             assert columns is not None  # a root's batch spans its own tree
             fold(columns[0], columns[1], 0, batch)
         else:
