@@ -56,7 +56,6 @@ def check_plan_for_cluster(plan: MonitoringPlan, cluster: Cluster) -> Diagnostic
 def assert_plan_valid(
     plan: MonitoringPlan,
     cluster: Cluster,
-    context: str = "plan check",
 ) -> DiagnosticReport:
     """Run :func:`check_plan_for_cluster` and raise on ERROR findings.
 
@@ -65,5 +64,5 @@ def assert_plan_valid(
     the report but never raise.
     """
     report = check_plan_for_cluster(plan, cluster)
-    report.raise_if_errors(context)
+    report.raise_if_errors("plan check")
     return report

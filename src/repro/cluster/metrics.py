@@ -40,44 +40,31 @@ class MetricGenerator:
 
 
 class RandomWalkMetric(MetricGenerator):
-    """A bounded additive random walk (e.g. queue occupancy)."""
+    """An additive random walk held in ``[LOW, HIGH]`` (e.g. queue occupancy)."""
 
-    def __init__(
-        self,
-        initial: float = 50.0,
-        step: float = 2.0,
-        low: float = 0.0,
-        high: float = 100.0,
-    ) -> None:
-        if low >= high:
-            raise ValueError(f"need low < high, got [{low}, {high}]")
+    LOW = 0.0
+    HIGH = 100.0
+
+    def __init__(self, initial: float = 50.0, step: float = 2.0) -> None:
         if step <= 0:
             raise ValueError(f"step must be > 0, got {step}")
-        super().__init__(min(max(initial, low), high))
+        super().__init__(min(max(initial, self.LOW), self.HIGH))
         self.step_size = step
-        self.low = low
-        self.high = high
 
     def _step(self, rng: random.Random) -> float:
         value = self.current + rng.uniform(-self.step_size, self.step_size)
-        return min(max(value, self.low), self.high)
+        return min(max(value, self.LOW), self.HIGH)
 
 
 class AR1Metric(MetricGenerator):
-    """A mean-reverting AR(1) process (e.g. CPU utilization)."""
+    """A mean-reverting AR(1) process (e.g. CPU utilization), started at its mean."""
 
-    def __init__(
-        self,
-        mean: float = 50.0,
-        phi: float = 0.9,
-        sigma: float = 3.0,
-        initial: Optional[float] = None,
-    ) -> None:
+    def __init__(self, mean: float = 50.0, phi: float = 0.9, sigma: float = 3.0) -> None:
         if not 0.0 <= phi < 1.0:
             raise ValueError(f"phi must be in [0, 1), got {phi}")
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
-        super().__init__(mean if initial is None else initial)
+        super().__init__(mean)
         self.mean = mean
         self.phi = phi
         self.sigma = sigma
@@ -91,40 +78,30 @@ class BurstyMetric(MetricGenerator):
 
     Stream processing workloads are "highly bursty" (Section 1); this
     generator switches between a calm level and a burst level with
-    configurable transition probabilities, with multiplicative noise.
+    fixed per-step transition probabilities, with multiplicative noise.
     """
 
-    def __init__(
-        self,
-        calm_level: float = 100.0,
-        burst_level: float = 1000.0,
-        p_enter_burst: float = 0.05,
-        p_exit_burst: float = 0.3,
-        noise: float = 0.1,
-    ) -> None:
+    P_ENTER_BURST = 0.05
+    P_EXIT_BURST = 0.3
+    NOISE = 0.1
+
+    def __init__(self, calm_level: float = 100.0, burst_level: float = 1000.0) -> None:
         if calm_level <= 0 or burst_level <= 0:
             raise ValueError("levels must be > 0")
-        if not (0 <= p_enter_burst <= 1 and 0 <= p_exit_burst <= 1):
-            raise ValueError("transition probabilities must be in [0, 1]")
-        if noise < 0:
-            raise ValueError(f"noise must be >= 0, got {noise}")
         super().__init__(calm_level)
         self.calm_level = calm_level
         self.burst_level = burst_level
-        self.p_enter_burst = p_enter_burst
-        self.p_exit_burst = p_exit_burst
-        self.noise = noise
         self._bursting = False
 
     def _step(self, rng: random.Random) -> float:
         if self._bursting:
-            if rng.random() < self.p_exit_burst:
+            if rng.random() < self.P_EXIT_BURST:
                 self._bursting = False
         else:
-            if rng.random() < self.p_enter_burst:
+            if rng.random() < self.P_ENTER_BURST:
                 self._bursting = True
         level = self.burst_level if self._bursting else self.calm_level
-        return level * (1.0 + rng.uniform(-self.noise, self.noise))
+        return level * (1.0 + rng.uniform(-self.NOISE, self.NOISE))
 
 
 class ConstantNoiseMetric(MetricGenerator):
@@ -139,10 +116,6 @@ class ConstantNoiseMetric(MetricGenerator):
 
     def _step(self, rng: random.Random) -> float:
         return self.level + rng.gauss(0.0, self.sigma)
-
-
-#: Factory signature used by :class:`MetricRegistry`.
-MetricFactory = Callable[[NodeAttributePair, random.Random], MetricGenerator]
 
 
 def default_metric_factory(pair: NodeAttributePair, rng: random.Random) -> MetricGenerator:
@@ -165,15 +138,10 @@ class MetricRegistry:
     compute percentage error.
     """
 
-    def __init__(
-        self,
-        pairs: Iterable[NodeAttributePair],
-        factory: MetricFactory = default_metric_factory,
-        seed: Optional[int] = None,
-    ) -> None:
+    def __init__(self, pairs: Iterable[NodeAttributePair], seed: Optional[int] = None) -> None:
         self._rng = random.Random(seed)
         self._generators: Dict[NodeAttributePair, MetricGenerator] = {
-            pair: factory(pair, self._rng) for pair in pairs
+            pair: default_metric_factory(pair, self._rng) for pair in pairs
         }
 
     def __len__(self) -> int:
@@ -202,8 +170,7 @@ class MetricRegistry:
         for gen in self._generators.values():
             gen.advance(self._rng)
 
-    def ensure(self, pair: NodeAttributePair, factory: Optional[MetricFactory] = None) -> None:
+    def ensure(self, pair: NodeAttributePair) -> None:
         """Register ``pair`` lazily (used when tasks add new pairs at runtime)."""
         if pair not in self._generators:
-            make = factory if factory is not None else default_metric_factory
-            self._generators[pair] = make(pair, self._rng)
+            self._generators[pair] = default_metric_factory(pair, self._rng)

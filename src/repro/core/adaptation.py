@@ -39,15 +39,14 @@ from repro.cluster.node import Cluster
 from repro.obs import names, trace
 from repro.obs.metrics import default_registry
 from repro.core.attributes import AttributeId, NodeAttributePair, NodeId
-from repro.core.allocation import AllocationPolicy
-from repro.core.cost import AggregationMap, CostModel
+from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.gain import GainContext, estimate_gain
 from repro.core.partition import AttributeSet, MergeOp, Partition, PartitionOp
 from repro.core.plan import MonitoringPlan
 from repro.core.planner import RemoPlanner, _improves
 from repro.core.tasks import MonitoringTask, TaskManager, TaskSetDelta
-from repro.trees.base import GreedyTreeBuilder, TreeBuildResult
+from repro.trees.base import TreeBuildResult
 from repro.trees.model import MonitoringTree
 
 
@@ -99,8 +98,6 @@ class AdaptiveMonitoringService:
         The deployment and cost model.
     strategy:
         Adaptation strategy (default ADAPTIVE).
-    tree_builder, allocation, aggregation:
-        Forwarded to the underlying forest builder.
     candidate_budget, max_ops_per_batch:
         Restricted-search effort caps: how many ranked candidates to
         evaluate per merge/split round, and how many operations one
@@ -112,38 +109,19 @@ class AdaptiveMonitoringService:
         cluster: Cluster,
         cost_model: CostModel,
         strategy: AdaptationStrategy = AdaptationStrategy.ADAPTIVE,
-        tree_builder: Optional[GreedyTreeBuilder] = None,
-        allocation: AllocationPolicy = AllocationPolicy.ORDERED,
-        aggregation: Optional[AggregationMap] = None,
         candidate_budget: int = 8,
         max_ops_per_batch: int = 16,
     ) -> None:
-        if not allocation.is_sequential:
-            raise ValueError(
-                "adaptation requires a sequential allocation policy (trees are "
-                "rebuilt incrementally against leftover capacity)"
-            )
         self.cluster = cluster
         self.cost = cost_model
         self.strategy = strategy
-        self.forest = ForestBuilder(
-            cost_model,
-            tree_builder=tree_builder,
-            allocation=allocation,
-            aggregation=aggregation,
-        )
+        self.forest = ForestBuilder(cost_model)
         self.candidate_budget = candidate_budget
         self.max_ops_per_batch = max_ops_per_batch
         self.tasks = TaskManager()
         self.plan: Optional[MonitoringPlan] = None
         self._tadj: Dict[AttributeSet, float] = {}
-        self._rebuild_planner = RemoPlanner(
-            cost_model,
-            tree_builder=tree_builder,
-            allocation=allocation,
-            aggregation=aggregation,
-            candidate_budget=candidate_budget,
-        )
+        self._rebuild_planner = RemoPlanner(cost_model, candidate_budget=candidate_budget)
 
     # ------------------------------------------------------------------
     # Public API

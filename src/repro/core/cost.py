@@ -149,18 +149,19 @@ class CostModel:
         """
         return self.per_message * msg_weight + self.per_value * total_values
 
-    def values_within_budget(self, budget: float, msg_weight: float = 1.0) -> float:
-        """Largest value volume a message of weight ``msg_weight`` can
-        carry without its cost exceeding ``budget`` (may be negative
-        when the budget cannot even cover the per-message overhead)."""
-        return (budget - self.per_message * msg_weight) / self.per_value
+    def values_within_budget(self, budget: float) -> float:
+        """Largest value volume one message can carry without its cost
+        exceeding ``budget`` (may be negative when the budget cannot
+        even cover the per-message overhead)."""
+        return (budget - self.per_message) / self.per_value
 
-    def star_root_cost(self, n_children: int, values_per_child: int = 1) -> float:
-        """Receive-side cost at a star root with ``n_children`` senders.
+    def star_root_cost(self, n_children: int) -> float:
+        """Receive-side cost at a star root with ``n_children`` senders
+        of one value each.
 
         This is the Fig. 2 micro-experiment in closed form: cost grows
         linearly in the *number of messages*, not merely total payload.
         """
         if n_children < 0:
             raise ValueError(f"n_children must be >= 0, got {n_children}")
-        return n_children * self.message_cost(values_per_child)
+        return n_children * self.message_cost(1)

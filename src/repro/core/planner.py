@@ -36,7 +36,7 @@ from typing import (
 
 from repro.cluster.node import Cluster
 from repro.obs import names, trace
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import default_registry
 from repro.core.attributes import AttributeId, NodeAttributePair, NodeId
 from repro.core.allocation import AllocationPolicy
 from repro.core.cost import AggregationMap, CostModel
@@ -72,8 +72,8 @@ class PlanningStats:
         ("memo_misses", names.PLANNER_MEMO_MISSES_TOTAL),
     )
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else default_registry()
+    def __init__(self) -> None:
+        self.registry = default_registry()
         self._base = {
             counter: self.registry.counter_total(counter)
             for _attr, counter in self._COUNTERS
@@ -241,13 +241,13 @@ class RemoPlanner:
     forbidden_pairs:
         Attribute pairs that must never share a partition set (the
         reliability extension's SSDP/DSDP constraint, Section 6.2).
-    memo_size:
-        Entries in the per-``plan()``-call tree-construction memo
-        (:class:`~repro.core.forest.TreeMemo`).  ``0`` disables
-        memoization.  Memo hits return results bit-identical to a cold
-        rebuild (the build is a pure function of the memo key), so
-        this knob affects speed only.
     """
+
+    #: Entries in the per-``plan()``-call tree-construction memo
+    #: (:class:`~repro.core.forest.TreeMemo`); ``0`` disables it.  Memo
+    #: hits are bit-identical to a cold rebuild (the build is a pure
+    #: function of the memo key), so this affects speed only.
+    MEMO_SIZE = 128
 
     def __init__(
         self,
@@ -258,14 +258,11 @@ class RemoPlanner:
         candidate_budget: Optional[int] = 8,
         max_iterations: int = 64,
         forbidden_pairs: Optional[Set[FrozenSet[AttributeId]]] = None,
-        memo_size: int = 128,
     ) -> None:
         if candidate_budget is not None and candidate_budget <= 0:
             raise ValueError(f"candidate_budget must be > 0 or None, got {candidate_budget}")
         if max_iterations <= 0:
             raise ValueError(f"max_iterations must be > 0, got {max_iterations}")
-        if memo_size < 0:
-            raise ValueError(f"memo_size must be >= 0, got {memo_size}")
         self.cost = cost_model
         self.forest = ForestBuilder(
             cost_model,
@@ -275,7 +272,6 @@ class RemoPlanner:
         )
         self.candidate_budget = candidate_budget
         self.max_iterations = max_iterations
-        self.memo_size = memo_size
         self.forbidden_pairs = set(forbidden_pairs or set())
         #: Top-ranked candidates granted a full forest rebuild when the
         #: cheap incremental evaluation finds no improvement.
@@ -334,7 +330,7 @@ class RemoPlanner:
                 cluster=cluster,
                 pair_weights=pair_weights,
                 msg_weights=msg_weights,
-                memo=TreeMemo(self.memo_size) if self.memo_size > 0 else None,
+                memo=TreeMemo(self.MEMO_SIZE) if self.MEMO_SIZE > 0 else None,
             )
 
             if partition is not None:

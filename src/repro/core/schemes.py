@@ -19,8 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
 
 from repro.cluster.node import Cluster
 from repro.core.attributes import AttributeId, NodeAttributePair, NodeId
-from repro.core.allocation import AllocationPolicy
-from repro.core.cost import AggregationMap, CostModel
+from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder, PairWeights
 from repro.core.partition import Partition
 from repro.core.plan import MonitoringPlan
@@ -87,15 +86,8 @@ class FixedPartitionPlanner:
         self,
         cost_model: CostModel,
         tree_builder: Optional[GreedyTreeBuilder] = None,
-        allocation: AllocationPolicy = AllocationPolicy.ORDERED,
-        aggregation: Optional[AggregationMap] = None,
     ) -> None:
-        self.forest = ForestBuilder(
-            cost_model,
-            tree_builder=tree_builder,
-            allocation=allocation,
-            aggregation=aggregation,
-        )
+        self.forest = ForestBuilder(cost_model, tree_builder=tree_builder)
 
     def partition_for(self, attributes: frozenset) -> Partition:
         raise NotImplementedError

@@ -151,11 +151,9 @@ class TaskManager:
     :class:`TaskSetDelta`.
     """
 
-    def __init__(self, tasks: Iterable[MonitoringTask] = ()) -> None:
+    def __init__(self) -> None:
         self._tasks: Dict[str, MonitoringTask] = {}
         self._refcount: Dict[NodeAttributePair, int] = {}
-        for task in tasks:
-            self.add_task(task)
 
     # ------------------------------------------------------------------
     # Read side

@@ -25,11 +25,10 @@ from repro.core.cost import AggregationKind, AggregationMap, AggregationSpec
 def uniform_aggregation(
     attributes: Iterable[AttributeId],
     kind: AggregationKind,
-    k: int = 10,
 ) -> AggregationMap:
     """Assign the same aggregation ``kind`` to every listed attribute.
 
     Convenience for experiments like Fig. 12a's "MAX on all tasks".
     """
-    spec = AggregationSpec(kind=kind, k=k)
+    spec = AggregationSpec(kind=kind)
     return {attr: spec for attr in attributes}

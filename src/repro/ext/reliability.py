@@ -116,7 +116,6 @@ def rewrite_dsdp(
     task_id: str,
     attribute: AttributeId,
     node_groups: Sequence[Sequence[NodeId]],
-    frequency: float = 1.0,
 ) -> ReplicationRewrite:
     """Different-sources/different-paths rewrite (Section 6.2).
 
@@ -140,7 +139,6 @@ def rewrite_dsdp(
                 f"{task_id}{_ALIAS_SEPARATOR}{replica}" if replica else task_id,
                 [name],
                 nodes,
-                frequency=frequency,
             )
         )
     forbidden = _forbid_all_pairs(names) if len(names) > 1 else set()
@@ -223,5 +221,5 @@ class ReplicatedRegistry(MetricRegistry):
     def advance_all(self) -> None:
         self._base.advance_all()
 
-    def ensure(self, pair: NodeAttributePair, factory=None) -> None:
-        self._base.ensure(self._resolve(pair), factory)
+    def ensure(self, pair: NodeAttributePair) -> None:
+        self._base.ensure(self._resolve(pair))

@@ -58,6 +58,9 @@ CONTROL_ADDRESS_BASE = -1000
 #: A worker that crashes more than this many times stays down.
 MAX_RESTARTS_PER_WORKER = 3
 
+#: Seconds every child has to report ready before the launch fails.
+STARTUP_TIMEOUT_S = 30.0
+
 
 def control_address(rank: int) -> NodeId:
     """The reserved inbox address of worker ``rank``'s control loop."""
@@ -286,7 +289,6 @@ def run_deploy(
     spec: DeploySpec,
     plan: MonitoringPlan,
     chaos_kill: Optional[Mapping[int, float]] = None,
-    startup_timeout: float = 30.0,
     metrics: Optional[RuntimeMetrics] = None,
 ) -> DeployOutcome:
     """Spawn, supervise, and harvest one multi-process deployment.
@@ -340,9 +342,9 @@ def run_deploy(
                 if code is not None:
                     raise DeployError(f"{role} exited with code {code} before it was ready")
 
-        if not asyncio.run(wait_until(lambda: not unready(), startup_timeout, 0.02, dead_child)):
+        if not asyncio.run(wait_until(lambda: not unready(), STARTUP_TIMEOUT_S, 0.02, dead_child)):
             raise DeployError(
-                f"timed out after {startup_timeout:.0f}s waiting for readiness of {unready()}"
+                f"timed out after {STARTUP_TIMEOUT_S:.0f}s waiting for readiness of {unready()}"
             )
         # Every listener is up: release the collector's clock.
         write_json_atomic(spec.go_path, {"go": True})

@@ -13,18 +13,18 @@ Connection handling, in one place:
   syscall however many frames it holds);
 - **lazy dial, reconnect** -- a link dials on its first frame, never at
   startup, so launch order does not matter.  A failed dial or a dead
-  stream retries under exponential backoff (``dial_backoff_base``
-  doubling to ``dial_backoff_cap``) in a task that lives only while the
+  stream retries under exponential backoff (``DIAL_BACKOFF_BASE``
+  doubling to ``DIAL_BACKOFF_CAP``) in a task that lives only while the
   link is down; frames not yet written stay in hand, in order, so a
   worker restart costs latency, not the messages queued behind it.
   Delivery is at-most-once: frames written to a stream that then dies
   are lost;
-- **backpressure** -- ``send_queue_frames`` bounds what a dead peer can
+- **backpressure** -- ``SEND_QUEUE_FRAMES`` bounds what a dead peer can
   make a sender hold (``send`` blocks), and a live but slow peer blocks
   ``send`` on the stream's own ``drain()`` once asyncio's write-buffer
   limit is passed;
 - **graceful close** -- :meth:`TcpTransport.aclose` flushes pending
-  frames (bounded by ``close_grace_seconds``), closes every stream,
+  frames (bounded by ``CLOSE_GRACE_SECONDS``), closes every stream,
   and stops the listener.
 
 ``force_wire=True`` disables the local-inbox fast path so even
@@ -75,7 +75,7 @@ class _PeerLink:
 
     async def enqueue(self, frame: bytes) -> None:
         """Accept ``frame`` for the next flush (blocks on backpressure)."""
-        while len(self._pending) >= self.transport.send_queue_frames and not self._closing:
+        while len(self._pending) >= self.transport.SEND_QUEUE_FRAMES and not self._closing:
             self._room.clear()
             await self._room.wait()
         self._pending.append(frame)  # noqa: REMO421 -- the while re-tests the bound after every wake
@@ -114,7 +114,7 @@ class _PeerLink:
 
     async def _dial(self) -> None:
         """Connect under exponential backoff, then flush the frames in hand."""
-        backoff = self.transport.dial_backoff_base
+        backoff = self.transport.DIAL_BACKOFF_BASE
         while not self._closing:
             started = time.monotonic()
             try:
@@ -124,7 +124,7 @@ class _PeerLink:
             except (ConnectionError, OSError):
                 self._note_reconnect(backoff)
                 await asyncio.sleep(backoff)
-                backoff = min(backoff * 2.0, self.transport.dial_backoff_cap)
+                backoff = min(backoff * 2.0, self.transport.DIAL_BACKOFF_CAP)
             else:
                 self.transport.metrics.observe(
                     names.NET_DIAL_LATENCY_S, time.monotonic() - started, endpoint=self._label
@@ -209,6 +209,13 @@ class TcpTransport(MailboxTransport):
     """Length-prefix-framed envelope delivery over asyncio TCP."""
 
     transport_kind = "tcp"
+    #: Frames a link holds for a peer before ``send`` blocks.
+    SEND_QUEUE_FRAMES = 1024
+    #: First redial delay (seconds); it doubles up to the cap.
+    DIAL_BACKOFF_BASE = 0.05
+    DIAL_BACKOFF_CAP = 2.0
+    #: How long :meth:`aclose` waits for pending frames and the listener.
+    CLOSE_GRACE_SECONDS = 1.0
 
     def __init__(
         self,
@@ -217,20 +224,12 @@ class TcpTransport(MailboxTransport):
         listen_port: int = 0,
         metrics: Optional[RuntimeMetrics] = None,
         force_wire: bool = False,
-        send_queue_frames: int = 1024,
-        dial_backoff_base: float = 0.05,
-        dial_backoff_cap: float = 2.0,
-        close_grace_seconds: float = 1.0,
     ) -> None:
         super().__init__(metrics=metrics)
         self.directory = directory
         self.listen_host = listen_host
         self.listen_port = listen_port
         self.force_wire = force_wire
-        self.send_queue_frames = send_queue_frames
-        self.dial_backoff_base = dial_backoff_base
-        self.dial_backoff_cap = dial_backoff_cap
-        self.close_grace_seconds = close_grace_seconds
         self._server: Optional[asyncio.base_events.Server] = None
         self._links: Dict[Endpoint, _PeerLink] = {}
         self._inbound: Set[asyncio.BaseTransport] = set()
@@ -311,12 +310,12 @@ class TcpTransport(MailboxTransport):
 
     async def aclose(self) -> None:
         for link in list(self._links.values()):
-            await link.aclose(self.close_grace_seconds)
+            await link.aclose(self.CLOSE_GRACE_SECONDS)
         server = self._server
         self.close()
         if server is not None:
             try:
-                await asyncio.wait_for(server.wait_closed(), self.close_grace_seconds)
+                await asyncio.wait_for(server.wait_closed(), self.CLOSE_GRACE_SECONDS)
             except asyncio.TimeoutError:
                 pass
 

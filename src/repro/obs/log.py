@@ -40,7 +40,7 @@ from .trace import active_tracer, current_context
 DEFAULT_RING_EVENTS = 256
 
 #: Spans captured from the installed tracer's tail on a flight dump.
-DEFAULT_FLIGHT_SPANS = 128
+FLIGHT_SPANS = 128
 
 SEVERITIES = ("debug", "info", "warning", "error")
 
@@ -129,16 +129,14 @@ def set_console(stream: Optional[IO[str]]) -> None:
     _CONSOLE = stream
 
 
-def flight_record(
-    reason: str, max_spans: int = DEFAULT_FLIGHT_SPANS
-) -> Dict[str, object]:
+def flight_record(reason: str) -> Dict[str, object]:
     """Snapshot the ring plus the tracer's span tail for a crash dump."""
     from .export import span_to_dict  # local: export imports nothing back
 
     tracer = active_tracer()
     spans: List[Dict[str, object]] = []
     if tracer is not None:
-        spans = [span_to_dict(s) for s in tracer.spans()[-max_spans:]]
+        spans = [span_to_dict(s) for s in tracer.spans()[-FLIGHT_SPANS:]]
     return {
         "flight_record": 1,
         "reason": reason,
@@ -149,11 +147,9 @@ def flight_record(
     }
 
 
-def dump_flight(
-    path: str, reason: str, max_spans: int = DEFAULT_FLIGHT_SPANS
-) -> str:
+def dump_flight(path: str, reason: str) -> str:
     """Write a flight record to ``path`` (atomic rename); returns path."""
-    record = flight_record(reason, max_spans=max_spans)
+    record = flight_record(reason)
     emit(names.LOG_FLIGHT_DUMP, severity="warning", reason=reason, path=path)
     record["events"] = recent()  # include the dump event itself
     tmp = f"{path}.tmp.{os.getpid()}"

@@ -63,10 +63,10 @@ def format_series(name: str, labels: LabelItems) -> str:
 class Histogram:
     """A histogram that is exact while small and a sketch once large.
 
-    Below ``sketch_threshold`` observations every value is retained and
+    Below ``SKETCH_THRESHOLD`` observations every value is retained and
     quantiles are exact (linear interpolation over the sorted values).
     Past the threshold the histogram switches to a bounded-memory
-    reservoir sketch (Vitter's algorithm R over ``reservoir_size``
+    reservoir sketch (Vitter's algorithm R over ``RESERVOIR_SIZE``
     slots, seeded so runs are reproducible): count, sum, mean, min and
     max stay exact via running accumulators, while quantiles become
     estimates read from the uniform sample.  The switch is one-way and
@@ -74,24 +74,13 @@ class Histogram:
     memory without bound.
     """
 
-    def __init__(
-        self,
-        sketch_threshold: int = 4096,
-        reservoir_size: int = 1024,
-        seed: int = 0x5EED,
-    ) -> None:
-        if reservoir_size <= 0:
-            raise ValueError(f"reservoir_size must be > 0, got {reservoir_size}")
-        if sketch_threshold < reservoir_size:
-            raise ValueError(
-                "sketch_threshold must be >= reservoir_size "
-                f"({sketch_threshold} < {reservoir_size})"
-            )
-        self.sketch_threshold = sketch_threshold
-        self.reservoir_size = reservoir_size
+    SKETCH_THRESHOLD = 4096
+    RESERVOIR_SIZE = 1024  # at most SKETCH_THRESHOLD
+
+    def __init__(self) -> None:
         self._values: List[float] = []
         self._sketching = False
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0x5EED)
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -108,16 +97,16 @@ class Histogram:
             self._max = value
         if not self._sketching:
             self._values.append(value)
-            if len(self._values) > self.sketch_threshold:
+            if len(self._values) > self.SKETCH_THRESHOLD:
                 # One-way switch: downsample the exact values into the
                 # reservoir, then keep a uniform sample from here on.
-                self._values = self._rng.sample(self._values, self.reservoir_size)
+                self._values = self._rng.sample(self._values, self.RESERVOIR_SIZE)
                 self._sketching = True
             return
         # Algorithm R: the n-th observation replaces a random slot with
-        # probability reservoir_size / n, keeping the sample uniform.
+        # probability RESERVOIR_SIZE / n, keeping the sample uniform.
         slot = self._rng.randrange(self._count)
-        if slot < self.reservoir_size:
+        if slot < self.RESERVOIR_SIZE:
             self._values[slot] = value
 
     # -- reading -------------------------------------------------------
@@ -195,8 +184,10 @@ class Histogram:
         Count, sum, min and max merge exactly.  Quantiles stay exact
         while the combined retained values fit under the sketch
         threshold; beyond that the merge downsamples into the
-        reservoir, so quantiles degrade to estimates exactly as they
-        would have had every observation arrived here directly.
+        reservoir.  A sketching side's retained value stands for
+        ``count / len(values)`` observations, so each side gets
+        reservoir slots in proportion to its observation count, not to
+        how many values it kept.
         """
         count = int(data["count"])  # type: ignore[arg-type]
         if count == 0:
@@ -207,14 +198,18 @@ class Histogram:
         self._max = max(self._max, float(data["max"]))  # type: ignore[arg-type]
         incoming = [float(v) for v in data["values"]]  # type: ignore[union-attr]
         both_exact = not self._sketching and bool(data.get("exact", True))
-        if both_exact and len(self._values) + len(incoming) <= self.sketch_threshold:
+        if both_exact and len(self._values) + len(incoming) <= self.SKETCH_THRESHOLD:
             self._values.extend(incoming)
             return
-        merged = self._values + incoming
-        if len(merged) > self.reservoir_size:
-            merged = self._rng.sample(merged, self.reservoir_size)
-        self._values = merged
+        take = round(self.RESERVOIR_SIZE * count / self._count)
+        self._values = (self._pick(self._values, self.RESERVOIR_SIZE - take)
+                        + self._pick(incoming, take))
         self._sketching = True
+
+    def _pick(self, values: List[float], k: int) -> List[float]:
+        """A uniform sample of ``k`` of ``values`` (all of them when ``k``
+        covers every one)."""
+        return values if k >= len(values) else self._rng.sample(values, k)
 
 
 class BoundCounter:

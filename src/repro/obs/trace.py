@@ -51,11 +51,6 @@ _CURRENT_TRACE: ContextVar[Optional[str]] = ContextVar(
     "repro_obs_trace", default=None
 )
 
-#: Default cap on stored spans per tracer (satellite: soak runs must
-#: not OOM the tracer).  Overflow drops the incoming span and bumps the
-#: ``trace_spans_dropped`` counter on the ambient metrics registry.
-DEFAULT_MAX_SPANS = 100_000
-
 
 @dataclass(frozen=True)
 class TraceContext:
@@ -168,18 +163,18 @@ def _span_id_base() -> int:
 class Tracer:
     """Collects finished spans; one per process (workers inherit a copy).
 
-    Storage is bounded by ``max_spans``: once full, incoming spans are
+    Storage is bounded by ``MAX_SPANS``: once full, incoming spans are
     dropped (keep-first, so a trace's early structure survives) and
     counted both locally (:attr:`dropped`) and on the ambient metrics
     registry as ``trace_spans_dropped``.
     """
 
-    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
-        if max_spans <= 0:
-            raise ValueError(f"max_spans must be positive, got {max_spans}")
+    #: Soak runs must not OOM the tracer.
+    MAX_SPANS = 100_000
+
+    def __init__(self) -> None:
         self._spans: List[Span] = []
         self._ids = itertools.count(_span_id_base() + 1)
-        self.max_spans = max_spans
         #: Spans discarded because the cap was hit.
         self.dropped = 0
         #: perf_counter at creation: exporters rebase timestamps on it.
@@ -189,7 +184,7 @@ class Tracer:
         return next(self._ids)
 
     def record(self, span: Span) -> None:
-        if len(self._spans) >= self.max_spans:
+        if len(self._spans) >= self.MAX_SPANS:
             self._drop(1)
             return
         self._spans.append(span)
@@ -203,7 +198,7 @@ class Tracer:
 
     def ingest(self, spans: Iterable[Span]) -> None:
         """Merge spans recorded by another process (cap applies)."""
-        room = self.max_spans - len(self._spans)
+        room = self.MAX_SPANS - len(self._spans)
         incoming = list(spans)
         if len(incoming) > room:
             kept, lost = incoming[:room], len(incoming) - room
@@ -231,19 +226,19 @@ def active_tracer() -> Optional[Tracer]:
     return _TRACER
 
 
-def install(tracer: Optional[Tracer] = None) -> Tracer:
-    """Enable tracing process-wide; returns the installed tracer."""
+def install() -> Tracer:
+    """Enable tracing process-wide with a fresh tracer; returns it."""
     global _TRACER
-    _TRACER = tracer if tracer is not None else Tracer()
+    _TRACER = Tracer()
     return _TRACER
 
 
 @contextmanager
-def installed(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Scope a tracer: install on entry, restore the previous on exit."""
+def installed() -> Iterator[Tracer]:
+    """Scope a fresh tracer: install on entry, restore the previous on exit."""
     global _TRACER
     previous = _TRACER
-    active = install(tracer)
+    active = install()
     try:
         yield active
     finally:

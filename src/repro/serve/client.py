@@ -26,10 +26,10 @@ class ControlPlaneClientError(RuntimeError):
 class ControlPlaneClient:
     """One keep-alive connection to a control-plane server."""
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._conn = http.client.HTTPConnection(host, port, timeout=30.0)
 
     def close(self) -> None:
         self._conn.close()
@@ -93,39 +93,24 @@ class ControlPlaneClient:
         return self._request("GET", f"/tenants/{tenant}/tasks")["tasks"]
 
     def submit_task(
-        self,
-        tenant: str,
-        task_id: str,
-        attributes: List[str],
-        nodes: List[int],
-        frequency: float = 1.0,
+        self, tenant: str, task_id: str, attributes: List[str], nodes: List[int]
     ) -> Dict[str, Any]:
         return self._request(
             "POST",
             f"/tenants/{tenant}/tasks",
-            {
-                "task_id": task_id,
-                "attributes": attributes,
-                "nodes": nodes,
-                "frequency": frequency,
-            },
+            {"task_id": task_id, "attributes": attributes, "nodes": nodes},
         )
 
     def get_task(self, tenant: str, task_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/tenants/{tenant}/tasks/{task_id}")["task"]
 
     def update_task(
-        self,
-        tenant: str,
-        task_id: str,
-        attributes: List[str],
-        nodes: List[int],
-        frequency: float = 1.0,
+        self, tenant: str, task_id: str, attributes: List[str], nodes: List[int]
     ) -> Dict[str, Any]:
         return self._request(
             "PUT",
             f"/tenants/{tenant}/tasks/{task_id}",
-            {"attributes": attributes, "nodes": nodes, "frequency": frequency},
+            {"attributes": attributes, "nodes": nodes},
         )
 
     def delete_task(self, tenant: str, task_id: str) -> Dict[str, Any]:

@@ -85,10 +85,8 @@ class HttpResponse:
         return cls(status=status, body=body)
 
     @classmethod
-    def text(
-        cls, text: str, status: int = 200, content_type: str = "text/plain; charset=utf-8"
-    ) -> "HttpResponse":
-        return cls(status=status, body=text.encode("utf-8"), content_type=content_type)
+    def text(cls, text: str, content_type: str = "text/plain; charset=utf-8") -> "HttpResponse":
+        return cls(status=200, body=text.encode("utf-8"), content_type=content_type)
 
     def encode(self) -> bytes:
         reason = _REASONS.get(self.status, "Unknown")

@@ -170,7 +170,9 @@ class ControlPlaneServer:
 
     async def _adapt(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
         body = request.json()
-        force = bool(body.get("force_rebuild", False)) if isinstance(body, dict) else False
+        force = body.get("force_rebuild", False) if isinstance(body, dict) else False
+        if not isinstance(force, bool):
+            raise HttpError(400, f"force_rebuild must be a JSON bool, got {force!r}")
         try:
             record = self.controlplane.adapt(force_rebuild=force)
         except NoPlanError as exc:
@@ -190,10 +192,9 @@ class ControlPlaneServer:
         body = request.json()
         periods = DEFAULT_RUN_PERIODS
         if isinstance(body, dict) and "periods" in body:
-            try:
-                periods = int(body["periods"])
-            except (TypeError, ValueError):
-                raise HttpError(400, f"periods must be an integer, got {body['periods']!r}") from None
+            periods = body["periods"]
+            if isinstance(periods, bool) or not isinstance(periods, int):
+                raise HttpError(400, f"periods must be a JSON integer, got {periods!r}")
         if not 1 <= periods <= MAX_RUN_PERIODS:
             raise HttpError(400, f"periods must be in [1, {MAX_RUN_PERIODS}], got {periods}")
         try:
@@ -241,16 +242,14 @@ async def _serve_async(
     server: ControlPlaneServer,
     announce: Optional[str],
     max_seconds: Optional[float],
-    ready_message: bool,
 ) -> None:
     await server.start()
     if announce:
         _write_announce(announce, server.host, server.port)
     # Structured instead of an ad-hoc print: the event lands in the
     # flight-recorder ring (and any JSONL sink) with trace identity,
-    # and echoes one human-readable line to stdout when asked to.
-    if ready_message:
-        log.set_console(sys.stdout)
+    # and echoes one human-readable line to stdout.
+    log.set_console(sys.stdout)
     try:
         log.emit(
             names.LOG_SERVE_READY,
@@ -267,8 +266,7 @@ async def _serve_async(
     finally:
         await server.stop()
         log.emit(names.LOG_SERVE_STOPPED, lane=names.LANE_SERVE)
-        if ready_message:
-            log.set_console(None)
+        log.set_console(None)
 
 
 def run_serve(
@@ -277,7 +275,6 @@ def run_serve(
     port: int = 0,
     announce: Optional[str] = None,
     max_seconds: Optional[float] = None,
-    ready_message: bool = True,
 ) -> None:
     """Blocking entry point behind ``repro serve``.
 
@@ -288,8 +285,6 @@ def run_serve(
     """
     server = ControlPlaneServer(controlplane, host=host, port=port)
     try:
-        asyncio.run(
-            _serve_async(server, announce, max_seconds, ready_message=ready_message)
-        )
+        asyncio.run(_serve_async(server, announce, max_seconds))
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass

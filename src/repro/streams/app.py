@@ -158,7 +158,7 @@ class StreamMetricRegistry(MetricRegistry):
     def advance_all(self) -> None:
         self._app.step()
 
-    def ensure(self, pair: NodeAttributePair, factory=None) -> None:
+    def ensure(self, pair: NodeAttributePair) -> None:
         if not self._app.observes(pair.node, pair.attribute):
             raise KeyError(f"application does not expose {pair}")
 

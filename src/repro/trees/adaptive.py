@@ -38,27 +38,21 @@ class AdaptiveTreeBuilder(GreedyTreeBuilder):
         (branch-based + subtree-only).  Pass
         ``TreeAdjuster(branch_based=False, subtree_only=False)`` for the
         basic procedure (Fig. 10 baseline).
-    max_adjust_rounds_per_node:
-        How many construct/adjust iterations to attempt for a single
-        node before declaring it excluded.  Each successful adjustment
-        strictly reduces some congested node's branch count, so small
-        values suffice; the cap guards against pathological cycling.
     """
+
+    #: Each successful adjustment strictly reduces some congested node's
+    #: branch count, so a few rounds suffice; the cap guards against
+    #: pathological cycling.
+    MAX_ADJUST_ROUNDS_PER_NODE = 4
 
     def __init__(
         self,
         cost_model: CostModel,
         adjuster: Optional[TreeAdjuster] = None,
-        max_adjust_rounds_per_node: int = 4,
         construction: str = "blend",
     ) -> None:
         super().__init__(cost_model)
         self.adjuster = adjuster if adjuster is not None else TreeAdjuster()
-        if max_adjust_rounds_per_node < 0:
-            raise ValueError(
-                f"max_adjust_rounds_per_node must be >= 0, got {max_adjust_rounds_per_node}"
-            )
-        self.max_adjust_rounds_per_node = max_adjust_rounds_per_node
         if construction not in ("blend", "star"):
             raise ValueError(
                 f"construction must be 'blend' or 'star', got {construction!r}"
@@ -125,9 +119,6 @@ class AdaptiveTreeBuilder(GreedyTreeBuilder):
         if self.max_parent_candidates is not None:
             keyed = keyed[: self.max_parent_candidates]
         return [entry[3] for entry in keyed]
-
-    def _max_retry_rounds(self) -> int:
-        return self.max_adjust_rounds_per_node
 
     def adjustment_seconds(self) -> float:
         return self.adjuster.seconds

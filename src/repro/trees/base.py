@@ -86,6 +86,9 @@ class GreedyTreeBuilder:
     #: How many candidate parents to try per insertion; ``None`` scans
     #: every feasible-looking node in preference order.
     max_parent_candidates: Optional[int] = None
+    #: Construct/adjust rounds to attempt for one node before declaring
+    #: it excluded; each round is one :meth:`on_saturated` call.
+    MAX_ADJUST_ROUNDS_PER_NODE = 0
 
     def __init__(self, cost_model: CostModel) -> None:
         self.cost = cost_model
@@ -200,7 +203,7 @@ class GreedyTreeBuilder:
             # congested in the paper's sense.  Adjusting moves members
             # but never adds or drops one, so one list serves every round.
             attempts += 1
-            if attempts > self._max_retry_rounds():
+            if attempts > self.MAX_ADJUST_ROUNDS_PER_NODE:
                 return False
             if members is None:
                 members = tree.nodes
@@ -219,6 +222,3 @@ class GreedyTreeBuilder:
         if self.max_parent_candidates is not None:
             return viable[: self.max_parent_candidates]
         return viable
-
-    def _max_retry_rounds(self) -> int:
-        return 0

@@ -613,23 +613,23 @@ class MonitoringTree:
             self._children[parent].add(node)
             self._walk(parent, node, _ABSENT, leaf.content, commit=True)
 
-    def entry_cost(self, demand: NodeDemand, msg_weight: float = 1.0) -> float:
-        """Send cost of the message a new leaf with ``demand`` would emit.
+    def entry_cost(self, demand: NodeDemand) -> float:
+        """Send cost of the unit-weight message a new leaf with
+        ``demand`` would emit.
 
         This is also the *minimum* capacity any prospective parent must
         have available (its receive-side share), which makes it a sound
         pre-filter before the full path feasibility walk.
         """
-        if msg_weight <= 0.0:
-            return 0.0
         total = sum(self._funnel(a, w) for a, w in demand.items() if w > 0)
-        return self.cost.weighted_message_cost(msg_weight, total)
+        return self.cost.weighted_message_cost(1.0, total)
 
-    def can_add_node(self, node: NodeId, parent: Optional[NodeId], demand: NodeDemand, msg_weight: float = 1.0) -> bool:
-        """Feasibility of :meth:`add_node` without mutating."""
+    def can_add_node(self, node: NodeId, parent: Optional[NodeId], demand: NodeDemand) -> bool:
+        """Feasibility of :meth:`add_node` (at unit message weight)
+        without mutating."""
         if node in self._parent:
             return False
-        return self.leaf_fits(self._leaf(node, demand, msg_weight), parent)
+        return self.leaf_fits(self._leaf(node, demand, 1.0), parent)
 
     def leaf_fits(self, leaf: PreparedLeaf, parent: Optional[NodeId]) -> bool:
         """Would attaching ``leaf`` under ``parent`` (``None`` => as the
@@ -693,10 +693,10 @@ class MonitoringTree:
         self,
         node: NodeId,
         demand: NodeDemand,
-        msg_weight: Optional[float] = None,
         check: bool = True,
     ) -> bool:
-        """Replace ``node``'s local contribution in place.
+        """Replace ``node``'s local contribution in place (its message
+        weight stays).
 
         Used by DIRECT-APPLY adaptation to add or drop attribute values
         at a member node without touching the tree structure.  With
@@ -714,26 +714,21 @@ class MonitoringTree:
         if any(w < 0 for w in demand.values()):
             raise ValueError(f"demand weights must be >= 0 for node {node}")
         new_demand = {a: w for a, w in demand.items() if w > 0}
-        new_msgw = self._local_msgw[node] if msg_weight is None else msg_weight
-        if new_msgw <= 0:
-            raise ValueError(f"msg_weight must be > 0, got {new_msgw}")
         old_demand = dict(self._local[node])
-        old_msgw = self._local_msgw[node]
-        if new_demand == old_demand and new_msgw == old_msgw:
+        if new_demand == old_demand:
             return True
-        self._apply_local(node, new_demand, new_msgw)
+        self._apply_local(node, new_demand)
         if check and not self._path_within_capacity(node):
-            self._apply_local(node, old_demand, old_msgw)
+            self._apply_local(node, old_demand)
             return False
         self._pair_count += len(new_demand) - len(old_demand)
         return True
 
-    def _apply_local(self, node: NodeId, demand: NodeDemand, msgw: float) -> None:
+    def _apply_local(self, node: NodeId, demand: NodeDemand) -> None:
         slot = self._slot[node]
         old = self._content(node)
         self._epoch += 1
         self._local[node] = dict(demand)
-        self._local_msgw[node] = msgw
         # The node's own content is re-derived from its local demand and
         # its children's contributions; only the ancestors see a delta.
         values: Optional[Dict[AttributeId, float]] = None
@@ -808,13 +803,13 @@ class MonitoringTree:
         self._epoch += 1
         return records
 
-    def move_branch(self, branch_root: NodeId, new_parent: NodeId, check: bool = True) -> bool:
+    def move_branch(self, branch_root: NodeId, new_parent: NodeId) -> bool:
         """Re-attach the subtree at ``branch_root`` under ``new_parent``.
 
-        Returns ``True`` on success.  With ``check=True`` feasibility is
-        established by a read-only simulation *before* anything mutates
-        (no rollback is ever needed), and ``False`` is returned if the
-        move would violate a capacity constraint.  Moving a branch
+        Returns ``True`` on success.  Feasibility is established by a
+        read-only simulation *before* anything mutates (no rollback is
+        ever needed), and ``False`` is returned if the move would
+        violate a capacity constraint.  Moving a branch
         under one of its own descendants, under itself, or detaching
         the root is rejected with ``ValueError``.
         """
@@ -832,7 +827,7 @@ class MonitoringTree:
                 f"cannot attach branch {branch_root} under its own descendant {new_parent}"
             )
 
-        if check and not self._move_feasible(branch_root, new_parent):
+        if not self._move_feasible(branch_root, new_parent):
             return False
 
         # Moving the branch does not change what it sends.

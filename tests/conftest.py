@@ -9,7 +9,7 @@ import pytest
 from repro.cluster.node import Cluster, SimNode
 from repro.cluster.topology import default_attribute_pool, make_uniform_cluster
 from repro.core.cost import CostModel
-from repro.core.tasks import MonitoringTask
+from repro.core.tasks import MonitoringTask, TaskManager
 
 
 @pytest.fixture
@@ -65,6 +65,25 @@ def rng():
 def make_task(task_id="t", attrs=("a",), nodes=(0, 1), frequency=1.0):
     """Terse task constructor for tests."""
     return MonitoringTask(task_id, attrs, nodes, frequency=frequency)
+
+
+def move_unchecked(tree, branch, target):
+    """``tree.move_branch`` with its feasibility check skipped: the
+    brute-force side of the probe oracles, and a way back to a state
+    that was never feasible."""
+    tree._move_feasible = lambda *_: True
+    try:
+        tree.move_branch(branch, target)
+    finally:
+        del tree._move_feasible
+
+
+def manager_of(tasks):
+    """A task manager holding ``tasks``."""
+    manager = TaskManager()
+    for task in tasks:
+        manager.add_task(task)
+    return manager
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ from repro.core.adaptation import (
     AdaptationStrategy,
     AdaptiveMonitoringService,
 )
-from repro.core.allocation import AllocationPolicy
 from repro.core.cost import CostModel
 from repro.core.tasks import MonitoringTask
 
@@ -130,12 +129,6 @@ class TestStrategyDifferences:
 
 
 class TestConfiguration:
-    def test_requires_sequential_allocation(self, small_cluster):
-        with pytest.raises(ValueError):
-            AdaptiveMonitoringService(
-                small_cluster, COST, allocation=AllocationPolicy.UNIFORM
-            )
-
     def test_reports_carry_strategy(self, small_cluster):
         svc = service(small_cluster, AdaptationStrategy.REBUILD)
         report = svc.initialize(initial_tasks(), now=0.0)

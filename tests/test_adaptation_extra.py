@@ -3,7 +3,7 @@ optimization, and interaction with extensions."""
 
 
 from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
-from repro.core.cost import AggregationKind, AggregationSpec, CostModel
+from repro.core.cost import CostModel
 from repro.core.tasks import MonitoringTask
 
 COST = CostModel(per_message=6.0, per_value=1.0)
@@ -56,22 +56,6 @@ class TestEdgeCases:
         first = svc.apply_changes([("modify", task)], now=1.0)
         second = svc.apply_changes([("modify", task)], now=2.0)
         assert second.adaptation_messages <= first.adaptation_messages
-
-    def test_service_with_aggregation(self, small_cluster):
-        svc = AdaptiveMonitoringService(
-            small_cluster,
-            COST,
-            strategy=AdaptationStrategy.ADAPTIVE,
-            aggregation={"a": AggregationSpec(AggregationKind.MAX)},
-        )
-        report = svc.initialize(
-            [MonitoringTask("t", ["a", "b"], range(6))], now=0.0
-        )
-        assert report.coverage > 0
-        svc.plan.validate(
-            {n.node_id: n.capacity for n in small_cluster},
-            small_cluster.central_capacity,
-        )
 
     def test_plan_survives_attribute_swap_cycle(self, small_cluster):
         svc = AdaptiveMonitoringService(

@@ -82,7 +82,7 @@ def test_every_candidate_forest_passes_the_plan_check(monkeypatch):
     def checked_build(self, *args, **kwargs):
         nonlocal checked
         plan = build(self, *args, **kwargs)
-        assert_plan_valid(plan, cluster, context=f"candidate forest {checked}")
+        assert_plan_valid(plan, cluster)
         checked += 1
         return plan
 
@@ -189,7 +189,7 @@ def test_assert_plan_valid_raises_with_codes_in_message(planned):
     plan, cluster = planned
     inject_fault(plan, "stale-cost")
     with pytest.raises(PlanCheckError, match="REMO203"):
-        assert_plan_valid(plan, cluster, context="corrupted fixture")
+        assert_plan_valid(plan, cluster)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ class TestCostModel:
     def test_star_root_cost_grows_slowly_with_payload(self):
         """One big message is far cheaper than many small ones."""
         model = CostModel(per_message=2.0, per_value=0.01)
-        many_small = model.star_root_cost(256, values_per_child=1)
+        many_small = model.star_root_cost(256)
         one_big = model.message_cost(256)
         assert one_big < many_small / 50
 

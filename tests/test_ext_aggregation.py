@@ -15,10 +15,6 @@ class TestUniformAggregation:
         assert set(agg) == {"a", "b"}
         assert all(spec.kind is AggregationKind.MAX for spec in agg.values())
 
-    def test_top_k_parameter(self):
-        agg = uniform_aggregation(["a"], AggregationKind.TOP_K, k=3)
-        assert agg["a"].k == 3
-
 
 class TestAggregationAwarePlanning:
     def test_awareness_never_hurts_coverage(self, tight_cluster):

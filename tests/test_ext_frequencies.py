@@ -5,8 +5,9 @@ import pytest
 from repro.core.attributes import NodeAttributePair
 from repro.core.cost import CostModel
 from repro.core.planner import RemoPlanner
-from repro.core.tasks import MonitoringTask, TaskManager
+from repro.core.tasks import MonitoringTask
 from repro.ext.frequencies import frequency_weights
+from tests.conftest import manager_of
 
 HEAVY = CostModel(10.0, 1.0)
 
@@ -29,7 +30,7 @@ class TestFrequencyWeights:
         assert inputs.msg_weights[1] == pytest.approx(0.6)
 
     def test_accepts_task_manager(self):
-        manager = TaskManager([MonitoringTask("t", ["a"], [1], frequency=0.5)])
+        manager = manager_of([MonitoringTask("t", ["a"], [1], frequency=0.5)])
         inputs = frequency_weights(manager)
         assert inputs.pair_weights[NodeAttributePair(1, "a")] == pytest.approx(0.5)
 

@@ -204,7 +204,8 @@ class TestDeployEndToEnd:
         if "child_wait_timeouts" not in {**counters, **baseline.metrics.counters()}:
             assert merged["cost_units_spent"] == baseline.as_dict()["cost_units_spent"]
 
-    def test_a_child_dead_before_ready_fails_the_launch_at_once(self, tmp_path):
+    def test_a_child_dead_before_ready_fails_the_launch_at_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(deploy, "STARTUP_TIMEOUT_S", 60.0)
         spec, plan = make_spec(
             SCENARIO, workers=2, periods=4, config=CONFIG,
             rundir=str(tmp_path),
@@ -212,7 +213,7 @@ class TestDeployEndToEnd:
         Path(spec.spec_path).unlink()  # no child can load its world
         started = time.monotonic()
         with pytest.raises(DeployError, match=r"exited with code \d+ before it was ready"):
-            run_deploy(spec, plan=plan, startup_timeout=60.0)
+            run_deploy(spec, plan=plan)
         assert time.monotonic() - started < 30.0
 
     def test_worker_kill_and_restart_completes(self, tmp_path):

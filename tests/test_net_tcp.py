@@ -212,12 +212,13 @@ class TestCoalescedWrites:
 
         asyncio.run(scenario())
 
-    def test_aclose_with_a_dead_peer_returns_within_the_grace(self):
+    def test_aclose_with_a_dead_peer_returns_within_the_grace(self, monkeypatch):
+        monkeypatch.setattr(TcpTransport, "DIAL_BACKOFF_BASE", 0.01)
+        monkeypatch.setattr(TcpTransport, "CLOSE_GRACE_SECONDS", 0.2)
+
         async def scenario():
             endpoint = allocate_endpoints(1)[0]  # nobody listens here
-            a = TcpTransport(
-                PeerDirectory({1: endpoint}), dial_backoff_base=0.01, close_grace_seconds=0.2
-            )
+            a = TcpTransport(PeerDirectory({1: endpoint}))
             for envelope in _beats(3):
                 assert await a.send(1, envelope)
             await asyncio.sleep(0.05)
@@ -231,7 +232,9 @@ class TestCoalescedWrites:
 
 
 class TestReconnect:
-    def test_sender_survives_peer_restart(self):
+    def test_sender_survives_peer_restart(self, monkeypatch):
+        monkeypatch.setattr(TcpTransport, "DIAL_BACKOFF_BASE", 0.01)
+
         async def scenario():
             endpoint = allocate_endpoints(1)[0]
             b = TcpTransport(
@@ -239,9 +242,7 @@ class TestReconnect:
             )
             b.register(1)
             await b.start()
-            a = TcpTransport(
-                PeerDirectory({1: endpoint}), dial_backoff_base=0.01
-            )
+            a = TcpTransport(PeerDirectory({1: endpoint}))
             try:
                 first = HeartbeatEnvelope(sender=7, period=0)
                 assert await a.send(1, first)
@@ -277,11 +278,13 @@ class TestReconnect:
 
         asyncio.run(scenario())
 
-    def test_frames_in_hand_reach_a_restarted_peer_once_in_order(self):
+    def test_frames_in_hand_reach_a_restarted_peer_once_in_order(self, monkeypatch):
+        monkeypatch.setattr(TcpTransport, "DIAL_BACKOFF_BASE", 0.01)
+
         async def scenario():
             endpoint = allocate_endpoints(1)[0]
             b = await _restart(endpoint)
-            a = TcpTransport(PeerDirectory({1: endpoint}), dial_backoff_base=0.01)
+            a = TcpTransport(PeerDirectory({1: endpoint}))
             try:
                 [first] = _beats(1)
                 assert await a.send(1, first)
@@ -307,12 +310,13 @@ class TestReconnect:
 
         asyncio.run(scenario())
 
-    def test_dead_peer_blocks_send_at_the_queue_bound(self):
+    def test_dead_peer_blocks_send_at_the_queue_bound(self, monkeypatch):
+        monkeypatch.setattr(TcpTransport, "SEND_QUEUE_FRAMES", 4)
+        monkeypatch.setattr(TcpTransport, "DIAL_BACKOFF_BASE", 0.01)
+
         async def scenario():
             endpoint = allocate_endpoints(1)[0]  # nobody listens yet
-            a = TcpTransport(
-                PeerDirectory({1: endpoint}), send_queue_frames=4, dial_backoff_base=0.01
-            )
+            a = TcpTransport(PeerDirectory({1: endpoint}))
             b = None
             try:
                 held = _beats(4)
@@ -334,17 +338,17 @@ class TestReconnect:
 
         asyncio.run(scenario())
 
-    def test_agent_behind_a_dead_peer_stalls_alone_and_resumes_in_order(self):
+    def test_agent_behind_a_dead_peer_stalls_alone_and_resumes_in_order(self, monkeypatch):
         """An agent awaits its own sends: at the queue bound its inbox
         stalls (ticks queue up, no task is parked per period), agents on
         other links carry on, and the peer's return replays every batch
         once, in order."""
+        monkeypatch.setattr(TcpTransport, "SEND_QUEUE_FRAMES", 2)
+        monkeypatch.setattr(TcpTransport, "DIAL_BACKOFF_BASE", 0.01)
 
         async def scenario():
             endpoint = allocate_endpoints(1)[0]  # node 1's parent: nobody listens yet
-            a = TcpTransport(
-                PeerDirectory({1: endpoint}), send_queue_frames=2, dial_backoff_base=0.01
-            )
+            a = TcpTransport(PeerDirectory({1: endpoint}))
             metrics = RuntimeMetrics()
             a.bind_metrics(metrics)
             config = RuntimeConfig(period_seconds=30.0)

@@ -80,12 +80,13 @@ class TestFlightRecorder:
         ]
         assert [s["name"] for s in record["spans"]] == [names.SPAN_RUNTIME_PERIOD]
 
-    def test_span_tail_is_bounded(self):
+    def test_span_tail_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(log, "FLIGHT_SPANS", 3)
         with trace.installed() as tracer:
             for _ in range(10):
                 with trace.span(names.SPAN_RUNTIME_PERIOD):
                     pass
-            record = log.flight_record("x", max_spans=3)
+            record = log.flight_record("x")
             assert len(tracer.spans()) == 10
         assert len(record["spans"]) == 3
 

@@ -155,16 +155,19 @@ class TestHistogramExact:
         with pytest.raises(ValueError):
             Histogram().quantile(1.5)
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(reservoir_size=0)
-        with pytest.raises(ValueError):
-            Histogram(sketch_threshold=10, reservoir_size=100)
+
+
+@pytest.fixture
+def small_sketch(monkeypatch):
+    """Histograms that sketch past 100 observations into 50 slots."""
+    monkeypatch.setattr(Histogram, "SKETCH_THRESHOLD", 100)
+    monkeypatch.setattr(Histogram, "RESERVOIR_SIZE", 50)
 
 
 class TestHistogramSketch:
+    @pytest.mark.usefixtures("small_sketch")
     def test_switches_past_threshold_and_bounds_memory(self):
-        h = Histogram(sketch_threshold=100, reservoir_size=50)
+        h = Histogram()
         for i in range(100):
             h.observe(float(i))
         assert h.is_exact
@@ -175,8 +178,9 @@ class TestHistogramSketch:
         assert len(h._values) == 50
         assert h.count == 10_101
 
+    @pytest.mark.usefixtures("small_sketch")
     def test_exact_moments_survive_sketching(self):
-        h = Histogram(sketch_threshold=100, reservoir_size=50)
+        h = Histogram()
         values = [float(i) for i in range(1000)]
         for v in values:
             h.observe(v)
@@ -204,9 +208,10 @@ class TestHistogramSketch:
         # True exponential(1) median is ln 2 ~ 0.693.
         assert abs(h.quantile(0.5) - 0.693) < 0.15
 
+    @pytest.mark.usefixtures("small_sketch")
     def test_reproducible_across_instances(self):
         def fill():
-            h = Histogram(sketch_threshold=100, reservoir_size=50)
+            h = Histogram()
             for i in range(5000):
                 h.observe(float(i % 997))
             return h
@@ -271,9 +276,10 @@ class TestDumpAbsorb:
             'period{node="3"}': 4.0,
         }
 
+    @pytest.mark.usefixtures("small_sketch")
     def test_histogram_merge_stays_exact_under_threshold(self):
-        a = Histogram(sketch_threshold=100, reservoir_size=50)
-        b = Histogram(sketch_threshold=100, reservoir_size=50)
+        a = Histogram()
+        b = Histogram()
         for i in range(40):
             a.observe(float(i))
         for i in range(40, 100):
@@ -285,9 +291,10 @@ class TestDumpAbsorb:
         assert a.count == 100
         assert a.quantile(0.5) == pytest.approx(49.5)
 
+    @pytest.mark.usefixtures("small_sketch")
     def test_histogram_merge_crosses_threshold_into_reservoir(self):
-        a = Histogram(sketch_threshold=100, reservoir_size=50)
-        b = Histogram(sketch_threshold=100, reservoir_size=50)
+        a = Histogram()
+        b = Histogram()
         for i in range(60):
             a.observe(float(i))
         for i in range(60):
@@ -302,10 +309,33 @@ class TestDumpAbsorb:
         assert a.sum == sum(range(120))
         assert a.min == 0.0 and a.max == 119.0
 
+    def test_merge_weights_a_sketch_by_the_observations_it_stands_for(self):
+        # 20 000 zeros kept as 1 024 sketch values, 2 000 hundreds kept
+        # exactly: the merge must come out 91% zeros, as one histogram
+        # observing all 22 000 values would.
+        zeros, hundreds = Histogram(), Histogram()
+        for _ in range(20_000):
+            zeros.observe(0.0)
+        for _ in range(2_000):
+            hundreds.observe(100.0)
+        assert not zeros.is_exact and hundreds.is_exact
+        direct = Histogram()
+        for v in [0.0] * 20_000 + [100.0] * 2_000:
+            direct.observe(v)
+        merged = Histogram()
+        merged.absorb(zeros.dump())
+        merged.absorb(hundreds.dump())
+        assert merged.count == 22_000
+        assert len(merged._values) == Histogram.RESERVOIR_SIZE
+        for q in (0.5, 0.75, 0.9):
+            assert merged.quantile(q) == direct.quantile(q) == 0.0
+        assert sum(v == 100.0 for v in merged._values) == round(1024 * 2_000 / 22_000)
+
+    @pytest.mark.usefixtures("small_sketch")
     def test_absorbing_a_sketched_dump_forces_sketching(self):
-        a = Histogram(sketch_threshold=100, reservoir_size=50)
+        a = Histogram()
         a.observe(1.0)
-        b = Histogram(sketch_threshold=100, reservoir_size=50)
+        b = Histogram()
         for i in range(200):
             b.observe(float(i))
         assert not b.is_exact

@@ -262,16 +262,13 @@ class TestTracerBasics:
 
 
 class TestBoundedTracer:
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_spans"):
-            Tracer(max_spans=0)
-
-    def test_record_keeps_first_and_counts_drops(self):
+    def test_record_keeps_first_and_counts_drops(self, monkeypatch):
         from repro.obs import names
         from repro.obs.metrics import use_registry
 
         registry = MetricsRegistry()
-        tracer = Tracer(max_spans=2)
+        monkeypatch.setattr(Tracer, "MAX_SPANS", 2)
+        tracer = Tracer()
         with use_registry(registry):
             for i in range(5):
                 tracer.record(Span(name=f"s{i}", start=float(i), duration=0.1))
@@ -279,12 +276,13 @@ class TestBoundedTracer:
         assert tracer.dropped == 3
         assert registry.counter(names.TRACE_SPANS_DROPPED) == 3
 
-    def test_ingest_respects_cap(self):
+    def test_ingest_respects_cap(self, monkeypatch):
         from repro.obs import names
         from repro.obs.metrics import use_registry
 
         registry = MetricsRegistry()
-        tracer = Tracer(max_spans=3)
+        monkeypatch.setattr(Tracer, "MAX_SPANS", 3)
+        tracer = Tracer()
         tracer.record(Span(name="own", start=0.0, duration=0.1))
         with use_registry(registry):
             tracer.ingest(

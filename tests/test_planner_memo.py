@@ -87,15 +87,18 @@ class TestMemoTransparency:
     def test_cached_and_cold_plans_identical(self, n_nodes, seed):
         """Property: the memo never changes the plan, only its cost."""
         cluster, tasks = _workload(n_nodes, seed)
-        cached, _ = RemoPlanner(COST, memo_size=128).plan_with_stats(tasks, cluster)
-        cold, _ = RemoPlanner(COST, memo_size=0).plan_with_stats(tasks, cluster)
+        cached, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RemoPlanner, "MEMO_SIZE", 0)
+            cold, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
         assert cached.fingerprint() == cold.fingerprint()
 
-    def test_tiny_memo_identical_to_default(self):
+    def test_tiny_memo_identical_to_default(self, monkeypatch):
         """Eviction churn (capacity 1) must not alter results either."""
         cluster, tasks = _workload(16, 7)
-        tiny, _ = RemoPlanner(COST, memo_size=1).plan_with_stats(tasks, cluster)
         default, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
+        monkeypatch.setattr(RemoPlanner, "MEMO_SIZE", 1)
+        tiny, _ = RemoPlanner(COST).plan_with_stats(tasks, cluster)
         assert tiny.fingerprint() == default.fingerprint()
 
     def test_memo_counters_flow_into_stats(self):
@@ -108,7 +111,7 @@ class TestMemoTransparency:
         """Ledger-keyed invalidation: every tree in a memoized plan must
         agree with a full bottom-up recompute of its cached state."""
         cluster, tasks = _workload(18, 11)
-        plan, stats = RemoPlanner(COST, memo_size=128).plan_with_stats(tasks, cluster)
+        plan, stats = RemoPlanner(COST).plan_with_stats(tasks, cluster)
         assert stats.memo_misses > 0
         for result in plan.trees.values():
             result.tree.validate()

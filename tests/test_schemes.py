@@ -5,7 +5,8 @@ import pytest
 from repro.core.attributes import NodeAttributePair, pairs_for
 from repro.core.cost import CostModel
 from repro.core.schemes import OneSetPlanner, SingletonSetPlanner, observable_pairs
-from repro.core.tasks import DuplicateTaskError, MonitoringTask, TaskManager
+from repro.core.tasks import DuplicateTaskError, MonitoringTask
+from tests.conftest import manager_of
 
 COST = CostModel(2.0, 1.0)
 
@@ -16,7 +17,7 @@ class TestInputNormalization:
         assert observable_pairs(tasks, small_cluster) == frozenset(pairs_for([1, 2], ["a"]))
 
     def test_accepts_task_manager(self, small_cluster):
-        manager = TaskManager([MonitoringTask("t", ["a"], [1])])
+        manager = manager_of([MonitoringTask("t", ["a"], [1])])
         assert observable_pairs(manager, small_cluster) == frozenset({NodeAttributePair(1, "a")})
 
     def test_accepts_pairs(self, small_cluster):
@@ -41,8 +42,8 @@ class TestInputNormalization:
         from repro.workloads.presets import sampled_workload
 
         cluster, _cost, tasks = sampled_workload(nodes=40, tasks=25, capacity=200.0, seed=3)
-        assert observable_pairs(tasks, cluster) == observable_pairs(TaskManager(tasks), cluster)
-        pairs = TaskManager(tasks).pairs()
+        assert observable_pairs(tasks, cluster) == observable_pairs(manager_of(tasks), cluster)
+        pairs = manager_of(tasks).pairs()
         assert observable_pairs(tasks, cluster) == observable_pairs(pairs, cluster)
 
     def test_task_list_rejects_duplicate_ids(self, small_cluster):

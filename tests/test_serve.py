@@ -272,21 +272,43 @@ class TestTaskBodyValidation:
         ],
     )
     def test_uncoerced_field_is_400(self, client, field, value):
-        body = {"attributes": ["attr00"], "nodes": [0, 1], "frequency": 1.0, field: value}
+        body = {"task_id": "cpu", "attributes": ["attr00"], "nodes": [0, 1], field: value}
         with pytest.raises(ControlPlaneClientError) as err:
-            client.submit_task("acme", "cpu", **body)
+            client._request("POST", "/tenants/acme/tasks", body)
         assert err.value.status == 400
         assert field in err.value.message
         assert client.tenants() == []
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_uncoerced_force_rebuild_is_400(self, client, value):
+        client.submit_task("acme", "cpu", ["attr00"], [0, 1])
+        with pytest.raises(ControlPlaneClientError) as err:
+            client._request("POST", "/adapt", {"force_rebuild": value})
+        assert err.value.status == 400
+        assert "force_rebuild" in err.value.message and "\n" not in err.value.message
+        assert client.adaptations() == []
+
+    @pytest.mark.parametrize("value", [True, 2.9, "5"])
+    def test_uncoerced_periods_is_400(self, client, value):
+        client.submit_task("acme", "cpu", ["attr00"], [0, 1])
+        client.adapt()
+        with pytest.raises(ControlPlaneClientError) as err:
+            client._request("POST", "/run", {"periods": value})
+        assert err.value.status == 400
+        assert "periods" in err.value.message and "\n" not in err.value.message
+        assert client.reports() == []
+
     def test_get_put_round_trip_changes_nothing(self, controlplane, client):
-        client.submit_task("acme", "cpu", ["attr01", "attr00"], [5, 0, 3], frequency=0.5)
+        client._request("POST", "/tenants/acme/tasks", {
+            "task_id": "cpu", "attributes": ["attr01", "attr00"], "nodes": [5, 0, 3],
+            "frequency": 0.5,
+        })
         first = client.adapt()
         before = client.get_task("acme", "cpu")
         pairs = controlplane.tenants.pairs()
-        client.update_task(
-            "acme", "cpu", before["attributes"], before["nodes"], before["frequency"]
-        )
+        client._request("PUT", "/tenants/acme/tasks/cpu", {
+            key: before[key] for key in ("attributes", "nodes", "frequency")
+        })
         assert client.get_task("acme", "cpu") == before
         assert controlplane.tenants.pairs() == pairs
         # The staged modify nets to nothing: the plan does not move.

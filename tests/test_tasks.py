@@ -9,6 +9,7 @@ from repro.core.tasks import (
     TaskManager,
     UnknownTaskError,
 )
+from tests.conftest import manager_of
 
 
 class TestMonitoringTask:
@@ -78,7 +79,7 @@ class TestTaskManagerDeduplication:
         assert delta.removed == frozenset({NodeAttributePair(1, "a")})
 
     def test_duplicate_id_rejected(self):
-        manager = TaskManager([MonitoringTask("t", ["a"], [1])])
+        manager = manager_of([MonitoringTask("t", ["a"], [1])])
         with pytest.raises(DuplicateTaskError):
             manager.add_task(MonitoringTask("t", ["b"], [2]))
 
@@ -87,7 +88,7 @@ class TestTaskManagerDeduplication:
             TaskManager().remove_task("nope")
 
     def test_len_and_contains(self):
-        manager = TaskManager([MonitoringTask("t", ["a"], [1])])
+        manager = manager_of([MonitoringTask("t", ["a"], [1])])
         assert len(manager) == 1
         assert "t" in manager
         assert "x" not in manager
@@ -102,7 +103,7 @@ class TestTaskManagerBatches:
         assert len(manager) == 0
 
     def test_batch_modify_sequence_nets(self):
-        manager = TaskManager([MonitoringTask("t", ["a"], [1])])
+        manager = manager_of([MonitoringTask("t", ["a"], [1])])
         delta = manager.apply(
             [
                 ("modify", MonitoringTask("t", ["b"], [1])),

@@ -14,6 +14,7 @@ from repro.trees.adaptive import AdaptiveTreeBuilder
 from repro.trees.adjust import TreeAdjuster
 from repro.trees.base import TreeBuildRequest
 from repro.trees.model import MonitoringTree
+from tests.conftest import move_unchecked
 
 COST = CostModel(per_message=2.0, per_value=1.0)
 
@@ -294,7 +295,7 @@ def test_out_of_reach_leaves_stay_out_of_reach_after_any_branch_move(case):
             if target in inside or target == old_parent or not tree.move_branch(branch, target):
                 continue
             assert hosts() == [], (branch, target)
-            tree.move_branch(branch, old_parent, check=False)
+            move_unchecked(tree, branch, old_parent)
 
 
 class TestOutOfReachGate:

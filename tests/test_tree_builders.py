@@ -117,19 +117,14 @@ class TestAdaptiveBuilder:
         assert len(adaptive) >= len(star)
         assert adaptive.height() >= star.height()
 
-    def test_zero_adjust_rounds_is_construction_only(self):
+    def test_zero_adjust_rounds_is_construction_only(self, monkeypatch):
         """Disabling adjusting keeps validity and cannot beat the full
         construct/adjust iteration."""
-        plain = AdaptiveTreeBuilder(COST, max_adjust_rounds_per_node=0)
-        full = AdaptiveTreeBuilder(COST)
-        plain_tree = plain.build(request(25, 20.0)).tree
-        full_tree = full.build(request(25, 20.0)).tree
+        full_tree = AdaptiveTreeBuilder(COST).build(request(25, 20.0)).tree
+        monkeypatch.setattr(AdaptiveTreeBuilder, "MAX_ADJUST_ROUNDS_PER_NODE", 0)
+        plain_tree = AdaptiveTreeBuilder(COST).build(request(25, 20.0)).tree
         plain_tree.validate()
         assert len(plain_tree) <= len(full_tree)
-
-    def test_rejects_negative_adjust_rounds(self):
-        with pytest.raises(ValueError):
-            AdaptiveTreeBuilder(COST, max_adjust_rounds_per_node=-1)
 
     def test_result_validates(self):
         result = AdaptiveTreeBuilder(COST).build(request(50, 16.0))

@@ -23,6 +23,7 @@ from repro.core.cost import AggregationKind, AggregationSpec, CostModel
 from repro.trees.adaptive import AdaptiveTreeBuilder
 from repro.trees.base import TreeBuildRequest
 from repro.trees.model import EPSILON, MonitoringTree
+from tests.conftest import move_unchecked
 
 ATTRS = ("cpu", "mem", "net", "disk", "io")
 
@@ -94,7 +95,7 @@ def test_incremental_state_matches_recompute_oracle(run):
             node = rnd.choice(members)
             # Occasionally clear the demand entirely (pure relay).
             demand = {} if rnd.random() < 0.2 else _random_demand(rnd)
-            tree.update_local(node, demand, rnd.uniform(0.5, 2.0))
+            tree.update_local(node, demand)
         elif op == "move" and len(members) >= 3:
             branch = rnd.choice([n for n in members if tree.parent(n) is not None])
             in_branch = set(tree.subtree_nodes(branch))
@@ -255,7 +256,7 @@ def test_scalar_probe_agrees_with_general_walk(run):
             # Sometimes a pure relay: no values, only a message weight.
             demand = {} if rnd.random() < 0.15 else _dyadic_demand(rnd)
             msgw = rnd.choice(_DYADIC_MSGW)
-            fits = both(lambda t: t.can_add_node(node, parent, demand, msgw))
+            fits = both(lambda t: t.leaf_fits(t.prepare_leaf(node, demand, msgw), parent))
             # The probe agrees with actually doing it.
             assert fits == (
                 cost.weighted_message_cost(msgw, sum(demand.values()))
@@ -271,15 +272,14 @@ def test_scalar_probe_agrees_with_general_walk(run):
             next_node += fits
         elif op == "update":
             node = rnd.choice(members)
-            before = scalar.local_demand(node), scalar.local_message_weight(node)
+            before = scalar.local_demand(node)
             demand = {} if rnd.random() < 0.2 else _dyadic_demand(rnd)
-            msgw = rnd.choice(_DYADIC_MSGW)
-            both(lambda t: t.update_local(node, demand, msgw, check=checked))
+            both(lambda t: t.update_local(node, demand, check=checked))
             if _overloaded(scalar):
                 # Only an unchecked update can get here; undo it the
                 # same way (DIRECT-APPLY strips pairs unchecked too).
                 assert not checked
-                both(lambda t: t.update_local(node, *before, check=False))
+                both(lambda t: t.update_local(node, before, check=False))
         elif op == "move" and movable:
             branch = rnd.choice(movable)
             inside = set(scalar.subtree_nodes(branch))
@@ -287,12 +287,9 @@ def test_scalar_probe_agrees_with_general_walk(run):
             target = rnd.choice(hosts)
             fits = both(lambda t: t.can_move_branch(branch, target))
             assert fits == (
-                not _would_overload(scalar, lambda t: t.move_branch(branch, target, check=False))
+                not _would_overload(scalar, lambda t: move_unchecked(t, branch, target))
             )
-            if checked:
-                assert both(lambda t: t.move_branch(branch, target)) == fits
-            elif fits:
-                both(lambda t: t.move_branch(branch, target, check=False))
+            assert both(lambda t: t.move_branch(branch, target)) == fits
         elif op == "remove" and movable:
             branch = rnd.choice(movable)
             both(lambda t: t.remove_branch(branch))
@@ -322,7 +319,7 @@ def test_root_refusal_implies_no_member_can_host(run):
         leaf = tree.prepare_leaf(next_node, demand, msgw)
         if members and tree.refuses(leaf):
             for parent in members:
-                assert not tree.can_add_node(next_node, parent, demand, msgw)
+                assert not tree.leaf_fits(leaf, parent)
         else:
             tree.add_node(next_node, rnd.choice(members) if members else None, demand, msgw)
         next_node += 1

@@ -84,9 +84,12 @@ class TestUpdateLocal:
         assert tree.pair_count() == 2
 
     def test_message_weight_update(self):
+        """An update replaces the values a node sends, not how often it
+        sends: the weight it joined with stays."""
         tree = tree_with_chain()
-        assert tree.update_local(2, {"a": 0.5}, msg_weight=0.5)
-        assert tree.message_weight(2) == pytest.approx(0.5)
+        tree.add_node(3, 2, {"a": 1.0}, 0.5)
+        assert tree.update_local(3, {"a": 0.5, "b": 0.5})
+        assert tree.message_weight(3) == pytest.approx(0.5)
         # Upstream still sends at full rate (its own weight is 1.0).
         assert tree.message_weight(0) == pytest.approx(1.0)
         tree.validate()

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.tasks import TaskManager
 from repro.workloads.tasks import TaskSampler
 from repro.workloads.updates import TaskUpdateStream
+from tests.conftest import manager_of
 
 
 class TestTaskSampler:
@@ -72,7 +72,7 @@ class TestUpdateStream:
         tasks = TaskSampler(medium_cluster, seed=2).sample_many(
             20, (1, 4), (5, 20), prefix="small"
         )
-        manager = TaskManager(tasks)
+        manager = manager_of(tasks)
         stream = TaskUpdateStream(medium_cluster, tasks, seed=3)
         for _ in range(5):
             delta = manager.apply(stream.next_batch())

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.tasks import TaskManager
 from repro.streams.app import build_stream_cluster
 from repro.streams.yieldmonitor import make_yieldmonitor, yieldmonitor_tasks
+from tests.conftest import manager_of
 
 
 class TestShape:
@@ -52,7 +52,7 @@ class TestTasks:
         app = make_yieldmonitor(n_nodes=20, n_lines=8, seed=3)
         cluster = build_stream_cluster(app, capacity=100.0)
         tasks = yieldmonitor_tasks(app, 15, seed=4)
-        pairs = TaskManager(tasks).pairs()
+        pairs = manager_of(tasks).pairs()
         observable = sum(
             1
             for p in pairs
