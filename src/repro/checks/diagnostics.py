@@ -261,9 +261,6 @@ class DiagnosticReport:
                 seen.append(d.code)
         return seen
 
-    def by_code(self, code: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
     def format(self, with_hints: bool = False) -> str:
         """All findings, one per line (empty string when clean)."""
         return "\n".join(d.format(with_hint=with_hints) for d in self.diagnostics)

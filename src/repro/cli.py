@@ -1,6 +1,6 @@
 """Command-line interface: plan, simulate, adapt, check, and run.
 
-Ten subcommands over synthetic workloads, mirroring the examples:
+Nine subcommands over synthetic workloads, mirroring the examples:
 
 - ``plan``       build a monitoring forest and print its summary;
 - ``simulate``   run the planned forest in the discrete-event simulator
@@ -22,10 +22,7 @@ Ten subcommands over synthetic workloads, mirroring the examples:
 - ``trace``      merge a deploy rundir's per-process span artifacts
   into one trace, with per-period critical-path and cross-process
   latency summaries (``--strict`` fails when any worker's spans are
-  missing -- the CI completeness gate);
-- ``lint``       run the REMO4xx static source analysis
-  (:mod:`repro.staticcheck`) over the given paths (exit 1 on
-  findings, 2 on usage/IO errors).
+  missing -- the CI completeness gate).
 
 ``plan``, ``simulate``, ``adapt``, and ``run`` all accept ``--json``
 for machine-readable output, so CI and benches can consume results
@@ -56,8 +53,6 @@ Usage::
     python -m repro serve --preset quickstart --collectors 2 --port 8080
     python -m repro deploy --workers 2 --trace deploy.trace.json --rundir run/
     python -m repro trace run/ --out merged.trace.json --strict
-    python -m repro lint src/ benchmarks/
-    python -m repro lint --format github --rule REMO421 src/
 """
 
 from __future__ import annotations
@@ -68,7 +63,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table
@@ -874,25 +868,6 @@ def _serve(args) -> int:
     return 0
 
 
-def _lint(args) -> int:
-    """Run the REMO4xx static analysis (see :mod:`repro.staticcheck`)."""
-    from repro.staticcheck import describe_rules, lint_paths, render
-
-    if args.codes:
-        rows = [[info.code, info.family, info.title] for info in describe_rules()]
-        print(format_table("staticcheck rules", ["code", "family", "title"], rows))
-        return 0
-    targets = [Path(p) for p in args.paths] or [Path("src")]
-    try:
-        result = lint_paths(targets, root=Path.cwd(), codes=args.rule)
-    except FileNotFoundError as exc:
-        return _fail(f"repro lint: {exc}")
-    except KeyError as exc:
-        return _fail(f"repro lint: {exc.args[0]}")
-    print(render(result, args.format))
-    return 0 if result.ok else 1
-
-
 def _export_observability(args, registry: MetricsRegistry, tracer) -> None:
     """Write the ``--trace`` / ``--metrics`` artifacts for one command."""
     trace_path = getattr(args, "trace", None)
@@ -1116,35 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.set_defaults(func=_serve)
 
-    lint_p = sub.add_parser(
-        "lint", help="run the REMO4xx static source analysis"
-    )
-    lint_p.add_argument(
-        "paths",
-        nargs="*",
-        default=[],
-        metavar="PATH",
-        help="files or directories to lint (default: src)",
-    )
-    lint_p.add_argument(
-        "--format",
-        choices=["text", "json", "github"],
-        default="text",
-        help="output format (github emits workflow-command annotations)",
-    )
-    lint_p.add_argument(
-        "--rule",
-        action="append",
-        default=[],
-        metavar="CODE",
-        help="run only this rule (repeatable; default: all)",
-    )
-    lint_p.add_argument(
-        "--codes",
-        action="store_true",
-        help="list the rule registry and exit",
-    )
-    lint_p.set_defaults(func=_lint)
     return parser
 
 

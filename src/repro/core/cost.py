@@ -145,7 +145,7 @@ class CostModel:
 
         This is the one place the two model parameters combine; all
         cost arithmetic outside this module must go through these
-        methods (enforced by the REMO403 lint rule).
+        methods (``tests/test_source_conventions.py`` enforces it).
         """
         return self.per_message * msg_weight + self.per_value * total_values
 

@@ -318,13 +318,13 @@ def run_deploy(
         process = context.Process(
             target=worker_main, args=(spec.spec_path, rank), daemon=True
         )
-        process.start()  # noqa: REMO412 -- multiprocessing.Process.start is sync
+        process.start()
         return process
 
     collector = context.Process(
         target=collector_main, args=(spec.spec_path,), daemon=True
     )
-    collector.start()  # noqa: REMO412 -- multiprocessing.Process.start is sync
+    collector.start()
     workers = {rank: spawn_worker(rank) for rank in range(spec.workers)}
     go_at: Optional[float] = None
     try:

@@ -78,7 +78,7 @@ class _PeerLink:
         while len(self._pending) >= self.transport.SEND_QUEUE_FRAMES and not self._closing:
             self._room.clear()
             await self._room.wait()
-        self._pending.append(frame)  # noqa: REMO421 -- the while re-tests the bound after every wake
+        self._pending.append(frame)
         if not self._flush_scheduled and self._dial_task is None:
             self._flush_scheduled = True
             asyncio.get_running_loop().call_soon(self._flush)

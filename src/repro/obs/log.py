@@ -6,8 +6,8 @@ identity, and vanishes when the process is SIGKILLed.  This module
 replaces them with structured events:
 
 - :func:`emit` records one event -- a manifest-declared name
-  (``obs/names.py`` ``LOG_*`` constants, enforced by ``repro lint``
-  REMO435), a lane, a severity, free-form fields, and the ambient
+  (``obs/names.py`` ``LOG_*`` constants), a lane, a severity,
+  free-form fields, and the ambient
   :class:`~repro.obs.trace.TraceContext` so log lines correlate with
   spans in the merged trace;
 - every event always lands in a bounded in-process ring buffer (the
@@ -17,8 +17,8 @@ replaces them with structured events:
   (one object per line) for post-run analysis, and :func:`console`
   echoes human-readable lines to a stream for interactive use.
 
-:func:`dump_flight` snapshots the ring plus the tail of the installed
-tracer's spans to a JSON artifact.  ``repro deploy`` triggers it on
+:func:`dump_flight` snapshots the ring plus the last spans handed to
+the installed tracer to a JSON artifact.  ``repro deploy`` triggers it on
 worker crash, on chaos-kill restart (from the supervisor -- a
 SIGKILLed child cannot dump its own), and on REMO check failure; the
 artifact path is referenced from the merged deploy report.
@@ -39,7 +39,8 @@ from .trace import active_tracer, current_context
 #: Events retained in the per-process flight-recorder ring.
 DEFAULT_RING_EVENTS = 256
 
-#: Spans captured from the installed tracer's tail on a flight dump.
+#: Spans a flight dump captures: the last ones handed to the installed
+#: tracer, whether its keep-first storage kept them or not.
 FLIGHT_SPANS = 128
 
 SEVERITIES = ("debug", "info", "warning", "error")
@@ -136,7 +137,7 @@ def flight_record(reason: str) -> Dict[str, object]:
     tracer = active_tracer()
     spans: List[Dict[str, object]] = []
     if tracer is not None:
-        spans = [span_to_dict(s) for s in tracer.spans()[-FLIGHT_SPANS:]]
+        spans = [span_to_dict(s) for s in tracer.recent]
     return {
         "flight_record": 1,
         "reason": reason,

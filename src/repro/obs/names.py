@@ -1,21 +1,18 @@
-"""The one manifest of metric, span, and lane names.
+"""The one manifest of metric, span, log-event and lane names.
 
-Every counter, gauge, histogram, span, and trace lane the planner,
-adaptive service, simulator, and live runtime emit is declared here --
-instrumentation sites import these constants instead of repeating
-string literals.  The point is that a typo'd series name becomes an
-import error (or a ``repro lint`` REMO431/432/433 finding) instead of
-a silent dead series that dashboards quietly stop seeing.
+Every counter, gauge, histogram, span, structured-log event and trace
+lane the planner, adaptive service, simulator, and live runtime emit is
+declared here -- instrumentation sites pass ``names.<CONSTANT>`` instead
+of repeating string literals, so a typo'd series name is an
+``AttributeError`` instead of a silent dead series that dashboards
+quietly stop seeing.  ``tests/test_source_conventions.py`` holds every
+instrumentation call in ``src/repro`` and ``benchmarks/`` to that.
 
-The static analyzer (:mod:`repro.staticcheck`) parses this module
-*without importing it*: declarations must stay simple enough for that
--- module-level ``UPPER_CASE = "literal"`` assignments, the
-``METRICS`` / ``SPANS`` / ``LOG_EVENTS`` / ``LANES`` /
-``LANE_PREFIXES`` collections of those constants, and the lane
-helper function.  Keep it that way; anything dynamic belongs
-elsewhere.
+A constant's prefix says what it names: ``SPAN_`` / ``EVENT_`` a span
+or instant event, ``LOG_`` a structured-log event, ``LANE_`` a trace
+lane; unprefixed constants are metric names.
 
-Naming conventions:
+Naming conventions for the values:
 
 - counters owned by the runtime are bare nouns (``messages_sent``);
   the simulator mirrors them under a ``sim_`` prefix so one registry
@@ -119,66 +116,6 @@ SIM_VALUES_TRIMMED = "sim_values_trimmed"
 SIM_COST_UNITS_SPENT = "sim_cost_units_spent"
 SIM_PERIODS = "sim_periods"
 
-METRICS = frozenset(
-    {
-        MESSAGES_SENT,
-        MESSAGES_DELIVERED,
-        MESSAGES_DROPPED_CAPACITY,
-        MESSAGES_DROPPED_FAILURE,
-        MESSAGES_DROPPED_INVALID,
-        COST_UNITS_SPENT,
-        HEARTBEATS_SENT,
-        CHILD_WAIT_TIMEOUTS,
-        VALUES_TRIMMED,
-        AGENT_DOWN_PERIODS,
-        FAILURE_DETECTIONS,
-        FAILURE_RECOVERIES,
-        TRANSPORT_ENVELOPES_SENT,
-        TRANSPORT_ENVELOPES_DELIVERED,
-        DEPLOY_WORKER_RESTARTS,
-        TRACE_SPANS_DROPPED,
-        NET_FRAMES_SENT,
-        NET_FRAMES_RECEIVED,
-        NET_FRAMES_DROPPED,
-        NET_BYTES_SENT,
-        NET_BYTES_RECEIVED,
-        NET_RECONNECTS,
-        COLLECTION_LATENCY_S,
-        STALENESS_PERIODS,
-        PERIOD_COVERAGE,
-        PAYLOAD_VALUES,
-        NET_DIAL_LATENCY_S,
-        PLANNER_ITERATIONS_TOTAL,
-        PLANNER_CANDIDATES_RANKED_TOTAL,
-        PLANNER_CANDIDATES_EVALUATED_TOTAL,
-        PLANNER_MEMO_HITS_TOTAL,
-        PLANNER_MEMO_MISSES_TOTAL,
-        PLANNER_PHASE_SECONDS,
-        ADAPTATION_OPS_APPLIED_TOTAL,
-        ADAPTATION_OPS_THROTTLED_TOTAL,
-        ADAPTATION_MESSAGES_TOTAL,
-        SERVE_REQUESTS_TOTAL,
-        SERVE_ERRORS_TOTAL,
-        SERVE_CONNECTIONS_TOTAL,
-        SERVE_REQUEST_SECONDS,
-        CONTROLPLANE_TASK_OPS_TOTAL,
-        CONTROLPLANE_ADAPTATIONS_TOTAL,
-        CONTROLPLANE_RUNS_TOTAL,
-        CONTROLPLANE_REPLAN_SECONDS,
-        CONTROLPLANE_TENANTS,
-        CONTROLPLANE_TASKS,
-        CONTROLPLANE_PAIRS,
-        CONTROLPLANE_COLLECTOR_SHARDS,
-        SIM_MESSAGES_SENT,
-        SIM_MESSAGES_DELIVERED,
-        SIM_MESSAGES_DROPPED_CAPACITY,
-        SIM_MESSAGES_DROPPED_FAILURE,
-        SIM_VALUES_TRIMMED,
-        SIM_COST_UNITS_SPENT,
-        SIM_PERIODS,
-    }
-)
-
 # ---------------------------------------------------------------------------
 # Span and instant-event names
 # ---------------------------------------------------------------------------
@@ -210,34 +147,8 @@ SPAN_SERVE_REQUEST = "serve.request"
 SPAN_CONTROLPLANE_ADAPT = "controlplane.adapt"
 SPAN_CONTROLPLANE_RUN = "controlplane.run"
 
-SPANS = frozenset(
-    {
-        SPAN_PLANNER_PLAN,
-        SPAN_PLANNER_SEED_EVAL,
-        SPAN_PLANNER_EVALUATE_CANDIDATE,
-        SPAN_PLANNER_FINAL_REBUILD,
-        EVENT_PLANNER_ACCEPT,
-        SPAN_PARTITION_MERGE_ITERATION,
-        SPAN_ADAPTATION_APPLY_CHANGES,
-        SPAN_ADAPTATION_RESTRICTED_SEARCH,
-        EVENT_ADAPTATION_COST_BENEFIT,
-        SPAN_SIMULATION_PERIOD,
-        SPAN_RUNTIME_PERIOD,
-        SPAN_RUNTIME_SETTLE,
-        SPAN_AGENT_WAVE,
-        SPAN_AGENT_CHILD_WAIT,
-        EVENT_AGENT_RECV,
-        EVENT_COLLECTOR_RECV,
-        SPAN_COLLECTOR_CLOSE_PERIOD,
-        SPAN_SERVE_REQUEST,
-        SPAN_CONTROLPLANE_ADAPT,
-        SPAN_CONTROLPLANE_RUN,
-    }
-)
-
 # ---------------------------------------------------------------------------
-# Structured-log event names (``repro.obs.log`` -- same manifest
-# contract as metrics/spans; ``repro lint`` REMO435 enforces it)
+# Structured-log event names (``repro.obs.log``)
 # ---------------------------------------------------------------------------
 LOG_SERVE_READY = "serve.ready"
 LOG_SERVE_STOPPED = "serve.stopped"
@@ -251,23 +162,6 @@ LOG_DEPLOY_GO_TIMEOUT = "deploy.go_timeout"
 LOG_NET_RECONNECT = "net.reconnect"
 LOG_NET_FRAME_DROPPED = "net.frame_dropped"
 LOG_FLIGHT_DUMP = "obs.flight_dump"
-
-LOG_EVENTS = frozenset(
-    {
-        LOG_SERVE_READY,
-        LOG_SERVE_STOPPED,
-        LOG_DEPLOY_WORKER_START,
-        LOG_DEPLOY_WORKER_EXIT,
-        LOG_DEPLOY_WORKER_CRASH,
-        LOG_DEPLOY_WORKER_RESTART,
-        LOG_DEPLOY_CHAOS_KILL,
-        LOG_DEPLOY_CHECK_FAILED,
-        LOG_DEPLOY_GO_TIMEOUT,
-        LOG_NET_RECONNECT,
-        LOG_NET_FRAME_DROPPED,
-        LOG_FLIGHT_DUMP,
-    }
-)
 
 # ---------------------------------------------------------------------------
 # Trace lanes (logical actor rows in the Chrome-trace exporter)
@@ -284,22 +178,6 @@ LANE_DEPLOY = "deploy"
 
 #: Prefix of the per-instance lanes built by the helper below.
 NODE_LANE_PREFIX = "node-"
-
-LANES = frozenset(
-    {
-        LANE_PLANNER,
-        LANE_ADAPTATION,
-        LANE_SIMULATOR,
-        LANE_ENGINE,
-        LANE_COLLECTOR,
-        LANE_TRANSPORT,
-        LANE_SERVE,
-        LANE_CONTROLPLANE,
-        LANE_DEPLOY,
-    }
-)
-
-LANE_PREFIXES = (NODE_LANE_PREFIX,)
 
 
 def node_lane(node_id: object) -> str:

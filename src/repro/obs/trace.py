@@ -38,10 +38,11 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Union
 
 #: Parent span id for the calling context (asyncio-task scoped).
 _CURRENT_SPAN: ContextVar[Optional[int]] = ContextVar("repro_obs_span", default=None)
@@ -166,14 +167,19 @@ class Tracer:
     Storage is bounded by ``MAX_SPANS``: once full, incoming spans are
     dropped (keep-first, so a trace's early structure survives) and
     counted both locally (:attr:`dropped`) and on the ambient metrics
-    registry as ``trace_spans_dropped``.
+    registry as ``trace_spans_dropped``.  :attr:`recent` holds the last
+    ``log.FLIGHT_SPANS`` spans handed over, kept or dropped, for the
+    flight recorder.
     """
 
     #: Soak runs must not OOM the tracer.
     MAX_SPANS = 100_000
 
     def __init__(self) -> None:
+        from .log import FLIGHT_SPANS  # local: log imports this module
+
         self._spans: List[Span] = []
+        self.recent: Deque[Span] = deque(maxlen=FLIGHT_SPANS)
         self._ids = itertools.count(_span_id_base() + 1)
         #: Spans discarded because the cap was hit.
         self.dropped = 0
@@ -184,6 +190,7 @@ class Tracer:
         return next(self._ids)
 
     def record(self, span: Span) -> None:
+        self.recent.append(span)
         if len(self._spans) >= self.MAX_SPANS:
             self._drop(1)
             return
@@ -200,6 +207,7 @@ class Tracer:
         """Merge spans recorded by another process (cap applies)."""
         room = self.MAX_SPANS - len(self._spans)
         incoming = list(spans)
+        self.recent.extend(incoming)
         if len(incoming) > room:
             kept, lost = incoming[:room], len(incoming) - room
             self._spans.extend(kept)

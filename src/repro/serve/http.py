@@ -85,7 +85,7 @@ class HttpResponse:
         return cls(status=status, body=body)
 
     @classmethod
-    def text(cls, text: str, content_type: str = "text/plain; charset=utf-8") -> "HttpResponse":
+    def text(cls, text: str, content_type: str) -> "HttpResponse":
         return cls(status=200, body=text.encode("utf-8"), content_type=content_type)
 
     def encode(self) -> bytes:
@@ -272,7 +272,10 @@ class HttpServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise HttpError(400, f"malformed Content-Length: {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise HttpError(413, f"request body of {length} bytes is too large")
         body = b""

@@ -212,5 +212,5 @@ def test_report_formatting_and_filtering():
     assert report.has_errors
     assert [d.code for d in report.warnings] == ["REMO105"]
     assert "WARNING REMO105 [partition]: spare attribute" in report.format()
-    assert report.by_code("REMO201")[0].location == "node 3"
+    assert [d.location for d in report.diagnostics if d.code == "REMO201"] == ["node 3"]
     assert "hint:" in report.format(with_hints=True)

@@ -90,6 +90,17 @@ class TestFlightRecorder:
             assert len(tracer.spans()) == 10
         assert len(record["spans"]) == 3
 
+    def test_span_tail_is_the_last_spans_past_the_tracer_cap(self, monkeypatch):
+        monkeypatch.setattr(trace.Tracer, "MAX_SPANS", 200)
+        with trace.installed() as tracer:
+            for i in range(1000):
+                with trace.span(names.SPAN_RUNTIME_PERIOD, index=i):
+                    pass
+            record = log.flight_record("x")
+            assert len(tracer.spans()) == 200 and tracer.dropped == 800
+        indices = [s["attrs"]["index"] for s in record["spans"]]
+        assert indices == list(range(1000 - log.FLIGHT_SPANS, 1000))
+
     def test_dump_writes_artifact_and_logs_itself(self, tmp_path):
         path = tmp_path / "flight.json"
         log.emit(names.LOG_DEPLOY_WORKER_CRASH, severity="error", role="w")

@@ -17,9 +17,8 @@ Liveness is a fixpoint over identifiers:
 * A definition is live when its name is live. Every identifier
   mentioned inside the body of a live definition (private ones
   included) becomes live.
-* Always live: definitions with a registering decorator (``@rule``),
-  methods that an imported base class declares (``asyncio.Protocol``
-  callbacks) and ``visit_*`` methods of ``ast.NodeVisitor`` subclasses.
+* Always live: methods that an imported base class declares
+  (``asyncio.Protocol`` callbacks).
 
 Names are matched as bare identifiers, so a method is live when any
 reachable code mentions a word of that name; the check errs towards
@@ -57,13 +56,6 @@ WORKFLOWS = ROOT / ".github" / "workflows"
 
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-#: Decorators that wrap or describe a definition without registering it.
-PLAIN_DECORATORS = frozenset({
-    "property", "setter", "dataclass", "classmethod", "staticmethod",
-    "abstractmethod", "cached_property", "contextmanager",
-    "asynccontextmanager",
-})
-
 #: Public names kept although nothing but tests reaches them (at most three).
 KEEP = {
     "rewrite_dsdp": "DSDP, the paper's section 6.2 plan rewrite",
@@ -79,7 +71,7 @@ class Definition:
     path: str
     qualname: str
     public: bool
-    always_live: bool
+    always_live: bool = False
     mentions: set[str] = field(default_factory=set)
 
     @property
@@ -119,14 +111,6 @@ def _identifiers(nodes: list[ast.AST]) -> set[str]:
 
 def _is_public(name: str) -> bool:
     return not name.startswith("_")
-
-
-def _registering(decorators: list[ast.expr]) -> bool:
-    for decorator in decorators:
-        dotted = _dotted(decorator) or ""
-        if dotted.rpartition(".")[2] not in PLAIN_DECORATORS:
-            return True
-    return False
 
 
 def _import_table(tree: ast.Module) -> dict[str, str]:
@@ -178,8 +162,7 @@ def _scan_class(node: ast.ClassDef, rel: str, imports: dict[str, str],
         external = _external_base(dotted, imports)
         bases.append(external if external is not None else dotted.rpartition(".")[2])
     class_bases[node.name] = bases
-    own = Definition(rel, node.name, _is_public(node.name),
-                     _registering(node.decorator_list))
+    own = Definition(rel, node.name, _is_public(node.name))
     own.mentions = _identifiers([*node.decorator_list, *node.bases, *node.keywords])
     defs = [own]
     for stmt in node.body:
@@ -187,7 +170,6 @@ def _scan_class(node: ast.ClassDef, rel: str, imports: dict[str, str],
             method = Definition(
                 rel, f"{node.name}.{stmt.name}",
                 _is_public(node.name) and _is_public(stmt.name),
-                _registering(stmt.decorator_list),
             )
             method.mentions = _identifiers([stmt])
             defs.append(method)
@@ -233,8 +215,7 @@ def analyse() -> tuple[tuple[Definition, ...], frozenset[str]]:
         top_level: list[ast.AST] = []
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fn = Definition(rel, stmt.name, _is_public(stmt.name),
-                                _registering(stmt.decorator_list))
+                fn = Definition(rel, stmt.name, _is_public(stmt.name))
                 fn.mentions = _identifiers([stmt])
                 here.append(fn)
             elif isinstance(stmt, ast.ClassDef):
@@ -251,11 +232,7 @@ def analyse() -> tuple[tuple[Definition, ...], frozenset[str]]:
         owner, dot, _ = d.qualname.partition(".")
         if dot:
             ancestors = _external_ancestors(owner, class_bases)
-            d.always_live = d.always_live or any(
-                hasattr(base, d.name)
-                or (d.name.startswith("visit_") and issubclass(base, ast.NodeVisitor))
-                for base in ancestors
-            )
+            d.always_live = any(hasattr(base, d.name) for base in ancestors)
     for rel, words in module_mentions.items():
         live |= {w for w in words if rel not in defined_in.get(w, {rel})}
     live |= _non_test_words()

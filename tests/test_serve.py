@@ -24,6 +24,9 @@ from repro.serve import (
     ControlPlaneClient,
     ControlPlaneClientError,
     ControlPlaneServer,
+    HttpResponse,
+    HttpServer,
+    Router,
 )
 from repro.workloads.presets import quickstart_workload
 
@@ -316,3 +319,64 @@ class TestTaskBodyValidation:
         assert record["requested_pairs"] == first["requested_pairs"]
         assert record["coverage"] == first["coverage"]
         assert record["adaptation_messages"] == 0
+
+
+class TestHostileHeads:
+    """Malformed or truncated requests get a 4xx or a clean close, and
+    nothing reaches the event loop's exception handler."""
+
+    VALID_POST = (
+        b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 14\r\n\r\n"
+        b'{"echo": true}'
+    )
+
+    @staticmethod
+    def exchange(payloads):
+        """Send each payload on its own connection, half-close, and
+        return every reply plus what the loop's exception handler saw."""
+
+        async def echo(request, params):
+            return HttpResponse.json_response({"bytes": len(request.body)})
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            router = Router()
+            router.add("POST", "/echo", echo)
+            server = HttpServer(router)
+            await server.start()
+            replies = []
+            try:
+                for payload in payloads:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                    writer.write(payload)
+                    writer.write_eof()
+                    replies.append(await asyncio.wait_for(reader.read(), timeout=5))
+                    writer.close()
+                    await writer.wait_closed()
+                await asyncio.sleep(0.05)  # let the last handler finish
+            finally:
+                await server.stop()
+            return replies, unhandled
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("value", [b"abc", b"-5", b"1e3"])
+    def test_malformed_content_length_is_400(self, value):
+        head = b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: " + value + b"\r\n\r\n"
+        (reply,), unhandled = self.exchange([head])
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Content-Length" in reply
+        assert unhandled == []
+
+    def test_truncated_post_closes_cleanly_at_every_offset(self):
+        request = self.VALID_POST
+        replies, unhandled = self.exchange(
+            [request[:cut] for cut in range(len(request))] + [request]
+        )
+        *truncated, whole = replies
+        assert whole.startswith(b"HTTP/1.1 200 "), whole
+        for cut, reply in enumerate(truncated):
+            assert reply == b"" or reply.startswith(b"HTTP/1.1 4"), (cut, reply)
+        assert unhandled == []
