@@ -344,16 +344,30 @@ BAIT = {
             log.emit("server_started", port=port)
             log.emit(names.SPAN_AGENT_WAVE)  # a span name is not a log event
     """),
-    "obs-clean": ("obs-names", 0, """
-        def work(metrics, node, value, lane):
+    "obs-metric-clean": ("obs-names", 0, """
+        def record(metrics, value):
             metrics.incr(names.MESSAGES_SENT)
             metrics.observe(names.COLLECTION_LATENCY_S, 0.5)
             metrics.histogram(names.PAYLOAD_VALUES).observe(value)
+    """),
+    "obs-span-clean": ("obs-names", 0, """
+        def work():
+            with trace.span(names.SPAN_AGENT_WAVE):
+                pass
+            with trace.span_since(names.SPAN_AGENT_WAVE, 0.0):
+                pass
+            trace.event(names.EVENT_AGENT_RECV)
+    """),
+    "obs-lane-clean": ("obs-names", 0, """
+        def work(node, lane):
             with trace.span(names.SPAN_AGENT_WAVE, lane=names.LANE_ENGINE):
                 pass
             with trace.span_since(names.SPAN_AGENT_WAVE, 0.0, lane=names.node_lane(node)):
                 pass
             trace.event(names.EVENT_AGENT_RECV, lane=lane)
+    """),
+    "obs-log-clean": ("obs-names", 0, """
+        def announce():
             log.emit(names.LOG_SERVE_READY, port=8080)
     """),
 }
