@@ -167,14 +167,16 @@ def _add_preset(
 
 
 def _positive(kind: type) -> Callable[[str], Any]:
-    """argparse ``type=`` for a ``kind`` number > 0: anything else is a
-    usage error (exit 2, one line on stderr), not a traceback from
-    deep inside a launch."""
+    """argparse ``type=`` for a finite ``kind`` number > 0: anything
+    else is a usage error (exit 2, one line on stderr), not a traceback
+    (or a hang) from deep inside a launch."""
 
     def parse(text: str) -> Any:
         value = kind(text)  # a ValueError here reads "invalid positive int value"
         if not value > 0:
             raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     parse.__name__ = f"positive {kind.__name__}"
@@ -182,14 +184,16 @@ def _positive(kind: type) -> Callable[[str], Any]:
 
 
 def _bounded(kind: type, low: float, high: float = math.inf) -> Callable[[str], Any]:
-    """argparse ``type=`` for a ``kind`` number in ``[low, high]``, with
-    the same usage-error contract as :func:`_positive`."""
+    """argparse ``type=`` for a finite ``kind`` number in ``[low, high]``,
+    with the same usage-error contract as :func:`_positive`."""
     rule = f">= {low}" if high == math.inf else f"in {low}..{high}"
 
     def parse(text: str) -> Any:
         value = kind(text)
         if not low <= value <= high:
             raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__

@@ -61,9 +61,6 @@ class PeerDirectory:
         """Where ``address`` listens, or ``None`` when unroutable."""
         return self._mapping.get(address, self.default)
 
-    def addresses(self) -> List[NodeId]:
-        return sorted(self._mapping)
-
     def endpoints(self) -> List[Endpoint]:
         """Every distinct endpoint in the table (sorted, deduplicated)."""
         found = set(self._mapping.values())

@@ -59,7 +59,7 @@ class _PeerLink:
         self.endpoint = endpoint
         self._label = str(endpoint)
         #: Frames accepted but not yet written: this turn's batch, or
-        #: the frames in hand while the link is down (``idle`` reads it).
+        #: the frames in hand while the link is down.
         self._pending: Deque[bytes] = deque()
         self._flush_scheduled = False
         #: Set whenever a flush empties ``_pending``.
@@ -234,9 +234,6 @@ class TcpTransport(MailboxTransport):
         self._links: Dict[Endpoint, _PeerLink] = {}
         self._inbound: Set[asyncio.BaseTransport] = set()
         self._start_lock = asyncio.Lock()
-        #: Frames this process put on the wire / routed off the wire.
-        self._wire_frames_out = 0
-        self._wire_frames_in = 0
 
     # The per-chunk and per-frame inbound counters, keyed on first use
     # (by then the run's hub is bound).
@@ -264,7 +261,6 @@ class TcpTransport(MailboxTransport):
         return self.endpoint
 
     def _route_inbound(self, dest: NodeId, envelope: Envelope) -> None:
-        self._wire_frames_in += 1
         self._count_frames_in.add()
         if not self.deliver_local(dest, envelope):
             # Arrived at the right process for the directory's idea of
@@ -295,18 +291,9 @@ class TcpTransport(MailboxTransport):
         if link is None:
             link = self._links[endpoint] = _PeerLink(self, endpoint)
         frame = encode_frame(to, envelope)
-        self._wire_frames_out += 1
         await link.enqueue(frame)
         self._count_sent()
         return True
-
-    def idle(self) -> bool:
-        # In force_wire mode every wire frame loops back to this very
-        # transport, so out minus in is the exact in-flight count
-        # (unflushed, in the kernel, or not yet parsed).
-        if self.force_wire and self._wire_frames_out != self._wire_frames_in:
-            return False
-        return not any(link._pending for link in self._links.values()) and super().idle()
 
     async def aclose(self) -> None:
         for link in list(self._links.values()):

@@ -15,8 +15,9 @@ driver (:func:`repro.runtime.engine.run_periods` and what surrounds it):
 - :func:`collector_main` hosts the
   :class:`~repro.runtime.engine.CollectorBank` (``spec.collectors``
   shards, each on its reserved address) and owns the clock: its ticks
-  go to every worker's control address, and it can only call a period
-  quiet by its own transport going idle.
+  go to every worker's control address, and it closes a period once
+  its shards have heard from every root and node the plan names for
+  them -- the same rule as in one process.
 
 On stop each process dumps its full metrics registry to a JSON report
 file the supervisor merges.  Entry functions are module-level so the
@@ -130,11 +131,10 @@ class WorkerRuntime(_DeployHost):
 class CollectorRuntime(_DeployHost):
     """The collector process: clock source, scorer, failure detector.
 
-    It cannot see other processes' in-flight work the way the
-    single-process engine can, so a period is quiet on the one local
-    signal available -- its own transport going idle -- and, the work
-    being elsewhere, it sleeps 5 ms between looks instead of spinning
-    on a loop that has nothing to run.
+    It sees no other process's work and does not need to: the plan
+    says which updates and heartbeats each period brings to its
+    shards, so the envelopes that arrive tell it when a period is
+    complete.
     """
 
     def __init__(self, spec: DeploySpec) -> None:
@@ -167,8 +167,6 @@ class CollectorRuntime(_DeployHost):
                     self.registry,
                     self.bank,
                     self.fan_out,
-                    self.quiet,
-                    settle_poll=0.005,
                 )
         finally:
             write_json_atomic(
@@ -188,9 +186,6 @@ class CollectorRuntime(_DeployHost):
             self.transport.deliver_local(address, envelope)
         for rank in range(self.spec.workers):
             await self.transport.send(control_address(rank), envelope)
-
-    def quiet(self) -> bool:
-        return self.transport.idle()
 
 
 # ---------------------------------------------------------------------------

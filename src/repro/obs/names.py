@@ -133,7 +133,6 @@ EVENT_ADAPTATION_COST_BENEFIT = "adaptation.cost_benefit"
 SPAN_SIMULATION_PERIOD = "simulation.period"
 
 SPAN_RUNTIME_PERIOD = "runtime.period"
-SPAN_RUNTIME_SETTLE = "runtime.settle"
 SPAN_AGENT_WAVE = "agent.wave"
 SPAN_AGENT_CHILD_WAIT = "agent.child_wait"
 # Instant events marking an update's arrival, linked to the *sender's*

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import threading
 import time
 from collections import deque
@@ -81,23 +82,17 @@ def format_traceparent(ctx: TraceContext) -> str:
     return f"00-{ctx.trace_id}-{ctx.span_id & 0xFFFFFFFFFFFFFFFF:016x}-01"
 
 
+#: ``version-traceid-spanid-flags``, each field ASCII hex of its exact
+#: width (``int(x, 16)`` alone would take a sign or non-ASCII digits).
+_TRACEPARENT = re.compile(r"[0-9a-fA-F]{2}-([0-9a-fA-F]{32})-([0-9a-fA-F]{16})-[0-9a-fA-F]{2}")
+
+
 def parse_traceparent(value: str) -> Optional[TraceContext]:
     """Parse a ``traceparent`` header; ``None`` on anything malformed."""
-    parts = value.strip().split("-")
-    if len(parts) != 4:
+    match = _TRACEPARENT.fullmatch(value.strip())
+    if match is None or match[1] == "0" * 32:
         return None
-    version, trace_id, span_hex, _flags = parts
-    if len(version) != 2 or len(trace_id) != 32 or len(span_hex) != 16:
-        return None
-    try:
-        int(version, 16)
-        int(trace_id, 16)
-        span_id = int(span_hex, 16)
-    except ValueError:
-        return None
-    if trace_id == "0" * 32:
-        return None
-    return TraceContext(trace_id=trace_id.lower(), span_id=span_id)
+    return TraceContext(trace_id=match[1].lower(), span_id=int(match[2], 16))
 
 
 def current_context() -> Optional[TraceContext]:

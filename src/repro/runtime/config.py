@@ -1,6 +1,6 @@
 """Runtime configuration: pacing, failure detection, and scripted outages.
 
-The runtime paces collection periods in *wall-clock seconds* (the
+The runtime ticks collection periods in *wall-clock seconds* (the
 simulator's abstract unit time becomes real time here), but all quality
 metrics are kept in *period units* so results are comparable across
 machines of different speed.  What the paper fixes is not configurable:
@@ -10,6 +10,7 @@ holds, and every live node beacons every period.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -45,7 +46,9 @@ class AgentOutage:
 class RuntimeConfig:
     """Tunable knobs of one live run."""
 
-    #: Wall-clock seconds per collection period.
+    #: Wall-clock seconds from one tick to the next.  A period closes as
+    #: soon as the collector has heard from everyone the plan names,
+    #: and at the latest twice this long after its tick.
     period_seconds: float = 0.05
     #: How long (as a fraction of the period) an interior node waits
     #: for its children's batches before sending without them.  The
@@ -63,8 +66,8 @@ class RuntimeConfig:
     outages: List[AgentOutage] = field(default_factory=lambda: [])
 
     def __post_init__(self) -> None:
-        if self.period_seconds <= 0:
-            raise ValueError(f"period_seconds must be > 0, got {self.period_seconds}")
+        if not 0 < self.period_seconds < math.inf:
+            raise ValueError(f"period_seconds must be finite and > 0, got {self.period_seconds}")
         if not 0 < self.child_wait_fraction <= 1:
             raise ValueError(
                 f"child_wait_fraction must be in (0, 1], got {self.child_wait_fraction}"

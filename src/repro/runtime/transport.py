@@ -54,10 +54,6 @@ class Transport(abc.ABC):
         """Create an inbox for ``address`` (idempotent)."""
 
     @abc.abstractmethod
-    def addresses(self) -> List[NodeId]:
-        """All registered addresses."""
-
-    @abc.abstractmethod
     async def send(self, to: NodeId, envelope: Envelope) -> bool:
         """Deliver ``envelope`` to ``to``'s inbox.
 
@@ -77,15 +73,6 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def pending(self, address: NodeId) -> int:
         """Number of queued envelopes at ``address``."""
-
-    def idle(self) -> bool:
-        """Whether no envelope is queued or in flight anywhere.
-
-        The engine's settle loop polls this; implementations with
-        off-inbox buffering (socket send queues, in-kernel frames)
-        override it to account for envelopes the inboxes cannot see.
-        """
-        return all(self.pending(address) == 0 for address in self.addresses())
 
     def bind_metrics(self, metrics: RuntimeMetrics) -> None:
         """Attach the run's metrics hub (no-op once bound).
@@ -125,8 +112,7 @@ class MailboxTransport(Transport):
 
     An envelope is queued first and its receiver woken second, never
     handed over through the future: it stays counted by
-    :meth:`pending` (so by ``idle``, which the engine's settle loop
-    polls) until a receiver has actually taken it.  Timed receives
+    :meth:`pending` until a receiver has actually taken it.  Timed receives
     share one ``loop.call_at`` timer, armed for the earliest deadline
     in a min-heap; an inbox loop that times its every ``recv`` and
     almost never times out pays a heap push per wait, not a timer.
@@ -183,9 +169,6 @@ class MailboxTransport(Transport):
     def register(self, address: NodeId) -> None:
         if address not in self._inboxes:
             self._inboxes[address] = deque(), deque()
-
-    def addresses(self) -> List[NodeId]:
-        return sorted(self._inboxes)
 
     def deliver_local(self, address: NodeId, envelope: Envelope) -> bool:
         """Enqueue ``envelope`` on a local inbox (no send accounting)."""

@@ -78,6 +78,10 @@ class TestParser:
             ("plan", "--cost-c", "-5", ">= 0"),
             ("serve", "--port", "-1", "in 0..65535"),
             ("serve", "--port", "65536", "in 0..65535"),
+            ("run", "--period-seconds", "inf", "finite"),
+            ("run", "--period-seconds", "1e400", "finite"),
+            ("deploy", "--period-seconds", "inf", "finite"),
+            ("plan", "--cost-c", "inf", "finite"),
         ],
     )
     def test_an_out_of_range_value_is_a_usage_error(self, capsys, command, flag, value, rule):

@@ -309,6 +309,10 @@ class TestTraceContext:
             "00-" + "0" * 32 + "-0000000000000001-01",  # all-zero trace id
             "00-" + "g" * 32 + "-0000000000000001-01",  # non-hex
             "00-" + "a" * 32 + "-xyz-01",
+            "00-+" + "a" * 31 + "-0000000000000000-01",  # signed trace id
+            "00-" + "a" * 32 + "-" + "\u0661" * 16 + "-01",  # Arabic-Indic digits
+            "+0-" + "a" * 32 + "-0000000000000001-01",  # signed version
+            "00-" + "a" * 32 + "-0000000000000001-zz",  # non-hex flags
         ],
     )
     def test_malformed_traceparent_returns_none(self, value):

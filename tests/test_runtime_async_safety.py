@@ -55,7 +55,7 @@ class RecordingTransport(InProcessTransport):
 
     async def recv(self, address, timeout=None):
         agent = self.agents.get(address)
-        if agent is not None and agent.busy():
+        if agent is not None and agent._waiting:
             deadline = agent._deadline
             self.waiting_recvs.append(
                 (

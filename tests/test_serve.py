@@ -121,6 +121,12 @@ class TestTraceparent:
         assert match
         assert match.group(1) == "ab" * 16  # same trace, the server's span
 
+    def test_malformed_inbound_traceparent_is_ignored(self, server_port):
+        signed = "00-+" + "a" * 31 + "-00000000000000ff-01"
+        header = self._get(server_port, headers={"traceparent": signed})
+        # Ignored, not echoed: the response starts a trace of its own.
+        assert self.PATTERN.match(header or ""), f"malformed traceparent {header!r}"
+
     def test_request_span_joins_inbound_trace(self, server_port):
         with trace.installed() as tracer:
             self._get(server_port, headers={"traceparent": self.INBOUND})
