@@ -56,7 +56,7 @@ class TreeLayout:
     attr_set: AttributeSet
     #: Slot -> the pair it carries.
     pairs: Tuple[NodeAttributePair, ...]
-    #: Member node -> ``(first slot, slot count)`` of its subtree.
+    #: Member node -> ``(first slot, slot count)`` of its subtree, root first.
     ranges: Dict[NodeId, Tuple[int, int]] = field(repr=False)
 
 
