@@ -21,6 +21,7 @@ from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.obs import names
 from repro.simulation import MonitoringSimulation, SimulationConfig
 
 #: C/a fitted to the paper's two anchor measurements:
@@ -71,10 +72,10 @@ def _run_star_simulation(n_senders: int) -> float:
     pairs = pairs_for(range(n_senders), ["m"])
     builder = ForestBuilder(COST)
     plan = builder.build(Partition.one_set(["m"]), pairs, cluster)
-    stats = MonitoringSimulation(
+    report = MonitoringSimulation(
         plan, cluster, config=SimulationConfig(seed=1)
     ).run(3)
-    return stats.cost_units_spent / 3
+    return report.metrics.counter(names.COST_UNITS_SPENT) / 3
 
 
 def test_fig2_linear_in_message_count(fig2_tables, benchmark):

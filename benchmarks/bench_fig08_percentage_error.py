@@ -34,13 +34,13 @@ PERIODS = 12
 
 
 def measure_error(plan, cluster, app) -> float:
-    stats = MonitoringSimulation(
+    report = MonitoringSimulation(
         plan,
         cluster,
         registry=StreamMetricRegistry(app),
         config=SimulationConfig(seed=5),
     ).run(PERIODS)
-    return stats.mean_percentage_error
+    return report.mean_percentage_error
 
 
 def run_point(n_nodes, n_tasks, capacity=260.0):

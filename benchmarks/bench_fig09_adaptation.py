@@ -118,10 +118,10 @@ def _simulate_collected(plan, cluster, node_adapt_cost):
             )
         )
     shaved = Cluster(shaved_nodes, central_capacity=cluster.central_capacity)
-    stats = MonitoringSimulation(
+    report = MonitoringSimulation(
         plan, shaved, config=SimulationConfig(seed=7)
     ).run(int(WINDOW_PERIODS))
-    return stats.mean_fresh_coverage * plan.requested_pair_count()
+    return report.mean_fresh_coverage * plan.requested_pair_count()
 
 
 @pytest.fixture(scope="module")

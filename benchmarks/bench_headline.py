@@ -36,13 +36,13 @@ def test_headline_200_nodes_200_tasks(benchmark):
 
     def measure(planner):
         plan = planner.plan(tasks, cluster)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan,
             cluster,
             registry=StreamMetricRegistry(app),
             config=SimulationConfig(seed=5),
         ).run(8)
-        return plan, stats.mean_percentage_error
+        return plan, report.mean_percentage_error
 
     def run():
         results = {}

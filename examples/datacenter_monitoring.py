@@ -73,12 +73,12 @@ def main() -> None:
         sim = MonitoringSimulation(
             plan, cluster, config=SimulationConfig(seed=3, hop_latency=0.02)
         )
-        stats = sim.run(25)
+        report = sim.run(25)
         print(
             f"{name:<15} coverage={plan.coverage():.3f} trees={plan.tree_count():3d} "
-            f"error={stats.mean_percentage_error:.4f} "
-            f"fresh={stats.mean_fresh_coverage:.3f} "
-            f"msgs/period={stats.messages_sent // 25}"
+            f"error={report.mean_percentage_error:.4f} "
+            f"fresh={report.mean_fresh_coverage:.3f} "
+            f"msgs/period={report.messages_sent // 25}"
         )
 
     plan = RemoPlanner(cost).plan(tasks, cluster)

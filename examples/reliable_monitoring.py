@@ -19,6 +19,7 @@ from repro.ext.reliability import (
     replica_plan_coverage,
     rewrite_ssdp,
 )
+from repro.obs import names
 from repro.simulation import (
     FailureInjector,
     LinkOutage,
@@ -69,7 +70,7 @@ def main() -> None:
         ("no failures", FailureInjector()),
         ("path severed", FailureInjector(link_outages=outages)),
     ]:
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan,
             repl_cluster,
             registry=registry,
@@ -77,8 +78,8 @@ def main() -> None:
             failures=injector,
         ).run(15)
         print(
-            f"  {label:<13} fresh={stats.mean_fresh_coverage:.3f} "
-            f"dropped(failure)={stats.messages_dropped_failure}"
+            f"  {label:<13} fresh={report.mean_fresh_coverage:.3f} "
+            f"dropped(failure)={report.metrics.counter(names.MESSAGES_DROPPED_FAILURE):.0f}"
         )
     print(
         "\nWith SSDP, the aliased copies keep flowing through the "

@@ -44,7 +44,7 @@ def main() -> None:
         ("ONE-SET", OneSetPlanner(cost)),
     ]:
         plan = planner.plan(tasks, cluster)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan,
             cluster,
             registry=StreamMetricRegistry(app),
@@ -52,7 +52,7 @@ def main() -> None:
         ).run(20)
         print(
             f"{name:<15} {plan.coverage():>9.3f} {plan.tree_count():>6} "
-            f"{stats.mean_percentage_error:>8.4f} {stats.mean_fresh_coverage:>7.3f}"
+            f"{report.mean_percentage_error:>8.4f} {report.mean_fresh_coverage:>7.3f}"
         )
 
     print(

@@ -370,51 +370,36 @@ def _plan(args) -> int:
     return 0
 
 
-def _simulate(args) -> int:
-    scenario = _scenario(args)
-    plan = scenario.plan()
-    stats = MonitoringSimulation(
-        plan, scenario.workload[0], config=SimulationConfig(seed=scenario.seed)
-    ).run(args.periods)
+def _report_out(args, command, scenario, plan, report, title, **extra) -> int:
+    """The output step of ``simulate`` and ``run``: the report as JSON
+    under ``--json``, else its rendered tables."""
     if args.json:
         _emit_json(
             {
-                "command": "simulate",
+                "command": command,
                 "scheme": scenario.scheme,
-                "nodes": scenario.nodes,
-                "tasks": scenario.tasks,
-                "periods": args.periods,
-                "planned_coverage": plan.coverage(),
-                "mean_percentage_error": stats.mean_percentage_error,
-                "mean_fresh_coverage": stats.mean_fresh_coverage,
-                "messages": {
-                    "sent": stats.messages_sent,
-                    "delivered": stats.messages_delivered,
-                    "dropped_capacity": stats.messages_dropped_capacity,
-                    "dropped_failure": stats.messages_dropped_failure,
-                },
-                "values_trimmed": stats.values_trimmed,
-                "cost_units_spent": stats.cost_units_spent,
+                "workload": scenario.label,
+                "plan": _plan_summary(plan),
+                **extra,
+                **report.as_dict(),
             }
         )
-        return 0
-    print(
-        format_table(
-            f"{scenario.scheme} simulated over {args.periods} periods",
-            ["metric", "value"],
-            [
-                ["coverage (planned)", round(plan.coverage(), 4)],
-                ["mean % error", round(stats.mean_percentage_error, 4)],
-                ["mean freshness", round(stats.mean_fresh_coverage, 4)],
-                ["messages sent", stats.messages_sent],
-                ["messages delivered", stats.messages_delivered],
-                ["dropped (capacity)", stats.messages_dropped_capacity],
-                ["dropped (failure)", stats.messages_dropped_failure],
-                ["values trimmed", stats.values_trimmed],
-            ],
-        )
-    )
+    else:
+        print(report.render(title))
     return 0
+
+
+def _simulate(args) -> int:
+    scenario = _scenario(args)
+    plan = scenario.plan()
+    report = MonitoringSimulation(
+        plan,
+        scenario.workload[0],
+        config=SimulationConfig(seed=scenario.seed),
+        metrics=RuntimeMetrics(registry=default_registry()),
+    ).run(args.periods)
+    title = f"{scenario.scheme} simulated run ({scenario.label}, {args.periods} periods)"
+    return _report_out(args, "simulate", scenario, plan, report, title)
 
 
 def _adapt(args) -> int:
@@ -549,19 +534,8 @@ def _run(args) -> int:
         metrics=RuntimeMetrics(registry=default_registry()),
     )
     report = runtime.run(args.periods)
-    if args.json:
-        payload: Dict[str, Any] = {
-            "command": "run",
-            "scheme": scenario.scheme,
-            "workload": scenario.label,
-            "plan": _plan_summary(plan),
-            "plan_check": check_summary,
-        }
-        payload.update(report.as_dict())
-        _emit_json(payload)
-        return 0
-    print(report.render(f"{scenario.scheme} live run ({scenario.label}, {args.periods} periods)"))
-    return 0
+    title = f"{scenario.scheme} live run ({scenario.label}, {args.periods} periods)"
+    return _report_out(args, "run", scenario, plan, report, title, plan_check=check_summary)
 
 
 def _parse_chaos(spec: str):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import socket
 import tempfile
@@ -456,6 +457,8 @@ def parse_chaos_kill(spec: str) -> Tuple[int, float]:
     rank, seconds = int(parts[0]), float(parts[1])
     if rank < 0 or seconds < 0:
         raise ValueError(f"RANK and SECONDS must be non-negative, got {spec!r}")
+    if not math.isfinite(seconds):
+        raise ValueError(f"SECONDS must be finite, got {spec!r}")
     return rank, seconds
 
 

@@ -175,7 +175,7 @@ class Histogram:
             "min": self._min,
             "max": self._max,
             "values": list(self._values),
-            "exact": not self._sketching,
+            "exact": self.is_exact,
         }
 
     def absorb(self, data: Mapping[str, object]) -> None:

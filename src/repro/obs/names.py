@@ -14,9 +14,7 @@ lane; unprefixed constants are metric names.
 
 Naming conventions for the values:
 
-- counters owned by the runtime are bare nouns (``messages_sent``);
-  the simulator mirrors them under a ``sim_`` prefix so one registry
-  can hold both engines' tallies without collision;
+- counters both engines record are bare nouns (``messages_sent``);
 - planner/adaptation counters end in ``_total`` (Prometheus idiom for
   monotonic series shared across components);
 - span names are ``actor.action`` (``agent.wave``,
@@ -106,15 +104,6 @@ CONTROLPLANE_TENANTS = "controlplane_tenants"
 CONTROLPLANE_TASKS = "controlplane_tasks"
 CONTROLPLANE_PAIRS = "controlplane_pairs"
 CONTROLPLANE_COLLECTOR_SHARDS = "controlplane_collector_shards"
-
-# Simulator mirrors (deltas of CollectionStats, ``sim_`` prefixed).
-SIM_MESSAGES_SENT = "sim_messages_sent"
-SIM_MESSAGES_DELIVERED = "sim_messages_delivered"
-SIM_MESSAGES_DROPPED_CAPACITY = "sim_messages_dropped_capacity"
-SIM_MESSAGES_DROPPED_FAILURE = "sim_messages_dropped_failure"
-SIM_VALUES_TRIMMED = "sim_values_trimmed"
-SIM_COST_UNITS_SPENT = "sim_cost_units_spent"
-SIM_PERIODS = "sim_periods"
 
 # ---------------------------------------------------------------------------
 # Span and instant-event names

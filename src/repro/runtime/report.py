@@ -1,11 +1,13 @@
-"""The outcome of one live run.
+"""The outcome of one run, live or simulated.
 
-:class:`RuntimeReport` is the runtime's analogue of the simulator's
-:class:`~repro.simulation.collection.CollectionStats`: the same
-per-period quality samples plus the metrics-hub snapshot and the
-failure detector's event log.  ``as_dict`` is the stable machine-readable
-shape behind ``repro run --json``; ``render`` produces the aligned
-tables (via :mod:`repro.analysis`) for humans.
+:class:`RuntimeReport` is what either engine's run produced -- the
+runtime's :class:`~repro.runtime.engine.MonitoringRuntime` and the
+simulator's :class:`~repro.simulation.engine.MonitoringSimulation`:
+the per-period quality samples plus the metrics-hub snapshot and the
+failure detector's event log (empty for the simulator, which has no
+detector).  ``as_dict`` is the stable machine-readable shape behind
+``repro run --json`` and ``repro simulate --json``; ``render`` produces
+the aligned tables (via :mod:`repro.analysis`) for humans.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ class RuntimePeriodSample:
 
 @dataclass
 class RuntimeReport:
-    """Everything one :class:`~repro.runtime.engine.MonitoringRuntime`
-    run produced."""
+    """Everything one run of either engine produced."""
 
     requested_pairs: int
     n_periods: int

@@ -266,6 +266,10 @@ class HttpServer:
         if len(parts) != 3:
             raise HttpError(400, f"malformed request line: {request_line!r}")
         method, target, _version = parts
+        try:
+            split = urlsplit(target)
+        except ValueError:
+            raise HttpError(400, f"malformed request target: {target!r}") from None
         headers: Dict[str, str] = {}
         for line in header_block.split("\r\n"):
             if not line:
@@ -283,7 +287,6 @@ class HttpServer:
             body = await asyncio.wait_for(
                 reader.readexactly(length), timeout=READ_TIMEOUT_SECONDS
             )
-        split = urlsplit(target)
         query = dict(parse_qsl(split.query))
         return HttpRequest(
             method=method.upper(),

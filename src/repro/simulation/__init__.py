@@ -11,12 +11,10 @@ pair and the ground-truth value at the same instant, along with
 coverage and traffic statistics.
 """
 
-from repro.simulation.collection import CollectionStats
 from repro.simulation.failures import FailureInjector, LinkOutage
 from repro.simulation.engine import MonitoringSimulation, SimulationConfig
 
 __all__ = [
-    "CollectionStats",
     "FailureInjector",
     "LinkOutage",
     "MonitoringSimulation",

@@ -8,7 +8,11 @@ model: the slots and roles every runtime process derives
 :class:`~repro.runtime.messages.Batch` payloads shaped by the runtime's
 :func:`~repro.runtime.messages.trim`, and a collector side of
 :class:`~repro.runtime.collector.CollectedColumns` scored by
-:func:`~repro.runtime.collector.score_period`.  What is its own is the
+:func:`~repro.runtime.collector.score_period`.  It reports like the
+runtime too: its tallies go to a
+:class:`~repro.runtime.metrics.RuntimeMetrics` under the runtime's
+metric names, and :meth:`MonitoringSimulation.run` returns a
+:class:`~repro.runtime.report.RuntimeReport`.  What is its own is the
 schedule.  Within each period:
 
 1. ground-truth metric values advance (one unit of time);
@@ -42,6 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import time
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -52,12 +57,12 @@ from repro.cluster.node import Cluster
 from repro.core.attributes import NodeId
 from repro.core.plan import MonitoringPlan
 from repro.obs import names, trace
-from repro.obs.metrics import default_registry
 from repro.runtime.agent import TreeRole
 from repro.runtime.collector import CollectedColumns, score_period
 from repro.runtime.engine import build_roles, compile_layouts, ground_truth
 from repro.runtime.messages import COLLECTOR_ADDRESS, Batch, fold, gather, trim
-from repro.simulation.collection import CollectionStats
+from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.report import RuntimePeriodSample, RuntimeReport
 from repro.simulation.failures import FailureInjector
 
 _EPS = 1e-9
@@ -85,6 +90,7 @@ class MonitoringSimulation:
         registry: Optional[MetricRegistry] = None,
         config: Optional[SimulationConfig] = None,
         failures: Optional[FailureInjector] = None,
+        metrics: Optional[RuntimeMetrics] = None,
     ) -> None:
         self.plan = plan
         self.cluster = cluster
@@ -114,9 +120,15 @@ class MonitoringSimulation:
         self._cells = [self._collected.cell(pair) for pair in requested]
         self._truths = self.registry.reader(requested)
 
-        self.stats = CollectionStats(requested_pairs=len(requested))
-        #: Registry-mirrored counter values as of the last ``run`` end.
-        self._mirrored: Dict[str, float] = {}
+        self.metrics = metrics if metrics is not None else RuntimeMetrics()
+        # Unlabelled: the report reads label-collapsed totals.
+        self._count_sent = self.metrics.bind_counter(names.MESSAGES_SENT)
+        self._count_delivered = self.metrics.bind_counter(names.MESSAGES_DELIVERED)
+        self._count_capacity = self.metrics.bind_counter(names.MESSAGES_DROPPED_CAPACITY)
+        self._count_failure = self.metrics.bind_counter(names.MESSAGES_DROPPED_FAILURE)
+        self._count_trimmed = self.metrics.bind_counter(names.VALUES_TRIMMED)
+        self._count_cost = self.metrics.bind_counter(names.COST_UNITS_SPENT)
+        self._samples: List[RuntimePeriodSample] = []
         self._events: List[Tuple[float, int, Callable[[float], None]]] = []
         self._seq = itertools.count()
         self._budget: Dict[NodeId, float] = {}
@@ -125,10 +137,11 @@ class MonitoringSimulation:
         self._buffers: Dict[Tuple[NodeId, int], List[Batch]] = {}
 
     # ------------------------------------------------------------------
-    def run(self, n_periods: int) -> CollectionStats:
-        """Run ``n_periods`` collection periods and return the stats."""
+    def run(self, n_periods: int) -> RuntimeReport:
+        """Run ``n_periods`` collection periods and return the report."""
         if n_periods <= 0:
             raise ValueError(f"n_periods must be > 0, got {n_periods}")
+        started = time.monotonic()
         hop_latency = self.config.hop_latency
         for k in range(n_periods):
             with trace.span(names.SPAN_SIMULATION_PERIOD, lane=names.LANE_SIMULATOR, period=k):
@@ -143,8 +156,13 @@ class MonitoringSimulation:
         # Drain any stragglers scheduled past the last deadline so late
         # arrivals are at least accounted in message statistics.
         self._fire_until(math.inf)
-        self._mirror_stats()
-        return self.stats
+        return RuntimeReport(
+            requested_pairs=len(self.plan.pairs),
+            n_periods=n_periods,
+            samples=list(self._samples),
+            metrics=self.metrics,
+            wall_seconds=time.monotonic() - started,
+        )
 
     def _schedule(self, time: float, action: Callable[[float], None]) -> None:
         heapq.heappush(self._events, (time, next(self._seq), action))
@@ -154,29 +172,6 @@ class MonitoringSimulation:
         while events and events[0][0] <= deadline + 1e-12:
             time, _, action = heapq.heappop(events)
             action(time)
-
-    def _mirror_stats(self) -> None:
-        """Mirror :class:`CollectionStats` tallies into the ambient
-        metrics registry so ``--metrics`` snapshots cover simulation
-        runs too.  Deltas since the last mirror, so repeated ``run``
-        calls on one simulation do not double-count."""
-        registry = default_registry()
-        tallies = {
-            names.SIM_MESSAGES_SENT: float(self.stats.messages_sent),
-            names.SIM_MESSAGES_DELIVERED: float(self.stats.messages_delivered),
-            names.SIM_MESSAGES_DROPPED_CAPACITY: float(
-                self.stats.messages_dropped_capacity
-            ),
-            names.SIM_MESSAGES_DROPPED_FAILURE: float(self.stats.messages_dropped_failure),
-            names.SIM_VALUES_TRIMMED: float(self.stats.values_trimmed),
-            names.SIM_COST_UNITS_SPENT: float(self.stats.cost_units_spent),
-            names.SIM_PERIODS: float(len(self.stats.periods)),
-        }
-        for name, total in tallies.items():
-            delta = total - self._mirrored.get(name, 0.0)
-            if delta:
-                registry.incr(name, delta)
-            self._mirrored[name] = total
 
     # ------------------------------------------------------------------
     # Event actions
@@ -198,19 +193,19 @@ class MonitoringSimulation:
         batch = Batch(role.lo, values, stamps)
         if not batch.count:
             return
-        stats = self.stats
         shed = trim(batch, role.pair_order, self.plan.cost, self._budget.get(node, 0.0))
         if shed is None:
-            stats.messages_dropped_capacity += 1
+            self._count_capacity.add()
             return
-        stats.values_trimmed += shed
+        if shed:
+            self._count_trimmed.add(shed)
         cost = self.plan.cost.message_cost(batch.count)
         self._budget[node] = self._budget.get(node, 0.0) - cost
-        stats.messages_sent += 1
-        stats.cost_units_spent += cost
+        self._count_sent.add()
+        self._count_cost.add(cost)
         receiver = role.receiver
         if self.failures.blocks(node, receiver, role.layout.attr_set, now):
-            stats.messages_dropped_failure += 1
+            self._count_failure.add()
             return
         arrival = now + 0.5 * self.config.hop_latency
         self._schedule(arrival, partial(self._arrive, receiver, role.tree, batch))
@@ -219,7 +214,7 @@ class MonitoringSimulation:
         cost = self.plan.cost.message_cost(batch.count)
         if receiver == COLLECTOR_ADDRESS:
             if self._central_budget < cost - _EPS:
-                self.stats.messages_dropped_capacity += 1
+                self._count_capacity.add()
                 return
             self._central_budget -= cost
             columns = self._collected.columns(tree, batch)
@@ -228,13 +223,13 @@ class MonitoringSimulation:
         else:
             budget = self._budget.get(receiver, 0.0)
             if budget < cost - _EPS:
-                self.stats.messages_dropped_capacity += 1
+                self._count_capacity.add()
                 return
             self._budget[receiver] = budget - cost
             self._buffers.setdefault((receiver, tree), []).append(batch)
-        self.stats.messages_delivered += 1
-        self.stats.cost_units_spent += cost
+        self._count_delivered.add()
+        self._count_cost.add(cost)
 
     def _measure(self, period: int, _now: float) -> None:
         sample, _ = score_period(period, self._truths(), self._cells)
-        self.stats.periods.append(sample)
+        self._samples.append(sample)

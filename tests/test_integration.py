@@ -13,6 +13,7 @@ from repro.ext.reliability import (
     rewrite_ssdp,
 )
 from repro.cluster.metrics import MetricRegistry
+from repro.obs import names
 from repro.simulation import (
     FailureInjector,
     LinkOutage,
@@ -51,13 +52,13 @@ class TestPlanSimulateLoop:
             ("remo", RemoPlanner(COST)),
         ]:
             plan = planner.plan(tasks, cluster)
-            stats = MonitoringSimulation(
+            report = MonitoringSimulation(
                 plan,
                 cluster,
                 registry=StreamMetricRegistry(app),
                 config=SimulationConfig(seed=5),
             ).run(15)
-            errors[name] = stats.mean_percentage_error
+            errors[name] = report.mean_percentage_error
         assert errors["remo"] <= errors["sp"] + 1e-9
         assert errors["remo"] <= errors["op"] + 1e-9
 
@@ -66,13 +67,13 @@ class TestPlanSimulateLoop:
         drop-free run with shallow trees."""
         app, cluster, tasks = ym_setup
         plan = RemoPlanner(COST).plan(tasks, cluster)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan,
             cluster,
             registry=StreamMetricRegistry(app),
             config=SimulationConfig(seed=5, hop_latency=0.001),
         ).run(10)
-        assert stats.mean_fresh_coverage == pytest.approx(plan.coverage(), abs=0.02)
+        assert report.mean_fresh_coverage == pytest.approx(plan.coverage(), abs=0.02)
 
 
 class TestAdaptationLoop:
@@ -129,14 +130,14 @@ class TestReplicationUnderFailures:
             [p for p in plan.pairs if p.attribute == "a"], seed=1
         )
         registry = ReplicatedRegistry(base_registry, rewrite.alias_to_base)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan,
             cluster,
             registry=registry,
             config=SimulationConfig(seed=2),
             failures=FailureInjector(link_outages=outages),
         ).run(10)
-        assert stats.messages_dropped_failure > 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) > 0
         # The replica pairs (aliases) are still fresh; only base pairs
         # stalled, so freshness stays at ~half rather than zero.
-        assert stats.mean_fresh_coverage >= 0.45
+        assert report.mean_fresh_coverage >= 0.45

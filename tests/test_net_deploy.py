@@ -150,7 +150,7 @@ class TestParseChaosKill:
         assert parse_chaos_kill("1:0.5") == (1, 0.5)
 
     def test_rejects_malformed(self):
-        for bad in ("nonsense", "1", "x:1", "1:y", "-1:1"):
+        for bad in ("nonsense", "1", "x:1", "1:y", "-1:1", "0:nan", "0:inf", "0:1e400"):
             with pytest.raises(ValueError):
                 parse_chaos_kill(bad)
 

@@ -465,7 +465,7 @@ class TestRuntimeParityOverTcp:
             Partition.singletons({"a", "b"}), pairs, small_cluster
         )
         seed, periods = 9, 8
-        sim_stats = MonitoringSimulation(
+        sim_report = MonitoringSimulation(
             plan,
             small_cluster,
             registry=MetricRegistry(plan.pairs, seed=seed),
@@ -487,11 +487,8 @@ class TestRuntimeParityOverTcp:
             transport=transport,
         ).run(periods)
 
-        sim_coverage = sum(p.received_fraction for p in sim_stats.periods) / len(
-            sim_stats.periods
-        )
         assert runtime_report.mean_coverage == pytest.approx(
-            sim_coverage, abs=self.TOLERANCE
+            sim_report.mean_coverage, abs=self.TOLERANCE
         )
         # Every envelope made a real socket round trip.
         frames = runtime_report.metrics.registry.counter_total(names.NET_FRAMES_SENT)

@@ -9,6 +9,7 @@ from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.core.planner import RemoPlanner
+from repro.obs import names
 from repro.simulation import MonitoringSimulation, SimulationConfig
 
 settings.register_profile(
@@ -44,13 +45,14 @@ def test_simulation_conserves_messages(setup, periods):
     plan = ForestBuilder(cost).build(
         Partition.singletons({p.attribute for p in pairs}), pairs, cluster
     )
-    stats = MonitoringSimulation(
+    report = MonitoringSimulation(
         plan, cluster, config=SimulationConfig(seed=1)
     ).run(periods)
-    assert stats.messages_delivered + stats.messages_dropped_failure <= stats.messages_sent
-    assert 0.0 <= stats.mean_fresh_coverage <= 1.0
-    assert 0.0 <= stats.mean_percentage_error <= 1.0
-    assert len(stats.periods) == periods
+    delivered = report.metrics.counter(names.MESSAGES_DELIVERED)
+    assert delivered + report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) <= report.messages_sent
+    assert 0.0 <= report.mean_fresh_coverage <= 1.0
+    assert 0.0 <= report.mean_percentage_error <= 1.0
+    assert len(report.samples) == periods
 
 
 @given(clusters_and_pairs())
@@ -61,11 +63,11 @@ def test_feasible_plans_run_drop_free(setup):
     plan = ForestBuilder(cost).build(
         Partition.singletons({p.attribute for p in pairs}), pairs, cluster
     )
-    stats = MonitoringSimulation(
+    report = MonitoringSimulation(
         plan, cluster, config=SimulationConfig(seed=2)
     ).run(3)
-    assert stats.messages_dropped_capacity == 0
-    assert stats.values_trimmed == 0
+    assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) == 0
+    assert report.metrics.counter(names.VALUES_TRIMMED) == 0
 
 
 @given(clusters_and_pairs())
@@ -101,7 +103,7 @@ def test_simulated_freshness_matches_coverage_when_shallow(setup):
     plan = ForestBuilder(cost).build(
         Partition.singletons({p.attribute for p in pairs}), pairs, cluster
     )
-    stats = MonitoringSimulation(
+    report = MonitoringSimulation(
         plan, cluster, config=SimulationConfig(seed=3, hop_latency=1e-4)
     ).run(3)
-    assert abs(stats.mean_fresh_coverage - plan.coverage()) < 1e-6
+    assert abs(report.mean_fresh_coverage - plan.coverage()) < 1e-6

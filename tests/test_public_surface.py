@@ -59,10 +59,6 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: Public names kept although nothing but tests reaches them (at most three).
 KEEP = {
     "rewrite_dsdp": "DSDP, the paper's section 6.2 plan rewrite",
-    "Histogram.is_exact": (
-        "the only observable of a histogram's switch from exact values "
-        "to the reservoir"
-    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""Schema checks for ``repro run --json`` and the ``--metrics`` export.
+"""Schema checks for ``repro run --json`` / ``repro simulate --json``
+and the ``--metrics`` export.
 
 Golden-*key* assertions, not golden values: runs are timing-sensitive,
 so these tests pin the shape consumers (CI, dashboards) rely on, and
@@ -49,27 +50,35 @@ def run_output(tmp_path_factory):
     )
 
 
+RUN_KEYS = {
+    "command",
+    "scheme",
+    "workload",
+    "plan",
+    "plan_check",
+    "requested_pairs",
+    "periods",
+    "wall_seconds",
+    "coverage",
+    "mean_percentage_error",
+    "messages",
+    "values",
+    "cost_units_spent",
+    "failure_events",
+    "per_period",
+    "metrics",
+}
+
+
+def _prom_total(samples, base):
+    """Sum of every Prometheus series named ``base``, labels collapsed."""
+    return sum(v for k, v in samples.items() if k == base or k.startswith(base + "{"))
+
+
 class TestRunJsonSchema:
     def test_top_level_keys(self, run_output):
         payload, _trace, _prom = run_output
-        assert {
-            "command",
-            "scheme",
-            "workload",
-            "plan",
-            "plan_check",
-            "requested_pairs",
-            "periods",
-            "wall_seconds",
-            "coverage",
-            "mean_percentage_error",
-            "messages",
-            "values",
-            "cost_units_spent",
-            "failure_events",
-            "per_period",
-            "metrics",
-        } <= set(payload)
+        assert RUN_KEYS <= set(payload)
 
     def test_nested_keys(self, run_output):
         payload, _trace, _prom = run_output
@@ -117,23 +126,54 @@ class TestPrometheusReconciliation:
     def test_counters_reconcile_with_report(self, run_output):
         payload, _trace, prom = run_output
         samples = parse_prometheus_text(prom)
-
-        def total(base):
-            return sum(
-                v
-                for k, v in samples.items()
-                if k == base or k.startswith(base + "{")
-            )
-
         messages = payload["messages"]
-        assert total("messages_sent") == messages["sent"]
-        assert total("messages_delivered") == messages["delivered"]
-        assert total("messages_dropped_capacity") == messages["dropped_capacity"]
-        assert total("messages_dropped_failure") == messages["dropped_failure"]
-        assert total("heartbeats_sent") == messages["heartbeats"]
-        assert total("cost_units_spent") == pytest.approx(
+        assert _prom_total(samples, "messages_sent") == messages["sent"]
+        assert _prom_total(samples, "messages_delivered") == messages["delivered"]
+        assert (
+            _prom_total(samples, "messages_dropped_capacity") == messages["dropped_capacity"]
+        )
+        assert _prom_total(samples, "messages_dropped_failure") == messages["dropped_failure"]
+        assert _prom_total(samples, "heartbeats_sent") == messages["heartbeats"]
+        assert _prom_total(samples, "cost_units_spent") == pytest.approx(
             payload["cost_units_spent"]
         )
+
+
+class TestSimulateJsonSchema:
+    """``repro simulate --json`` reports through the same
+    :class:`~repro.runtime.report.RuntimeReport` as ``run``, under the
+    same metric names, minus the launch gate's ``plan_check``."""
+
+    @pytest.fixture(scope="class")
+    def simulate_output(self, tmp_path_factory):
+        import contextlib
+        import io
+
+        metrics_path = tmp_path_factory.mktemp("simulate_schema") / "sim.prom"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(
+                ["simulate", "--nodes", "24", "--tasks", "6", "--periods", "3", "--json"]
+                + ["--metrics", str(metrics_path)]
+            )
+        assert code == 0
+        return json.loads(stdout.getvalue()), metrics_path.read_text()
+
+    def test_top_level_keys_are_runs_without_plan_check(self, simulate_output):
+        payload, _prom = simulate_output
+        assert payload["command"] == "simulate"
+        assert set(payload) == RUN_KEYS - {"plan_check"}
+
+    def test_messages_sent_reconciles_with_report(self, simulate_output):
+        payload, prom = simulate_output
+        assert check_prometheus_text(prom) == []
+        sent = _prom_total(parse_prometheus_text(prom), "messages_sent")
+        assert sent == payload["messages"]["sent"] > 0
+
+    def test_no_series_is_sim_prefixed(self, simulate_output):
+        payload, prom = simulate_output
+        series = set(parse_prometheus_text(prom)) | set(payload["metrics"]["counters"])
+        assert not [name for name in series if name.startswith("sim_")]
 
 
 class TestTraceArtifact:

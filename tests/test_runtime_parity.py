@@ -31,7 +31,7 @@ TOLERANCE = 0.05
 
 def run_both(plan, cluster, periods=12, seed=9):
     """One plan, two engines, same registry seed."""
-    sim_stats = MonitoringSimulation(
+    sim_report = MonitoringSimulation(
         plan,
         cluster,
         registry=MetricRegistry(plan.pairs, seed=seed),
@@ -46,7 +46,7 @@ def run_both(plan, cluster, periods=12, seed=9):
         # suite's heavier tests run first.
         config=RuntimeConfig(period_seconds=0.05, seed=seed),
     ).run(periods)
-    return sim_stats, runtime_report
+    return sim_report, runtime_report
 
 
 class TestCoverageParity:
@@ -55,15 +55,12 @@ class TestCoverageParity:
         plan = ForestBuilder(COST).build(
             Partition.singletons({"a", "b"}), pairs, small_cluster
         )
-        sim_stats, runtime_report = run_both(plan, small_cluster)
-        sim_coverage = sum(p.received_fraction for p in sim_stats.periods) / len(
-            sim_stats.periods
-        )
+        sim_report, runtime_report = run_both(plan, small_cluster)
         assert runtime_report.mean_coverage == pytest.approx(
-            sim_coverage, abs=TOLERANCE
+            sim_report.mean_coverage, abs=TOLERANCE
         )
         assert runtime_report.final_coverage == pytest.approx(
-            sim_stats.periods[-1].received_fraction, abs=TOLERANCE
+            sim_report.final_coverage, abs=TOLERANCE
         )
 
     def test_parity_on_partial_coverage_plan(self, tight_cluster):
@@ -74,23 +71,17 @@ class TestCoverageParity:
             Partition.singletons({"a", "b", "c", "d"}), pairs, tight_cluster
         )
         assert plan.coverage() < 1.0
-        sim_stats, runtime_report = run_both(plan, tight_cluster)
-        sim_coverage = sum(p.received_fraction for p in sim_stats.periods) / len(
-            sim_stats.periods
-        )
+        sim_report, runtime_report = run_both(plan, tight_cluster)
         assert runtime_report.mean_coverage == pytest.approx(
-            sim_coverage, abs=TOLERANCE
+            sim_report.mean_coverage, abs=TOLERANCE
         )
 
     def test_parity_on_quickstart_remo_plan(self):
         cluster, cost, tasks = quickstart_workload()
         plan = RemoPlanner(cost).plan(tasks, cluster)
-        sim_stats, runtime_report = run_both(plan, cluster, periods=8)
-        sim_coverage = sum(p.received_fraction for p in sim_stats.periods) / len(
-            sim_stats.periods
-        )
+        sim_report, runtime_report = run_both(plan, cluster, periods=8)
         assert runtime_report.mean_coverage == pytest.approx(
-            sim_coverage, abs=TOLERANCE
+            sim_report.mean_coverage, abs=TOLERANCE
         )
         # Both engines should deliver what the planner promised.
         assert runtime_report.final_coverage == pytest.approx(
@@ -102,8 +93,8 @@ class TestCoverageParity:
         plan = ForestBuilder(COST).build(
             Partition.singletons({"a"}), pairs, small_cluster
         )
-        sim_stats, runtime_report = run_both(plan, small_cluster, periods=6)
-        assert runtime_report.messages_sent == sim_stats.messages_sent
+        sim_report, runtime_report = run_both(plan, small_cluster, periods=6)
+        assert runtime_report.messages_sent == sim_report.messages_sent
 
 
 class TestRunCliJson:

@@ -376,6 +376,28 @@ class TestHostileHeads:
         assert b"Content-Length" in reply
         assert unhandled == []
 
+    @pytest.mark.parametrize("line", [b"GET http://[ HTTP/1.1", b"GET //[::1 HTTP/1.1"])
+    def test_malformed_request_target_is_400(self, line):
+        (reply,), unhandled = self.exchange([line + b"\r\nHost: x\r\n\r\n"])
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"malformed request target" in reply
+        assert unhandled == []
+
+    def test_every_byte_mutation_gets_an_answer_or_a_clean_close(self):
+        request = self.VALID_POST
+        mutants = [
+            request[:at] + byte + request[at + 1 :]
+            for at in range(len(request))
+            for byte in (b"\x00", b"[", b"\xff")
+        ]
+        replies, unhandled = self.exchange(mutants)
+        for mutant, reply in zip(mutants, replies):
+            assert reply == b"" or reply.startswith((b"HTTP/1.1 4", b"HTTP/1.1 200 ")), (
+                mutant,
+                reply,
+            )
+        assert unhandled == []
+
     def test_truncated_post_closes_cleanly_at_every_offset(self):
         request = self.VALID_POST
         replies, unhandled = self.exchange(

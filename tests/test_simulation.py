@@ -6,6 +6,7 @@ from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.obs import names
 from repro.runtime import AgentOutage
 from repro.simulation import (
     FailureInjector,
@@ -26,40 +27,40 @@ class TestHappyPath:
     def test_feasible_plan_runs_drop_free(self, small_cluster):
         pairs = pairs_for(range(6), ["a", "b"])
         plan = plan_for(small_cluster, pairs)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan, small_cluster, config=SimulationConfig(seed=1)
         ).run(10)
-        assert stats.messages_dropped_capacity == 0
-        assert stats.messages_dropped_failure == 0
-        assert stats.messages_delivered == stats.messages_sent
+        assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) == 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) == 0
+        assert report.metrics.counter(names.MESSAGES_DELIVERED) == report.messages_sent
 
     def test_full_coverage_gives_low_error(self, small_cluster):
         pairs = pairs_for(range(6), ["a", "b"])
         plan = plan_for(small_cluster, pairs)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan, small_cluster, config=SimulationConfig(seed=1)
         ).run(10)
-        assert stats.mean_percentage_error < 0.05
-        assert stats.mean_fresh_coverage == pytest.approx(1.0)
+        assert report.mean_percentage_error < 0.05
+        assert report.mean_fresh_coverage == pytest.approx(1.0)
 
     def test_uncovered_pairs_drive_error(self, tight_cluster):
         pairs = pairs_for(range(20), ["a", "b", "c", "d"])
         plan = plan_for(tight_cluster, pairs)
         assert plan.coverage() < 1.0
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan, tight_cluster, config=SimulationConfig(seed=1)
         ).run(10)
         # Every uncovered pair contributes ~100% error.
-        assert stats.mean_percentage_error >= (1.0 - plan.coverage()) * 0.9
+        assert report.mean_percentage_error >= (1.0 - plan.coverage()) * 0.9
 
     def test_message_counts_match_topology(self, small_cluster):
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan, small_cluster, config=SimulationConfig(seed=1)
         ).run(5)
         expected_per_period = sum(len(r.tree) for r in plan.trees.values())
-        assert stats.messages_sent == expected_per_period * 5
+        assert report.messages_sent == expected_per_period * 5
 
     def test_deterministic_given_seed(self, small_cluster):
         pairs = pairs_for(range(6), ["a"])
@@ -101,20 +102,20 @@ class TestFailures:
         injector = FailureInjector(
             link_outages=[LinkOutage(child, attr_set, 0.0, 5.0)]
         )
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan, small_cluster, config=SimulationConfig(seed=1), failures=injector
         ).run(10)
-        assert stats.messages_dropped_failure > 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) > 0
 
     def test_node_outage_blocks_sends(self, small_cluster):
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
         injector = FailureInjector(node_outages=[AgentOutage(0, 0, 100)])
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan, small_cluster, config=SimulationConfig(seed=1), failures=injector
         ).run(5)
-        assert stats.messages_dropped_failure > 0
-        assert stats.mean_percentage_error > 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) > 0
+        assert report.mean_percentage_error > 0
 
     def test_outage_windows_validate(self):
         with pytest.raises(ValueError):

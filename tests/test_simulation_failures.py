@@ -13,6 +13,7 @@ from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.obs import names
 from repro.runtime import AgentOutage
 from repro.simulation import (
     FailureInjector,
@@ -52,10 +53,10 @@ class TestCrashRecovery:
         tree = plan.trees[frozenset({"a"})].tree
         leaf = next(n for n in tree.nodes if not tree.children(n))
         injector = FailureInjector(node_outages=[AgentOutage(leaf, 2, 5)])
-        stats = run(plan, small_cluster, 9, injector)
-        dark = [p.fresh_fraction for p in stats.periods if 2 <= p.period < 5]
-        after = [p.fresh_fraction for p in stats.periods if p.period >= 5]
-        before = [p.fresh_fraction for p in stats.periods if p.period < 2]
+        report = run(plan, small_cluster, 9, injector)
+        dark = [p.fresh_fraction for p in report.samples if 2 <= p.period < 5]
+        after = [p.fresh_fraction for p in report.samples if p.period >= 5]
+        before = [p.fresh_fraction for p in report.samples if p.period < 2]
         assert max(dark) < 1.0
         assert before[-1] == pytest.approx(1.0)
         assert after[-1] == pytest.approx(1.0)
@@ -65,9 +66,9 @@ class TestCrashRecovery:
         tree = plan.trees[frozenset({"a"})].tree
         leaf = next(n for n in tree.nodes if not tree.children(n))
         injector = FailureInjector(node_outages=[AgentOutage(leaf, 2, 6)])
-        stats = run(plan, small_cluster, 10, injector)
-        dark_error = max(p.mean_error for p in stats.periods if 3 <= p.period < 6)
-        final_error = stats.periods[-1].mean_error
+        report = run(plan, small_cluster, 10, injector)
+        dark_error = max(p.mean_error for p in report.samples if 3 <= p.period < 6)
+        final_error = report.samples[-1].mean_error
         # Stale readings drift away from the truth while the node is
         # dark, then snap back once it reports again.
         assert dark_error > final_error
@@ -79,8 +80,8 @@ class TestCrashRecovery:
         tree = plan.trees[frozenset({"a"})].tree
         leaf = next(n for n in tree.nodes if not tree.children(n))
         injector = FailureInjector(node_outages=[AgentOutage(leaf, 2, 5)])
-        stats = run(plan, small_cluster, 8, injector)
-        dark = [p for p in stats.periods if 2 <= p.period < 5]
+        report = run(plan, small_cluster, 8, injector)
+        dark = [p for p in report.samples if 2 <= p.period < 5]
         assert all(p.received_fraction == pytest.approx(1.0) for p in dark)
         assert any(p.fresh_fraction < 1.0 for p in dark)
 
@@ -90,10 +91,11 @@ class TestCrashRecovery:
         leaf = next(n for n in tree.nodes if not tree.children(n))
         short = FailureInjector(node_outages=[AgentOutage(leaf, 2, 3)])
         long = FailureInjector(node_outages=[AgentOutage(leaf, 2, 7)])
-        short_stats = run(plan, small_cluster, 9, short)
-        long_stats = run(plan, small_cluster, 9, long)
-        assert 0 < short_stats.messages_dropped_failure
-        assert short_stats.messages_dropped_failure < long_stats.messages_dropped_failure
+        short_report = run(plan, small_cluster, 9, short)
+        long_report = run(plan, small_cluster, 9, long)
+        short_dropped = short_report.metrics.counter(names.MESSAGES_DROPPED_FAILURE)
+        assert 0 < short_dropped
+        assert short_dropped < long_report.metrics.counter(names.MESSAGES_DROPPED_FAILURE)
 
 
 class TestInteriorNodeFailure:
@@ -104,11 +106,11 @@ class TestInteriorNodeFailure:
         assert victim is not None, "ONE-SET over 6 nodes should build a multi-level tree"
         subtree = tree.subtree_nodes(victim)
         injector = FailureInjector(node_outages=[AgentOutage(victim, 2, 5)])
-        stats = run(plan, small_cluster, 8, injector)
+        report = run(plan, small_cluster, 8, injector)
         # Everything below the dead hop goes stale, not just the victim.
-        dark_fresh = min(p.fresh_fraction for p in stats.periods if 2 <= p.period < 5)
+        dark_fresh = min(p.fresh_fraction for p in report.samples if 2 <= p.period < 5)
         assert dark_fresh <= 1.0 - len(subtree) / len(plan.pairs) + 1e-9
-        assert stats.periods[-1].fresh_fraction == pytest.approx(1.0)
+        assert report.samples[-1].fresh_fraction == pytest.approx(1.0)
 
     def test_interior_crash_mid_period_loses_that_periods_wave(self, small_cluster):
         # An outage of the one period 2 kills the sends scheduled in it:
@@ -118,11 +120,11 @@ class TestInteriorNodeFailure:
         victim = interior_node(tree)
         assert victim is not None
         injector = FailureInjector(node_outages=[AgentOutage(victim, 2, 3)])
-        stats = run(plan, small_cluster, 6, injector)
-        assert stats.messages_dropped_failure > 0
-        assert stats.periods[2].fresh_fraction < 1.0
+        report = run(plan, small_cluster, 6, injector)
+        assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) > 0
+        assert report.samples[2].fresh_fraction < 1.0
         # One period later the subtree's values flow again.
-        assert stats.periods[4].fresh_fraction == pytest.approx(1.0)
+        assert report.samples[4].fresh_fraction == pytest.approx(1.0)
 
     def test_link_outage_equivalent_to_silencing_the_edge(self, small_cluster):
         plan = one_tree_plan(small_cluster)
@@ -133,12 +135,12 @@ class TestInteriorNodeFailure:
         injector = FailureInjector(
             link_outages=[LinkOutage(victim, attr_set, 2.0, 5.0)]
         )
-        stats = run(plan, small_cluster, 8, injector)
+        report = run(plan, small_cluster, 8, injector)
         # The victim still receives its children's batches (only its
         # uplink is down), but nothing it relays gets through.
-        assert stats.messages_dropped_failure > 0
-        assert any(p.fresh_fraction < 1.0 for p in stats.periods if 2 <= p.period < 5)
-        assert stats.periods[-1].fresh_fraction == pytest.approx(1.0)
+        assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) > 0
+        assert any(p.fresh_fraction < 1.0 for p in report.samples if 2 <= p.period < 5)
+        assert report.samples[-1].fresh_fraction == pytest.approx(1.0)
 
 
 class TestInjectorSemantics:

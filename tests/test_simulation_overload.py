@@ -7,6 +7,7 @@ from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.obs import names
 from repro.simulation import MonitoringSimulation, SimulationConfig
 
 COST = CostModel(2.0, 1.0)
@@ -40,31 +41,31 @@ def overloaded_setup(root_budget_delta: float):
 class TestPayloadTrimming:
     def test_mild_overload_trims_values_not_messages(self):
         plan, cluster = overloaded_setup(root_budget_delta=-2.0)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan, cluster, config=SimulationConfig(seed=1)
         ).run(5)
-        assert stats.values_trimmed > 0
-        assert stats.messages_dropped_capacity == 0
+        assert report.metrics.counter(names.VALUES_TRIMMED) > 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) == 0
         # Most pairs still arrive.
-        assert stats.mean_fresh_coverage > 0.5
+        assert report.mean_fresh_coverage > 0.5
 
     def test_trimming_is_graded_in_overload(self):
         fresh = []
         for delta in (0.0, -2.0, -4.0):
             plan, cluster = overloaded_setup(root_budget_delta=delta)
-            stats = MonitoringSimulation(
+            report = MonitoringSimulation(
                 plan, cluster, config=SimulationConfig(seed=1)
             ).run(5)
-            fresh.append(stats.mean_fresh_coverage)
+            fresh.append(report.mean_fresh_coverage)
         assert fresh[0] >= fresh[1] >= fresh[2]
         assert fresh[0] == pytest.approx(1.0)
 
     def test_severe_overload_drops_whole_message(self):
         plan, cluster = overloaded_setup(root_budget_delta=-1e9)
-        stats = MonitoringSimulation(
+        report = MonitoringSimulation(
             plan, cluster, config=SimulationConfig(seed=1)
         ).run(5)
-        assert stats.messages_dropped_capacity > 0
+        assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) > 0
 
 
 class TestEdgeMultiset:

@@ -27,6 +27,7 @@ from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
+from repro.obs import names
 from repro.runtime import AgentOutage
 from repro.simulation import (
     FailureInjector,
@@ -55,20 +56,21 @@ def outage_run():
     ).run(10)
 
 
-def outcome(stats) -> dict:
+def outcome(report) -> dict:
+    counter = report.metrics.counter
     return {
         "samples": [
             [s.period, s.mean_error, s.fresh_fraction, s.received_fraction]
-            for s in stats.periods
+            for s in report.samples
         ],
         "counters": [
-            stats.requested_pairs,
-            stats.messages_sent,
-            stats.messages_delivered,
-            stats.messages_dropped_capacity,
-            stats.messages_dropped_failure,
-            stats.values_trimmed,
-            stats.cost_units_spent,
+            report.requested_pairs,
+            report.messages_sent,
+            int(counter(names.MESSAGES_DELIVERED)),
+            int(counter(names.MESSAGES_DROPPED_CAPACITY)),
+            int(counter(names.MESSAGES_DROPPED_FAILURE)),
+            int(counter(names.VALUES_TRIMMED)),
+            counter(names.COST_UNITS_SPENT),
         ],
     }
 
@@ -160,8 +162,8 @@ def test_overloaded_root_is_pinned(delta, pinned):
     from tests.test_simulation_overload import overloaded_setup
 
     plan, cluster = overloaded_setup(root_budget_delta=delta)
-    stats = MonitoringSimulation(plan, cluster, config=SimulationConfig(seed=1)).run(5)
-    assert outcome(stats) == pinned
+    report = MonitoringSimulation(plan, cluster, config=SimulationConfig(seed=1)).run(5)
+    assert outcome(report) == pinned
 
 
 def test_late_delivery_is_pinned(small_cluster):
@@ -170,8 +172,8 @@ def test_late_delivery_is_pinned(small_cluster):
     )
     assert plan.trees[frozenset({"a"})].tree.height() == 3
     config = SimulationConfig(hop_latency=0.4, seed=1)
-    stats = MonitoringSimulation(plan, small_cluster, config=config).run(10)
-    assert outcome(stats) == LATE
+    report = MonitoringSimulation(plan, small_cluster, config=config).run(10)
+    assert outcome(report) == LATE
 
 
 if __name__ == "__main__":
