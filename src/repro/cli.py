@@ -17,8 +17,7 @@ Nine subcommands over synthetic workloads, mirroring the examples:
   against a ``repro serve`` ``/metrics`` scrape), or JSONL;
 - ``serve``      run the multi-tenant control-plane HTTP service:
   tenants submit/update/delete tasks over HTTP, trigger adaptation,
-  launch runs, and scrape ``/metrics``, over hash-sharded collector
-  roots;
+  launch runs, and scrape ``/metrics``;
 - ``trace``      merge a deploy rundir's per-process span artifacts
   into one trace, with per-period critical-path and cross-process
   latency summaries (``--strict`` fails when any worker's spans are
@@ -50,7 +49,7 @@ Usage::
     python -m repro run --nodes 120 --trace run.trace.json --metrics run.prom
     python -m repro metrics run.prom
     python -m repro metrics run.prom --format prometheus
-    python -m repro serve --preset quickstart --collectors 2 --port 8080
+    python -m repro serve --preset quickstart --port 8080
     python -m repro deploy --workers 2 --trace deploy.trace.json --rundir run/
     python -m repro trace run/ --out merged.trace.json --strict
 """
@@ -101,6 +100,12 @@ from repro.workloads.updates import TaskUpdateStream
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--preset",
+        choices=["quickstart"],
+        default=None,
+        help="use a canonical workload instead of the sampled one",
+    )
     parser.add_argument("--nodes", type=_positive(int), default=64, help="cluster size")
     parser.add_argument(
         "--capacity", type=_positive(float), default=400.0, help="node budget b_i"
@@ -157,13 +162,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         help="write a Prometheus text-format snapshot of every metric "
         "this command touched",
     )
-
-
-def _add_preset(
-    parser: argparse.ArgumentParser,
-    help: str = "use a canonical workload instead of the sampled one",
-) -> None:
-    parser.add_argument("--preset", choices=["quickstart"], default=None, help=help)
 
 
 def _positive(kind: type) -> Callable[[str], Any]:
@@ -245,9 +243,9 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _scenario(args) -> Scenario:
-    """The scenario the :func:`_add_common` flags and ``--preset`` name."""
+    """The scenario the :func:`_add_common` flags name."""
     return Scenario(
-        preset=getattr(args, "preset", None),
+        preset=args.preset,
         nodes=args.nodes,
         capacity=args.capacity,
         central=args.central,
@@ -563,7 +561,6 @@ def _deploy(args) -> int:
             config=_runtime_config(args),
             rundir=args.rundir,
             host=args.host,
-            collectors=args.collectors,
             trace=args.trace is not None,
         )
     except ValueError as exc:
@@ -597,7 +594,6 @@ def _deploy(args) -> int:
             "scheme": scenario.scheme,
             "workload": scenario.label,
             "workers": spec.workers,
-            "collectors": spec.collectors,
             "restarts": outcome.restarts,
             "worker_reports": outcome.worker_reports,
             "rundir": spec.rundir,
@@ -618,11 +614,7 @@ def _deploy(args) -> int:
                     [f"worker {rank}", str(spec.worker_endpoints[rank]), len(shard)]
                     for rank, shard in enumerate(spec.shards)
                 ],
-                [
-                    f"collector x{spec.collectors}",
-                    str(spec.collector_endpoint),
-                    "-",
-                ],
+                ["collector", str(spec.collector_endpoint), "-"],
             ],
         )
     )
@@ -824,18 +816,14 @@ def _serve(args) -> int:
     # The scenario's tasks are ignored on purpose, and it is never
     # planned: the service starts empty and tenants populate it over HTTP.
     cluster, cost, _tasks = _scenario(args).workload
-    try:
-        controlplane = ControlPlane(
-            cluster,
-            cost,
-            collectors=args.collectors,
-            strategy=AdaptationStrategy(args.strategy),
-            config=RuntimeConfig(**_runtime_config(args)),
-            metrics=default_registry(),
-        )
-    except ValueError as exc:
-        return _fail(f"repro serve: {exc}")
-    print(f"control plane: {len(cluster)} nodes, {args.collectors} collector shard(s)", flush=True)
+    controlplane = ControlPlane(
+        cluster,
+        cost,
+        strategy=AdaptationStrategy(args.strategy),
+        config=RuntimeConfig(**_runtime_config(args)),
+        metrics=default_registry(),
+    )
+    print(f"control plane: {len(cluster)} nodes", flush=True)
     run_serve(
         controlplane,
         host=args.host,
@@ -905,7 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="plan, then statically verify the plan's invariants"
     )
     _add_common(check_p)
-    _add_preset(check_p)
     check_p.add_argument(
         "--corrupt",
         choices=list(FAULT_KINDS),
@@ -926,7 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
     _add_json(run_p)
     _add_obs(run_p)
-    _add_preset(run_p)
     _add_runtime(run_p)
     run_p.add_argument(
         "--fail-node",
@@ -945,20 +931,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(deploy_p)
     _add_json(deploy_p)
     _add_obs(deploy_p)
-    _add_preset(deploy_p)
     _add_runtime(deploy_p)
     deploy_p.add_argument(
         "--workers",
         type=_positive(int),
         default=3,
         help="worker processes to shard nodes across",
-    )
-    deploy_p.add_argument(
-        "--collectors",
-        type=_positive(int),
-        default=1,
-        help="collector shards co-hosted in the collector process "
-        "(hash-sharded collection trees)",
     )
     deploy_p.add_argument(
         "--host",
@@ -1028,20 +1006,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(serve_p)
     _add_obs(serve_p)
-    _add_preset(
-        serve_p,
-        help="use the canonical cluster instead of the sampled one "
-        "(workload tasks are ignored either way: tenants submit "
-        "tasks over HTTP)",
-    )
     # POST /run names its own period count.
     _add_runtime(serve_p, period_seconds=0.05, periods=False)
-    serve_p.add_argument(
-        "--collectors",
-        type=_positive(int),
-        default=1,
-        help="collector shards to split the collection trees across",
-    )
     serve_p.add_argument(
         "--strategy",
         choices=[s.value for s in AdaptationStrategy],

@@ -18,7 +18,7 @@ from repro.core.tasks import (
     TaskSetDelta,
 )
 from repro.core.partition import Partition
-from repro.core.plan import MonitoringPlan, ShardedPlan, shard_partition_sets
+from repro.core.plan import MonitoringPlan
 from repro.core.allocation import AllocationPolicy
 from repro.core.forest import ForestBuilder
 from repro.core.schemes import OneSetPlanner, SingletonSetPlanner
@@ -50,8 +50,6 @@ __all__ = [
     "Partition",
     "RemoPlanner",
     "SCHEMES",
-    "ShardedPlan",
-    "shard_partition_sets",
     "SingletonSetPlanner",
     "TaskManager",
     "TaskSetDelta",

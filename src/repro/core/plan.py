@@ -12,8 +12,7 @@ per unit time (the adaptation machinery's ``C_cur``).
 from __future__ import annotations
 
 import hashlib
-import zlib
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
 from repro.core.attributes import NodeAttributePair, NodeId
 from repro.core.cost import CostModel
@@ -154,9 +153,10 @@ class MonitoringPlan:
         reproduce PR-4 plans byte for byte.
         """
         digest = hashlib.sha256()
-        for attr_set in sorted(self.trees, key=_set_key):
+        keyed = [(",".join(str(attr) for attr in sorted(s)), s) for s in self.trees]
+        for key, attr_set in sorted(keyed, key=lambda kv: kv[0]):
             digest.update(b"set:")
-            digest.update(_set_key(attr_set).encode("utf-8"))
+            digest.update(key.encode("utf-8"))
             tree = self.trees[attr_set].tree
             for node in sorted(tree.nodes):
                 parent = tree.parent(node)
@@ -191,104 +191,3 @@ class MonitoringPlan:
             result.tree.validate()
         check_plan(self, node_capacities, central_capacity).raise_if_errors("plan validation")
 
-
-# ----------------------------------------------------------------------
-# Collector sharding
-# ----------------------------------------------------------------------
-
-#: Which collector shard each partition set reports to.
-ShardAssignment = Dict[AttributeSet, int]
-
-
-def _set_key(attr_set: AttributeSet) -> str:
-    """Canonical string key for a partition set (stable across processes)."""
-    return ",".join(str(attr) for attr in sorted(attr_set))
-
-
-def shard_partition_sets(sets: Iterable[AttributeSet], shards: int) -> ShardAssignment:
-    """Assign each partition set to one of ``shards`` collector roots.
-
-    Buckets by CRC-32 of the canonical attribute list -- stable across
-    interpreter runs and processes (never the builtin ``hash``, which is
-    salted per process), so every process that replans from the same
-    inputs derives the same assignment without shipping it.
-    """
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    assignment: ShardAssignment = {}
-    for attr_set in sorted(sets, key=_set_key):
-        digest = zlib.crc32(_set_key(attr_set).encode("utf-8"))
-        assignment[attr_set] = digest % shards
-    return assignment
-
-
-class ShardedPlan:
-    """A :class:`MonitoringPlan` whose trees are split across collector roots.
-
-    Each partition set (and therefore each collection tree) reports to
-    exactly one of ``shards`` collector shards; a shard hosts the trees
-    assigned to it and scores only the pairs those trees were asked to
-    collect.  Shard 0 additionally owns any requested pair whose
-    attribute appears in no partition set (uncoverable pairs), so the
-    shards' pair sets always partition ``plan.pairs`` exactly.
-    """
-
-    def __init__(
-        self,
-        plan: MonitoringPlan,
-        assignment: Mapping[AttributeSet, int],
-        shards: int,
-    ) -> None:
-        self.plan = plan
-        self.assignment: ShardAssignment = dict(assignment)
-        self.shards = shards
-        self._attr_shard: Dict[str, int] = {}
-        for attr_set, shard in self.assignment.items():
-            for attr in attr_set:
-                self._attr_shard[str(attr)] = shard
-
-    @classmethod
-    def build(cls, plan: MonitoringPlan, shards: int) -> "ShardedPlan":
-        return cls(plan, shard_partition_sets(plan.partition.sets, shards), shards)
-
-    def shard_of(self, attr_set: AttributeSet) -> int:
-        return self.assignment[attr_set]
-
-    def sets_for(self, shard: int) -> List[AttributeSet]:
-        """Partition sets hosted by ``shard``, in canonical order."""
-        return sorted(
-            (s for s, owner in self.assignment.items() if owner == shard),
-            key=_set_key,
-        )
-
-    def pairs_for(self, shard: int) -> Set[NodeAttributePair]:
-        """Requested pairs scored by ``shard`` (uncoverable pairs -> shard 0)."""
-        result: Set[NodeAttributePair] = set()
-        for pair in self.plan.pairs:
-            owner = self._attr_shard.get(str(pair.attribute), 0)
-            if owner == shard:
-                result.add(pair)
-        return result
-
-    def central_usage_by_shard(self) -> Dict[int, float]:
-        """Collector capacity consumed at each shard root."""
-        usage: Dict[int, float] = {shard: 0.0 for shard in range(self.shards)}
-        for attr_set, shard in self.assignment.items():
-            usage[shard] += self.plan.trees[attr_set].tree.central_used()
-        return usage
-
-    def summary(self) -> Dict[str, object]:
-        """Status-API-friendly description of the shard layout."""
-        return {
-            "shards": self.shards,
-            "sets_per_shard": {
-                str(shard): len(self.sets_for(shard)) for shard in range(self.shards)
-            },
-            "pairs_per_shard": {
-                str(shard): len(self.pairs_for(shard)) for shard in range(self.shards)
-            },
-            "central_usage": {
-                str(shard): usage
-                for shard, usage in self.central_usage_by_shard().items()
-            },
-        }

@@ -41,19 +41,19 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.attributes import NodeId
-from repro.core.plan import MonitoringPlan, ShardedPlan
+from repro.core.plan import MonitoringPlan
 from repro.net.directory import Endpoint, PeerDirectory
 from repro.obs import log, names
 from repro.runtime.collector import FailureEvent
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import wait_until
-from repro.runtime.messages import check_collector_count, collector_shard_address
+from repro.runtime.messages import COLLECTOR_ADDRESS
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimePeriodSample, RuntimeReport
 from repro.workloads.presets import Scenario
 
 #: Worker control inboxes live at ``CONTROL_ADDRESS_BASE - rank`` --
-#: below every plan NodeId (>= 0) and distinct from the collector (-1).
+#: below every plan NodeId (>= 0) and below the collector (-1).
 CONTROL_ADDRESS_BASE = -1000
 
 #: A worker that crashes more than this many times stays down.
@@ -123,9 +123,6 @@ class DeploySpec:
     collector_endpoint: Endpoint
     rundir: str
     config: Dict[str, Any] = field(default_factory=dict)
-    #: Collector shards co-hosted in the collector process; every shard
-    #: address resolves to the collector endpoint (hash-sharded trees).
-    collectors: int = 1
     #: When set, every child installs a tracer + JSONL log sink and
     #: dumps its spans to :meth:`trace_path` on exit; ``repro trace``
     #: merges the per-process artifacts into one Chrome trace.
@@ -139,17 +136,6 @@ class DeploySpec:
     def build_config(self) -> RuntimeConfig:
         return RuntimeConfig(**self.config)
 
-    def build_sharded(self, plan: MonitoringPlan) -> Optional[ShardedPlan]:
-        """The collector-shard layout, or ``None`` when unsharded.
-
-        Sharding keys on canonical attribute-set strings, so every
-        process that replans from this spec derives the identical
-        set -> shard assignment without shipping it in the spec.
-        """
-        if self.collectors <= 1:
-            return None
-        return ShardedPlan.build(plan, self.collectors)
-
     def build_directory(self) -> PeerDirectory:
         """The full address table every process shares."""
         directory = PeerDirectory()
@@ -157,10 +143,7 @@ class DeploySpec:
             endpoint = self.worker_endpoints[rank]
             directory.assign(shard, endpoint)
             directory.assign([control_address(rank)], endpoint)
-        directory.assign(
-            [collector_shard_address(shard) for shard in range(self.collectors)],
-            self.collector_endpoint,
-        )
+        directory.assign([COLLECTOR_ADDRESS], self.collector_endpoint)
         return directory
 
     # -- file-based coordination ---------------------------------------
@@ -232,7 +215,6 @@ def make_spec(
     config: Mapping[str, Any],
     rundir: Optional[str] = None,
     host: str = "127.0.0.1",
-    collectors: int = 1,
     trace: bool = False,
 ) -> Tuple[DeploySpec, MonitoringPlan]:
     """Plan once, shard, allocate ports, and save the spec.
@@ -240,7 +222,6 @@ def make_spec(
     Returns the saved spec and the supervisor's plan (for the pre-launch
     plan check and report headers).
     """
-    check_collector_count(collectors)
     if rundir is None:
         rundir = tempfile.mkdtemp(prefix="repro-deploy-")
     else:
@@ -255,7 +236,6 @@ def make_spec(
         collector_endpoint=endpoints[workers],
         rundir=rundir,
         config=dict(config),
-        collectors=collectors,
         trace=trace,
     )
     spec.save()

@@ -13,11 +13,10 @@ driver (:func:`repro.runtime.engine.run_periods` and what surrounds it):
   deterministically mid-run) and fans the tick out to the local
   agents.
 - :func:`collector_main` hosts the
-  :class:`~repro.runtime.engine.CollectorBank` (``spec.collectors``
-  shards, each on its reserved address) and owns the clock: its ticks
-  go to every worker's control address, and it closes a period once
-  its shards have heard from every root and node the plan names for
-  them -- the same rule as in one process.
+  :class:`~repro.runtime.collector.CollectorAgent` and owns the clock:
+  its ticks go to every worker's control address, and it closes a
+  period once the collector has heard from every root and node the
+  plan names -- the same rule as in one process.
 
 On stop each process dumps its full metrics registry to a JSON report
 file the supervisor merges.  Entry functions are module-level so the
@@ -38,7 +37,7 @@ from repro.obs import log, names, trace
 from repro.obs.export import write_jsonl_spans
 from repro.runtime.agent import NodeAgent
 from repro.runtime.engine import (
-    CollectorBank,
+    build_collector,
     build_roles,
     compile_layouts,
     ground_truth,
@@ -46,7 +45,7 @@ from repro.runtime.engine import (
     run_periods,
     wait_until,
 )
-from repro.runtime.messages import Envelope, StopEnvelope, TickEnvelope
+from repro.runtime.messages import COLLECTOR_ADDRESS, Envelope, StopEnvelope, TickEnvelope
 from repro.runtime.metrics import RuntimeMetrics
 
 
@@ -58,7 +57,6 @@ class _DeployHost:
         self.spec = spec
         self.config = spec.build_config()
         self.cluster, self.plan = spec.scenario.workload[0], spec.scenario.plan()
-        self.sharded = spec.build_sharded(self.plan)
         self.registry = ground_truth(self.plan, self.config.seed)
         self.metrics = RuntimeMetrics()
         self.transport = TcpTransport(
@@ -78,10 +76,8 @@ class WorkerRuntime(_DeployHost):
         self._advanced = 0
         # The engine's own role builder, over the identical re-planned
         # forest: single-process runs and deploy workers can never
-        # disagree about tree ids, depths, or local demands.  With
-        # sharded collectors, each tree's root reports to its shard's
-        # address (all shards resolve to the collector endpoint).
-        roles = build_roles(self.plan, compile_layouts(self.plan), self.sharded)
+        # disagree about tree ids, depths, or local demands.
+        roles = build_roles(self.plan, compile_layouts(self.plan))
         self.agents = {
             node: NodeAgent(
                 node_id=node,
@@ -132,16 +128,15 @@ class CollectorRuntime(_DeployHost):
     """The collector process: clock source, scorer, failure detector.
 
     It sees no other process's work and does not need to: the plan
-    says which updates and heartbeats each period brings to its
-    shards, so the envelopes that arrive tell it when a period is
+    says which updates and heartbeats each period brings to the
+    collector, so the envelopes that arrive tell it when a period is
     complete.
     """
 
     def __init__(self, spec: DeploySpec) -> None:
         super().__init__(spec, spec.collector_endpoint)
-        self.bank = CollectorBank(
+        self.collector = build_collector(
             self.plan,
-            self.sharded,
             compile_layouts(self.plan),
             self.cluster.central_capacity,
             registry=self.registry,
@@ -152,7 +147,7 @@ class CollectorRuntime(_DeployHost):
 
     async def run(self) -> None:
         try:
-            async with hosting(self.transport, self.fan_out, self.bank.agents):
+            async with hosting(self.transport, self.fan_out, {COLLECTOR_ADDRESS: self.collector}):
                 await self.transport.start()
                 write_json_atomic(self.spec.ready_path("collector"), {"role": "collector"})
                 # Hold the clock until the supervisor says every
@@ -165,25 +160,24 @@ class CollectorRuntime(_DeployHost):
                     self.spec.periods,
                     self.config.period_seconds,
                     self.registry,
-                    self.bank,
+                    self.collector,
                     self.fan_out,
                 )
         finally:
             write_json_atomic(
                 self.spec.report_path("collector"),
                 {
-                    "samples": [asdict(sample) for sample in self.bank.samples],
-                    "failure_events": [asdict(event) for event in self.bank.failure_events()],
+                    "samples": [asdict(sample) for sample in self.collector.samples],
+                    "failure_events": [asdict(e) for e in self.collector.failure_events],
                     "metrics": self.metrics.registry.dump(),
                 },
             )
 
     async def fan_out(self, envelope: Envelope) -> None:
-        # Own shards first and not through ``send``: they share this
-        # process's inboxes, and a tick must be in a shard's inbox
-        # before the first update it anchors can arrive.
-        for address in self.bank.agents:
-            self.transport.deliver_local(address, envelope)
+        # The collector first and not through ``send``: it shares this
+        # process's inboxes, and a tick must be in its inbox before the
+        # first update it anchors can arrive.
+        self.transport.deliver_local(COLLECTOR_ADDRESS, envelope)
         for rank in range(self.spec.workers):
             await self.transport.send(control_address(rank), envelope)
 

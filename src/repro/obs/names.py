@@ -103,7 +103,6 @@ CONTROLPLANE_REPLAN_SECONDS = "controlplane_replan_seconds"
 CONTROLPLANE_TENANTS = "controlplane_tenants"
 CONTROLPLANE_TASKS = "controlplane_tasks"
 CONTROLPLANE_PAIRS = "controlplane_pairs"
-CONTROLPLANE_COLLECTOR_SHARDS = "controlplane_collector_shards"
 
 # ---------------------------------------------------------------------------
 # Span and instant-event names

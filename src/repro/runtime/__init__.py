@@ -22,15 +22,9 @@ and histograms and renders through :mod:`repro.analysis`.
 from repro.runtime.agent import NodeAgent, TreeRole
 from repro.runtime.collector import CollectorAgent, FailureEvent
 from repro.runtime.config import AgentOutage, RuntimeConfig
-from repro.runtime.engine import (
-    MonitoringRuntime,
-    build_roles,
-    compile_layouts,
-    merge_period_samples,
-)
+from repro.runtime.engine import MonitoringRuntime, build_roles, compile_layouts
 from repro.runtime.messages import (
     COLLECTOR_ADDRESS,
-    MAX_COLLECTOR_SHARDS,
     Batch,
     Envelope,
     HeartbeatEnvelope,
@@ -38,7 +32,6 @@ from repro.runtime.messages import (
     TickEnvelope,
     TreeLayout,
     UpdateEnvelope,
-    collector_shard_address,
 )
 from repro.runtime.metrics import Histogram, RuntimeMetrics
 from repro.runtime.report import RuntimePeriodSample, RuntimeReport
@@ -52,13 +45,10 @@ from repro.runtime.transport import (
 __all__ = [
     "AgentOutage",
     "COLLECTOR_ADDRESS",
-    "MAX_COLLECTOR_SHARDS",
     "Batch",
     "CollectorAgent",
     "build_roles",
     "compile_layouts",
-    "collector_shard_address",
-    "merge_period_samples",
     "Envelope",
     "FailureEvent",
     "HeartbeatEnvelope",

@@ -83,13 +83,11 @@ class TreeRole:
     #: Stable short id (``t0``, ``t1``, ...) labeling this tree's
     #: metric series and trace spans; assigned by the engine.
     tree_id: str = ""
-    #: Address of the collector shard this tree reports to.
-    collector: NodeId = COLLECTOR_ADDRESS
 
     @property
     def receiver(self) -> NodeId:
-        """Where this node's batch goes: parent, or the tree's collector."""
-        return self.parent if self.parent is not None else self.collector
+        """Where this node's batch goes: parent, or the collector."""
+        return self.parent if self.parent is not None else COLLECTOR_ADDRESS
 
     @cached_property
     def pair_order(self) -> List[int]:
@@ -153,10 +151,6 @@ class NodeAgent:
         #: at which they stop waiting.
         self._waiting: Dict[int, _OpenWave] = {}
         self._deadline = 0.0
-        # With sharded collectors, each shard runs its own failure
-        # detector over the nodes in its trees -- beacon every shard
-        # this node reports to (the single-collector case sends one).
-        self._collectors = sorted({r.collector for r in self.roles}) or [COLLECTOR_ADDRESS]
         #: Trace-viewer row for this agent's spans.
         self._lane = names.node_lane(node_id)
         # The per-envelope counters, keyed once (the last by tree).
@@ -233,9 +227,8 @@ class NodeAgent:
         # root span as parent.
         with trace.attach(tick.trace_ctx):
             beacon = HeartbeatEnvelope(sender=self.node_id, period=period)
-            for collector in self._collectors:
-                await self.transport.send(collector, beacon)
-                self._count_heartbeats.add()
+            await self.transport.send(COLLECTOR_ADDRESS, beacon)
+            self._count_heartbeats.add()
             for role in ready:
                 await self._emit(role, period, started)
 

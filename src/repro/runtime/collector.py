@@ -16,9 +16,9 @@ rule in both engines:
 
 The agent adds the three behaviours only a live system exhibits:
 
-- **completion** -- a period is complete once this shard has heard,
-  for that period, an update from the root of every tree that reports
-  here and a heartbeat from every node it expects, leaving out nodes
+- **completion** -- a period is complete once the collector has
+  heard, for that period, an update from the root of every tree and a
+  heartbeat from every node it expects, leaving out nodes
   already flagged ``down``; the engine closes the period then
   (:meth:`CollectorAgent.heard_from_all`).  A root with nothing to send
   sends an empty update, uncharged like a heartbeat, so its period
@@ -35,6 +35,7 @@ The agent adds the three behaviours only a live system exhibits:
 from __future__ import annotations
 
 import asyncio
+import bisect
 import time
 from array import array
 from dataclasses import dataclass
@@ -180,10 +181,8 @@ class CollectorAgent:
         transport: Transport,
         metrics: RuntimeMetrics,
         config: RuntimeConfig,
-        address: NodeId = COLLECTOR_ADDRESS,
     ) -> None:
         layouts = tuple(layouts)
-        self.address = address
         self.requested_pairs = tuple(requested_pairs)
         self.expected_nodes = tuple(sorted(expected_nodes))
         self.central_capacity = central_capacity
@@ -198,6 +197,8 @@ class CollectorAgent:
         self._cells = [self.state.cell(pair) for pair in self.requested_pairs]
         self._truths = registry.reader(self.requested_pairs)
         self.samples: List[RuntimePeriodSample] = []
+        #: Kept in ``(period, node, kind)`` order: heartbeats from
+        #: several processes arrive in no fixed order.
         self.failure_events: List[FailureEvent] = []
         self._budget = central_capacity
         self._current_period = -1
@@ -215,14 +216,14 @@ class CollectorAgent:
         self._expects.update((("heartbeat", node), node) for node in self.expected_nodes)
         #: Per period not yet closed: whom it has not heard from, and the
         #: event set once that is nobody.  Keyed by the envelope's own
-        #: period -- across processes one can beat this shard's tick.
+        #: period -- across processes one can beat the collector's tick.
         self._unheard: Dict[int, Tuple[Set[Tuple[str, int]], asyncio.Event]] = {}
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
         """Inbox loop for ticks, updates, and heartbeats."""
         while True:
-            envelope = await self.transport.recv(self.address)
+            envelope = await self.transport.recv(COLLECTOR_ADDRESS)
             if isinstance(envelope, StopEnvelope):
                 break
             if isinstance(envelope, TickEnvelope):
@@ -273,9 +274,7 @@ class CollectorAgent:
         self._last_heartbeat[envelope.sender] = envelope.period
         if envelope.sender in self._failed:
             self._failed.discard(envelope.sender)
-            self.failure_events.append(
-                FailureEvent(envelope.sender, max(self._current_period, 0), "recovered")
-            )
+            self._record(FailureEvent(envelope.sender, max(self._current_period, 0), "recovered"))
             self.metrics.incr(names.FAILURE_RECOVERIES)
         self._heard(envelope.period, ("heartbeat", envelope.sender))
 
@@ -299,9 +298,9 @@ class CollectorAgent:
         return complete
 
     async def heard_from_all(self, period: int) -> None:
-        """Return once ``period`` is complete: every tree that reports
-        here has delivered its root's update for it (one dropped for
-        the collector budget counts, one refused as invalid does not),
+        """Return once ``period`` is complete: every tree has delivered
+        its root's update for it (one dropped for the collector budget
+        counts, one refused as invalid does not),
         and every expected node its heartbeat -- except the nodes
         flagged ``down`` when the period opened, and their trees."""
         await self._heard(period).wait()
@@ -348,5 +347,8 @@ class CollectorAgent:
             last_seen = self._last_heartbeat.get(node, -1)
             if period - last_seen >= self.config.failure_timeout:
                 self._failed.add(node)
-                self.failure_events.append(FailureEvent(node, period, "down"))
+                self._record(FailureEvent(node, period, "down"))
                 self.metrics.incr(names.FAILURE_DETECTIONS)
+
+    def _record(self, event: FailureEvent) -> None:
+        bisect.insort(self.failure_events, event, key=lambda e: (e.period, e.node, e.kind))

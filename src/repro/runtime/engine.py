@@ -8,8 +8,7 @@ the single implementation of that rule and of what surrounds it:
 - what every process derives from the plan alone
   (:func:`compile_layouts`, :func:`build_roles`) and the ground truth
   a run is scored against (:func:`ground_truth`);
-- the collector shards, their completion and their merge
-  (:class:`CollectorBank`);
+- the one collector every tree reports to (:func:`build_collector`);
 - the lifecycle of the agent tasks a process hosts (:func:`hosting`)
   and the period loop (:func:`run_periods`).
 
@@ -17,12 +16,12 @@ the single implementation of that rule and of what surrounds it:
 (:mod:`repro.net.worker`) are *hosts*: they pass in only what differs
 between them -- which agents live in the process and where a tick goes
 (``fan_out``) -- and decide where the report is written.  When a
-period is complete is the collector shards' to say, the same way on
-every host.
+period is complete is the collector's to say, the same way on every
+host.
 :class:`MonitoringRuntime` is the host with everything in one process:
 one :class:`~repro.runtime.agent.NodeAgent` per participating node plus
-one :class:`~repro.runtime.collector.CollectorAgent` per collector
-shard, wired over a :class:`~repro.runtime.transport.Transport`.
+the :class:`~repro.runtime.collector.CollectorAgent`, wired over a
+:class:`~repro.runtime.transport.Transport`.
 
 :class:`~repro.simulation.engine.MonitoringSimulation` runs on the
 same layouts, roles and ground truth under a schedule of its own; the
@@ -51,11 +50,10 @@ from typing import (
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.node import Cluster
 from repro.core.attributes import NodeAttributePair, NodeId
-from repro.core.partition import AttributeSet
-from repro.core.plan import MonitoringPlan, ShardedPlan
+from repro.core.plan import MonitoringPlan
 from repro.obs import names, trace
 from repro.runtime.agent import NodeAgent, TreeRole
-from repro.runtime.collector import CollectorAgent, FailureEvent
+from repro.runtime.collector import CollectorAgent
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.messages import (
     COLLECTOR_ADDRESS,
@@ -63,10 +61,9 @@ from repro.runtime.messages import (
     StopEnvelope,
     TickEnvelope,
     TreeLayout,
-    collector_shard_address,
 )
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.report import RuntimePeriodSample, RuntimeReport
+from repro.runtime.report import RuntimeReport
 from repro.runtime.transport import InProcessTransport, Transport
 
 
@@ -100,9 +97,7 @@ def compile_layouts(plan: MonitoringPlan) -> List[TreeLayout]:
 
 
 def build_roles(
-    plan: MonitoringPlan,
-    layouts: Sequence[TreeLayout],
-    sharded: Optional[ShardedPlan] = None,
+    plan: MonitoringPlan, layouts: Sequence[TreeLayout]
 ) -> Dict[NodeId, List[TreeRole]]:
     """One :class:`TreeRole` per (member node, tree) of the plan, over
     ``layouts = compile_layouts(plan)``.
@@ -113,17 +108,11 @@ def build_roles(
     ``repro deploy`` workers need the identical role table without
     constructing an engine: the derivation is deterministic, so every
     process that holds the same plan agrees on every role.
-
-    With ``sharded`` each tree's root reports to the transport address
-    of its collector shard (:func:`collector_addresses`), otherwise
-    every tree to the single central :data:`COLLECTOR_ADDRESS`.
     """
-    collector_of = collector_addresses(sharded) if sharded is not None else {}
     roles: Dict[NodeId, List[TreeRole]] = {}
     for layout in layouts:
         tree = plan.trees[layout.attr_set].tree
         height = tree.height()
-        collector = collector_of.get(layout.attr_set, COLLECTOR_ADDRESS)
         for node, (lo, size) in layout.ranges.items():
             children = tuple(sorted(tree.children(node)))
             roles.setdefault(node, []).append(
@@ -139,18 +128,35 @@ def build_roles(
                     size=size,
                     child_ranges=tuple(layout.ranges[child] for child in children),
                     tree_id=f"t{layout.tree}",
-                    collector=collector,
                 )
             )
     return roles
 
 
-def collector_addresses(sharded: ShardedPlan) -> Dict[AttributeSet, NodeId]:
-    """Partition-set -> collector-shard transport address for a sharded plan."""
-    return {
-        attr_set: collector_shard_address(shard)
-        for attr_set, shard in sharded.assignment.items()
-    }
+def build_collector(
+    plan: MonitoringPlan,
+    layouts: Sequence[TreeLayout],
+    central_capacity: float,
+    registry: MetricRegistry,
+    transport: Transport,
+    metrics: RuntimeMetrics,
+    config: RuntimeConfig,
+) -> CollectorAgent:
+    """The central collector for ``plan``, at :data:`COLLECTOR_ADDRESS`,
+    over the collector budget ``b_0``: it scores every requested pair
+    and expects an update from every tree's root and a heartbeat from
+    every node with a range in some tree."""
+    return CollectorAgent(
+        requested_pairs=sorted(plan.pairs),
+        layouts=layouts,
+        expected_nodes=sorted({node for lay in layouts for node in lay.ranges}),
+        central_capacity=central_capacity,
+        cost=plan.cost,
+        registry=registry,
+        transport=transport,
+        metrics=metrics,
+        config=config,
+    )
 
 
 async def wait_until(
@@ -186,101 +192,6 @@ def ground_truth(plan: MonitoringPlan, seed: int) -> MetricRegistry:
     interpreter's hash randomization.
     """
     return MetricRegistry(sorted(plan.pairs), seed=seed)
-
-
-def merge_period_samples(
-    period: int, weighted: Sequence[Tuple[int, RuntimePeriodSample]]
-) -> RuntimePeriodSample:
-    """Fold per-shard period scores into one cluster-wide sample.
-
-    Each shard scores only its own requested pairs, so the merged
-    fractions are the pair-count-weighted averages -- identical to what
-    a single collector scoring the full pair set would report.
-    """
-    total = sum(weight for weight, _ in weighted)
-    if total == 0:
-        return RuntimePeriodSample(period, 0.0, 1.0, 1.0)
-    return RuntimePeriodSample(
-        period=period,
-        mean_error=sum(w * s.mean_error for w, s in weighted) / total,
-        fresh_fraction=sum(w * s.fresh_fraction for w, s in weighted) / total,
-        received_fraction=sum(w * s.received_fraction for w, s in weighted) / total,
-    )
-
-
-class CollectorBank:
-    """One :class:`CollectorAgent` per collector shard, scored as one.
-
-    Each agent sits on its shard's reserved address, scores only its
-    shard's pairs and expects heartbeats only from nodes with a role in
-    a tree that reports to it (other nodes never dial it).  Unsharded is
-    the one-shard case: every pair, every tree, every node.
-    """
-
-    def __init__(
-        self,
-        plan: MonitoringPlan,
-        sharded: Optional[ShardedPlan],
-        layouts: Sequence[TreeLayout],
-        central_capacity: float,
-        registry: MetricRegistry,
-        transport: Transport,
-        metrics: RuntimeMetrics,
-        config: RuntimeConfig,
-    ) -> None:
-        #: Keyed by transport address (shard 0 is ``COLLECTOR_ADDRESS``).
-        self.agents: Dict[NodeId, CollectorAgent] = {}
-        #: Pair-count weight per shard address, for score merging.
-        self._weights: Dict[NodeId, int] = {}
-        for shard in range(sharded.shards if sharded is not None else 1):
-            address = collector_shard_address(shard)
-            requested = sorted(sharded.pairs_for(shard) if sharded is not None else plan.pairs)
-            reporting = [
-                lay for lay in layouts if sharded is None or sharded.shard_of(lay.attr_set) == shard
-            ]
-            self.agents[address] = CollectorAgent(
-                requested_pairs=requested,
-                layouts=reporting,
-                expected_nodes=sorted({node for lay in reporting for node in lay.ranges}),
-                central_capacity=central_capacity,
-                cost=plan.cost,
-                registry=registry,
-                transport=transport,
-                metrics=metrics,
-                config=config,
-                address=address,
-            )
-            self._weights[address] = len(requested)
-        #: Cluster-wide per-period scores (merged across shards).
-        self.samples: List[RuntimePeriodSample] = []
-
-    def close_period(self, period: int) -> RuntimePeriodSample:
-        """Score the period on every shard and record the merged sample."""
-        weighted = [
-            (self._weights[address], agent.close_period(period))
-            for address, agent in self.agents.items()
-        ]
-        if len(weighted) == 1:
-            merged = weighted[0][1]
-        else:
-            merged = merge_period_samples(period, weighted)
-        self.samples.append(merged)
-        return merged
-
-    async def heard_from_all(self, period: int) -> None:
-        """Return once every shard has ``period`` complete."""
-        for agent in self.agents.values():
-            await agent.heard_from_all(period)
-
-    def failure_events(self) -> List[FailureEvent]:
-        """Failure events across shards, de-duplicated.
-
-        Every shard runs its own detector over the nodes in its trees,
-        so a node in several shards' trees is flagged once per shard --
-        collapse identical transitions, ordered by (period, node).
-        """
-        events = {event for agent in self.agents.values() for event in agent.failure_events}
-        return sorted(events, key=lambda e: (e.period, e.node, e.kind))
 
 
 class Runnable(Protocol):
@@ -328,14 +239,14 @@ async def run_periods(
     n_periods: int,
     period_seconds: float,
     registry: MetricRegistry,
-    bank: CollectorBank,
+    collector: CollectorAgent,
     fan_out: Callable[[Envelope], Awaitable[None]],
 ) -> None:
     """Tick ``n_periods`` collection periods, one every ``period_seconds``.
 
     Per period: advance the ground truth, fan the tick out, wait until
-    every collector shard has heard from everyone the plan names for
-    it (:meth:`CollectorBank.heard_from_all`), close the period, and
+    the collector has heard from everyone the plan names
+    (:meth:`CollectorAgent.heard_from_all`), close the period, and
     sleep out the rest of its window.  A node that goes silent holds the
     close to ``2 * period_seconds`` after the tick, and the next tick
     follows at once, until the failure detector flags it ``down``.
@@ -355,8 +266,8 @@ async def run_periods(
                 await fan_out(tick)
                 bound = tick.sent_monotonic + 2 * period_seconds - time.monotonic()
                 with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(bank.heard_from_all(period), bound)
-                bank.close_period(period)
+                    await asyncio.wait_for(collector.heard_from_all(period), bound)
+                collector.close_period(period)
                 await asyncio.sleep(tick.sent_monotonic + period_seconds - time.monotonic())
 
 
@@ -364,7 +275,7 @@ class MonitoringRuntime:
     """Live execution of one monitoring plan in a single process.
 
     The host with everything on one event loop: ticks go to every agent
-    and collector shard through ``Transport.send``.
+    and the collector through ``Transport.send``.
     """
 
     def __init__(
@@ -375,12 +286,8 @@ class MonitoringRuntime:
         config: Optional[RuntimeConfig] = None,
         transport: Optional[Transport] = None,
         metrics: Optional[RuntimeMetrics] = None,
-        sharded: Optional[ShardedPlan] = None,
     ) -> None:
-        if sharded is not None and sharded.plan is not plan:
-            raise ValueError("sharded.plan must be the runtime's plan")
         self.plan = plan
-        self.sharded = sharded
         self.cluster = cluster
         self.config = config if config is not None else RuntimeConfig()
         self.transport = transport if transport is not None else InProcessTransport()
@@ -395,7 +302,7 @@ class MonitoringRuntime:
         for pair in sorted(plan.pairs):
             self.registry.ensure(pair)
         layouts = compile_layouts(plan)
-        roles = build_roles(plan, layouts, sharded)
+        roles = build_roles(plan, layouts)
         self.agents: Dict[NodeId, NodeAgent] = {
             node: NodeAgent(
                 node_id=node,
@@ -409,9 +316,8 @@ class MonitoringRuntime:
             )
             for node, node_roles in sorted(roles.items())
         }
-        self.bank = CollectorBank(
+        self.collector = build_collector(
             plan,
-            sharded,
             layouts,
             cluster.central_capacity,
             registry=self.registry,
@@ -419,13 +325,11 @@ class MonitoringRuntime:
             metrics=self.metrics,
             config=self.config,
         )
-        #: One collector agent per shard, keyed by transport address
-        #: (a single agent at COLLECTOR_ADDRESS when unsharded).
-        self.collectors = self.bank.agents
-        #: The shard-0 agent; the single collector when unsharded.
-        self.collector = self.collectors[COLLECTOR_ADDRESS]
-        #: Cluster-wide per-period scores (merged across shards).
-        self.samples = self.bank.samples
+        #: ``{COLLECTOR_ADDRESS: collector}``, the inboxes besides the
+        #: agents' that this host runs and ticks.
+        self.collectors = {COLLECTOR_ADDRESS: self.collector}
+        #: Per-period scores.
+        self.samples = self.collector.samples
 
     # ------------------------------------------------------------------
     def run(self, n_periods: int) -> RuntimeReport:
@@ -440,13 +344,13 @@ class MonitoringRuntime:
         everyone: Dict[NodeId, Runnable] = {**self.agents, **self.collectors}
         async with hosting(self.transport, self.fan_out, everyone):
             await run_periods(
-                n_periods, self.config.period_seconds, self.registry, self.bank, self.fan_out
+                n_periods, self.config.period_seconds, self.registry, self.collector, self.fan_out
             )
         return RuntimeReport(
             requested_pairs=len(self.plan.pairs),
             n_periods=n_periods,
             samples=list(self.samples),
-            failure_events=self.bank.failure_events(),
+            failure_events=list(self.collector.failure_events),
             metrics=self.metrics,
             wall_seconds=time.monotonic() - started,
         )

@@ -150,33 +150,8 @@ def trim(batch: Batch, order: List[int], cost: CostModel, budget: float) -> Opti
     return len(present) - affordable
 
 
-#: Address of the central collector on any transport.  With sharded
-#: collectors this is shard 0's address; see
-#: :func:`collector_shard_address`.
+#: Address of the central collector on any transport.
 COLLECTOR_ADDRESS: NodeId = -1
-
-#: Collector shard addresses occupy ``-1 .. -(MAX_COLLECTOR_SHARDS)``;
-#: the cap keeps them clear of the deploy control addresses, which
-#: start at ``-1000`` (``repro.net.deploy.CONTROL_ADDRESS_BASE``).
-MAX_COLLECTOR_SHARDS = 998
-
-
-def check_collector_count(collectors: int) -> None:
-    """Refuse a collector-shard count the address range cannot hold
-    (``ValueError``); every entry point that takes one asks here."""
-    if not 1 <= collectors <= MAX_COLLECTOR_SHARDS:
-        raise ValueError(
-            f"collectors must be in [1, {MAX_COLLECTOR_SHARDS}], got {collectors}"
-        )
-
-
-def collector_shard_address(shard: int) -> NodeId:
-    """Transport address of collector shard ``shard`` (shard 0 == -1)."""
-    if not 0 <= shard < MAX_COLLECTOR_SHARDS:
-        raise ValueError(
-            f"collector shard must be in [0, {MAX_COLLECTOR_SHARDS}), got {shard}"
-        )
-    return COLLECTOR_ADDRESS - shard
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ class RuntimeMetrics:
         counter_rows = [
             [name, round(value, 3)] for name, value in self.counters().items()
         ]
-        blocks = [format_table("runtime counters", ["counter", "value"], counter_rows)]
+        blocks = [format_table("counters", ["counter", "value"], counter_rows)]
         histogram_rows = []
         for name, s in sorted(self._histogram_summaries().items()):
             histogram_rows.append(
@@ -89,7 +89,7 @@ class RuntimeMetrics:
         if histogram_rows:
             blocks.append(
                 format_table(
-                    "runtime histograms",
+                    "histograms",
                     ["histogram", "count", "mean", "p50", "p95", "max"],
                     histogram_rows,
                 )

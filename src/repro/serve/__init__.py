@@ -5,8 +5,8 @@ long-running asyncio HTTP API through which *tenants* submit, update,
 and delete monitoring tasks, trigger online adaptation, launch live
 runs, and scrape Prometheus metrics.  Task namespaces are isolated per
 tenant (de-duplication scoped per tenant, unioned for planning), and
-the resulting forest's collection trees are hash-sharded across N
-collector roots so no single collector aggregates everything.
+every tree of the resulting forest reports to the one central
+collector.
 
 Layering mirrors the rest of the repo: :mod:`repro.serve.http` is a
 dependency-free HTTP/1.1 server, :mod:`repro.serve.controlplane` owns

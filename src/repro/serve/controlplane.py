@@ -1,4 +1,4 @@
-"""The control plane: multi-tenant task lifecycle over sharded collectors.
+"""The control plane: multi-tenant task lifecycle over one collector.
 
 :class:`ControlPlane` is the long-running state machine behind
 ``repro serve``.  It owns:
@@ -9,9 +9,6 @@
 - an :class:`~repro.core.adaptation.AdaptiveMonitoringService` -- the
   planner that keeps one monitoring forest in sync with the union of
   all tenants' tasks, replanning online under cost-benefit throttling;
-- the collector-shard layout (:class:`~repro.core.plan.ShardedPlan`) --
-  rebuilt deterministically after every adaptation so N collector
-  roots split the forest's trees;
 - a :class:`~repro.obs.metrics.MetricsRegistry` that every run records
   into, so the ``/metrics`` scrape and the run reports are two views
   of the same counters and can never disagree.
@@ -34,7 +31,6 @@ from repro.core.adaptation import (
     TaskOp,
 )
 from repro.core.cost import CostModel
-from repro.core.plan import ShardedPlan
 from repro.core.tasks import (
     MonitoringTask,
     MultiTenantTaskManager,
@@ -44,7 +40,6 @@ from repro.obs import names, trace
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import MonitoringRuntime
-from repro.runtime.messages import check_collector_count
 from repro.runtime.metrics import RuntimeMetrics
 
 
@@ -99,20 +94,16 @@ class ControlPlane:
         self,
         cluster: Cluster,
         cost_model: CostModel,
-        collectors: int = 1,
         strategy: AdaptationStrategy = AdaptationStrategy.ADAPTIVE,
         config: Optional[RuntimeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        check_collector_count(collectors)
         self.cluster = cluster
         self.cost = cost_model
-        self.collectors = collectors
         self.config = config if config is not None else RuntimeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tenants = MultiTenantTaskManager()
         self.service = AdaptiveMonitoringService(cluster, cost_model, strategy=strategy)
-        self.sharded: Optional[ShardedPlan] = None
         #: Task ops staged since the last adaptation (qualified ids).
         self._pending: List[TaskOp] = []
         #: Logical adaptation clock (the throttler's ``now``).
@@ -166,7 +157,7 @@ class ControlPlane:
     # Adaptation
     # ------------------------------------------------------------------
     def adapt(self, force_rebuild: bool = False) -> Dict[str, object]:
-        """Apply every staged op, replan, and re-shard the collectors.
+        """Apply every staged op and replan.
 
         Runs even with no staged ops when ``force_rebuild`` is set (a
         from-scratch replan); otherwise a no-op batch still replays the
@@ -182,11 +173,8 @@ class ControlPlane:
                 report = self.service.apply_changes(
                     ops, now=now, force_rebuild=force_rebuild
                 )
-        plan = self.service.plan
-        self.sharded = ShardedPlan.build(plan, self.collectors) if plan is not None else None
         self.metrics.incr(names.CONTROLPLANE_ADAPTATIONS_TOTAL)
         self.metrics.observe(names.CONTROLPLANE_REPLAN_SECONDS, report.planning_seconds)
-        self.metrics.set_gauge(names.CONTROLPLANE_COLLECTOR_SHARDS, self.collectors)
         record: Dict[str, object] = {
             "sequence": len(self.adaptations),
             "ops": len(ops),
@@ -198,7 +186,6 @@ class ControlPlane:
             "requested_pairs": report.requested_pairs,
             "applied_ops": list(report.applied_ops),
             "throttled_ops": report.throttled_ops,
-            "shards": self.sharded.summary() if self.sharded is not None else None,
         }
         self.adaptations.append(record)
         return record
@@ -209,21 +196,19 @@ class ControlPlane:
     async def run(self, periods: int) -> Dict[str, object]:
         """Run the current plan live and archive the merged report."""
         plan = self.service.plan
-        if plan is None or self.sharded is None:
+        if plan is None:
             raise NoPlanError("no plan yet: submit tasks and POST /adapt first")
         runtime = MonitoringRuntime(
             plan,
             self.cluster,
             config=self.config,
             metrics=RuntimeMetrics(registry=self.metrics),
-            sharded=self.sharded,
         )
         with trace.span(names.SPAN_CONTROLPLANE_RUN, lane=names.LANE_CONTROLPLANE):
             report = await runtime.run_async(periods)
         self.metrics.incr(names.CONTROLPLANE_RUNS_TOTAL)
         payload = report.as_dict()
         payload["run"] = len(self.reports)
-        payload["collectors"] = self.collectors
         self.reports.append(payload)
         return payload
 
@@ -232,7 +217,7 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def plan_summary(self) -> Dict[str, object]:
         plan = self.service.plan
-        if plan is None or self.sharded is None:
+        if plan is None:
             raise NoPlanError("no plan yet: submit tasks and POST /adapt first")
         return {
             "trees": plan.tree_count(),
@@ -242,7 +227,6 @@ class ControlPlane:
             "message_cost": plan.total_message_cost(),
             "max_depth": plan.max_tree_depth(),
             "central_usage": plan.central_usage(),
-            "shards": self.sharded.summary(),
         }
 
     def status(self) -> Dict[str, object]:
@@ -251,7 +235,6 @@ class ControlPlane:
             "tasks": self.tenants.task_count(),
             "pairs": self.tenants.pair_count(),
             "pending_ops": self.pending_ops,
-            "collectors": self.collectors,
             "adaptations": len(self.adaptations),
             "runs": len(self.reports),
             "has_plan": self.service.plan is not None,

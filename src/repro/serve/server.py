@@ -14,7 +14,7 @@ Routes (JSON in/out unless noted):
 - ``POST /adapt`` -- apply staged ops and replan
   (``{"force_rebuild"?: bool}``);
 - ``GET  /adaptations`` -- the adaptation log;
-- ``GET  /plan`` -- current plan + collector-shard summary;
+- ``GET  /plan`` -- current plan summary;
 - ``POST /run`` -- run the plan live (``{"periods"?: int}``);
 - ``GET  /reports`` -- archived run reports (JSON array);
 - ``GET  /reports/stream`` -- the same reports as NDJSON, one per line.

@@ -37,6 +37,11 @@ class TestParser:
         assert args.preset == "quickstart"
         assert args.corrupt == "cycle"
 
+    @pytest.mark.parametrize("command", ["plan", "simulate", "adapt"])
+    def test_every_scenario_command_takes_a_preset(self, command):
+        args = build_parser().parse_args([command, "--preset", "quickstart"])
+        assert args.preset == "quickstart"
+
     def test_check_rejects_unknown_fault(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "--corrupt", "bit-rot"])
@@ -48,8 +53,6 @@ class TestParser:
             ("run", "--period-seconds", "0"),
             ("run", "--failure-timeout", "0"),
             ("deploy", "--workers", "0"),
-            ("deploy", "--collectors", "0"),
-            ("serve", "--collectors", "0"),
             ("serve", "--period-seconds", "-0.5"),
             ("plan", "--nodes", "0"),
             ("plan", "--tasks", "0"),
@@ -239,7 +242,7 @@ class TestCommands:
         argv = ["serve", "--preset", "quickstart", "--host", "127.0.0.1", "--port", "0"]
         assert main([*argv, "--announce", str(announce), "--max-seconds", "0.2"]) == 0
         assert json.loads(announce.read_text())["host"] == "127.0.0.1"
-        assert "control plane: 64 nodes, 1 collector shard(s)" in capsys.readouterr().out
+        assert "control plane: 64 nodes\n" in capsys.readouterr().out
 
     def test_check_codes_lists_registry(self, capsys):
         rc = main(["check", "--codes"])

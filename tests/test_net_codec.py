@@ -27,13 +27,12 @@ from repro.net.deploy import CONTROL_ADDRESS_BASE
 from repro.obs.trace import TraceContext
 from repro.runtime.messages import (
     ABSENT,
-    MAX_COLLECTOR_SHARDS,
+    COLLECTOR_ADDRESS,
     Batch,
     HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
     UpdateEnvelope,
-    collector_shard_address,
 )
 
 _HEADER = struct.Struct(">HBBqI")
@@ -76,10 +75,10 @@ updates = st.builds(
 envelopes = st.one_of(ticks, heartbeats, stops, updates)
 
 #: The full signed-64-bit header field, plus the reserved negative
-#: addresses the runtime really uses (collector shards, control inboxes).
+#: addresses the runtime really uses (the collector, control inboxes).
 dests = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    st.integers(min_value=0, max_value=MAX_COLLECTOR_SHARDS - 1).map(collector_shard_address),
+    st.just(COLLECTOR_ADDRESS),
     st.integers(min_value=0, max_value=64).map(lambda rank: CONTROL_ADDRESS_BASE - rank),
 )
 

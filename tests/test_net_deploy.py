@@ -15,7 +15,6 @@ import pytest
 from repro.cli import main
 from repro.cluster.metrics import MetricRegistry
 from repro.net import deploy
-from repro.core.plan import ShardedPlan
 from repro.obs import names
 from repro.obs.export import read_jsonl_spans
 from repro.net.deploy import (
@@ -29,8 +28,7 @@ from repro.net.deploy import (
     run_deploy,
     shard_nodes,
 )
-from repro.runtime import MonitoringRuntime, RuntimeConfig, collector_shard_address
-from repro.serve import ControlPlane
+from repro.runtime import COLLECTOR_ADDRESS, MonitoringRuntime, RuntimeConfig
 from repro.workloads.presets import Scenario
 
 #: Small-but-real scenario shared by the e2e tests: enough nodes to
@@ -113,27 +111,7 @@ class TestDeploySpec:
             assert directory.endpoint_of(control_address(rank)) == (
                 spec.worker_endpoints[rank]
             )
-
-    @pytest.mark.parametrize("entry", ["make_spec", "ControlPlane"])
-    def test_collector_bound_is_the_shard_address_range(self, tmp_path, entry):
-        """``repro deploy`` and ``repro serve`` take every collector count
-        whose shard addresses exist (the last is shard 997), refuse the
-        next one, and say so in the same words."""
-        cluster, cost, _tasks = SCENARIO.workload
-
-        def launch(collectors):
-            if entry == "make_spec":
-                make_spec(
-                    SCENARIO, workers=1, periods=1, config=CONFIG,
-                    rundir=str(tmp_path), collectors=collectors,
-                )  # fmt: skip
-            else:
-                ControlPlane(cluster, cost, collectors=collectors)
-
-        assert collector_shard_address(997) == -998
-        launch(998)
-        with pytest.raises(ValueError, match=r"^collectors must be in \[1, 998\], got 999$"):
-            launch(999)
+        assert directory.endpoint_of(COLLECTOR_ADDRESS) == spec.collector_endpoint
 
     def test_unknown_preset_rejected(self):
         data = {
@@ -156,25 +134,9 @@ class TestParseChaosKill:
 
 
 class TestDeployEndToEnd:
-    def _single_process_run(self, plan, cluster, collectors):
-        return MonitoringRuntime(
-            plan,
-            cluster,
-            registry=MetricRegistry(sorted(plan.pairs), seed=CONFIG["seed"]),
-            config=RuntimeConfig(**CONFIG),
-            sharded=ShardedPlan.build(plan, collectors) if collectors > 1 else None,
-        ).run(6)
-
     def test_two_worker_deploy_matches_single_process(self, tmp_path):
-        self._deploy_matches_single_process(tmp_path, collectors=1)
-
-    def test_sharded_collector_deploy_matches_single_process(self, tmp_path):
-        self._deploy_matches_single_process(tmp_path, collectors=2)
-
-    def _deploy_matches_single_process(self, tmp_path, collectors):
         spec, plan = make_spec(
-            SCENARIO, workers=2, periods=6, config=CONFIG,
-            rundir=str(tmp_path), collectors=collectors,
+            SCENARIO, workers=2, periods=6, config=CONFIG, rundir=str(tmp_path)
         )
         outcome = run_deploy(spec, plan=plan)
         assert outcome.restart_total() == 0
@@ -185,7 +147,12 @@ class TestDeployEndToEnd:
         assert merged["periods"] == 6
         assert len(merged["per_period"]) == 6
 
-        baseline = self._single_process_run(plan, SCENARIO.workload[0], collectors)
+        baseline = MonitoringRuntime(
+            plan,
+            SCENARIO.workload[0],
+            registry=MetricRegistry(sorted(plan.pairs), seed=CONFIG["seed"]),
+            config=RuntimeConfig(**CONFIG),
+        ).run(6)
         assert outcome.report.mean_coverage == pytest.approx(
             baseline.mean_coverage, abs=TOLERANCE
         )
@@ -195,8 +162,7 @@ class TestDeployEndToEnd:
         # update was refused, no frame dropped, and the run moved the
         # messages -- and, unless a late child split a batch in two,
         # paid the cost -- the single process did.  What a plan moves
-        # and costs does not depend on how many processes or collector
-        # shards run it.
+        # and costs does not depend on how many processes run it.
         counters = outcome.report.metrics.counters()
         assert not counters.get("messages_dropped_invalid")
         assert not counters.get("net_frames_dropped")

@@ -996,6 +996,18 @@ def test_twenty_quickstart_periods_move_exact_totals(capsys, tmp_path):
     assert {name: counters.get(name) for name in QUICKSTART_TOTALS} == QUICKSTART_TOTALS
 
 
+def test_the_simulator_moves_the_runtime_quickstart_totals(capsys, tmp_path):
+    """The simulator agrees with the runtime exactly on the quickstart:
+    twenty periods through ``repro simulate`` send, deliver and spend
+    what they do through ``repro run``."""
+    argv = ["simulate", "--preset", "quickstart", "--periods", "20", "--json"]
+    assert main(argv + ["--metrics", str(tmp_path / "sim.prom")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["messages"]["sent"] == QUICKSTART_TOTALS["messages_sent"]
+    assert payload["messages"]["delivered"] == QUICKSTART_TOTALS["messages_delivered"]
+    assert payload["cost_units_spent"] == QUICKSTART_TOTALS["cost_units_spent"]
+
+
 # ---------------------------------------------------------------------------
 # The mailbox contract
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class TestRecvContract:
     def test_idle_agents_and_collector_recv_without_timeout(self):
         runtime, transport = recording_run(2)
         addresses = {address for address, _ in transport.idle_recvs}
-        assert runtime.collector.address in addresses
+        assert COLLECTOR_ADDRESS in addresses
         assert set(runtime.agents) <= addresses
         assert all(timeout is None for _, timeout in transport.idle_recvs)
 

@@ -163,7 +163,7 @@ class TestRunCliJson:
         assert rc == 0
         assert "live run" in out
         assert "mean coverage" in out
-        assert "runtime counters" in out
+        assert "== counters ==" in out
 
     def test_run_rejects_malformed_outage_spec(self):
         with pytest.raises(SystemExit):

@@ -71,9 +71,7 @@ class ServerThread:
 @pytest.fixture()
 def controlplane():
     cluster, cost, _tasks = quickstart_workload()
-    return ControlPlane(
-        cluster, cost, collectors=2, config=FAST, metrics=MetricsRegistry()
-    )
+    return ControlPlane(cluster, cost, config=FAST, metrics=MetricsRegistry())
 
 
 @pytest.fixture()
@@ -141,8 +139,8 @@ class TestTraceparent:
 
 
 class TestTwoTenantEndToEnd:
-    """The acceptance scenario: two tenants, overlapping tasks, two
-    collector shards, online adaptation, reconciled metrics."""
+    """The acceptance scenario: two tenants, overlapping tasks, online
+    adaptation, reconciled metrics."""
 
     def test_full_lifecycle(self, controlplane, client):
         assert client.health()["ok"] is True
@@ -162,17 +160,14 @@ class TestTwoTenantEndToEnd:
         overlap = NodeAttributePair(0, "attr00")
         assert overlap in controlplane.tenants.pairs()
 
-        # First adaptation builds the plan and shards the collectors.
+        # First adaptation builds the plan.
         record = client.adapt()
         assert record["coverage"] == pytest.approx(1.0)
-        assert record["shards"]["shards"] == 2
         plan = client.plan()
         assert plan["coverage"] == pytest.approx(1.0)
-        assert plan["shards"]["shards"] == 2
 
         report = client.run(4)
         assert report["coverage"]["final"] == pytest.approx(1.0)
-        assert report["collectors"] == 2
         assert report["periods"] == 4
         assert len(report["per_period"]) == 4
 

@@ -1,13 +1,17 @@
-"""Unit tests for monitoring tasks and the de-duplicating task manager."""
+"""Unit tests for monitoring tasks, the de-duplicating task manager and
+its multi-tenant namespaces."""
 
 import pytest
 
 from repro.core.attributes import NodeAttributePair
 from repro.core.tasks import (
     DuplicateTaskError,
+    InvalidTenantError,
     MonitoringTask,
+    MultiTenantTaskManager,
     TaskManager,
     UnknownTaskError,
+    qualified_task_id,
 )
 from tests.conftest import manager_of
 
@@ -123,3 +127,61 @@ class TestTaskManagerBatches:
         assert manager.pair_count() == 0
         delta = manager.add_task(MonitoringTask("t2", ["a"], [1]))
         assert delta.added == frozenset({NodeAttributePair(1, "a")})
+
+
+class TestMultiTenantTaskManager:
+    def _task(self, task_id="t", attrs=("a",), nodes=(1,)):
+        return MonitoringTask(task_id, list(attrs), list(nodes))
+
+    def test_duplicate_ids_scoped_per_tenant(self):
+        manager = MultiTenantTaskManager()
+        manager.add_task("alpha", self._task())
+        # The same id under another tenant is fine...
+        manager.add_task("beta", self._task())
+        # ...but a duplicate within one tenant is rejected.
+        with pytest.raises(DuplicateTaskError):
+            manager.add_task("alpha", self._task())
+
+    def test_global_delta_fires_on_first_and_last_tenant(self):
+        manager = MultiTenantTaskManager()
+        pair = NodeAttributePair(1, "a")
+        first = manager.add_task("alpha", self._task())
+        assert pair in first.added
+        second = manager.add_task("beta", self._task())
+        assert second.added == frozenset()  # already required by alpha
+        gone = manager.remove_task("alpha", "t")
+        assert gone.removed == frozenset()  # beta still wants it
+        last = manager.remove_task("beta", "t")
+        assert pair in last.removed
+        assert manager.pair_count() == 0
+
+    def test_pairs_union_and_counts(self):
+        manager = MultiTenantTaskManager()
+        manager.add_task("alpha", self._task("t1", ("a",), (1,)))
+        manager.add_task("beta", self._task("t2", ("b",), (2,)))
+        assert manager.pairs() == {
+            NodeAttributePair(1, "a"),
+            NodeAttributePair(2, "b"),
+        }
+        assert manager.task_count() == 2
+        assert manager.tenants() == ["alpha", "beta"]
+
+    def test_rejects_separator_in_names(self):
+        manager = MultiTenantTaskManager()
+        with pytest.raises(InvalidTenantError):
+            manager.add_task("bad/tenant", self._task())
+        with pytest.raises(InvalidTenantError):
+            manager.add_task("alpha", self._task("bad/task"))
+        with pytest.raises(InvalidTenantError):
+            manager.add_task("", self._task())
+
+    def test_unknown_lookups_raise_with_qualified_id(self):
+        manager = MultiTenantTaskManager()
+        with pytest.raises(UnknownTaskError):
+            manager.get("ghost", "t")
+        manager.add_task("alpha", self._task())
+        with pytest.raises(UnknownTaskError):
+            manager.remove_task("alpha", "missing")
+
+    def test_qualified_task_id(self):
+        assert qualified_task_id("alpha", "t1") == "alpha/t1"
