@@ -63,6 +63,7 @@ def measure(n_nodes: int, n_tasks: int) -> Dict:
         "iterations": stats.iterations,
         "candidates_ranked": stats.candidates_ranked,
         "candidates_evaluated": stats.candidates_evaluated,
+        "candidates_abandoned": stats.candidates_abandoned,
         "accepted_ops": list(stats.accepted_ops),
         "coverage": plan.coverage(),
         # Committed alongside the timings so a perf change that silently
@@ -103,7 +104,17 @@ def report(rows: List[Dict]) -> None:
         "planner_scaling",
         format_table(
             "Planner scaling (CLI-default regime, tasks = nodes)",
-            ["nodes", "seconds", "tree_s", "adjust_s", "memo_rate", "evaluated", "accepted", "coverage"],
+            [
+                "nodes",
+                "seconds",
+                "tree_s",
+                "adjust_s",
+                "memo_rate",
+                "evaluated",
+                "abandoned",
+                "accepted",
+                "coverage",
+            ],
             [
                 [
                     row["nodes"],
@@ -112,6 +123,7 @@ def report(rows: List[Dict]) -> None:
                     round(row["phase_seconds"]["adjustment"], 2),
                     round(row["memo"]["hit_rate"], 3),
                     row["candidates_evaluated"],
+                    row["candidates_abandoned"],
                     len(row["accepted_ops"]),
                     round(row["coverage"], 4),
                 ]

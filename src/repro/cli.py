@@ -284,6 +284,7 @@ def _planning_stats_payload(stats) -> Dict[str, Any]:
         "iterations": stats.iterations,
         "candidates_ranked": stats.candidates_ranked,
         "candidates_evaluated": stats.candidates_evaluated,
+        "candidates_abandoned": stats.candidates_abandoned,
         "accepted_ops": list(stats.accepted_ops),
         "elapsed_seconds": stats.elapsed_seconds,
         "memo_hits": stats.memo_hits,
@@ -344,6 +345,7 @@ def _plan(args) -> int:
                 ["search iterations", pstats.iterations],
                 ["candidates ranked", pstats.candidates_ranked],
                 ["candidates evaluated", pstats.candidates_evaluated],
+                ["candidates abandoned", pstats.candidates_abandoned],
                 ["accepted ops", len(pstats.accepted_ops)],
             ]
         )

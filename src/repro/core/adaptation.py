@@ -46,7 +46,7 @@ from repro.core.partition import AttributeSet, MergeOp, Partition, PartitionOp
 from repro.core.plan import MonitoringPlan
 from repro.core.planner import RemoPlanner, _improves
 from repro.core.tasks import MonitoringTask, TaskManager, TaskSetDelta
-from repro.trees.base import TreeBuildResult
+from repro.trees.base import BuildAbandoned, TreeBuildResult
 from repro.trees.model import MonitoringTree
 
 
@@ -511,7 +511,10 @@ class AdaptiveMonitoringService:
             if score == float("-inf") or evaluated >= self.candidate_budget:
                 break
             evaluated += 1
-            candidate = self._evaluate_op(plan, pairs, op)
+            try:
+                candidate = self._evaluate_op(plan, pairs, op)
+            except BuildAbandoned:
+                continue
             if _improves(candidate, plan):
                 return op, candidate
         return None
@@ -522,7 +525,9 @@ class AdaptiveMonitoringService:
         pairs: FrozenSet[NodeAttributePair],
         op: PartitionOp,
     ) -> MonitoringPlan:
-        """Apply ``op`` rebuilding only the trees it touches."""
+        """Apply ``op`` rebuilding only the trees it touches; raises
+        :class:`BuildAbandoned` once it cannot collect as many pairs as
+        ``plan``, which :meth:`_first_valid` would reject anyway."""
         new_partition = plan.partition.apply(op)
         touched = self._sets_created_by(op)
         keep = {
@@ -530,7 +535,9 @@ class AdaptiveMonitoringService:
             for s in new_partition.sets
             if s not in touched and s in plan.trees
         }
-        return self.forest.build(new_partition, pairs, self.cluster, keep=keep)
+        return self.forest.build(
+            new_partition, pairs, self.cluster, keep=keep, floor=plan.collected_pair_count()
+        )
 
     @staticmethod
     def _sets_created_by(op: PartitionOp) -> Set[AttributeSet]:

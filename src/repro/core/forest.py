@@ -24,7 +24,7 @@ from repro.core.partition import AttributeSet, Partition
 from repro.core.plan import MonitoringPlan
 from repro.obs import names
 from repro.obs.metrics import default_registry
-from repro.trees.base import GreedyTreeBuilder, TreeBuildRequest, TreeBuildResult
+from repro.trees.base import BuildAbandoned, GreedyTreeBuilder, TreeBuildRequest, TreeBuildResult
 from repro.trees.adaptive import AdaptiveTreeBuilder
 
 #: Optional per-pair value weights (frequency extension): expected
@@ -156,6 +156,7 @@ class ForestBuilder:
         msg_weights: Optional[Mapping[NodeId, float]] = None,
         keep: Optional[Mapping[AttributeSet, TreeBuildResult]] = None,
         memo: Optional[TreeMemo] = None,
+        floor: Optional[int] = None,
     ) -> MonitoringPlan:
         """Build a plan for ``partition`` over the de-duplicated ``pairs``.
 
@@ -168,6 +169,13 @@ class ForestBuilder:
         calls (see :class:`TreeMemo`); only consulted under sequential
         allocation, where the ledger state a build observes is captured
         by the memo key.
+
+        ``floor`` is the collected-pair count the plan must reach to be
+        of any use to the caller.  Once the trees built so far have
+        excluded more requested pairs than ``kept pairs + requested
+        pairs of the sets to build - floor``, the build raises
+        :class:`~repro.trees.base.BuildAbandoned` instead of finishing
+        a plan that would fall short (``None``: always finish).
         """
         pair_set = frozenset(pairs)
         universe = {p.attribute for p in pair_set}
@@ -191,14 +199,20 @@ class ForestBuilder:
         demands, set_volumes = self._demands_by_set(
             partition, pair_set, pair_weights, skip=frozenset(keep)
         )
+        # Pairs the trees still to be built may exclude before the plan
+        # falls short of ``floor``; kept trees' exclusions are final.
+        slack: Optional[int] = None
+        if floor is not None:
+            kept_lost = sum(set_volumes[s] - kept.tree.pair_count() for s, kept in keep.items())
+            slack = _charge(sum(set_volumes.values()) - floor, kept_lost)
 
         if self.allocation.is_sequential:
             results = self._build_sequential(
-                partition, cluster, demands, set_volumes, msg_weights, keep, memo
+                partition, cluster, demands, set_volumes, msg_weights, keep, memo, slack
             )
         else:
             results = self._build_predivided(
-                partition, cluster, demands, set_volumes, msg_weights
+                partition, cluster, demands, set_volumes, msg_weights, slack
             )
         return MonitoringPlan(partition, results, pair_set, self.cost)
 
@@ -246,7 +260,8 @@ class ForestBuilder:
         set_volumes: Dict[AttributeSet, int],
         msg_weights: Optional[Mapping[NodeId, float]],
         keep: Dict[AttributeSet, TreeBuildResult],
-        memo: Optional[TreeMemo] = None,
+        memo: Optional[TreeMemo],
+        slack: Optional[int],
     ) -> Dict[AttributeSet, TreeBuildResult]:
         ledger = CapacityLedger(
             {node.node_id: node.capacity for node in cluster},
@@ -281,9 +296,10 @@ class ForestBuilder:
                     aggregation=self.aggregation,
                     msg_weights=msg_weights,
                 )
-                result = self.tree_builder.build(request)
+                result = self.tree_builder.build(request, may_lose=slack)
                 if memo is not None and memo_key is not None:
                     memo.put(memo_key, result)
+            slack = _charge(slack, set_volumes[attr_set] - result.tree.pair_count())
             tree = result.tree
             ledger.charge(
                 {node: tree.used(node) for node in tree.nodes}, tree.central_used()
@@ -298,6 +314,7 @@ class ForestBuilder:
         demands: Dict[AttributeSet, Dict[NodeId, Dict[AttributeId, float]]],
         set_volumes: Dict[AttributeSet, int],
         msg_weights: Optional[Mapping[NodeId, float]],
+        slack: Optional[int],
     ) -> Dict[AttributeSet, TreeBuildResult]:
         participation: Dict[NodeId, List[AttributeSet]] = {}
         node_volumes: Dict[Tuple[NodeId, AttributeSet], int] = {}
@@ -338,5 +355,21 @@ class ForestBuilder:
                 aggregation=self.aggregation,
                 msg_weights=msg_weights,
             )
-            results[attr_set] = self.tree_builder.build(request)
+            results[attr_set] = self.tree_builder.build(request, may_lose=slack)
+            slack = _charge(slack, set_volumes[attr_set] - results[attr_set].tree.pair_count())
         return results
+
+
+def _charge(slack: Optional[int], lost: int) -> Optional[int]:
+    """``slack`` less ``lost`` requested pairs a tree left out; raises
+    :class:`BuildAbandoned` once negative.
+
+    A memo hit is charged like a fresh build: its exclusions are as
+    final as the ones the builder just made.
+    """
+    if slack is None:
+        return None
+    slack -= lost
+    if slack < 0:
+        raise BuildAbandoned(f"forest is {-slack} pairs short of its floor")
+    return slack

@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -45,7 +46,7 @@ from repro.core.gain import GainContext, rank_candidates
 from repro.core.partition import AttributeSet, MergeOp, Partition, PartitionOp
 from repro.core.plan import MonitoringPlan
 from repro.core.schemes import TaskSource, observable_pairs
-from repro.trees.base import GreedyTreeBuilder, TreeBuildResult
+from repro.trees.base import BuildAbandoned, GreedyTreeBuilder, TreeBuildResult
 
 #: Cost comparisons use this tolerance so float noise cannot drive
 #: endless "improvements".
@@ -68,6 +69,7 @@ class PlanningStats:
         ("iterations", names.PLANNER_ITERATIONS_TOTAL),
         ("candidates_ranked", names.PLANNER_CANDIDATES_RANKED_TOTAL),
         ("candidates_evaluated", names.PLANNER_CANDIDATES_EVALUATED_TOTAL),
+        ("candidates_abandoned", names.PLANNER_CANDIDATES_ABANDONED_TOTAL),
         ("memo_hits", names.PLANNER_MEMO_HITS_TOTAL),
         ("memo_misses", names.PLANNER_MEMO_MISSES_TOTAL),
     )
@@ -114,6 +116,11 @@ class PlanningStats:
         return self._delta(names.PLANNER_CANDIDATES_EVALUATED_TOTAL)
 
     @property
+    def candidates_abandoned(self) -> int:
+        """Evaluated candidates whose build gave up short of its floor."""
+        return self._delta(names.PLANNER_CANDIDATES_ABANDONED_TOTAL)
+
+    @property
     def memo_hits(self) -> int:
         """Tree builds answered from the construction memo."""
         return self._delta(names.PLANNER_MEMO_HITS_TOTAL)
@@ -145,7 +152,11 @@ def _context_build(
     ctx: _EvalContext,
     part: Partition,
     keep: Optional[Mapping[AttributeSet, TreeBuildResult]] = None,
+    floor: Optional[MonitoringPlan] = None,
 ) -> MonitoringPlan:
+    """Build ``part``; with a ``floor`` plan, give up (raise
+    :class:`BuildAbandoned`) once the result cannot collect as many
+    pairs as it -- :func:`_improves` would reject it anyway."""
     return ctx.forest.build(
         part,
         ctx.pairs,
@@ -154,11 +165,28 @@ def _context_build(
         msg_weights=ctx.msg_weights,
         keep=keep,
         memo=ctx.memo,
+        floor=None if floor is None else floor.collected_pair_count(),
     )
 
 
+def _attempt(
+    span: trace.SpanHandle,
+    stats: PlanningStats,
+    phase: str,
+    build: Callable[[], MonitoringPlan],
+) -> Optional[MonitoringPlan]:
+    """Evaluate one candidate; ``None`` when its build was abandoned."""
+    stats.bump(names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase=phase)
+    try:
+        return build()
+    except BuildAbandoned:
+        stats.bump(names.PLANNER_CANDIDATES_ABANDONED_TOTAL, phase=phase)
+        span.set(abandoned=True)
+        return None
+
+
 def _evaluate_with_context(
-    ctx: _EvalContext, incumbent: MonitoringPlan, op: PartitionOp
+    ctx: _EvalContext, incumbent: MonitoringPlan, op: PartitionOp, floor: MonitoringPlan
 ) -> MonitoringPlan:
     """Resource-aware evaluation of one augmentation.
 
@@ -170,7 +198,7 @@ def _evaluate_with_context(
     """
     candidate_partition = incumbent.partition.apply(op)
     if not ctx.forest.allocation.is_sequential:
-        return _context_build(ctx, candidate_partition)
+        return _context_build(ctx, candidate_partition, floor=floor)
     if isinstance(op, MergeOp):
         touched = {op.left | op.right}
     else:
@@ -180,7 +208,7 @@ def _evaluate_with_context(
         for s in candidate_partition.sets
         if s not in touched and s in incumbent.trees
     }
-    return _context_build(ctx, candidate_partition, keep=keep)
+    return _context_build(ctx, candidate_partition, keep=keep, floor=floor)
 
 
 def _separate_forbidden(
@@ -353,12 +381,14 @@ class RemoPlanner:
                         lane=names.LANE_PLANNER,
                         rank=seed_rank,
                         sets=len(seed),
-                    ):
-                        candidate = _context_build(ctx, seed)
-                    stats.bump(
-                        names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="seed"
-                    )
-                    if _improves(candidate, incumbent):
+                    ) as span:
+                        candidate = _attempt(
+                            span,
+                            stats,
+                            "seed",
+                            lambda: _context_build(ctx, seed, floor=incumbent),
+                        )
+                    if candidate is not None and _improves(candidate, incumbent):
                         incumbent = candidate
             for _ in range(self.max_iterations):
                 stats.bump(names.PLANNER_ITERATIONS_TOTAL)
@@ -371,9 +401,17 @@ class RemoPlanner:
                 # charges capacity in stale order; one final full rebuild of
                 # the winning partition restores the allocation policy's
                 # global ordering and is kept only if it helps.
-                with trace.span(names.SPAN_PLANNER_FINAL_REBUILD, lane=names.LANE_PLANNER):
-                    final = _context_build(ctx, incumbent.partition)
-                if _improves(final, incumbent):
+                with trace.span(
+                    names.SPAN_PLANNER_FINAL_REBUILD, lane=names.LANE_PLANNER
+                ) as span:
+                    try:
+                        final: Optional[MonitoringPlan] = _context_build(
+                            ctx, incumbent.partition, floor=incumbent
+                        )
+                    except BuildAbandoned:
+                        span.set(abandoned=True)
+                        final = None
+                if final is not None and _improves(final, incumbent):
                     incumbent = final
         stats.elapsed_seconds = plan_timer.elapsed
         stats.freeze()
@@ -478,12 +516,20 @@ class RemoPlanner:
             best_plan: Optional[MonitoringPlan] = None
             best_op: Optional[PartitionOp] = None
             for rank_idx, (_gain, op) in enumerate(ranked):
+                # A candidate must beat the best one so far, so that
+                # plan's pair count is the floor its build may give up at.
                 with trace.span(
                     names.SPAN_PLANNER_EVALUATE_CANDIDATE, lane=names.LANE_PLANNER, rank=rank_idx
-                ):
-                    candidate = _evaluate_with_context(ctx, incumbent, op)
-                stats.bump(names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="search")
-                if not _improves(candidate, incumbent):
+                ) as span:
+                    candidate = _attempt(
+                        span,
+                        stats,
+                        "search",
+                        lambda: _evaluate_with_context(
+                            ctx, incumbent, op, best_plan or incumbent
+                        ),
+                    )
+                if candidate is None or not _improves(candidate, incumbent):
                     continue
                 if best_plan is None or _improves(candidate, best_plan):
                     best_plan = candidate
@@ -502,10 +548,18 @@ class RemoPlanner:
                         lane=names.LANE_PLANNER,
                         rank=rank_idx,
                         full_rebuild=True,
-                    ):
-                        candidate = _context_build(ctx, incumbent.partition.apply(op))
-                    stats.bump(names.PLANNER_CANDIDATES_EVALUATED_TOTAL, phase="rebuild")
-                    if _improves(candidate, incumbent) and (
+                    ) as span:
+                        candidate = _attempt(
+                            span,
+                            stats,
+                            "rebuild",
+                            lambda: _context_build(
+                                ctx,
+                                incumbent.partition.apply(op),
+                                floor=best_plan or incumbent,
+                            ),
+                        )
+                    if candidate is not None and _improves(candidate, incumbent) and (
                         best_plan is None or _improves(candidate, best_plan)
                     ):
                         best_plan = candidate

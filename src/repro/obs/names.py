@@ -75,6 +75,7 @@ NET_DIAL_LATENCY_S = "net_dial_latency_s"
 PLANNER_ITERATIONS_TOTAL = "planner_iterations_total"
 PLANNER_CANDIDATES_RANKED_TOTAL = "planner_candidates_ranked_total"
 PLANNER_CANDIDATES_EVALUATED_TOTAL = "planner_candidates_evaluated_total"
+PLANNER_CANDIDATES_ABANDONED_TOTAL = "planner_candidates_abandoned_total"
 PLANNER_MEMO_HITS_TOTAL = "planner_memo_hits_total"
 PLANNER_MEMO_MISSES_TOTAL = "planner_memo_misses_total"
 

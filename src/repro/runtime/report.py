@@ -129,10 +129,13 @@ class RuntimeReport:
             ["dropped (capacity)", int(self.metrics.counter(names.MESSAGES_DROPPED_CAPACITY))],
             ["dropped (failure)", int(self.metrics.counter(names.MESSAGES_DROPPED_FAILURE))],
             ["values trimmed", int(self.metrics.counter(names.VALUES_TRIMMED))],
-            ["heartbeats", int(self.metrics.counter(names.HEARTBEATS_SENT))],
-            ["failure events", len(self.failure_events)],
-            ["wall seconds", round(self.wall_seconds, 3)],
         ]
+        # Only an engine that beacons has a failure detector; the
+        # simulator sends no heartbeats, so its hub has no such series.
+        if names.HEARTBEATS_SENT in self.metrics.counters():
+            rows.append(["heartbeats", int(self.metrics.counter(names.HEARTBEATS_SENT))])
+            rows.append(["failure events", len(self.failure_events)])
+        rows.append(["wall seconds", round(self.wall_seconds, 3)])
         blocks = [format_table(title, ["metric", "value"], rows)]
         if self.failure_events:
             blocks.append(

@@ -62,6 +62,18 @@ class TreeBuildRequest:
         return self.msg_weights.get(node, 1.0)
 
 
+class BuildAbandoned(Exception):
+    """A build gave up once it could no longer reach its caller's floor.
+
+    :meth:`GreedyTreeBuilder.build` raises it when the nodes it has
+    excluded carry more requested pairs than its ``may_lose`` budget;
+    :meth:`~repro.core.forest.ForestBuilder.build` raises it (or lets it
+    pass) when the forest as a whole has.  Exclusions are final, so the
+    finished result would have collected fewer pairs than the floor and
+    its caller would have discarded it.
+    """
+
+
 @dataclass
 class TreeBuildResult:
     """A constructed tree plus the candidates that did not fit."""
@@ -123,8 +135,15 @@ class GreedyTreeBuilder:
             key=lambda n: (-request.capacities.get(n, 0.0), n),
         )
 
-    def build(self, request: TreeBuildRequest) -> TreeBuildResult:
-        """Construct a tree for ``request`` and report exclusions."""
+    def build(
+        self, request: TreeBuildRequest, may_lose: Optional[int] = None
+    ) -> TreeBuildResult:
+        """Construct a tree for ``request`` and report exclusions.
+
+        ``may_lose`` caps the requested pairs the excluded nodes may
+        carry: the build raises :class:`BuildAbandoned` at the
+        exclusion that carries it past the cap (``None``: no cap).
+        """
         started = time.perf_counter()
         adjusted_before = self.adjustment_seconds()
         tree = MonitoringTree(
@@ -135,20 +154,27 @@ class GreedyTreeBuilder:
             aggregation=request.aggregation,
         )
         excluded: List[NodeId] = []
-        for node in self.insertion_order(request):
-            if not self._insert(tree, request, node):
-                excluded.append(node)
-        # The two phases add up: construction is reported exclusive of
-        # the adjusting procedure it interleaves with.
-        adjusting = self.adjustment_seconds() - adjusted_before
-        registry = default_registry()
-        registry.observe(
-            names.PLANNER_PHASE_SECONDS,
-            time.perf_counter() - started - adjusting,
-            phase="tree_construction",
-        )
-        if adjusting > 0.0:
-            registry.observe(names.PLANNER_PHASE_SECONDS, adjusting, phase="adjustment")
+        lost = 0
+        try:
+            for node in self.insertion_order(request):
+                if not self._insert(tree, request, node):
+                    excluded.append(node)
+                    lost += len(request.demands[node])
+                    if may_lose is not None and lost > may_lose:
+                        raise BuildAbandoned(f"excluded {lost} pairs, may lose {may_lose}")
+        finally:
+            # The two phases add up, abandoned builds included:
+            # construction is reported exclusive of the adjusting
+            # procedure it interleaves with.
+            adjusting = self.adjustment_seconds() - adjusted_before
+            registry = default_registry()
+            registry.observe(
+                names.PLANNER_PHASE_SECONDS,
+                time.perf_counter() - started - adjusting,
+                phase="tree_construction",
+            )
+            if adjusting > 0.0:
+                registry.observe(names.PLANNER_PHASE_SECONDS, adjusting, phase="adjustment")
         return TreeBuildResult(tree=tree, excluded=excluded)
 
     # -- helpers -----------------------------------------------------------

@@ -155,6 +155,14 @@ class TestCommands:
         # On this workload the whole neighbourhood outnumbers the ranked budget.
         assert exhaustive["candidates_evaluated"] > ranked["candidates_evaluated"]
 
+    def test_plan_json_reports_abandoned_candidates(self, capsys):
+        # The plan_search shape: most ranked candidates fall short of the
+        # plan they must beat and are given up mid-build.
+        argv = ["plan", "--nodes", "48", "--tasks", "12", "--capacity", "200", "--json"]
+        assert main(argv) == 0
+        planning = json.loads(capsys.readouterr().out)["planning"]
+        assert 0 < planning["candidates_abandoned"] <= planning["candidates_evaluated"]
+
     def test_simulate_reports_error_metric(self, capsys):
         rc = main(
             [

@@ -9,6 +9,7 @@ within five percentage points.
 """
 
 import json
+import re
 
 import pytest
 
@@ -164,6 +165,22 @@ class TestRunCliJson:
         assert "live run" in out
         assert "mean coverage" in out
         assert "== counters ==" in out
+
+    def test_only_an_engine_that_beacons_prints_heartbeat_rows(self, capsys, tmp_path):
+        # The simulator sends no heartbeats and runs no failure detector,
+        # so rows for them would read 0 by construction.  --metrics gives
+        # each run a fresh registry, as a process of its own would have:
+        # the ambient one keeps earlier runs' series in this process.
+        rows = (r"^\s*heartbeats\s+\d+$", r"^\s*failure events\s+\d+$")
+        simulate = ["simulate", "--preset", "quickstart", "--periods", "5"]
+        assert main([*simulate, "--metrics", str(tmp_path / "sim.prom")]) == 0
+        simulated = capsys.readouterr().out
+        assert "messages sent" in simulated
+        assert not any(re.search(row, simulated, re.M) for row in rows)
+        argv = ["run", "--preset", "quickstart", "--periods", "3", "--period-seconds", "0.02"]
+        assert main([*argv, "--metrics", str(tmp_path / "run.prom")]) == 0
+        live = capsys.readouterr().out
+        assert all(re.search(row, live, re.M) for row in rows)
 
     def test_run_rejects_malformed_outage_spec(self):
         with pytest.raises(SystemExit):
