@@ -22,7 +22,7 @@ from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.obs import names
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 
 #: C/a fitted to the paper's two anchor measurements:
 #: 256 messages of 1 value = 68% CPU; 1 message of 256 values ~ 1.4%.
@@ -72,9 +72,7 @@ def _run_star_simulation(n_senders: int) -> float:
     pairs = pairs_for(range(n_senders), ["m"])
     builder = ForestBuilder(COST)
     plan = builder.build(Partition.one_set(["m"]), pairs, cluster)
-    report = MonitoringSimulation(
-        plan, cluster, config=SimulationConfig(seed=1)
-    ).run(3)
+    report = MonitoringSimulation(plan, cluster, seed=1).run(3)
     return report.metrics.counter(names.COST_UNITS_SPENT) / 3
 
 

@@ -20,7 +20,7 @@ import pytest
 from _common import emit_series, make_planners
 from repro.analysis.report import Series
 from repro.core.cost import CostModel
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 from repro.streams import (
     StreamMetricRegistry,
     build_stream_cluster,
@@ -38,7 +38,7 @@ def measure_error(plan, cluster, app) -> float:
         plan,
         cluster,
         registry=StreamMetricRegistry(app),
-        config=SimulationConfig(seed=5),
+        seed=5,
     ).run(PERIODS)
     return report.mean_percentage_error
 

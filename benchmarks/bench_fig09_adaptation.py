@@ -105,7 +105,7 @@ def _simulate_collected(plan, cluster, node_adapt_cost):
     """Fraction of requested pairs fresh per period, with per-node
     budgets reduced by adaptation traffic spread over the window."""
     from repro.cluster.node import Cluster, SimNode
-    from repro.simulation import MonitoringSimulation, SimulationConfig
+    from repro.simulation import MonitoringSimulation
 
     shaved_nodes = []
     for node in cluster:
@@ -118,9 +118,7 @@ def _simulate_collected(plan, cluster, node_adapt_cost):
             )
         )
     shaved = Cluster(shaved_nodes, central_capacity=cluster.central_capacity)
-    report = MonitoringSimulation(
-        plan, shaved, config=SimulationConfig(seed=7)
-    ).run(int(WINDOW_PERIODS))
+    report = MonitoringSimulation(plan, shaved, seed=7).run(int(WINDOW_PERIODS))
     return report.mean_fresh_coverage * plan.requested_pair_count()
 
 

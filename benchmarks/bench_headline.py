@@ -18,7 +18,7 @@ from repro.analysis.report import format_table
 from repro.core.cost import CostModel
 from repro.core.planner import RemoPlanner
 from repro.core.schemes import OneSetPlanner, SingletonSetPlanner
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 from repro.streams import (
     StreamMetricRegistry,
     build_stream_cluster,
@@ -40,7 +40,7 @@ def test_headline_200_nodes_200_tasks(benchmark):
             plan,
             cluster,
             registry=StreamMetricRegistry(app),
-            config=SimulationConfig(seed=5),
+            seed=5,
         ).run(8)
         return plan, report.mean_percentage_error
 

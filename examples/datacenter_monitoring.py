@@ -14,7 +14,7 @@ Run:  python examples/datacenter_monitoring.py
 
 from repro import CostModel, MonitoringTask, RemoPlanner, SingletonSetPlanner
 from repro.cluster.topology import make_heterogeneous_cluster
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 
 OS_ATTRS = [
     "cpu",
@@ -70,9 +70,7 @@ def main() -> None:
         ("SINGLETON-SET", SingletonSetPlanner(cost)),
     ]:
         plan = planner.plan(tasks, cluster)
-        sim = MonitoringSimulation(
-            plan, cluster, config=SimulationConfig(seed=3, hop_latency=0.02)
-        )
+        sim = MonitoringSimulation(plan, cluster, seed=3)
         report = sim.run(25)
         print(
             f"{name:<15} coverage={plan.coverage():.3f} trees={plan.tree_count():3d} "

@@ -24,7 +24,6 @@ from repro.simulation import (
     FailureInjector,
     LinkOutage,
     MonitoringSimulation,
-    SimulationConfig,
 )
 
 
@@ -74,7 +73,7 @@ def main() -> None:
             plan,
             repl_cluster,
             registry=registry,
-            config=SimulationConfig(seed=2),
+            seed=2,
             failures=injector,
         ).run(15)
         print(

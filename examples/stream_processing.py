@@ -12,7 +12,7 @@ Run:  python examples/stream_processing.py
 """
 
 from repro import CostModel, OneSetPlanner, RemoPlanner, SingletonSetPlanner
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 from repro.streams import (
     StreamMetricRegistry,
     build_stream_cluster,
@@ -48,7 +48,7 @@ def main() -> None:
             plan,
             cluster,
             registry=StreamMetricRegistry(app),
-            config=SimulationConfig(seed=9),
+            seed=9,
         ).run(20)
         print(
             f"{name:<15} {plan.coverage():>9.3f} {plan.tree_count():>6} "

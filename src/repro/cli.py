@@ -1,6 +1,6 @@
 """Command-line interface: plan, simulate, adapt, check, and run.
 
-Nine subcommands over synthetic workloads, mirroring the examples:
+Eight subcommands over synthetic workloads, mirroring the examples:
 
 - ``plan``       build a monitoring forest and print its summary;
 - ``simulate``   run the planned forest in the discrete-event simulator
@@ -12,9 +12,6 @@ Nine subcommands over synthetic workloads, mirroring the examples:
   concurrent agent per node plus a collector -- with capacity
   budgets, heartbeats, and failure detection;
 - ``deploy``     run the plan across worker processes over real TCP;
-- ``metrics``    render (and validate) a ``--metrics`` Prometheus
-  snapshot -- as a table, canonical Prometheus series lines (diffable
-  against a ``repro serve`` ``/metrics`` scrape), or JSONL;
 - ``serve``      run the multi-tenant control-plane HTTP service:
   tenants submit/update/delete tasks over HTTP, trigger adaptation,
   launch runs, and scrape ``/metrics``;
@@ -47,8 +44,6 @@ Usage::
     python -m repro run --preset quickstart --periods 10 --json
     python -m repro run --nodes 32 --tasks 8 --fail-node 3:2:6
     python -m repro run --nodes 120 --trace run.trace.json --metrics run.prom
-    python -m repro metrics run.prom
-    python -m repro metrics run.prom --format prometheus
     python -m repro serve --preset quickstart --port 8080
     python -m repro deploy --workers 2 --trace deploy.trace.json --rundir run/
     python -m repro trace run/ --out merged.trace.json --strict
@@ -76,8 +71,6 @@ from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
 from repro.core.planner import RemoPlanner
 from repro.obs import log, names, trace
 from repro.obs.export import (
-    check_prometheus_text,
-    parse_prometheus_text,
     read_jsonl_spans,
     write_chrome_trace,
     write_jsonl_spans,
@@ -94,7 +87,7 @@ from repro.obs.metrics import MetricsRegistry, default_registry, use_registry
 from repro.runtime import AgentOutage, MonitoringRuntime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.serve import ControlPlane, run_serve
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 from repro.workloads.presets import Scenario
 from repro.workloads.updates import TaskUpdateStream
 
@@ -395,7 +388,7 @@ def _simulate(args) -> int:
     report = MonitoringSimulation(
         plan,
         scenario.workload[0],
-        config=SimulationConfig(seed=scenario.seed),
+        seed=scenario.seed,
         metrics=RuntimeMetrics(registry=default_registry()),
     ).run(args.periods)
     title = f"{scenario.scheme} simulated run ({scenario.label}, {args.periods} periods)"
@@ -645,43 +638,6 @@ def _record_check_failure(spec: "DeploySpec", errors: int) -> None:
         spec.flight_path("supervisor"),
         reason=f"plan check failed with {errors} error(s); launch refused",
     )
-
-
-def _metrics(args) -> int:
-    """Validate and render a ``--metrics`` Prometheus snapshot file.
-
-    ``--format prometheus`` re-emits the snapshot as canonical sorted
-    ``series value`` lines; two snapshots rendered this way (a
-    ``--metrics`` file and a ``repro serve`` ``/metrics`` scrape) diff
-    cleanly because HELP/TYPE chrome and series order are normalized
-    away.  ``--format jsonl`` emits one ``{"series", "value"}`` object
-    per line for log pipelines.
-    """
-    try:
-        with open(args.path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail(f"cannot read {args.path}: {exc}", 1)
-    problems = check_prometheus_text(text)
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return 1
-    samples = parse_prometheus_text(text)
-    if args.json:
-        _emit_json({"command": "metrics", "path": args.path, "samples": samples})
-        return 0
-    if args.format == "prometheus":
-        for series, value in sorted(samples.items()):
-            print(f"{series} {value:g}")
-        return 0
-    if args.format == "jsonl":
-        for series, value in sorted(samples.items()):
-            print(json.dumps({"series": series, "value": value}, sort_keys=True))
-        return 0
-    rows = [[series, round(value, 4)] for series, value in sorted(samples.items())]
-    print(format_table(f"metrics snapshot ({args.path})", ["series", "value"], rows))
-    return 0
 
 
 def _critical_path(trace_spans) -> List[str]:
@@ -986,21 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json(trace_p)
     trace_p.set_defaults(func=_trace_cmd)
-
-    metrics_p = sub.add_parser(
-        "metrics", help="validate and render a --metrics snapshot file"
-    )
-    metrics_p.add_argument("path", help="Prometheus text-format snapshot to render")
-    metrics_p.add_argument(
-        "--format",
-        choices=["table", "prometheus", "jsonl"],
-        default="table",
-        help="output format: a table, canonical sorted 'series value' "
-        "lines (diffable against a /metrics scrape), or one JSON "
-        "object per line",
-    )
-    _add_json(metrics_p)
-    metrics_p.set_defaults(func=_metrics)
 
     serve_p = sub.add_parser(
         "serve",

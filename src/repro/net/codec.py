@@ -25,7 +25,7 @@ are big-endian::
 
     stop       kind
     heartbeat  kind | sender i64 | period i64
-    tick       kind | flags u8 | period i64 | sent_monotonic f64 | [trace]
+    tick       kind | flags u8 | period i64 | sent_at f64 | [trace]
     update     kind | flags u8 | sender i64 | period i64
                | tree u32 | first slot u32 | slots u32 | [trace]
                | values: slots x f64 | stamps: slots x f64
@@ -162,7 +162,7 @@ def encode_payload(envelope: Envelope) -> bytes:
             return _encode_update(envelope)
         if isinstance(envelope, TickEnvelope):
             trace = _trace_bytes(envelope.trace_ctx)
-            fixed = _TICK.pack(_KIND_TICK, bool(trace), envelope.period, envelope.sent_monotonic)
+            fixed = _TICK.pack(_KIND_TICK, bool(trace), envelope.period, envelope.sent_at)
             return fixed + trace
         if isinstance(envelope, HeartbeatEnvelope):
             return _HEARTBEAT.pack(_KIND_HEARTBEAT, envelope.sender, envelope.period)
@@ -217,7 +217,7 @@ def decode_payload(buf: Buffer, pos: int = 0, end: Optional[int] = None) -> Enve
     if pos != end:
         raise CodecError(f"{end - pos} trailing bytes after the envelope")
     if kind == _KIND_TICK:
-        return TickEnvelope(period=fields[2], sent_monotonic=fields[3], trace_ctx=trace_ctx)
+        return TickEnvelope(period=fields[2], sent_at=fields[3], trace_ctx=trace_ctx)
     if kind == _KIND_HEARTBEAT:
         return HeartbeatEnvelope(sender=fields[1], period=fields[2])
     return StopEnvelope()

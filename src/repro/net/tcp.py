@@ -29,8 +29,9 @@ Connection handling, in one place:
 
 ``force_wire=True`` disables the local-inbox fast path so even
 self-addressed envelopes make a full trip through the socket stack --
-the runtime-vs-simulator parity test runs the whole engine through
-this mode on localhost.
+the cost-identity test (``tests/test_runtime.py``) and the
+``collect_tcp`` benchmark workload run the whole engine through this
+mode on localhost.
 """
 
 from __future__ import annotations

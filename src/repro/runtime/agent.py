@@ -34,6 +34,7 @@ once every root has reported.
 
 from __future__ import annotations
 
+import asyncio
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -147,8 +148,8 @@ class NodeAgent:
         }
         #: Each role's local pairs, bound to their generators once.
         self._samplers = {r.tree: registry.reader(r.local_pairs) for r in self.roles}
-        #: Roles waiting on children, per tree, and the monotonic time
-        #: at which they stop waiting.
+        #: Roles waiting on children, per tree, and the loop time at
+        #: which they stop waiting.
         self._waiting: Dict[int, _OpenWave] = {}
         self._deadline = 0.0
         #: Trace-viewer row for this agent's spans.
@@ -179,10 +180,11 @@ class NodeAgent:
         An idle agent parks on its inbox with no timeout; only while a
         role waits on children does ``recv`` time out, at the deadline.
         """
+        loop = asyncio.get_running_loop()
         while True:
             timeout: Optional[float] = None
             if self._waiting:
-                timeout = self._deadline - time.monotonic()
+                timeout = self._deadline - loop.time()
                 if timeout <= 0:
                     await self._flush()
                     continue
@@ -210,7 +212,7 @@ class NodeAgent:
             self.metrics.incr(names.AGENT_DOWN_PERIODS, node=self.node_id)
             return
         started = time.perf_counter()
-        self._deadline = time.monotonic() + self.config.child_wait_seconds
+        self._deadline = asyncio.get_running_loop().time() + self.config.child_wait_seconds
         ready = []
         for role in self.roles:
             # A child's update may beat the tick across processes.

@@ -28,15 +28,14 @@ The agent adds the three behaviours only a live system exhibits:
   and flagged ``recovered`` when its heartbeats resume;
 - **staleness tracking** -- at every period close, the age (in
   periods) of each requested pair's newest reading is recorded into
-  the ``staleness_periods`` histogram, alongside wall-clock collection
-  latency per delivered batch.
+  the ``staleness_periods`` histogram, alongside collection latency per
+  delivered batch on the event loop's clock.
 """
 
 from __future__ import annotations
 
 import asyncio
 import bisect
-import time
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -206,7 +205,7 @@ class CollectorAgent:
         self._failed: Set[NodeId] = set()
         #: Send time of recent ticks (collection-latency anchor); pruned
         #: at period close to the last ``failure_timeout`` periods.
-        self._tick_monotonic: Dict[int, float] = {}
+        self._tick_at: Dict[int, float] = {}
         #: Whom every period must hear from -- each tree's root (first in
         #: its preorder ``ranges``), each expected node's beacon -- and
         #: the node that message depends on.
@@ -222,6 +221,7 @@ class CollectorAgent:
     # ------------------------------------------------------------------
     async def run(self) -> None:
         """Inbox loop for ticks, updates, and heartbeats."""
+        loop = asyncio.get_running_loop()
         while True:
             envelope = await self.transport.recv(COLLECTOR_ADDRESS)
             if isinstance(envelope, StopEnvelope):
@@ -229,7 +229,7 @@ class CollectorAgent:
             if isinstance(envelope, TickEnvelope):
                 self._on_tick(envelope)
             elif isinstance(envelope, UpdateEnvelope):
-                self._on_update(envelope)
+                self._on_update(envelope, loop.time())
             elif isinstance(envelope, HeartbeatEnvelope):
                 self._on_heartbeat(envelope)
 
@@ -237,9 +237,10 @@ class CollectorAgent:
     def _on_tick(self, tick: TickEnvelope) -> None:
         self._current_period = tick.period
         self._budget = self.central_capacity
-        self._tick_monotonic[tick.period] = tick.sent_monotonic
+        self._tick_at[tick.period] = tick.sent_at
 
-    def _on_update(self, envelope: UpdateEnvelope) -> None:
+    def _on_update(self, envelope: UpdateEnvelope, now: float) -> None:
+        """Fold in a root's batch that arrived at ``now`` (loop time)."""
         columns = self.state.columns(envelope.tree, envelope.payload)
         if columns is None:
             self.metrics.incr(names.MESSAGES_DROPPED_INVALID)
@@ -266,9 +267,9 @@ class CollectorAgent:
         fold(columns[0], columns[1], 0, envelope.payload)
         self.metrics.incr(names.MESSAGES_DELIVERED)
         self.metrics.incr(names.COST_UNITS_SPENT, charge)
-        tick_at = self._tick_monotonic.get(envelope.period)
+        tick_at = self._tick_at.get(envelope.period)
         if tick_at is not None:
-            self.metrics.observe(names.COLLECTION_LATENCY_S, time.monotonic() - tick_at)
+            self.metrics.observe(names.COLLECTION_LATENCY_S, now - tick_at)
 
     def _on_heartbeat(self, envelope: HeartbeatEnvelope) -> None:
         self._last_heartbeat[envelope.sender] = envelope.period
@@ -334,8 +335,8 @@ class CollectorAgent:
             # An update later than this finds no anchor and records no
             # latency, like one for a period this collector never saw.
             horizon = period - self.config.failure_timeout
-            for old in [p for p in self._tick_monotonic if p <= horizon]:
-                del self._tick_monotonic[old]
+            for old in [p for p in self._tick_at if p <= horizon]:
+                del self._tick_at[old]
             for done in [p for p in self._unheard if p <= period]:
                 del self._unheard[done]
         return sample

@@ -1,9 +1,10 @@
 """Runtime configuration: pacing, failure detection, and scripted outages.
 
-The runtime ticks collection periods in *wall-clock seconds* (the
-simulator's abstract unit time becomes real time here), but all quality
-metrics are kept in *period units* so results are comparable across
-machines of different speed.  What the paper fixes is not configurable:
+The runtime ticks collection periods in seconds of the running event
+loop's clock -- wall-clock seconds on asyncio's own loop, virtual ones
+on a loop whose ``time()`` is virtual -- but all quality metrics are
+kept in *period units*, so results are comparable across machines of
+different speed.  What the paper fixes is not configurable:
 every message is charged ``C + a*x`` against a budget that always
 holds, and every live node beacons every period.
 """
@@ -46,9 +47,9 @@ class AgentOutage:
 class RuntimeConfig:
     """Tunable knobs of one live run."""
 
-    #: Wall-clock seconds from one tick to the next.  A period closes as
-    #: soon as the collector has heard from everyone the plan names,
-    #: and at the latest twice this long after its tick.
+    #: Seconds, on the event loop's clock, from one tick to the next.
+    #: A period closes as soon as the collector has heard from everyone
+    #: the plan names, and at the latest twice this long after its tick.
     period_seconds: float = 0.05
     #: How long (as a fraction of the period) an interior node waits
     #: for its children's batches before sending without them.  The
@@ -77,7 +78,7 @@ class RuntimeConfig:
 
     @property
     def child_wait_seconds(self) -> float:
-        """Wall-clock child-wait deadline per period."""
+        """Child-wait deadline per period, in event-loop seconds."""
         return self.child_wait_fraction * self.period_seconds
 
     def node_down(self, node: NodeId, period: int) -> bool:

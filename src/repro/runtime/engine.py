@@ -24,9 +24,15 @@ the :class:`~repro.runtime.collector.CollectorAgent`, wired over a
 :class:`~repro.runtime.transport.Transport`.
 
 :class:`~repro.simulation.engine.MonitoringSimulation` runs on the
-same layouts, roles and ground truth under a schedule of its own; the
-parity test in ``tests/test_runtime_parity.py`` holds the two engines'
-collected-pair coverage to within five percentage points.
+same layouts, roles and ground truth under a schedule of its own.
+
+The running event loop is the runtime's only clock: the tick stamp,
+the close bound, the sleep to the next tick, every relay's child-wait
+deadline and the collection latency all read ``loop.time()``.  On an
+event loop whose ``time()`` is virtual, a period costs no wall-clock
+time and its outcome depends on the plan alone; that is how
+``tests/test_runtime_parity.py`` holds the runtime's per-period
+samples equal to the simulator's.
 """
 
 from __future__ import annotations
@@ -173,8 +179,9 @@ async def wait_until(
     raising, for a condition that can no longer come true (the process
     that would have written the file is dead).
     """
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while loop.time() < deadline:
         if predicate():
             return True
         if abort is not None:
@@ -251,6 +258,7 @@ async def run_periods(
     close to ``2 * period_seconds`` after the tick, and the next tick
     follows at once, until the failure detector flags it ``down``.
     """
+    loop = asyncio.get_running_loop()
     for period in range(n_periods):
         # One monitoring period is one trace: the clock owner mints a
         # fresh trace id, roots it at the period span, and stamps the
@@ -262,13 +270,13 @@ async def run_periods(
                 names.SPAN_RUNTIME_PERIOD, lane=names.LANE_ENGINE, period=period
             ) as period_span:
                 registry.advance_all()
-                tick = TickEnvelope(period=period, trace_ctx=period_span.context())
+                tick = TickEnvelope(period, loop.time(), period_span.context())
                 await fan_out(tick)
-                bound = tick.sent_monotonic + 2 * period_seconds - time.monotonic()
+                bound = tick.sent_at + 2 * period_seconds - loop.time()
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(collector.heard_from_all(period), bound)
                 collector.close_period(period)
-                await asyncio.sleep(tick.sent_monotonic + period_seconds - time.monotonic())
+                await asyncio.sleep(tick.sent_at + period_seconds - loop.time())
 
 
 class MonitoringRuntime:

@@ -26,7 +26,6 @@ discrete-event simulator alike.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -163,9 +162,10 @@ class Envelope:
 class TickEnvelope(Envelope):
     """Period ``period`` starts now.
 
-    ``sent_monotonic`` anchors wall-clock latency measurement: the
-    collector reports collection latency as arrival time minus the
-    tick's send time.
+    ``sent_at`` is the tick's send time on the sender's event-loop
+    clock: the engine measures the period's close bound and its sleep
+    from it, and the collector reports collection latency as arrival
+    minus send.
 
     ``trace_ctx`` carries the period's distributed-trace identity (the
     clock owner mints one trace per period): agents that adopt it make
@@ -174,7 +174,7 @@ class TickEnvelope(Envelope):
     """
 
     period: int
-    sent_monotonic: float = field(default_factory=time.monotonic)
+    sent_at: float = 0.0
     trace_ctx: Optional[TraceContext] = field(
         default=None, compare=False, repr=False
     )

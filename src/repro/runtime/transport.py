@@ -4,7 +4,7 @@ Agents never talk to each other directly; they address peers by
 :class:`~repro.core.attributes.NodeId` (the collector is ``-1``)
 through a :class:`Transport`.  This is the seam the socket transport
 (:class:`repro.net.TcpTransport`) plugs into: :class:`MailboxTransport`
-owns the per-address inboxes and the one receive-deadline timer both
+owns the per-address inboxes and the timed receive both
 implementations share, and :class:`InProcessTransport` completes it
 with loopback delivery -- the agents are identical either way.
 
@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import abc
 import asyncio
-import heapq
-import itertools
 from collections import deque
 from functools import cached_property
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.attributes import NodeId
 from repro.obs import names
@@ -102,7 +100,7 @@ _Inbox = Tuple[Deque[Envelope], Deque["asyncio.Future[bool]"]]
 
 class MailboxTransport(Transport):
     """Shared inbox machinery: a deque and its parked receivers per
-    address, one deadline timer per transport.
+    address.
 
     Subclasses decide how an envelope reaches an inbox --
     :class:`InProcessTransport` enqueues directly on send,
@@ -112,10 +110,10 @@ class MailboxTransport(Transport):
 
     An envelope is queued first and its receiver woken second, never
     handed over through the future: it stays counted by
-    :meth:`pending` until a receiver has actually taken it.  Timed receives
-    share one ``loop.call_at`` timer, armed for the earliest deadline
-    in a min-heap; an inbox loop that times its every ``recv`` and
-    almost never times out pays a heap push per wait, not a timer.
+    :meth:`pending` until a receiver has actually taken it.  A timed
+    receive arms one ``loop.call_at`` for its own wait and cancels it
+    when the wait ends: the running loop is the only clock, so a loop
+    with a virtual ``time()`` runs the transport on virtual time.
     """
 
     #: Metric label distinguishing implementations in the shared series.
@@ -124,17 +122,6 @@ class MailboxTransport(Transport):
     def __init__(self, metrics: Optional[RuntimeMetrics] = None) -> None:
         self._inboxes: Dict[NodeId, _Inbox] = {}
         self._metrics: Optional[RuntimeMetrics] = metrics
-        #: ``(deadline, tie-break, waiter)`` of every timed receive
-        #: parked since the timer last fired; entries whose waiter has
-        #: been woken meanwhile are skipped when they surface.
-        self._deadlines: List[Tuple[float, int, "asyncio.Future[bool]"]] = []
-        self._sequence = itertools.count()
-        self._sweep_at = 1024
-        #: The armed timer, the deadline it is armed for, and its loop
-        #: (a transport may outlive one ``asyncio.run``).
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._timer_at = 0.0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- metrics -------------------------------------------------------
     def bind_metrics(self, metrics: RuntimeMetrics) -> None:
@@ -189,6 +176,12 @@ class MailboxTransport(Transport):
                 return
 
     @staticmethod
+    def _time_out(waiter: "asyncio.Future[bool]") -> None:
+        """End a timed wait, unless a delivery has already woken it."""
+        if not waiter.done():
+            waiter.set_result(False)
+
+    @staticmethod
     def _unpark(waiters: Deque["asyncio.Future[bool]"], waiter: "asyncio.Future[bool]") -> None:
         """Forget a receiver that timed out or was cancelled (a delivery
         in the same turn may already have skipped over it)."""
@@ -212,8 +205,7 @@ class MailboxTransport(Transport):
                 deadline = loop.time() + timeout
             waiter: "asyncio.Future[bool]" = loop.create_future()
             waiters.append(waiter)
-            if deadline is not None:
-                self._park(loop, deadline, waiter)
+            timer = None if deadline is None else loop.call_at(deadline, self._time_out, waiter)
             try:
                 delivered = await waiter
             except asyncio.CancelledError:
@@ -224,6 +216,9 @@ class MailboxTransport(Transport):
                     # is still queued, so the wake-up passes down the line.
                     self._wake(waiters)
                 raise
+            finally:
+                if timer is not None:
+                    timer.cancel()
             if not delivered:
                 self._unpark(waiters, waiter)
                 if not queue:
@@ -231,44 +226,6 @@ class MailboxTransport(Transport):
         envelope = queue.popleft()
         self._delivered.add()
         return envelope
-
-    def _park(
-        self, loop: asyncio.AbstractEventLoop, deadline: float, waiter: "asyncio.Future[bool]"
-    ) -> None:
-        """Time ``waiter`` out at ``deadline`` (``loop.time()`` based)."""
-        if self._loop is not loop:
-            # First use, or a new event loop: the old loop's timer and
-            # whoever it was to wake ended with it.
-            self._loop, self._timer, self._deadlines = loop, None, []
-        heap = self._deadlines
-        if len(heap) >= self._sweep_at:
-            # Mostly receivers woken long before their deadline: keep
-            # the heap within twice the receivers actually parked.
-            heap[:] = [entry for entry in heap if not entry[2].done()]
-            heapq.heapify(heap)
-            self._sweep_at = max(1024, 2 * len(heap))
-        heapq.heappush(heap, (deadline, next(self._sequence), waiter))
-        if self._timer is None or deadline < self._timer_at:
-            self._arm(loop, deadline)
-
-    def _arm(self, loop: asyncio.AbstractEventLoop, deadline: float) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer_at = deadline
-        self._timer = loop.call_at(deadline, self._expire, loop)
-
-    def _expire(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Time out every receiver whose deadline has passed, drop the
-        entries of receivers already woken, re-arm for the next live one."""
-        self._timer = None
-        heap = self._deadlines
-        now = loop.time()
-        while heap and (heap[0][2].done() or heap[0][0] <= now):
-            waiter = heapq.heappop(heap)[2]
-            if not waiter.done():
-                waiter.set_result(False)
-        if heap:
-            self._arm(loop, heap[0][0])
 
     def pending(self, address: NodeId) -> int:
         inbox = self._inboxes.get(address)

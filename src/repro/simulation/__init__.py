@@ -12,11 +12,10 @@ coverage and traffic statistics.
 """
 
 from repro.simulation.failures import FailureInjector, LinkOutage
-from repro.simulation.engine import MonitoringSimulation, SimulationConfig
+from repro.simulation.engine import MonitoringSimulation
 
 __all__ = [
     "FailureInjector",
     "LinkOutage",
     "MonitoringSimulation",
-    "SimulationConfig",
 ]

@@ -18,7 +18,7 @@ schedule.  Within each period:
 1. ground-truth metric values advance (one unit of time);
 2. every member node of every tree sends one batch, phased bottom-up:
    a node at depth ``d`` of a height-``H`` tree sends at
-   ``(H - d) * hop_latency`` after the period start, so children's
+   ``(H - d) * HOP_LATENCY`` after the period start, so children's
    batches arrive (half a hop later) before the parent merges and
    forwards;
 3. each batch costs ``C + a*x`` against the sender's and receiver's
@@ -31,7 +31,7 @@ schedule.  Within each period:
 
 A reading is stamped with the simulated time it was sampled at, which
 counts in periods, so a stamp means what it means in the runtime.
-Deep trees whose bottom-up wave ``(H+1) * hop_latency`` spills past
+Deep trees whose bottom-up wave ``(H+1) * HOP_LATENCY`` spills past
 the period deadline deliver one period late -- the latency-induced
 staleness that makes bushier trees more accurate in Fig. 8.
 
@@ -48,7 +48,6 @@ import itertools
 import math
 import time
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -67,17 +66,10 @@ from repro.simulation.failures import FailureInjector
 
 _EPS = 1e-9
 
-
-@dataclass
-class SimulationConfig:
-    """Tunable knobs of one simulation run."""
-
-    hop_latency: float = 0.02
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.hop_latency <= 0:
-            raise ValueError(f"hop_latency must be > 0, got {self.hop_latency}")
+#: One hop's latency, in periods.  Not a knob: it is what makes depth
+#: cost accuracy (Fig. 8) -- a tree 50 or more levels tall delivers a
+#: period late -- so every figure and pin is measured at this value.
+HOP_LATENCY = 0.02
 
 
 class MonitoringSimulation:
@@ -88,16 +80,15 @@ class MonitoringSimulation:
         plan: MonitoringPlan,
         cluster: Cluster,
         registry: Optional[MetricRegistry] = None,
-        config: Optional[SimulationConfig] = None,
+        seed: Optional[int] = None,
         failures: Optional[FailureInjector] = None,
         metrics: Optional[RuntimeMetrics] = None,
     ) -> None:
         self.plan = plan
         self.cluster = cluster
-        self.config = config if config is not None else SimulationConfig()
         self.failures = failures if failures is not None else FailureInjector()
         self.registry = (
-            registry if registry is not None else ground_truth(plan, self.config.seed)
+            registry if registry is not None else ground_truth(plan, seed)
         )
         requested = sorted(plan.pairs)
         for pair in requested:
@@ -142,7 +133,7 @@ class MonitoringSimulation:
         if n_periods <= 0:
             raise ValueError(f"n_periods must be > 0, got {n_periods}")
         started = time.monotonic()
-        hop_latency = self.config.hop_latency
+        hop_latency = HOP_LATENCY
         for k in range(n_periods):
             with trace.span(names.SPAN_SIMULATION_PERIOD, lane=names.LANE_SIMULATOR, period=k):
                 t0 = float(k)
@@ -207,7 +198,7 @@ class MonitoringSimulation:
         if self.failures.blocks(node, receiver, role.layout.attr_set, now):
             self._count_failure.add()
             return
-        arrival = now + 0.5 * self.config.hop_latency
+        arrival = now + 0.5 * HOP_LATENCY
         self._schedule(arrival, partial(self._arrive, receiver, role.tree, batch))
 
     def _arrive(self, receiver: NodeId, tree: int, batch: Batch, _now: float) -> None:

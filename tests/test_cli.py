@@ -8,7 +8,6 @@ from repro import cli
 from repro.checks import FAULT_KINDS
 from repro.cli import build_parser, main
 from repro.net.deploy import participating_nodes
-from repro.obs.export import parse_prometheus_text
 from repro.workloads.presets import Scenario
 
 
@@ -306,55 +305,3 @@ class TestJsonOutput:
         assert payload["strategy"] == "direct_apply"
         assert [b["batch"] for b in payload["batches"]] == [1, 2]
         assert all("coverage" in b for b in payload["batches"])
-
-
-@pytest.fixture(scope="module")
-def snapshot(tmp_path_factory):
-    """A ``repro run --metrics`` snapshot file."""
-    path = tmp_path_factory.mktemp("metrics") / "run.prom"
-    argv = ["run", "--preset", "quickstart", "--periods", "2", "--period-seconds", "0.05"]
-    assert main([*argv, "--metrics", str(path)]) == 0
-    return path
-
-
-class TestMetricsCommand:
-    def test_table(self, snapshot, capsys):
-        assert main(["metrics", str(snapshot)]) == 0
-        out = capsys.readouterr().out
-        assert f"metrics snapshot ({snapshot})" in out
-        assert "messages_sent" in out
-
-    def test_prometheus_lines_are_sorted_series_value_pairs(self, snapshot, capsys):
-        assert main(["metrics", str(snapshot), "--format", "prometheus"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        samples = parse_prometheus_text(snapshot.read_text())
-        assert lines == [f"{series} {value:g}" for series, value in sorted(samples.items())]
-        assert len(lines) == len(samples) > 0
-
-    def test_jsonl(self, snapshot, capsys):
-        assert main(["metrics", str(snapshot), "--format", "jsonl"]) == 0
-        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert [row["series"] for row in rows] == sorted(row["series"] for row in rows)
-        samples = parse_prometheus_text(snapshot.read_text())
-        assert {row["series"]: row["value"] for row in rows} == samples
-
-    def test_json(self, snapshot, capsys):
-        assert main(["metrics", str(snapshot), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {
-            "command": "metrics",
-            "path": str(snapshot),
-            "samples": parse_prometheus_text(snapshot.read_text()),
-        }
-
-    def test_malformed_snapshot_exits_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.prom"
-        bad.write_text("messages_sent 3\nnot a sample line\n")
-        assert main(["metrics", str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "line 2: malformed sample" in captured.err
-
-    def test_unreadable_path_exits_one(self, tmp_path, capsys):
-        assert main(["metrics", str(tmp_path / "missing.prom")]) == 1
-        assert "cannot read" in capsys.readouterr().err

@@ -18,7 +18,6 @@ from repro.simulation import (
     FailureInjector,
     LinkOutage,
     MonitoringSimulation,
-    SimulationConfig,
 )
 from repro.streams import (
     StreamMetricRegistry,
@@ -56,22 +55,20 @@ class TestPlanSimulateLoop:
                 plan,
                 cluster,
                 registry=StreamMetricRegistry(app),
-                config=SimulationConfig(seed=5),
+                seed=5,
             ).run(15)
             errors[name] = report.mean_percentage_error
         assert errors["remo"] <= errors["sp"] + 1e-9
         assert errors["remo"] <= errors["op"] + 1e-9
 
-    def test_coverage_matches_simulated_freshness(self, ym_setup):
+    def test_coverage_matches_simulated_freshness(self, ym_setup, monkeypatch):
         """Analytic coverage and simulated freshness must agree for a
         drop-free run with shallow trees."""
+        monkeypatch.setattr("repro.simulation.engine.HOP_LATENCY", 0.001)
         app, cluster, tasks = ym_setup
         plan = RemoPlanner(COST).plan(tasks, cluster)
         report = MonitoringSimulation(
-            plan,
-            cluster,
-            registry=StreamMetricRegistry(app),
-            config=SimulationConfig(seed=5, hop_latency=0.001),
+            plan, cluster, registry=StreamMetricRegistry(app), seed=5
         ).run(10)
         assert report.mean_fresh_coverage == pytest.approx(plan.coverage(), abs=0.02)
 
@@ -134,7 +131,7 @@ class TestReplicationUnderFailures:
             plan,
             cluster,
             registry=registry,
-            config=SimulationConfig(seed=2),
+            seed=2,
             failures=FailureInjector(link_outages=outages),
         ).run(10)
         assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) > 0

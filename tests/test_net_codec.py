@@ -54,7 +54,7 @@ contexts = st.one_of(
     ),
 )
 
-ticks = st.builds(TickEnvelope, period=periods, sent_monotonic=doubles, trace_ctx=contexts)
+ticks = st.builds(TickEnvelope, period=periods, sent_at=doubles, trace_ctx=contexts)
 heartbeats = st.builds(HeartbeatEnvelope, sender=node_ids, period=periods)
 stops = st.just(StopEnvelope())
 # Any doubles at all in either column, holes more often than chance
@@ -116,7 +116,7 @@ def assert_identical(decoded, sent):
     assert getattr(decoded, "trace_ctx", None) == getattr(sent, "trace_ctx", None)
     if isinstance(sent, TickEnvelope):
         assert decoded.period == sent.period
-        assert same_bits(decoded.sent_monotonic, sent.sent_monotonic)
+        assert same_bits(decoded.sent_at, sent.sent_at)
     elif isinstance(sent, UpdateEnvelope):
         assert (decoded.sender, decoded.tree, decoded.period) == (
             sent.sender, sent.tree, sent.period,
@@ -171,7 +171,7 @@ class TestRoundTripProperties:
         # straddling two chunks.
         batch = [
             (-1, UPDATE),
-            (5, TickEnvelope(period=3, sent_monotonic=1.5, trace_ctx=CTX)),
+            (5, TickEnvelope(period=3, sent_at=1.5, trace_ctx=CTX)),
             (CONTROL_ADDRESS_BASE, StopEnvelope()),
             (-2, HeartbeatEnvelope(sender=4, period=3)),
             (6, UPDATE),
@@ -302,7 +302,7 @@ class TestRejection:
     def test_malformed_known_kind_rejected(self):
         tick = encode_payload(TickEnvelope(period=1))
         with pytest.raises(CodecError, match="malformed tick"):
-            decode_payload(tick[:-1])  # sent_monotonic cut short
+            decode_payload(tick[:-1])  # sent_at cut short
 
     def test_json_garbage_payload_rejected(self):
         # A v2-style JSON document inside a current frame is just bad bytes.

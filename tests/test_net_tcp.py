@@ -29,7 +29,7 @@ from repro.runtime.messages import (
     TickEnvelope,
 )
 from repro.runtime.transport import UnknownAddressError
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 
 COST = CostModel(2.0, 1.0)
 
@@ -469,7 +469,7 @@ class TestRuntimeParityOverTcp:
             plan,
             small_cluster,
             registry=MetricRegistry(plan.pairs, seed=seed),
-            config=SimulationConfig(seed=seed),
+            seed=seed,
         ).run(periods)
 
         endpoint = allocate_endpoints(1)[0]

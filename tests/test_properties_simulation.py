@@ -1,5 +1,7 @@
 """Property-based tests on the simulation and planning pipeline."""
 
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +12,7 @@ from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.core.planner import RemoPlanner
 from repro.obs import names
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 
 settings.register_profile(
     "repro-sim",
@@ -46,7 +48,7 @@ def test_simulation_conserves_messages(setup, periods):
         Partition.singletons({p.attribute for p in pairs}), pairs, cluster
     )
     report = MonitoringSimulation(
-        plan, cluster, config=SimulationConfig(seed=1)
+        plan, cluster, seed=1
     ).run(periods)
     delivered = report.metrics.counter(names.MESSAGES_DELIVERED)
     assert delivered + report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) <= report.messages_sent
@@ -64,7 +66,7 @@ def test_feasible_plans_run_drop_free(setup):
         Partition.singletons({p.attribute for p in pairs}), pairs, cluster
     )
     report = MonitoringSimulation(
-        plan, cluster, config=SimulationConfig(seed=2)
+        plan, cluster, seed=2
     ).run(3)
     assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) == 0
     assert report.metrics.counter(names.VALUES_TRIMMED) == 0
@@ -103,7 +105,6 @@ def test_simulated_freshness_matches_coverage_when_shallow(setup):
     plan = ForestBuilder(cost).build(
         Partition.singletons({p.attribute for p in pairs}), pairs, cluster
     )
-    report = MonitoringSimulation(
-        plan, cluster, config=SimulationConfig(seed=3, hop_latency=1e-4)
-    ).run(3)
+    with mock.patch("repro.simulation.engine.HOP_LATENCY", 1e-4):
+        report = MonitoringSimulation(plan, cluster, seed=3).run(3)
     assert abs(report.mean_fresh_coverage - plan.coverage()) < 1e-6

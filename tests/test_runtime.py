@@ -20,7 +20,7 @@ from repro.core.attributes import NodeAttributePair, pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
-from repro.obs import names, trace
+from repro.obs import names
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.core.planner import RemoPlanner
@@ -48,6 +48,7 @@ from repro.runtime import (
 from repro.runtime.engine import wait_until
 from repro.runtime.messages import ABSENT, gather
 from repro.workloads.presets import quickstart_workload, sampled_workload
+from tests.virtual_time import run_virtual
 
 COST = CostModel(2.0, 1.0)
 
@@ -222,9 +223,9 @@ class TestHappyPath:
     def test_feasible_plan_runs_clean(self, small_cluster):
         pairs = pairs_for(range(6), ["a", "b"])
         plan = plan_for(small_cluster, pairs)
-        report = MonitoringRuntime(
-            plan, small_cluster, config=RuntimeConfig(**FAST)
-        ).run(8)
+        report = run_virtual(
+            MonitoringRuntime(plan, small_cluster, config=RuntimeConfig(**FAST)).run_async(8)
+        )
         assert report.final_coverage == pytest.approx(1.0)
         assert report.mean_fresh_coverage == pytest.approx(1.0)
         assert messages_dropped(report) == 0
@@ -236,9 +237,9 @@ class TestHappyPath:
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
         members = sum(len(r.tree) for r in plan.trees.values())
-        report = MonitoringRuntime(
-            plan, small_cluster, config=RuntimeConfig(**FAST)
-        ).run(5)
+        report = run_virtual(
+            MonitoringRuntime(plan, small_cluster, config=RuntimeConfig(**FAST)).run_async(5)
+        )
         assert report.messages_sent == 5 * members
         assert int(report.metrics.counter("heartbeats_sent")) == 5 * members
 
@@ -254,9 +255,9 @@ class TestHappyPath:
 
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
-        report = MonitoringRuntime(
-            plan, small_cluster, config=RuntimeConfig(**FAST)
-        ).run(3)
+        report = run_virtual(
+            MonitoringRuntime(plan, small_cluster, config=RuntimeConfig(**FAST)).run_async(3)
+        )
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["coverage"]["final"] == pytest.approx(1.0)
         assert payload["messages"]["sent"] > 0
@@ -277,7 +278,7 @@ class TestCrashedTask:
         target = runtime.collector if victim == "collector" else runtime.agents[0]
         target.run = crash
         with pytest.raises(RuntimeError, match=f"{victim} crashed"):
-            runtime.run(4)
+            run_virtual(runtime.run_async(4))
 
 
 class TestWaitUntil:
@@ -306,7 +307,8 @@ class TestWaitUntil:
 class TestDropPolicies:
     def test_trim_sheds_values_not_messages(self):
         plan, cluster = overloaded_setup(root_budget_delta=-2.0)
-        report = MonitoringRuntime(plan, cluster, config=RuntimeConfig(**FAST)).run(5)
+        runtime = MonitoringRuntime(plan, cluster, config=RuntimeConfig(**FAST))
+        report = run_virtual(runtime.run_async(5))
         assert int(report.metrics.counter("values_trimmed")) > 0
         assert int(report.metrics.counter("messages_dropped_capacity")) == 0
         assert report.mean_fresh_coverage > 0.5
@@ -325,7 +327,7 @@ class TestFailureDetection:
             outages=[AgentOutage(node=3, start=2, end=5)],
             **FAST,
         )
-        report = MonitoringRuntime(plan, small_cluster, config=config).run(9)
+        report = run_virtual(MonitoringRuntime(plan, small_cluster, config=config).run_async(9))
         kinds = [(e.node, e.kind) for e in report.failure_events]
         assert (3, "down") in kinds
         assert (3, "recovered") in kinds
@@ -352,7 +354,7 @@ class TestFailureDetection:
                 break
         assert interior is not None, "workload should build a multi-level tree"
         config = RuntimeConfig(outages=[AgentOutage(node=interior, start=1, end=4)], **FAST)
-        report = MonitoringRuntime(plan, cluster, config=config).run(6)
+        report = run_virtual(MonitoringRuntime(plan, cluster, config=config).run_async(6))
         lost = 1 + len(tree.subtree_nodes(interior)) - 1
         assert int(report.metrics.counter("messages_dropped_failure")) > 0
         # Freshness dips while the subtree is dark, then recovers.
@@ -366,51 +368,53 @@ class TestFailureDetection:
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
         config = RuntimeConfig(outages=[AgentOutage(node=0, start=0, end=100)], **FAST)
-        report = MonitoringRuntime(plan, small_cluster, config=config).run(4)
+        report = run_virtual(MonitoringRuntime(plan, small_cluster, config=config).run_async(4))
         assert int(report.metrics.counter("agent_down_periods")) == 4
         assert report.mean_fresh_coverage < 1.0
 
 
-def close_lags(small_cluster, periods, **config):
-    """Run a traced two-tree plan; per period, how long after the
-    period span began its collector close began, and the report."""
+def virtual_periods(small_cluster, periods, **config):
+    """Run a two-tree plan on virtual time; each period's tick and close
+    instants on the loop's clock, and the report."""
     plan = plan_for(small_cluster, pairs_for(range(6), ["a", "b"]))
     runtime = MonitoringRuntime(plan, small_cluster, config=RuntimeConfig(seed=1, **config))
-    with trace.installed() as tracer:
-        report = runtime.run(periods)
-    starts = {}
-    for span in tracer.spans():
-        if span.name in (names.SPAN_RUNTIME_PERIOD, names.SPAN_COLLECTOR_CLOSE_PERIOD):
-            starts.setdefault(span.attrs["period"], {})[span.name] = span.start
-    lags = [
-        starts[p][names.SPAN_COLLECTOR_CLOSE_PERIOD] - starts[p][names.SPAN_RUNTIME_PERIOD]
-        for p in range(periods)
-    ]
-    return lags, report
+    ticks, closes = [], []
+    fan_out, close_period = runtime.fan_out, runtime.collector.close_period
+
+    async def stamped_fan_out(envelope):
+        if isinstance(envelope, TickEnvelope):
+            ticks.append(envelope.sent_at)
+        await fan_out(envelope)
+
+    def stamped_close(period):
+        closes.append(asyncio.get_running_loop().time())
+        return close_period(period)
+
+    runtime.fan_out, runtime.collector.close_period = stamped_fan_out, stamped_close
+    report = run_virtual(runtime.run_async(periods))
+    return ticks, closes, report
 
 
 class TestPeriodClose:
     """A period closes once the collector has heard from every root
     and node the plan names; a silent one holds it to twice the period
-    until the failure detector flags it down."""
+    until the failure detector flags it down.  On virtual time these
+    instants are exact (the periods are powers of two, so is every sum)."""
 
     def test_a_complete_period_closes_early_and_keeps_the_cadence(self, small_cluster):
-        lags, report = close_lags(small_cluster, 2, period_seconds=0.5)
-        assert all(lag < 0.25 for lag in lags), lags
-        assert report.wall_seconds >= 1.0  # the next tick still waits its turn
+        ticks, closes, report = virtual_periods(small_cluster, 2, period_seconds=0.5)
+        assert closes == ticks  # heard from everyone at the tick's instant
+        assert ticks[1] - ticks[0] == 0.5  # the next tick still waits its turn
         assert [s.fresh_fraction for s in report.samples] == [1.0, 1.0]
 
     def test_a_silent_node_holds_its_periods_to_the_bound(self, small_cluster):
-        period_seconds = 0.2
+        period_seconds = 0.25
         outage = AgentOutage(node=3, start=1, end=2)
-        lags, report = close_lags(
+        ticks, closes, report = virtual_periods(
             small_cluster, 4, period_seconds=period_seconds, failure_timeout=1, outages=[outage]
         )
-        for period, lag in enumerate(lags):
-            if outage.covers(period):
-                assert 2 * period_seconds - 0.005 <= lag < 2 * period_seconds + 0.1, lags
-            else:
-                assert lag < period_seconds / 2, lags
+        lags = [close - tick for tick, close in zip(ticks, closes)]
+        assert lags == [0.0, 2 * period_seconds, 0.0, 0.0]
         # Detection counts periods, not seconds: a longer period moves no verdict.
         assert [(e.node, e.period, e.kind) for e in report.failure_events] == [
             (3, 1, "down"),
@@ -423,16 +427,18 @@ class TestPeriodClose:
         # neither its beacon nor its tree's root update is awaited, so the
         # periods close once the leaf's parent stops waiting and the
         # ticks keep their cadence.
-        period_seconds = 0.2
+        period_seconds = 0.25
         outage = AgentOutage(node=4, start=1, end=5)
-        lags, report = close_lags(
+        ticks, closes, report = virtual_periods(
             small_cluster, 6, period_seconds=period_seconds, failure_timeout=1,
             child_wait_fraction=0.25, outages=[outage],
         )  # fmt: skip
-        assert 2 * period_seconds - 0.005 <= lags[1] < 2 * period_seconds + 0.1, lags
-        assert all(lag < period_seconds / 2 for p, lag in enumerate(lags) if p != 1), lags
-        # One period at the bound, five at the cadence.
-        assert 7 * period_seconds - 0.01 <= report.wall_seconds < 7 * period_seconds + 0.1
+        child_wait = 0.25 * period_seconds
+        lags = [close - tick for tick, close in zip(ticks, closes)]
+        assert lags == [0.0, 2 * period_seconds, child_wait, child_wait, child_wait, 0.0]
+        # One period at the bound, the others at the cadence.
+        gaps = [later - earlier for earlier, later in zip(ticks, ticks[1:])]
+        assert gaps == [period_seconds, 2 * period_seconds] + [period_seconds] * 3
         assert [(e.node, e.period, e.kind) for e in report.failure_events] == [
             (4, 1, "down"),
             (4, 5, "recovered"),
@@ -459,14 +465,14 @@ class TestPeriodClose:
             assert (notice.sender, notice.period, len(notice.payload.stamps)) == (9, 0, 0)
             await asyncio.sleep(0)
             assert not complete.done()
-            collector._on_update(notice)
+            collector._on_update(notice, now=0.0)
             await asyncio.wait_for(complete, timeout=1.0)
             # Nothing was read, so nothing was sent, delivered or charged.
             assert metrics.counter("messages_dropped_capacity") == 1
             for name in ("messages_sent", "messages_delivered", "cost_units_spent"):
                 assert metrics.counter(name) == 0, name
 
-        asyncio.run(scenario())
+        run_virtual(scenario())
 
     def test_a_capacity_drop_counts_as_heard_and_a_refusal_does_not(self):
         def update(period, lo=0):
@@ -478,16 +484,16 @@ class TestPeriodClose:
             collector._on_tick(TickEnvelope(period=0))
             complete = asyncio.ensure_future(collector.heard_from_all(0))
             collector._on_heartbeat(HeartbeatEnvelope(0, 0))
-            collector._on_update(update(0, lo=1))  # slots the tree does not have
-            collector._on_update(update(1))  # the next period's, early
+            collector._on_update(update(0, lo=1), now=0.0)  # slots the tree does not have
+            collector._on_update(update(1), now=0.0)  # the next period's, early
             await asyncio.sleep(0)
             assert not complete.done()
-            collector._on_update(update(0))
+            collector._on_update(update(0), now=0.0)
             await asyncio.wait_for(complete, timeout=1.0)
             assert metrics.counter("messages_dropped_invalid") == 1
             assert metrics.counter("messages_dropped_capacity") == 2
 
-        asyncio.run(scenario())
+        run_virtual(scenario())
 
 
 def doubles(*items):
@@ -543,7 +549,7 @@ class OneAgent:
             finally:
                 await self.stop()
 
-        asyncio.run(main())
+        run_virtual(main())
 
     async def stop(self):
         if not self.task.done():
@@ -622,11 +628,12 @@ class TestAgentStateMachine:
     def test_silent_child_costs_one_emit_at_the_deadline(self):
         async def scenario(one):
             wait = one.agent.config.child_wait_seconds
-            started = time.monotonic()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
             await one.feed(TickEnvelope(period=0), one.child(1))
             assert await one.outbox() == [] and one.agent._waiting
             update = await one.transport.recv(9, timeout=2.0)
-            assert time.monotonic() - started >= wait
+            assert loop.time() - started == wait
             assert (update.period, nodes_in(update)) == (0, [0, 1])
             assert one.counter("child_wait_timeouts") == 1
             assert not one.agent._waiting
@@ -640,7 +647,7 @@ class TestAgentStateMachine:
             [update] = await one.outbox()
             assert (update.period, nodes_in(update)) == (1, [0, 1, 2])
 
-        OneAgent(period_seconds=0.1, child_wait_fraction=0.5).run(scenario)
+        OneAgent(period_seconds=0.5, child_wait_fraction=0.5).run(scenario)
 
     def test_next_tick_flushes_the_old_period_first(self):
         async def scenario(one):
@@ -732,12 +739,13 @@ class TestStrayUpdates:
         budget = collector._budget
         for tree, lo, slots in [(1, 0, 4), (0, 1, 4), (0, 4, 1), (0, -1, 2), (0, 0, 5)]:
             batch = Batch(lo, doubles(1.0) * slots, doubles(0.0) * slots)
-            collector._on_update(UpdateEnvelope(9, tree, 0, batch))
+            collector._on_update(UpdateEnvelope(9, tree, 0, batch), now=0.0)
         assert metrics.counter("messages_dropped_invalid") == 5
         assert metrics.counter("messages_delivered") == 0
         assert collector._budget == budget
         assert all(collector.state.reading(pair) is None for pair in LAYOUT.pairs)
-        collector._on_update(UpdateEnvelope(9, 0, 0, Batch(0, doubles(1.0) * 4, doubles(0.0) * 4)))
+        update = UpdateEnvelope(9, 0, 0, Batch(0, doubles(1.0) * 4, doubles(0.0) * 4))
+        collector._on_update(update, now=0.0)
         assert metrics.counter("messages_delivered") == 1
         assert collector.state.reading(LAYOUT.pairs[3]).sampled_at == 0.0
 
@@ -864,16 +872,16 @@ class TestCollectorTickAnchors:
             return UpdateEnvelope(9, 0, period, Batch(1, doubles(1.0), doubles(0.0)))
 
         for period in range(1000):
-            collector._on_tick(TickEnvelope(period=period))
-            collector._on_update(update(period))
+            collector._on_tick(TickEnvelope(period, sent_at=float(period)))
+            collector._on_update(update(period), now=period + 0.25)
             collector.close_period(period)
-            assert len(collector._tick_monotonic) <= 3
+            assert len(collector._tick_at) <= 3
         latency = metrics.histogram("collection_latency_s")
-        assert latency.count == 1000
+        assert latency.count == 1000 and latency.min == latency.max == 0.25
         # Recent periods keep their anchor; a pruned one records nothing.
-        collector._on_update(update(999))
+        collector._on_update(update(999), now=1000.0)
         assert latency.count == 1001
-        collector._on_update(update(0))
+        collector._on_update(update(0), now=1000.0)
         assert latency.count == 1001
         assert metrics.counter("messages_delivered") == 1002
 
@@ -941,9 +949,11 @@ class TestLayouts:
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        # As a module from the repository root, so ``tests`` imports.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+            [sys.executable, "-m", "tests.test_runtime"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True,
         )  # fmt: skip
         assert json.loads(proc.stdout) == json.loads(json.dumps(observe_layouts()))
 
@@ -996,6 +1006,20 @@ def test_twenty_quickstart_periods_move_exact_totals(capsys, tmp_path):
     assert {name: counters.get(name) for name in QUICKSTART_TOTALS} == QUICKSTART_TOTALS
 
 
+@pytest.mark.parametrize("period_seconds", [0.05, 1e-3, 1e-6])
+def test_quickstart_totals_do_not_depend_on_the_period_length(period_seconds):
+    """The event loop is the runtime's only clock: on virtual time,
+    twenty quickstart periods of any length move exactly what ``repro
+    run`` moves, every pair fresh, no relay timing out on its children."""
+    plan, cluster = planned("quickstart")
+    config = RuntimeConfig(period_seconds=period_seconds, seed=1)
+    report = run_virtual(MonitoringRuntime(plan, cluster, config=config).run_async(20))
+    counters = report.metrics.counters()
+    assert {name: counters.get(name) for name in QUICKSTART_TOTALS} == QUICKSTART_TOTALS
+    assert "child_wait_timeouts" not in counters
+    assert report.mean_fresh_coverage == 1.0
+
+
 def test_the_simulator_moves_the_runtime_quickstart_totals(capsys, tmp_path):
     """The simulator agrees with the runtime exactly on the quickstart:
     twenty periods through ``repro simulate`` send, deliver and spend
@@ -1028,14 +1052,14 @@ class TestMailbox:
 
             for timeout in (0.0, 0.001, 0.02):
                 assert await waited(timeout) >= timeout
-            # Many at once, deadlines in no order, one timer between them.
+            # Many at once, deadlines in no order, a timer each.
             timeouts = [0.002 * ((7 * k) % 20) for k in range(40)]
             elapsed = await asyncio.gather(*(waited(timeout) for timeout in timeouts))
             assert all(took >= timeout for took, timeout in zip(elapsed, timeouts))
 
         asyncio.run(scenario())
 
-    def test_fifty_parked_timed_receivers_leave_one_live_loop_timer(self):
+    def test_a_timed_wait_holds_one_loop_timer_until_it_ends(self):
         async def scenario():
             transport = InProcessTransport()
             loop = asyncio.get_running_loop()
@@ -1043,15 +1067,16 @@ class TestMailbox:
             parked = []
             for address in range(50):
                 transport.register(address)
-                # Each deadline earlier than the last: the timer moves every time.
                 parked.append(asyncio.ensure_future(transport.recv(address, 60.0 - address)))
             await asyncio.sleep(0)
-            assert live_timers(loop) == idle + 1
+            assert live_timers(loop) == idle + 50
             for address in range(50):
                 transport.deliver_local(address, TickEnvelope(period=address))
             got = await asyncio.wait_for(asyncio.gather(*parked), timeout=2.0)
             assert [tick.period for tick in got] == list(range(50))
-            assert live_timers(loop) <= idle + 1
+            assert live_timers(loop) == idle  # each woken wait cancelled its own
+            assert await transport.recv(0, 0.001) is None
+            assert live_timers(loop) == idle  # and so does one that timed out
 
         asyncio.run(scenario())
 
@@ -1081,8 +1106,7 @@ class TestMailbox:
         transport.register(1)
 
         async def scenario(period):
-            # Left parked at exit: its deadline is the one the (then
-            # dead) loop's timer stays armed for.
+            # Left parked at exit: its timer dies with the loop.
             asyncio.ensure_future(transport.recv(1, 0.05))
             assert await asyncio.wait_for(transport.recv(1, 0.2), timeout=2.0) is None
             parked = asyncio.ensure_future(transport.recv(1, 5.0))

@@ -9,7 +9,6 @@ and then cancels the tasks), not the loops'.
 """
 
 import asyncio
-import time
 
 from repro.cluster.node import Cluster, SimNode
 from repro.core.attributes import pairs_for
@@ -24,6 +23,7 @@ from repro.runtime import (
     RuntimeConfig,
     StopEnvelope,
 )
+from tests.virtual_time import run_virtual
 
 COST = CostModel(2.0, 1.0)
 
@@ -40,10 +40,10 @@ def small_runtime(**config_kwargs):
 class RecordingTransport(InProcessTransport):
     """InProcessTransport that records every recv's timeout.
 
-    For a waiting agent it also records the deadline's distance from
-    two instants that bracket the agent's own ``deadline - now``: the
-    moment its previous recv returned (before) and the moment this recv
-    began (after).
+    For a waiting agent it also records the deadline's distance, on
+    the loop's clock, from two instants that bracket the agent's own
+    ``deadline - now``: the moment its previous recv returned (before)
+    and the moment this recv began (after).
     """
 
     def __init__(self, agents):
@@ -61,13 +61,13 @@ class RecordingTransport(InProcessTransport):
                 (
                     timeout,
                     deadline - self._returned[address],
-                    deadline - time.monotonic(),
+                    deadline - asyncio.get_running_loop().time(),
                 )
             )
         else:
             self.idle_recvs.append((address, timeout))
         envelope = await super().recv(address, timeout)
-        self._returned[address] = time.monotonic()
+        self._returned[address] = asyncio.get_running_loop().time()
         return envelope
 
 
@@ -78,7 +78,7 @@ def recording_run(periods, **config_kwargs):
     for agent in runtime.agents.values():
         agent.transport = transport
     runtime.collector.transport = transport
-    runtime.run(periods)
+    run_virtual(runtime.run_async(periods))
     return runtime, transport
 
 
@@ -107,7 +107,9 @@ class TestRecvContract:
         assert transport.waiting_recvs, "no agent ever waited on a child"
         for timeout, until_deadline_before, until_deadline_after in transport.waiting_recvs:
             assert timeout is not None and timeout > 0
-            assert until_deadline_after <= timeout <= until_deadline_before
+            # On virtual time no instant passes between the agent
+            # reading the clock and parking.
+            assert until_deadline_after == timeout <= until_deadline_before
 
 
 class TestStop:

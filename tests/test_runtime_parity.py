@@ -4,8 +4,10 @@ The acceptance bar for the live runtime: the same plan and
 ``MetricRegistry`` seed, executed through both
 :class:`~repro.simulation.engine.MonitoringSimulation` (lock-step
 discrete events) and :class:`~repro.runtime.engine.MonitoringRuntime`
-(concurrent asyncio agents), must agree on collected-pair coverage to
-within five percentage points.
+(concurrent asyncio agents, on a virtual-time event loop), must
+produce the same per-period samples -- error, freshness and coverage,
+to the last bit -- and the runtime must reproduce the simulator's
+overload pins.
 """
 
 import json
@@ -21,33 +23,27 @@ from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.core.planner import RemoPlanner
 from repro.runtime import MonitoringRuntime, RuntimeConfig
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 from repro.workloads.presets import quickstart_workload
+from tests.test_simulation_overload import overloaded_setup
+from tests.test_simulation_pins import MILD, SEVERE, outcome
+from tests.virtual_time import run_virtual
 
 COST = CostModel(2.0, 1.0)
-
-#: Acceptance tolerance: five percentage points of coverage.
-TOLERANCE = 0.05
 
 
 def run_both(plan, cluster, periods=12, seed=9):
     """One plan, two engines, same registry seed."""
     sim_report = MonitoringSimulation(
+        plan, cluster, registry=MetricRegistry(plan.pairs, seed=seed), seed=seed
+    ).run(periods)
+    runtime = MonitoringRuntime(
         plan,
         cluster,
         registry=MetricRegistry(plan.pairs, seed=seed),
-        config=SimulationConfig(seed=seed),
-    ).run(periods)
-    runtime_report = MonitoringRuntime(
-        plan,
-        cluster,
-        registry=MetricRegistry(plan.pairs, seed=seed),
-        # 0.05s periods: wide enough for a full wave even on a loaded
-        # machine -- 0.02s made the quickstart case flake when the
-        # suite's heavier tests run first.
-        config=RuntimeConfig(period_seconds=0.05, seed=seed),
-    ).run(periods)
-    return sim_report, runtime_report
+        config=RuntimeConfig(seed=seed),
+    )
+    return sim_report, run_virtual(runtime.run_async(periods))
 
 
 class TestCoverageParity:
@@ -57,37 +53,26 @@ class TestCoverageParity:
             Partition.singletons({"a", "b"}), pairs, small_cluster
         )
         sim_report, runtime_report = run_both(plan, small_cluster)
-        assert runtime_report.mean_coverage == pytest.approx(
-            sim_report.mean_coverage, abs=TOLERANCE
-        )
-        assert runtime_report.final_coverage == pytest.approx(
-            sim_report.final_coverage, abs=TOLERANCE
-        )
+        assert runtime_report.samples == sim_report.samples
 
     def test_parity_on_partial_coverage_plan(self, tight_cluster):
         # A plan that cannot collect everything: both engines should
-        # agree on how much actually arrives.
+        # agree on exactly what arrives.
         pairs = pairs_for(range(20), ["a", "b", "c", "d"])
         plan = ForestBuilder(COST).build(
             Partition.singletons({"a", "b", "c", "d"}), pairs, tight_cluster
         )
         assert plan.coverage() < 1.0
         sim_report, runtime_report = run_both(plan, tight_cluster)
-        assert runtime_report.mean_coverage == pytest.approx(
-            sim_report.mean_coverage, abs=TOLERANCE
-        )
+        assert runtime_report.samples == sim_report.samples
 
     def test_parity_on_quickstart_remo_plan(self):
         cluster, cost, tasks = quickstart_workload()
         plan = RemoPlanner(cost).plan(tasks, cluster)
         sim_report, runtime_report = run_both(plan, cluster, periods=8)
-        assert runtime_report.mean_coverage == pytest.approx(
-            sim_report.mean_coverage, abs=TOLERANCE
-        )
-        # Both engines should deliver what the planner promised.
-        assert runtime_report.final_coverage == pytest.approx(
-            plan.coverage(), abs=TOLERANCE
-        )
+        assert runtime_report.samples == sim_report.samples
+        # Both engines deliver what the planner promised.
+        assert runtime_report.final_coverage == pytest.approx(plan.coverage())
 
     def test_runtime_message_count_matches_simulator(self, small_cluster):
         pairs = pairs_for(range(6), ["a"])
@@ -96,6 +81,17 @@ class TestCoverageParity:
         )
         sim_report, runtime_report = run_both(plan, small_cluster, periods=6)
         assert runtime_report.messages_sent == sim_report.messages_sent
+
+    @pytest.mark.parametrize(
+        "delta, pinned", [(-2.0, MILD), (-1e9, SEVERE)], ids=["mild", "severe"]
+    )
+    def test_runtime_reproduces_the_overload_pins(self, delta, pinned):
+        """Every sample and all seven counters the simulator is pinned
+        to under an overloaded root: values trimmed (mild), whole
+        messages dropped (severe)."""
+        plan, cluster = overloaded_setup(root_budget_delta=delta)
+        runtime = MonitoringRuntime(plan, cluster, config=RuntimeConfig(seed=1))
+        assert outcome(run_virtual(runtime.run_async(5))) == pinned
 
 
 class TestRunCliJson:

@@ -7,6 +7,7 @@ script would.
 """
 
 import asyncio
+import contextlib
 import http.client
 import json
 import re
@@ -391,6 +392,67 @@ class TestHostileHeads:
                 mutant,
                 reply,
             )
+        assert unhandled == []
+
+    @staticmethod
+    def drip(prefix, dripped, interval=0.05):
+        """Send ``prefix`` at once, then ``dripped`` one byte every
+        ``interval`` seconds on one connection.  Returns the reply, how
+        long after the first byte the server answered or closed, and
+        what the loop's exception handler saw."""
+
+        async def echo(request, params):
+            return HttpResponse.json_response({"bytes": len(request.body)})
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            router = Router()
+            router.add("POST", "/echo", echo)
+            server = HttpServer(router)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                started = loop.time()
+                writer.write(prefix)
+
+                async def feed():
+                    with contextlib.suppress(ConnectionError):
+                        for byte in dripped:
+                            await asyncio.sleep(interval)
+                            writer.write(bytes([byte]))
+                            await writer.drain()
+
+                feeding = asyncio.ensure_future(feed())
+                reply = await asyncio.wait_for(reader.read(), timeout=5)
+                took = loop.time() - started
+                feeding.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await feeding
+                writer.close()
+                with contextlib.suppress(ConnectionError):
+                    await writer.wait_closed()
+                await asyncio.sleep(0.05)  # let the handler finish
+            finally:
+                await server.stop()
+            return reply, took, unhandled
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("part", ["head", "body"])
+    def test_a_slow_drip_is_cut_off_at_the_read_timeout(self, part, monkeypatch):
+        """A peer that trickles a head, or the body a valid head
+        announced, one byte every 50 ms is dropped once one read has
+        waited ``READ_TIMEOUT_SECONDS``, not when the bytes run out."""
+        timeout = 0.2
+        monkeypatch.setattr("repro.serve.http.READ_TIMEOUT_SECONDS", timeout)
+        head = b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n"
+        prefix, dripped = (b"", head) if part == "head" else (head, b"x" * 1000)
+        reply, took, unhandled = self.drip(prefix, dripped)
+        assert reply == b"" or reply.startswith(b"HTTP/1.1 4"), reply
+        # The whole drip would take 3 s (head) or 50 s (body).
+        assert took < timeout + 1.0, took
         assert unhandled == []
 
     def test_truncated_post_closes_cleanly_at_every_offset(self):

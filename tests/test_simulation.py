@@ -12,7 +12,6 @@ from repro.simulation import (
     FailureInjector,
     LinkOutage,
     MonitoringSimulation,
-    SimulationConfig,
 )
 
 COST = CostModel(2.0, 1.0)
@@ -28,7 +27,7 @@ class TestHappyPath:
         pairs = pairs_for(range(6), ["a", "b"])
         plan = plan_for(small_cluster, pairs)
         report = MonitoringSimulation(
-            plan, small_cluster, config=SimulationConfig(seed=1)
+            plan, small_cluster, seed=1
         ).run(10)
         assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) == 0
         assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) == 0
@@ -38,7 +37,7 @@ class TestHappyPath:
         pairs = pairs_for(range(6), ["a", "b"])
         plan = plan_for(small_cluster, pairs)
         report = MonitoringSimulation(
-            plan, small_cluster, config=SimulationConfig(seed=1)
+            plan, small_cluster, seed=1
         ).run(10)
         assert report.mean_percentage_error < 0.05
         assert report.mean_fresh_coverage == pytest.approx(1.0)
@@ -48,7 +47,7 @@ class TestHappyPath:
         plan = plan_for(tight_cluster, pairs)
         assert plan.coverage() < 1.0
         report = MonitoringSimulation(
-            plan, tight_cluster, config=SimulationConfig(seed=1)
+            plan, tight_cluster, seed=1
         ).run(10)
         # Every uncovered pair contributes ~100% error.
         assert report.mean_percentage_error >= (1.0 - plan.coverage()) * 0.9
@@ -57,7 +56,7 @@ class TestHappyPath:
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
         report = MonitoringSimulation(
-            plan, small_cluster, config=SimulationConfig(seed=1)
+            plan, small_cluster, seed=1
         ).run(5)
         expected_per_period = sum(len(r.tree) for r in plan.trees.values())
         assert report.messages_sent == expected_per_period * 5
@@ -65,8 +64,8 @@ class TestHappyPath:
     def test_deterministic_given_seed(self, small_cluster):
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
-        s1 = MonitoringSimulation(plan, small_cluster, config=SimulationConfig(seed=4)).run(8)
-        s2 = MonitoringSimulation(plan, small_cluster, config=SimulationConfig(seed=4)).run(8)
+        s1 = MonitoringSimulation(plan, small_cluster, seed=4).run(8)
+        s2 = MonitoringSimulation(plan, small_cluster, seed=4).run(8)
         assert s1.mean_percentage_error == pytest.approx(s2.mean_percentage_error)
 
     def test_rejects_nonpositive_periods(self, small_cluster):
@@ -78,16 +77,16 @@ class TestHappyPath:
 
 
 class TestLatencyStaleness:
-    def test_deep_tree_staler_than_flat(self, small_cluster):
+    def test_deep_tree_staler_than_flat(self, small_cluster, monkeypatch):
         """A chain whose wave exceeds the period delivers one period late."""
         pairs = pairs_for(range(6), ["a"])
         plan = plan_for(small_cluster, pairs)
-        # hop_latency so large that (H+1) hops > period for any tree
+        # A hop latency so large that (H+1) hops > period for any tree
         # deeper than 2.
-        slow = SimulationConfig(hop_latency=0.4, seed=1)
-        fast = SimulationConfig(hop_latency=0.001, seed=1)
-        stale = MonitoringSimulation(plan, small_cluster, config=slow).run(10)
-        fresh = MonitoringSimulation(plan, small_cluster, config=fast).run(10)
+        monkeypatch.setattr("repro.simulation.engine.HOP_LATENCY", 0.4)
+        stale = MonitoringSimulation(plan, small_cluster, seed=1).run(10)
+        monkeypatch.setattr("repro.simulation.engine.HOP_LATENCY", 0.001)
+        fresh = MonitoringSimulation(plan, small_cluster, seed=1).run(10)
         assert stale.mean_fresh_coverage <= fresh.mean_fresh_coverage
 
 
@@ -103,7 +102,7 @@ class TestFailures:
             link_outages=[LinkOutage(child, attr_set, 0.0, 5.0)]
         )
         report = MonitoringSimulation(
-            plan, small_cluster, config=SimulationConfig(seed=1), failures=injector
+            plan, small_cluster, seed=1, failures=injector
         ).run(10)
         assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) > 0
 
@@ -112,7 +111,7 @@ class TestFailures:
         plan = plan_for(small_cluster, pairs)
         injector = FailureInjector(node_outages=[AgentOutage(0, 0, 100)])
         report = MonitoringSimulation(
-            plan, small_cluster, config=SimulationConfig(seed=1), failures=injector
+            plan, small_cluster, seed=1, failures=injector
         ).run(5)
         assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) > 0
         assert report.mean_percentage_error > 0
@@ -122,9 +121,3 @@ class TestFailures:
             LinkOutage(0, frozenset({"a"}), 5.0, 5.0)
         with pytest.raises(ValueError):
             AgentOutage(0, 2, 1)
-
-
-class TestConfig:
-    def test_rejects_bad_hop_latency(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(hop_latency=-1.0)

@@ -19,7 +19,6 @@ from repro.simulation import (
     FailureInjector,
     LinkOutage,
     MonitoringSimulation,
-    SimulationConfig,
 )
 
 COST = CostModel(2.0, 1.0)
@@ -42,7 +41,7 @@ def run(plan, cluster, periods, injector=None, seed=1):
     return MonitoringSimulation(
         plan,
         cluster,
-        config=SimulationConfig(seed=seed),
+        seed=seed,
         failures=injector or FailureInjector(),
     ).run(periods)
 

@@ -8,7 +8,7 @@ from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
 from repro.obs import names
-from repro.simulation import MonitoringSimulation, SimulationConfig
+from repro.simulation import MonitoringSimulation
 
 COST = CostModel(2.0, 1.0)
 
@@ -42,7 +42,7 @@ class TestPayloadTrimming:
     def test_mild_overload_trims_values_not_messages(self):
         plan, cluster = overloaded_setup(root_budget_delta=-2.0)
         report = MonitoringSimulation(
-            plan, cluster, config=SimulationConfig(seed=1)
+            plan, cluster, seed=1
         ).run(5)
         assert report.metrics.counter(names.VALUES_TRIMMED) > 0
         assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) == 0
@@ -54,7 +54,7 @@ class TestPayloadTrimming:
         for delta in (0.0, -2.0, -4.0):
             plan, cluster = overloaded_setup(root_budget_delta=delta)
             report = MonitoringSimulation(
-                plan, cluster, config=SimulationConfig(seed=1)
+                plan, cluster, seed=1
             ).run(5)
             fresh.append(report.mean_fresh_coverage)
         assert fresh[0] >= fresh[1] >= fresh[2]
@@ -63,7 +63,7 @@ class TestPayloadTrimming:
     def test_severe_overload_drops_whole_message(self):
         plan, cluster = overloaded_setup(root_budget_delta=-1e9)
         report = MonitoringSimulation(
-            plan, cluster, config=SimulationConfig(seed=1)
+            plan, cluster, seed=1
         ).run(5)
         assert report.metrics.counter(names.MESSAGES_DROPPED_CAPACITY) > 0
 

@@ -33,7 +33,6 @@ from repro.simulation import (
     FailureInjector,
     LinkOutage,
     MonitoringSimulation,
-    SimulationConfig,
 )
 from repro.workloads.presets import Scenario
 
@@ -52,7 +51,7 @@ def outage_run():
         node_outages=[AgentOutage(members[3], 2, 6)],
     )
     return MonitoringSimulation(
-        plan, scenario.workload[0], config=SimulationConfig(seed=5), failures=injector
+        plan, scenario.workload[0], seed=5, failures=injector
     ).run(10)
 
 
@@ -162,17 +161,17 @@ def test_overloaded_root_is_pinned(delta, pinned):
     from tests.test_simulation_overload import overloaded_setup
 
     plan, cluster = overloaded_setup(root_budget_delta=delta)
-    report = MonitoringSimulation(plan, cluster, config=SimulationConfig(seed=1)).run(5)
+    report = MonitoringSimulation(plan, cluster, seed=1).run(5)
     assert outcome(report) == pinned
 
 
-def test_late_delivery_is_pinned(small_cluster):
+def test_late_delivery_is_pinned(small_cluster, monkeypatch):
     plan = ForestBuilder(CostModel(2.0, 1.0)).build(
         Partition.singletons({"a"}), pairs_for(range(6), ["a"]), small_cluster
     )
     assert plan.trees[frozenset({"a"})].tree.height() == 3
-    config = SimulationConfig(hop_latency=0.4, seed=1)
-    report = MonitoringSimulation(plan, small_cluster, config=config).run(10)
+    monkeypatch.setattr("repro.simulation.engine.HOP_LATENCY", 0.4)
+    report = MonitoringSimulation(plan, small_cluster, seed=1).run(10)
     assert outcome(report) == LATE
 
 

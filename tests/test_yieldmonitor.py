@@ -81,17 +81,19 @@ class TestLiveRuntime:
         from repro.core.planner import RemoPlanner
         from repro.runtime import MonitoringRuntime, RuntimeConfig
         from repro.streams.app import StreamMetricRegistry
+        from tests.virtual_time import run_virtual
 
         app = make_yieldmonitor(n_nodes=12, n_lines=4, seed=61)
         cluster = build_stream_cluster(app, capacity=260.0, central_capacity=520.0)
         tasks = yieldmonitor_tasks(app, 4, seed=62)
         plan = RemoPlanner(CostModel(per_message=20.0, per_value=1.0)).plan(tasks, cluster)
-        report = MonitoringRuntime(
+        runtime = MonitoringRuntime(
             plan,
             cluster,
             registry=StreamMetricRegistry(app),
             config=RuntimeConfig(period_seconds=0.05, seed=5),
-        ).run(4)
+        )
+        report = run_virtual(runtime.run_async(4))
         assert len(report.samples) == 4
         assert report.messages_sent > 0
         assert report.final_coverage > 0.0
