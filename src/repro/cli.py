@@ -27,10 +27,11 @@ accept ``--trace PATH`` (execution trace: ``.jsonl`` for the span log,
 anything else for Chrome trace-event JSON loadable in Perfetto /
 ``about:tracing``) and ``--metrics PATH`` (Prometheus text-format
 snapshot of every counter, gauge, and histogram the command touched).
-On ``deploy``, ``--trace`` also switches every child process into
-tracing mode: each writes ``trace-<role>.jsonl`` into the rundir, the
-supervisor folds them into the exported trace, and ``repro trace
-RUNDIR`` re-merges them after the fact.
+On ``deploy``, ``--trace`` also switches every deploy process into
+tracing mode: each worker, and the supervisor for the collector it
+hosts, writes ``trace-<role>.jsonl`` into the rundir, the command
+folds them into the exported trace, and ``repro trace RUNDIR``
+re-merges them after the fact.
 
 ``run`` and ``deploy`` never launch a plan the static verifier rejects.
 
@@ -217,7 +218,7 @@ def _add_runtime(
 def _runtime_config(args) -> Dict[str, Any]:
     """The :class:`RuntimeConfig` fields the launch flags set: ``run``
     and ``serve`` construct the config from it, ``deploy`` ships it in
-    its spec for every child to construct its own."""
+    its spec for every deploy process to construct its own."""
     return {
         "period_seconds": args.period_seconds,
         "failure_timeout": args.failure_timeout,
@@ -573,9 +574,10 @@ def _deploy(args) -> int:
         )
     except DeployError as exc:
         return _fail(f"repro deploy: {exc}", 1)
-    # Fold every child process's span artifact into the supervisor's
-    # tracer: the ``--trace`` export then covers the whole deployment
-    # (one monitoring period = one trace id across all processes).
+    # Fold every process's span artifact (the collector's is written
+    # from a tracer of its own) into this command's tracer: the
+    # ``--trace`` export then covers the whole deployment, each span
+    # once (one monitoring period = one trace id across all processes).
     if trace.active_tracer() is not None:
         for span_file in outcome.trace_files:
             try:

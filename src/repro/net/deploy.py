@@ -1,36 +1,32 @@
 """``repro deploy``: one plan, many processes, real sockets.
 
-The deployment model keeps every process *deterministically
-reconstructible* instead of shipping objects between processes: a
-:class:`DeploySpec` (a small JSON document) carries the
+Every process is *deterministically reconstructible* rather than sent
+objects: a :class:`DeploySpec` (a small JSON document) carries the
 :class:`~repro.workloads.presets.Scenario`, runtime config, shard
-assignment, and endpoint table, and every child process independently
-rebuilds the identical cluster, task list, plan, and ground-truth
-:class:`~repro.cluster.metrics.MetricRegistry` from it.  (Planning and
-sampling are fully seeded and hash-order independent, so N processes
-re-planning from one spec agree bit-for-bit -- and a worker that is
-killed and restarted mid-run rebuilds the same world and resyncs its
-registry replica off the next tick's period number.)
+assignment and endpoint table, and each worker rebuilds the identical
+cluster, plan and ground-truth registry from it.  (Planning and
+sampling are seeded and hash-order independent, so a worker killed and
+restarted mid-run rebuilds the same world and resyncs its registry
+replica off the next tick's period number.)
 
-Topology: the collector runs in its own process and drives the clock
--- one :class:`~repro.runtime.messages.TickEnvelope` per worker per
-period, addressed to the worker's reserved *control address*
-(:func:`control_address`), which the worker fans out to its local node
-agents.  Update and heartbeat envelopes flow the other way, straight
-from agents to the collector (or to parent nodes, which may live in a
-different worker) through each process's
-:class:`~repro.net.tcp.TcpTransport`.
-
-The supervisor (:func:`run_deploy`) spawns children, waits for
-readiness files, restarts crashed workers with a bounded budget,
-optionally injects a chaos kill, and merges the children's metric
-dumps into one :class:`~repro.runtime.report.RuntimeReport` whose
-``as_dict`` output is shape-identical to ``repro run --json``.
+Two roles.  The supervisor (:func:`run_deploy`) spawns the workers,
+waits for each one's ready message on a pipe (or its exit, on its
+process sentinel), then hosts the collector and drives the clock: each
+period's tick goes to its own inbox and to every worker's reserved
+*control address* (:func:`control_address`), which the worker
+(:mod:`repro.net.worker`) fans out to its node agents.  Updates and
+heartbeats flow back, agent to parent or collector, through each
+process's :class:`~repro.net.tcp.TcpTransport`.  Worker exits are
+sentinel events and chaos kills loop timers, so nothing polls.  The
+workers' metric dumps merge into the collector's
+:class:`~repro.runtime.report.RuntimeReport`, whose ``as_dict`` output
+is shape-identical to ``repro run --json``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import math
 import os
@@ -38,19 +34,24 @@ import socket
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.attributes import NodeId
 from repro.core.plan import MonitoringPlan
 from repro.net.directory import Endpoint, PeerDirectory
-from repro.obs import log, names
-from repro.runtime.collector import FailureEvent
+from repro.net.tcp import TcpTransport
+from repro.obs import log, names, trace
+from repro.obs.export import write_jsonl_spans
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.engine import wait_until
-from repro.runtime.messages import COLLECTOR_ADDRESS
+from repro.runtime.engine import build_collector, compile_layouts, ground_truth, hosting, run_periods
+from repro.runtime.messages import COLLECTOR_ADDRESS, Envelope
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.report import RuntimePeriodSample, RuntimeReport
+from repro.runtime.report import RuntimeReport
 from repro.workloads.presets import Scenario
+
+if TYPE_CHECKING:  # multiprocessing loads only when a deploy runs
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 #: Worker control inboxes live at ``CONTROL_ADDRESS_BASE - rank`` --
 #: below every plan NodeId (>= 0) and below the collector (-1).
@@ -59,7 +60,7 @@ CONTROL_ADDRESS_BASE = -1000
 #: A worker that crashes more than this many times stays down.
 MAX_RESTARTS_PER_WORKER = 3
 
-#: Seconds every child has to report ready before the launch fails.
+#: Seconds every worker has to report ready before the launch fails.
 STARTUP_TIMEOUT_S = 30.0
 
 
@@ -123,9 +124,10 @@ class DeploySpec:
     collector_endpoint: Endpoint
     rundir: str
     config: Dict[str, Any] = field(default_factory=dict)
-    #: When set, every child installs a tracer + JSONL log sink and
-    #: dumps its spans to :meth:`trace_path` on exit; ``repro trace``
-    #: merges the per-process artifacts into one Chrome trace.
+    #: When set, every worker and the supervisor's collector record
+    #: spans and a JSONL log and dump the spans to :meth:`trace_path`
+    #: on exit; ``repro trace`` merges the per-process artifacts into
+    #: one Chrome trace.
     trace: bool = False
 
     @property
@@ -146,14 +148,10 @@ class DeploySpec:
         directory.assign([COLLECTOR_ADDRESS], self.collector_endpoint)
         return directory
 
-    # -- file-based coordination ---------------------------------------
+    # -- rundir artifacts ----------------------------------------------
     @property
     def spec_path(self) -> str:
         return os.path.join(self.rundir, "spec.json")
-
-    def ready_path(self, role: str) -> str:
-        """The readiness-marker file for ``collector`` / ``worker-N``."""
-        return os.path.join(self.rundir, f"ready-{role}")
 
     def report_path(self, role: str) -> str:
         return os.path.join(self.rundir, f"report-{role}.json")
@@ -170,10 +168,19 @@ class DeploySpec:
         """Flight-recorder dump for ``role`` (crash / restart / check fail)."""
         return os.path.join(self.rundir, f"flight-{role}.json")
 
-    @property
-    def go_path(self) -> str:
-        """Written by the supervisor once every process is ready."""
-        return os.path.join(self.rundir, "go")
+    @contextlib.contextmanager
+    def traced(self, role: str) -> Iterator[None]:
+        """When tracing is on: a tracer and JSONL log sink of ``role``'s
+        own for the body, its spans written to :meth:`trace_path` on the
+        way out, clean or crashing."""
+        if not self.trace:
+            yield
+            return
+        with trace.installed() as tracer, log.sink(self.log_path(role)):
+            try:
+                yield
+            finally:
+                write_jsonl_spans(tracer.spans(), self.trace_path(role))
 
     # -- serialization -------------------------------------------------
     @classmethod
@@ -266,135 +273,219 @@ class DeployError(RuntimeError):
     """The deployment could not complete (startup or collector failure)."""
 
 
+class _Supervisor:
+    """The collector, its clock, and the workers' lives."""
+
+    def __init__(
+        self,
+        spec: DeploySpec,
+        plan: MonitoringPlan,
+        metrics: RuntimeMetrics,
+        chaos_kill: Mapping[int, float],
+    ) -> None:
+        import multiprocessing
+
+        self.spec = spec
+        self.metrics = metrics
+        self.chaos_kill = dict(chaos_kill)
+        self.context = multiprocessing.get_context("spawn")
+        self.config = spec.build_config()
+        self.transport = TcpTransport(
+            spec.build_directory(),
+            listen_host=spec.collector_endpoint.host,
+            listen_port=spec.collector_endpoint.port,
+            metrics=metrics,
+        )
+        self.registry = ground_truth(plan, self.config.seed)
+        self.collector = build_collector(
+            plan,
+            compile_layouts(plan),
+            spec.scenario.workload[0].central_capacity,
+            registry=self.registry,
+            transport=self.transport,
+            metrics=metrics,
+            config=self.config,
+        )
+        self.workers: Dict[int, BaseProcess] = {}
+        self.restarts: Dict[int, int] = {rank: 0 for rank in range(spec.workers)}
+
+    def launch(self) -> None:
+        """Spawn every worker; return once each has said it is ready.
+
+        Blocks on the ready pipes and the sentinels together: a worker
+        that exits first (unreadable spec, port taken) fails the launch
+        at once.
+        """
+        from multiprocessing.connection import wait
+
+        unready: Dict[Connection, int] = {}
+        try:
+            for rank in range(self.spec.workers):
+                receiver, sender = self.context.Pipe(duplex=False)
+                unready[receiver] = rank
+                self._spawn(rank, sender)
+                sender.close()  # the worker holds the only write end now
+            deadline = time.monotonic() + STARTUP_TIMEOUT_S
+            while unready:
+                sentinels = {self.workers[rank].sentinel: rank for rank in unready.values()}
+                events = wait([*unready, *sentinels], max(deadline - time.monotonic(), 0))
+                if not events:
+                    late = sorted(f"worker-{rank}" for rank in unready.values())
+                    raise DeployError(
+                        f"timed out after {STARTUP_TIMEOUT_S:.0f}s waiting for readiness of {late}"
+                    )
+                for event in events:
+                    if event in sentinels:
+                        process = self.workers[sentinels[event]]
+                        process.join()
+                        raise DeployError(
+                            f"worker-{sentinels[event]} exited with code {process.exitcode} "
+                            "before it was ready"
+                        )
+                    with contextlib.suppress(EOFError):  # EOF: its sentinel follows
+                        event.recv()
+                        del unready[event]
+                        event.close()
+        finally:
+            for receiver in unready:
+                receiver.close()
+
+    async def run(self) -> None:
+        """Tick every period; restart workers that die on the way."""
+        loop = asyncio.get_running_loop()
+        for rank, process in self.workers.items():
+            loop.add_reader(process.sentinel, self._exited, loop, rank)
+        kills = [
+            loop.call_later(after, self._kill, rank, after)
+            for rank, after in self.chaos_kill.items()
+        ]
+        try:
+            async with hosting(self.transport, self.fan_out, {COLLECTOR_ADDRESS: self.collector}):
+                await self.transport.start()
+                await run_periods(
+                    self.spec.periods,
+                    self.config.period_seconds,
+                    self.registry,
+                    self.collector,
+                    self.fan_out,
+                )
+        except Exception as exc:
+            log.emit(
+                names.LOG_DEPLOY_WORKER_CRASH,
+                lane=names.LANE_DEPLOY,
+                severity="error",
+                role="collector",
+                error=repr(exc),
+            )
+            log.dump_flight(self.spec.flight_path("supervisor"), reason=f"collector crashed: {exc!r}")
+            raise DeployError(f"collector crashed: {exc!r}") from exc
+        finally:
+            # The run is over: no more kills, and no restart for the
+            # workers exiting on the stop.
+            for handle in kills:
+                handle.cancel()
+            for process in self.workers.values():
+                loop.remove_reader(process.sentinel)
+
+    async def fan_out(self, envelope: Envelope) -> None:
+        # The collector first and not through ``send``: it shares this
+        # process's inboxes, and a tick must be in its inbox before the
+        # first update it anchors can arrive.
+        self.transport.deliver_local(COLLECTOR_ADDRESS, envelope)
+        for rank in range(self.spec.workers):
+            await self.transport.send(control_address(rank), envelope)
+
+    def _spawn(self, rank: int, ready: Optional[Connection]) -> BaseProcess:
+        # Child entrypoints live in repro.net.worker; imported lazily to
+        # keep module import acyclic (worker imports deploy for the spec).
+        from repro.net.worker import worker_main
+
+        process = self.workers[rank] = self.context.Process(
+            target=worker_main, args=(self.spec.spec_path, rank, ready), daemon=True
+        )
+        process.start()
+        return process
+
+    def _exited(self, loop: asyncio.AbstractEventLoop, rank: int) -> None:
+        process = self.workers[rank]
+        loop.remove_reader(process.sentinel)
+        process.join()  # the sentinel says it is gone; reap it
+        code = process.exitcode
+        if code == 0 or self.restarts[rank] >= MAX_RESTARTS_PER_WORKER:
+            return  # a clean exit (stop received), or out of restarts
+        self.restarts[rank] += 1
+        self.metrics.incr(names.DEPLOY_WORKER_RESTARTS, rank=rank)
+        # The SIGKILLed child cannot dump its own flight record -- the
+        # supervisor dumps what *it* saw instead.
+        log.emit(
+            names.LOG_DEPLOY_WORKER_RESTART,
+            lane=names.LANE_DEPLOY,
+            severity="warning",
+            rank=rank,
+            restart=self.restarts[rank],
+            exitcode=code,
+        )
+        log.dump_flight(
+            self.spec.flight_path("supervisor"),
+            reason=f"worker-{rank} exited {code}; restarting",
+        )
+        loop.add_reader(self._spawn(rank, None).sentinel, self._exited, loop, rank)
+
+    def _kill(self, rank: int, after: float) -> None:
+        process = self.workers[rank]
+        if process.is_alive():
+            # Chaos: SIGKILL, no cleanup -- the restart path must bring
+            # the shard back on its own.
+            log.emit(
+                names.LOG_DEPLOY_CHAOS_KILL,
+                lane=names.LANE_DEPLOY,
+                severity="warning",
+                rank=rank,
+                after_seconds=after,
+            )
+            process.kill()
+
+
 def run_deploy(
     spec: DeploySpec,
     plan: MonitoringPlan,
     chaos_kill: Optional[Mapping[int, float]] = None,
     metrics: Optional[RuntimeMetrics] = None,
 ) -> DeployOutcome:
-    """Spawn, supervise, and harvest one multi-process deployment.
+    """Host the collector, supervise the workers, and harvest the run.
 
-    ``chaos_kill`` maps worker rank -> seconds after go at which the
-    supervisor SIGKILLs that worker once (it is then restarted through
-    the normal crash path -- the kill-and-restart acceptance test).
+    ``chaos_kill`` maps worker rank -> seconds after every worker is
+    ready at which the supervisor SIGKILLs that worker once (it is then
+    restarted through the normal crash path -- the kill-and-restart
+    acceptance test).
 
-    The merged report's metrics are the union of the collector's and
-    every worker's registries (counters added, histograms merged), so
-    ``DeployOutcome.report.as_dict()`` has the exact ``repro run
-    --json`` shape.
+    The collector records into ``metrics`` directly, and every
+    worker's registry is merged into it (counters added, histograms
+    merged), so ``DeployOutcome.report.as_dict()`` has the exact
+    ``repro run --json`` shape.
     """
-    # Child entrypoints live in repro.net.worker; imported lazily to
-    # keep module import acyclic (worker imports deploy for the spec).
-    import multiprocessing
-
-    from repro.net.worker import collector_main, worker_main
-
     merged = metrics if metrics is not None else RuntimeMetrics()
     started = time.monotonic()
-    context = multiprocessing.get_context("spawn")
-    restarts: Dict[int, int] = {rank: 0 for rank in range(spec.workers)}
-    pending_kill = dict(chaos_kill or {})
-
-    def spawn_worker(rank: int):
-        process = context.Process(
-            target=worker_main, args=(spec.spec_path, rank), daemon=True
-        )
-        process.start()
-        return process
-
-    collector = context.Process(
-        target=collector_main, args=(spec.spec_path,), daemon=True
-    )
-    collector.start()
-    workers = {rank: spawn_worker(rank) for rank in range(spec.workers)}
-    go_at: Optional[float] = None
-    try:
-        children = {"collector": collector}
-        children.update((f"worker-{rank}", process) for rank, process in workers.items())
-
-        def unready() -> List[str]:
-            return [role for role in children if not os.path.exists(spec.ready_path(role))]
-
-        def dead_child() -> None:
-            # A child that died before its ready marker (unreadable
-            # spec, port taken) will never write it: say so now.
-            for role in unready():
-                code = children[role].exitcode
-                if code is not None:
-                    raise DeployError(f"{role} exited with code {code} before it was ready")
-
-        if not asyncio.run(wait_until(lambda: not unready(), STARTUP_TIMEOUT_S, 0.02, dead_child)):
-            raise DeployError(
-                f"timed out after {STARTUP_TIMEOUT_S:.0f}s waiting for readiness of {unready()}"
-            )
-        # Every listener is up: release the collector's clock.
-        write_json_atomic(spec.go_path, {"go": True})
-        go_at = time.monotonic()
-
-        while collector.is_alive():
-            now = time.monotonic()
-            for rank, kill_after in list(pending_kill.items()):
-                if now - go_at >= kill_after and workers[rank].is_alive():
-                    # Chaos: SIGKILL, no cleanup -- the restart path
-                    # below must bring the shard back on its own.
-                    log.emit(
-                        names.LOG_DEPLOY_CHAOS_KILL,
-                        lane=names.LANE_DEPLOY,
-                        severity="warning",
-                        rank=rank,
-                        after_seconds=kill_after,
-                    )
-                    workers[rank].kill()
-                    del pending_kill[rank]
-            for rank, process in list(workers.items()):
+    supervisor = _Supervisor(spec, plan, merged, chaos_kill or {})
+    # The collector's spans go to its own artifact, whatever tracer the
+    # caller holds (and ingests the artifacts into).
+    with spec.traced("collector"):
+        try:
+            supervisor.launch()
+            asyncio.run(supervisor.run())
+            # Stop is on its way to every worker; give them a moment to
+            # flush their report files, then insist.
+            for process in supervisor.workers.values():
+                process.join(timeout=10.0)
+        finally:
+            for process in supervisor.workers.values():
                 if process.is_alive():
-                    continue
-                if process.exitcode == 0:
-                    continue  # clean exit (stop received); nothing to revive
-                if restarts[rank] >= MAX_RESTARTS_PER_WORKER:
-                    continue
-                restarts[rank] += 1
-                merged.incr(names.DEPLOY_WORKER_RESTARTS, rank=rank)
-                # The SIGKILLed child cannot dump its own flight record
-                # -- the supervisor dumps what *it* saw instead.
-                log.emit(
-                    names.LOG_DEPLOY_WORKER_RESTART,
-                    lane=names.LANE_DEPLOY,
-                    severity="warning",
-                    rank=rank,
-                    restart=restarts[rank],
-                    exitcode=process.exitcode,
-                )
-                log.dump_flight(
-                    spec.flight_path("supervisor"),
-                    reason=f"worker-{rank} exited {process.exitcode}; restarting",
-                )
-                workers[rank] = spawn_worker(rank)
-            time.sleep(0.02)
-
-        if collector.exitcode != 0:
-            raise DeployError(
-                f"collector process exited with code {collector.exitcode}"
-            )
-        # The collector has sent stop everywhere; give workers a
-        # moment to flush their report files, then insist.
-        for process in workers.values():
-            process.join(timeout=10.0)
-    finally:
-        for process in [collector, *workers.values()]:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - last resort
-                process.kill()
+                    process.terminate()
+                    process.join(timeout=5.0)
+                if process.is_alive():  # pragma: no cover - last resort
+                    process.kill()
 
     # -- harvest -------------------------------------------------------
-    collector_report_path = spec.report_path("collector")
-    if not os.path.exists(collector_report_path):
-        raise DeployError("collector exited without writing its report")
-    with open(collector_report_path) as fh:
-        collector_dump = json.load(fh)
-    merged.registry.absorb(collector_dump["metrics"])
     worker_reports = 0
     for rank in range(spec.workers):
         worker_report_path = spec.report_path(f"worker-{rank}")
@@ -407,8 +498,8 @@ def run_deploy(
     report = RuntimeReport(
         requested_pairs=len(plan.pairs),
         n_periods=spec.periods,
-        samples=[RuntimePeriodSample(**s) for s in collector_dump["samples"]],
-        failure_events=[FailureEvent(**e) for e in collector_dump["failure_events"]],
+        samples=list(supervisor.collector.samples),
+        failure_events=list(supervisor.collector.failure_events),
         metrics=merged,
         wall_seconds=time.monotonic() - started,
     )
@@ -418,7 +509,7 @@ def run_deploy(
     return DeployOutcome(
         report=report,
         spec=spec,
-        restarts=restarts,
+        restarts=supervisor.restarts,
         worker_reports=worker_reports,
         trace_files=[
             p for p in (spec.trace_path(role) for role in roles) if os.path.exists(p)

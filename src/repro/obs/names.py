@@ -146,7 +146,6 @@ LOG_DEPLOY_WORKER_CRASH = "deploy.worker_crash"
 LOG_DEPLOY_WORKER_RESTART = "deploy.worker_restart"
 LOG_DEPLOY_CHAOS_KILL = "deploy.chaos_kill"
 LOG_DEPLOY_CHECK_FAILED = "deploy.check_failed"
-LOG_DEPLOY_GO_TIMEOUT = "deploy.go_timeout"
 LOG_NET_RECONNECT = "net.reconnect"
 LOG_NET_FRAME_DROPPED = "net.frame_dropped"
 LOG_FLIGHT_DUMP = "obs.flight_dump"

@@ -27,9 +27,10 @@ that cannot afford its whole payload trims it by the rule the
 simulator uses too (:func:`~repro.runtime.messages.trim`): the
 readings the budget affords go in ``(node, attribute)`` order and the
 rest are shed; one that cannot cover even the per-message overhead
-sends nothing.  A root left with nothing sends an empty update all
-the same, uncharged like a heartbeat: the collector closes a period
-once every root has reported.
+sends no reading.  A role left with nothing sends an empty update all
+the same, uncharged like a heartbeat: a relay stops waiting on a child
+once it has reported, and the collector closes a period once every
+root has.
 """
 
 from __future__ import annotations
@@ -249,14 +250,17 @@ class NodeAgent:
             with trace.attach(envelope.trace_ctx):
                 trace.event(names.EVENT_AGENT_RECV, lane=self._lane, sender=sender, period=period)
         if self.down(self._current_period):
-            self.metrics.incr(names.MESSAGES_DROPPED_FAILURE, node=self.node_id)
+            if batch.count:  # an empty batch was never counted as sent
+                self.metrics.incr(names.MESSAGES_DROPPED_FAILURE, node=self.node_id)
             return
         # The child reported, whether or not its batch is affordable --
         # record that first so a capacity drop cannot stall the wave.
         seen = self._children_seen[tree]
         seen[sender] = max(seen.get(sender, -1), period)
         charge = envelope.cost(self.cost)
-        if self._budget < charge - _EPS:
+        if not batch.count:
+            pass  # a child with nothing to send, saying so: uncharged
+        elif self._budget < charge - _EPS:
             self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
         else:
             self._budget -= charge
@@ -308,9 +312,7 @@ class NodeAgent:
             batch = Batch(role.lo, values, stamps)
             if not batch.count or not self._trim_to_budget(role, batch):
                 wave.set(outcome="shaped_out" if batch.count else "empty", offered=batch.count)
-                if role.parent is not None:
-                    return
-                # The collector waits on every root each period: say
+                # The receiver waits on this role each period: say
                 # there is nothing -- no reading, so no charge.
                 batch = Batch(role.lo, array("d"), array("d"))
             else:

@@ -12,12 +12,13 @@ the single implementation of that rule and of what surrounds it:
 - the lifecycle of the agent tasks a process hosts (:func:`hosting`)
   and the period loop (:func:`run_periods`).
 
-:class:`MonitoringRuntime` and the two ``repro deploy`` processes
-(:mod:`repro.net.worker`) are *hosts*: they pass in only what differs
-between them -- which agents live in the process and where a tick goes
-(``fan_out``) -- and decide where the report is written.  When a
-period is complete is the collector's to say, the same way on every
-host.
+:class:`MonitoringRuntime`, the ``repro deploy`` supervisor
+(:func:`repro.net.deploy.run_deploy`, which hosts the collector) and
+its workers (:mod:`repro.net.worker`) are *hosts*: they pass in only
+what differs between them -- which agents live in the process and
+where a tick goes (``fan_out``) -- and decide where the report is
+written.  When a period is complete is the collector's to say, the
+same way on every host.
 :class:`MonitoringRuntime` is the host with everything in one process:
 one :class:`~repro.runtime.agent.NodeAgent` per participating node plus
 the :class:`~repro.runtime.collector.CollectorAgent`, wired over a
@@ -77,7 +78,7 @@ def compile_layouts(plan: MonitoringPlan) -> List[TreeLayout]:
     """One :class:`TreeLayout` per tree, in sorted attribute-set order.
 
     A function of the plan alone, like :func:`build_roles`: the engine,
-    every deploy worker and the collector process each derive it and
+    every deploy worker and the deploy supervisor each derive it and
     agree on every slot without exchanging a byte.
     """
     layouts = []
@@ -163,31 +164,6 @@ def build_collector(
         metrics=metrics,
         config=config,
     )
-
-
-async def wait_until(
-    predicate: Callable[[], bool],
-    timeout: float,
-    poll: float,
-    abort: Optional[Callable[[], None]] = None,
-) -> bool:
-    """Ask ``predicate`` every ``poll`` seconds: ``True`` as soon as it
-    holds, ``False`` once ``timeout`` seconds have passed.
-
-    For conditions no event announces (a file another process writes).
-    ``abort`` runs after each failed check and ends the wait by
-    raising, for a condition that can no longer come true (the process
-    that would have written the file is dead).
-    """
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    while loop.time() < deadline:
-        if predicate():
-            return True
-        if abort is not None:
-            abort()
-        await asyncio.sleep(poll)
-    return False
 
 
 def ground_truth(plan: MonitoringPlan, seed: int) -> MetricRegistry:

@@ -167,6 +167,8 @@ class HttpServer:
         self.observer = observer
         self.on_connection = on_connection
         self._server: Optional["asyncio.AbstractServer"] = None
+        #: Each open connection's handler task and its stream writer.
+        self._connections: Dict["asyncio.Task[None]", "asyncio.StreamWriter"] = {}
 
     async def start(self) -> None:
         """Bind the listener; ``self.port`` becomes the bound port."""
@@ -184,6 +186,13 @@ class HttpServer:
         if server is not None:
             server.close()
             await server.wait_closed()
+        # Closing the listener leaves accepted connections open: end
+        # them and let their handlers return, so no handler task is
+        # left for the loop's shutdown to cancel.
+        connections = dict(self._connections)
+        for writer in connections.values():
+            writer.close()
+        await asyncio.gather(*connections, return_exceptions=True)
 
     # ------------------------------------------------------------------
     async def _handle_connection(
@@ -192,6 +201,10 @@ class HttpServer:
         if self.on_connection is not None:
             self.on_connection()
         loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
         try:
             while True:
                 try:

@@ -7,6 +7,7 @@ effects.
 """
 
 import json
+import multiprocessing
 import time
 from pathlib import Path
 
@@ -134,13 +135,27 @@ class TestParseChaosKill:
 
 
 class TestDeployEndToEnd:
-    def test_two_worker_deploy_matches_single_process(self, tmp_path):
+    def test_two_worker_deploy_matches_single_process(self, tmp_path, monkeypatch):
+        started = []
+        start = multiprocessing.context.SpawnProcess.start
+
+        def counted_start(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", counted_start)
         spec, plan = make_spec(
             SCENARIO, workers=2, periods=6, config=CONFIG, rundir=str(tmp_path)
         )
         outcome = run_deploy(spec, plan=plan)
         assert outcome.restart_total() == 0
         assert outcome.worker_reports == 2
+        # Two roles: the supervisor hosts the collector and starts one
+        # process per worker, and coordinates through no file.
+        assert len(started) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "report-worker-0.json", "report-worker-1.json", "spec.json",
+        ]  # fmt: skip
 
         merged = outcome.report.as_dict()
         assert RUN_SCHEMA_KEYS <= set(merged)
@@ -181,6 +196,19 @@ class TestDeployEndToEnd:
         with pytest.raises(DeployError, match=r"exited with code \d+ before it was ready"):
             run_deploy(spec, plan=plan)
         assert time.monotonic() - started < 30.0
+
+    def test_a_collector_exception_fails_the_run_after_a_flight_dump(self, tmp_path, monkeypatch):
+        async def broken_periods(*args):
+            raise LookupError("collector fault")
+
+        monkeypatch.setattr(deploy, "run_periods", broken_periods)
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=4, config=CONFIG, rundir=str(tmp_path)
+        )
+        with pytest.raises(DeployError, match="collector fault"):
+            run_deploy(spec, plan=plan)
+        flight = json.loads(Path(spec.flight_path("supervisor")).read_text())
+        assert "collector crashed" in flight["reason"]
 
     def test_worker_kill_and_restart_completes(self, tmp_path):
         spec, plan = make_spec(
@@ -333,6 +361,11 @@ class TestTraceCli:
         events = json.loads(trace_out.read_text())["traceEvents"]
         spans = [e for e in events if e["ph"] == "X"]
         assert len({e["pid"] for e in spans}) >= 3
+        # Each span once: the collector's artifact is folded in once.
+        traced = [e["args"]["span_id"] for e in spans if "span_id" in e["args"]]
+        assert traced and len(traced) == len(set(traced))
+        periods = [e for e in spans if e["name"] == names.SPAN_RUNTIME_PERIOD]
+        assert sorted(e["args"]["period"] for e in periods) == [0, 1, 2]
 
     def test_trace_subcommand_merges_and_summarizes(self, tmp_path, capsys):
         rundir = tmp_path / "run"

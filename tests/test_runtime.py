@@ -45,7 +45,6 @@ from repro.runtime import (
     UpdateEnvelope,
     compile_layouts,
 )
-from repro.runtime.engine import wait_until
 from repro.runtime.messages import ABSENT, gather
 from repro.workloads.presets import quickstart_workload, sampled_workload
 from tests.virtual_time import run_virtual
@@ -279,29 +278,6 @@ class TestCrashedTask:
         target.run = crash
         with pytest.raises(RuntimeError, match=f"{victim} crashed"):
             run_virtual(runtime.run_async(4))
-
-
-class TestWaitUntil:
-    def test_true_as_soon_as_the_predicate_holds(self):
-        looks = itertools.count()
-        started = time.monotonic()
-        assert asyncio.run(wait_until(lambda: next(looks) == 3, timeout=5.0, poll=0.001))
-        assert next(looks) == 4
-        assert time.monotonic() - started < 1.0
-
-    def test_false_no_earlier_than_the_timeout(self):
-        started = time.monotonic()
-        assert not asyncio.run(wait_until(lambda: False, timeout=0.05, poll=0))
-        assert time.monotonic() - started >= 0.05
-
-    def test_abort_ends_the_wait_by_raising(self):
-        def abort():
-            raise LookupError("can no longer come true")
-
-        started = time.monotonic()
-        with pytest.raises(LookupError):
-            asyncio.run(wait_until(lambda: False, timeout=5.0, poll=0.001, abort=abort))
-        assert time.monotonic() - started < 1.0
 
 
 class TestDropPolicies:
@@ -648,6 +624,46 @@ class TestAgentStateMachine:
             assert (update.period, nodes_in(update)) == (1, [0, 1, 2])
 
         OneAgent(period_seconds=0.5, child_wait_fraction=0.5).run(scenario)
+
+    def test_a_shaped_out_child_reports_at_once(self):
+        """A leaf whose budget is below ``C`` still says it has nothing,
+        so its relay emits at the tick instead of at the deadline."""
+
+        async def scenario():
+            transport, metrics = InProcessTransport(), RuntimeMetrics()
+            for address in (0, 1, 2, 9, COLLECTOR_ADDRESS):
+                transport.register(address)
+            registry = MetricRegistry(LAYOUT.pairs, seed=1)
+            agents = [
+                NodeAgent(
+                    node, capacity, [hand_role(LAYOUT, node, parent, children)], COST,
+                    registry, transport, metrics, RuntimeConfig(period_seconds=0.5),
+                )  # fmt: skip
+                for node, parent, children, capacity in (
+                    (0, 9, (1, 2), 100.0),
+                    (1, 0, (), 1.0),  # budget 1 < C: shaped out
+                    (2, 0, (), 100.0),
+                )
+            ]
+            tasks = [asyncio.ensure_future(agent.run()) for agent in agents]
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            for agent in agents:
+                transport.deliver_local(agent.node_id, TickEnvelope(period=0))
+            update = await transport.recv(9, timeout=1.0)
+            assert loop.time() == started
+            assert (update.period, nodes_in(update)) == (0, [0, 2])
+            assert metrics.counter("child_wait_timeouts") == 0
+            # Leaf 1's empty update was heard, but neither sent, charged
+            # nor delivered: only leaf 2's batch reached the relay.
+            assert metrics.counter("messages_sent") == 2
+            assert metrics.counter("messages_delivered") == 1
+            assert metrics.counter("messages_dropped_capacity") == 1
+            for agent in agents:
+                transport.deliver_local(agent.node_id, StopEnvelope())
+            await asyncio.gather(*tasks)
+
+        run_virtual(scenario())
 
     def test_next_tick_flushes_the_old_period_first(self):
         async def scenario(one):

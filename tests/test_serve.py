@@ -455,6 +455,41 @@ class TestHostileHeads:
         assert took < timeout + 1.0, took
         assert unhandled == []
 
+    def test_stop_ends_an_open_keep_alive_connection(self):
+        """``stop`` closes a connection its client keeps open and awaits
+        the handler, so the loop's shutdown has no handler task left to
+        cancel (a cancelled one reaches the exception handler)."""
+        unhandled = []
+
+        async def echo(request, params):
+            return HttpResponse.json_response({"bytes": len(request.body)})
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            router = Router()
+            router.add("POST", "/echo", echo)
+            server = HttpServer(router)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(self.VALID_POST)
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=5)
+            length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+            await reader.readexactly(length)  # answered; the connection stays open
+            await server.stop()
+            try:
+                tail = await asyncio.wait_for(reader.read(), timeout=0.5)
+            except asyncio.TimeoutError:
+                tail = None  # the server left the connection open
+            writer.close()
+            await writer.wait_closed()
+            return head, tail
+
+        head, tail = asyncio.run(main())
+        assert head.startswith(b"HTTP/1.1 200 "), head
+        assert tail == b""
+        assert unhandled == []
+
     def test_truncated_post_closes_cleanly_at_every_offset(self):
         request = self.VALID_POST
         replies, unhandled = self.exchange(
