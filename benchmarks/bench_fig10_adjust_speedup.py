@@ -10,8 +10,10 @@ by one anywhere in the tree):
 
 The paper reports up to ~11x speedup combined, with < 2% loss in
 collected values.  We time the adaptive builder under saturated
-workloads with each adjuster variant and report speedups and the
-coverage penalty.
+workloads with each adjuster variant and report speedups, the coverage
+penalty and the re-attachment probes each variant spends.  Only the
+speedup block (10a) is wall-clock; the assertions hold the
+deterministic blocks: coverage (10b) and probe counts (aux).
 """
 
 import time
@@ -99,11 +101,6 @@ def test_fig10a_speedup(fig10_data, benchmark):
             rows,
         ),
     )
-    # Combined optimization strictly beats basic at the largest size,
-    # with the gap growing with scale (the paper reports up to ~11x on
-    # its workloads; our regime yields 2-4x).
-    assert rows[-1][-1] >= 1.5
-    assert rows[-1][-1] >= rows[0][-1] * 0.8
 
 
 def test_fig10b_coverage_penalty(fig10_data, benchmark):
@@ -148,6 +145,9 @@ def test_fig10_probe_reduction(fig10_data, benchmark):
         ),
     )
     # Subtree-only restriction is what bounds the branch-move search
-    # space (branch-based alone scans the whole tree per move).
+    # space (branch-based alone scans the whole tree per move), and the
+    # two optimizations together search less than basic adjusting: the
+    # speedup of 10a, counted in probes instead of seconds.
     for i in range(len(sizes)):
         assert data["combined"][i][2] <= data["branch-based"][i][2]
+        assert data["combined"][i][2] <= data["basic"][i][2]

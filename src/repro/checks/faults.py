@@ -14,7 +14,7 @@ quantity the diagnostic names):
 - ``stale-cost``  -> ``REMO203`` (a cached send cost is poked without
   touching the structure, so only the recomputation diff can see it);
 - ``stale-total`` -> ``REMO203`` (a cached outgoing-value total is
-  poked: on a funnel-free tree that column is the only record of what
+  poked: on a funnel-free tree that total is the only record of what
   a node forwards, so nothing else would contradict it).
 
 The injectors mutate the plan **in place** (plans are deliberately
@@ -81,23 +81,23 @@ def _overload(plan: MonitoringPlan) -> str:
     raise ValueError("no tree with local demand to corrupt")
 
 
-def _stale_column(plan: MonitoringPlan, column: str, what: str) -> str:
+def _stale_cache(plan: MonitoringPlan, table: str, what: str) -> str:
     for attr_set in _sorted_sets(plan):
         tree = plan.trees[attr_set].tree
         if not tree.nodes:
             continue
         node = min(tree.nodes)
-        getattr(tree, column)[tree._slot[node]] += 37.0
+        getattr(tree, table)[node] += 37.0
         return f"desynced cached {what} at node {node} in tree {sorted(attr_set)}"
     raise ValueError("no non-empty tree to corrupt")
 
 
 def _stale_cost(plan: MonitoringPlan) -> str:
-    return _stale_column(plan, "_send_a", "send cost")
+    return _stale_cache(plan, "_send", "send cost")
 
 
 def _stale_total(plan: MonitoringPlan) -> str:
-    return _stale_column(plan, "_tot_a", "outgoing-value total")
+    return _stale_cache(plan, "_total", "outgoing-value total")
 
 
 _INJECTORS: Dict[str, Callable[[MonitoringPlan], str]] = {

@@ -62,7 +62,7 @@ class TreeMemo:
     that :class:`~repro.core.planner.PlanningStats` reads back.
     """
 
-    def __init__(self, max_entries: int = 128) -> None:
+    def __init__(self, max_entries: int) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be > 0, got {max_entries}")
         self.max_entries = max_entries

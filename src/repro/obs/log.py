@@ -39,8 +39,8 @@ from .trace import active_tracer, current_context
 #: Events retained in the per-process flight-recorder ring.
 DEFAULT_RING_EVENTS = 256
 
-#: Spans a flight dump captures: the last ones handed to the installed
-#: tracer, whether its keep-first storage kept them or not.
+#: Spans a flight dump captures: the tail of the installed tracer's
+#: keep-last store.
 FLIGHT_SPANS = 128
 
 SEVERITIES = ("debug", "info", "warning", "error")
@@ -137,7 +137,7 @@ def flight_record(reason: str) -> Dict[str, object]:
     tracer = active_tracer()
     spans: List[Dict[str, object]] = []
     if tracer is not None:
-        spans = [span_to_dict(s) for s in tracer.recent]
+        spans = [span_to_dict(s) for s in tracer.spans()[-FLIGHT_SPANS:]]
     return {
         "flight_record": 1,
         "reason": reason,

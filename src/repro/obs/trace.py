@@ -159,24 +159,20 @@ def _span_id_base() -> int:
 class Tracer:
     """Collects finished spans; one per process (workers inherit a copy).
 
-    Storage is bounded by ``MAX_SPANS``: once full, incoming spans are
-    dropped (keep-first, so a trace's early structure survives) and
-    counted both locally (:attr:`dropped`) and on the ambient metrics
-    registry as ``trace_spans_dropped``.  :attr:`recent` holds the last
-    ``log.FLIGHT_SPANS`` spans handed over, kept or dropped, for the
-    flight recorder.
+    Storage is one store bounded by ``MAX_SPANS`` that keeps the most
+    recent spans: once full, each incoming span evicts the oldest, and
+    evictions are counted both locally (:attr:`dropped`) and on the
+    ambient metrics registry as ``trace_spans_dropped``.  The flight
+    recorder reads its tail, so a long run's dump shows what it did last.
     """
 
     #: Soak runs must not OOM the tracer.
     MAX_SPANS = 100_000
 
     def __init__(self) -> None:
-        from .log import FLIGHT_SPANS  # local: log imports this module
-
-        self._spans: List[Span] = []
-        self.recent: Deque[Span] = deque(maxlen=FLIGHT_SPANS)
+        self._spans: Deque[Span] = deque(maxlen=self.MAX_SPANS)
         self._ids = itertools.count(_span_id_base() + 1)
-        #: Spans discarded because the cap was hit.
+        #: Spans evicted because the cap was hit.
         self.dropped = 0
         #: perf_counter at creation: exporters rebase timestamps on it.
         self.epoch = time.perf_counter()
@@ -185,10 +181,8 @@ class Tracer:
         return next(self._ids)
 
     def record(self, span: Span) -> None:
-        self.recent.append(span)
-        if len(self._spans) >= self.MAX_SPANS:
+        if len(self._spans) == self.MAX_SPANS:
             self._drop(1)
-            return
         self._spans.append(span)
 
     def _drop(self, count: int) -> None:
@@ -200,22 +194,14 @@ class Tracer:
 
     def ingest(self, spans: Iterable[Span]) -> None:
         """Merge spans recorded by another process (cap applies)."""
-        room = self.MAX_SPANS - len(self._spans)
         incoming = list(spans)
-        self.recent.extend(incoming)
-        if len(incoming) > room:
-            kept, lost = incoming[:room], len(incoming) - room
-            self._spans.extend(kept)
-            self._drop(lost)
-        else:
-            self._spans.extend(incoming)
+        evicted = len(self._spans) + len(incoming) - self.MAX_SPANS
+        if evicted > 0:
+            self._drop(evicted)
+        self._spans.extend(incoming)
 
     def spans(self) -> List[Span]:
         return list(self._spans)
-
-    def drain(self) -> List[Span]:
-        drained, self._spans = self._spans, []
-        return drained
 
     def __len__(self) -> int:
         return len(self._spans)

@@ -187,18 +187,14 @@ class TreeAdjuster:
         # never mutate, so sorting only the survivors (deepest first,
         # to grow height) probes the same targets in the same order as
         # ranking the whole pool and skipping inside the loop.  The
-        # headroom expression reads the slot columns directly and is
+        # headroom expression reads the tree's tables directly and is
         # float-identical to MonitoringTree.available.
-        slot_tab = tree._slot
-        cap_a = tree._cap_a
-        send_a = tree._send_a
-        recv_a = tree._recv_a
+        cap, send, recv = tree._cap, tree._send, tree._recv
         depth_tab = tree._depth
         keyed = []
         for target in targets:
             bar = branch_cost if target in relieved else min_headroom
-            slot = slot_tab[target]
-            avail = cap_a[slot] - (send_a[slot] + recv_a[slot])
+            avail = cap[target] - (send[target] + recv[target])
             if avail < bar - 1e-9:
                 continue
             keyed.append((-depth_tab[target], -avail, target))

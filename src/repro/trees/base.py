@@ -239,9 +239,8 @@ class GreedyTreeBuilder:
     def _ordered_parents(self, tree: MonitoringTree, entry_cost: float = 0.0) -> List[NodeId]:
         # A parent must at least absorb the new child's message on its
         # receive side; anything with less headroom cannot host it, so
-        # skip the (much costlier) full path walk for those.  The bulk
-        # kernel scans the flat capacity/send/recv columns; preference
-        # keys are total orders, so the kernel's storage order never
+        # skip the (much costlier) full path walk for those.  Preference
+        # keys are total orders, so the scan's membership order never
         # shows in the result.
         viable = tree.viable_parents(entry_cost)
         viable.sort(key=lambda p: self.parent_preference(tree, p))

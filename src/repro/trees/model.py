@@ -37,20 +37,16 @@ member node ``i``, ``send(i) + recv(i) <= capacity(i)``, where
 tree.  The tree root additionally charges the central collector
 ``send(root)`` against the tree's ``central_capacity`` slice.
 
-Memory layout: scalar per-node state (capacity slice, send cost, recv
-cost) lives in flat ``array('d')`` columns indexed by a dense *slot*
-id assigned at attach time (struct of arrays), so headroom scans and
-ancestor delta walks read contiguous floats instead of chasing
-dict-of-dict pointers.  Per-attribute content, where a tree keeps it,
-stays in sparse dicts (most nodes carry a handful of the tree's
-attributes), but funnel dispatch is precompiled into dense
-per-attribute-id kind/k arrays.
+Layout: every per-node record -- structure, capacity snapshot, send,
+receive and outgoing total -- is a dict keyed by node, written when
+the node attaches and popped when it leaves.  Per-attribute content,
+where a tree keeps it, is a sparse dict per node (most nodes carry a
+handful of the tree's attributes).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.attributes import AttributeId, NodeId
@@ -150,9 +146,9 @@ class MonitoringTree:
     capacities:
         Allocated capacity slice per node for *this* tree.  Nodes not in
         the mapping cannot join.  Each member's slice is snapshotted
-        into a flat column when it attaches; reassigning
-        :attr:`capacities` refreshes the snapshot for every member
-        (the pattern the adaptation path and tests use).
+        when it attaches; reassigning :attr:`capacities` refreshes the
+        snapshot for every member (the pattern the adaptation path and
+        tests use).
     central_capacity:
         Capacity slice at the central collector available to this
         tree's root message.
@@ -187,45 +183,20 @@ class MonitoringTree:
         #: per-attribute state above ``_local`` and the delta walk
         #: skips its per-attribute step.
         self._has_agg = bool(self._agg)
-
-        # Dense attribute ids: funnel dispatch compiled into flat
-        # kind/k arrays so the hot walk never touches spec objects.
-        # Kind codes: 0 = identity (holistic), 1 = saturating
-        # single-partial funnel, 2 = top-k.
-        self._attr_of: List[AttributeId] = sorted(self.attributes)
-        self._attr_index: Dict[AttributeId, int] = {
-            a: i for i, a in enumerate(self._attr_of)
-        }
-        self._funnel_kind = array("b", bytes(len(self._attr_of)))
-        self._funnel_k = array("d", [0.0] * len(self._attr_of))
-        for attr, spec in self._agg.items():
-            ai = self._attr_index[attr]
-            if spec.kind is AggregationKind.TOP_K:
-                self._funnel_kind[ai] = 2
-                self._funnel_k[ai] = float(spec.k)
-            else:
-                self._funnel_kind[ai] = 1
-
-        # Struct-of-arrays node state: ``_slot`` assigns each member a
-        # dense slot id (its insertion order matches ``_parent`` so
-        # float accumulation orders are unchanged); freed slots are
-        # recycled LIFO with capacity poisoned to -inf so they can
-        # never pass a headroom bar in bulk scans.
-        self._slot: Dict[NodeId, int] = {}
-        self._node_of: List[NodeId] = []
-        self._free_slots: List[int] = []
-        self._cap_a = array("d")
-        self._send_a = array("d")
-        self._recv_a = array("d")
-        # Maintained outgoing-value total ``y_i``.  On a funnel-free
-        # tree this column is the only record of what a node forwards;
-        # ``validate`` cross-checks it against a full recompute.
-        self._tot_a = array("d")
         # Monotone counter bumped on every committed mutation; negative
         # caches (e.g. the adjuster's relieve memo) key off it.
         self._epoch = 0
         self._relieve_memo: Optional[Tuple[int, bool, bool, float]] = None
 
+        # Each member's capacity slice, snapshotted when it attaches,
+        # and its cached send and receive cost.
+        self._cap: Dict[NodeId, float] = {}
+        self._send: Dict[NodeId, float] = {}
+        self._recv: Dict[NodeId, float] = {}
+        # Maintained outgoing-value total ``y_i``.  On a funnel-free
+        # tree this is the only record of what a node forwards;
+        # ``validate`` cross-checks it against a full recompute.
+        self._total: Dict[NodeId, float] = {}
         self._parent: Dict[NodeId, Optional[NodeId]] = {}
         self._children: Dict[NodeId, Set[NodeId]] = {}
         self._depth: Dict[NodeId, int] = {}
@@ -239,6 +210,10 @@ class MonitoringTree:
         # only forces a rescan when this count hits zero.
         self._msgw_count: Dict[NodeId, int] = {}
         self._node_tables: Tuple[dict, ...] = (
+            self._cap,
+            self._send,
+            self._recv,
+            self._total,
             self._parent,
             self._children,
             self._depth,
@@ -271,9 +246,6 @@ class MonitoringTree:
         self._last_check_fail: Optional[NodeId] = None
         self._last_check_fail_minimal = True
 
-    # ------------------------------------------------------------------
-    # Struct-of-arrays slot management
-    # ------------------------------------------------------------------
     @property
     def capacities(self) -> Mapping[NodeId, float]:
         """The per-node capacity-slice mapping this tree was built with."""
@@ -282,59 +254,26 @@ class MonitoringTree:
     @capacities.setter
     def capacities(self, mapping: Mapping[NodeId, float]) -> None:
         self._capacities = mapping
-        for node, slot in self._slot.items():
-            self._cap_a[slot] = mapping.get(node, 0.0)
+        cap = self._cap
+        for node in cap:
+            cap[node] = mapping.get(node, 0.0)
 
     @property
     def mutation_epoch(self) -> int:
         """Monotone counter of committed mutations (for negative caches)."""
         return self._epoch
 
-    def _acquire_slot(self, node: NodeId) -> int:
-        cap = self._capacities.get(node, 0.0)
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._node_of[slot] = node
-            self._cap_a[slot] = cap
-            self._send_a[slot] = 0.0
-            self._recv_a[slot] = 0.0
-            self._tot_a[slot] = 0.0
-        else:
-            slot = len(self._node_of)
-            self._node_of.append(node)
-            self._cap_a.append(cap)
-            self._send_a.append(0.0)
-            self._recv_a.append(0.0)
-            self._tot_a.append(0.0)
-        self._slot[node] = slot
-        return slot
-
-    def _release_slot(self, node: NodeId) -> None:
-        slot = self._slot.pop(node)
-        self._node_of[slot] = -1
-        self._cap_a[slot] = -math.inf
-        self._send_a[slot] = 0.0
-        self._recv_a[slot] = 0.0
-        self._tot_a[slot] = 0.0
-        self._free_slots.append(slot)
-
     # ------------------------------------------------------------------
-    # Bulk headroom kernels
+    # Bulk headroom scans
     # ------------------------------------------------------------------
     def viable_parents(self, min_headroom: float) -> List[NodeId]:
-        """Members with ``available(n) >= min_headroom - 1e-9``.
-
-        One scan of the flat columns in slot order (a released slot's
-        ``-inf`` capacity can never pass).  Callers must not rely on
-        the order: every downstream ranking uses a total-order sort key.
-        """
+        """Members with ``available(n) >= min_headroom - 1e-9``, in
+        membership order.  Callers must not rely on the order: every
+        downstream ranking uses a total-order sort key."""
         bar = min_headroom - 1e-9
+        send, recv = self._send, self._recv
         return [
-            node
-            for node, cap, send, recv in zip(
-                self._node_of, self._cap_a, self._send_a, self._recv_a
-            )
-            if cap - (send + recv) >= bar
+            node for node, cap in self._cap.items() if cap - (send[node] + recv[node]) >= bar
         ]
 
     def viable_parent_arrays(
@@ -343,14 +282,12 @@ class MonitoringTree:
         """Like :meth:`viable_parents` but returns aligned ``(nodes,
         depths, avail)`` columns so rankers avoid per-node re-reads."""
         bar = min_headroom - 1e-9
-        depth = self._depth
+        depth, send, recv = self._depth, self._send, self._recv
         nodes: List[NodeId] = []
         depths: List[int] = []
         avails: List[float] = []
-        for node, cap, send, recv in zip(
-            self._node_of, self._cap_a, self._send_a, self._recv_a
-        ):
-            avail = cap - (send + recv)
+        for node, cap in self._cap.items():
+            avail = cap - (send[node] + recv[node])
             if avail >= bar:
                 nodes.append(node)
                 depths.append(depth[node])
@@ -412,31 +349,29 @@ class MonitoringTree:
 
     def send_cost(self, node: NodeId) -> float:
         """``u_i``: cost of the node's periodic update message(s)."""
-        return self._send_a[self._slot[node]]
+        return self._send[node]
 
     def recv_cost(self, node: NodeId) -> float:
         """Cost of receiving all children's update messages."""
-        return self._recv_a[self._slot[node]]
+        return self._recv[node]
 
     def used(self, node: NodeId) -> float:
         """Total capacity consumed at ``node`` by this tree."""
-        slot = self._slot[node]
-        return self._send_a[slot] + self._recv_a[slot]
+        return self._send[node] + self._recv[node]
 
     def available(self, node: NodeId) -> float:
         """Remaining allocated capacity at ``node`` for this tree."""
-        slot = self._slot[node]
-        return self._cap_a[slot] - (self._send_a[slot] + self._recv_a[slot])
+        return self._cap[node] - (self._send[node] + self._recv[node])
 
     def central_used(self) -> float:
         """Cost charged to the central collector by this tree's root."""
         if self._root is None:
             return 0.0
-        return self._send_a[self._slot[self._root]]
+        return self._send[self._root]
 
     def outgoing_values(self, node: NodeId) -> float:
         """``y_i``: total value weight in the node's update message."""
-        return self._tot_a[self._slot[node]]
+        return self._total[node]
 
     def message_weight(self, node: NodeId) -> float:
         """Expected messages per period sent by ``node``."""
@@ -492,10 +427,7 @@ class MonitoringTree:
         the volume of monitoring traffic per unit time -- used by the
         adaptation throttling formula.
         """
-        send_a = self._send_a
-        # Membership order (not slot order) keeps the accumulation
-        # sequence identical to the pre-SoA dict-valued sum.
-        return sum(send_a[slot] for slot in self._slot.values())
+        return sum(self._send.values())
 
     # ------------------------------------------------------------------
     # Funnel helpers
@@ -505,14 +437,11 @@ class MonitoringTree:
             return max(incoming, 0.0)
         # Attributes outside the tree (tolerated by entry-cost probes)
         # and holistic members pass through unchanged.
-        ai = self._attr_index.get(attr)
-        if ai is None:
+        spec = self._agg.get(attr)
+        if spec is None:
             return incoming
-        kind = self._funnel_kind[ai]
-        if kind == 0:
-            return incoming
-        if kind == 2:
-            return min(self._funnel_k[ai], incoming)
+        if spec.kind is AggregationKind.TOP_K:
+            return min(float(spec.k), incoming)
         # SUM/MAX/MIN/AVG/COUNT collapse to one partial result; when the
         # incoming weight is already below one message-worth of values
         # (fractional frequencies) nothing can be saved.
@@ -520,12 +449,11 @@ class MonitoringTree:
 
     def _content(self, node: NodeId) -> _Content:
         """What member ``node`` currently contributes to its parent."""
-        slot = self._slot[node]
         return (
             self._out[node] if self._has_agg else None,
-            self._tot_a[slot],
+            self._total[node],
             self._msgw[node],
-            self._send_a[slot],
+            self._send[node],
         )
 
     # ------------------------------------------------------------------
@@ -558,9 +486,7 @@ class MonitoringTree:
         self.attach_leaf(leaf, parent)
         return True
 
-    def prepare_leaf(
-        self, node: NodeId, demand: NodeDemand, msg_weight: float = 1.0
-    ) -> PreparedLeaf:
+    def prepare_leaf(self, node: NodeId, demand: NodeDemand, msg_weight: float) -> PreparedLeaf:
         """Validate a leaf insertion and compute, once, what all of its
         probes and its commit share (builders try many parents)."""
         if node in self._parent:
@@ -602,9 +528,10 @@ class MonitoringTree:
             self._in[node] = dict(demand)
             self._in_count[node] = {a: 1 for a in demand}
             self._out[node] = values
-        slot = self._acquire_slot(node)
-        self._send_a[slot] = send
-        self._tot_a[slot] = total
+        self._cap[node] = self._capacities.get(node, 0.0)
+        self._send[node] = send
+        self._recv[node] = 0.0
+        self._total[node] = total
         self._pair_count += len(demand)
         self._epoch += 1
         if parent is None:
@@ -636,7 +563,7 @@ class MonitoringTree:
         root) keep every capacity constraint satisfied?"""
         self._last_check_fail = None
         self._last_check_fail_minimal = True
-        # The joining node has no slot yet; read the mapping.
+        # The joining node has no snapshot yet; read the mapping.
         if leaf.send > self._capacities.get(leaf.node, 0.0) + EPSILON:
             # Its own send exceeds its own capacity: no parent can fix that.
             self._last_check_fail = leaf.node
@@ -678,16 +605,14 @@ class MonitoringTree:
             return True
         if self._has_agg or self._root is None:
             return False
-        slot = self._slot[self._root]
-        send = self.cost.weighted_message_cost(
-            self._msgw[self._root], self._tot_a[slot] + leaf.total
-        )
+        root = self._root
+        send = self.cost.weighted_message_cost(self._msgw[root], self._total[root] + leaf.total)
         if send > self.central_capacity + 2 * EPSILON:
             return True
         if not root_slice:
             return False
-        load = send + self._recv_a[slot] + self.cost.value_cost(leaf.total)
-        return load > self._cap_a[slot] + 2 * EPSILON
+        load = send + self._recv[root] + self.cost.value_cost(leaf.total)
+        return load > self._cap[root] + 2 * EPSILON
 
     def update_local(
         self,
@@ -725,7 +650,6 @@ class MonitoringTree:
         return True
 
     def _apply_local(self, node: NodeId, demand: NodeDemand) -> None:
-        slot = self._slot[node]
         old = self._content(node)
         self._epoch += 1
         self._local[node] = dict(demand)
@@ -745,24 +669,22 @@ class MonitoringTree:
             self._out[node] = values = {a: w for a, w in funnelled if w > 0.0}
             total = sum(values.values())
         else:
-            tot_a, slot_tab = self._tot_a, self._slot
-            total = sum(demand.values()) + sum(tot_a[slot_tab[c]] for c in self._children[node])
+            total_tab = self._total
+            total = sum(demand.values()) + sum(total_tab[c] for c in self._children[node])
         new_msgw, self._msgw_count[node] = self._rescan_msgw(node, None, 0.0, None)
         self._msgw[node] = new_msgw
         send = self.cost.weighted_message_cost(new_msgw, total) if new_msgw > 0.0 else 0.0
-        self._send_a[slot] = send
-        self._tot_a[slot] = total
+        self._send[node] = send
+        self._total[node] = total
         parent = self._parent[node]
         if parent is not None:
             self._walk(parent, node, old, (values, total, new_msgw, send), commit=True)
 
     def _path_within_capacity(self, node: NodeId) -> bool:
-        slot_tab, cap_a = self._slot, self._cap_a
-        send_a, recv_a = self._send_a, self._recv_a
+        cap, send, recv = self._cap, self._send, self._recv
         current: Optional[NodeId] = node
         while current is not None:
-            slot = slot_tab[current]
-            if send_a[slot] + recv_a[slot] > cap_a[slot] + EPSILON:
+            if send[current] + recv[current] > cap[current] + EPSILON:
                 return False
             current = self._parent[current]
         return self.central_used() <= self.central_capacity + EPSILON
@@ -797,7 +719,6 @@ class MonitoringTree:
             self._root = None
         for node in order:
             self._pair_count -= len(self._local[node])
-            self._release_slot(node)
             for table in self._node_tables:
                 del table[node]
         self._epoch += 1
@@ -942,10 +863,10 @@ class MonitoringTree:
         contributor count, and forwards the change of its own message
         to the next.  Without funnels that change is the child's, value
         for value, so the walk carries three scalars -- the change of
-        the total, of the message weight and of the send cost -- over
-        the float columns.  With funnels one more step per hop derives
-        the hop's outgoing per-attribute deltas from its incoming ones
-        (:meth:`_refunnel`).  The walk stops at the first ancestor whose
+        the total, of the message weight and of the send cost.  With
+        funnels one more step per hop derives the hop's outgoing
+        per-attribute deltas from its incoming ones (:meth:`_refunnel`).
+        The walk stops at the first ancestor whose
         outgoing message is unchanged: its parent then sees no change,
         so nothing above can differ.  Under funnel saturation this
         usually happens after one hop.
@@ -962,11 +883,10 @@ class MonitoringTree:
             # bit-identical send cost one hop up.
             moves = new_total != old_total
         parent_tab = self._parent
-        slot_tab = self._slot
-        cap_a = self._cap_a
-        send_a = self._send_a
-        recv_a = self._recv_a
-        tot_a = self._tot_a
+        cap_tab = self._cap
+        send_tab = self._send
+        recv_tab = self._recv
+        total_tab = self._total
         msgw_tab = self._msgw
         count_tab = self._msgw_count
         weighted_cost = self.cost.weighted_message_cost
@@ -977,22 +897,21 @@ class MonitoringTree:
         entry: Optional[_SimNodeState] = None
         node: Optional[NodeId] = start
         while node is not None:
-            slot = slot_tab[node]
             if overlay is None:
                 cur_msgw = msgw_tab[node]
                 cur_count = count_tab[node]
-                cur_total = tot_a[slot]
-                cur_send = send_a[slot]
-                cur_recv = recv_a[slot]
+                cur_total = total_tab[node]
+                cur_send = send_tab[node]
+                cur_recv = recv_tab[node]
             else:
                 entry = overlay.get(node)
                 if entry is None:
                     entry = overlay[node] = _SimNodeState(
                         msgw_tab[node],
                         count_tab[node],
-                        tot_a[slot],
-                        send_a[slot],
-                        recv_a[slot],
+                        total_tab[node],
+                        send_tab[node],
+                        recv_tab[node],
                         changed is not None,
                     )
                 cur_msgw = entry.msg_weight
@@ -1038,7 +957,7 @@ class MonitoringTree:
             parent = parent_tab[node]
             # Where the root's message grows the collector must absorb it.
             if check and (
-                node_send + new_recv > cap_a[slot] + EPSILON
+                node_send + new_recv > cap_tab[node] + EPSILON
                 or (parent is None and not last and node_send > self.central_capacity + EPSILON)
             ):
                 self._last_check_fail = node
@@ -1047,9 +966,9 @@ class MonitoringTree:
             if commit:
                 msgw_tab[node] = node_msgw
                 count_tab[node] = node_count
-                tot_a[slot] = node_total
-                send_a[slot] = node_send
-                recv_a[slot] = new_recv
+                total_tab[node] = node_total
+                send_tab[node] = node_send
+                recv_tab[node] = new_recv
             elif entry is not None:
                 entry.msg_weight = node_msgw
                 entry.msgw_count = node_count
@@ -1169,32 +1088,14 @@ class MonitoringTree:
 
         The recomputation rebuilds each member's content and costs from
         the local demands alone; this method adds what only the tree
-        itself can check: its slot table, the parent/children/depth
-        mirror, the message-weight contributor counts, an aggregated
-        tree's per-attribute tables, and the capacity slices.  Raises
+        itself can check: the parent/children/depth mirror, the
+        message-weight contributor counts, an aggregated tree's
+        per-attribute tables, and the capacity snapshot and slices.  Raises
         :class:`TreeInvariantError` on any drift or constraint
         violation.  Intended for tests and debugging; it is O(n * m).
         """
         if not self._parent:
             return
-        # Slot-table consistency: one live slot per member, back-pointer
-        # agreement, poisoned free slots, snapshot matching the mapping.
-        if set(self._slot) != set(self._parent):
-            raise TreeInvariantError("slot table out of sync with membership")
-        for node, slot in self._slot.items():
-            if self._node_of[slot] != node:
-                raise TreeInvariantError(f"slot back-pointer mismatch at {node}")
-            expected_cap = self._capacities.get(node, 0.0)
-            if self._cap_a[slot] != expected_cap:
-                raise TreeInvariantError(
-                    f"capacity snapshot drift at {node}: column {self._cap_a[slot]}, "
-                    f"mapping {expected_cap} (reassign tree.capacities to refresh)"
-                )
-        for slot in self._free_slots:
-            if self._node_of[slot] != -1 or self._cap_a[slot] != -math.inf:
-                raise TreeInvariantError(f"freed slot {slot} not poisoned")
-        if len(self._slot) + len(self._free_slots) != len(self._node_of):
-            raise TreeInvariantError("slot accounting leak")
         roots = [n for n, p in self._parent.items() if p is None]
         if roots != [self._root]:
             raise TreeInvariantError(f"expected exactly one root, found {roots}")
@@ -1214,14 +1115,19 @@ class MonitoringTree:
             parent = self._parent[node]
             if self._depth[node] != (0 if parent is None else self._depth[parent] + 1):
                 raise TreeInvariantError(f"depth mismatch at {node}")
-            slot = self._slot[node]
+            cap = self._cap[node]
+            if cap != self._capacities.get(node, 0.0):
+                raise TreeInvariantError(
+                    f"capacity snapshot drift at {node}: snapshot {cap}, mapping "
+                    f"{self._capacities.get(node, 0.0)} (reassign tree.capacities to refresh)"
+                )
             children = [acc.nodes[child] for child in self._children[node]]
             weights = [self._local_msgw[node]] + [child.msg_weight for child in children]
             contributors = weights.count(expected.msg_weight)
             for what, cached, actual in (
-                ("outgoing total", self._tot_a[slot], expected.total_values),
-                ("send", self._send_a[slot], expected.send),
-                ("recv", self._recv_a[slot], expected.recv),
+                ("outgoing total", self._total[node], expected.total_values),
+                ("send", self._send[node], expected.send),
+                ("recv", self._recv[node], expected.recv),
                 ("message weight", self._msgw[node], expected.msg_weight),
                 ("message weight contributor count", self._msgw_count[node], contributors),
             ):
@@ -1231,10 +1137,9 @@ class MonitoringTree:
                     )
             if self._has_agg:
                 self._validate_attribute_tables(node, expected, children)
-            if expected.used > self._cap_a[slot] + BUDGET_TOLERANCE:
+            if expected.used > cap + BUDGET_TOLERANCE:
                 raise TreeInvariantError(
-                    f"capacity violated at {node}: used {expected.used}, "
-                    f"capacity {self._cap_a[slot]}"
+                    f"capacity violated at {node}: used {expected.used}, capacity {cap}"
                 )
         if acc.central_used > self.central_capacity + BUDGET_TOLERANCE:
             raise TreeInvariantError(

@@ -117,14 +117,13 @@ class TestRecording:
         assert by_name["a.mark"].parent_id == by_name["a"].span_id
         assert by_name["b.mark"].parent_id == by_name["b"].span_id
 
-    def test_worker_roundtrip_via_drain_and_ingest(self):
-        with trace.installed() as tracer:
-            with trace.span("parent-side"):
+    def test_worker_roundtrip_via_ingest(self):
+        with trace.installed() as worker:
+            with trace.span("worker-side"):
                 pass
-            shipped = tracer.drain()  # what a worker would send back
-            assert tracer.spans() == []
-            trace.ingest(shipped)
-            assert [s.name for s in tracer.spans()] == ["parent-side"]
+        with trace.installed() as tracer:
+            trace.ingest(worker.spans())  # what a worker would send back
+            assert [s.name for s in tracer.spans()] == ["worker-side"]
 
 
 class TestJsonlRoundTrip:
@@ -248,21 +247,13 @@ class TestPrometheus:
 
 
 class TestTracerBasics:
-    def test_drain_empties(self):
-        tracer = Tracer()
-        tracer.record(Span(name="a", start=0.0, duration=1.0))
-        assert len(tracer) == 1
-        drained = tracer.drain()
-        assert [s.name for s in drained] == ["a"]
-        assert len(tracer) == 0
-
     def test_ids_are_unique(self):
         tracer = Tracer()
         assert tracer.next_id() != tracer.next_id()
 
 
 class TestBoundedTracer:
-    def test_record_keeps_first_and_counts_drops(self, monkeypatch):
+    def test_record_keeps_last_and_counts_drops(self, monkeypatch):
         from repro.obs import names
         from repro.obs.metrics import use_registry
 
@@ -272,7 +263,7 @@ class TestBoundedTracer:
         with use_registry(registry):
             for i in range(5):
                 tracer.record(Span(name=f"s{i}", start=float(i), duration=0.1))
-        assert [s.name for s in tracer.spans()] == ["s0", "s1"]
+        assert [s.name for s in tracer.spans()] == ["s3", "s4"]
         assert tracer.dropped == 3
         assert registry.counter(names.TRACE_SPANS_DROPPED) == 3
 
@@ -288,7 +279,7 @@ class TestBoundedTracer:
             tracer.ingest(
                 Span(name=f"w{i}", start=float(i), duration=0.1) for i in range(4)
             )
-        assert [s.name for s in tracer.spans()] == ["own", "w0", "w1"]
+        assert [s.name for s in tracer.spans()] == ["w1", "w2", "w3"]
         assert tracer.dropped == 2
         assert registry.counter(names.TRACE_SPANS_DROPPED) == 2
 

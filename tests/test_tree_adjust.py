@@ -318,7 +318,7 @@ class TestOutOfReachGate:
         # leaf 1 under leaf 2 takes one message's C off the root's
         # receive side, and then node 3 fits below it.
         tree, request = self._star(root_capacity=12.5)
-        leaf = tree.prepare_leaf(3, {"a": 1.0})
+        leaf = tree.prepare_leaf(3, {"a": 1.0}, 1.0)
         assert tree.refuses(leaf) and not tree.out_of_reach(leaf)
         builder = AdaptiveTreeBuilder(COST)
         assert builder._insert(tree, request, 3)
@@ -332,7 +332,7 @@ class TestOutOfReachGate:
     )
     def test_an_out_of_reach_node_is_excluded_without_adjusting(self, central, newcomer_capacity):
         tree, request = self._star(1000.0, central, newcomer_capacity)
-        assert tree.out_of_reach(tree.prepare_leaf(3, {"a": 1.0}))
+        assert tree.out_of_reach(tree.prepare_leaf(3, {"a": 1.0}, 1.0))
         calls = []
 
         class Recording(AdaptiveTreeBuilder):

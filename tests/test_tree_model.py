@@ -9,8 +9,14 @@ import math
 
 import pytest
 
+from repro.checks import assert_plan_valid
+from repro.core.adaptation import AdaptationStrategy, AdaptiveMonitoringService
 from repro.core.cost import AggregationKind, AggregationSpec, CostModel
+from repro.core.planner import RemoPlanner
+from repro.trees import model as tree_model
 from repro.trees.model import MonitoringTree, TreeInvariantError
+from repro.workloads.presets import sampled_workload
+from repro.workloads.updates import TaskUpdateStream
 
 COST = CostModel(per_message=2.0, per_value=1.0)
 
@@ -304,9 +310,9 @@ class TestFrequencyWeights:
 
 
 def tamper_fixture(aggregated):
-    """Root 0 with children 1 and 2, 3 under 1, and one freed slot
-    (node 4 joined under 3 and left); on the aggregated variant ``s``
-    is a SUM funnel and ``h`` stays holistic."""
+    """Root 0 with children 1 and 2, 3 under 1, and node 4 that joined
+    under 3 and left; on the aggregated variant ``s`` is a SUM funnel
+    and ``h`` stays holistic."""
     agg = {"s": AggregationSpec(AggregationKind.SUM)} if aggregated else None
     tree = make_tree(attrs=("s", "h"), aggregation=agg)
     tree.add_node(0, None, {"s": 1.0, "h": 1.0})
@@ -327,21 +333,16 @@ def _misfile_child(tree):
     tree._children[2].add(3)
 
 
-def _unpoison_free_slot(tree):
-    tree._cap_a[tree._free_slots[0]] = 100.0
-
-
 #: One corruption per cache ``validate`` must hold against the truth.
 TAMPERS = {
-    "_send_a": lambda t: _bump(t._send_a, t._slot[3], 0.5),
-    "_recv_a": lambda t: _bump(t._recv_a, t._slot[1], 0.5),
-    "_tot_a": lambda t: _bump(t._tot_a, t._slot[1], 0.5),
+    "_send": lambda t: _bump(t._send, 3, 0.5),
+    "_recv": lambda t: _bump(t._recv, 1, 0.5),
+    "_total": lambda t: _bump(t._total, 1, 0.5),
     "_msgw": lambda t: _bump(t._msgw, 3, -0.5),
     "_msgw_count": lambda t: _bump(t._msgw_count, 0, 1),
     "_depth": lambda t: _bump(t._depth, 3, 1),
     "mirror": _misfile_child,
-    "_cap_a": lambda t: _bump(t._cap_a, t._slot[2], -50.0),
-    "free-slot-poison": _unpoison_free_slot,
+    "_cap": lambda t: _bump(t._cap, 2, -50.0),
     "_pair_count": lambda t: setattr(t, "_pair_count", t._pair_count + 1),
 }
 
@@ -370,7 +371,7 @@ class TestValidation:
 
     def test_validate_catches_tampered_send(self):
         tree = chain_tree(3)
-        tree._send_a[tree._slot[1]] += 1.0
+        tree._send[1] += 1.0
         with pytest.raises(TreeInvariantError):
             tree.validate()
 
@@ -382,3 +383,82 @@ class TestValidation:
 
     def test_empty_tree_validates(self):
         make_tree().validate()
+
+
+def planned_trees(n, seed):
+    """The trees of a REMO plan for a sampled ``n``-node workload."""
+    cluster, _cost, tasks = sampled_workload(nodes=n, tasks=n, seed=seed)
+    plan, _ = RemoPlanner(CostModel(per_message=20.0, per_value=1.0)).plan_with_stats(
+        tasks, cluster
+    )
+    return [r.tree for r in plan.trees.values()]
+
+
+class TestPlannedTrees:
+    def test_maintained_tables_survive_restructuring(self):
+        """A branch move and a local update on a planned tree, then the
+        recompute oracle cross-checks every maintained table."""
+        tree = max(planned_trees(30, seed=3), key=len)
+        leaf = max(tree.nodes, key=tree.depth)
+        targets = sorted(set(tree.nodes) - {leaf, tree.parent(leaf)})
+        assert any(tree.move_branch(leaf, target) for target in targets)
+        tree.validate()
+        assert tree.update_local(leaf, {})
+        tree.validate()
+
+    def test_viable_parent_arrays_matches_per_node_accessors(self):
+        trees = [tree for tree in planned_trees(40, seed=1) if len(tree) >= 2]
+        assert trees, "expected at least one populated tree"
+        for tree in trees:
+            for bar in (0.0, 5.0, 50.0):
+                nodes, depths, avail = tree.viable_parent_arrays(bar)
+                assert nodes == tree.viable_parents(bar)
+                assert set(nodes) == {
+                    n for n in tree.nodes if tree.available(n) >= bar - 1e-9
+                }
+                for node, depth, av in zip(nodes, depths, avail):
+                    assert depth == tree.depth(node)
+                    assert av == tree.available(node)
+
+
+class _Untouchable:
+    """Stands in for a table a funnel-free tree must never consult."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("per-attribute state touched on a funnel-free tree")
+
+    __getitem__ = __setitem__ = __delitem__ = __contains__ = __iter__ = _refuse
+    __len__ = __bool__ = __eq__ = __getattr__ = _refuse
+
+
+class TestFunnelFreeTreesKeepNoAttributeState:
+    def test_planning_and_adaptation_never_touch_the_attribute_tables(self, monkeypatch):
+        """A ``plan_search``-shaped plan and an adaptation run -- every
+        attach, move, detach, local update and probe of both -- with the
+        per-attribute tables booby-trapped and the per-attribute step
+        and its delta dicts forbidden outright."""
+        built = []
+        plain_init = tree_model.MonitoringTree.__init__
+
+        def trapped_init(tree, *args, **kwargs):
+            plain_init(tree, *args, **kwargs)
+            assert not tree.has_aggregation()
+            tree._in = tree._in_count = tree._out = _Untouchable()
+            built.append(tree)
+
+        monkeypatch.setattr(tree_model.MonitoringTree, "__init__", trapped_init)
+        monkeypatch.setattr(tree_model.MonitoringTree, "_refunnel", _Untouchable._refuse)
+        monkeypatch.setattr(tree_model, "_diff_values", _Untouchable._refuse)
+
+        cluster, cost, tasks = sampled_workload(nodes=48, tasks=12, capacity=200.0, seed=1)
+        plan, stats = RemoPlanner(cost).plan_with_stats(tasks, cluster)
+        assert stats.accepted_ops
+        plan.validate({n.node_id: n.capacity for n in cluster}, cluster.central_capacity)
+
+        service = AdaptiveMonitoringService(cluster, cost, AdaptationStrategy.ADAPTIVE)
+        service.initialize(tasks)
+        stream = TaskUpdateStream(cluster, tasks, node_fraction=0.05, attr_fraction=0.5, seed=11)
+        for batch in range(3):
+            service.apply_changes(stream.next_batch(), now=10.0 * (batch + 1))
+        assert_plan_valid(service.plan, cluster)
+        assert len(built) > 100
