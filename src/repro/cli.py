@@ -907,8 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rundir",
         metavar="PATH",
         default=None,
-        help="directory for the spec/readiness/report files "
-        "(default: a fresh temp directory)",
+        help="directory for the spec, the worker reports and any trace, "
+        "log or flight files (default: a fresh temp directory)",
     )
     deploy_p.add_argument(
         "--chaos-kill",

@@ -21,7 +21,7 @@ runtime (see DESIGN.md, "Telemetry architecture"):
 
 Wired through the CLI as ``--trace PATH`` / ``--metrics PATH`` on
 ``plan``/``simulate``/``adapt``/``run``/``deploy``/``serve`` plus the
-``repro metrics`` and ``repro trace`` render subcommands.
+``repro trace`` render subcommand.
 """
 
 from repro.obs import log, trace

@@ -2,7 +2,7 @@
 
 Where :mod:`repro.simulation` *scores* a
 :class:`~repro.core.plan.MonitoringPlan` in a lock-step discrete-event
-simulator (built on this package's layouts, batches and scorer), this
+simulator (which drives this package's own agents and collector), this
 package *runs* one: every cluster node becomes a
 concurrent :class:`~repro.runtime.agent.NodeAgent` task, the central
 collector becomes a :class:`~repro.runtime.collector.CollectorAgent`,
@@ -12,7 +12,7 @@ here, framed TCP in :mod:`repro.net`).
 
 The behaviours the analytical evaluation cannot show live here:
 per-period ``C + a*x`` capacity budgets that always hold (a payload
-the budget cannot carry is trimmed, as in the simulator),
+the budget cannot carry is trimmed),
 heartbeat-based failure detection at the collector, per-pair
 staleness, and real message-passing concurrency.
 A :class:`~repro.runtime.metrics.RuntimeMetrics` hub records counters

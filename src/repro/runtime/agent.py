@@ -22,15 +22,19 @@ link at its queue bound stalls this node's inbox until it drains --
 node-level backpressure -- and nobody else's.
 
 Resource-awareness is enforced live: every send and receive is charged
-``C + a*x`` against the node's per-period budget, always.  An agent
-that cannot afford its whole payload trims it by the rule the
-simulator uses too (:func:`~repro.runtime.messages.trim`): the
-readings the budget affords go in ``(node, attribute)`` order and the
-rest are shed; one that cannot cover even the per-message overhead
-sends no reading.  A role left with nothing sends an empty update all
-the same, uncharged like a heartbeat: a relay stops waiting on a child
-once it has reported, and the collector closes a period once every
-root has.
+``C + a*x`` against the node's per-period budget, always, by three
+synchronous steps that the inbox reactions call and the simulator
+calls on its own schedule: :meth:`NodeAgent.begin` opens a period,
+:meth:`~NodeAgent.accept` charges and buffers a child's batch, and
+:meth:`~NodeAgent.shape` builds, trims and charges the node's own.  An
+agent that cannot afford its whole payload trims it
+(:func:`~repro.runtime.messages.trim`): the readings the budget affords
+go in ``(node, attribute)`` order and the rest are shed; one that
+cannot cover even the per-message overhead sends no reading.  A dead
+node sends nothing and loses what it is sent.  A role left with
+nothing sends an empty update all the same, uncharged like a
+heartbeat: a relay stops waiting on a child once it has reported, and
+the collector closes a period once every root has.
 """
 
 from __future__ import annotations
@@ -134,7 +138,8 @@ class NodeAgent:
         self.metrics = metrics
         self.config = config
         self._budget = capacity
-        self._current_period = -1
+        #: Whether the node is scripted dead in the period it is in.
+        self._dead = False
         #: Child batches pending relay, per tree, in arrival order
         #: (never written to).
         self._buffers: Dict[int, List[Batch]] = {}
@@ -166,13 +171,72 @@ class NodeAgent:
 
     @cached_property
     def _payload_values(self) -> Histogram:
-        # Created by the first emit: an idle agent exports no empty series.
+        # Created by the first batch sent: an idle agent exports no
+        # empty series.
         return self.metrics.histogram(names.PAYLOAD_VALUES)
 
     # ------------------------------------------------------------------
     def down(self, period: int) -> bool:
         """Whether this node is scripted dead during ``period``."""
         return self.config.node_down(self.node_id, period)
+
+    # The period's rules, one synchronous step each: the inbox loop
+    # below and the simulator's schedule both drive them.
+    def begin(self, period: int) -> bool:
+        """Open ``period`` with a fresh budget ``b_i``; ``False`` when
+        this node is down in it, and so sends nothing."""
+        self._budget = self.capacity
+        self._dead = self.down(period)
+        if self._dead:
+            self.metrics.incr(names.AGENT_DOWN_PERIODS, node=self.node_id)
+            return False
+        return True
+
+    def accept(self, tree: int, batch: Batch) -> bool:
+        """Charge a child's batch for ``tree`` and buffer it for relay;
+        ``False`` when this node is down and the batch is lost.  An empty
+        batch is uncharged, and one the budget cannot afford is dropped."""
+        if self._dead:
+            if batch.count:  # an empty batch was never counted as sent
+                self.metrics.incr(names.MESSAGES_DROPPED_FAILURE, node=self.node_id)
+            return False
+        if not batch.count:
+            return True  # a child with nothing to send, saying so
+        charge = self.cost.message_cost(batch.count)
+        if self._budget < charge - _EPS:
+            self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
+        else:
+            self._budget -= charge
+            self._buffers.setdefault(tree, []).append(batch)
+            self._count_delivered.add()
+            self._count_cost.add(charge)
+        return True
+
+    def shape(self, role: TreeRole, stamp: float) -> Tuple[Batch, int]:
+        """``role``'s batch: the buffered children's slices, then this
+        node's own pairs sampled now and stamped ``stamp``, trimmed to the
+        budget and charged.  Returns it -- empty when there is nothing, or
+        the budget cannot cover even the per-message overhead -- and how
+        many readings were offered."""
+        values, stamps = gather(role.lo, role.size, self._buffers.pop(role.tree, ()))
+        local = len(role.local_pairs)
+        values[:local] = array("d", self._samplers[role.tree]())
+        stamps[:local] = array("d", (stamp,)) * local
+        batch = Batch(role.lo, values, stamps)
+        offered = batch.count
+        shed = trim(batch, role.pair_order, self.cost, self._budget) if offered else None
+        if shed is None:
+            if offered:
+                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
+            return Batch(role.lo, array("d"), array("d")), offered
+        if shed:
+            self.metrics.incr(names.VALUES_TRIMMED, shed, node=self.node_id)
+        charge = self.cost.message_cost(batch.count)
+        self._budget -= charge
+        self._count_sent[role.tree].add()
+        self._count_cost.add(charge)
+        self._payload_values.observe(batch.count)
+        return batch, offered
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
@@ -207,10 +271,8 @@ class NodeAgent:
     # Inbox reactions
     # ------------------------------------------------------------------
     async def _on_tick(self, tick: TickEnvelope) -> None:
-        period = self._current_period = tick.period
-        self._budget = self.capacity
-        if self.down(period):
-            self.metrics.incr(names.AGENT_DOWN_PERIODS, node=self.node_id)
+        period = tick.period
+        if not self.begin(period):
             return
         started = time.perf_counter()
         self._deadline = asyncio.get_running_loop().time() + self.config.child_wait_seconds
@@ -249,24 +311,12 @@ class NodeAgent:
             # cross-process edge in a merged trace.
             with trace.attach(envelope.trace_ctx):
                 trace.event(names.EVENT_AGENT_RECV, lane=self._lane, sender=sender, period=period)
-        if self.down(self._current_period):
-            if batch.count:  # an empty batch was never counted as sent
-                self.metrics.incr(names.MESSAGES_DROPPED_FAILURE, node=self.node_id)
+        if not self.accept(tree, batch):
             return
-        # The child reported, whether or not its batch is affordable --
-        # record that first so a capacity drop cannot stall the wave.
+        # The child reported, whether or not its batch was affordable:
+        # a capacity drop must not stall the wave.
         seen = self._children_seen[tree]
         seen[sender] = max(seen.get(sender, -1), period)
-        charge = envelope.cost(self.cost)
-        if not batch.count:
-            pass  # a child with nothing to send, saying so: uncharged
-        elif self._budget < charge - _EPS:
-            self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
-        else:
-            self._budget -= charge
-            self._buffers.setdefault(tree, []).append(batch)
-            self._count_delivered.add()
-            self._count_cost.add(charge)
         wave = self._waiting.get(tree)
         if wave is not None and period >= wave.period:
             wave.missing.discard(sender)
@@ -291,7 +341,7 @@ class NodeAgent:
     async def _emit(
         self, role: TreeRole, period: int, started: float, waited: bool = False
     ) -> None:
-        """Sample, batch, shape to the budget and send one tree's update.
+        """Shape one tree's update (:meth:`shape`) and send it.
 
         Recorded once the role is ready, the spans still run from the
         tick (``started``) to the send.
@@ -303,38 +353,12 @@ class NodeAgent:
                     names.SPAN_AGENT_CHILD_WAIT, started, lane=self._lane, **attrs
                 ):
                     pass
-            # Children first (disjoint ranges: a slice each), then this
-            # node's own pairs, sampled now.
-            values, stamps = gather(role.lo, role.size, self._buffers.pop(role.tree, ()))
-            local = len(role.local_pairs)
-            values[:local] = array("d", self._samplers[role.tree]())
-            stamps[:local] = array("d", (float(period),)) * local
-            batch = Batch(role.lo, values, stamps)
-            if not batch.count or not self._trim_to_budget(role, batch):
-                wave.set(outcome="shaped_out" if batch.count else "empty", offered=batch.count)
+            batch, offered = self.shape(role, float(period))
+            if batch.count:
+                wave.set(outcome="sent", values=batch.count)
+            else:
                 # The receiver waits on this role each period: say
                 # there is nothing -- no reading, so no charge.
-                batch = Batch(role.lo, array("d"), array("d"))
-            else:
-                charge = self.cost.message_cost(batch.count)
-                self._budget -= charge
-                self._count_sent[role.tree].add()
-                self._count_cost.add(charge)
-                self._payload_values.observe(batch.count)
-                wave.set(outcome="sent", values=batch.count)
+                wave.set(outcome="shaped_out" if offered else "empty", offered=offered)
             update = UpdateEnvelope(self.node_id, role.tree, period, batch, wave.context())
             await self.transport.send(role.receiver, update)
-
-    def _trim_to_budget(self, role: TreeRole, batch: Batch) -> bool:
-        """Trim ``batch`` (this emit's own) to the remaining budget.
-
-        Returns whether anything goes out: ``False`` when the budget
-        cannot cover even the per-message overhead.
-        """
-        shed = trim(batch, role.pair_order, self.cost, self._budget)
-        if shed is None:
-            self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
-            return False
-        if shed:
-            self.metrics.incr(names.VALUES_TRIMMED, shed, node=self.node_id)
-        return True

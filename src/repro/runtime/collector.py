@@ -1,10 +1,14 @@
-"""The collector side of both engines, and the collector agent.
+"""The collector side of both engines: the collector agent.
 
-Scoring is shared: the live :class:`CollectorAgent` and the
-discrete-event simulator both keep the last reading per slot of every
-tree that reports to them (:class:`CollectedColumns`) and score each
-period with :func:`score_period` -- the paper's Fig. 8 metrics, one
-rule in both engines:
+Scoring is shared: the live runtime drives a :class:`CollectorAgent`
+from its inbox, and the discrete-event simulator calls the same
+agent's synchronous steps on its own schedule --
+:meth:`~CollectorAgent.begin` (a fresh budget ``b_0``),
+:meth:`~CollectorAgent.accept` (charge a root's batch and fold it into
+:class:`CollectedColumns`, the last reading per slot of every tree)
+and :meth:`~CollectorAgent.score`, which scores a period with
+:func:`score_period` -- the paper's Fig. 8 metrics -- and records
+every pair's age in the ``staleness_periods`` histogram:
 
 - **percentage error** per requested pair: ``|truth - seen| /
   max(|truth|, 1)``, capped at 100% (a pair the collector has never
@@ -14,7 +18,7 @@ rule in both engines:
   sampled in the scored period;
 - **received**: the fraction received at all so far.
 
-The agent adds the three behaviours only a live system exhibits:
+The inbox loop adds the three behaviours only a live system exhibits:
 
 - **completion** -- a period is complete once the collector has
   heard, for that period, an update from the root of every tree and a
@@ -26,10 +30,8 @@ The agent adds the three behaviours only a live system exhibits:
 - **failure detection** -- each live agent heartbeats every period;
   a node silent for ``failure_timeout`` periods is flagged ``down``,
   and flagged ``recovered`` when its heartbeats resume;
-- **staleness tracking** -- at every period close, the age (in
-  periods) of each requested pair's newest reading is recorded into
-  the ``staleness_periods`` histogram, alongside collection latency per
-  delivered batch on the event loop's clock.
+- **collection latency** -- per delivered batch, from its period's
+  tick on the event loop's clock.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class CollectedColumns:
 
 
 class CollectorAgent:
-    """The central collector's runtime half."""
+    """The central collector, in both engines."""
 
     def __init__(
         self,
@@ -235,8 +237,7 @@ class CollectorAgent:
 
     # ------------------------------------------------------------------
     def _on_tick(self, tick: TickEnvelope) -> None:
-        self._current_period = tick.period
-        self._budget = self.central_capacity
+        self.begin(tick.period)
         self._tick_at[tick.period] = tick.sent_at
 
     def _on_update(self, envelope: UpdateEnvelope, now: float) -> None:
@@ -259,14 +260,8 @@ class CollectorAgent:
                     sender=envelope.sender,
                     period=envelope.period,
                 )
-        charge = envelope.cost(self.cost)
-        if self._budget < charge - _EPS:
-            self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY)
+        if not self.accept(columns, envelope.payload):
             return
-        self._budget -= charge
-        fold(columns[0], columns[1], 0, envelope.payload)
-        self.metrics.incr(names.MESSAGES_DELIVERED)
-        self.metrics.incr(names.COST_UNITS_SPENT, charge)
         tick_at = self._tick_at.get(envelope.period)
         if tick_at is not None:
             self.metrics.observe(names.COLLECTION_LATENCY_S, now - tick_at)
@@ -278,6 +273,42 @@ class CollectorAgent:
             self._record(FailureEvent(envelope.sender, max(self._current_period, 0), "recovered"))
             self.metrics.incr(names.FAILURE_RECOVERIES)
         self._heard(envelope.period, ("heartbeat", envelope.sender))
+
+    # ------------------------------------------------------------------
+    # The period's rules, one synchronous step each: the inbox loop
+    # above and the simulator's schedule both drive them.
+    def begin(self, period: int) -> None:
+        """Open ``period`` with a fresh collector budget ``b_0``."""
+        self._current_period = period
+        self._budget = self.central_capacity
+
+    def accept(self, columns: Columns, batch: Batch) -> bool:
+        """Charge a root's nonempty batch to ``b_0`` and fold it into its
+        tree's ``columns`` (:meth:`CollectedColumns.columns`); ``False``
+        when the budget cannot afford it and it is dropped whole."""
+        charge = self.cost.message_cost(batch.count)
+        if self._budget < charge - _EPS:
+            self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY)
+            return False
+        self._budget -= charge
+        fold(columns[0], columns[1], 0, batch)
+        self.metrics.incr(names.MESSAGES_DELIVERED)
+        self.metrics.incr(names.COST_UNITS_SPENT, charge)
+        return True
+
+    def score(self, period: int) -> RuntimePeriodSample:
+        """Score ``period`` against the ground truth now and keep the
+        sample, recording each pair's staleness and the coverage."""
+        sample, ages = score_period(period, self._truths(), self._cells)
+        if ages:
+            # One series lookup per close, not one per pair (and
+            # none before the first reading: no empty series).
+            staleness = self.metrics.histogram(names.STALENESS_PERIODS)
+            for age in ages:
+                staleness.observe(age)
+        self.samples.append(sample)
+        self.metrics.observe(names.PERIOD_COVERAGE, sample.received_fraction)
+        return sample
 
     # ------------------------------------------------------------------
     def _heard(self, period: int, key: Optional[Tuple[str, int]] = None) -> asyncio.Event:
@@ -307,27 +338,20 @@ class CollectorAgent:
         await self._heard(period).wait()
 
     def close_period(self, period: int) -> RuntimePeriodSample:
-        """Score period ``period`` and run the failure detector.
+        """Score period ``period`` (:meth:`score`) and run the failure
+        detector.
 
         Called by the engine once the period is complete
         (:meth:`heard_from_all`) or its bound has passed, so the
         collector's view is compared against the ground truth of the
-        same period -- the simulator's deadline measurement, with the
-        same :func:`score_period`.  An update for it that arrives later
-        is still folded in, but is not fresh at the next close.
+        same period -- what the simulator's deadline calls :meth:`score`
+        for.  An update for it that arrives later is still folded in,
+        but is not fresh at the next close.
         """
         with trace.span(
             names.SPAN_COLLECTOR_CLOSE_PERIOD, lane=names.LANE_COLLECTOR, period=period
         ) as score_span:
-            sample, ages = score_period(period, self._truths(), self._cells)
-            if ages:
-                # One series lookup per close, not one per pair (and
-                # none before the first reading: no empty series).
-                staleness = self.metrics.histogram(names.STALENESS_PERIODS)
-                for age in ages:
-                    staleness.observe(age)
-            self.samples.append(sample)
-            self.metrics.observe(names.PERIOD_COVERAGE, sample.received_fraction)
+            sample = self.score(period)
             score_span.set(
                 coverage=sample.received_fraction, mean_error=sample.mean_error
             )

@@ -24,8 +24,9 @@ one :class:`~repro.runtime.agent.NodeAgent` per participating node plus
 the :class:`~repro.runtime.collector.CollectorAgent`, wired over a
 :class:`~repro.runtime.transport.Transport`.
 
-:class:`~repro.simulation.engine.MonitoringSimulation` runs on the
-same layouts, roles and ground truth under a schedule of its own.
+:class:`~repro.simulation.engine.MonitoringSimulation` builds a
+:class:`MonitoringRuntime` it never runs, and calls its agents' and
+collector's synchronous steps on a schedule of its own.
 
 The running event loop is the runtime's only clock: the tick stamp,
 the close bound, the sleep to the next tick, every relay's child-wait

@@ -20,8 +20,8 @@ columns of doubles -- the values and the periods they were sampled in
 (the two fields of a :class:`~repro.runtime.collector.Reading`).  Its
 capacity charge is computed through the same
 :class:`~repro.core.cost.CostModel`, and a sender short on budget
-shapes it with :func:`trim` -- in the live agents and in the
-discrete-event simulator alike.
+shapes it with :func:`trim` -- in the agents, which the
+discrete-event simulator drives too.
 """
 
 from __future__ import annotations
@@ -197,10 +197,6 @@ class UpdateEnvelope(Envelope):
     trace_ctx: Optional[TraceContext] = field(
         default=None, compare=False, repr=False
     )
-
-    def cost(self, model: CostModel) -> float:
-        """Capacity charge on each endpoint (the ``C + a*x`` model)."""
-        return model.message_cost(self.payload.count)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@
 runtime's :class:`~repro.runtime.engine.MonitoringRuntime` and the
 simulator's :class:`~repro.simulation.engine.MonitoringSimulation`:
 the per-period quality samples plus the metrics-hub snapshot and the
-failure detector's event log (empty for the simulator, which has no
-detector).  ``as_dict`` is the stable machine-readable shape behind
+failure detector's event log (empty for the simulator, which drives
+the same agents and collector but sends no heartbeats and never runs
+the detector).  ``as_dict`` is the stable machine-readable shape behind
 ``repro run --json`` and ``repro simulate --json``; ``render`` produces
 the aligned tables (via :mod:`repro.analysis`) for humans.
 """

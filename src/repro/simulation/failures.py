@@ -2,9 +2,10 @@
 
 A link outage silences one child->parent edge of one tree over a
 window of simulated time (messages sent during the window are lost).
-A node outage is the runtime's :class:`~repro.runtime.config.AgentOutage`:
-over whole periods, the node's messages -- sent or addressed to it --
-are lost.  The reliability extension's SSDP/DSDP replication is
+A node outage is the runtime's :class:`~repro.runtime.config.AgentOutage`,
+handed to the simulator's agents: over whole periods the node sends
+nothing and loses what is addressed to it, by the agent's own rule.
+The reliability extension's SSDP/DSDP replication is
 validated against these: values duplicated onto disjoint trees survive
 outages that sever a single path.
 """
@@ -34,7 +35,7 @@ class LinkOutage:
 
 
 class FailureInjector:
-    """Queryable outage schedule."""
+    """The outage schedule of one simulated run."""
 
     def __init__(
         self,
@@ -49,19 +50,3 @@ class FailureInjector:
             o.child == child and o.tree == tree and o.start <= time < o.end
             for o in self.link_outages
         )
-
-    def node_down(self, node: NodeId, time: float) -> bool:
-        """Whether ``node`` is down at ``time``, which falls in period
-        ``int(time)``."""
-        period = int(time)
-        return any(o.node == node and o.covers(period) for o in self.node_outages)
-
-    def blocks(self, sender: NodeId, receiver: NodeId, tree: AttributeSet, time: float) -> bool:
-        """Whether a message on this edge at ``time`` is lost."""
-        if self.link_down(sender, tree, time):
-            return True
-        if self.node_down(sender, time):
-            return True
-        if receiver >= 0 and self.node_down(receiver, time):
-            return True
-        return False

@@ -17,6 +17,7 @@ from repro.checks import (
     PlanCheckError,
     Severity,
     assert_plan_valid,
+    check_plan,
     check_plan_for_cluster,
     describe_codes,
     inject_fault,
@@ -177,6 +178,84 @@ def test_corruption_classes_have_distinct_primary_codes(
         primaries[kind] = report.codes()[0]
         assert primaries[kind] in CODES
     assert len(set(primaries.values())) == 4, primaries
+
+
+def _largest_tree(plan):
+    return max((r.tree for r in plan.trees.values()), key=lambda t: (len(t.nodes), t.root))
+
+
+def _deepest_leaf(tree):
+    leaves = [n for n in tree.nodes if tree.parent(n) is not None and not tree.children(n)]
+    return max(leaves, key=lambda n: (tree.depth(n), n))
+
+
+# Each corruption edits the plan in place, bypassing the tree API, and
+# may return a collector budget to check against instead of the cluster's.
+def _stray_tree(plan, tree, leaf):
+    plan.trees[frozenset({"stray"})] = next(iter(plan.trees.values()))
+
+
+def _foreign_attribute(plan, tree, leaf):
+    tree._local[leaf]["stray"] = 1.0
+
+
+def _second_root(plan, tree, leaf):
+    tree._children[tree.parent(leaf)].discard(leaf)
+    tree._parent[leaf] = None
+
+
+def _orphan(plan, tree, leaf):
+    tree._children[tree.parent(leaf)].discard(leaf)
+
+
+def _misfiled_child(plan, tree, leaf):
+    other = next(n for n in sorted(tree.nodes) if n not in (leaf, tree.parent(leaf)))
+    tree._children[other].add(leaf)
+
+
+def _poked_depth(plan, tree, leaf):
+    tree._depth[leaf] += 1
+
+
+def _unrequested_pair(plan, tree, leaf):
+    plan.pairs = plan.pairs - {(leaf, min(tree.local_demand(leaf)))}
+
+
+def _idle_relay_leaf(plan, tree, leaf):
+    tree._local[leaf].clear()
+
+
+def _tiny_collector_budget(plan, tree, leaf):
+    return 1e-3
+
+
+def _poked_pair_count(plan, tree, leaf):
+    tree._pair_count += 1
+
+
+@pytest.mark.parametrize(
+    "code, corrupt",
+    [
+        ("REMO103", _stray_tree),
+        ("REMO104", _foreign_attribute),
+        ("REMO110", _second_root),
+        ("REMO112", _orphan),
+        ("REMO113", _misfiled_child),
+        ("REMO114", _poked_depth),
+        ("REMO115", _unrequested_pair),
+        ("REMO117", _idle_relay_leaf),
+        ("REMO202", _tiny_collector_budget),
+        ("REMO204", _poked_pair_count),
+    ],
+)
+def test_each_hand_corruption_fires_its_code(planned, code, corrupt):
+    """The codes no ``--corrupt`` kind reaches, each shown to fire."""
+    plan, cluster = planned
+    tree = _largest_tree(plan)
+    central = corrupt(plan, tree, _deepest_leaf(tree))
+    capacities = {node: cluster.capacity(node) for node in cluster.node_ids}
+    report = check_plan(plan, capacities, central or cluster.central_capacity)
+    assert code in report.codes(), report.format()
 
 
 def test_fault_injection_raises_on_unknown_kind(planned):

@@ -217,6 +217,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             AgentOutage(node=1, start=-1, end=2)
 
+    def test_outage_windows_are_half_open(self):
+        config = RuntimeConfig(outages=[AgentOutage(node=1, start=2, end=5)])
+        assert not config.node_down(1, 1)
+        assert config.node_down(1, 2)
+        assert config.node_down(1, 4)
+        assert not config.node_down(1, 5)
+        assert not config.node_down(2, 3)
+
 
 class TestHappyPath:
     def test_feasible_plan_runs_clean(self, small_cluster):

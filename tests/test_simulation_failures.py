@@ -85,16 +85,17 @@ class TestCrashRecovery:
         assert any(p.fresh_fraction < 1.0 for p in dark)
 
     def test_drop_counts_bound_by_outage_window(self, small_cluster):
+        # A dead agent never sends: a leaf's outage costs exactly its one
+        # send per dead period, and nothing is counted as dropped.
         plan = one_tree_plan(small_cluster)
         tree = plan.trees[frozenset({"a"})].tree
         leaf = next(n for n in tree.nodes if not tree.children(n))
-        short = FailureInjector(node_outages=[AgentOutage(leaf, 2, 3)])
-        long = FailureInjector(node_outages=[AgentOutage(leaf, 2, 7)])
-        short_report = run(plan, small_cluster, 9, short)
-        long_report = run(plan, small_cluster, 9, long)
-        short_dropped = short_report.metrics.counter(names.MESSAGES_DROPPED_FAILURE)
-        assert 0 < short_dropped
-        assert short_dropped < long_report.metrics.counter(names.MESSAGES_DROPPED_FAILURE)
+        healthy = run(plan, small_cluster, 9)
+        for end, lost in ((3, 1), (7, 5)):
+            injector = FailureInjector(node_outages=[AgentOutage(leaf, 2, end)])
+            report = run(plan, small_cluster, 9, injector)
+            assert healthy.messages_sent - report.messages_sent == lost
+            assert report.metrics.counter(names.MESSAGES_DROPPED_FAILURE) == 0
 
 
 class TestInteriorNodeFailure:
@@ -143,22 +144,12 @@ class TestInteriorNodeFailure:
 
 
 class TestInjectorSemantics:
-    def test_blocks_checks_sender_receiver_and_link(self):
+    def test_link_down_is_per_edge_and_half_open(self):
         attrs = frozenset({"a"})
-        injector = FailureInjector(
-            link_outages=[LinkOutage(1, attrs, 0.0, 10.0)],
-            node_outages=[AgentOutage(2, 0, 10)],
-        )
-        assert injector.blocks(1, 0, attrs, 5.0)  # link down
-        assert injector.blocks(2, 0, attrs, 5.0)  # sender down
-        assert injector.blocks(0, 2, attrs, 5.0)  # receiver down
-        assert not injector.blocks(0, 3, attrs, 5.0)
-        # The collector (address -1) is never "down".
-        assert not injector.blocks(0, -1, attrs, 5.0)
-
-    def test_outage_windows_are_half_open(self):
-        injector = FailureInjector(node_outages=[AgentOutage(1, 2, 5)])
-        assert not injector.node_down(1, 1.999)
-        assert injector.node_down(1, 2.0)
-        assert injector.node_down(1, 4.999)
-        assert not injector.node_down(1, 5.0)
+        injector = FailureInjector(link_outages=[LinkOutage(1, attrs, 2.0, 5.0)])
+        assert injector.link_down(1, attrs, 2.0)
+        assert injector.link_down(1, attrs, 4.999)
+        assert not injector.link_down(1, attrs, 1.999)
+        assert not injector.link_down(1, attrs, 5.0)
+        assert not injector.link_down(2, attrs, 3.0)
+        assert not injector.link_down(1, frozenset({"b"}), 3.0)

@@ -90,7 +90,9 @@ OUTAGE = {
         [8, 0.0, 1.0, 1.0],
         [9, 0.0, 1.0, 1.0],
     ],
-    "counters": [191, 760, 740, 0, 20, 0, 46476.0],
+    # The down node sends nothing (the agent's rule): its 8 would-be
+    # sends are neither counted as sent nor dropped, nor paid for.
+    "counters": [191, 752, 740, 0, 12, 0, 46308.0],
 }
 
 MILD = {
