@@ -66,12 +66,20 @@ class Histogram:
     Below ``SKETCH_THRESHOLD`` observations every value is retained and
     quantiles are exact (linear interpolation over the sorted values).
     Past the threshold the histogram switches to a bounded-memory
-    reservoir sketch (Vitter's algorithm R over ``RESERVOIR_SIZE``
-    slots, seeded so runs are reproducible): count, sum, mean, min and
-    max stay exact via running accumulators, while quantiles become
-    estimates read from the uniform sample.  The switch is one-way and
-    automatic, so runs with millions of observations cannot grow
-    memory without bound.
+    reservoir sketch of ``RESERVOIR_SIZE`` slots, seeded so runs are
+    reproducible: count, sum, mean, min and max stay exact via running
+    accumulators, while quantiles become estimates read from the
+    uniform sample.  The switch is one-way and automatic, so runs with
+    millions of observations cannot grow memory without bound.
+
+    The reservoir is Li's skip-count Algorithm L: rather than drawing a
+    random number for every observation, it draws how many to skip
+    before the next one enters.  ``_w`` is the largest of the retained
+    items' uniform keys; the next key below it is a geometric number of
+    observations away, and the retained keys then stand below ``_w``
+    times a fresh ``U ** (1 / k)``.  Wherever the sample was formed
+    whole -- the switch, a merge -- ``_w`` is drawn as the k-th smallest
+    of ``count`` uniform keys, ``Beta(k, count - k + 1)``.
     """
 
     SKETCH_THRESHOLD = 4096
@@ -85,29 +93,59 @@ class Histogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
+        #: While sketching: the reservoir's largest key, and the count at
+        #: which the next observation replaces a retained value.
+        self._w = 1.0
+        self._next = 0
 
     # -- recording -----------------------------------------------------
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value`` as ``times`` observations, in memory bounded
+        whatever ``times`` is.  The sum grows by ``value * times``: the
+        same float as ``times`` single observations for the integral
+        readings it is used for (ages in periods)."""
         value = float(value)
-        self._count += 1
-        self._sum += value
+        self._sum += value * times
         if value < self._min:
             self._min = value
         if value > self._max:
             self._max = value
         if not self._sketching:
-            self._values.append(value)
-            if len(self._values) > self.SKETCH_THRESHOLD:
-                # One-way switch: downsample the exact values into the
-                # reservoir, then keep a uniform sample from here on.
-                self._values = self._rng.sample(self._values, self.RESERVOIR_SIZE)
-                self._sketching = True
-            return
-        # Algorithm R: the n-th observation replaces a random slot with
-        # probability RESERVOIR_SIZE / n, keeping the sample uniform.
-        slot = self._rng.randrange(self._count)
-        if slot < self.RESERVOIR_SIZE:
-            self._values[slot] = value
+            values = self._values
+            room = self.SKETCH_THRESHOLD + 1 - len(values)
+            if times < room:
+                self._count += times
+                values.extend([value] * times)
+                return
+            # One-way switch once past the threshold: downsample the
+            # exact values into the reservoir, then keep a uniform
+            # sample of the rest.
+            values.extend([value] * room)
+            self._count += room
+            times -= room
+            self._values = self._rng.sample(values, self.RESERVOIR_SIZE)
+            self._sketching = True
+            self._reseed()
+        self._count += times
+        while self._next <= self._count:
+            self._values[self._rng.randrange(len(self._values))] = value
+            self._skip()
+
+    def _reseed(self) -> None:
+        """Draw the skip state of a sample just formed whole from
+        ``count`` observations."""
+        k = len(self._values)
+        self._w = self._rng.betavariate(k, self._count - k + 1)
+        self._next = self._count
+        self._skip()
+
+    def _skip(self) -> None:
+        """Schedule the next replacement past the one at ``_next``, and
+        lower ``_w`` to the retained keys' new largest."""
+        rng = self._rng
+        gap = math.floor(math.log(1.0 - rng.random()) / math.log1p(-self._w))
+        self._next += gap + 1
+        self._w *= math.exp(math.log(1.0 - rng.random()) / len(self._values))
 
     # -- reading -------------------------------------------------------
     def __len__(self) -> int:
@@ -142,25 +180,15 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """q-quantile (exact, or estimated from the reservoir); 0.0 when empty."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._values:
-            return 0.0
-        ordered = sorted(self._values)
-        position = q * (len(ordered) - 1)
-        lower = math.floor(position)
-        upper = math.ceil(position)
-        if lower == upper:
-            return ordered[lower]
-        weight = position - lower
-        return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
+        return _interpolate(sorted(self._values), q)
 
     def summary(self) -> Dict[str, float]:
+        ordered = sorted(self._values)  # once, for both quantiles
         return {
             "count": float(self.count),
             "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p95": self.quantile(0.95),
+            "p50": _interpolate(ordered, 0.5),
+            "p95": _interpolate(ordered, 0.95),
             "max": self.max,
         }
 
@@ -205,6 +233,7 @@ class Histogram:
         self._values = (self._pick(self._values, self.RESERVOIR_SIZE - take)
                         + self._pick(incoming, take))
         self._sketching = True
+        self._reseed()
 
     def _pick(self, values: List[float], k: int) -> List[float]:
         """A uniform sample of ``k`` of ``values`` (all of them when ``k``
@@ -212,44 +241,86 @@ class Histogram:
         return values if k >= len(values) else self._rng.sample(values, k)
 
 
-class BoundCounter:
-    """One counter series with its key built once.
+def _interpolate(ordered: List[float], q: float) -> float:
+    """The q-quantile of sorted ``ordered`` by linear interpolation;
+    0.0 when empty."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if not ordered:
+        return 0.0
+    position = q * (len(ordered) - 1)
+    lower = math.floor(position)
+    upper = math.ceil(position)
+    if lower == upper:
+        return ordered[lower]
+    weight = position - lower
+    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
 
-    ``incr(name, **labels)`` canonicalizes the labels on every call; a
-    hot path that always hits the same series binds it once
-    (:meth:`MetricsRegistry.bind_counter`) and pays one dict update per
-    :meth:`add`.  Binding records nothing: the series is created by the
-    first ``add``, exactly as the first ``incr`` would, so a bound but
-    untouched counter shows up in no reader, exporter or dump.
+
+class _Untouched:
+    """The value of a counter series nothing has added to yet: hidden
+    from every reader, and the first addition starts it at ``0.0``."""
+
+    __slots__ = ()
+
+    def __add__(self, amount: Number) -> float:
+        return 0.0 + amount
+
+
+_UNTOUCHED = _Untouched()
+
+
+class BoundCounter:
+    """One counter series: the cell the registry keeps for it.
+
+    ``incr(name, **labels)`` canonicalizes the labels and looks the
+    cell up on every call; a hot path that always hits the same series
+    binds it once (:meth:`MetricsRegistry.bind_counter`) and pays one
+    attribute increment per :meth:`add`.  Binding records nothing: a
+    cell starts untouched, and the first ``add`` makes the series, as
+    the first ``incr`` would, so a bound but untouched counter shows up
+    in no reader, exporter or dump.
     """
 
-    __slots__ = ("_counters", "_key")
+    __slots__ = ("value",)
 
-    def __init__(self, counters: Dict[MetricKey, float], key: MetricKey) -> None:
-        self._counters = counters
-        self._key = key
+    def __init__(self) -> None:
+        self.value: Union[float, _Untouched] = _UNTOUCHED
 
     def add(self, amount: Number = 1) -> None:
-        counters, key = self._counters, self._key
-        counters[key] = counters.get(key, 0.0) + amount
+        self.value += amount  # type: ignore[operator]
 
 
 class MetricsRegistry:
     """Named counters, gauges, and histograms with label support."""
 
     def __init__(self) -> None:
-        self._counters: Dict[MetricKey, float] = {}
+        #: Every counter series' cell, untouched ones included (see
+        #: :class:`BoundCounter`); readers go through :meth:`_touched`.
+        self._counters: Dict[MetricKey, BoundCounter] = {}
         self._gauges: Dict[MetricKey, float] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
 
     # -- recording -----------------------------------------------------
     def incr(self, name: str, amount: Number = 1, **labels: object) -> None:
-        key = (name, labels_key(labels))
-        self._counters[key] = self._counters.get(key, 0.0) + float(amount)
+        self._cell((name, labels_key(labels))).value += float(amount)  # type: ignore[operator]
 
     def bind_counter(self, name: str, **labels: object) -> BoundCounter:
         """The series ``incr(name, **labels)`` writes, pre-keyed."""
-        return BoundCounter(self._counters, (name, labels_key(labels)))
+        return self._cell((name, labels_key(labels)))
+
+    def _cell(self, key: MetricKey) -> BoundCounter:
+        cell = self._counters.get(key)
+        if cell is None:
+            cell = self._counters[key] = BoundCounter()
+        return cell
+
+    def _touched(self) -> Iterator[Tuple[MetricKey, float]]:
+        """Every counter series something has added to, with its value."""
+        for key, cell in self._counters.items():
+            value = cell.value
+            if value is not _UNTOUCHED:
+                yield key, value  # type: ignore[misc]
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self._gauges[(name, labels_key(labels))] = float(value)
@@ -260,11 +331,11 @@ class MetricsRegistry:
     # -- reading -------------------------------------------------------
     def counter(self, name: str, **labels: object) -> float:
         """The value of one exact series (0.0 when never touched)."""
-        return self._counters.get((name, labels_key(labels)), 0.0)
+        return self.counter_value((name, labels_key(labels)))
 
     def counter_total(self, name: str) -> float:
         """The sum of every series sharing ``name``, labels collapsed."""
-        return sum(v for (n, _), v in self._counters.items() if n == name)
+        return sum(v for (n, _), v in self._touched() if n == name)
 
     def gauge(self, name: str, **labels: object) -> float:
         return self._gauges.get((name, labels_key(labels)), 0.0)
@@ -281,7 +352,7 @@ class MetricsRegistry:
         """Every counter series, keyed by formatted series name."""
         return {
             format_series(name, labels): value
-            for (name, labels), value in sorted(self._counters.items())
+            for (name, labels), value in sorted(self._touched())
         }
 
     def gauges(self) -> Dict[str, float]:
@@ -299,13 +370,16 @@ class MetricsRegistry:
     def counter_totals(self) -> Dict[str, float]:
         """Counters aggregated to base names (the compact report view)."""
         totals: Dict[str, float] = {}
-        for (name, _labels), value in self._counters.items():
+        for (name, _labels), value in self._touched():
             totals[name] = totals.get(name, 0.0) + value
         return dict(sorted(totals.items()))
 
     def counter_value(self, key: MetricKey) -> float:
         """Series value by canonical key (exporter access path)."""
-        return self._counters.get(key, 0.0)
+        cell = self._counters.get(key)
+        if cell is None or cell.value is _UNTOUCHED:
+            return 0.0
+        return cell.value  # type: ignore[return-value]
 
     def gauge_value(self, key: MetricKey) -> float:
         return self._gauges.get(key, 0.0)
@@ -315,7 +389,7 @@ class MetricsRegistry:
 
     def series(self) -> Iterator[Tuple[str, MetricKey]]:
         """(kind, key) for every live series, in stable order."""
-        for key in sorted(self._counters):
+        for key, _value in sorted(self._touched()):
             yield "counter", key
         for key in sorted(self._gauges):
             yield "gauge", key
@@ -343,7 +417,7 @@ class MetricsRegistry:
         return {
             "counters": [
                 [name, [list(item) for item in labels], value]
-                for (name, labels), value in sorted(self._counters.items())
+                for (name, labels), value in sorted(self._touched())
             ],
             "gauges": [
                 [name, [list(item) for item in labels], value]
@@ -371,8 +445,7 @@ class MetricsRegistry:
             )
 
         for name, labels, value in data.get("counters", []):  # type: ignore[union-attr]
-            key = _key(name, labels)
-            self._counters[key] = self._counters.get(key, 0.0) + float(value)
+            self._cell(_key(name, labels)).value += float(value)  # type: ignore[operator]
         for name, labels, value in data.get("gauges", []):  # type: ignore[union-attr]
             self._gauges[_key(name, labels)] = float(value)
         for name, labels, hist_dump in data.get("histograms", []):  # type: ignore[union-attr]
@@ -383,7 +456,10 @@ class MetricsRegistry:
             found.absorb(hist_dump)
 
     def clear(self) -> None:
-        self._counters.clear()
+        # Counter cells stay: a bound counter keeps writing where every
+        # reader looks, and reads as untouched until it does.
+        for cell in self._counters.values():
+            cell.value = _UNTOUCHED
         self._gauges.clear()
         self._histograms.clear()
 

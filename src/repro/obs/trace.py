@@ -7,10 +7,14 @@ period -- carrying a name, wall-clock start/duration (from
 (pid, thread, optional *lane*) for the Chrome trace-event exporter to
 draw one row per logical actor in Perfetto.
 
-Tracing is off by default and costs one ``None`` check per
-instrumentation site: ``span(...)`` returns a shared no-op context
-manager until a :class:`Tracer` is installed (:func:`install` /
-:func:`installed`).
+Tracing is off by default, until a :class:`Tracer` is installed
+(:func:`install` / :func:`installed`).  While it is off, each helper
+tests for the tracer and returns at once: ``span(...)``,
+``span_since(...)`` and ``attach(None)`` hand back one shared no-op
+context manager (entering and leaving it are two empty method calls)
+and ``event(...)`` records nothing.  The runtime's per-envelope paths
+test :func:`active_tracer` once per reaction instead, and build no span
+attributes and no envelope context while it is ``None``.
 
 Context propagation:
 
@@ -108,23 +112,32 @@ def current_context() -> Optional[TraceContext]:
     return TraceContext(trace_id=trace_id, span_id=_CURRENT_SPAN.get() or 0)
 
 
-@contextmanager
-def attach(ctx: Optional[TraceContext]) -> Iterator[None]:
+class _Attached:
+    """The context manager :func:`attach` returns for a real context."""
+
+    __slots__ = ("_ctx", "_trace_token", "_span_token")
+
+    def __init__(self, ctx: TraceContext) -> None:
+        self._ctx = ctx
+
+    def __enter__(self) -> None:
+        self._trace_token = _CURRENT_TRACE.set(self._ctx.trace_id)
+        self._span_token = _CURRENT_SPAN.set(self._ctx.span_id or None)
+
+    def __exit__(self, *exc: object) -> None:
+        _CURRENT_SPAN.reset(self._span_token)
+        _CURRENT_TRACE.reset(self._trace_token)
+
+
+def attach(ctx: Optional[TraceContext]) -> Union["_NullSpan", _Attached]:
     """Adopt a received context: spans recorded inside join its trace.
 
-    ``attach(None)`` is a cheap no-op so call sites can pass an
-    envelope's (possibly absent) context unconditionally.
+    ``attach(None)`` returns the shared no-op handle, so call sites can
+    pass an envelope's (possibly absent) context unconditionally.
     """
     if ctx is None:
-        yield
-        return
-    trace_token = _CURRENT_TRACE.set(ctx.trace_id)
-    span_token = _CURRENT_SPAN.set(ctx.span_id or None)
-    try:
-        yield
-    finally:
-        _CURRENT_SPAN.reset(span_token)
-        _CURRENT_TRACE.reset(trace_token)
+        return _NULL_SPAN
+    return _Attached(ctx)
 
 
 @dataclass

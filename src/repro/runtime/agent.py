@@ -341,11 +341,15 @@ class NodeAgent:
     async def _emit(
         self, role: TreeRole, period: int, started: float, waited: bool = False
     ) -> None:
-        """Shape one tree's update (:meth:`shape`) and send it.
+        """Shape one tree's update and send it (:meth:`_send`), inside its
+        wave span when tracing.
 
         Recorded once the role is ready, the spans still run from the
         tick (``started``) to the send.
         """
+        if trace.active_tracer() is None:
+            await self._send(role, period, None)
+            return
         attrs = {"tree": role.tree_id, "period": period}
         with trace.span_since(names.SPAN_AGENT_WAVE, started, lane=self._lane, **attrs) as wave:
             if waited:
@@ -353,12 +357,23 @@ class NodeAgent:
                     names.SPAN_AGENT_CHILD_WAIT, started, lane=self._lane, **attrs
                 ):
                     pass
-            batch, offered = self.shape(role, float(period))
+            batch, offered = await self._send(role, period, wave.context())
             if batch.count:
                 wave.set(outcome="sent", values=batch.count)
             else:
-                # The receiver waits on this role each period: say
-                # there is nothing -- no reading, so no charge.
                 wave.set(outcome="shaped_out" if offered else "empty", offered=offered)
-            update = UpdateEnvelope(self.node_id, role.tree, period, batch, wave.context())
-            await self.transport.send(role.receiver, update)
+
+    async def _send(
+        self, role: TreeRole, period: int, ctx: Optional[trace.TraceContext]
+    ) -> Tuple[Batch, int]:
+        """:meth:`shape` ``role``'s batch and send it, stamped with the
+        wave's trace context ``ctx``; returns what :meth:`shape` did.
+
+        An empty batch is sent all the same: the receiver waits on this
+        role each period, so it says there is nothing -- no reading, so
+        no charge.
+        """
+        batch, offered = self.shape(role, float(period))
+        update = UpdateEnvelope(self.node_id, role.tree, period, batch, ctx)
+        await self.transport.send(role.receiver, update)
+        return batch, offered

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import bisect
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -92,11 +93,6 @@ class Reading:
 Cell = Tuple["array[float]", "array[float]", int]
 
 
-def percentage_error(truth: float, seen: float) -> float:
-    """Capped percentage error of a collected value against the truth."""
-    return min(abs(truth - seen) / max(abs(truth), _ERROR_FLOOR), 1.0)
-
-
 def score_period(
     period: int, truths: Sequence[float], cells: Sequence[Optional[Cell]]
 ) -> Tuple[RuntimePeriodSample, List[float]]:
@@ -120,7 +116,11 @@ def score_period(
             values, stamps, slot = cell
             stamp = stamps[slot]
             if stamp != ABSENT:
-                total_error += percentage_error(truth, values[slot])
+                # The capped percentage error, spelled out: this runs
+                # once per requested pair per period.
+                scale = abs(truth)
+                error = abs(truth - values[slot]) / (_ERROR_FLOOR if scale < _ERROR_FLOOR else scale)
+                total_error += 1.0 if error > 1.0 else error
                 ages.append(now - stamp)
                 if stamp >= now - _EPS:
                     fresh += 1
@@ -219,6 +219,9 @@ class CollectorAgent:
         #: event set once that is nobody.  Keyed by the envelope's own
         #: period -- across processes one can beat the collector's tick.
         self._unheard: Dict[int, Tuple[Set[Tuple[str, int]], asyncio.Event]] = {}
+        # The per-update counters, keyed once.
+        self._count_delivered = metrics.bind_counter(names.MESSAGES_DELIVERED)
+        self._count_cost = metrics.bind_counter(names.COST_UNITS_SPENT)
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
@@ -292,8 +295,8 @@ class CollectorAgent:
             return False
         self._budget -= charge
         fold(columns[0], columns[1], 0, batch)
-        self.metrics.incr(names.MESSAGES_DELIVERED)
-        self.metrics.incr(names.COST_UNITS_SPENT, charge)
+        self._count_delivered.add()
+        self._count_cost.add(charge)
         return True
 
     def score(self, period: int) -> RuntimePeriodSample:
@@ -301,11 +304,12 @@ class CollectorAgent:
         sample, recording each pair's staleness and the coverage."""
         sample, ages = score_period(period, self._truths(), self._cells)
         if ages:
-            # One series lookup per close, not one per pair (and
-            # none before the first reading: no empty series).
+            # One series lookup per close and one observation per
+            # distinct age, not one per pair (and none before the first
+            # reading: no empty series).
             staleness = self.metrics.histogram(names.STALENESS_PERIODS)
-            for age in ages:
-                staleness.observe(age)
+            for age, times in Counter(ages).items():
+                staleness.observe(age, times)
         self.samples.append(sample)
         self.metrics.observe(names.PERIOD_COVERAGE, sample.received_fraction)
         return sample

@@ -1,9 +1,11 @@
 """Tests for the metrics registry and the sketching histogram."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from repro.obs import metrics as metrics_module
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import (
     Histogram,
@@ -219,6 +221,96 @@ class TestHistogramSketch:
         a, b = fill(), fill()
         assert a.quantile(0.5) == b.quantile(0.5)
         assert a.quantile(0.95) == b.quantile(0.95)
+
+
+class TestSkipCountReservoir:
+    """Algorithm L: one draw per replacement, not per observation."""
+
+    def test_every_stream_decile_is_kept_at_k_over_n(self):
+        # Each trial's reservoir is a uniform sample of the stream: every
+        # tenth of it -- before the switch, at it, and long after --
+        # survives at the rate k/n, over many seeds.
+        n, k, trials = 10_000, Histogram.RESERVOIR_SIZE, 60
+        kept = [0] * 10
+        for seed in range(trials):
+            h = Histogram()
+            h._rng = random.Random(seed)
+            for i in range(n):
+                h.observe(float(i))
+            assert len(h._values) == k
+            for v in h._values:
+                kept[int(v) * 10 // n] += 1
+        for decile, count in enumerate(kept):
+            rate = count / (trials * n / 10)
+            assert abs(rate - k / n) <= 0.05 * k / n, (decile, rate)
+
+    @pytest.mark.usefixtures("small_sketch")
+    @pytest.mark.parametrize("before", [0, 37, 100, 400])
+    @pytest.mark.parametrize("times", [1, 7, 63, 64, 65, 1000])
+    def test_times_equals_that_many_single_observations(self, before, times):
+        weighted, single = Histogram(), Histogram()
+        for h in (weighted, single):
+            for i in range(before):
+                h.observe(float(i % 5) + 0.5)
+        weighted.observe(2.25, times=times)
+        for _ in range(times):
+            single.observe(2.25)
+        for attr in ("count", "sum", "min", "max", "is_exact"):
+            assert getattr(weighted, attr) == getattr(single, attr), attr
+        if single.is_exact:
+            assert weighted.dump() == single.dump()
+        else:
+            assert len(weighted._values) == len(single._values) == Histogram.RESERVOIR_SIZE
+
+    def test_a_huge_times_allocates_no_list_of_that_length(self):
+        tracemalloc.start()
+        try:
+            h = Histogram()
+            h.observe(3.0, times=10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a 10**7-long list would take 80 MB
+        assert (h.count, h.sum, h.min, h.max) == (10**7, 3e7, 3.0, 3.0)
+        assert h._values == [3.0] * Histogram.RESERVOIR_SIZE
+
+    def test_the_sample_stays_uniform_after_absorbing_into_and_out_of_a_sketch(self):
+        # 20 000 zeros (sketched) absorb 20 000 ones (sketched), then go
+        # on observing 40 000 twos: the reservoir must hold them in the
+        # proportions of the 80 000 observations, 1 : 1 : 2.
+        zeros, ones = Histogram(), Histogram()
+        zeros.observe(0.0, times=20_000)
+        ones.observe(1.0, times=20_000)
+        zeros.absorb(ones.dump())
+        assert not zeros.is_exact
+        for _ in range(40_000):
+            zeros.observe(2.0)
+        shares = [zeros._values.count(v) / len(zeros._values) for v in (0.0, 1.0, 2.0)]
+        assert shares == pytest.approx([0.25, 0.25, 0.5], abs=0.05)
+        # And an exact histogram that absorbs a sketch keeps sampling.
+        exact = Histogram()
+        exact.observe(5.0)
+        exact.absorb(zeros.dump())
+        exact.observe(7.0, times=80_001)
+        assert exact.count == 160_002
+        assert exact._values.count(7.0) / len(exact._values) == pytest.approx(0.5, abs=0.05)
+
+    def test_summary_reads_both_quantiles_from_one_sort(self, monkeypatch):
+        h = Histogram()
+        for v in [4.0, 1.0, 3.0, 2.0]:
+            h.observe(v)
+        expected = {"count": 4.0, "mean": 2.5, "p50": h.quantile(0.5),
+                    "p95": h.quantile(0.95), "max": 4.0}
+        sorts = []
+
+        def counted(values):
+            sorts.append(len(values))
+            return sorted(values)
+
+        monkeypatch.setattr(metrics_module, "sorted", counted, raising=False)
+        assert h.summary() == expected
+        assert sorts == [4]
+        assert (expected["p50"], expected["p95"]) == (2.5, pytest.approx(3.85))
 
 
 class TestDumpAbsorb:
