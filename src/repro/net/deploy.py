@@ -43,7 +43,14 @@ from repro.net.tcp import TcpTransport
 from repro.obs import log, names, trace
 from repro.obs.export import write_jsonl_spans
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.engine import build_collector, compile_layouts, ground_truth, hosting, run_periods
+from repro.runtime.engine import (
+    build_collector,
+    compile_layouts,
+    ground_truth,
+    hosting,
+    run_periods,
+    run_report,
+)
 from repro.runtime.messages import COLLECTOR_ADDRESS, Envelope
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimeReport
@@ -495,14 +502,7 @@ def run_deploy(
             merged.registry.absorb(json.load(fh)["metrics"])
         worker_reports += 1
 
-    report = RuntimeReport(
-        requested_pairs=len(plan.pairs),
-        n_periods=spec.periods,
-        samples=list(supervisor.collector.samples),
-        failure_events=list(supervisor.collector.failure_events),
-        metrics=merged,
-        wall_seconds=time.monotonic() - started,
-    )
+    report = run_report(plan, spec.periods, supervisor.collector, merged, started)
     roles = ["collector", "supervisor"] + [
         f"worker-{rank}" for rank in range(spec.workers)
     ]

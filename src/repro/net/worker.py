@@ -27,8 +27,7 @@ from typing import Optional
 from repro.net.deploy import DeploySpec, control_address, write_json_atomic
 from repro.net.tcp import TcpTransport
 from repro.obs import log, names
-from repro.runtime.agent import NodeAgent
-from repro.runtime.engine import build_roles, compile_layouts, ground_truth, hosting
+from repro.runtime.engine import build_agents, compile_layouts, ground_truth, hosting
 from repro.runtime.messages import Envelope, StopEnvelope, TickEnvelope
 from repro.runtime.metrics import RuntimeMetrics
 
@@ -51,23 +50,13 @@ class WorkerRuntime:
             metrics=self.metrics,
         )
         self._advanced = 0
-        # The engine's own role builder, over the identical re-planned
+        # The engine's own agent builder, over the identical re-planned
         # forest: single-process runs and deploy workers can never
         # disagree about tree ids, depths, or local demands.
-        roles = build_roles(plan, compile_layouts(plan))
-        self.agents = {
-            node: NodeAgent(
-                node_id=node,
-                capacity=cluster.capacity(node),
-                roles=roles[node],
-                cost=plan.cost,
-                registry=self.registry,
-                transport=self.transport,
-                metrics=self.metrics,
-                config=self.config,
-            )
-            for node in spec.shards[rank]
-        }
+        self.agents = build_agents(
+            plan, compile_layouts(plan), cluster, self.registry, self.transport,
+            self.metrics, self.config, nodes=spec.shards[rank],
+        )  # fmt: skip
 
     async def run(self, ready: Optional[Connection]) -> None:
         ctrl = control_address(self.rank)

@@ -8,7 +8,9 @@ the single implementation of that rule and of what surrounds it:
 - what every process derives from the plan alone
   (:func:`compile_layouts`, :func:`build_roles`) and the ground truth
   a run is scored against (:func:`ground_truth`);
-- the one collector every tree reports to (:func:`build_collector`);
+- the agents a process hosts (:func:`build_agents`), the one collector
+  every tree reports to (:func:`build_collector`) and the report a run
+  ends in (:func:`run_report`);
 - the lifecycle of the agent tasks a process hosts (:func:`hosting`)
   and the period loop (:func:`run_periods`).
 
@@ -33,8 +35,9 @@ the close bound, the sleep to the next tick, every relay's child-wait
 deadline and the collection latency all read ``loop.time()``.  On an
 event loop whose ``time()`` is virtual, a period costs no wall-clock
 time and its outcome depends on the plan alone; that is how
-``tests/test_runtime_parity.py`` holds the runtime's per-period
-samples equal to the simulator's.
+``tests/test_runtime_parity.py`` holds the simulator, the runtime in
+process and over TCP, and a deploy's hosts to the same per-period
+samples and counters.
 """
 
 from __future__ import annotations
@@ -167,6 +170,35 @@ def build_collector(
     )
 
 
+def build_agents(
+    plan: MonitoringPlan,
+    layouts: Sequence[TreeLayout],
+    cluster: Cluster,
+    registry: MetricRegistry,
+    transport: Transport,
+    metrics: RuntimeMetrics,
+    config: RuntimeConfig,
+    nodes: Optional[Sequence[NodeId]] = None,
+) -> Dict[NodeId, NodeAgent]:
+    """One :class:`NodeAgent` per node of ``nodes`` (by default every
+    node with a role in ``plan``), each with its :func:`build_roles`
+    roles: the agents every host runs, built one way."""
+    roles = build_roles(plan, layouts)
+    return {
+        node: NodeAgent(
+            node_id=node,
+            capacity=cluster.capacity(node),
+            roles=roles[node],
+            cost=plan.cost,
+            registry=registry,
+            transport=transport,
+            metrics=metrics,
+            config=config,
+        )
+        for node in (sorted(roles) if nodes is None else nodes)
+    }
+
+
 def ground_truth(plan: MonitoringPlan, seed: int) -> MetricRegistry:
     """The metric registry a run of ``plan`` is scored against.
 
@@ -176,6 +208,26 @@ def ground_truth(plan: MonitoringPlan, seed: int) -> MetricRegistry:
     interpreter's hash randomization.
     """
     return MetricRegistry(sorted(plan.pairs), seed=seed)
+
+
+def run_report(
+    plan: MonitoringPlan,
+    n_periods: int,
+    collector: CollectorAgent,
+    metrics: RuntimeMetrics,
+    started: float,
+) -> RuntimeReport:
+    """What a run of ``plan`` that began at ``time.monotonic()`` =
+    ``started`` produced: ``collector``'s samples and failure events
+    over ``metrics``.  Every engine and host reports through here."""
+    return RuntimeReport(
+        requested_pairs=len(plan.pairs),
+        n_periods=n_periods,
+        samples=list(collector.samples),
+        failure_events=list(collector.failure_events),
+        metrics=metrics,
+        wall_seconds=time.monotonic() - started,
+    )
 
 
 class Runnable(Protocol):
@@ -287,20 +339,9 @@ class MonitoringRuntime:
         for pair in sorted(plan.pairs):
             self.registry.ensure(pair)
         layouts = compile_layouts(plan)
-        roles = build_roles(plan, layouts)
-        self.agents: Dict[NodeId, NodeAgent] = {
-            node: NodeAgent(
-                node_id=node,
-                capacity=cluster.capacity(node),
-                roles=node_roles,
-                cost=plan.cost,
-                registry=self.registry,
-                transport=self.transport,
-                metrics=self.metrics,
-                config=self.config,
-            )
-            for node, node_roles in sorted(roles.items())
-        }
+        self.agents: Dict[NodeId, NodeAgent] = build_agents(
+            plan, layouts, cluster, self.registry, self.transport, self.metrics, self.config
+        )
         self.collector = build_collector(
             plan,
             layouts,
@@ -331,14 +372,7 @@ class MonitoringRuntime:
             await run_periods(
                 n_periods, self.config.period_seconds, self.registry, self.collector, self.fan_out
             )
-        return RuntimeReport(
-            requested_pairs=len(self.plan.pairs),
-            n_periods=n_periods,
-            samples=list(self.samples),
-            failure_events=list(self.collector.failure_events),
-            metrics=self.metrics,
-            wall_seconds=time.monotonic() - started,
-        )
+        return run_report(self.plan, n_periods, self.collector, self.metrics, started)
 
     # -- what this host supplies to the driver --------------------------
     async def fan_out(self, envelope: Envelope) -> None:

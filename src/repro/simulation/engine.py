@@ -53,7 +53,7 @@ from repro.core.plan import MonitoringPlan
 from repro.obs import names, trace
 from repro.runtime.agent import NodeAgent, TreeRole
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.engine import MonitoringRuntime
+from repro.runtime.engine import MonitoringRuntime, run_report
 from repro.runtime.messages import Batch
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimeReport
@@ -123,13 +123,7 @@ class MonitoringSimulation:
         # Drain any stragglers scheduled past the last deadline so late
         # arrivals are at least accounted in message statistics.
         self._fire_until(math.inf)
-        return RuntimeReport(
-            requested_pairs=len(self.plan.pairs),
-            n_periods=n_periods,
-            samples=list(collector.samples),
-            metrics=self.runtime.metrics,
-            wall_seconds=time.monotonic() - started,
-        )
+        return run_report(self.plan, n_periods, collector, self.runtime.metrics, started)
 
     def _schedule(self, time: float, action: Callable[[float], None]) -> None:
         heapq.heappush(self._events, (time, next(self._seq), action))

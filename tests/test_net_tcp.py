@@ -6,16 +6,13 @@ import time
 import pytest
 
 from repro.cluster.metrics import MetricRegistry
-from repro.core.attributes import NodeAttributePair, pairs_for
+from repro.core.attributes import NodeAttributePair
 from repro.core.cost import CostModel
-from repro.core.forest import ForestBuilder
-from repro.core.partition import Partition
 from repro.net import PeerDirectory, TcpTransport
 from repro.net.codec import encode_frame
 from repro.net.deploy import allocate_endpoints
 from repro.obs import names
 from repro.runtime import (
-    MonitoringRuntime,
     NodeAgent,
     RuntimeConfig,
     RuntimeMetrics,
@@ -29,9 +26,15 @@ from repro.runtime.messages import (
     TickEnvelope,
 )
 from repro.runtime.transport import UnknownAddressError
-from repro.simulation import MonitoringSimulation
 
 COST = CostModel(2.0, 1.0)
+
+
+def _routing(endpoint, *addresses):
+    """A directory that sends ``addresses`` to ``endpoint``."""
+    directory = PeerDirectory()
+    directory.assign(addresses, endpoint)
+    return directory
 
 
 async def _started_pair():
@@ -40,7 +43,7 @@ async def _started_pair():
     b.register(1)
     b.register(2)
     endpoint = await b.start()
-    a = TcpTransport(PeerDirectory({1: endpoint, 2: endpoint}))
+    a = TcpTransport(_routing(endpoint, 1, 2))
     return a, b
 
 
@@ -218,7 +221,7 @@ class TestCoalescedWrites:
 
         async def scenario():
             endpoint = allocate_endpoints(1)[0]  # nobody listens here
-            a = TcpTransport(PeerDirectory({1: endpoint}))
+            a = TcpTransport(_routing(endpoint, 1))
             for envelope in _beats(3):
                 assert await a.send(1, envelope)
             await asyncio.sleep(0.05)
@@ -243,7 +246,7 @@ class TestReconnect:
             )
             b.register(1)
             await b.start()
-            a = TcpTransport(PeerDirectory({1: endpoint}))
+            a = TcpTransport(_routing(endpoint, 1))
             try:
                 first = HeartbeatEnvelope(sender=7, period=0)
                 assert await a.send(1, first)
@@ -285,7 +288,7 @@ class TestReconnect:
         async def scenario():
             endpoint = allocate_endpoints(1)[0]
             b = await _restart(endpoint)
-            a = TcpTransport(PeerDirectory({1: endpoint}))
+            a = TcpTransport(_routing(endpoint, 1))
             try:
                 [first] = _beats(1)
                 assert await a.send(1, first)
@@ -316,7 +319,7 @@ class TestReconnect:
 
         async def scenario():
             endpoint = allocate_endpoints(1)[0]  # nobody listens yet
-            a = TcpTransport(PeerDirectory({1: endpoint}))
+            a = TcpTransport(_routing(endpoint, 1))
             b = None
             try:
                 held = _beats(4)
@@ -348,7 +351,7 @@ class TestReconnect:
 
         async def scenario():
             endpoint = allocate_endpoints(1)[0]  # node 1's parent: nobody listens yet
-            a = TcpTransport(PeerDirectory({1: endpoint}))
+            a = TcpTransport(_routing(endpoint, 1))
             metrics = RuntimeMetrics()
             a.bind_metrics(metrics)
             config = RuntimeConfig(period_seconds=30.0)
@@ -453,43 +456,3 @@ class TestReconnect:
                 await b.aclose()
 
         asyncio.run(scenario())
-
-
-class TestRuntimeParityOverTcp:
-    #: Same acceptance bar as the in-process parity suite.
-    TOLERANCE = 0.05
-
-    def test_runtime_over_tcp_matches_simulator(self, small_cluster):
-        pairs = pairs_for(range(6), ["a", "b"])
-        plan = ForestBuilder(COST).build(
-            Partition.singletons({"a", "b"}), pairs, small_cluster
-        )
-        seed, periods = 9, 8
-        sim_report = MonitoringSimulation(
-            plan,
-            small_cluster,
-            registry=MetricRegistry(plan.pairs, seed=seed),
-            seed=seed,
-        ).run(periods)
-
-        endpoint = allocate_endpoints(1)[0]
-        transport = TcpTransport(
-            PeerDirectory(default=endpoint),
-            listen_host=endpoint.host,
-            listen_port=endpoint.port,
-            force_wire=True,
-        )
-        runtime_report = MonitoringRuntime(
-            plan,
-            small_cluster,
-            registry=MetricRegistry(plan.pairs, seed=seed),
-            config=RuntimeConfig(period_seconds=0.05, seed=seed),
-            transport=transport,
-        ).run(periods)
-
-        assert runtime_report.mean_coverage == pytest.approx(
-            sim_report.mean_coverage, abs=self.TOLERANCE
-        )
-        # Every envelope made a real socket round trip.
-        frames = runtime_report.metrics.registry.counter_total(names.NET_FRAMES_SENT)
-        assert frames > 0

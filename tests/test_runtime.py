@@ -999,8 +999,9 @@ def test_a_clean_run_spends_twice_the_plans_traffic(name, wire):
             PeerDirectory(default=endpoint), listen_host=endpoint.host,
             listen_port=endpoint.port, force_wire=True,
         )  # fmt: skip
-    config = RuntimeConfig(period_seconds=0.2, child_wait_fraction=1.0, seed=1)
-    report = MonitoringRuntime(plan, cluster, config=config, transport=transport).run(3)
+    config = RuntimeConfig(period_seconds=0.2, seed=1)
+    runtime = MonitoringRuntime(plan, cluster, config=config, transport=transport)
+    report = run_virtual(runtime.run_async(3))
     counters = report.metrics.counters()
     assert messages_dropped(report) == 0 and "child_wait_timeouts" not in counters
     assert counters["messages_delivered"] == counters["messages_sent"]
@@ -1021,13 +1022,25 @@ QUICKSTART_TOTALS = {
 def test_twenty_quickstart_periods_move_exact_totals(capsys, tmp_path):
     """What a feasible plan moves and what it costs is a function of the
     plan, not of how the agents are scheduled: twenty periods of the
-    quickstart plan through ``repro run`` give exactly these totals."""
+    quickstart plan through ``repro run`` give exactly these totals.
+
+    The one ``repro run`` in this suite on asyncio's own loop and the
+    wall clock, as a user runs it: every other exact run is on virtual
+    time (``test_quickstart_totals_do_not_depend_on_the_period_length``
+    pins the same totals there), so only this one shows a relay's child
+    wait or a heartbeat running late on a busy host."""
     argv = ["run", "--preset", "quickstart", "--periods", "20", "--period-seconds", "0.05"]
     # --metrics gives the run a fresh registry: the ambient default one
     # holds whatever earlier runs in this process counted.
     assert main(argv + ["--json", "--metrics", str(tmp_path / "run.prom")]) == 0
     counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]
-    assert {name: counters.get(name) for name in QUICKSTART_TOTALS} == QUICKSTART_TOTALS
+    expected = {**QUICKSTART_TOTALS, names.CHILD_WAIT_TIMEOUTS: None}
+    differing = {
+        name: {"got": counters.get(name), "want": want}
+        for name, want in expected.items()
+        if counters.get(name) != want
+    }
+    assert not differing, f"counters off the quickstart totals: {differing}"
 
 
 @pytest.mark.parametrize("period_seconds", [0.05, 1e-3, 1e-6])

@@ -1,31 +1,51 @@
-"""Runtime / simulator parity and `repro run --json` contract tests.
+"""Runtime / simulator / TCP / deploy parity and `repro run --json` tests.
 
-The acceptance bar for the live runtime: the same plan and
-``MetricRegistry`` seed, executed through both
-:class:`~repro.simulation.engine.MonitoringSimulation` (lock-step
-discrete events) and :class:`~repro.runtime.engine.MonitoringRuntime`
-(concurrent asyncio agents, on a virtual-time event loop), must
-produce the same per-period samples -- error, freshness and coverage,
-to the last bit -- the runtime must reproduce the simulator's overload
-pins, and both must move the same messages under a node outage.
+The acceptance bar for every way a plan is executed: the same plan and
+seeds, run through the simulator's schedule
+(:class:`~repro.simulation.engine.MonitoringSimulation`), the
+in-process runtime (:class:`~repro.runtime.engine.MonitoringRuntime`),
+the runtime with every envelope on a loopback TCP socket, and a
+``repro deploy`` supervisor with its workers, must produce the same
+per-period samples -- error, freshness and coverage, to the last bit
+-- the same failure events and the same counters.  Every live path
+runs on a virtual-time event loop, so its outcome is a function of the
+plan and the seeds alone and a period costs no wall-clock time.
 """
 
+import asyncio
+import functools
 import json
 import re
+import tempfile
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Tuple
 
 import pytest
 
 from repro.cli import main
-from repro.cluster.metrics import MetricRegistry
+from repro.cluster.node import Cluster, SimNode
 from repro.core.attributes import pairs_for
 from repro.core.cost import CostModel
 from repro.core.forest import ForestBuilder
 from repro.core.partition import Partition
-from repro.core.planner import RemoPlanner
+from repro.core.plan import MonitoringPlan
+from repro.net import PeerDirectory, TcpTransport
+from repro.net.deploy import (
+    DeploySpec,
+    _Supervisor,
+    allocate_endpoints,
+    participating_nodes,
+    shard_nodes,
+)
+from repro.net.worker import WorkerRuntime
 from repro.obs import names
 from repro.runtime import AgentOutage, MonitoringRuntime, RuntimeConfig
+from repro.runtime.engine import run_report
+from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.report import RuntimeReport
 from repro.simulation import FailureInjector, MonitoringSimulation
-from repro.workloads.presets import Scenario, quickstart_workload
+from repro.workloads.presets import Scenario
 from tests.test_simulation_overload import overloaded_setup
 from tests.test_simulation_pins import MILD, SEVERE, outcome
 from tests.virtual_time import run_virtual
@@ -33,55 +53,223 @@ from tests.virtual_time import run_virtual
 COST = CostModel(2.0, 1.0)
 
 
-def run_both(plan, cluster, periods=12, seed=9):
-    """One plan, two engines, same registry seed."""
-    sim_report = MonitoringSimulation(
-        plan, cluster, registry=MetricRegistry(plan.pairs, seed=seed), seed=seed
-    ).run(periods)
-    runtime = MonitoringRuntime(
-        plan,
-        cluster,
-        registry=MetricRegistry(plan.pairs, seed=seed),
-        config=RuntimeConfig(seed=seed),
+# ---------------------------------------------------------------------------
+# The parity table: scenario x path
+# ---------------------------------------------------------------------------
+@dataclass
+class Case:
+    """One row: a plan, the cluster it runs on, how long it runs, and
+    the ``RuntimeConfig`` fields of the run.
+
+    It also stands in for the deploy spec's
+    :class:`~repro.workloads.presets.Scenario` (``workload[0]`` and
+    ``plan()``), so every deploy host gets this very plan and cluster.
+    """
+
+    planned: MonitoringPlan
+    cluster: Cluster
+    periods: int
+    config: Dict[str, Any]
+
+    @property
+    def workload(self) -> Tuple[Cluster]:
+        return (self.cluster,)
+
+    def plan(self) -> MonitoringPlan:
+        return self.planned
+
+
+def _case(
+    plan: MonitoringPlan,
+    cluster: Cluster,
+    periods: int,
+    period_seconds: float,
+    seed: int,
+    outages: Tuple[AgentOutage, ...] = (),
+) -> Case:
+    config = {"period_seconds": period_seconds, "seed": seed, "outages": list(outages)}
+    return Case(plan, cluster, periods, config)
+
+
+def _scenario(scenario: Scenario, periods: int, period_seconds: float, seed: int) -> Case:
+    return _case(scenario.plan(), scenario.workload[0], periods, period_seconds, seed)
+
+
+def _singletons(nodes: int, capacity: float, attrs: str, central: float) -> Case:
+    """A forest of one tree per attribute over ``nodes`` identical nodes."""
+    cluster = Cluster(
+        [SimNode(i, capacity=capacity, attributes=frozenset("abcd")) for i in range(nodes)],
+        central_capacity=central,
     )
-    return sim_report, run_virtual(runtime.run_async(periods))
+    plan = ForestBuilder(COST).build(
+        Partition.singletons(set(attrs)), pairs_for(range(nodes), list(attrs)), cluster
+    )
+    return _case(plan, cluster, 8, 1.0, seed=9)
+
+
+def _overloaded(delta: float) -> Case:
+    plan, cluster = overloaded_setup(root_budget_delta=delta)
+    return _case(plan, cluster, 5, 1.0, seed=1)
+
+
+def _outage() -> Case:
+    """The OUTAGE pin's plan and node outage, without its link outage."""
+    scenario = Scenario(nodes=40, tasks=10, seed=1)
+    plan = scenario.plan()
+    outage = AgentOutage(participating_nodes(plan)[3], 2, 6)
+    return _case(plan, scenario.workload[0], 10, 1.0, seed=5, outages=(outage,))
+
+
+CASES: Dict[str, Callable[[], Case]] = {
+    "quickstart": lambda: _scenario(Scenario(preset="quickstart"), 20, 0.05, seed=1),
+    "sampled_64": lambda: _scenario(Scenario(seed=2), 15, 1.0, seed=1),
+    "deploy_16": lambda: _scenario(
+        Scenario(nodes=16, pool=8, attrs_per_node=6, tasks=4, seed=3), 6, 0.05, seed=9
+    ),
+    "sampled_40": lambda: _scenario(Scenario(nodes=40, tasks=10, seed=1), 10, 1.0, seed=5),
+    "saturated_150": lambda: _scenario(
+        Scenario(nodes=150, tasks=150, capacity=200.0, seed=200), 5, 1.0, seed=1
+    ),
+    "feasible_6": lambda: _singletons(6, 100.0, "ab", 500.0),
+    "partial_20": lambda: _singletons(20, 14.0, "abcd", 60.0),
+    "mild": lambda: _overloaded(-2.0),
+    "severe": lambda: _overloaded(-1e9),
+    "outage": _outage,
+}
+
+
+@functools.cache
+def case_of(name: str) -> Case:
+    return CASES[name]()
+
+
+def simulator(case: Case) -> RuntimeReport:
+    failures = FailureInjector(node_outages=case.config["outages"])
+    return MonitoringSimulation(
+        case.planned, case.cluster, seed=case.config["seed"], failures=failures
+    ).run(case.periods)
+
+
+def in_process(case: Case) -> RuntimeReport:
+    runtime = MonitoringRuntime(case.planned, case.cluster, config=RuntimeConfig(**case.config))
+    return run_virtual(runtime.run_async(case.periods))
+
+
+@functools.cache
+def reference(name: str) -> RuntimeReport:
+    """The scenario's in-process run, the one every cell is held to."""
+    return in_process(case_of(name))
+
+
+def tcp(case: Case) -> RuntimeReport:
+    """Loopback TCP with the local fast path off: every envelope, ticks
+    and self-addressed ones too, is framed, written and read back."""
+    endpoint = allocate_endpoints(1)[0]
+    transport = TcpTransport(
+        PeerDirectory(default=endpoint),
+        listen_host=endpoint.host,
+        listen_port=endpoint.port,
+        force_wire=True,
+    )
+    runtime = MonitoringRuntime(
+        case.planned, case.cluster, config=RuntimeConfig(**case.config), transport=transport
+    )
+    return run_virtual(runtime.run_async(case.periods))
+
+
+def deploy_on_one_loop(case: Case, workers: int) -> RuntimeReport:
+    """A ``repro deploy`` run with its supervisor and every worker hosted
+    on one event loop in this process: the same spec, hosts and TCP
+    transports, with every worker's listener up before the first tick
+    (where ``run_deploy`` waits for each process's ready message).  The
+    workers' registries merge into the supervisor's, as their report
+    files do in ``run_deploy``."""
+    with tempfile.TemporaryDirectory(prefix="repro-deploy-") as rundir:
+        endpoints = allocate_endpoints(workers + 1)
+        spec = DeploySpec(
+            scenario=case,  # type: ignore[arg-type]
+            periods=case.periods,
+            shards=shard_nodes(participating_nodes(case.planned), workers),
+            worker_endpoints=endpoints[:workers],
+            collector_endpoint=endpoints[workers],
+            rundir=rundir,
+            config=case.config,
+        )
+        metrics = RuntimeMetrics()
+
+        async def run() -> RuntimeReport:
+            started = time.monotonic()
+            supervisor = _Supervisor(spec, case.planned, metrics, {})
+            hosts = [WorkerRuntime(spec, rank) for rank in range(workers)]
+            for host in hosts:
+                await host.transport.start()
+            await asyncio.gather(supervisor.run(), *(host.run(None) for host in hosts))
+            for host in hosts:
+                metrics.registry.absorb(host.metrics.registry.dump())
+            return run_report(case.planned, case.periods, supervisor.collector, metrics, started)
+
+        return run_virtual(run())
+
+
+PATHS: Dict[str, Callable[[Case], RuntimeReport]] = {
+    "simulator": simulator,
+    "inproc": in_process,
+    "tcp": tcp,
+    "deploy_1": lambda case: deploy_on_one_loop(case, 1),
+    "deploy_2": lambda case: deploy_on_one_loop(case, 2),
+}
+
+#: Cells that do not match, and why.  Both come from the relays' one
+#: shared child-wait deadline: while a node is dead, its parent and
+#: every ancestor stop waiting for it at the same instant.
+DIVERGENT = {
+    ("outage", "tcp"): (
+        "shared child-wait deadline: when a dead node's ancestors time out "
+        "at one instant, a relay's batch flushed then is in its parent's "
+        "inbox in the same loop turn in process, but needs one more socket "
+        "poll over TCP, so the parent has already sent without it "
+        "(46 164 cost units and 28 child-wait timeouts against 46 180 and 24)"
+    ),
+    ("outage", "simulator"): (
+        "shared child-wait deadline: the simulator's phased schedule has no "
+        "child wait, so batches from below a dead node travel as on any "
+        "period (46 520 cost units against 46 180); it also runs no failure "
+        "detector, so it records no failure events"
+    ),
+}
+
+
+def _cells():
+    for scenario in CASES:
+        for path in PATHS:
+            reason = DIVERGENT.get((scenario, path))
+            marks = pytest.mark.xfail(strict=True, reason=reason) if reason else ()
+            yield pytest.param(scenario, path, id=f"{scenario}-{path}", marks=marks)
+
+
+def observed(report: RuntimeReport, path: str) -> Dict[str, object]:
+    """What a path must agree on: samples, failure events, and every
+    counter but the wire's own (``net_*``, ``transport_*``).  The
+    simulator sends no heartbeats, so its count is left out there."""
+    skip = ("net_", "transport_") + ((names.HEARTBEATS_SENT,) if path == "simulator" else ())
+    return {
+        "samples": report.samples,
+        "failure_events": report.failure_events,
+        "counters": {
+            name: value
+            for name, value in report.metrics.counters().items()
+            if not name.startswith(skip)
+        },
+    }
 
 
 class TestCoverageParity:
-    def test_parity_on_feasible_plan(self, small_cluster):
-        pairs = pairs_for(range(6), ["a", "b"])
-        plan = ForestBuilder(COST).build(
-            Partition.singletons({"a", "b"}), pairs, small_cluster
-        )
-        sim_report, runtime_report = run_both(plan, small_cluster)
-        assert runtime_report.samples == sim_report.samples
-
-    def test_parity_on_partial_coverage_plan(self, tight_cluster):
-        # A plan that cannot collect everything: both engines should
-        # agree on exactly what arrives.
-        pairs = pairs_for(range(20), ["a", "b", "c", "d"])
-        plan = ForestBuilder(COST).build(
-            Partition.singletons({"a", "b", "c", "d"}), pairs, tight_cluster
-        )
-        assert plan.coverage() < 1.0
-        sim_report, runtime_report = run_both(plan, tight_cluster)
-        assert runtime_report.samples == sim_report.samples
-
-    def test_parity_on_quickstart_remo_plan(self):
-        cluster, cost, tasks = quickstart_workload()
-        plan = RemoPlanner(cost).plan(tasks, cluster)
-        sim_report, runtime_report = run_both(plan, cluster, periods=8)
-        assert runtime_report.samples == sim_report.samples
-        # Both engines deliver what the planner promised.
-        assert runtime_report.final_coverage == pytest.approx(plan.coverage())
-
-    def test_runtime_message_count_matches_simulator(self, small_cluster):
-        pairs = pairs_for(range(6), ["a"])
-        plan = ForestBuilder(COST).build(
-            Partition.singletons({"a"}), pairs, small_cluster
-        )
-        sim_report, runtime_report = run_both(plan, small_cluster, periods=6)
-        assert runtime_report.messages_sent == sim_report.messages_sent
+    @pytest.mark.parametrize("scenario, path", _cells())
+    def test_every_path_matches_in_process(self, scenario, path):
+        """One cell of the table, held ``==`` to the scenario's in-process
+        run (the in-process cell: to an earlier run of itself)."""
+        expected = observed(reference(scenario), path)
+        assert observed(PATHS[path](case_of(scenario)), path) == expected
 
     @pytest.mark.parametrize(
         "delta, pinned", [(-2.0, MILD), (-1e9, SEVERE)], ids=["mild", "severe"]
