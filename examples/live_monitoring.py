@@ -5,7 +5,7 @@ Plans the quickstart workload with REMO, then actually runs it --
 one concurrent agent per node batching values up its collection tree
 under the ``C + a*x`` budget, a collector scoring coverage and error
 each period.  Halfway through, one tree's relay node is crashed to show
-failure detection (missed heartbeats) and recovery.
+failure detection (its parent stops hearing from it) and recovery.
 
 Run:  python examples/live_monitoring.py
 """
@@ -32,8 +32,8 @@ def main() -> None:
 
     # Pick a relay (interior) node from the first tree and schedule a
     # crash for periods [6, 12): its whole subtree goes dark, the
-    # collector flags it after two missed heartbeats, and freshness
-    # recovers once it comes back.
+    # collector flags it after two periods its parent names it silent,
+    # and freshness recovers once it comes back.
     victim = None
     for result in plan.trees.values():
         tree = result.tree

@@ -10,7 +10,7 @@ Eight subcommands over synthetic workloads, mirroring the examples:
   (exit 1 on any ERROR diagnostic);
 - ``run``        execute the plan live on the asyncio runtime -- one
   concurrent agent per node plus a collector -- with capacity
-  budgets, heartbeats, and failure detection;
+  budgets and failure detection;
 - ``deploy``     run the plan across worker processes over real TCP;
 - ``serve``      run the multi-tenant control-plane HTTP service:
   tenants submit/update/delete tasks over HTTP, trigger adaptation,
@@ -211,7 +211,7 @@ def _add_runtime(
         "--failure-timeout",
         type=_positive(int),
         default=3,
-        help="periods without heartbeat before a collector flags a node",
+        help="periods a node goes unheard before the collector flags it down",
     )
 
 

@@ -24,14 +24,15 @@ The payload is unpadded and starts with a kind byte; its fixed fields
 are big-endian::
 
     stop       kind
-    heartbeat  kind | sender i64 | period i64
     tick       kind | flags u8 | period i64 | sent_at f64 | [trace]
     update     kind | flags u8 | sender i64 | period i64
                | tree u32 | first slot u32 | slots u32 | [trace]
+               | [silent: count u32 | count x i64]
                | values: slots x f64 | stamps: slots x f64
 
-``flags`` is 0, or 1 when the 24-byte trace context (16 raw trace-id
-bytes, span id u64) follows the fixed fields.  An update is a
+Flag bit 1 says the 24-byte trace context (16 raw trace-id bytes, span
+id u64) follows the fixed fields, bit 2 that an update's silent ids
+follow that; any other bit is refused.  An update is a
 :class:`~repro.runtime.messages.Batch`: the plan gives every pair of a
 tree a slot, both ends derive the same numbering from it, and the frame
 names a run of slots and carries their two columns as raw
@@ -39,11 +40,12 @@ little-endian IEEE doubles -- 16 bytes a slot, no attribute names, no
 node ids, a stamp of ``-1.0`` for a slot with no reading.  The columns
 are copied in and out whole (``array.tobytes`` / ``array.frombytes``)
 once their exact length is confirmed against the declared slot count,
-so the count sizes nothing before the bytes are seen to be there; the
+so a count (of slots or silent ids) sizes nothing before the bytes
+are seen to be there; the
 number of readings present is counted from the stamps, never taken
 from the peer; and a payload must be consumed exactly.  Whether the
-tree exists and the slots are the sender's to report is the receiver's
-check, not the codec's.
+tree exists, the slots are the sender's to report and the silent ids
+are its members is the receiver's check, not the codec's.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from repro.obs.trace import TraceContext
 from repro.runtime.messages import (
     Batch,
     Envelope,
-    HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
     UpdateEnvelope,
@@ -68,9 +69,10 @@ from repro.runtime.messages import (
 MAGIC = 0x524D
 
 #: Bump on any change to the frame layout or payload schema.  v1/v2
-#: (JSON / msgpack tagged dicts) and v3 (updates as per-value records
-#: behind an attribute-name table) are refused, not decoded.
-PROTOCOL_VERSION = 4
+#: (JSON / msgpack tagged dicts), v3 (updates as per-value records
+#: behind an attribute-name table) and v4 (heartbeats, no silent ids)
+#: are refused, not decoded.
+PROTOCOL_VERSION = 5
 
 #: Payload-format ids (the header's format byte).  JSON's id is retired
 #: and refused; the name stays because the repo benchmark's environment
@@ -86,20 +88,21 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 _HEADER = struct.Struct(">HBBqI")
 HEADER_BYTES = _HEADER.size
 
-#: Kind bytes; the two kinds that can carry a trace context sort last.
-_KIND_STOP, _KIND_HEARTBEAT, _KIND_TICK, _KIND_UPDATE = range(4)
-_HEARTBEAT = struct.Struct(">Bqq")
+#: Kind bytes; the two kinds that carry flags sort last.
+_KIND_STOP, _KIND_TICK, _KIND_UPDATE = range(3)
+#: Flag bits: a trace context follows; silent ids follow (updates only).
+_FLAG_TRACE, _FLAG_SILENT = 1, 2
 _TICK = struct.Struct(">BBqd")
 #: ``kind | flags | sender | period | tree | first slot | slots``.
 _UPDATE = struct.Struct(">BBqqIII")
-#: By kind byte: its name and the fixed fields its payload starts with.
+#: By kind byte: its name, fixed fields, and the flag bits it may set.
 _KINDS = (
-    ("stop", struct.Struct(">B")),
-    ("heartbeat", _HEARTBEAT),
-    ("tick", _TICK),
-    ("update", _UPDATE),
+    ("stop", struct.Struct(">B"), 0),
+    ("tick", _TICK, _FLAG_TRACE),
+    ("update", _UPDATE, _FLAG_TRACE | _FLAG_SILENT),
 )
 _TRACE = struct.Struct(">16sQ")
+_COUNT = struct.Struct(">I")
 #: The columns are little-endian on the wire whatever the host is.
 _SWAP_COLUMNS = sys.byteorder != "little"
 
@@ -147,12 +150,14 @@ def _encode_update(envelope: UpdateEnvelope) -> bytes:
     values, stamps = _column_bytes(batch.values), _column_bytes(batch.stamps)
     if len(values) != len(stamps):
         raise ValueError(f"{len(values) // 8} values beside {len(stamps) // 8} stamps")
-    trace = _trace_bytes(envelope.trace_ctx)
+    trace, ids = _trace_bytes(envelope.trace_ctx), envelope.silent
+    flags = (_FLAG_TRACE if trace else 0) | (_FLAG_SILENT if ids else 0)
+    silent = _COUNT.pack(len(ids)) + struct.pack(f">{len(ids)}q", *ids) if ids else b""
     head = _UPDATE.pack(
-        _KIND_UPDATE, bool(trace), envelope.sender, envelope.period,
+        _KIND_UPDATE, flags, envelope.sender, envelope.period,
         envelope.tree, batch.lo, len(stamps) // 8,
     )  # fmt: skip
-    return b"".join((head, trace, values, stamps))
+    return b"".join((head, trace, silent, values, stamps))
 
 
 def encode_payload(envelope: Envelope) -> bytes:
@@ -164,8 +169,6 @@ def encode_payload(envelope: Envelope) -> bytes:
             trace = _trace_bytes(envelope.trace_ctx)
             fixed = _TICK.pack(_KIND_TICK, bool(trace), envelope.period, envelope.sent_at)
             return fixed + trace
-        if isinstance(envelope, HeartbeatEnvelope):
-            return _HEARTBEAT.pack(_KIND_HEARTBEAT, envelope.sender, envelope.period)
         if isinstance(envelope, StopEnvelope):
             return bytes((_KIND_STOP,))
     except (struct.error, AttributeError, TypeError, ValueError) as exc:
@@ -176,7 +179,14 @@ def encode_payload(envelope: Envelope) -> bytes:
 def _decode_update(
     buf: Buffer, pos: int, end: int, fields: Tuple[int, ...], trace_ctx: Optional[TraceContext]
 ) -> Envelope:
-    _, _, sender, period, tree, lo, slots = fields
+    _, flags, sender, period, tree, lo, slots = fields
+    silent: Tuple[int, ...] = ()
+    if flags & _FLAG_SILENT:
+        count = _COUNT.unpack_from(buf, pos)[0] if end - pos >= _COUNT.size else -1
+        if not 0 <= count <= (end - pos - _COUNT.size) // 8:
+            raise CodecError(f"silent-id count {count} runs past the payload's end")
+        silent = struct.unpack_from(f">{count}q", buf, pos + _COUNT.size)
+        pos += _COUNT.size + 8 * count
     if end - pos != 16 * slots:
         raise CodecError(
             f"update declares {slots} slots ({16 * slots} bytes), "
@@ -188,7 +198,7 @@ def _decode_update(
     if _SWAP_COLUMNS:
         values.byteswap()
         stamps.byteswap()
-    return UpdateEnvelope(sender, tree, period, Batch(lo, values, stamps), trace_ctx)
+    return UpdateEnvelope(sender, tree, period, Batch(lo, values, stamps), trace_ctx, silent)
 
 
 def decode_payload(buf: Buffer, pos: int = 0, end: Optional[int] = None) -> Envelope:
@@ -199,15 +209,16 @@ def decode_payload(buf: Buffer, pos: int = 0, end: Optional[int] = None) -> Enve
     kind = buf[pos]
     if kind >= len(_KINDS):
         raise CodecError(f"unknown envelope kind byte 0x{kind:02x}")
-    name, layout = _KINDS[kind]
+    name, layout, allowed = _KINDS[kind]
     if end - pos < layout.size:
         raise CodecError(f"malformed {name}: shorter than its fixed fields")
     fields = layout.unpack_from(buf, pos)
     pos += layout.size
+    flags = fields[1] if allowed else 0
+    if flags & ~allowed:
+        raise CodecError(f"bad {name} flags byte 0x{flags:02x}")
     trace_ctx = None
-    if kind >= _KIND_TICK and fields[1]:  # the flags byte
-        if fields[1] != 1:
-            raise CodecError(f"bad flags byte 0x{fields[1]:02x}")
+    if flags & _FLAG_TRACE:
         if end - pos < _TRACE.size:
             raise CodecError("payload ends inside the trace context")
         raw, span_id = _TRACE.unpack_from(buf, pos)
@@ -218,8 +229,6 @@ def decode_payload(buf: Buffer, pos: int = 0, end: Optional[int] = None) -> Enve
         raise CodecError(f"{end - pos} trailing bytes after the envelope")
     if kind == _KIND_TICK:
         return TickEnvelope(period=fields[2], sent_at=fields[3], trace_ctx=trace_ctx)
-    if kind == _KIND_HEARTBEAT:
-        return HeartbeatEnvelope(sender=fields[1], period=fields[2])
     return StopEnvelope()
 
 

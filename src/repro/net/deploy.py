@@ -14,9 +14,8 @@ waits for each one's ready message on a pipe (or its exit, on its
 process sentinel), then hosts the collector and drives the clock: each
 period's tick goes to its own inbox and to every worker's reserved
 *control address* (:func:`control_address`), which the worker
-(:mod:`repro.net.worker`) fans out to its node agents.  Updates and
-heartbeats flow back, agent to parent or collector, through each
-process's :class:`~repro.net.tcp.TcpTransport`.  Worker exits are
+(:mod:`repro.net.worker`) fans out to its node agents.  Updates flow
+back, agent to parent or collector, through each process's :class:`~repro.net.tcp.TcpTransport`.  Worker exits are
 sentinel events and chaos kills loop timers, so nothing polls.  The
 workers' metric dumps merge into the collector's
 :class:`~repro.runtime.report.RuntimeReport`, whose ``as_dict`` output

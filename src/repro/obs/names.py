@@ -37,6 +37,7 @@ MESSAGES_DROPPED_FAILURE = "messages_dropped_failure"
 # not give the receiver: refused before any budget is charged.
 MESSAGES_DROPPED_INVALID = "messages_dropped_invalid"
 COST_UNITS_SPENT = "cost_units_spent"
+#: Recorded by nothing since liveness rode the trees; the repo benchmark reads it.
 HEARTBEATS_SENT = "heartbeats_sent"
 CHILD_WAIT_TIMEOUTS = "child_wait_timeouts"
 VALUES_TRIMMED = "values_trimmed"

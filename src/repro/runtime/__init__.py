@@ -13,7 +13,7 @@ here, framed TCP in :mod:`repro.net`).
 The behaviours the analytical evaluation cannot show live here:
 per-period ``C + a*x`` capacity budgets that always hold (a payload
 the budget cannot carry is trimmed),
-heartbeat-based failure detection at the collector, per-pair
+failure detection at the collector from what the trees report, per-pair
 staleness, and real message-passing concurrency.
 A :class:`~repro.runtime.metrics.RuntimeMetrics` hub records counters
 and histograms and renders through :mod:`repro.analysis`.
@@ -27,7 +27,6 @@ from repro.runtime.messages import (
     COLLECTOR_ADDRESS,
     Batch,
     Envelope,
-    HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
     TreeLayout,
@@ -51,7 +50,6 @@ __all__ = [
     "compile_layouts",
     "Envelope",
     "FailureEvent",
-    "HeartbeatEnvelope",
     "Histogram",
     "InProcessTransport",
     "MailboxTransport",

@@ -20,16 +20,16 @@ every pair's age in the ``staleness_periods`` histogram:
 
 The inbox loop adds the three behaviours only a live system exhibits:
 
-- **completion** -- a period is complete once the collector has
-  heard, for that period, an update from the root of every tree and a
-  heartbeat from every node it expects, leaving out nodes
-  already flagged ``down``; the engine closes the period then
-  (:meth:`CollectorAgent.heard_from_all`).  A root with nothing to send
-  sends an empty update, uncharged like a heartbeat, so its period
-  still completes;
-- **failure detection** -- each live agent heartbeats every period;
-  a node silent for ``failure_timeout`` periods is flagged ``down``,
-  and flagged ``recovered`` when its heartbeats resume;
+- **completion** -- a period is complete once every tree's root has
+  reported it, but for roots flagged ``down``; the engine closes the
+  period then (:meth:`CollectorAgent.heard_from_all`).  A root with
+  nothing to send sends an empty, uncharged update;
+- **failure detection** -- liveness rides the trees: at a period's
+  close, a node is unheard if a root update for the period names it
+  ``silent`` as a member of its tree, or if it roots a tree whose
+  update has not come; anyone else is heard (under a silent relay,
+  unknown is not down).  Unheard for ``failure_timeout`` periods is
+  ``down``; heard again at a close is ``recovered``;
 - **collection latency** -- per delivered batch, from its period's
   tick on the event loop's clock.
 """
@@ -37,7 +37,6 @@ The inbox loop adds the three behaviours only a live system exhibits:
 from __future__ import annotations
 
 import asyncio
-import bisect
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -53,7 +52,6 @@ from repro.runtime.messages import (
     COLLECTOR_ADDRESS,
     Batch,
     Columns,
-    HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
     TreeLayout,
@@ -78,6 +76,16 @@ class FailureEvent:
     node: NodeId
     period: int
     kind: str  # "down" | "recovered"
+
+
+@dataclass
+class _Heard:
+    """One open period: trees whose root has not reported, whom the
+    others named silent, and whether only waived trees are left."""
+
+    unreported: Set[int]
+    silent: Set[NodeId]
+    complete: asyncio.Event
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,6 @@ class CollectorAgent:
         self,
         requested_pairs: Sequence[NodeAttributePair],
         layouts: Iterable[TreeLayout],
-        expected_nodes: Sequence[NodeId],
         central_capacity: float,
         cost: CostModel,
         registry: MetricRegistry,
@@ -185,10 +192,10 @@ class CollectorAgent:
     ) -> None:
         layouts = tuple(layouts)
         self.requested_pairs = tuple(requested_pairs)
-        self.expected_nodes = tuple(sorted(expected_nodes))
+        #: Every tree member, in the order the detector visits them.
+        self.expected_nodes = tuple(sorted({node for lay in layouts for node in lay.ranges}))
         self.central_capacity = central_capacity
         self.cost = cost
-        self.registry = registry
         self.transport = transport
         self.metrics = metrics
         self.config = config
@@ -198,34 +205,30 @@ class CollectorAgent:
         self._cells = [self.state.cell(pair) for pair in self.requested_pairs]
         self._truths = registry.reader(self.requested_pairs)
         self.samples: List[RuntimePeriodSample] = []
-        #: Kept in ``(period, node, kind)`` order: heartbeats from
-        #: several processes arrive in no fixed order.
+        #: In ``(period, node)`` order: recorded at period close.
         self.failure_events: List[FailureEvent] = []
         self._budget = central_capacity
-        self._current_period = -1
-        self._last_heartbeat: Dict[NodeId, int] = {}
+        self._last_heard: Dict[NodeId, int] = {}
         self._failed: Set[NodeId] = set()
         #: Send time of recent ticks (collection-latency anchor); pruned
         #: at period close to the last ``failure_timeout`` periods.
         self._tick_at: Dict[int, float] = {}
-        #: Whom every period must hear from -- each tree's root (first in
-        #: its preorder ``ranges``), each expected node's beacon -- and
-        #: the node that message depends on.
-        self._expects: Dict[Tuple[str, int], NodeId] = {
-            ("update", lay.tree): next(iter(lay.ranges)) for lay in layouts if lay.ranges
-        }
-        self._expects.update((("heartbeat", node), node) for node in self.expected_nodes)
-        #: Per period not yet closed: whom it has not heard from, and the
-        #: event set once that is nobody.  Keyed by the envelope's own
-        #: period -- across processes one can beat the collector's tick.
-        self._unheard: Dict[int, Tuple[Set[Tuple[str, int]], asyncio.Event]] = {}
+        #: Each tree's root (first in its preorder ``ranges``) and members.
+        self._roots = {lay.tree: next(iter(lay.ranges)) for lay in layouts if lay.ranges}
+        self._members = {lay.tree: lay.ranges for lay in layouts}
+        #: Trees whose root was flagged ``down`` and has not reported
+        #: since: no period waits for them.
+        self._waived: Set[int] = set()
+        #: By the envelope's own period (across processes one can beat
+        #: the collector's tick), what each period not yet closed heard.
+        self._heard: Dict[int, _Heard] = {}
         # The per-update counters, keyed once.
         self._count_delivered = metrics.bind_counter(names.MESSAGES_DELIVERED)
         self._count_cost = metrics.bind_counter(names.COST_UNITS_SPENT)
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        """Inbox loop for ticks, updates, and heartbeats."""
+        """Inbox loop for ticks and updates."""
         loop = asyncio.get_running_loop()
         while True:
             envelope = await self.transport.recv(COLLECTOR_ADDRESS)
@@ -235,8 +238,6 @@ class CollectorAgent:
                 self._on_tick(envelope)
             elif isinstance(envelope, UpdateEnvelope):
                 self._on_update(envelope, loop.time())
-            elif isinstance(envelope, HeartbeatEnvelope):
-                self._on_heartbeat(envelope)
 
     # ------------------------------------------------------------------
     def _on_tick(self, tick: TickEnvelope) -> None:
@@ -249,8 +250,15 @@ class CollectorAgent:
         if columns is None:
             self.metrics.incr(names.MESSAGES_DROPPED_INVALID)
             return
-        # Heard, whether or not the budget affords it.
-        self._heard(envelope.period, ("update", envelope.tree))
+        # Heard, whether or not the budget affords it; of the ids it
+        # names silent, those outside its tree are ignored.
+        tree, members = envelope.tree, self._members[envelope.tree]
+        self._waived.discard(tree)
+        heard = self._period(envelope.period)
+        heard.unreported.discard(tree)
+        heard.silent.update(node for node in envelope.silent if node in members)
+        if heard.unreported <= self._waived:
+            heard.complete.set()
         if not envelope.payload.count:
             return  # a root with nothing to send, saying so: uncharged
         if envelope.trace_ctx is not None and trace.active_tracer() is not None:
@@ -269,20 +277,11 @@ class CollectorAgent:
         if tick_at is not None:
             self.metrics.observe(names.COLLECTION_LATENCY_S, now - tick_at)
 
-    def _on_heartbeat(self, envelope: HeartbeatEnvelope) -> None:
-        self._last_heartbeat[envelope.sender] = envelope.period
-        if envelope.sender in self._failed:
-            self._failed.discard(envelope.sender)
-            self._record(FailureEvent(envelope.sender, max(self._current_period, 0), "recovered"))
-            self.metrics.incr(names.FAILURE_RECOVERIES)
-        self._heard(envelope.period, ("heartbeat", envelope.sender))
-
     # ------------------------------------------------------------------
     # The period's rules, one synchronous step each: the inbox loop
     # above and the simulator's schedule both drive them.
     def begin(self, period: int) -> None:
         """Open ``period`` with a fresh collector budget ``b_0``."""
-        self._current_period = period
         self._budget = self.central_capacity
 
     def accept(self, columns: Columns, batch: Batch) -> bool:
@@ -315,31 +314,22 @@ class CollectorAgent:
         return sample
 
     # ------------------------------------------------------------------
-    def _heard(self, period: int, key: Optional[Tuple[str, int]] = None) -> asyncio.Event:
-        """Tick ``key`` off ``period``'s list; the event set once it is empty.
-
-        A period opens expecting everyone but the nodes flagged ``down``
-        and the trees they root: a dead node holds only the periods
-        before its flag to the bound.
-        """
-        entry = self._unheard.get(period)
-        if entry is None:
-            waits = {k for k, node in self._expects.items() if node not in self._failed}
-            entry = self._unheard[period] = waits, asyncio.Event()
-        unheard, complete = entry
-        if key is not None:
-            unheard.discard(key)
-        if not unheard:
-            complete.set()
-        return complete
+    def _period(self, period: int) -> _Heard:
+        """What ``period`` has heard; it awaits every tree but the waived:
+        a dead root holds only the periods before its flag to the bound."""
+        heard = self._heard.get(period)
+        if heard is None:
+            heard = self._heard[period] = _Heard(set(self._roots), set(), asyncio.Event())
+        if heard.unreported <= self._waived:
+            heard.complete.set()
+        return heard
 
     async def heard_from_all(self, period: int) -> None:
         """Return once ``period`` is complete: every tree has delivered
         its root's update for it (one dropped for the collector budget
-        counts, one refused as invalid does not),
-        and every expected node its heartbeat -- except the nodes
-        flagged ``down`` when the period opened, and their trees."""
-        await self._heard(period).wait()
+        counts, one refused as invalid does not) -- except the trees
+        whose root is flagged ``down`` and has not reported since."""
+        await self._period(period).complete.wait()
 
     def close_period(self, period: int) -> RuntimePeriodSample:
         """Score period ``period`` (:meth:`score`) and run the failure
@@ -365,19 +355,25 @@ class CollectorAgent:
             horizon = period - self.config.failure_timeout
             for old in [p for p in self._tick_at if p <= horizon]:
                 del self._tick_at[old]
-            for done in [p for p in self._unheard if p <= period]:
-                del self._unheard[done]
+            for done in [p for p in self._heard if p <= period]:
+                del self._heard[done]
         return sample
 
     def _detect_failures(self, period: int) -> None:
+        """Flag, in node order, whoever ``period`` leaves unheard for
+        ``failure_timeout`` periods, and recover whoever it hears again."""
+        heard = self._period(period)
+        unheard = heard.silent.union(self._roots[tree] for tree in heard.unreported)
         for node in self.expected_nodes:
-            if node in self._failed:
-                continue
-            last_seen = self._last_heartbeat.get(node, -1)
-            if period - last_seen >= self.config.failure_timeout:
-                self._failed.add(node)
-                self._record(FailureEvent(node, period, "down"))
-                self.metrics.incr(names.FAILURE_DETECTIONS)
-
-    def _record(self, event: FailureEvent) -> None:
-        bisect.insort(self.failure_events, event, key=lambda e: (e.period, e.node, e.kind))
+            if node not in unheard:
+                self._last_heard[node] = period
+                if node in self._failed:
+                    self._failed.discard(node)
+                    self.failure_events.append(FailureEvent(node, period, "recovered"))
+                    self.metrics.incr(names.FAILURE_RECOVERIES)
+            elif node not in self._failed:
+                if period - self._last_heard.get(node, -1) >= self.config.failure_timeout:
+                    self._failed.add(node)
+                    self._waived.update(tree for tree, root in self._roots.items() if root == node)
+                    self.failure_events.append(FailureEvent(node, period, "down"))
+                    self.metrics.incr(names.FAILURE_DETECTIONS)

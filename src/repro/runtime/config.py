@@ -6,7 +6,7 @@ on a loop whose ``time()`` is virtual -- but all quality metrics are
 kept in *period units*, so results are comparable across machines of
 different speed.  What the paper fixes is not configurable:
 every message is charged ``C + a*x`` against a budget that always
-holds, and every live node beacons every period.
+holds, and liveness rides the trees' own updates.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from repro.core.attributes import NodeId
 class AgentOutage:
     """Node ``node`` is dead during periods ``[start, end)``.
 
-    A dead agent sends no updates and no heartbeats and drops anything
-    it receives -- the collector's missed-heartbeat detector should
-    flag it, and flag the recovery once heartbeats resume.
+    A dead agent sends no updates and drops anything it receives --
+    the collector's failure detector should flag it, and flag the
+    recovery once it is heard again.
     """
 
     node: NodeId
@@ -48,17 +48,16 @@ class RuntimeConfig:
     """Tunable knobs of one live run."""
 
     #: Seconds, on the event loop's clock, from one tick to the next.
-    #: A period closes as soon as the collector has heard from everyone
-    #: the plan names, and at the latest twice this long after its tick.
+    #: A period closes as soon as every tree's root has reported, and at
+    #: the latest twice this long after its tick.
     period_seconds: float = 0.05
-    #: How long (as a fraction of the period) an interior node waits
-    #: for its children's batches before sending without them.  The
-    #: bottom-up wave is event-driven -- a node sends the moment every
-    #: child has reported -- so this deadline only binds when a child
-    #: is dead, dropped, or late.
+    #: How long (as a fraction of the period) a tree's root waits for its
+    #: children's batches before sending without them; a relay at depth
+    #: ``d`` of a height-``H`` tree waits ``1 - d / (2 (H + 1))`` of that.
+    #: The wave is event-driven, so this binds only when a child is
+    #: dead, dropped, or late.
     child_wait_fraction: float = 0.5
-    #: Collector flags a node as failed after this many periods without
-    #: a heartbeat.
+    #: Collector flags a node as failed after this many periods unheard.
     failure_timeout: int = 3
     #: Seed for the ground-truth metric registry (when the engine
     #: constructs one itself).
@@ -78,7 +77,7 @@ class RuntimeConfig:
 
     @property
     def child_wait_seconds(self) -> float:
-        """Child-wait deadline per period, in event-loop seconds."""
+        """A root's child-wait deadline per period, in event-loop seconds."""
         return self.child_wait_fraction * self.period_seconds
 
     def node_down(self, node: NodeId, period: int) -> bool:

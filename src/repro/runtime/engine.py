@@ -2,7 +2,7 @@
 
 REMO's live half is one rule applied every period -- tick, let the
 ``C + a*x`` wave climb the trees, score what reached the collector
-once every root and node the plan names has reported.  This module is
+once every root the plan names has reported.  This module is
 the single implementation of that rule and of what surrounds it:
 
 - what every process derives from the plan alone
@@ -155,12 +155,10 @@ def build_collector(
 ) -> CollectorAgent:
     """The central collector for ``plan``, at :data:`COLLECTOR_ADDRESS`,
     over the collector budget ``b_0``: it scores every requested pair
-    and expects an update from every tree's root and a heartbeat from
-    every node with a range in some tree."""
+    and expects an update from every tree's root."""
     return CollectorAgent(
         requested_pairs=sorted(plan.pairs),
         layouts=layouts,
-        expected_nodes=sorted({node for lay in layouts for node in lay.ranges}),
         central_capacity=central_capacity,
         cost=plan.cost,
         registry=registry,
@@ -281,11 +279,12 @@ async def run_periods(
     """Tick ``n_periods`` collection periods, one every ``period_seconds``.
 
     Per period: advance the ground truth, fan the tick out, wait until
-    the collector has heard from everyone the plan names
+    the collector has heard from every tree's root
     (:meth:`CollectorAgent.heard_from_all`), close the period, and
-    sleep out the rest of its window.  A node that goes silent holds the
-    close to ``2 * period_seconds`` after the tick, and the next tick
-    follows at once, until the failure detector flags it ``down``.
+    sleep out the rest of its window.  A silent member holds the close
+    to its parent's child wait; a silent root holds it to ``2 *
+    period_seconds`` after the tick, and the next tick follows at once,
+    until the failure detector flags it ``down``.
     """
     loop = asyncio.get_running_loop()
     for period in range(n_periods):

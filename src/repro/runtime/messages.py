@@ -4,12 +4,9 @@ their update batches are written in.
 Everything an agent can find in its inbox is an :class:`Envelope`:
 
 - :class:`TickEnvelope` -- the engine's period-start broadcast (the
-  runtime's clock distribution; a later socket transport would replace
-  this with per-node timers plus NTP-style sync);
+  runtime's clock distribution);
 - :class:`UpdateEnvelope` -- a :class:`Batch` of attribute readings
-  travelling one hop up a monitoring tree;
-- :class:`HeartbeatEnvelope` -- the liveness signal the collector's
-  failure detector consumes;
+  travelling one hop up a monitoring tree, naming who went unheard;
 - :class:`StopEnvelope` -- orderly shutdown.
 
 The plan fixes, before the first tick, which pairs every node
@@ -175,9 +172,7 @@ class TickEnvelope(Envelope):
 
     period: int
     sent_at: float = 0.0
-    trace_ctx: Optional[TraceContext] = field(
-        default=None, compare=False, repr=False
-    )
+    trace_ctx: Optional[TraceContext] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -187,6 +182,10 @@ class UpdateEnvelope(Envelope):
     ``trace_ctx`` points at the sending agent's wave span so the
     receiver (parent agent or collector, possibly across TCP) can emit
     events linked into the same per-period trace.
+
+    ``silent`` names whom the sender and its subtree stopped waiting
+    for in ``period``: empty in every period without a failure, and
+    never charged.
     """
 
     sender: NodeId
@@ -194,17 +193,8 @@ class UpdateEnvelope(Envelope):
     tree: int
     period: int
     payload: Batch
-    trace_ctx: Optional[TraceContext] = field(
-        default=None, compare=False, repr=False
-    )
-
-
-@dataclass(frozen=True)
-class HeartbeatEnvelope(Envelope):
-    """Liveness beacon from ``sender`` during ``period``."""
-
-    sender: NodeId
-    period: int
+    trace_ctx: Optional[TraceContext] = field(default=None, compare=False, repr=False)
+    silent: Tuple[NodeId, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ runtime's :class:`~repro.runtime.engine.MonitoringRuntime` and the
 simulator's :class:`~repro.simulation.engine.MonitoringSimulation`:
 the per-period quality samples plus the metrics-hub snapshot and the
 failure detector's event log (empty for the simulator, which drives
-the same agents and collector but sends no heartbeats and never runs
-the detector).  ``as_dict`` is the stable machine-readable shape behind
-``repro run --json`` and ``repro simulate --json``; ``render`` produces
-the aligned tables (via :mod:`repro.analysis`) for humans.
+the same agents and collector but never runs the detector).
+``as_dict`` is the stable machine-readable shape behind ``repro run
+--json`` and ``repro simulate --json``; ``render`` produces the
+aligned tables (via :mod:`repro.analysis`) for humans.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class RuntimeReport:
                 "delivered": int(self.metrics.counter(names.MESSAGES_DELIVERED)),
                 "dropped_capacity": int(self.metrics.counter(names.MESSAGES_DROPPED_CAPACITY)),
                 "dropped_failure": int(self.metrics.counter(names.MESSAGES_DROPPED_FAILURE)),
-                "heartbeats": int(self.metrics.counter(names.HEARTBEATS_SENT)),
             },
             "values": {"trimmed": int(self.metrics.counter(names.VALUES_TRIMMED))},
             "cost_units_spent": self.metrics.counter(names.COST_UNITS_SPENT),
@@ -130,13 +129,8 @@ class RuntimeReport:
             ["dropped (capacity)", int(self.metrics.counter(names.MESSAGES_DROPPED_CAPACITY))],
             ["dropped (failure)", int(self.metrics.counter(names.MESSAGES_DROPPED_FAILURE))],
             ["values trimmed", int(self.metrics.counter(names.VALUES_TRIMMED))],
+            ["wall seconds", round(self.wall_seconds, 3)],
         ]
-        # Only an engine that beacons has a failure detector; the
-        # simulator sends no heartbeats, so its hub has no such series.
-        if names.HEARTBEATS_SENT in self.metrics.counters():
-            rows.append(["heartbeats", int(self.metrics.counter(names.HEARTBEATS_SENT))])
-            rows.append(["failure events", len(self.failure_events)])
-        rows.append(["wall seconds", round(self.wall_seconds, 3)])
         blocks = [format_table(title, ["metric", "value"], rows)]
         if self.failure_events:
             blocks.append(

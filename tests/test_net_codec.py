@@ -29,7 +29,6 @@ from repro.runtime.messages import (
     ABSENT,
     COLLECTOR_ADDRESS,
     Batch,
-    HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
     UpdateEnvelope,
@@ -43,6 +42,7 @@ _SLOT_BYTES = 16  # one value, one stamp
 # compares readings bit for bit.
 doubles = st.floats(width=64)
 node_ids = st.integers(min_value=0, max_value=2**31)
+i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 periods = st.integers(min_value=0, max_value=2**31)
 u32 = st.integers(min_value=0, max_value=2**32 - 1)
 contexts = st.one_of(
@@ -55,7 +55,6 @@ contexts = st.one_of(
 )
 
 ticks = st.builds(TickEnvelope, period=periods, sent_at=doubles, trace_ctx=contexts)
-heartbeats = st.builds(HeartbeatEnvelope, sender=node_ids, period=periods)
 stops = st.just(StopEnvelope())
 # Any doubles at all in either column, holes more often than chance
 # would draw them, the empty batch included.
@@ -70,9 +69,10 @@ batches = st.lists(
     )
 )
 updates = st.builds(
-    UpdateEnvelope, sender=node_ids, tree=u32, period=periods, payload=batches, trace_ctx=contexts
-)
-envelopes = st.one_of(ticks, heartbeats, stops, updates)
+    UpdateEnvelope, sender=node_ids, tree=u32, period=periods, payload=batches,
+    trace_ctx=contexts, silent=st.lists(i64, max_size=4).map(tuple),
+)  # fmt: skip
+envelopes = st.one_of(ticks, stops, updates)
 
 #: The full signed-64-bit header field, plus the reserved negative
 #: addresses the runtime really uses (the collector, control inboxes).
@@ -94,6 +94,8 @@ UPDATE = UpdateEnvelope(
     ),
     trace_ctx=CTX,
 )
+#: An update naming two silent members, without a trace context.
+SILENT = UpdateEnvelope(4, 0, 3, Batch(0, array("d"), array("d")), silent=(4, -(2**63)))
 
 
 def same_bits(a, b):
@@ -118,8 +120,8 @@ def assert_identical(decoded, sent):
         assert decoded.period == sent.period
         assert same_bits(decoded.sent_at, sent.sent_at)
     elif isinstance(sent, UpdateEnvelope):
-        assert (decoded.sender, decoded.tree, decoded.period) == (
-            sent.sender, sent.tree, sent.period,
+        assert (decoded.sender, decoded.tree, decoded.period, decoded.silent) == (
+            sent.sender, sent.tree, sent.period, sent.silent,
         )  # fmt: skip
         got, batch = decoded.payload, sent.payload
         assert got.lo == batch.lo
@@ -173,7 +175,7 @@ class TestRoundTripProperties:
             (-1, UPDATE),
             (5, TickEnvelope(period=3, sent_at=1.5, trace_ctx=CTX)),
             (CONTROL_ADDRESS_BASE, StopEnvelope()),
-            (-2, HeartbeatEnvelope(sender=4, period=3)),
+            (-2, SILENT),
             (6, UPDATE),
         ]
         stream = b"".join(encode_frame(dest, env) for dest, env in batch)
@@ -184,7 +186,7 @@ class TestRoundTripProperties:
             assert held(decoder) == 0
 
     def test_default_codec_is_the_one_format(self):
-        assert PROTOCOL_VERSION == 4
+        assert PROTOCOL_VERSION == 5
         assert default_codec() == CODEC_STRUCT
         assert encode_frame(0, StopEnvelope())[3] == CODEC_STRUCT
 
@@ -223,11 +225,19 @@ class TestTraceContext:
 
     @pytest.mark.parametrize("flags", [2, 0x80, 0xFF])
     def test_bad_flags_byte_rejected(self, flags):
-        for envelope in (TickEnvelope(period=1, trace_ctx=CTX), UPDATE):
-            payload = bytearray(encode_payload(envelope))
-            payload[1] = flags
-            with pytest.raises(CodecError, match="flags"):
-                decode_payload(bytes(payload))
+        # A tick may carry a trace context and nothing else.
+        payload = bytearray(encode_payload(TickEnvelope(period=1, trace_ctx=CTX)))
+        payload[1] = flags
+        with pytest.raises(CodecError, match="bad tick flags"):
+            decode_payload(bytes(payload))
+
+    @pytest.mark.parametrize("flags", [4, 0x80, 0xFF])
+    def test_bad_update_flags_byte_rejected(self, flags):
+        # An update may carry a trace context and silent ids.
+        payload = bytearray(encode_payload(UPDATE))
+        payload[1] = flags
+        with pytest.raises(CodecError, match="bad update flags"):
+            decode_payload(bytes(payload))
 
 
 class TestRejection:
@@ -259,10 +269,20 @@ class TestRejection:
         with pytest.raises(FrameError, match="version"):
             FrameDecoder().feed(frame)
 
+    def test_v4_frame_refused_on_its_version_byte(self):
+        # A v4 heartbeat (kind 1, sender, period) and a v4 tick: refused
+        # on the header, whatever the payload would decode to now.
+        v4_heartbeat = struct.pack(">Bqq", 1, 4, 3)
+        v4_tick = struct.pack(">BBqd", 2, 0, 1, 0.0)
+        for payload in (v4_heartbeat, v4_tick):
+            frame = _HEADER.pack(MAGIC, 4, CODEC_STRUCT, -1, len(payload)) + payload
+            with pytest.raises(FrameError, match="version 4 refused"):
+                FrameDecoder().feed(frame)
+
     def test_v3_frame_refused_on_its_version_byte(self):
         # A v3 update: same header layout, same format byte, per-value
-        # records behind an attribute table.  Its tick and heartbeat
-        # payloads are byte-identical to v4's, so only the version byte
+        # records behind an attribute table.  Its tick payload is
+        # byte-identical to a later version's, so only the version byte
         # can tell the peers apart -- and it does, before the payload.
         v3_update = (
             struct.pack(">BBqqHHI", 3, 0, 7, 2, 1, 1, 1)
@@ -315,17 +335,20 @@ class TestRejection:
 
         with pytest.raises(CodecError):
             encode_payload(Mystery())
+        empty = Batch(0, array("d"), array("d"))
         with pytest.raises(CodecError):
-            encode_payload(HeartbeatEnvelope(sender=2**63, period=0))  # past i64
+            encode_payload(UpdateEnvelope(2**63, 0, 0, empty))  # past i64
         with pytest.raises(CodecError):
-            encode_payload(HeartbeatEnvelope(sender="seven", period=0))
+            encode_payload(UpdateEnvelope("seven", 0, 0, empty))
+        with pytest.raises(CodecError):
+            encode_payload(UpdateEnvelope(1, 0, 0, empty, silent=(2**63,)))
         with pytest.raises(FrameError):
             encode_frame(2**63, StopEnvelope())
 
     @pytest.mark.parametrize(
         "envelope",
-        [UPDATE, TickEnvelope(period=1, trace_ctx=CTX), HeartbeatEnvelope(1, 2), StopEnvelope()],
-        ids=lambda envelope: type(envelope).__name__,
+        [UPDATE, TickEnvelope(period=1, trace_ctx=CTX), SILENT, StopEnvelope()],
+        ids=lambda envelope: "silent" if envelope is SILENT else type(envelope).__name__,
     )
     def test_payload_truncated_or_extended_at_every_offset(self, envelope):
         payload = encode_payload(envelope)
@@ -338,11 +361,23 @@ class TestRejection:
     def test_value_count_checked_before_allocating(self):
         # 4 billion slots declared, none present: the declared count
         # must be refused against the bytes received, never sized from.
-        lie = _UPDATE.pack(3, 0, 1, 1, 0, 0, 2**32 - 1)
+        lie = _UPDATE.pack(2, 0, 1, 1, 0, 0, 2**32 - 1)
         with pytest.raises(CodecError, match="declares 4294967295 slots"):
             decode_payload(lie)
         with pytest.raises(CodecError, match="declares 4294967295 slots"):
             decode_payload(lie + b"\x00" * 64)
+
+    def test_silent_count_checked_before_allocating(self):
+        # 4 billion silent ids declared: refused against the bytes left.
+        head = _UPDATE.pack(2, 2, 1, 1, 0, 0, 0)
+        for ids in (0, 7):
+            lie = head + struct.pack(">I", 2**32 - 1) + b"\x00" * (8 * ids)
+            with pytest.raises(CodecError, match="silent-id count 4294967295 runs past"):
+                decode_payload(lie)
+        with pytest.raises(CodecError, match="silent-id count -1 runs past"):  # no count at all
+            decode_payload(head + b"\x00\x00")
+        honest = head + struct.pack(">Iq", 1, -5)
+        assert decode_payload(honest).silent == (-5,)
 
     def test_slot_count_lied_about_in_both_directions(self):
         payload = bytearray(encode_payload(UPDATE))
@@ -408,7 +443,7 @@ class TestRejection:
                 assert held(decoder) <= HEADER_BYTES + MAX_FRAME_BYTES
 
     def test_frames_ahead_of_a_corrupt_frame_ride_on_the_error(self):
-        good = [(1, HeartbeatEnvelope(sender=1, period=0)), (2, UPDATE)]
+        good = [(1, TickEnvelope(period=0)), (2, UPDATE)]
         stream = b"".join(encode_frame(dest, env) for dest, env in good)
         decoder = FrameDecoder()
         with pytest.raises(FrameError) as caught:

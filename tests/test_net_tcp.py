@@ -21,7 +21,6 @@ from repro.runtime import (
 )
 from repro.runtime.messages import (
     COLLECTOR_ADDRESS,
-    HeartbeatEnvelope,
     StopEnvelope,
     TickEnvelope,
 )
@@ -58,8 +57,8 @@ class TestWireDelivery:
         async def scenario():
             a, b = await _started_pair()
             try:
-                first = HeartbeatEnvelope(sender=9, period=0)
-                second = HeartbeatEnvelope(sender=9, period=1)
+                first = TickEnvelope(period=0)
+                second = TickEnvelope(period=1)
                 assert await a.send(1, first)
                 assert await a.send(2, second)
                 assert await _recv(b, 1) == first
@@ -76,7 +75,7 @@ class TestWireDelivery:
         async def scenario():
             a = TcpTransport(PeerDirectory())
             try:
-                assert not await a.send(42, HeartbeatEnvelope(sender=0, period=0))
+                assert not await a.send(42, TickEnvelope(period=0))
             finally:
                 await a.aclose()
 
@@ -118,7 +117,7 @@ class TestWireDelivery:
             )
             a.register(5)
             try:
-                envelope = HeartbeatEnvelope(sender=5, period=0)
+                envelope = TickEnvelope(period=0)
                 assert await a.send(5, envelope)
                 assert await _recv(a, 5) == envelope
                 registry = a.metrics.registry
@@ -135,7 +134,7 @@ class TestWireDelivery:
             # A believes address 3 lives at B, but B never registered it.
             a.directory.assign([3], b.endpoint)
             try:
-                assert await a.send(3, HeartbeatEnvelope(sender=0, period=0))
+                assert await a.send(3, TickEnvelope(period=0))
                 registry = b.metrics.registry
                 deadline = asyncio.get_event_loop().time() + 5.0
                 while asyncio.get_event_loop().time() < deadline:
@@ -155,7 +154,7 @@ class TestWireDelivery:
 
 
 def _beats(count, start=0):
-    return [HeartbeatEnvelope(sender=7, period=start + index) for index in range(count)]
+    return [TickEnvelope(period=start + index) for index in range(count)]
 
 
 async def _restart(endpoint):
@@ -248,7 +247,7 @@ class TestReconnect:
             await b.start()
             a = TcpTransport(_routing(endpoint, 1))
             try:
-                first = HeartbeatEnvelope(sender=7, period=0)
+                first = TickEnvelope(period=0)
                 assert await a.send(1, first)
                 assert await _recv(b, 1) == first
 
@@ -272,10 +271,10 @@ class TestReconnect:
                     assert asyncio.get_event_loop().time() < deadline, (
                         "link never redialed the restarted peer"
                     )
-                    assert await a.send(1, HeartbeatEnvelope(sender=7, period=period))
+                    assert await a.send(1, TickEnvelope(period=period))
                     period += 1
                     delivered = await b.recv(1, timeout=0.2)
-                assert delivered.sender == 7
+                assert isinstance(delivered, TickEnvelope)
             finally:
                 await a.aclose()
                 await b.aclose()

@@ -3,7 +3,7 @@
 An idle agent and the collector park on their inboxes with no timeout:
 nothing they could do on a wake-up without an envelope.  Only while an
 agent role waits on its children does ``recv`` time out, and then at
-that role's child-wait deadline.  Both loops end on ``StopEnvelope``;
+the earliest child-wait deadline of its waiting roles.  Both loops end on ``StopEnvelope``;
 a stop that never arrives is the engine's to handle (``hosting`` drains
 and then cancels the tasks), not the loops'.
 """
@@ -56,7 +56,7 @@ class RecordingTransport(InProcessTransport):
     async def recv(self, address, timeout=None):
         agent = self.agents.get(address)
         if agent is not None and agent._waiting:
-            deadline = agent._deadline
+            deadline = min(wave.deadline for wave in agent._waiting.values())
             self.waiting_recvs.append(
                 (
                     timeout,
