@@ -139,6 +139,8 @@ class MetricRegistry:
     """
 
     def __init__(self, pairs: Iterable[NodeAttributePair], seed: Optional[int] = None) -> None:
+        #: Calls of :meth:`advance_all` so far: the period held is one less.
+        self._advanced = 0
         self._rng = random.Random(seed)
         self._generators: Dict[NodeAttributePair, MetricGenerator] = {
             pair: default_metric_factory(pair, self._rng) for pair in pairs
@@ -169,6 +171,14 @@ class MetricRegistry:
         """Advance every signal by one unit of time."""
         for gen in self._generators.values():
             gen.advance(self._rng)
+        self._advanced += 1
+
+    def advance_to(self, period: int) -> None:
+        """Advance until period ``period`` is held: a replica in a process
+        without the clock catches up on the tick it reads, and one the
+        clock has advanced already does not move."""
+        while self._advanced <= period:
+            self.advance_all()
 
     def ensure(self, pair: NodeAttributePair) -> None:
         """Register ``pair`` lazily (used when tasks add new pairs at runtime)."""

@@ -221,5 +221,8 @@ class ReplicatedRegistry(MetricRegistry):
     def advance_all(self) -> None:
         self._base.advance_all()
 
+    def advance_to(self, period: int) -> None:
+        self._base.advance_to(period)
+
     def ensure(self, pair: NodeAttributePair) -> None:
         self._base.ensure(self._resolve(pair))

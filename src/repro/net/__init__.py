@@ -32,11 +32,9 @@ from repro.net.codec import (
     encode_payload,
 )
 from repro.net.deploy import (
-    CONTROL_ADDRESS_BASE,
     DeployError,
     DeployOutcome,
     DeploySpec,
-    control_address,
     make_spec,
     parse_chaos_kill,
     participating_nodes,
@@ -48,7 +46,6 @@ from repro.net.tcp import TcpTransport
 
 __all__ = [
     "CODEC_STRUCT",
-    "CONTROL_ADDRESS_BASE",
     "CodecError",
     "DeployError",
     "DeployOutcome",
@@ -62,7 +59,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "PeerDirectory",
     "TcpTransport",
-    "control_address",
     "make_spec",
     "parse_chaos_kill",
     "participating_nodes",

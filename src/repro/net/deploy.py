@@ -9,15 +9,17 @@ sampling are seeded and hash-order independent, so a worker killed and
 restarted mid-run rebuilds the same world and resyncs its registry
 replica off the next tick's period number.)
 
-Two roles.  The supervisor (:func:`run_deploy`) spawns the workers,
-waits for each one's ready message on a pipe (or its exit, on its
-process sentinel), then hosts the collector and drives the clock: each
-period's tick goes to its own inbox and to every worker's reserved
-*control address* (:func:`control_address`), which the worker
-(:mod:`repro.net.worker`) fans out to its node agents.  Updates flow
-back, agent to parent or collector, through each process's :class:`~repro.net.tcp.TcpTransport`.  Worker exits are
-sentinel events and chaos kills loop timers, so nothing polls.  The
-workers' metric dumps merge into the collector's
+Every process is one :class:`~repro.runtime.engine.MonitoringRuntime`
+hosting part of the plan's inboxes over its own
+:class:`~repro.net.tcp.TcpTransport`.  The supervisor
+(:func:`run_deploy`) spawns the workers, waits for each one's ready
+message on a pipe (or its exit, on its process sentinel), then runs
+the host with the collector and no agents, which owns the clock: each
+period's tick goes to every node's inbox, wherever its worker
+(:mod:`repro.net.worker`) listens, then to the collector's.  Updates
+flow back, agent to parent or collector, the same way.  Worker exits
+are sentinel events and chaos kills loop timers, so nothing polls.
+The workers' metric dumps merge into the collector's
 :class:`~repro.runtime.report.RuntimeReport`, whose ``as_dict`` output
 is shape-identical to ``repro run --json``.
 """
@@ -42,15 +44,8 @@ from repro.net.tcp import TcpTransport
 from repro.obs import log, names, trace
 from repro.obs.export import write_jsonl_spans
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.engine import (
-    build_collector,
-    compile_layouts,
-    ground_truth,
-    hosting,
-    run_periods,
-    run_report,
-)
-from repro.runtime.messages import COLLECTOR_ADDRESS, Envelope
+from repro.runtime.engine import MonitoringRuntime, run_report
+from repro.runtime.messages import COLLECTOR_ADDRESS
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.report import RuntimeReport
 from repro.workloads.presets import Scenario
@@ -59,22 +54,11 @@ if TYPE_CHECKING:  # multiprocessing loads only when a deploy runs
     from multiprocessing.connection import Connection
     from multiprocessing.process import BaseProcess
 
-#: Worker control inboxes live at ``CONTROL_ADDRESS_BASE - rank`` --
-#: below every plan NodeId (>= 0) and below the collector (-1).
-CONTROL_ADDRESS_BASE = -1000
-
 #: A worker that crashes more than this many times stays down.
 MAX_RESTARTS_PER_WORKER = 3
 
 #: Seconds every worker has to report ready before the launch fails.
 STARTUP_TIMEOUT_S = 30.0
-
-
-def control_address(rank: int) -> NodeId:
-    """The reserved inbox address of worker ``rank``'s control loop."""
-    if rank < 0:
-        raise ValueError(f"rank must be >= 0, got {rank}")
-    return CONTROL_ADDRESS_BASE - rank
 
 
 def shard_nodes(nodes: Sequence[NodeId], workers: int) -> List[List[NodeId]]:
@@ -147,10 +131,8 @@ class DeploySpec:
     def build_directory(self) -> PeerDirectory:
         """The full address table every process shares."""
         directory = PeerDirectory()
-        for rank, shard in enumerate(self.shards):
-            endpoint = self.worker_endpoints[rank]
+        for shard, endpoint in zip(self.shards, self.worker_endpoints):
             directory.assign(shard, endpoint)
-            directory.assign([control_address(rank)], endpoint)
         directory.assign([COLLECTOR_ADDRESS], self.collector_endpoint)
         return directory
 
@@ -280,7 +262,8 @@ class DeployError(RuntimeError):
 
 
 class _Supervisor:
-    """The collector, its clock, and the workers' lives."""
+    """The clock's host -- the collector and no agents -- and the
+    workers' lives."""
 
     def __init__(
         self,
@@ -292,25 +275,18 @@ class _Supervisor:
         import multiprocessing
 
         self.spec = spec
-        self.metrics = metrics
         self.chaos_kill = dict(chaos_kill)
         self.context = multiprocessing.get_context("spawn")
-        self.config = spec.build_config()
-        self.transport = TcpTransport(
-            spec.build_directory(),
-            listen_host=spec.collector_endpoint.host,
-            listen_port=spec.collector_endpoint.port,
-            metrics=metrics,
-        )
-        self.registry = ground_truth(plan, self.config.seed)
-        self.collector = build_collector(
+        endpoint = spec.collector_endpoint
+        self.runtime = MonitoringRuntime(
             plan,
-            compile_layouts(plan),
-            spec.scenario.workload[0].central_capacity,
-            registry=self.registry,
-            transport=self.transport,
+            spec.scenario.workload[0],
+            config=spec.build_config(),
+            transport=TcpTransport(
+                spec.build_directory(), listen_host=endpoint.host, listen_port=endpoint.port
+            ),
             metrics=metrics,
-            config=self.config,
+            nodes=(),
         )
         self.workers: Dict[int, BaseProcess] = {}
         self.restarts: Dict[int, int] = {rank: 0 for rank in range(spec.workers)}
@@ -366,15 +342,7 @@ class _Supervisor:
             for rank, after in self.chaos_kill.items()
         ]
         try:
-            async with hosting(self.transport, self.fan_out, {COLLECTOR_ADDRESS: self.collector}):
-                await self.transport.start()
-                await run_periods(
-                    self.spec.periods,
-                    self.config.period_seconds,
-                    self.registry,
-                    self.collector,
-                    self.fan_out,
-                )
+            await self.runtime.run_async(self.spec.periods)
         except Exception as exc:
             log.emit(
                 names.LOG_DEPLOY_WORKER_CRASH,
@@ -393,14 +361,6 @@ class _Supervisor:
             for process in self.workers.values():
                 loop.remove_reader(process.sentinel)
 
-    async def fan_out(self, envelope: Envelope) -> None:
-        # The collector first and not through ``send``: it shares this
-        # process's inboxes, and a tick must be in its inbox before the
-        # first update it anchors can arrive.
-        self.transport.deliver_local(COLLECTOR_ADDRESS, envelope)
-        for rank in range(self.spec.workers):
-            await self.transport.send(control_address(rank), envelope)
-
     def _spawn(self, rank: int, ready: Optional[Connection]) -> BaseProcess:
         # Child entrypoints live in repro.net.worker; imported lazily to
         # keep module import acyclic (worker imports deploy for the spec).
@@ -417,10 +377,18 @@ class _Supervisor:
         loop.remove_reader(process.sentinel)
         process.join()  # the sentinel says it is gone; reap it
         code = process.exitcode
-        if code == 0 or self.restarts[rank] >= MAX_RESTARTS_PER_WORKER:
-            return  # a clean exit (stop received), or out of restarts
+        if code == 0:
+            return  # a clean exit: every agent took its stop
+        if self.restarts[rank] >= MAX_RESTARTS_PER_WORKER:
+            # Out of restarts: the clock stops ticking the shard, whose
+            # link would otherwise fill until a tick's send blocks.  The
+            # tick being sent, if any, goes out over its own copy.
+            shard = set(self.spec.shards[rank])
+            inboxes = self.runtime.inboxes
+            inboxes[:] = [address for address in inboxes if address not in shard]
+            return
         self.restarts[rank] += 1
-        self.metrics.incr(names.DEPLOY_WORKER_RESTARTS, rank=rank)
+        self.runtime.metrics.incr(names.DEPLOY_WORKER_RESTARTS, rank=rank)
         # The SIGKILLed child cannot dump its own flight record -- the
         # supervisor dumps what *it* saw instead.
         log.emit(
@@ -501,7 +469,7 @@ def run_deploy(
             merged.registry.absorb(json.load(fh)["metrics"])
         worker_reports += 1
 
-    report = run_report(plan, spec.periods, supervisor.collector, merged, started)
+    report = run_report(plan, spec.periods, supervisor.runtime.collector, merged, started)
     roles = ["collector", "supervisor"] + [
         f"worker-{rank}" for rank in range(spec.workers)
     ]
@@ -533,13 +501,11 @@ def parse_chaos_kill(spec: str) -> Tuple[int, float]:
 
 
 __all__ = [
-    "CONTROL_ADDRESS_BASE",
     "MAX_RESTARTS_PER_WORKER",
     "DeployError",
     "DeployOutcome",
     "DeploySpec",
     "allocate_endpoints",
-    "control_address",
     "make_spec",
     "parse_chaos_kill",
     "participating_nodes",

@@ -48,7 +48,6 @@ from repro.net.directory import Endpoint, PeerDirectory
 from repro.obs import log, names
 from repro.obs.metrics import BoundCounter
 from repro.runtime.messages import Envelope
-from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.transport import MailboxTransport
 
 
@@ -223,10 +222,9 @@ class TcpTransport(MailboxTransport):
         directory: PeerDirectory,
         listen_host: str = "127.0.0.1",
         listen_port: int = 0,
-        metrics: Optional[RuntimeMetrics] = None,
         force_wire: bool = False,
     ) -> None:
-        super().__init__(metrics=metrics)
+        super().__init__()
         self.directory = directory
         self.listen_host = listen_host
         self.listen_port = listen_port

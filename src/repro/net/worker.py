@@ -2,20 +2,22 @@
 
 :func:`worker_main` (one per shard) rebuilds its world from one
 :class:`~repro.net.deploy.DeploySpec` and hosts the shard's
-:class:`~repro.runtime.agent.NodeAgent` tasks behind a
-:class:`~repro.net.tcp.TcpTransport` listener, plus a *control loop*
-on the worker's reserved address: each inbound tick advances the
-local ground-truth registry replica to match the tick's period
-(``advance-to-match`` -- what lets a freshly restarted worker resync
-deterministically mid-run) and fans the tick out to the local agents.
-Once the listener is bound and the agents listen, the worker says so
-on the ready pipe the supervisor handed it.
+:class:`~repro.runtime.agent.NodeAgent` tasks in a
+:class:`~repro.runtime.engine.MonitoringRuntime` (``nodes=`` the
+shard) behind a :class:`~repro.net.tcp.TcpTransport` listener.  Once
+the listener is bound and the agents listen, the worker says so on
+the ready pipe the supervisor handed it.
 
 The collector and the clock live in the supervisor
-(:func:`repro.net.deploy.run_deploy`).  On stop the worker dumps its
-full metrics registry to a JSON report file the supervisor merges.
-The entry function is module-level so the ``spawn`` multiprocessing
-context can import it by name.
+(:func:`repro.net.deploy.run_deploy`), which sends each tick, and at
+the end the stop, straight to every agent's inbox.  Each agent brings
+the worker's ground-truth replica to its tick's period
+(:meth:`~repro.cluster.metrics.MetricRegistry.advance_to`), so a
+freshly restarted worker catches up on its first tick.  Once every
+agent has taken its stop, the worker dumps its full metrics registry
+to a JSON report file the supervisor merges.  The entry function is
+module-level so the ``spawn`` multiprocessing context can import it
+by name.
 """
 
 from __future__ import annotations
@@ -24,71 +26,48 @@ import asyncio
 from multiprocessing.connection import Connection
 from typing import Optional
 
-from repro.net.deploy import DeploySpec, control_address, write_json_atomic
+from repro.net.deploy import DeploySpec, write_json_atomic
 from repro.net.tcp import TcpTransport
 from repro.obs import log, names
-from repro.runtime.engine import build_agents, compile_layouts, ground_truth, hosting
-from repro.runtime.messages import Envelope, StopEnvelope, TickEnvelope
-from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.engine import MonitoringRuntime, hosting
 
 
 class WorkerRuntime:
-    """One shard of node agents plus the tick/stop control loop."""
+    """One shard of node agents, hosted until each has taken its stop."""
 
     def __init__(self, spec: DeploySpec, rank: int) -> None:
         self.spec = spec
         self.rank = rank
-        self.config = spec.build_config()
-        cluster, plan = spec.scenario.workload[0], spec.scenario.plan()
-        self.registry = ground_truth(plan, self.config.seed)
-        self.metrics = RuntimeMetrics()
         endpoint = spec.worker_endpoints[rank]
-        self.transport = TcpTransport(
-            spec.build_directory(),
-            listen_host=endpoint.host,
-            listen_port=endpoint.port,
-            metrics=self.metrics,
+        # The engine's own host over the identical re-planned forest:
+        # single-process runs and deploy workers can never disagree
+        # about tree ids, depths, or local demands.
+        self.runtime = MonitoringRuntime(
+            spec.scenario.plan(),
+            spec.scenario.workload[0],
+            config=spec.build_config(),
+            transport=TcpTransport(
+                spec.build_directory(), listen_host=endpoint.host, listen_port=endpoint.port
+            ),
+            nodes=spec.shards[rank],
         )
-        self._advanced = 0
-        # The engine's own agent builder, over the identical re-planned
-        # forest: single-process runs and deploy workers can never
-        # disagree about tree ids, depths, or local demands.
-        self.agents = build_agents(
-            plan, compile_layouts(plan), cluster, self.registry, self.transport,
-            self.metrics, self.config, nodes=spec.shards[rank],
-        )  # fmt: skip
 
     async def run(self, ready: Optional[Connection]) -> None:
-        ctrl = control_address(self.rank)
+        runtime = self.runtime
         try:
-            async with hosting(self.transport, self.fan_out, self.agents, ctrl):
-                await self.transport.start()
+            async with hosting(runtime.transport, runtime.agents) as tasks:
+                await runtime.transport.start()
                 if ready is not None:
                     # Listener bound, agents listening: tell the supervisor.
                     ready.send(self.rank)
                     ready.close()
-                while True:
-                    envelope = await self.transport.recv(ctrl)
-                    if isinstance(envelope, StopEnvelope):
-                        break
-                    if isinstance(envelope, TickEnvelope):
-                        # Advance-to-match: the collector advanced its
-                        # replica once for this tick; a steady worker
-                        # advances once too, while a freshly restarted
-                        # one fast-forwards from zero to the same point.
-                        while self._advanced <= envelope.period:
-                            self.registry.advance_all()
-                            self._advanced += 1
-                        await self.fan_out(envelope)
+                if tasks:
+                    await asyncio.wait(tasks)
         finally:
             write_json_atomic(
                 self.spec.report_path(f"worker-{self.rank}"),
-                {"rank": self.rank, "metrics": self.metrics.registry.dump()},
+                {"rank": self.rank, "metrics": runtime.metrics.registry.dump()},
             )
-
-    async def fan_out(self, envelope: Envelope) -> None:
-        for node in self.agents:
-            self.transport.deliver_local(node, envelope)
 
 
 def worker_main(spec_path: str, rank: int, ready: Optional[Connection]) -> None:

@@ -158,6 +158,7 @@ class NodeAgent:
         }
         #: Each role's local pairs, bound to their generators once.
         self._samplers = {r.tree: registry.reader(r.local_pairs) for r in self.roles}
+        self._advance_to = registry.advance_to
         #: Roles waiting on children, per tree.
         self._waiting: Dict[int, _OpenWave] = {}
         #: Members the children's updates named silent, by (tree, period).
@@ -263,8 +264,11 @@ class NodeAgent:
             if isinstance(envelope, UpdateEnvelope):
                 await self._on_update(envelope)
             elif isinstance(envelope, TickEnvelope):
-                # Whoever still waits belongs to the period that just
-                # ended: it sends that batch before the new one opens.
+                # The ground truth moves to the tick's period (a no-op
+                # where the clock advanced it already); whoever still
+                # waits belongs to the period that just ended and sends
+                # that batch, sampled now, before the new one opens.
+                self._advance_to(envelope.period)
                 await self._flush()
                 await self._on_tick(envelope)
             elif isinstance(envelope, StopEnvelope):

@@ -209,7 +209,8 @@ class CollectorAgent:
         self.failure_events: List[FailureEvent] = []
         self._budget = central_capacity
         self._last_heard: Dict[NodeId, int] = {}
-        self._failed: Set[NodeId] = set()
+        #: Each node flagged ``down``, and the period it was flagged in.
+        self._failed: Dict[NodeId, int] = {}
         #: Send time of recent ticks (collection-latency anchor); pruned
         #: at period close to the last ``failure_timeout`` periods.
         self._tick_at: Dict[int, float] = {}
@@ -222,6 +223,11 @@ class CollectorAgent:
         #: By the envelope's own period (across processes one can beat
         #: the collector's tick), what each period not yet closed heard.
         self._heard: Dict[int, _Heard] = {}
+        #: The last period closed, and the ``(period, root)`` of each
+        #: waived tree's update that came after its period had closed:
+        #: the next close hears them in their own period.
+        self._closed = -1
+        self._late: Set[Tuple[int, NodeId]] = set()
         # The per-update counters, keyed once.
         self._count_delivered = metrics.bind_counter(names.MESSAGES_DELIVERED)
         self._count_cost = metrics.bind_counter(names.COST_UNITS_SPENT)
@@ -253,7 +259,10 @@ class CollectorAgent:
         # Heard, whether or not the budget affords it; of the ids it
         # names silent, those outside its tree are ignored.
         tree, members = envelope.tree, self._members[envelope.tree]
-        self._waived.discard(tree)
+        if tree in self._waived:
+            self._waived.discard(tree)
+            if envelope.period <= self._closed:
+                self._late.add((envelope.period, self._roots[tree]))
         heard = self._period(envelope.period)
         heard.unreported.discard(tree)
         heard.silent.update(node for node in envelope.silent if node in members)
@@ -357,23 +366,38 @@ class CollectorAgent:
                 del self._tick_at[old]
             for done in [p for p in self._heard if p <= period]:
                 del self._heard[done]
+            self._closed = period
         return sample
 
     def _detect_failures(self, period: int) -> None:
         """Flag, in node order, whoever ``period`` leaves unheard for
-        ``failure_timeout`` periods, and recover whoever it hears again."""
+        ``failure_timeout`` periods, and recover whoever it hears again.
+
+        First, a flagged root whose tree's first update since came only
+        after that update's period had closed is recovered in that
+        period, if it is later than the flag's; the events stay in
+        ``(period, node)`` order."""
+        for late, root in sorted(self._late):
+            if self._failed.get(root, late) < late:
+                del self._failed[root]
+                self._last_heard[root] = late
+                self.failure_events.append(FailureEvent(root, late, "recovered"))
+                self.metrics.incr(names.FAILURE_RECOVERIES)
+        if self._late:
+            self.failure_events.sort(key=lambda event: (event.period, event.node))
+            self._late.clear()
         heard = self._period(period)
         unheard = heard.silent.union(self._roots[tree] for tree in heard.unreported)
         for node in self.expected_nodes:
             if node not in unheard:
                 self._last_heard[node] = period
                 if node in self._failed:
-                    self._failed.discard(node)
+                    del self._failed[node]
                     self.failure_events.append(FailureEvent(node, period, "recovered"))
                     self.metrics.incr(names.FAILURE_RECOVERIES)
             elif node not in self._failed:
                 if period - self._last_heard.get(node, -1) >= self.config.failure_timeout:
-                    self._failed.add(node)
+                    self._failed[node] = period
                     self._waived.update(tree for tree, root in self._roots.items() if root == node)
                     self.failure_events.append(FailureEvent(node, period, "down"))
                     self.metrics.incr(names.FAILURE_DETECTIONS)

@@ -6,25 +6,22 @@ once every root the plan names has reported.  This module is
 the single implementation of that rule and of what surrounds it:
 
 - what every process derives from the plan alone
-  (:func:`compile_layouts`, :func:`build_roles`) and the ground truth
-  a run is scored against (:func:`ground_truth`);
-- the agents a process hosts (:func:`build_agents`), the one collector
-  every tree reports to (:func:`build_collector`) and the report a run
+  (:func:`compile_layouts`, :func:`build_roles`) and the report a run
   ends in (:func:`run_report`);
 - the lifecycle of the agent tasks a process hosts (:func:`hosting`)
-  and the period loop (:func:`run_periods`).
+  and the period loop (:func:`run_periods`), which sends each tick,
+  and at the end the stop, to every inbox the plan names.
 
-:class:`MonitoringRuntime`, the ``repro deploy`` supervisor
-(:func:`repro.net.deploy.run_deploy`, which hosts the collector) and
-its workers (:mod:`repro.net.worker`) are *hosts*: they pass in only
-what differs between them -- which agents live in the process and
-where a tick goes (``fan_out``) -- and decide where the report is
-written.  When a period is complete is the collector's to say, the
-same way on every host.
-:class:`MonitoringRuntime` is the host with everything in one process:
-one :class:`~repro.runtime.agent.NodeAgent` per participating node plus
-the :class:`~repro.runtime.collector.CollectorAgent`, wired over a
-:class:`~repro.runtime.transport.Transport`.
+:class:`MonitoringRuntime` is the one host: its agents, the
+:class:`~repro.runtime.collector.CollectorAgent` and the ground truth,
+wired over a :class:`~repro.runtime.transport.Transport`.  In one
+process it hosts every agent; ``repro deploy``
+(:mod:`repro.net.deploy`) runs one per process over TCP, each hosting
+a shard of the agents (``nodes=``), and the one that hosts the
+collector owns the clock.  When a period is complete is the
+collector's to say, the same way on every host, and each agent brings
+its process's ground truth to the period of the tick it reads
+(:meth:`~repro.cluster.metrics.MetricRegistry.advance_to`).
 
 :class:`~repro.simulation.engine.MonitoringSimulation` builds a
 :class:`MonitoringRuntime` it never runs, and calls its agents' and
@@ -47,8 +44,6 @@ import contextlib
 import time
 from typing import (
     AsyncIterator,
-    Awaitable,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -81,9 +76,9 @@ from repro.runtime.transport import InProcessTransport, Transport
 def compile_layouts(plan: MonitoringPlan) -> List[TreeLayout]:
     """One :class:`TreeLayout` per tree, in sorted attribute-set order.
 
-    A function of the plan alone, like :func:`build_roles`: the engine,
-    every deploy worker and the deploy supervisor each derive it and
-    agree on every slot without exchanging a byte.
+    A function of the plan alone, like :func:`build_roles`: every
+    process of a deploy derives it and agrees on every slot without
+    exchanging a byte.
     """
     layouts = []
     ordered_trees = sorted(plan.trees.items(), key=lambda kv: sorted(kv[0]))
@@ -115,10 +110,9 @@ def build_roles(
 
     Trees get stable short ids (``t0``, ``t1``, ... in sorted
     attribute-set order) so metric labels and trace spans can name a
-    tree without serializing its attribute set.  Module-level because
-    ``repro deploy`` workers need the identical role table without
-    constructing an engine: the derivation is deterministic, so every
-    process that holds the same plan agrees on every role.
+    tree without serializing its attribute set.  The derivation is
+    deterministic, so every process that holds the same plan agrees on
+    every role.
     """
     roles: Dict[NodeId, List[TreeRole]] = {}
     for layout in layouts:
@@ -142,70 +136,6 @@ def build_roles(
                 )
             )
     return roles
-
-
-def build_collector(
-    plan: MonitoringPlan,
-    layouts: Sequence[TreeLayout],
-    central_capacity: float,
-    registry: MetricRegistry,
-    transport: Transport,
-    metrics: RuntimeMetrics,
-    config: RuntimeConfig,
-) -> CollectorAgent:
-    """The central collector for ``plan``, at :data:`COLLECTOR_ADDRESS`,
-    over the collector budget ``b_0``: it scores every requested pair
-    and expects an update from every tree's root."""
-    return CollectorAgent(
-        requested_pairs=sorted(plan.pairs),
-        layouts=layouts,
-        central_capacity=central_capacity,
-        cost=plan.cost,
-        registry=registry,
-        transport=transport,
-        metrics=metrics,
-        config=config,
-    )
-
-
-def build_agents(
-    plan: MonitoringPlan,
-    layouts: Sequence[TreeLayout],
-    cluster: Cluster,
-    registry: MetricRegistry,
-    transport: Transport,
-    metrics: RuntimeMetrics,
-    config: RuntimeConfig,
-    nodes: Optional[Sequence[NodeId]] = None,
-) -> Dict[NodeId, NodeAgent]:
-    """One :class:`NodeAgent` per node of ``nodes`` (by default every
-    node with a role in ``plan``), each with its :func:`build_roles`
-    roles: the agents every host runs, built one way."""
-    roles = build_roles(plan, layouts)
-    return {
-        node: NodeAgent(
-            node_id=node,
-            capacity=cluster.capacity(node),
-            roles=roles[node],
-            cost=plan.cost,
-            registry=registry,
-            transport=transport,
-            metrics=metrics,
-            config=config,
-        )
-        for node in (sorted(roles) if nodes is None else nodes)
-    }
-
-
-def ground_truth(plan: MonitoringPlan, seed: int) -> MetricRegistry:
-    """The metric registry a run of ``plan`` is scored against.
-
-    Pair order fixes the seeded RNG's consumption order, so every
-    process (and every run of one process) MUST build from
-    ``sorted(plan.pairs)`` -- raw set iteration varies with the
-    interpreter's hash randomization.
-    """
-    return MetricRegistry(sorted(plan.pairs), seed=seed)
 
 
 def run_report(
@@ -234,27 +164,23 @@ class Runnable(Protocol):
 
 @contextlib.asynccontextmanager
 async def hosting(
-    transport: Transport,
-    fan_out: Callable[[Envelope], Awaitable[None]],
-    agents: Mapping[NodeId, Runnable],
-    *control: NodeId,
-) -> AsyncIterator[None]:
-    """Run one task per agent on ``transport`` around the body.
+    transport: Transport, agents: Mapping[NodeId, Runnable]
+) -> AsyncIterator[List["asyncio.Future[None]"]]:
+    """Run one task per agent on ``transport`` around the body, which
+    gets the tasks.
 
-    ``fan_out`` puts an envelope on its way to every agent the caller
-    answers for; ``control`` names inboxes the caller reads itself.
-    When the body finishes, a stop is fanned out and the tasks get five
-    seconds to drain; on every way out stragglers are cancelled and the
+    An agent's task ends when it takes the stop the clock sends it
+    (:func:`run_periods`).  When the body finishes, the tasks get five
+    seconds to do so; on every way out stragglers are cancelled and the
     transport is closed.  A task that died of an exception is then
     re-raised: a crashed agent fails the run instead of quietly
     thinning its report.
     """
-    for address in (*control, *agents):
+    for address in agents:
         transport.register(address)
     tasks = [asyncio.ensure_future(agent.run()) for agent in agents.values()]
     try:
-        yield
-        await fan_out(StopEnvelope())
+        yield tasks
         if tasks:
             await asyncio.wait(tasks, timeout=5.0)
     finally:
@@ -274,17 +200,20 @@ async def run_periods(
     period_seconds: float,
     registry: MetricRegistry,
     collector: CollectorAgent,
-    fan_out: Callable[[Envelope], Awaitable[None]],
+    transport: Transport,
+    inboxes: Sequence[NodeId],
 ) -> None:
-    """Tick ``n_periods`` collection periods, one every ``period_seconds``.
+    """Tick ``n_periods`` collection periods, one every ``period_seconds``,
+    then stop.
 
-    Per period: advance the ground truth, fan the tick out, wait until
-    the collector has heard from every tree's root
-    (:meth:`CollectorAgent.heard_from_all`), close the period, and
-    sleep out the rest of its window.  A silent member holds the close
-    to its parent's child wait; a silent root holds it to ``2 *
-    period_seconds`` after the tick, and the next tick follows at once,
-    until the failure detector flags it ``down``.
+    Per period: advance the ground truth, send the tick to every inbox
+    of ``inboxes``, in its order, wait until the collector has heard
+    from every tree's root (:meth:`CollectorAgent.heard_from_all`),
+    close the period, and sleep out the rest of its window.  A silent
+    member holds the close to its parent's child wait; a silent root
+    holds it to ``2 * period_seconds`` after the tick, and the next tick
+    follows at once, until the failure detector flags it ``down``.
+    After the last period every inbox gets the stop.
     """
     loop = asyncio.get_running_loop()
     for period in range(n_periods):
@@ -299,19 +228,30 @@ async def run_periods(
             ) as period_span:
                 registry.advance_all()
                 tick = TickEnvelope(period, loop.time(), period_span.context())
-                await fan_out(tick)
+                await _broadcast(transport, inboxes, tick)
                 bound = tick.sent_at + 2 * period_seconds - loop.time()
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(collector.heard_from_all(period), bound)
                 collector.close_period(period)
                 await asyncio.sleep(tick.sent_at + period_seconds - loop.time())
+    await _broadcast(transport, inboxes, StopEnvelope())
+
+
+async def _broadcast(transport: Transport, inboxes: Sequence[NodeId], envelope: Envelope) -> None:
+    # Over a copy: a host may drop inboxes while a send waits.
+    for address in tuple(inboxes):
+        await transport.send(address, envelope)
 
 
 class MonitoringRuntime:
-    """Live execution of one monitoring plan in a single process.
+    """Live execution of one monitoring plan: one host of it.
 
-    The host with everything on one event loop: ticks go to every agent
-    and the collector through ``Transport.send``.
+    By default the host with everything on one event loop; ``nodes``
+    names the agents it hosts when a ``repro deploy`` process holds only
+    part of the plan (:mod:`repro.net.deploy`).  Whichever host runs
+    :meth:`run_async` owns the clock, hosts the collector, and sends
+    each tick to every inbox the plan names (:attr:`inboxes`) through
+    ``Transport.send``.
     """
 
     def __init__(
@@ -322,6 +262,7 @@ class MonitoringRuntime:
         config: Optional[RuntimeConfig] = None,
         transport: Optional[Transport] = None,
         metrics: Optional[RuntimeMetrics] = None,
+        nodes: Optional[Sequence[NodeId]] = None,
     ) -> None:
         self.plan = plan
         self.cluster = cluster
@@ -332,26 +273,48 @@ class MonitoringRuntime:
         # health row (envelopes, frames, reconnects) lands in the same
         # report whichever Transport implementation is plugged in.
         self.transport.bind_metrics(self.metrics)
-        self.registry = (
-            registry if registry is not None else ground_truth(plan, self.config.seed)
-        )
+        if registry is None:
+            # Pair order fixes the seeded RNG's consumption order, so
+            # every process (and every run of one process) MUST build
+            # from ``sorted(plan.pairs)`` -- raw set iteration varies
+            # with the interpreter's hash randomization.
+            registry = MetricRegistry(sorted(plan.pairs), seed=self.config.seed)
+        self.registry = registry
         for pair in sorted(plan.pairs):
             self.registry.ensure(pair)
         layouts = compile_layouts(plan)
-        self.agents: Dict[NodeId, NodeAgent] = build_agents(
-            plan, layouts, cluster, self.registry, self.transport, self.metrics, self.config
-        )
-        self.collector = build_collector(
-            plan,
-            layouts,
-            cluster.central_capacity,
+        roles = build_roles(plan, layouts)
+        #: Every inbox the plan names, in the order a tick reaches them:
+        #: each participating node, then the collector.
+        self.inboxes: List[NodeId] = [*sorted(roles), COLLECTOR_ADDRESS]
+        #: The agents this host runs, built one way on every host.
+        self.agents: Dict[NodeId, NodeAgent] = {
+            node: NodeAgent(
+                node_id=node,
+                capacity=cluster.capacity(node),
+                roles=roles[node],
+                cost=plan.cost,
+                registry=self.registry,
+                transport=self.transport,
+                metrics=self.metrics,
+                config=self.config,
+            )
+            for node in (sorted(roles) if nodes is None else nodes)
+        }
+        # The central collector over the collector budget ``b_0``: it
+        # scores every requested pair and expects every tree's root.
+        self.collector = CollectorAgent(
+            requested_pairs=sorted(plan.pairs),
+            layouts=layouts,
+            central_capacity=cluster.central_capacity,
+            cost=plan.cost,
             registry=self.registry,
             transport=self.transport,
             metrics=self.metrics,
             config=self.config,
         )
-        #: ``{COLLECTOR_ADDRESS: collector}``, the inboxes besides the
-        #: agents' that this host runs and ticks.
+        #: ``{COLLECTOR_ADDRESS: collector}``, the inbox besides the
+        #: agents' that the clock's host runs.
         self.collectors = {COLLECTOR_ADDRESS: self.collector}
         #: Per-period scores.
         self.samples = self.collector.samples
@@ -362,18 +325,20 @@ class MonitoringRuntime:
         return asyncio.run(self.run_async(n_periods))
 
     async def run_async(self, n_periods: int) -> RuntimeReport:
-        """Run ``n_periods`` collection periods and return the report."""
+        """Host the collector and this host's agents, run ``n_periods``
+        collection periods on the clock, and return the report."""
         if n_periods <= 0:
             raise ValueError(f"n_periods must be > 0, got {n_periods}")
         started = time.monotonic()
         everyone: Dict[NodeId, Runnable] = {**self.agents, **self.collectors}
-        async with hosting(self.transport, self.fan_out, everyone):
+        async with hosting(self.transport, everyone):
+            await self.transport.start()
             await run_periods(
-                n_periods, self.config.period_seconds, self.registry, self.collector, self.fan_out
+                n_periods,
+                self.config.period_seconds,
+                self.registry,
+                self.collector,
+                self.transport,
+                self.inboxes,
             )
         return run_report(self.plan, n_periods, self.collector, self.metrics, started)
-
-    # -- what this host supplies to the driver --------------------------
-    async def fan_out(self, envelope: Envelope) -> None:
-        for address in (*self.agents, *self.collectors):
-            await self.transport.send(address, envelope)

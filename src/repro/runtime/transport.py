@@ -72,6 +72,13 @@ class Transport(abc.ABC):
     def pending(self, address: NodeId) -> int:
         """Number of queued envelopes at ``address``."""
 
+    async def start(self) -> object:
+        """Open this process to the others' sends (no-op by default).
+
+        Socket transports override this to bind their listener; a run
+        starts its transport before the first tick.
+        """
+
     def bind_metrics(self, metrics: RuntimeMetrics) -> None:
         """Attach the run's metrics hub (no-op once bound).
 
@@ -119,9 +126,9 @@ class MailboxTransport(Transport):
     #: Metric label distinguishing implementations in the shared series.
     transport_kind = "mailbox"
 
-    def __init__(self, metrics: Optional[RuntimeMetrics] = None) -> None:
+    def __init__(self) -> None:
         self._inboxes: Dict[NodeId, _Inbox] = {}
-        self._metrics: Optional[RuntimeMetrics] = metrics
+        self._metrics: Optional[RuntimeMetrics] = None
 
     # -- metrics -------------------------------------------------------
     def bind_metrics(self, metrics: RuntimeMetrics) -> None:

@@ -133,8 +133,10 @@ class StreamMetricRegistry(MetricRegistry):
     """
 
     def __init__(self, app: StreamApp) -> None:
-        # State lives in the app; deliberately skip the base initializer.
+        # State lives in the app; deliberately skip the base initializer,
+        # all but the count :meth:`advance_to` reads.
         self._app = app
+        self._advanced = 0
 
     def __len__(self) -> int:
         return sum(len(self._app.node_attributes(n)) for n in self._app.nodes())
@@ -157,6 +159,7 @@ class StreamMetricRegistry(MetricRegistry):
 
     def advance_all(self) -> None:
         self._app.step()
+        self._advanced += 1
 
     def ensure(self, pair: NodeAttributePair) -> None:
         if not self._app.observes(pair.node, pair.attribute):

@@ -12,6 +12,8 @@ from repro.cluster.metrics import (
     RandomWalkMetric,
 )
 from repro.core.attributes import NodeAttributePair, pairs_for
+from repro.streams.app import StreamApp, StreamMetricRegistry
+from tests.test_streams import small_graph
 
 
 class TestGenerators:
@@ -88,3 +90,55 @@ class TestRegistry:
         assert pair in registry
         registry.ensure(pair)  # idempotent
         assert len(registry) == 1
+
+
+def metric_replica():
+    pairs = sorted(pairs_for(range(3), ["a", "b"]))
+    return MetricRegistry(pairs, seed=4), pairs
+
+
+def stream_replica():
+    app = StreamApp(small_graph(), {"src": 0, "parse": 0, "agg": 1, "sink": 1}, seed=7)
+    registry = StreamMetricRegistry(app)
+    return registry, sorted(registry.pairs())
+
+
+REPLICAS = {"metric": metric_replica, "stream": stream_replica}
+
+
+def values(registry, pairs):
+    return [registry.value(pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("make", REPLICAS.values(), ids=list(REPLICAS))
+class TestAdvanceTo:
+    """A replica without the clock (a deploy worker's) is brought to a
+    period by the tick it reads; the clock's own registry, advanced once
+    per period before the tick, is not moved by it."""
+
+    def test_reaching_a_period_equals_advancing_once_more(self, make):
+        fresh, pairs = make()
+        for period in (0, 3):
+            replica, _ = make()
+            clocked, _ = make()
+            replica.advance_to(period)
+            for _ in range(period + 1):
+                clocked.advance_all()
+            assert values(replica, pairs) == values(clocked, pairs)
+            assert values(replica, pairs) != values(fresh, pairs)
+
+    def test_repeating_the_call_is_a_no_op(self, make):
+        replica, pairs = make()
+        replica.advance_to(2)
+        held = values(replica, pairs)
+        replica.advance_to(2)
+        replica.advance_to(1)
+        assert values(replica, pairs) == held
+
+    def test_a_registry_the_clock_advanced_does_not_move(self, make):
+        registry, pairs = make()
+        for period in range(3):
+            registry.advance_all()  # the clock, before its tick
+            held = values(registry, pairs)
+            registry.advance_to(period)  # each agent, on that tick
+            assert values(registry, pairs) == held

@@ -8,27 +8,26 @@ effects.
 
 import json
 import multiprocessing
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.net import deploy
+from repro.net import TcpTransport, deploy
 from repro.obs import names
 from repro.obs.export import read_jsonl_spans
 from repro.net.deploy import (
-    CONTROL_ADDRESS_BASE,
     DeployError,
     DeploySpec,
-    control_address,
     make_spec,
     parse_chaos_kill,
     participating_nodes,
     run_deploy,
     shard_nodes,
 )
-from repro.runtime import COLLECTOR_ADDRESS, MonitoringRuntime, RuntimeConfig
+from repro.runtime import COLLECTOR_ADDRESS, MonitoringRuntime, RuntimeConfig, engine
 from repro.workloads.presets import Scenario
 from tests.virtual_time import run_virtual
 
@@ -50,6 +49,22 @@ RUN_SCHEMA_KEYS = {
     "wall_seconds",
     "metrics",
 }
+
+
+def finished_within(seconds, call):
+    """``call()``'s result, or a failure once ``seconds`` have passed
+    without one: the call is then left on a daemon thread, and the
+    processes it started are killed."""
+    done = []
+    thread = threading.Thread(target=lambda: done.append(call()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if not done:
+        for child in multiprocessing.active_children():
+            child.kill()
+        thread.join(2.0)  # the call's loop sees them go while its patches hold
+    assert done, f"still running after {seconds} s"
+    return done[0]
 
 
 class TestShardNodes:
@@ -102,12 +117,12 @@ class TestDeploySpec:
             rundir=str(tmp_path),
         )
         directory = spec.build_directory()
-        for node in participating_nodes(plan):
-            assert directory.endpoint_of(node) is not None
-        for rank in range(spec.workers):
-            assert directory.endpoint_of(control_address(rank)) == (
-                spec.worker_endpoints[rank]
-            )
+        for rank, shard in enumerate(spec.shards):
+            for node in shard:
+                assert directory.endpoint_of(node) == spec.worker_endpoints[rank]
+        assert sorted(node for shard in spec.shards for node in shard) == (
+            participating_nodes(plan)
+        )
         assert directory.endpoint_of(COLLECTOR_ADDRESS) == spec.collector_endpoint
 
     def test_unknown_preset_rejected(self):
@@ -176,6 +191,11 @@ class TestDeployEndToEnd:
         runtime = MonitoringRuntime(plan, SCENARIO.workload[0], config=RuntimeConfig(**CONFIG))
         baseline = run_virtual(runtime.run_async(6))
         assert messages["sent"] == baseline.messages_sent
+        # The clock sends each tick and the stop to every inbox, as the
+        # single process does: the same envelopes, however many hosts.
+        assert counters[names.TRANSPORT_ENVELOPES_SENT] == (
+            baseline.metrics.counter(names.TRANSPORT_ENVELOPES_SENT)
+        )
         assert outcome.report.failure_events == baseline.failure_events
         assert len(outcome.report.samples) == len(baseline.samples) == 6
 
@@ -195,7 +215,7 @@ class TestDeployEndToEnd:
         async def broken_periods(*args):
             raise LookupError("collector fault")
 
-        monkeypatch.setattr(deploy, "run_periods", broken_periods)
+        monkeypatch.setattr(engine, "run_periods", broken_periods)
         spec, plan = make_spec(
             SCENARIO, workers=2, periods=4, config=CONFIG, rundir=str(tmp_path)
         )
@@ -203,6 +223,20 @@ class TestDeployEndToEnd:
             run_deploy(spec, plan=plan)
         flight = json.loads(Path(spec.flight_path("supervisor")).read_text())
         assert "collector crashed" in flight["reason"]
+
+    def test_a_worker_out_of_restarts_does_not_stall_the_clock(self, tmp_path, monkeypatch):
+        """A killed worker that is not restarted leaves the broadcast: the
+        supervisor's link to it holds two ticks' frames here, so ticking
+        its shard on would block a send, and the run, for good."""
+        monkeypatch.setattr(deploy, "MAX_RESTARTS_PER_WORKER", 0)
+        spec, plan = make_spec(
+            SCENARIO, workers=2, periods=12, config=CONFIG, rundir=str(tmp_path)
+        )
+        monkeypatch.setattr(TcpTransport, "SEND_QUEUE_FRAMES", 2 * len(spec.shards[1]))
+        outcome = finished_within(60.0, lambda: run_deploy(spec, plan=plan, chaos_kill={1: 0.15}))
+        assert outcome.restarts == {0: 0, 1: 0}
+        assert outcome.worker_reports == 1
+        assert len(outcome.report.samples) == 12
 
     def test_worker_kill_and_restart_completes(self, tmp_path):
         spec, plan = make_spec(
@@ -403,8 +437,3 @@ class TestTraceCli:
         assert captured.err.count("\n") == 1 and "no trace-*.jsonl spans" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace-collector.jsonl"]
 
-
-def test_control_addresses_are_reserved_negative():
-    assert CONTROL_ADDRESS_BASE < 0
-    assert control_address(0) == CONTROL_ADDRESS_BASE
-    assert control_address(3) < CONTROL_ADDRESS_BASE - 2

@@ -364,18 +364,18 @@ def virtual_periods(small_cluster, periods, **config):
     plan = plan_for(small_cluster, pairs_for(range(6), ["a", "b"]))
     runtime = MonitoringRuntime(plan, small_cluster, config=RuntimeConfig(seed=1, **config))
     ticks, closes = [], []
-    fan_out, close_period = runtime.fan_out, runtime.collector.close_period
+    send, close_period = runtime.transport.send, runtime.collector.close_period
 
-    async def stamped_fan_out(envelope):
-        if isinstance(envelope, TickEnvelope):
-            ticks.append(envelope.sent_at)
-        await fan_out(envelope)
+    async def stamped_send(to, envelope):
+        if isinstance(envelope, TickEnvelope) and to == COLLECTOR_ADDRESS:
+            ticks.append(envelope.sent_at)  # the last copy of each tick
+        return await send(to, envelope)
 
     def stamped_close(period):
         closes.append(asyncio.get_running_loop().time())
         return close_period(period)
 
-    runtime.fan_out, runtime.collector.close_period = stamped_fan_out, stamped_close
+    runtime.transport.send, runtime.collector.close_period = stamped_send, stamped_close
     report = run_virtual(runtime.run_async(periods))
     return ticks, closes, report
 
@@ -542,7 +542,8 @@ class TestFailureEvents:
         down for periods 1..2 beside a one-node tree ``b``.  Once flagged,
         its tree is waived, so period 3 closes as soon as ``b`` reports,
         before ``a``'s wave, a few hops long, is in.  That first update
-        ends the waiver: period 4 waits for ``a`` again and hears 0."""
+        ends the waiver, period 4 waits for ``a`` again, and its close
+        hears 0 in period 3, the update's own."""
         nodes = [SimNode(i, capacity=100.0, attributes=frozenset("ab")) for i in range(7)]
         cluster = Cluster(nodes, central_capacity=500.0)
         pairs = set(pairs_for(range(6), ["a"])) | {NodeAttributePair(6, "b")}
@@ -553,7 +554,7 @@ class TestFailureEvents:
         report = run_virtual(MonitoringRuntime(plan, cluster, config=config).run_async(8))
         assert [(e.node, e.period, e.kind) for e in report.failure_events] == [
             (0, 1, "down"),
-            (0, 4, "recovered"),
+            (0, 3, "recovered"),
         ]
 
 

@@ -202,11 +202,13 @@ def deploy_on_one_loop(case: Case, workers: int) -> RuntimeReport:
             supervisor = _Supervisor(spec, case.planned, metrics, {})
             hosts = [WorkerRuntime(spec, rank) for rank in range(workers)]
             for host in hosts:
-                await host.transport.start()
+                await host.runtime.transport.start()
             await asyncio.gather(supervisor.run(), *(host.run(None) for host in hosts))
             for host in hosts:
-                metrics.registry.absorb(host.metrics.registry.dump())
-            return run_report(case.planned, case.periods, supervisor.collector, metrics, started)
+                metrics.registry.absorb(host.runtime.metrics.registry.dump())
+            return run_report(
+                case.planned, case.periods, supervisor.runtime.collector, metrics, started
+            )
 
         return run_virtual(run())
 
@@ -226,11 +228,12 @@ RUNTIME_ONLY = (names.CHILD_WAIT_TIMEOUTS, names.FAILURE_DETECTIONS, names.FAILU
 
 def observed(report: RuntimeReport, path: str) -> Dict[str, object]:
     """What a path must agree on: samples, failure events, and every
-    counter but the wire's own (``net_*``, ``transport_*``).  The
-    simulator is held to every counter it records, and not to the
-    failure events and :data:`RUNTIME_ONLY` counters it cannot have."""
+    counter but the wire's own (``net_*``): every live host sends the
+    same envelopes.  The simulator is held to every counter it records,
+    and not to the failure events and the ``transport_*`` and
+    :data:`RUNTIME_ONLY` counters it cannot have."""
     simulated = path == "simulator"
-    skip = ("net_", "transport_") + (RUNTIME_ONLY if simulated else ())
+    skip = ("net_",) + (("transport_", *RUNTIME_ONLY) if simulated else ())
     seen: Dict[str, object] = {
         "samples": report.samples,
         "counters": {
