@@ -42,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
+from functools import cached_property
 from typing import (
     AsyncIterator,
     Dict,
@@ -69,7 +70,7 @@ from repro.runtime.messages import (
     TreeLayout,
 )
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.report import RuntimeReport
+from repro.runtime.report import RuntimePeriodSample, RuntimeReport
 from repro.runtime.transport import InProcessTransport, Transport
 
 
@@ -301,23 +302,35 @@ class MonitoringRuntime:
             )
             for node in (sorted(roles) if nodes is None else nodes)
         }
-        # The central collector over the collector budget ``b_0``: it
-        # scores every requested pair and expects every tree's root.
-        self.collector = CollectorAgent(
-            requested_pairs=sorted(plan.pairs),
-            layouts=layouts,
-            central_capacity=cluster.central_capacity,
-            cost=plan.cost,
+        self._layouts = layouts
+
+    @cached_property
+    def collector(self) -> CollectorAgent:
+        """The central collector over the collector budget ``b_0``: it
+        scores every requested pair and expects every tree's root.  Built
+        on first use, so a host that never runs it (a deploy worker)
+        never builds its columns and truth reader."""
+        return CollectorAgent(
+            requested_pairs=sorted(self.plan.pairs),
+            layouts=self._layouts,
+            central_capacity=self.cluster.central_capacity,
+            cost=self.plan.cost,
             registry=self.registry,
             transport=self.transport,
             metrics=self.metrics,
             config=self.config,
         )
-        #: ``{COLLECTOR_ADDRESS: collector}``, the inbox besides the
-        #: agents' that the clock's host runs.
-        self.collectors = {COLLECTOR_ADDRESS: self.collector}
-        #: Per-period scores.
-        self.samples = self.collector.samples
+
+    @property
+    def collectors(self) -> Dict[NodeId, CollectorAgent]:
+        """``{COLLECTOR_ADDRESS: collector}``, the inbox besides the
+        agents' that the clock's host runs."""
+        return {COLLECTOR_ADDRESS: self.collector}
+
+    @property
+    def samples(self) -> List[RuntimePeriodSample]:
+        """Per-period scores."""
+        return self.collector.samples
 
     # ------------------------------------------------------------------
     def run(self, n_periods: int) -> RuntimeReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.core.attributes import NodeId
 from repro.core.cost import AggregationMap, CostModel
@@ -236,7 +236,9 @@ class GreedyTreeBuilder:
             if not self.on_saturated(tree, leaf, members):
                 return False
 
-    def _ordered_parents(self, tree: MonitoringTree, entry_cost: float = 0.0) -> List[NodeId]:
+    def _ordered_parents(
+        self, tree: MonitoringTree, entry_cost: float = 0.0
+    ) -> Iterable[NodeId]:
         # A parent must at least absorb the new child's message on its
         # receive side; anything with less headroom cannot host it, so
         # skip the (much costlier) full path walk for those.  Preference
